@@ -35,7 +35,7 @@ for x in (1, 3):
     hist = Counter()
     for a in range(5):
         st = PartyState(1, Matrix.from_rows([[x]], z5), Matrix.from_rows([[a]], z5), 1)
-        hist[alice_round1(st)[0].data[0]] += 1
+        hist[alice_round1(st)[0].data[0, 0]] += 1
     print(f"  data={x}: histogram of x-a = {dict(sorted(hist.items()))}")
 print("  -> uniform and identical: an observer of X-a learns nothing about X")
 

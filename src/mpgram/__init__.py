@@ -45,7 +45,6 @@ from .matrix import (
     Matrix,
     encode_real_matrix,
     gram_t,
-    load_csv,
     load_real_csv,
     mat_add,
     mat_scale,

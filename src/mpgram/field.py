@@ -14,12 +14,19 @@ Two interchangeable domains:
 
 Small test primes (Z_5, Z_251) are supported by passing ``p`` explicitly;
 exhaustive distribution checks are only feasible over tiny fields.
+
+Besides the scalar operations, each domain owns the arithmetic of whole
+matrices: ``reduce`` maps the result of an array expression over Python
+scalars back into the domain, and ``pack``/``unpack`` are the wire codec of
+a vector of elements.  ``decode`` and ``decode_dot`` apply elementwise to
+object arrays as well as to single scalars.
 """
 
 from __future__ import annotations
 
-import struct
 from random import Random
+
+import numpy as np
 
 from .errors import DomainError, EncodingOverflowError
 
@@ -55,9 +62,7 @@ class FixedPointCodec:
         return v % self.modulus
 
     def decode(self, v: int) -> float:
-        if v > self.modulus // 2:
-            v -= self.modulus
-        return v / self.scale
+        return self._signed(v) / self.scale
 
     def decode_dot(self, v: int) -> float:
         """Decode a sum of products of two encoded reals.
@@ -66,9 +71,12 @@ class FixedPointCodec:
         magnitude exceeds the headroom wraps silently; callers are
         responsible for the range precondition.
         """
-        if v > self.modulus // 2:
-            v -= self.modulus
-        return v / (self.scale * self.scale)
+        return self._signed(v) / (self.scale * self.scale)
+
+    def _signed(self, v):
+        """v for v <= p // 2, else v - p; elementwise on object arrays too."""
+        half = (self.modulus - 1) // 2
+        return (v + half) % self.modulus - half
 
 
 class FieldDomain:
@@ -134,19 +142,21 @@ class FieldDomain:
             if v:
                 return v
 
-    # -- serialization (8-byte little-endian unsigned) --------------------
+    # -- arrays: reduction and wire codec (8-byte little-endian unsigned) --
 
-    def to_bytes(self, v: int) -> bytes:
-        return v.to_bytes(8, "little")
+    def reduce(self, values):
+        """Residues mod p of an object array of Python ints."""
+        return values % self.p
 
-    def from_bytes(self, b: bytes) -> int:
-        v = int.from_bytes(b, "little")
-        if v >= self.p:
-            raise DomainError(f"serialized value {v} >= modulus {self.p}")
-        return v
+    def pack(self, values) -> bytes:
+        return np.asarray(values, dtype="<u8").tobytes()
 
-    def close(self, a: int, b: int, rel_tol: float = 0.0) -> bool:
-        return a == b
+    def unpack(self, buf) -> np.ndarray:
+        """Flat object array of the elements in ``buf``; each must be < p."""
+        values = np.frombuffer(buf, dtype="<u8")
+        if values.size and values.max() >= self.p:
+            raise DomainError(f"serialized value {values.max()} >= modulus {self.p}")
+        return values.astype(object)
 
     def __eq__(self, other) -> bool:
         return (
@@ -206,14 +216,16 @@ class FloatDomain:
     def uniform_nonzero(self, rng: Random) -> float:
         return 0.5 + 1.5 * rng.random()
 
-    def to_bytes(self, v: float) -> bytes:
-        return struct.pack("<d", v)
+    # -- arrays: reduction and wire codec (IEEE binary64) ----------------
 
-    def from_bytes(self, b: bytes) -> float:
-        return struct.unpack("<d", b)[0]
+    def reduce(self, values):
+        return values
 
-    def close(self, a: float, b: float, rel_tol: float = 1e-9) -> bool:
-        return abs(a - b) <= rel_tol * max(1.0, abs(a), abs(b))
+    def pack(self, values) -> bytes:
+        return np.asarray(values, dtype="<f8").tobytes()
+
+    def unpack(self, buf) -> np.ndarray:
+        return np.frombuffer(buf, dtype="<f8").astype(object)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FloatDomain)

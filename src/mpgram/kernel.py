@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DomainError
+from .matrix import load_real_csv, save_csv
 
 
 @dataclass(frozen=True)
@@ -58,10 +59,7 @@ def rbf_direct(samples, sigma: float) -> np.ndarray:
 def export_matrix(k: KernelMatrix, path, fmt: str = "csv") -> None:
     """Write the kernel as CSV (17 significant digits) or JSON."""
     if fmt == "csv":
-        with open(path, "w") as fh:
-            for row in k.entries:
-                fh.write(",".join(format(v, ".17g") for v in row))
-                fh.write("\n")
+        save_csv(k.entries, path)
     elif fmt == "json":
         doc = {"n": k.n, "sigma": k.sigma, "rows": [[float(v) for v in row] for row in k.entries]}
         with open(path, "w") as fh:
@@ -72,13 +70,7 @@ def export_matrix(k: KernelMatrix, path, fmt: str = "csv") -> None:
 
 def import_matrix(path, fmt: str = "csv") -> KernelMatrix:
     if fmt == "csv":
-        rows = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rows.append([float(tok) for tok in line.split(",")])
-        return KernelMatrix(np.array(rows, dtype=float), sigma=float("nan"))
+        return KernelMatrix(np.array(load_real_csv(path), dtype=float), sigma=float("nan"))
     if fmt == "json":
         with open(path) as fh:
             doc = json.load(fh)

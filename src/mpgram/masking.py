@@ -23,11 +23,12 @@ alone, which is an incomplete gram matrix of data and mask columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, ProtocolError, ProtocolIncompleteError
-from .matrix import Matrix, gram_t, mat_scale, mat_sub, random_matrix
+from .matrix import Matrix, gram_t, mat_add, mat_scale, mat_sub, random_matrix
 from .seeds import derived_rng
 
 
@@ -105,12 +106,7 @@ def fp_combine(pr: PairResult) -> Matrix:
     if len(shapes) != 1:
         raise DimensionError(f"pair result blocks disagree in shape: {sorted(shapes)}")
     inv_alpha = dom.inv(pr.alpha)
-    add = dom.add
-    data = tuple(
-        add(add(x, y), dom.mul(inv_alpha, z))
-        for x, y, z in zip(pr.a1.data, pr.b1.data, pr.b2.data)
-    )
-    return Matrix(pr.a1.rows, pr.a1.cols, data, dom)
+    return Matrix(dom.reduce(pr.a1.data + pr.b1.data + inv_alpha * pr.b2.data), dom)
 
 
 def run_pair(alice: PartyState, bob: PartyState) -> PairResult:
@@ -159,19 +155,27 @@ def pair_rounds(m: int) -> list:
 
 @dataclass(frozen=True)
 class GramAssembly:
+    """The pooled gram matrix; rows and columns run over the parties in id order."""
+
     party_ids: tuple
-    sizes: tuple
-    offsets: tuple
-    self_blocks: dict
-    cross_blocks: dict  # (i, j) with i < j
+    sizes: tuple  # samples per party, in party_ids order
     full: Matrix
 
+    @property
+    def offsets(self) -> tuple:
+        return tuple(accumulate(self.sizes[:-1], initial=0))
+
     def block(self, i: int, j: int) -> Matrix:
-        if i == j:
-            return self.self_blocks[i]
-        if i < j:
-            return self.cross_blocks[(i, j)]
-        return self.cross_blocks[(j, i)].transpose()
+        """Gram block of party i's samples against party j's."""
+        spans = {
+            p: slice(off, off + size)
+            for p, off, size in zip(self.party_ids, self.offsets, self.sizes)
+        }
+        return Matrix(self.full.data[spans[i], spans[j]], self.full.domain)
+
+    @property
+    def self_blocks(self) -> dict:
+        return {i: self.block(i, i) for i in self.party_ids}
 
 
 def assemble_gram(self_blocks: dict, pair_results: dict) -> GramAssembly:
@@ -183,7 +187,6 @@ def assemble_gram(self_blocks: dict, pair_results: dict) -> GramAssembly:
     construction.
     """
     party_ids = tuple(sorted(self_blocks))
-    m = len(party_ids)
     for i in party_ids:
         sb = self_blocks[i]
         if sb.rows != sb.cols:
@@ -193,41 +196,26 @@ def assemble_gram(self_blocks: dict, pair_results: dict) -> GramAssembly:
             if a_id < b_id and (a_id, b_id) not in pair_results:
                 raise ProtocolIncompleteError(f"missing pair result for ({a_id},{b_id})")
     dom = self_blocks[party_ids[0]].domain
-    sizes = tuple(self_blocks[i].rows for i in party_ids)
-    offsets = []
-    acc = 0
-    for s in sizes:
-        offsets.append(acc)
-        acc += s
-    total = acc
+    sizes = {i: self_blocks[i].rows for i in party_ids}
 
-    cross = {
-        key: fp_combine(pr) if isinstance(pr, PairResult) else pr
-        for key, pr in pair_results.items()
-    }
-    grid = [[dom.zero] * total for _ in range(total)]
-
-    def put(block: Matrix, ro: int, co: int):
-        for r in range(block.rows):
-            row = grid[ro + r]
-            for c in range(block.cols):
-                row[co + c] = block.get(r, c)
-
-    for ai, i in enumerate(party_ids):
-        put(self_blocks[i], offsets[ai], offsets[ai])
-        for bj in range(ai + 1, m):
-            j = party_ids[bj]
-            blk = cross[(i, j)]
-            if (blk.rows, blk.cols) != (sizes[ai], sizes[bj]):
-                raise DimensionError(
-                    f"pair ({i},{j}) block is {blk.rows}x{blk.cols}, "
-                    f"expected {sizes[ai]}x{sizes[bj]}"
-                )
-            put(blk, offsets[ai], offsets[bj])
-            put(blk.transpose(), offsets[bj], offsets[ai])
-
-    full = Matrix(total, total, tuple(x for row in grid for x in row), dom)
-    return GramAssembly(party_ids, sizes, tuple(offsets), dict(self_blocks), cross, full)
+    cross = {}
+    for (i, j), pr in pair_results.items():
+        blk = fp_combine(pr) if isinstance(pr, PairResult) else pr
+        if (blk.rows, blk.cols) != (sizes[i], sizes[j]):
+            raise DimensionError(
+                f"pair ({i},{j}) block is {blk.rows}x{blk.cols}, "
+                f"expected {sizes[i]}x{sizes[j]}"
+            )
+        cross[(i, j)] = blk.data
+    grid = [
+        [
+            self_blocks[i].data if i == j else cross[(i, j)] if i < j else cross[(j, i)].T
+            for j in party_ids
+        ]
+        for i in party_ids
+    ]
+    full = Matrix(np.block(grid), dom)
+    return GramAssembly(party_ids, tuple(sizes[i] for i in party_ids), full)
 
 
 # -- function-party leakage analysis --------------------------------------
@@ -264,14 +252,7 @@ def leakage_view(self_blocks: dict, pair_results: dict) -> LeakageView:
         mm = mat_scale(dom.inv(pr.alpha), pr.b2)  # a_i^T a_j = B2 / alpha_i
         mask_mask[(i, j)] = mm
         # a_i^T X_j = A1 + a_i^T a_j  (A1 = a_i^T (X_j - a_j))
-        add = dom.add
-        md = Matrix(
-            pr.a1.rows,
-            pr.a1.cols,
-            tuple(add(x, y) for x, y in zip(pr.a1.data, mm.data)),
-            dom,
-        )
-        mask_data[(i, j)] = md
+        mask_data[(i, j)] = mat_add(pr.a1, mm)
     return LeakageView(party_ids, data_data, mask_mask, mask_data, alphas)
 
 
@@ -311,10 +292,9 @@ def verify_leakage_view(view: LeakageView, states: dict) -> float:
 
 
 def _block_dev(a: Matrix, b: Matrix) -> float:
-    dom = a.domain
-    if dom.kind == "field":
-        return 0.0 if a.data == b.data else 1.0
-    return max(abs(x - y) for x, y in zip(a.data, b.data)) if a.data else 0.0
+    if a.domain.kind == "field":
+        return 0.0 if a == b else 1.0
+    return float(np.max(np.abs(a.data - b.data), initial=0.0))
 
 
 # -- gram non-invertibility demonstration ---------------------------------

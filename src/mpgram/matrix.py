@@ -2,48 +2,61 @@
 
 Every data matrix in the protocols is f x n with one column per sample,
 so the gram block of two parties is ``gram_t(A, B) = A^T B`` with shape
-(A.cols x B.cols).  Matrices are immutable after construction and carry
-their scalar domain; multiplication is the naive triple loop, which is
-fine at the intended scale and keeps field arithmetic exact.
+(A.cols x B.cols).  A matrix is a read-only 2-D numpy array of dtype
+``object`` plus its scalar domain.  The entries stay Python scalars (ints
+in [0, p) over the field, floats over the float domain), so arithmetic is
+exact and no fixed-width product can wrap.  Each operation is one array
+expression followed by the domain's ``reduce``; the domain also owns the
+wire codec of the entries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from random import Random
 from typing import Sequence
+
+import numpy as np
 
 from .errors import DimensionError, DomainMismatchError
 
 
-@dataclass(frozen=True)
 class Matrix:
-    rows: int  # f, features
-    cols: int  # n, samples
-    data: tuple = field(repr=False)  # row-major scalars
-    domain: object = field(repr=False, default=None)
+    """An immutable rows x cols matrix over ``domain``; ``data`` is its entry array."""
 
-    def __post_init__(self):
-        if len(self.data) != self.rows * self.cols:
-            raise DimensionError(
-                f"data length {len(self.data)} != {self.rows} features x {self.cols} samples"
-            )
+    __slots__ = ("data", "domain")
 
-    def get(self, r: int, c: int):
-        return self.data[r * self.cols + c]
+    def __init__(self, data, domain=None):
+        data = np.array(data, dtype=object)
+        if data.ndim != 2:
+            raise DimensionError(f"matrix data must be 2-D, got shape {data.shape}")
+        data.flags.writeable = False
+        self.data = data
+        self.domain = domain
 
-    def row(self, r: int) -> tuple:
-        return self.data[r * self.cols : (r + 1) * self.cols]
+    @property
+    def rows(self) -> int:  # f, features
+        return self.data.shape[0]
 
-    def col(self, c: int) -> tuple:
-        return self.data[c :: self.cols] if self.cols else ()
+    @property
+    def cols(self) -> int:  # n, samples
+        return self.data.shape[1]
 
-    def to_rows(self) -> list:
-        return [list(self.row(r)) for r in range(self.rows)]
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return (
+            self.domain == other.domain
+            and self.data.shape == other.data.shape
+            and bool((self.data == other.data).all())
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Matrix(rows={self.rows}, cols={self.cols})"
 
     def transpose(self) -> "Matrix":
-        data = tuple(self.data[r * self.cols + c] for c in range(self.cols) for r in range(self.rows))
-        return Matrix(self.cols, self.rows, data, self.domain)
+        return Matrix(self.data.T, self.domain)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence], domain) -> "Matrix":
@@ -51,11 +64,11 @@ class Matrix:
         nc = len(rows[0]) if nr else 0
         if any(len(r) != nc for r in rows):
             raise DimensionError("ragged rows")
-        return Matrix(nr, nc, tuple(x for r in rows for x in r), domain)
+        return Matrix(np.array(rows, dtype=object).reshape(nr, nc), domain)
 
     @staticmethod
     def zeros(rows: int, cols: int, domain) -> "Matrix":
-        return Matrix(rows, cols, (domain.zero,) * (rows * cols), domain)
+        return Matrix(np.full((rows, cols), domain.zero, dtype=object), domain)
 
 
 def _check_same_domain(a: Matrix, b: Matrix):
@@ -63,29 +76,26 @@ def _check_same_domain(a: Matrix, b: Matrix):
         raise DomainMismatchError(f"mixed domains: {a.domain!r} vs {b.domain!r}")
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
+def _check_same_shape(a: Matrix, b: Matrix):
     _check_same_domain(a, b)
-    if (a.rows, a.cols) != (b.rows, b.cols):
+    if a.data.shape != b.data.shape:
         raise DimensionError(
             f"shape mismatch: {a.rows}x{a.cols} vs {b.rows}x{b.cols} (features x samples)"
         )
-    add = a.domain.add
-    return Matrix(a.rows, a.cols, tuple(map(add, a.data, b.data)), a.domain)
+
+
+def mat_add(a: Matrix, b: Matrix) -> Matrix:
+    _check_same_shape(a, b)
+    return Matrix(a.domain.reduce(a.data + b.data), a.domain)
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    _check_same_domain(a, b)
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise DimensionError(
-            f"shape mismatch: {a.rows}x{a.cols} vs {b.rows}x{b.cols} (features x samples)"
-        )
-    sub = a.domain.sub
-    return Matrix(a.rows, a.cols, tuple(map(sub, a.data, b.data)), a.domain)
+    _check_same_shape(a, b)
+    return Matrix(a.domain.reduce(a.data - b.data), a.domain)
 
 
 def mat_scale(s, a: Matrix) -> Matrix:
-    mul = a.domain.mul
-    return Matrix(a.rows, a.cols, tuple(mul(s, x) for x in a.data), a.domain)
+    return Matrix(a.domain.reduce(s * a.data), a.domain)
 
 
 def gram_t(a: Matrix, b: Matrix) -> Matrix:
@@ -95,43 +105,21 @@ def gram_t(a: Matrix, b: Matrix) -> Matrix:
         raise DimensionError(
             f"feature dimension mismatch: {a.rows} vs {b.rows} (features x samples)"
         )
+    # the sum starts at the domain's zero, so floats that are all -0.0 sum to +0.0
     dom = a.domain
-    add, mul = dom.add, dom.mul
-    f, na, nb = a.rows, a.cols, b.cols
-    out = []
-    acols = [a.col(i) for i in range(na)]
-    bcols = [b.col(j) for j in range(nb)]
-    for i in range(na):
-        ai = acols[i]
-        for j in range(nb):
-            bj = bcols[j]
-            acc = dom.zero
-            for k in range(f):
-                acc = add(acc, mul(ai[k], bj[k]))
-            out.append(acc)
-    return Matrix(na, nb, tuple(out), dom)
+    return Matrix(dom.reduce(dom.zero + a.data.T @ b.data), dom)
 
 
 def random_matrix(shape: tuple, domain, rng: Random) -> Matrix:
-    """Matrix of i.i.d. uniform domain elements from a seeded generator."""
+    """Matrix of i.i.d. uniform domain elements from a seeded generator.
+
+    Draws one element at a time in row-major order, so the generator's
+    stream fixes every entry.
+    """
     rows, cols = shape
     uniform = domain.uniform
-    return Matrix(rows, cols, tuple(uniform(rng) for _ in range(rows * cols)), domain)
-
-
-def matrices_close(a: Matrix, b: Matrix, rel_tol: float = 1e-9) -> bool:
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        return False
-    close = a.domain.close
-    return all(close(x, y, rel_tol) for x, y in zip(a.data, b.data))
-
-
-def max_abs_deviation(a: Matrix, b: Matrix) -> float:
-    """Max |a_ij - b_ij| after decoding both sides to reals (dot-product scale)."""
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise DimensionError("shape mismatch")
-    dd = a.domain.decode_dot
-    return max((abs(dd(x) - dd(y)) for x, y in zip(a.data, b.data)), default=0.0)
+    draws = np.array([uniform(rng) for _ in range(rows * cols)], dtype=object)
+    return Matrix(draws.reshape(rows, cols), domain)
 
 
 def encode_real_matrix(rows: Sequence[Sequence[float]], domain) -> Matrix:
@@ -139,47 +127,31 @@ def encode_real_matrix(rows: Sequence[Sequence[float]], domain) -> Matrix:
     return Matrix.from_rows([[enc(x) for x in r] for r in rows], domain)
 
 
-def decode_gram_matrix(m: Matrix) -> list:
-    """Gram entries back to reals (rescales by the squared fixed-point factor)."""
-    dd = m.domain.decode_dot
-    return [[dd(m.get(r, c)) for c in range(m.cols)] for r in range(m.rows)]
-
-
 # -- CSV interchange ----------------------------------------------------
 #
-# Header-free, comma-separated, one matrix row per line.  Float-domain
-# files hold reals; field-domain files hold already-encoded integers.
+# Header-free, comma-separated, one matrix row per line.  Ints (encoded
+# field elements) are written and read back exactly; reals are written with
+# 17 significant digits, enough to read them back bit for bit.
 
 
-def save_csv(m: Matrix, path) -> None:
+def save_csv(m, path) -> None:
+    """Write a Matrix, or any 2-D sequence of numbers, as CSV."""
+    rows = m.data if isinstance(m, Matrix) else m
     with open(path, "w") as fh:
-        for r in range(m.rows):
-            if m.domain is not None and m.domain.kind == "field":
-                fh.write(",".join(str(x) for x in m.row(r)))
-            else:
-                fh.write(",".join(format(x, ".17g") for x in m.row(r)))
+        for row in rows:
+            fh.write(",".join(str(x) if isinstance(x, int) else format(x, ".17g") for x in row))
             fh.write("\n")
 
 
-def load_csv(path, domain, transpose: bool = False) -> Matrix:
-    rows = _read_csv_rows(path, integer=(domain.kind == "field"))
-    m = Matrix.from_rows(rows, domain)
-    return m.transpose() if transpose else m
-
-
 def load_real_csv(path, transpose: bool = False) -> list:
-    rows = _read_csv_rows(path, integer=False)
+    """Rows of numbers from a CSV file; integer tokens are read as exact ints."""
+    with open(path) as fh:
+        rows = [[_number(tok) for tok in line.split(",")] for line in map(str.strip, fh) if line]
     if transpose:
         return [list(col) for col in zip(*rows)]
     return rows
 
 
-def _read_csv_rows(path, integer: bool) -> list:
-    parse = int if integer else float
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([parse(tok) for tok in line.split(",")])
-    return rows
+def _number(tok: str):
+    tok = tok.strip()
+    return int(tok) if tok.lstrip("-").isdecimal() else float(tok)

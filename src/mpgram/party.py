@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import transport as tp
 from .costs import ESCAPED, RE
 from .errors import ProtocolError, ProtocolIncompleteError
@@ -55,10 +57,46 @@ class SessionSpec:
 @dataclass
 class FunctionPartyResult:
     assembly: GramAssembly
-    self_blocks: dict
     pair_results: dict | None  # masking protocol only
-    cross_blocks: dict
-    sizes: dict
+
+    def to_doc(self) -> dict:
+        """JSON form, in which a TCP function-party worker hands its result back."""
+        asm = self.assembly
+        doc = {
+            "party_ids": list(asm.party_ids),
+            "sizes": list(asm.sizes),
+            "gram": asm.full.data.tolist(),
+        }
+        if self.pair_results is not None:
+            doc["pair_results"] = [
+                {
+                    "alice": pr.alice_id,
+                    "bob": pr.bob_id,
+                    "a1": pr.a1.data.tolist(),
+                    "b1": pr.b1.data.tolist(),
+                    "b2": pr.b2.data.tolist(),
+                    "alpha": pr.alpha,
+                }
+                for pr in self.pair_results.values()
+            ]
+        return doc
+
+    @staticmethod
+    def from_doc(doc: dict, domain) -> "FunctionPartyResult":
+        full = Matrix(doc["gram"], domain)
+        assembly = GramAssembly(tuple(doc["party_ids"]), tuple(doc["sizes"]), full)
+        pair_results = None
+        if "pair_results" in doc:
+            pair_results = {
+                (pr["alice"], pr["bob"]): PairResult(
+                    pr["alice"],
+                    pr["bob"],
+                    *(Matrix(pr[part], domain) for part in ("a1", "b1", "b2")),
+                    pr["alpha"],
+                )
+                for pr in doc["pair_results"]
+            }
+        return FunctionPartyResult(assembly, pair_results)
 
 
 def expected_fp_frames(protocol: str, m: int, party_id: int) -> int:
@@ -176,8 +214,7 @@ class _ReParty:
         to_fp = []
         for idx, randoms in enumerate(all_randoms):
             u = idx // n_b
-            x_col = self.data.col(u)
-            xc = encode_x_side(dom, x_col, scheme, randoms)
+            xc = encode_x_side(dom, self.data.data[:, u], scheme, randoms)
             off = offline_components(dom, scheme, randoms)
             for (c1, c2), c5 in zip(xc, off):
                 to_fp.extend((c1, c2, c5))
@@ -209,7 +246,7 @@ class _ReParty:
             for v in range(n_b):
                 triples = [tuple(flat[pos + 3 * k : pos + 3 * k + 3]) for k in range(f)]
                 pos += 3 * f
-                yc = encode_y_side(dom, self.data.col(v), scheme, triples)
+                yc = encode_y_side(dom, self.data.data[:, v], scheme, triples)
                 for c3, c4 in yc:
                     to_fp.extend((c3, c4))
         self.mesh.fp_channel.send(
@@ -224,7 +261,6 @@ class _ReParty:
 def function_party_session(spec: SessionSpec, mesh) -> FunctionPartyResult:
     """Drain every input party's frames, then assemble the gram matrix."""
     dom = spec.domain
-    sizes = dict(mesh.n_by_peer)
     inv = {
         "a1": {},
         "b1": {},
@@ -259,7 +295,6 @@ def function_party_session(spec: SessionSpec, mesh) -> FunctionPartyResult:
                     i, j, inv["a1"][(i, j)], inv["b1"][(i, j)], inv["b2"][(i, j)], inv["alpha"][i]
                 )
         assembly = assemble_gram(self_blocks, pair_results)
-        cross_blocks = dict(assembly.cross_blocks)
     else:
         cross_blocks = {}
         for i in range(1, spec.m + 1):
@@ -269,8 +304,8 @@ def function_party_session(spec: SessionSpec, mesh) -> FunctionPartyResult:
                 cross_blocks[(i, j)] = _decode_re_block(
                     dom,
                     spec.features,
-                    sizes[i],
-                    sizes[j],
+                    mesh.n_by_peer[i],
+                    mesh.n_by_peer[j],
                     inv["x_side"][(i, j)],
                     inv["y_side"][(i, j)],
                 )
@@ -278,7 +313,7 @@ def function_party_session(spec: SessionSpec, mesh) -> FunctionPartyResult:
 
     for i in range(1, spec.m + 1):
         mesh.peer_channels[i].send(tp.DONE, b"")
-    return FunctionPartyResult(assembly, self_blocks, pair_results, cross_blocks, sizes)
+    return FunctionPartyResult(assembly, pair_results)
 
 
 def _dispatch_fp_frame(frame, dom, inv):
@@ -317,7 +352,7 @@ def _decode_re_block(dom, f: int, n_a: int, n_b: int, x_flat, y_flat) -> Matrix:
         off = [x_flat[xo + 3 * k + 2] for k in range(f)]
         y_comps = [(y_flat[yo + 2 * k], y_flat[yo + 2 * k + 1]) for k in range(f)]
         entries.append(decode_dot(dom, x_comps, y_comps, off))
-    return Matrix(n_a, n_b, tuple(entries), dom)
+    return Matrix(np.array(entries, dtype=object).reshape(n_a, n_b), dom)
 
 
 # -- meshes ------------------------------------------------------------------

@@ -31,12 +31,7 @@ from .errors import ConfigError, MpgramError, ProtocolError
 from .field import make_domain
 from .kernel import KernelMatrix, rbf_from_gram
 from .masking import leakage_view, make_party_state, verify_leakage_view
-from .matrix import (
-    Matrix,
-    encode_real_matrix,
-    gram_t,
-    load_real_csv,
-)
+from .matrix import Matrix, encode_real_matrix, gram_t, load_real_csv, save_csv
 from .party import (
     FunctionPartyResult,
     SessionSpec,
@@ -111,12 +106,8 @@ def gen_data(m: int, f: int, samples, seed: int, out_dir) -> list:
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for i in range(1, m + 1):
-        rows = synthesize_party_reals(seed, i, f, samples[i - 1])
         path = os.path.join(out_dir, f"party_{i}.csv")
-        with open(path, "w") as fh:
-            for row in rows:
-                fh.write(",".join(format(x, ".17g") for x in row))
-                fh.write("\n")
+        save_csv(synthesize_party_reals(seed, i, f, samples[i - 1]), path)
         paths.append(path)
     return paths
 
@@ -154,9 +145,7 @@ def run(config: RunConfig) -> RunResult:
 
     t2 = time.perf_counter()
     gram = fp_result.assembly.full
-    gram_real = np.array(
-        [[domain.decode_dot(gram.get(r, c)) for c in range(gram.cols)] for r in range(gram.rows)]
-    )
+    gram_real = domain.decode_dot(gram.data).astype(float)
 
     verification = {"enabled": bool(config.verify), "status": "skipped"}
     leakage = None
@@ -164,7 +153,7 @@ def run(config: RunConfig) -> RunResult:
         verification = _verify_against_oracle(domain, data, gram)
         if config.protocol == ESCAPED:
             states = {i: make_party_state(i, data[i], config.seed) for i in data}
-            view = leakage_view(fp_result.self_blocks, fp_result.pair_results)
+            view = leakage_view(fp_result.assembly.self_blocks, fp_result.pair_results)
             dev = verify_leakage_view(view, states)
             leakage = {
                 "verified": dev == 0.0 if domain.kind == "field" else dev <= 1e-9,
@@ -228,9 +217,7 @@ def determinism_digest(report: dict) -> str:
 
 def _gram_sha(gram: Matrix) -> str:
     h = hashlib.sha256(struct.pack("<II", gram.rows, gram.cols))
-    dom = gram.domain
-    for x in gram.data:
-        h.update(dom.to_bytes(x))
+    h.update(gram.domain.pack(gram.data))
     return h.hexdigest()
 
 
@@ -242,43 +229,32 @@ def _kernel_sha(kernel: KernelMatrix) -> str:
 
 def plaintext_gram(domain, data: dict) -> Matrix:
     """Oracle: gram of the column-concatenated party matrices."""
-    ids = sorted(data)
-    f = data[ids[0]].rows
-    rows = []
-    for r in range(f):
-        row = []
-        for i in ids:
-            row.extend(data[i].row(r))
-        rows.append(row)
-    full = Matrix.from_rows(rows, domain)
+    full = Matrix(np.hstack([data[i].data for i in sorted(data)]), domain)
     return gram_t(full, full)
 
 
 def _verify_against_oracle(domain, data: dict, gram: Matrix) -> dict:
     oracle = plaintext_gram(domain, data)
     if domain.kind == "field":
-        ok = oracle.data == gram.data
+        ok = oracle == gram
+        dev = 0.0
+        if not ok:
+            dev = np.abs(domain.decode_dot(gram.data) - domain.decode_dot(oracle.data))
+            dev = float(np.max(dev))
         return {
             "enabled": True,
             "status": "pass" if ok else "fail",
-            "max_abs_deviation": 0.0 if ok else _decoded_dev(domain, gram, oracle),
+            "max_abs_deviation": dev,
             "bound": 0.0,
         }
-    dev = 0.0
-    for g, o in zip(gram.data, oracle.data):
-        dev = max(dev, abs(g - o) / max(1.0, abs(o)))
+    g, o = gram.data.astype(float), oracle.data.astype(float)
+    dev = float(np.max(np.abs(g - o) / np.maximum(1.0, np.abs(o)), initial=0.0))
     return {
         "enabled": True,
         "status": "pass" if dev <= 1e-9 else "fail",
         "max_abs_deviation": dev,
         "bound": 1e-9,
     }
-
-
-def _decoded_dev(domain, a: Matrix, b: Matrix) -> float:
-    return max(
-        abs(domain.decode_dot(x) - domain.decode_dot(y)) for x, y in zip(a.data, b.data)
-    )
 
 
 # -- loopback execution ------------------------------------------------------
@@ -349,12 +325,8 @@ def _run_tcp(config: RunConfig, domain, reals: dict):
 
         csv_paths = {}
         for i, rows in reals.items():
-            path = os.path.join(rundir, f"party_{i}.csv")
-            with open(path, "w") as fh:
-                for row in rows:
-                    fh.write(",".join(format(x, ".17g") for x in row))
-                    fh.write("\n")
-            csv_paths[i] = path
+            csv_paths[i] = os.path.join(rundir, f"party_{i}.csv")
+            save_csv(rows, csv_paths[i])
 
         procs = []
         out_paths = {}
@@ -410,47 +382,10 @@ def _run_tcp(config: RunConfig, domain, reals: dict):
             transcript.extend(tp.Transcript.from_json_entries(doc["transcript"]).entries)
             if pid == 0:
                 fp_doc = doc["result"]
-        fp_result = _fp_result_from_doc(fp_doc, domain, config.protocol)
+        fp_result = FunctionPartyResult.from_doc(fp_doc, domain)
         return fp_result, transcript
     finally:
         shutil.rmtree(rundir, ignore_errors=True)
-
-
-def mat_to_doc(m: Matrix) -> dict:
-    return {"rows": m.rows, "cols": m.cols, "data": list(m.data)}
-
-
-def mat_from_doc(doc: dict, domain) -> Matrix:
-    return Matrix(doc["rows"], doc["cols"], tuple(doc["data"]), domain)
-
-
-def _fp_result_from_doc(doc: dict, domain, protocol: str) -> FunctionPartyResult:
-    from .masking import PairResult, assemble_gram
-
-    sizes = {int(k): v for k, v in doc["sizes"].items()}
-    self_blocks = {int(k): mat_from_doc(v, domain) for k, v in doc["self_blocks"].items()}
-    if protocol == ESCAPED:
-        pair_results = {}
-        for pr in doc["pair_results"]:
-            key = (pr["alice"], pr["bob"])
-            pair_results[key] = PairResult(
-                pr["alice"],
-                pr["bob"],
-                mat_from_doc(pr["a1"], domain),
-                mat_from_doc(pr["b1"], domain),
-                mat_from_doc(pr["b2"], domain),
-                pr["alpha"],
-            )
-        assembly = assemble_gram(self_blocks, pair_results)
-        cross = dict(assembly.cross_blocks)
-    else:
-        pair_results = None
-        cross = {
-            (cb["alice"], cb["bob"]): mat_from_doc(cb["block"], domain)
-            for cb in doc["cross_blocks"]
-        }
-        assembly = assemble_gram(self_blocks, cross)
-    return FunctionPartyResult(assembly, self_blocks, pair_results, cross, sizes)
 
 
 # -- protocol comparison -------------------------------------------------------

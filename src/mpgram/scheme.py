@@ -5,10 +5,10 @@ two P strictly below d splits the index range, one fresh "split" random
 is booked with sign +1 on the first leaf of the left half and -1 on the
 first leaf of the right half (so the split contributions telescope to
 zero in the decoded sum), and recursion bottoms out in a mul-add leaf
-gadget that allocates four fresh randoms.  Index 0 inside the raw eX/eY
-lists is a positional sentinel for the constant one (the multiplier of
-the data value in the first component); it is not a slot in the sampled
-randoms vector.
+gadget that allocates four fresh randoms.  Index 0 inside a leaf's raw
+eX/eY lists is a positional sentinel for the constant one (the multiplier
+of the data value in the first component); it is not a slot in the
+sampled randoms vector.
 
 Per leaf i with randoms (a, b, c, d) and split sum s_i:
 
@@ -22,7 +22,7 @@ and sum_i (c1*c3 + c2 + c4 + c5) = <x, y>.
 
 The Y side touches only r[a], r[b], r[d], so those three per leaf are
 the full set of randoms the scheme owner must transmit to the peer.
-The raw index lists are retained verbatim for inspection and dumps.
+Dumps show each leaf's raw index lists, derived from its plan.
 """
 
 from __future__ import annotations
@@ -45,16 +45,22 @@ class LeafPlan:
     d: int
     offline: tuple  # ((random index, sign), ...) including (c, -1), (d, -1)
 
+    @property
+    def ex(self) -> tuple:
+        """The leaf's raw X-side index list, as dumps show it; 0 stands for the constant one."""
+        return (0, self.b, self.a, self.a, self.b, self.c)
+
+    @property
+    def ey(self) -> tuple:
+        """The leaf's raw Y-side index list, as dumps show it; 0 stands for the constant one."""
+        return (0, self.a, self.b, self.d)
+
 
 @dataclass(frozen=True)
 class DotEncodingScheme:
     d: int
     total_randoms: int
     leaves: tuple
-    raw_ex: tuple  # 6 index entries per leaf
-    raw_ey: tuple  # 4 index entries per leaf
-    raw_eo: tuple  # offline random indices per leaf
-    raw_eos: tuple  # matching signs per leaf
 
 
 def generate_scheme(d: int) -> DotEncodingScheme:
@@ -66,51 +72,31 @@ def generate_scheme(d: int) -> DotEncodingScheme:
     """
     if d < 1:
         raise DomainError(f"dot-product length must be >= 1, got {d}")
-    ex = [None] * d
-    ey = [None] * d
-    eo = [[] for _ in range(d)]
-    eos = [[] for _ in range(d)]
+    first = [None] * d  # a leaf's four randoms are first .. first + 3
+    offline = [[] for _ in range(d)]
 
     def gen(lo: int, hi: int, r: int) -> int:
         n = hi - lo
         if n == 1:
-            ex[lo] = [0, r + 1, r, r, r + 1, r + 2]
-            ey[lo] = [0, r, r + 1, r + 3]
-            eo[lo].extend([r + 2, r + 3])
-            eos[lo].extend([-1, -1])
+            first[lo] = r
+            offline[lo].extend([(r + 2, -1), (r + 3, -1)])
             return r + 4
         q = 0
         while (1 << (q + 1)) < n:
             q += 1
         p = 1 << q
-        eo[lo].append(r)
-        eos[lo].append(+1)
-        eo[lo + p].append(r)
-        eos[lo + p].append(-1)
+        offline[lo].append((r, +1))
+        offline[lo + p].append((r, -1))
         r += 1
         r = gen(lo, lo + p, r)
         return gen(lo + p, hi, r)
 
     total = gen(0, d, 0)
     leaves = tuple(
-        LeafPlan(
-            a=ex[i][2],
-            b=ex[i][1],
-            c=ex[i][5],
-            d=ey[i][3],
-            offline=tuple(zip(eo[i], eos[i])),
-        )
-        for i in range(d)
+        LeafPlan(a=r, b=r + 1, c=r + 2, d=r + 3, offline=tuple(off))
+        for r, off in zip(first, offline)
     )
-    return DotEncodingScheme(
-        d=d,
-        total_randoms=total,
-        leaves=leaves,
-        raw_ex=tuple(tuple(e) for e in ex),
-        raw_ey=tuple(tuple(e) for e in ey),
-        raw_eo=tuple(tuple(e) for e in eo),
-        raw_eos=tuple(tuple(e) for e in eos),
-    )
+    return DotEncodingScheme(d=d, total_randoms=total, leaves=leaves)
 
 
 def sample_randoms(scheme: DotEncodingScheme, domain, rng: Random) -> tuple:
@@ -193,18 +179,11 @@ def decode_dot(dom, x_comps: Sequence, y_comps: Sequence, offline: Sequence):
 def dump_scheme(scheme: DotEncodingScheme) -> str:
     """Human-readable dump of the raw per-leaf index lists."""
     lines = [f"dot-product encoding scheme: d={scheme.d} randoms={scheme.total_randoms}"]
-    for i in range(scheme.d):
-        eo = scheme.raw_eo[i]
-        eos = scheme.raw_eos[i]
-        off = " ".join(f"{'+' if s > 0 else '-'}r{j}" for j, s in zip(eo, eos))
+    for i, lf in enumerate(scheme.leaves):
+        eo = [j for j, _ in lf.offline]
+        eos = [s for _, s in lf.offline]
+        off = " ".join(f"{'+' if s > 0 else '-'}r{j}" for j, s in lf.offline)
         lines.append(
-            "leaf {i}: eX={ex} eY={ey} eO={eo} eOS={eos} offline: {off}".format(
-                i=i,
-                ex=list(scheme.raw_ex[i]),
-                ey=list(scheme.raw_ey[i]),
-                eo=list(eo),
-                eos=list(eos),
-                off=off,
-            )
+            f"leaf {i}: eX={list(lf.ex)} eY={list(lf.ey)} eO={eo} eOS={eos} offline: {off}"
         )
     return "\n".join(lines)

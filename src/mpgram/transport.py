@@ -97,35 +97,28 @@ def frame_decode(data: bytes) -> Frame:
 
 
 def matrix_payload(m: Matrix) -> bytes:
-    dom = m.domain
-    parts = [struct.pack("<II", m.rows, m.cols)]
-    parts.extend(dom.to_bytes(x) for x in m.data)
-    return b"".join(parts)
+    return struct.pack("<II", m.rows, m.cols) + m.domain.pack(m.data)
 
 
 def matrix_from_payload(b: bytes, domain, offset: int = 0) -> tuple:
-    rows, cols = struct.unpack_from("<II", b, offset)
-    offset += 8
-    n = rows * cols
-    if len(b) < offset + 8 * n:
-        raise FramingError(f"matrix payload truncated at byte {len(b)}")
-    data = tuple(domain.from_bytes(b[offset + 8 * k : offset + 8 * k + 8]) for k in range(n))
-    return Matrix(rows, cols, data, domain), offset + 8 * n
+    """The matrix that fills ``b`` from ``offset`` to its end, and that end."""
+    rows, cols = _unpack_header("<II", b, offset, "matrix payload")
+    start = offset + 8
+    end = _check_length(b, start + 8 * rows * cols, "matrix payload")
+    values = domain.unpack(memoryview(b)[start:end])
+    return Matrix(values.reshape(rows, cols), domain), end
 
 
 def scalars_payload(xs, domain) -> bytes:
-    parts = [struct.pack("<I", len(xs))]
-    parts.extend(domain.to_bytes(x) for x in xs)
-    return b"".join(parts)
+    return struct.pack("<I", len(xs)) + domain.pack(xs)
 
 
 def scalars_from_payload(b: bytes, domain, offset: int = 0) -> tuple:
-    (n,) = struct.unpack_from("<I", b, offset)
-    offset += 4
-    if len(b) < offset + 8 * n:
-        raise FramingError(f"scalar array truncated at byte {len(b)}")
-    xs = tuple(domain.from_bytes(b[offset + 8 * k : offset + 8 * k + 8]) for k in range(n))
-    return xs, offset + 8 * n
+    """The scalars that fill ``b`` from ``offset`` to its end, and that end."""
+    (n,) = _unpack_header("<I", b, offset, "scalar array")
+    start = offset + 4
+    end = _check_length(b, start + 8 * n, "scalar array")
+    return tuple(domain.unpack(memoryview(b)[start:end])), end
 
 
 def u64_payload(v: int) -> bytes:
@@ -133,7 +126,24 @@ def u64_payload(v: int) -> bytes:
 
 
 def u64_from_payload(b: bytes) -> int:
-    return struct.unpack("<Q", b[:8])[0]
+    _check_length(b, 8, "u64 payload")
+    return struct.unpack("<Q", b)[0]
+
+
+def _unpack_header(fmt: str, b: bytes, offset: int, what: str) -> tuple:
+    try:
+        return struct.unpack_from(fmt, b, offset)
+    except struct.error:
+        raise FramingError(f"{what} truncated at byte {len(b)}, inside its header") from None
+
+
+def _check_length(b: bytes, end: int, what: str) -> int:
+    """``end`` if the payload ends exactly there; FramingError otherwise."""
+    if len(b) < end:
+        raise FramingError(f"{what} truncated at byte {len(b)}, expected {end}")
+    if len(b) > end:
+        raise FramingError(f"{what} has {len(b) - end} trailing bytes after byte {end}")
+    return end
 
 
 # pair-tagged payloads: u16 alice, u16 bob, u8 part tag, then body
@@ -146,7 +156,7 @@ def pair_matrix_payload(alice: int, bob: int, part: int, m: Matrix) -> bytes:
 
 
 def pair_matrix_from_payload(b: bytes, domain) -> tuple:
-    alice, bob, part = struct.unpack_from("<HHB", b)
+    alice, bob, part = _unpack_header("<HHB", b, 0, "pair payload")
     m, _ = matrix_from_payload(b, domain, offset=5)
     return alice, bob, part, m
 
@@ -156,7 +166,7 @@ def pair_scalars_payload(alice: int, bob: int, tag: int, xs, domain) -> bytes:
 
 
 def pair_scalars_from_payload(b: bytes, domain) -> tuple:
-    alice, bob, tag = struct.unpack_from("<HHB", b)
+    alice, bob, tag = _unpack_header("<HHB", b, 0, "pair payload")
     xs, _ = scalars_from_payload(b, domain, offset=5)
     return alice, bob, tag, xs
 

@@ -25,7 +25,6 @@ from .party import (
     function_party_session,
     input_party_session,
 )
-from .runner import mat_to_doc
 from .transport import Channel, Transcript, tcp_accept, tcp_connect, tcp_listen
 
 
@@ -132,28 +131,7 @@ def main(argv=None) -> int:
         mesh = setup_fp_mesh(cfg, transcript)
         result = function_party_session(spec, mesh)
         mesh.close()
-        doc = {
-            "sizes": {str(k): v for k, v in result.sizes.items()},
-            "self_blocks": {str(k): mat_to_doc(v) for k, v in result.self_blocks.items()},
-        }
-        if result.pair_results is not None:
-            doc["pair_results"] = [
-                {
-                    "alice": pr.alice_id,
-                    "bob": pr.bob_id,
-                    "a1": mat_to_doc(pr.a1),
-                    "b1": mat_to_doc(pr.b1),
-                    "b2": mat_to_doc(pr.b2),
-                    "alpha": pr.alpha,
-                }
-                for pr in result.pair_results.values()
-            ]
-        else:
-            doc["cross_blocks"] = [
-                {"alice": a, "bob": b, "block": mat_to_doc(blk)}
-                for (a, b), blk in result.cross_blocks.items()
-            ]
-        out["result"] = doc
+        out["result"] = result.to_doc()
     else:
         print(f"unknown role {cfg['role']!r}", file=sys.stderr)
         return 2

@@ -176,7 +176,7 @@ def test_07_mask_uniformity():
             for a in range(5):
                 st = PartyState(1, Matrix.from_rows([[x]], z5), Matrix.from_rows([[a]], z5), 1)
                 masked, _ = alice_round1(st)
-                hist[masked.data[0]] += 1
+                hist[masked.data[0, 0]] += 1
             histograms.append(hist)
         assert histograms[0] == Counter({v: 1 for v in range(5)})  # uniform
         assert histograms[0] == histograms[1]  # identical for distinct data
@@ -259,12 +259,7 @@ def test_10_rbf_equivalence():
         )
         res = run(cfg)
         assert res.report["verification"]["status"] == "pass"
-        reals = np.hstack(
-            [
-                np.array([[m61.decode(v) for v in res.party_data[i].row(r)] for r in range(f)])
-                for i in (1, 2)
-            ]
-        )
+        reals = np.hstack([m61.decode(res.party_data[i].data).astype(float) for i in (1, 2)])
         direct = rbf_direct(reals, sigma)
         gram_entry_bound = f * 2.0 ** (-scale_bits + 1)
         kernel_bound = 4 * gram_entry_bound / (2 * sigma * sigma)
@@ -282,12 +277,7 @@ def test_10_rbf_equivalence():
             verify=True,
         )
         res_f = run(cfg_f)
-        data_f = np.hstack(
-            [
-                np.array([list(res_f.party_data[i].row(r)) for r in range(f)])
-                for i in (1, 2)
-            ]
-        )
+        data_f = np.hstack([res_f.party_data[i].data.astype(float) for i in (1, 2)])
         assert np.max(np.abs(res_f.kernel.entries - rbf_direct(data_f, sigma))) <= 1e-9
 
 

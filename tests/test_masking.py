@@ -53,13 +53,13 @@ class TestRounds:
         st = zero_mask_state(1, [[3, 4]], z251)
         masked, scaled = alice_round1(st)
         assert masked == st.data
-        assert scaled.data == (0, 0)
+        assert scaled.data.tolist() == [[0, 0]]
 
     def test_alice_hand_values(self):
         st = state(1, [[5]], [[2]], 3, z251)
         masked, scaled = alice_round1(st)
-        assert masked.data == (3,)
-        assert scaled.data == (6,)
+        assert masked.data.tolist() == [[3]]
+        assert scaled.data.tolist() == [[6]]
 
     def test_bob_zero_mask(self):
         st = zero_mask_state(2, [[7]], z251)
@@ -67,17 +67,17 @@ class TestRounds:
 
     def test_bob_hand_values(self):
         st = state(2, [[7]], [[4]], 1, z251)
-        assert bob_round1(st).data == (3,)
+        assert bob_round1(st).data.tolist() == [[3]]
 
     def test_alice_compute_zero_mask(self):
         st = zero_mask_state(1, [[3, 4]], z251)
         a1 = alice_compute(st, Matrix.from_rows([[9, 8]], z251))
-        assert a1.data == (0, 0, 0, 0)
+        assert a1.data.tolist() == [[0, 0], [0, 0]]
 
     def test_alice_compute_hand_values(self):
         st = state(1, [[5]], [[2]], 3, z251)
         a1 = alice_compute(st, Matrix.from_rows([[3]], z251))
-        assert a1.data == (6,)
+        assert a1.data.tolist() == [[6]]
 
     def test_alice_compute_matches_gram_oracle(self):
         rng = Random(0)
@@ -93,13 +93,13 @@ class TestRounds:
     def test_bob_compute_zero_mask_kills_b2(self):
         st = zero_mask_state(2, [[7]], z251)
         b1, b2 = bob_compute(st, Matrix.from_rows([[3]], z251), Matrix.from_rows([[6]], z251))
-        assert b2.data == (0,)
+        assert b2.data.tolist() == [[0]]
 
     def test_bob_compute_hand_values(self):
         st = state(2, [[7]], [[4]], 1, z251)
         b1, b2 = bob_compute(st, Matrix.from_rows([[3]], z251), Matrix.from_rows([[6]], z251))
-        assert b1.data == (21,)
-        assert b2.data == (24,)
+        assert b1.data.tolist() == [[21]]
+        assert b2.data.tolist() == [[24]]
 
     def test_bob_compute_matches_gram_oracles(self):
         rng = Random(1)
@@ -123,10 +123,10 @@ class TestCombine:
         alice = state(1, [[5]], [[2]], 3, z251)
         bob = state(2, [[7]], [[4]], 1, z251)
         pr = run_pair(alice, bob)
-        assert (pr.a1.data, pr.b1.data, pr.b2.data) == ((6,), (21,), (24,))
+        assert [m.data.tolist() for m in (pr.a1, pr.b1, pr.b2)] == [[[6]], [[21]], [[24]]]
         assert z251.inv(3) == 84
         assert z251.mul(84, 24) == 8
-        assert fp_combine(pr).data == (35,)
+        assert fp_combine(pr).data.tolist() == [[35]]
 
     def test_zero_alpha_rejected(self):
         blk = Matrix.zeros(1, 1, z251)
@@ -149,7 +149,7 @@ class TestCombine:
             bob = make_party_state(2, random_matrix((10, 4), f64, rng), rng.getrandbits(32))
             got = fp_combine(run_pair(alice, bob))
             want = gram_t(alice.data, bob.data)
-            for g, w in zip(got.data, want.data):
+            for g, w in zip(got.data.flat, want.data.flat):
                 assert abs(g - w) <= 1e-9 * max(1.0, abs(w))
 
 
@@ -196,7 +196,7 @@ class TestAssembly:
     def test_three_way_split_matches_plaintext(self):
         rng = Random(4)
         full = random_matrix((4, 6), m61, rng)
-        cols = [Matrix.from_rows([list(full.row(r)[i : i + 2]) for r in range(4)], m61) for i in (0, 2, 4)]
+        cols = [Matrix(full.data[:, i : i + 2], m61) for i in (0, 2, 4)]
         states = {i + 1: make_party_state(i + 1, cols[i], 77) for i in range(3)}
         self_blocks = {i: gram_t(states[i].data, states[i].data) for i in states}
         pairs = {
@@ -239,8 +239,8 @@ class TestLeakage:
         states = {i: zero_mask_state(i, [[i], [i + 1]], z251) for i in (1, 2)}
         pairs = {(1, 2): run_pair(states[1], states[2])}
         view = leakage_view({i: gram_t(s.data, s.data) for i, s in states.items()}, pairs)
-        assert view.mask_mask[(1, 2)].data == (0,)
-        assert view.mask_data[(1, 2)].data == (0,)
+        assert view.mask_mask[(1, 2)].data.tolist() == [[0]]
+        assert view.mask_data[(1, 2)].data.tolist() == [[0]]
         assert view.data_data[(1, 2)] == gram_t(states[1].data, states[2].data)
 
     def test_derived_blocks_match_private_state(self):
@@ -282,7 +282,7 @@ class TestMaskDistributions:
             for alpha in range(1, 5):
                 st = state(1, [[x]], [[a]], alpha, z5)
                 masked, scaled = alice_round1(st)
-                hist[(masked.data[0], scaled.data[0])] += 1
+                hist[(masked.data[0, 0], scaled.data[0, 0])] += 1
         return hist
 
     def test_masked_data_marginal_is_uniform_and_data_independent(self):
@@ -292,7 +292,7 @@ class TestMaskDistributions:
                 h = Counter()
                 for a in range(5):
                     st = state(1, [[val]], [[a]], 1, z5)
-                    h[alice_round1(st)[0].data[0]] += 1
+                    h[alice_round1(st)[0].data[0, 0]] += 1
                 hists.append(h)
             assert hists[0] == Counter({v: 1 for v in range(5)})
             assert hists[0] == hists[1]
@@ -301,7 +301,7 @@ class TestMaskDistributions:
         h = Counter()
         for b in range(5):
             st = state(2, [[2]], [[b]], 1, z5)
-            h[bob_round1(st).data[0]] += 1
+            h[bob_round1(st).data[0, 0]] += 1
         assert h == Counter({v: 1 for v in range(5)})
 
     def test_joint_masked_pair_off_fiber_equality(self):

@@ -12,7 +12,6 @@ from mpgram.matrix import (
     Matrix,
     encode_real_matrix,
     gram_t,
-    load_csv,
     load_real_csv,
     mat_add,
     mat_scale,
@@ -30,7 +29,7 @@ def naive_gram(a: Matrix, b: Matrix) -> list:
         for j in range(b.cols):
             acc = dom.zero
             for k in range(a.rows):
-                acc = dom.add(acc, dom.mul(a.get(k, i), b.get(k, j)))
+                acc = dom.add(acc, dom.mul(a.data[k, i], b.data[k, j]))
             out[i][j] = acc
     return out
 
@@ -38,12 +37,12 @@ def naive_gram(a: Matrix, b: Matrix) -> list:
 class TestSub:
     def test_self_minus_self_is_zero(self, z251):
         a = random_matrix((3, 2), z251, Random(0))
-        assert mat_sub(a, a).data == (0,) * 6
+        assert mat_sub(a, a) == Matrix.zeros(3, 2, z251)
 
     def test_one_by_one(self, z251):
         a = Matrix.from_rows([[5]], z251)
         b = Matrix.from_rows([[3]], z251)
-        assert mat_sub(a, b).data == (2,)
+        assert mat_sub(a, b).data.tolist() == [[2]]
 
     def test_elementwise_oracle_z5(self, z5):
         rng = Random(1)
@@ -52,7 +51,7 @@ class TestSub:
         c = mat_sub(a, b)
         for r in range(3):
             for col in range(2):
-                assert c.get(r, col) == (a.get(r, col) - b.get(r, col)) % 5
+                assert c.data[r, col] == (a.data[r, col] - b.data[r, col]) % 5
 
     def test_shape_mismatch(self, z5):
         with pytest.raises(DimensionError, match="features x samples"):
@@ -70,7 +69,7 @@ class TestScale:
 
     def test_zero_scalar(self, z251):
         a = random_matrix((2, 3), z251, Random(3))
-        assert mat_scale(0, a).data == (0,) * 6
+        assert mat_scale(0, a) == Matrix.zeros(2, 3, z251)
 
     def test_scale_then_inverse_round_trips(self, m61):
         rng = Random(4)
@@ -87,15 +86,21 @@ class TestGram:
     def test_single_column(self, z251):
         a = Matrix.from_rows([[1], [2]], z251)
         b = Matrix.from_rows([[3], [4]], z251)
-        assert gram_t(a, b).data == (11,)
+        assert gram_t(a, b).data.tolist() == [[11]]
 
-    def test_against_naive_oracle(self, m61):
+    def test_against_naive_oracle(self, m61, f64):
         rng = Random(5)
-        a = random_matrix((10, 4), m61, rng)
-        b = random_matrix((10, 6), m61, rng)
-        g = gram_t(a, b)
-        assert (g.rows, g.cols) == (4, 6)
-        assert g.to_rows() == naive_gram(a, b)
+        cases = [
+            (random_matrix((10, 4), dom, rng), random_matrix((10, 6), dom, rng))
+            for dom in (m61, f64)
+        ]
+        # every product is -0.0; the loop's sum from +0.0 gives +0.0
+        cases.append((Matrix.from_rows([[0.0], [0.0]], f64), Matrix.from_rows([[-1.0], [-2.0]], f64)))
+        for a, b in cases:
+            g = gram_t(a, b)
+            assert (g.rows, g.cols) == (a.cols, b.cols)
+            # bytes, not ==: float sums must match the loop bit for bit, signed zeros too
+            assert g.domain.pack(g.data) == g.domain.pack(naive_gram(a, b))
 
     def test_feature_mismatch(self, z5):
         with pytest.raises(DimensionError, match="feature dimension"):
@@ -132,7 +137,7 @@ class TestRandomMatrix:
         draws = 10 ** 5
         counts = [0] * 5
         m = random_matrix((draws // 100, 100), z5, rng)
-        for v in m.data:
+        for v in m.data.flat:
             counts[v] += 1
         expected = draws / 5
         sigma = (draws * 0.2 * 0.8) ** 0.5
@@ -145,21 +150,21 @@ class TestCsv:
         m = random_matrix((3, 4), m61, Random(11))
         path = tmp_path / "m.csv"
         save_csv(m, path)
-        assert load_csv(path, m61) == m
+        assert Matrix.from_rows(load_real_csv(path), m61) == m
 
     def test_float_round_trip(self, tmp_path, f64):
         m = Matrix.from_rows([[0.1, -2.5, 3e-17], [1.0, 2.0, -0.75]], f64)
         path = tmp_path / "m.csv"
         save_csv(m, path)
-        assert load_csv(path, f64) == m
+        assert Matrix.from_rows(load_real_csv(path), f64) == m
 
     def test_transpose_flag(self, tmp_path, f64):
         m = Matrix.from_rows([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], f64)
         path = tmp_path / "m.csv"
         save_csv(m, path)
-        assert load_csv(path, f64, transpose=True) == m.transpose()
-        assert load_real_csv(path, transpose=True) == m.transpose().to_rows()
+        assert Matrix.from_rows(load_real_csv(path, transpose=True), f64) == m.transpose()
+        assert load_real_csv(path, transpose=True) == m.transpose().data.tolist()
 
     def test_encode_real_matrix(self, m61):
         m = encode_real_matrix([[1.0, -1.0]], m61)
-        assert m.data == (65536, m61.p - 65536)
+        assert m.data.tolist() == [[65536, m61.p - 65536]]

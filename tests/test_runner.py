@@ -110,8 +110,8 @@ class TestRun:
         cfg = RunConfig(protocol="escaped", m=m, features=3, samples=(2,) * m, seed=8)
         res = run(cfg)
         assert len(res.fp_result.pair_results) == m * (m - 1) // 2
-        assert len(res.fp_result.self_blocks) == m
-        assert sorted(res.fp_result.self_blocks) == list(range(1, m + 1))
+        assert len(res.fp_result.assembly.self_blocks) == m
+        assert sorted(res.fp_result.assembly.self_blocks) == list(range(1, m + 1))
 
 
 class TestDeterminism:
@@ -128,6 +128,45 @@ class TestDeterminism:
         cfg1 = RunConfig(protocol="escaped", m=2, features=3, samples=(2, 2), seed=1)
         cfg2 = RunConfig(protocol="escaped", m=2, features=3, samples=(2, 2), seed=2)
         assert run(cfg1).report["transcript_sha256"] != run(cfg2).report["transcript_sha256"]
+
+
+# gram.sha256, transcript_sha256 and determinism_digest of one fixed config,
+# recorded before matrices moved onto numpy arrays: a refactor of the
+# matrix, codec or assembly layers must reproduce every byte.
+PINNED_DIGESTS = {
+    ("escaped", "field"): (
+        "ef18623e7fbc16c145acf9e935cc823a6e93be7e3c3811ea945052f631536df2",
+        "5c8798e54b480adc139ca9307e4e3839fca4ad4a4c27f80c627bb8635d9642db",
+        "d19538991b9c0121ecc5236cb1d8a4dd10b8a837775b8e79098cce674d15e5f9",
+    ),
+    ("escaped", "float"): (
+        "dbce7aa19c0f1d2f926696b24d607998132757b1f43cc50c7c2594df966707da",
+        "79ffc6fe67f639acdb88725c538583ce3b963b6129868964496420ab0a71cd92",
+        "f9b19e4a264d2df6fd2104b107ab9452ab5c2d91779fe30cf2021b7a647b9eb7",
+    ),
+    ("re", "field"): (
+        "ef18623e7fbc16c145acf9e935cc823a6e93be7e3c3811ea945052f631536df2",
+        "15a81e99d5e855385abbc37a429f4e7e23fbb72fd4ce379eab869acf0cae8556",
+        "6ae2349b180ef4846805b54aa965fbdf5011fbaf1fb19df533df8c3563222c68",
+    ),
+    ("re", "float"): (
+        "ab7b27d261816a8f59442d55dab793a55bc0b4e32d3a7a70e6f51a4e2e339ed9",
+        "084cb8f8f60059ececd2919274385ad3371f7ef4f554a2e3850c65d1455041f4",
+        "1777bee8a464bebef26167b41ba116513af922168e32ed69ee1145c25978e74e",
+    ),
+}
+
+
+@pytest.mark.parametrize("protocol, domain", sorted(PINNED_DIGESTS))
+def test_pinned_digests(protocol, domain):
+    cfg = RunConfig(
+        protocol=protocol, m=3, features=12, samples=(4, 5, 3), domain=domain,
+        seed=7, sigma=1.0, verify=True,
+    )
+    report = run(cfg).report
+    assert report["verification"]["status"] == "pass"
+    got = (report["gram"]["sha256"], report["transcript_sha256"], report["determinism_digest"])
+    assert got == PINNED_DIGESTS[(protocol, domain)]
 
 
 class TestGenData:

@@ -46,8 +46,8 @@ class TestGeneration:
     def test_single_leaf_layout(self):
         s = generate_scheme(1)
         assert s.total_randoms == 4
-        assert s.raw_ex == ((0, 1, 0, 0, 1, 2),)
-        assert s.raw_ey == ((0, 0, 1, 3),)
+        assert [lf.ex for lf in s.leaves] == [(0, 1, 0, 0, 1, 2)]
+        assert [lf.ey for lf in s.leaves] == [(0, 0, 1, 3)]
         assert s.leaves[0].offline == ((2, -1), (3, -1))
         assert (s.leaves[0].a, s.leaves[0].b, s.leaves[0].c, s.leaves[0].d) == (0, 1, 2, 3)
 
@@ -56,8 +56,8 @@ class TestGeneration:
         assert s.total_randoms == 9
         assert s.leaves[0].offline == ((0, +1), (3, -1), (4, -1))
         assert s.leaves[1].offline == ((0, -1), (7, -1), (8, -1))
-        assert s.raw_ex == ((0, 2, 1, 1, 2, 3), (0, 6, 5, 5, 6, 7))
-        assert s.raw_ey == ((0, 1, 2, 4), (0, 5, 6, 8))
+        assert [lf.ex for lf in s.leaves] == [(0, 2, 1, 1, 2, 3), (0, 6, 5, 5, 6, 7)]
+        assert [lf.ey for lf in s.leaves] == [(0, 1, 2, 4), (0, 5, 6, 8)]
 
     @pytest.mark.parametrize("d", list(range(1, 129)))
     def test_random_count_law(self, d):
@@ -84,9 +84,9 @@ class TestGeneration:
     @pytest.mark.parametrize("d", [1, 2, 3, 6, 7, 11, 16])
     def test_raw_lists_follow_leaf_layout(self, d):
         s = generate_scheme(d)
-        for i, lf in enumerate(s.leaves):
-            assert s.raw_ex[i] == (0, lf.b, lf.a, lf.a, lf.b, lf.c)
-            assert s.raw_ey[i] == (0, lf.a, lf.b, lf.d)
+        for lf in s.leaves:
+            assert lf.ex == (0, lf.b, lf.a, lf.a, lf.b, lf.c)
+            assert lf.ey == (0, lf.a, lf.b, lf.d)
             assert (lf.a, lf.b, lf.c, lf.d) == (lf.a, lf.a + 1, lf.a + 2, lf.a + 3)
 
     @pytest.mark.parametrize("d", [1, 2, 5, 7, 12])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpgram import transport as tp
-from mpgram.errors import FramingError, ProtocolError, ProtocolVersionError
+from mpgram.errors import DomainError, FramingError, ProtocolError, ProtocolVersionError
 from mpgram.field import FieldDomain, FloatDomain
 from mpgram.matrix import Matrix, random_matrix
 
@@ -92,6 +92,44 @@ class TestPayloads:
         payload = tp.matrix_payload(random_matrix((2, 2), m61, Random(3)))
         with pytest.raises(FramingError):
             tp.matrix_from_payload(payload[:-5], m61)
+
+    @pytest.mark.parametrize(
+        "payload, decode",
+        [
+            (tp.matrix_payload(Matrix.zeros(2, 3, m61)), lambda b: tp.matrix_from_payload(b, m61)),
+            (tp.scalars_payload((4, 9, 13), m61), lambda b: tp.scalars_from_payload(b, m61)),
+            (
+                tp.pair_matrix_payload(1, 2, tp.PART_A1, Matrix.zeros(2, 2, m61)),
+                lambda b: tp.pair_matrix_from_payload(b, m61),
+            ),
+            (
+                tp.pair_scalars_payload(1, 2, tp.SIDE_X, (1, 2), m61),
+                lambda b: tp.pair_scalars_from_payload(b, m61),
+            ),
+            (tp.u64_payload(5), tp.u64_from_payload),
+        ],
+        ids=["matrix", "scalars", "pair_matrix", "pair_scalars", "u64"],
+    )
+    def test_exact_length_required(self, payload, decode):
+        decode(payload)
+        with pytest.raises(FramingError, match="8 trailing bytes"):
+            decode(payload + b"garbage!")
+        for cut in (3, len(payload) - 1):
+            with pytest.raises(FramingError, match="truncated"):
+                decode(payload[:cut])
+
+    def test_matrix_element_out_of_range_rejected(self):
+        payload = bytearray(tp.matrix_payload(Matrix.from_rows([[1, 2], [3, 4]], m61)))
+        payload[8 + 8 * 3 : 8 + 8 * 4] = m61.p.to_bytes(8, "little")
+        with pytest.raises(DomainError, match=">= modulus"):
+            tp.matrix_from_payload(bytes(payload), m61)
+
+    def test_scalar_element_out_of_range_rejected(self):
+        z251 = FieldDomain(scale_bits=0, p=251)
+        payload = tp.scalars_payload((7, 250), m61)
+        assert tp.scalars_from_payload(payload, z251)[0] == (7, 250)
+        with pytest.raises(DomainError, match="251 >= modulus 251"):
+            tp.scalars_from_payload(tp.scalars_payload((7, 251), m61), z251)
 
     def test_element_counts_per_kind(self):
         mat = tp.matrix_payload(random_matrix((3, 4), m61, Random(4)))
