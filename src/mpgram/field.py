@@ -2,12 +2,17 @@
 
 Two interchangeable domains:
 
-* ``FieldDomain`` -- the prime field Z_p (production prime: the Mersenne
-  prime M61 = 2^61 - 1) together with a fixed-point codec that embeds
-  reals by scaling and rounding.  All arithmetic is exact, which is what
-  the uniform-mask security checks rely on.  Elements are plain Python
-  ints in [0, p); Python's arbitrary precision handles the 122-bit
-  intermediate products without overflow.
+* ``FieldDomain`` -- the prime field Z_p for any prime p < 2^64
+  (production prime: the Mersenne prime M61 = 2^61 - 1) together with a
+  fixed-point codec that embeds reals by scaling and rounding.  All
+  arithmetic is exact, which is what the uniform-mask security checks rely
+  on.  Elements are plain Python ints in [0, p), so scalar products never
+  overflow.  Matrix products run on float64 BLAS instead: ``matmul_t``
+  splits the elements into 16-bit limbs, whose products are below 2^32, and
+  sums at most 2^20 of them per BLAS call, so every partial sum stays below
+  2^52 and is an exact integer; the limb products are recombined in
+  Python ints and reduced mod p once.  The 8-byte wire codec and the uint64
+  limb split are why p must be below 2^64.
 * ``FloatDomain`` -- IEEE double arithmetic, provided so the protocols
   can also be run directly on real-valued data.  No security properties
   are claimed for it.
@@ -17,8 +22,9 @@ exhaustive distribution checks are only feasible over tiny fields.
 
 Besides the scalar operations, each domain owns the arithmetic of whole
 matrices: ``reduce`` maps the result of an array expression over Python
-scalars back into the domain, and ``pack``/``unpack`` are the wire codec of
-a vector of elements.  ``decode`` and ``decode_dot`` apply elementwise to
+scalars back into the domain, ``matmul_t`` is the product A^T B of two
+entry arrays, and ``pack``/``unpack`` are the wire codec of a vector of
+elements.  ``decode`` and ``decode_dot`` apply elementwise to
 object arrays as well as to single scalars.
 """
 
@@ -31,6 +37,12 @@ import numpy as np
 from .errors import DomainError, EncodingOverflowError
 
 M61 = (1 << 61) - 1  # 2^61 - 1 = 2305843009213693951
+
+# The field kernel splits elements into 16-bit limbs held as float64.  A
+# product of two limbs is below 2^32, so a sum of up to 2^20 of them stays
+# below 2^52 and every BLAS partial sum is an exact integer.
+_LIMB_BITS = 16
+_CHUNK_ROWS = 1 << 20
 
 
 class FixedPointCodec:
@@ -68,8 +80,9 @@ class FixedPointCodec:
         """Decode a sum of products of two encoded reals.
 
         Values above p/2 are interpreted as negative.  A true value whose
-        magnitude exceeds the headroom wraps silently; callers are
-        responsible for the range precondition.
+        magnitude exceeds the headroom wraps silently here; callers are
+        responsible for the range precondition, and a verified run checks
+        the decoded gram against a float64 one to catch a wrap.
         """
         return self._signed(v) / (self.scale * self.scale)
 
@@ -87,12 +100,15 @@ class FieldDomain:
     def __init__(self, scale_bits: int = 16, p: int = M61):
         if p < 2:
             raise DomainError(f"modulus must be >= 2, got {p}")
+        if p >= 1 << 64:
+            raise DomainError(f"modulus must be < 2^64 (8-byte wire elements), got {p}")
         self.p = p
         self.scale_bits = scale_bits
         self.codec = FixedPointCodec(scale_bits, p)
         self.zero = 0
         self.one = 1 % p
         self._bits = p.bit_length()
+        self._nlimbs = -(-self._bits // _LIMB_BITS)
 
     # -- field arithmetic ------------------------------------------------
 
@@ -148,6 +164,34 @@ class FieldDomain:
         """Residues mod p of an object array of Python ints."""
         return values % self.p
 
+    def matmul_t(self, a, b):
+        """A^T B mod p for entry arrays a (f x n1) and b (f x n2), exactly.
+
+        With L = ceil(bits(p) / 16), each operand is split into L limbs of
+        16 bits, A = sum_i A_i 2^(16 i), held as float64.  The BLAS products
+        A_i^T B_j are exact integers below 2^52 (see ``_CHUNK_ROWS``), so
+        they are summed as int64 into Q_k = sum_{i+j=k} A_i^T B_j, below
+        L 2^52; then sum_k Q_k 2^(16 k) is formed in Python ints and reduced
+        mod p once.  The feature axis is cut into chunks of 2^20 rows, which
+        keeps every float64 sum exact for any f.
+        """
+        count = self._nlimbs
+        n1, n2 = a.shape[1], b.shape[1]
+        a, b = a.astype(np.uint64), b.astype(np.uint64)
+        total = np.zeros((n1, n2), dtype=object)
+        for lo in range(0, a.shape[0], _CHUNK_ROWS):
+            la = _limbs(a[lo : lo + _CHUNK_ROWS], count)
+            lb = _limbs(b[lo : lo + _CHUNK_ROWS], count)
+            q = np.zeros((2 * count - 1, n1, n2), dtype=np.int64)
+            for i in range(count):
+                for j in range(count):
+                    q[i + j] += (la[i].T @ lb[j]).astype(np.int64)
+            part = q[-1].astype(object)
+            for k in range(2 * count - 3, -1, -1):
+                part = (part << _LIMB_BITS) + q[k]
+            total = total + part
+        return total % self.p
+
     def pack(self, values) -> bytes:
         return np.asarray(values, dtype="<u8").tobytes()
 
@@ -170,6 +214,12 @@ class FieldDomain:
 
     def __repr__(self):
         return f"FieldDomain(p={self.p}, scale_bits={self.scale_bits})"
+
+
+def _limbs(x, count):
+    """The ``count`` 16-bit limbs of a uint64 array, lowest first, as float64 arrays."""
+    mask = np.uint64((1 << _LIMB_BITS) - 1)
+    return [((x >> np.uint64(_LIMB_BITS * i)) & mask).astype(np.float64) for i in range(count)]
 
 
 class FloatDomain:
@@ -220,6 +270,13 @@ class FloatDomain:
 
     def reduce(self, values):
         return values
+
+    def matmul_t(self, a, b):
+        """A^T B of object arrays of floats, summed in the order of a plain loop.
+
+        The sum starts at +0.0, so a sum whose products are all -0.0 is +0.0.
+        """
+        return self.zero + a.T @ b
 
     def pack(self, values) -> bytes:
         return np.asarray(values, dtype="<f8").tobytes()

@@ -4,10 +4,12 @@ Every data matrix in the protocols is f x n with one column per sample,
 so the gram block of two parties is ``gram_t(A, B) = A^T B`` with shape
 (A.cols x B.cols).  A matrix is a read-only 2-D numpy array of dtype
 ``object`` plus its scalar domain.  The entries stay Python scalars (ints
-in [0, p) over the field, floats over the float domain), so arithmetic is
-exact and no fixed-width product can wrap.  Each operation is one array
-expression followed by the domain's ``reduce``; the domain also owns the
-wire codec of the entries.
+in [0, p) over the field, floats over the float domain).  Elementwise
+operations are one array expression followed by the domain's ``reduce``,
+exact because Python ints do not overflow.  ``gram_t`` is the domain's
+``matmul_t``: over the field an exact limb-split product on float64 BLAS
+(see ``mpgram.field``), over floats a plain object-array sum.  The domain
+also owns the wire codec of the entries.
 """
 
 from __future__ import annotations
@@ -105,9 +107,7 @@ def gram_t(a: Matrix, b: Matrix) -> Matrix:
         raise DimensionError(
             f"feature dimension mismatch: {a.rows} vs {b.rows} (features x samples)"
         )
-    # the sum starts at the domain's zero, so floats that are all -0.0 sum to +0.0
-    dom = a.domain
-    return Matrix(dom.reduce(dom.zero + a.data.T @ b.data), dom)
+    return Matrix(a.domain.matmul_t(a.data, b.data), a.domain)
 
 
 def random_matrix(shape: tuple, domain, rng: Random) -> Matrix:

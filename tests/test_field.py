@@ -164,6 +164,15 @@ class TestDomainConstruction:
         with pytest.raises(DomainError):
             f64.inv(0.0)
 
+    def test_modulus_must_fit_a_wire_word(self):
+        # elements travel as 8-byte words and the matmul kernel casts to uint64
+        for p in (2**64, 2**89 - 1):
+            with pytest.raises(DomainError, match="2\\^64"):
+                FieldDomain(p=p)
+        largest = FieldDomain(p=2**64 - 59)  # the largest prime below 2^64
+        x = largest.p - 1
+        assert largest.unpack(largest.pack([x])).tolist() == [x]
+
     def test_domain_equality(self):
         assert FieldDomain() == FieldDomain()
         assert FieldDomain(p=5, scale_bits=0) != FieldDomain()

@@ -2,12 +2,13 @@
 
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpgram.errors import DimensionError, DomainMismatchError
-from mpgram.field import FieldDomain
+from mpgram.field import M61, FieldDomain
 from mpgram.matrix import (
     Matrix,
     encode_real_matrix,
@@ -121,6 +122,56 @@ class TestGram:
         a2 = random_matrix((4, 2), dom, rng)
         b = random_matrix((4, 3), dom, rng)
         assert gram_t(mat_add(a1, a2), b) == mat_add(gram_t(a1, b), gram_t(a2, b))
+
+
+def python_gram(a: list, b: list, p: int) -> list:
+    """A^T B mod p of nested lists in exact Python ints, one dot product per entry."""
+    return [[sum(x * y for x, y in zip(ca, cb)) % p for cb in zip(*b)] for ca in zip(*a)]
+
+
+@st.composite
+def field_operands(draw):
+    """(p, a, b) over M61, the largest prime below 2^64, Z5 or Z251.
+
+    Entries are biased towards limb and word edges: 2^63 and above do not fit
+    an int64, and 2^64 - 60 fills every bit of the top limb.
+    """
+    p = draw(st.sampled_from([M61, 2**64 - 59, 5, 251]))
+    edges = (0, 1, p - 1, 2**16 - 1, 2**16, 2**32 - 1, 2**48, 2**63, 2**64 - 60)
+    edges = [v for v in edges if v < p]
+    entry = st.one_of(st.sampled_from(edges), st.integers(0, p - 1))
+    f, n1, n2 = draw(st.integers(1, 9)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+
+    def matrix(cols):
+        return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=f, max_size=f))
+
+    a = matrix(n1)
+    b = a if draw(st.booleans()) else matrix(n2)
+    return p, a, b
+
+
+class TestGramKernel:
+    """The limb-split BLAS kernel against exact Python-int dot products."""
+
+    @given(field_operands())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_python_ints(self, case):
+        p, a, b = case
+        dom = FieldDomain(scale_bits=0, p=p)
+        ma = Matrix.from_rows(a, dom)
+        mb = ma if b is a else Matrix.from_rows(b, dom)  # a self gram passes one array twice
+        g = gram_t(ma, mb)
+        assert g.data.tolist() == python_gram(a, b, p)
+        assert all(type(v) is int for v in g.data.flat)
+
+    def test_feature_axis_crosses_chunk_boundary(self, m61):
+        # 2^20 + 3 rows of p - 1 leave three rows for a second chunk;
+        # (p - 1)^2 = 1 mod p, so every entry is f mod p
+        f = 2**20 + 3
+        a = Matrix(np.full((f, 2), M61 - 1, dtype=object), m61)
+        b = Matrix(np.full((f, 1), M61 - 1, dtype=object), m61)
+        assert gram_t(a, b).data.tolist() == [[f], [f]]
+        assert gram_t(a, a).data.tolist() == [[f, f], [f, f]]
 
 
 class TestRandomMatrix:

@@ -80,6 +80,39 @@ class TestRun:
         res = run(cfg)
         assert res.report["verification"]["status"] == "pass"
 
+    def test_verify_catches_fixed_point_wrap(self, tmp_path):
+        # Dot products of reals up to 3e4 reach ~2.3e9, past p / 2^33 ~ 2.7e8
+        # at 16 fractional bits, so they wrap.  The field oracle wraps alike.
+        rng = np.random.default_rng(0)
+        paths = []
+        for i in (1, 2):
+            paths.append(str(tmp_path / f"party_{i}.csv"))
+            np.savetxt(paths[-1], rng.uniform(-3e4, 3e4, (4, 3)), fmt="%.17g", delimiter=",")
+        cfg = RunConfig(
+            protocol="escaped", m=2, features=4, samples=(3, 3), seed=1, data_csv=tuple(paths)
+        )
+        res = run(cfg)
+        x = np.hstack([np.loadtxt(p, delimiter=",") for p in paths])
+        assert np.max(np.abs(res.gram_real - x.T @ x)) > 1e8
+        v = res.report["verification"]
+        assert v["status"] == "fail"
+        assert v["max_abs_deviation"] > 1e8 > v["bound"]
+        assert "wrap-around" in v["reason"]
+
+    def test_verify_pass_report_unchanged_near_range(self, tmp_path):
+        # reals up to 3e3 keep every dot product below p / 2^33
+        rng = np.random.default_rng(0)
+        paths = []
+        for i in (1, 2):
+            paths.append(str(tmp_path / f"party_{i}.csv"))
+            np.savetxt(paths[-1], rng.uniform(-3e3, 3e3, (4, 3)), fmt="%.17g", delimiter=",")
+        cfg = RunConfig(
+            protocol="escaped", m=2, features=4, samples=(3, 3), seed=1, data_csv=tuple(paths)
+        )
+        assert run(cfg).report["verification"] == {
+            "enabled": True, "status": "pass", "max_abs_deviation": 0.0, "bound": 0.0,
+        }
+
     def test_leakage_check_reported(self):
         cfg = RunConfig(protocol="escaped", m=3, features=4, samples=(2, 2, 2), seed=4)
         res = run(cfg)
