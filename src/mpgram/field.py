@@ -20,6 +20,17 @@ Two interchangeable domains:
 Small test primes (Z_5, Z_251) are supported by passing ``p`` explicitly;
 exhaustive distribution checks are only feasible over tiny fields.
 
+Each domain has one bulk sampler, ``uniform_rows(rngs, n)``: row i holds
+exactly the values that n calls of ``uniform(rngs[i])`` would return, and
+each generator ends in the state those calls would leave it in.  It works
+because ``Random.getrandbits(k)`` consumes ceil(k/32) 32-bit Mersenne
+Twister words, lowest word first, and drops the low bits of the last one,
+while ``Random.randbytes(4w)`` returns the next w words, little-endian.  So
+one ``randbytes`` call per generator yields every word that n draws use,
+and numpy cuts them into draws; a field draw at or above p is rejected, and
+only the shortfall is drawn again from the same generator, so no word is
+drawn that the scalar loop would not draw.
+
 Besides the scalar operations, each domain owns the arithmetic of whole
 matrices: ``reduce`` maps the result of an array expression over Python
 scalars back into the domain, ``matmul_t`` is the product A^T B of two
@@ -158,6 +169,25 @@ class FieldDomain:
             if v:
                 return v
 
+    def uniform_rows(self, rngs, n: int) -> np.ndarray:
+        """(len(rngs), n) object array; row i is n calls of ``uniform(rngs[i])``.
+
+        A draw of k <= 32 bits is the top k bits of one word; a wider draw is
+        w0 | (w1 >> (64 - k)) << 32.  Rows with a rejected draw keep the
+        accepted values in order and draw only the shortfall again.
+        """
+        k = self._bits
+        if k <= 32:
+            v = _words(rngs, n) >> np.uint64(32 - k)
+        else:
+            w = _words(rngs, 2 * n)
+            v = w[:, 0::2] | (w[:, 1::2] >> np.uint64(64 - k)) << np.uint64(32)
+        out = v.astype(object)
+        for i in np.flatnonzero((v >= self.p).any(axis=1)):
+            kept = out[i][v[i] < self.p]
+            out[i] = np.concatenate((kept, self.uniform_rows([rngs[i]], n - kept.size)[0]))
+        return out
+
     # -- arrays: reduction and wire codec (8-byte little-endian unsigned) --
 
     def reduce(self, values):
@@ -216,6 +246,12 @@ class FieldDomain:
         return f"FieldDomain(p={self.p}, scale_bits={self.scale_bits})"
 
 
+def _words(rngs, count: int) -> np.ndarray:
+    """(len(rngs), count) uint64 array of each generator's next ``count`` 32-bit words."""
+    buf = b"".join(rng.randbytes(4 * count) for rng in rngs)
+    return np.frombuffer(buf, dtype="<u4").reshape(len(rngs), count).astype(np.uint64)
+
+
 def _limbs(x, count):
     """The ``count`` 16-bit limbs of a uint64 array, lowest first, as float64 arrays."""
     mask = np.uint64((1 << _LIMB_BITS) - 1)
@@ -262,6 +298,18 @@ class FloatDomain:
 
     def uniform(self, rng: Random) -> float:
         return rng.random()
+
+    def uniform_rows(self, rngs, n: int) -> np.ndarray:
+        """(len(rngs), n) object array; row i is n calls of ``uniform(rngs[i])``.
+
+        ``Random.random()`` is ((w0 >> 5) 2^26 + (w1 >> 6)) / 2^53 of two
+        words, which float64 computes exactly.
+        """
+        w = _words(rngs, 2 * n)
+        v = ((w[:, 0::2] >> np.uint64(5)) * 67108864.0 + (w[:, 1::2] >> np.uint64(6))) * (
+            1.0 / 9007199254740992.0
+        )
+        return v.astype(object)
 
     def uniform_nonzero(self, rng: Random) -> float:
         return 0.5 + 1.5 * rng.random()

@@ -113,13 +113,11 @@ def gram_t(a: Matrix, b: Matrix) -> Matrix:
 def random_matrix(shape: tuple, domain, rng: Random) -> Matrix:
     """Matrix of i.i.d. uniform domain elements from a seeded generator.
 
-    Draws one element at a time in row-major order, so the generator's
-    stream fixes every entry.
+    The entries, in row-major order, are the values of successive
+    ``domain.uniform(rng)`` calls, drawn in bulk by ``domain.uniform_rows``.
     """
     rows, cols = shape
-    uniform = domain.uniform
-    draws = np.array([uniform(rng) for _ in range(rows * cols)], dtype=object)
-    return Matrix(draws.reshape(rows, cols), domain)
+    return Matrix(domain.uniform_rows([rng], rows * cols).reshape(rows, cols), domain)
 
 
 def encode_real_matrix(rows: Sequence[Sequence[float]], domain) -> Matrix:

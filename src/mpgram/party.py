@@ -35,12 +35,18 @@ from .masking import (
 )
 from .matrix import Matrix, gram_t
 from .scheme import (
+    WIRE_RANDOMS,
+    WIRE_X_SIDE,
+    WIRE_Y_SIDE,
     decode_dot,
     encode_x_side,
     encode_y_side,
     generate_scheme,
     offline_components,
     pair_randoms,
+    split_x_side,
+    wire_block,
+    x_side_wire,
     y_random_triples,
 )
 
@@ -180,10 +186,9 @@ class _EscapedParty:
 class _ReParty:
     """Randomized-encoding role: fresh randoms per sample pair, components to FP.
 
-    Random-vector layout crossing to the peer: for each (alice sample u,
-    bob sample v) in lexicographic order, for each leaf, the triple
-    (r_a, r_b, r_d).  X-side components to the function party: per pair,
-    per leaf, (c1, c2, c5); Y side: per pair, per leaf, (c3, c4).
+    Alice works one of her samples at a time: the randoms of that sample
+    against every Bob sample form one (n_b, total_randoms) block.  The frames
+    follow the RE wire layout of ``mpgram.scheme``.
     """
 
     def __init__(self, spec, party_id: int, data: Matrix, mesh):
@@ -196,31 +201,22 @@ class _ReParty:
     def act_alice(self, bob_id: int):
         spec, scheme = self.spec, self.scheme
         dom = spec.domain
-        n_a = self.data.cols
-        n_b = self.mesh.n_by_peer[bob_id]
-        all_randoms = [
-            pair_randoms(scheme, dom, spec.run_seed, self.party_id, bob_id, u, v)
-            for u in range(n_a)
-            for v in range(n_b)
-        ]
-        to_bob = []
-        for randoms in all_randoms:
-            for triple in y_random_triples(scheme, randoms):
-                to_bob.extend(triple)
+        bob_samples = range(self.mesh.n_by_peer[bob_id])
+        to_bob, to_fp = [], []
+        for u in range(self.data.cols):
+            randoms = pair_randoms(
+                scheme, dom, spec.run_seed, self.party_id, bob_id, u, bob_samples
+            )
+            to_bob.append(y_random_triples(scheme, randoms))
+            x_comps = encode_x_side(dom, self.data.data[:, u], scheme, randoms)
+            to_fp.append(x_side_wire(x_comps, offline_components(dom, scheme, randoms)))
         self.mesh.peer_channels[bob_id].send(
             tp.RE_RANDOMS,
-            tp.pair_scalars_payload(self.party_id, bob_id, 0, to_bob, dom),
+            tp.pair_scalars_payload(self.party_id, bob_id, 0, np.ravel(to_bob), dom),
         )
-        to_fp = []
-        for idx, randoms in enumerate(all_randoms):
-            u = idx // n_b
-            xc = encode_x_side(dom, self.data.data[:, u], scheme, randoms)
-            off = offline_components(dom, scheme, randoms)
-            for (c1, c2), c5 in zip(xc, off):
-                to_fp.extend((c1, c2, c5))
         self.mesh.fp_channel.send(
             tp.RE_COMPONENTS,
-            tp.pair_scalars_payload(self.party_id, bob_id, tp.SIDE_X, to_fp, dom),
+            tp.pair_scalars_payload(self.party_id, bob_id, tp.SIDE_X, np.ravel(to_fp), dom),
         )
 
     def act_bob(self, alice_id: int):
@@ -232,26 +228,15 @@ class _ReParty:
             raise ProtocolError(
                 f"party {self.party_id} got randoms for pair ({a_id},{b_id})"
             )
-        f = scheme.d
-        n_b = self.data.cols
-        n_a = self.mesh.n_by_peer[alice_id]
-        if len(flat) != 3 * f * n_a * n_b:
-            raise ProtocolError(
-                f"pair ({alice_id},{self.party_id}): expected {3 * f * n_a * n_b} "
-                f"random elements, got {len(flat)}"
-            )
-        to_fp = []
-        pos = 0
-        for u in range(n_a):
-            for v in range(n_b):
-                triples = [tuple(flat[pos + 3 * k : pos + 3 * k + 3]) for k in range(f)]
-                pos += 3 * f
-                yc = encode_y_side(dom, self.data.data[:, v], scheme, triples)
-                for c3, c4 in yc:
-                    to_fp.extend((c3, c4))
+        triples = wire_block(
+            flat, self.mesh.n_by_peer[alice_id], self.data.cols, scheme.d, WIRE_RANDOMS,
+            f"randoms of pair ({alice_id},{self.party_id})",
+        )
+        y = self.data.data.T
+        to_fp = [encode_y_side(dom, y, scheme, row) for row in triples]
         self.mesh.fp_channel.send(
             tp.RE_COMPONENTS,
-            tp.pair_scalars_payload(alice_id, self.party_id, tp.SIDE_Y, to_fp, dom),
+            tp.pair_scalars_payload(alice_id, self.party_id, tp.SIDE_Y, np.ravel(to_fp), dom),
         )
 
 
@@ -316,43 +301,61 @@ def function_party_session(spec: SessionSpec, mesh) -> FunctionPartyResult:
     return FunctionPartyResult(assembly, pair_results)
 
 
+_PAIR_PARTS = {tp.PART_A1: "a1", tp.PART_B1: "b1", tp.PART_B2: "b2"}
+
+
 def _dispatch_fp_frame(frame, dom, inv):
+    """Keep one inbound frame's content in ``inv``.
+
+    A frame is rejected when its pair part or side tag is unknown, when it
+    does not come from the party that owns it (Alice for A1 and the X side,
+    Bob for B1, B2 and the Y side), or when it repeats a part already held.
+    """
     if frame.kind == tp.PAIR_RESULT:
         a, b, part, m = tp.pair_matrix_from_payload(frame.payload, dom)
-        store = {tp.PART_A1: "a1", tp.PART_B1: "b1", tp.PART_B2: "b2"}.get(part)
+        store = _PAIR_PARTS.get(part)
         if store is None:
             raise ProtocolError(f"unknown pair-result part {part}")
-        inv[store][(a, b)] = m
+        owner = a if part == tp.PART_A1 else b
+        _keep_once(frame, inv[store], (a, b), m, owner, f"{store.upper()} of pair ({a},{b})")
     elif frame.kind == tp.ALPHA:
         xs, _ = tp.scalars_from_payload(frame.payload, dom)
-        inv["alpha"][frame.sender] = xs[0]
+        _keep_once(frame, inv["alpha"], frame.sender, xs[0], frame.sender, "alpha")
     elif frame.kind == tp.SELF_GRAM:
         m, _ = tp.matrix_from_payload(frame.payload, dom)
-        inv["self"][frame.sender] = m
+        _keep_once(frame, inv["self"], frame.sender, m, frame.sender, "self gram")
     elif frame.kind == tp.RE_COMPONENTS:
         a, b, side, xs = tp.pair_scalars_from_payload(frame.payload, dom)
-        inv["x_side" if side == tp.SIDE_X else "y_side"][(a, b)] = xs
+        if side == tp.SIDE_X:
+            store, owner, name = "x_side", a, "X"
+        elif side == tp.SIDE_Y:
+            store, owner, name = "y_side", b, "Y"
+        else:
+            raise ProtocolError(f"unknown RE component side {side} for pair ({a},{b})")
+        what = f"{name}-side components of pair ({a},{b})"
+        _keep_once(frame, inv[store], (a, b), xs, owner, what)
     else:
         raise ProtocolError(
             f"function party got unexpected {tp.KIND_NAMES.get(frame.kind, hex(frame.kind))}"
         )
 
 
+def _keep_once(frame, store: dict, key, value, owner: int, what: str):
+    if frame.sender != owner:
+        raise ProtocolError(f"{what} came from party {frame.sender}, expected party {owner}")
+    if key in store:
+        raise ProtocolError(f"duplicate {what} from party {frame.sender}")
+    store[key] = value
+
+
 def _decode_re_block(dom, f: int, n_a: int, n_b: int, x_flat, y_flat) -> Matrix:
-    if len(x_flat) != 3 * f * n_a * n_b or len(y_flat) != 2 * f * n_a * n_b:
-        raise ProtocolError(
-            f"component length mismatch: X {len(x_flat)}, Y {len(y_flat)} "
-            f"for f={f}, {n_a}x{n_b} sample pairs"
-        )
-    entries = []
-    for idx in range(n_a * n_b):
-        xo = 3 * f * idx
-        yo = 2 * f * idx
-        x_comps = [(x_flat[xo + 3 * k], x_flat[xo + 3 * k + 1]) for k in range(f)]
-        off = [x_flat[xo + 3 * k + 2] for k in range(f)]
-        y_comps = [(y_flat[yo + 2 * k], y_flat[yo + 2 * k + 1]) for k in range(f)]
-        entries.append(decode_dot(dom, x_comps, y_comps, off))
-    return Matrix(np.array(entries, dtype=object).reshape(n_a, n_b), dom)
+    x_side = wire_block(x_flat, n_a, n_b, f, WIRE_X_SIDE, "X-side components")
+    y_side = wire_block(y_flat, n_a, n_b, f, WIRE_Y_SIDE, "Y-side components")
+    rows = []
+    for x_row, y_row in zip(x_side, y_side):
+        x_comps, offline = split_x_side(x_row)
+        rows.append(decode_dot(dom, x_comps, y_row, offline))
+    return Matrix(np.stack(rows), dom)
 
 
 # -- meshes ------------------------------------------------------------------

@@ -276,8 +276,12 @@ def _run_loopback(config: RunConfig, domain, data: dict):
     transcript = tp.Transcript()
     spec = SessionSpec(config.protocol, config.m, config.features, domain, config.seed)
     ip_meshes, fp_mesh = build_loopback_meshes(config.m, transcript)
-    failures = {}
+    failures = {}  # party id -> (time.monotonic() of the failure, exception)
     result_box = {}
+
+    def fail(pid: int, mesh, exc: Exception):
+        failures[pid] = (time.monotonic(), exc)
+        mesh.close()  # peers blocked on this party fail at once: "channel closed by peer"
 
     def ip_main(i: int):
         mesh = ip_meshes[i]
@@ -285,14 +289,14 @@ def _run_loopback(config: RunConfig, domain, data: dict):
             ip_hello_phase(mesh, data[i].cols)
             input_party_session(spec, i, data[i], mesh)
         except Exception as exc:  # noqa: BLE001 - reported with party context
-            failures[i] = exc
+            fail(i, mesh, exc)
 
     def fp_main():
         try:
             fp_hello_phase(fp_mesh)
             result_box["fp"] = function_party_session(spec, fp_mesh)
         except Exception as exc:  # noqa: BLE001
-            failures[tp.FUNCTION_PARTY_ID] = exc
+            fail(tp.FUNCTION_PARTY_ID, fp_mesh, exc)
 
     threads = [threading.Thread(target=ip_main, args=(i,), daemon=True) for i in data]
     threads.append(threading.Thread(target=fp_main, daemon=True))
@@ -301,7 +305,8 @@ def _run_loopback(config: RunConfig, domain, data: dict):
     for t in threads:
         t.join(timeout=300)
     if failures:
-        pid, exc = sorted(failures.items())[0]
+        # the earliest failure is the root cause; the others follow from its close
+        pid, (_, exc) = min(failures.items(), key=lambda item: item[1][0])
         who = "function party" if pid == tp.FUNCTION_PARTY_ID else f"party {pid}"
         raise ProtocolError(f"{who} failed: {exc}") from exc
     if "fp" not in result_box:

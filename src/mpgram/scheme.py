@@ -23,13 +23,50 @@ and sum_i (c1*c3 + c2 + c4 + c5) = <x, y>.
 The Y side touches only r[a], r[b], r[d], so those three per leaf are
 the full set of randoms the scheme owner must transmit to the peer.
 Dumps show each leaf's raw index lists, derived from its plan.
+
+Encoding and decoding are array expressions over object arrays of domain
+scalars, with any leading axes; a party uses the leading axes for a block
+of sample pairs.  For randoms of shape (..., R), R = total_randoms:
+
+    pair_randoms        -> (len(vs), R) one row per sample pair (u, v), v in vs
+    y_random_triples    -> (..., d, 3)   (r[a], r[b], r[d]) per leaf
+    encode_x_side       -> (..., d, 2)   (c1, c2)
+    encode_y_side       -> (..., d, 2)   (c3, c4), from the triples
+    offline_components  -> (..., d)      c5
+    decode_dot          -> (...)         the dot products
+
+Each gathers the randoms through the scheme's leaf index arrays and ends in
+the domain's ``reduce``.  Over floats the operations run in the order of a
+scalar loop -- ``x*r[b] - r[a]*r[b] + r[c]``, ``c1*c3 + c2 + c4 + c5``,
+and sums over the leaves in leaf order starting from the domain's zero --
+so float results are bit-identical to it.
+
+The randoms of sample pair (u, v) come from their own ``Random`` seeded by
+``derive_seed(run_seed, "re-randoms", alice, bob, u, v)``; the domain's
+bulk sampler ``uniform_rows`` returns exactly what R calls of ``uniform``
+would draw from that generator (see ``mpgram.field``), so a block of pairs
+is drawn at once without changing a single value.
+
+RE wire layout.  Each RE frame carries one flat element array in
+(u, v, leaf, component) order -- Alice sample u, Bob sample v, leaf --
+with these components per leaf:
+
+    Alice -> Bob               WIRE_RANDOMS  (r_a, r_b, r_d)
+    Alice -> function party    WIRE_X_SIDE   (c1, c2, c5)
+    Bob   -> function party    WIRE_Y_SIDE   (c3, c4)
+
+``x_side_wire``, ``split_x_side`` and ``wire_block`` are the only code that
+builds or cuts these arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from random import Random
-from typing import Sequence
+
+import numpy as np
 
 from .errors import DimensionError, DomainError, ProtocolError
 from .seeds import derive_seed
@@ -61,6 +98,29 @@ class DotEncodingScheme:
     d: int
     total_randoms: int
     leaves: tuple
+
+    @cached_property
+    def leaf_index(self) -> np.ndarray:
+        """(d, 4) array: each leaf's random indices a, b, c, d."""
+        return np.array([(lf.a, lf.b, lf.c, lf.d) for lf in self.leaves], dtype=np.intp)
+
+    @cached_property
+    def offline_terms(self) -> tuple:
+        """(index, sign) arrays of shape (d, k) listing each leaf's offline randoms.
+
+        Rows shorter than the longest are padded at the front with sign 0,
+        so a sum from zero over a row adds zeros before the first real term.
+        """
+        k = max(len(lf.offline) for lf in self.leaves)
+        idx = np.zeros((self.d, k), dtype=np.intp)
+        sign = np.zeros((self.d, k), dtype=object)
+        for row, lf in enumerate(self.leaves):
+            for col, (j, sg) in enumerate(lf.offline, start=k - len(lf.offline)):
+                idx[row, col], sign[row, col] = j, sg
+        return idx, sign
+
+
+_ABD = [0, 1, 3]  # columns of ``DotEncodingScheme.leaf_index`` that the Y side needs
 
 
 def generate_scheme(d: int) -> DotEncodingScheme:
@@ -99,81 +159,102 @@ def generate_scheme(d: int) -> DotEncodingScheme:
     return DotEncodingScheme(d=d, total_randoms=total, leaves=leaves)
 
 
-def sample_randoms(scheme: DotEncodingScheme, domain, rng: Random) -> tuple:
-    """Uniform scalars for every random index of the scheme."""
-    uniform = domain.uniform
-    return tuple(uniform(rng) for _ in range(scheme.total_randoms))
+def sample_randoms(scheme: DotEncodingScheme, domain, rng: Random) -> np.ndarray:
+    """Uniform scalars for every random index of the scheme, shape (total_randoms,)."""
+    return domain.uniform_rows([rng], scheme.total_randoms)[0]
 
 
 def pair_randoms(
-    scheme: DotEncodingScheme, domain, run_seed: int, alice_id: int, bob_id: int, i: int, j: int
-) -> tuple:
-    """Fresh randoms for one (alice sample i, bob sample j) pair.
+    scheme: DotEncodingScheme, domain, run_seed: int, alice_id: int, bob_id: int, u: int, vs
+) -> np.ndarray:
+    """Fresh randoms for the sample pairs (alice sample u, bob sample v), v in ``vs``.
 
-    Seed derivation folds in the party pair and both sample indices, so
-    no two sample pairs in a run ever share a random vector.
+    Row k of the (len(vs), total_randoms) result belongs to pair (u, vs[k]).
+    Each pair has its own generator, seeded from the party pair and both
+    sample indices, so no two sample pairs in a run ever share a random
+    vector; the words of all of them are turned into values in one pass.
     """
-    rng = Random(derive_seed(run_seed, "re-randoms", alice_id, bob_id, i, j))
-    return sample_randoms(scheme, domain, rng)
+    rngs = [Random(derive_seed(run_seed, "re-randoms", alice_id, bob_id, u, v)) for v in vs]
+    return domain.uniform_rows(rngs, scheme.total_randoms)
 
 
-def y_random_triples(scheme: DotEncodingScheme, randoms: Sequence) -> tuple:
-    """Per-leaf (r[a], r[b], r[d]): exactly what the scheme owner transmits."""
-    return tuple((randoms[lf.a], randoms[lf.b], randoms[lf.d]) for lf in scheme.leaves)
+def y_random_triples(scheme: DotEncodingScheme, randoms) -> np.ndarray:
+    """(..., d, 3): per leaf (r[a], r[b], r[d]), exactly what the scheme owner transmits."""
+    return np.asarray(randoms, dtype=object)[..., scheme.leaf_index[:, _ABD]]
 
 
-def encode_x_side(dom, x: Sequence, scheme: DotEncodingScheme, randoms: Sequence) -> tuple:
-    """(c1, c2) per leaf for the x-vector owner, who holds all randoms."""
-    if len(x) != scheme.d:
-        raise DimensionError(f"vector length {len(x)} != scheme length {scheme.d}")
-    sub, add, mul = dom.sub, dom.add, dom.mul
-    out = []
-    for xi, lf in zip(x, scheme.leaves):
-        ra, rb = randoms[lf.a], randoms[lf.b]
-        c1 = sub(xi, ra)
-        c2 = add(sub(mul(xi, rb), mul(ra, rb)), randoms[lf.c])
-        out.append((c1, c2))
-    return tuple(out)
+def encode_x_side(dom, x, scheme: DotEncodingScheme, randoms) -> np.ndarray:
+    """(..., d, 2): (c1, c2) per leaf for the x-vector owner, who holds all randoms."""
+    x = np.asarray(x, dtype=object)
+    if x.shape[-1] != scheme.d:
+        raise DimensionError(f"vector length {x.shape[-1]} != scheme length {scheme.d}")
+    randoms = np.asarray(randoms, dtype=object)
+    ra, rb, rc = (randoms[..., scheme.leaf_index[:, k]] for k in range(3))
+    return np.stack((dom.reduce(x - ra), dom.reduce(x * rb - ra * rb + rc)), axis=-1)
 
 
-def encode_y_side(dom, y: Sequence, scheme: DotEncodingScheme, triples: Sequence) -> tuple:
-    """(c3, c4) per leaf from the transmitted (r[a], r[b], r[d]) triples."""
-    if len(y) != scheme.d:
-        raise DimensionError(f"vector length {len(y)} != scheme length {scheme.d}")
-    if len(triples) != scheme.d:
+def encode_y_side(dom, y, scheme: DotEncodingScheme, triples) -> np.ndarray:
+    """(..., d, 2): (c3, c4) per leaf from the transmitted (r[a], r[b], r[d]) triples."""
+    y = np.asarray(y, dtype=object)
+    if y.shape[-1] != scheme.d:
+        raise DimensionError(f"vector length {y.shape[-1]} != scheme length {scheme.d}")
+    triples = np.asarray(triples, dtype=object)
+    if triples.shape[-2:] != (scheme.d, 3):
         raise ProtocolError(
-            f"received {len(triples)} random triples for {scheme.d} leaves"
+            f"received random triples of shape {triples.shape} for {scheme.d} leaves"
         )
-    sub, add, mul = dom.sub, dom.add, dom.mul
-    out = []
-    for yi, (ra, rb, rd) in zip(y, triples):
-        out.append((sub(yi, rb), add(mul(yi, ra), rd)))
-    return tuple(out)
+    ra, rb, rd = triples[..., 0], triples[..., 1], triples[..., 2]
+    return np.stack((dom.reduce(y - rb), dom.reduce(y * ra + rd)), axis=-1)
 
 
-def offline_components(dom, scheme: DotEncodingScheme, randoms: Sequence) -> tuple:
-    """c5 per leaf: the signed sum of that leaf's offline randoms."""
-    add, sub = dom.add, dom.sub
-    out = []
-    for lf in scheme.leaves:
-        acc = dom.zero
-        for idx, sign in lf.offline:
-            acc = add(acc, randoms[idx]) if sign > 0 else sub(acc, randoms[idx])
-        out.append(acc)
-    return tuple(out)
+def offline_components(dom, scheme: DotEncodingScheme, randoms) -> np.ndarray:
+    """(..., d): c5 per leaf, the signed sum of that leaf's offline randoms."""
+    idx, sign = scheme.offline_terms
+    terms = sign * np.asarray(randoms, dtype=object)[..., idx]
+    return dom.reduce(np.add.reduce(terms, axis=-1, initial=dom.zero))
 
 
-def decode_dot(dom, x_comps: Sequence, y_comps: Sequence, offline: Sequence):
-    """Recover <x, y> from the per-leaf components."""
-    if not (len(x_comps) == len(y_comps) == len(offline)):
+def decode_dot(dom, x_comps, y_comps, offline):
+    """<x, y> from the per-leaf components: (..., d, 2), (..., d, 2), (..., d) -> (...)."""
+    x_comps, y_comps, offline = (np.asarray(c, dtype=object) for c in (x_comps, y_comps, offline))
+    if not (x_comps.shape[:-1] == y_comps.shape[:-1] == offline.shape):
         raise DimensionError(
-            f"component counts differ: {len(x_comps)}, {len(y_comps)}, {len(offline)}"
+            f"component shapes differ: {x_comps.shape}, {y_comps.shape}, {offline.shape}"
         )
-    add, mul = dom.add, dom.mul
-    acc = dom.zero
-    for (c1, c2), (c3, c4), c5 in zip(x_comps, y_comps, offline):
-        acc = add(acc, add(add(add(mul(c1, c3), c2), c4), c5))
-    return acc
+    terms = x_comps[..., 0] * y_comps[..., 0] + x_comps[..., 1] + y_comps[..., 1] + offline
+    return dom.reduce(np.add.reduce(terms, axis=-1, initial=dom.zero))
+
+
+# -- RE wire layout (see the module docstring) ---------------------------------
+
+WIRE_RANDOMS = ("r_a", "r_b", "r_d")  # Alice -> Bob
+WIRE_X_SIDE = ("c1", "c2", "c5")  # Alice -> function party
+WIRE_Y_SIDE = ("c3", "c4")  # Bob -> function party
+
+
+def x_side_wire(x_comps, offline) -> np.ndarray:
+    """(..., d, 3): the X-side components in ``WIRE_X_SIDE`` order."""
+    return np.concatenate((x_comps, offline[..., None]), axis=-1)
+
+
+def split_x_side(block) -> tuple:
+    """(x_comps, offline) of an X-side block in ``WIRE_X_SIDE`` order."""
+    return block[..., :2], block[..., 2]
+
+
+def wire_block(flat, n_a: int, n_b: int, d: int, layout: tuple, what: str) -> np.ndarray:
+    """A flat RE frame body as its (n_a, n_b, d, len(layout)) block.
+
+    Raises ProtocolError when the element count does not match the pair
+    block that the hello sizes announced.
+    """
+    shape = (n_a, n_b, d, len(layout))
+    if len(flat) != math.prod(shape):
+        raise ProtocolError(
+            f"{what}: expected {math.prod(shape)} elements for d={d}, "
+            f"{n_a}x{n_b} sample pairs, got {len(flat)}"
+        )
+    return np.asarray(flat, dtype=object).reshape(shape)
 
 
 def dump_scheme(scheme: DotEncodingScheme) -> str:

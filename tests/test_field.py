@@ -4,7 +4,7 @@ import math
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpgram.errors import DomainError, EncodingOverflowError
@@ -134,6 +134,32 @@ class TestSampling:
             buckets[m61.uniform(rng) >> shift] += 1
         _, pvalue = chisquare(buckets)
         assert pvalue > 0.001
+
+
+# Z5 rejects 3 of every 8 draws, so its cases run the re-draw path.
+SAMPLER_DOMAINS = {
+    "m61": FieldDomain(),
+    "2^64-59": FieldDomain(p=2**64 - 59),
+    "z5": FieldDomain(scale_bits=0, p=5),
+    "z251": FieldDomain(scale_bits=0, p=251),
+    "float": FloatDomain(),
+}
+
+
+class TestBulkSampler:
+    @pytest.mark.parametrize("name", sorted(SAMPLER_DOMAINS))
+    @given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4), n=st.integers(0, 300))
+    @example(seeds=[0], n=1)
+    @example(seeds=[7, 8, 9], n=1)
+    @settings(max_examples=60, deadline=None)
+    def test_equals_scalar_draws(self, name, seeds, n):
+        dom = SAMPLER_DOMAINS[name]
+        bulk = [Random(s) for s in seeds]
+        scalar = [Random(s) for s in seeds]
+        got = dom.uniform_rows(bulk, n)
+        assert got.shape == (len(seeds), n)
+        assert got.tolist() == [[dom.uniform(rng) for _ in range(n)] for rng in scalar]
+        assert [rng.getstate() for rng in bulk] == [rng.getstate() for rng in scalar]
 
 
 class TestSerialization:

@@ -1,12 +1,15 @@
 """End-to-end orchestration: runs, reports, comparison, data generation, CLI."""
 
 import json
+import time
 
 import numpy as np
 import pytest
 
+from mpgram import party
+from mpgram import transport as tp
 from mpgram.cli import EXIT_CONFIG, EXIT_OK, main
-from mpgram.errors import ConfigError
+from mpgram.errors import ConfigError, ProtocolError
 from mpgram.field import FieldDomain
 from mpgram.runner import (
     RunConfig,
@@ -145,6 +148,35 @@ class TestRun:
         assert len(res.fp_result.pair_results) == m * (m - 1) // 2
         assert len(res.fp_result.assembly.self_blocks) == m
         assert sorted(res.fp_result.assembly.self_blocks) == list(range(1, m + 1))
+
+    def test_field_re_run_makes_no_scalar_domain_calls(self, monkeypatch):
+        # the RE path is array expressions over the domain's bulk sampler and
+        # reduce; a per-scalar fallback would show up here
+        calls = []
+        for name in ("add", "sub", "mul", "uniform"):
+            monkeypatch.setattr(
+                FieldDomain, name, lambda self, *args, _name=name: calls.append(_name)
+            )
+        cfg = RunConfig(protocol="re", m=3, features=5, samples=(3, 2, 4), seed=4)
+        assert run(cfg).report["verification"]["status"] == "pass"
+        assert calls == []
+
+    def test_failing_party_ends_loopback_run_and_is_blamed(self, monkeypatch):
+        original = party._ReParty.act_alice
+
+        def act_alice(self, bob_id):
+            if self.party_id == 2:
+                raise RuntimeError("injected encode failure")
+            original(self, bob_id)
+
+        monkeypatch.setattr(party._ReParty, "act_alice", act_alice)
+        # bounds the wait of a run that does not fail fast
+        monkeypatch.setattr(tp.LoopbackEndpoint, "RECV_TIMEOUT", 10.0)
+        cfg = RunConfig(protocol="re", m=3, features=4, samples=(2, 3, 2), verify=False)
+        t0 = time.monotonic()
+        with pytest.raises(ProtocolError, match="^party 2 failed: injected encode failure$"):
+            run(cfg)
+        assert time.monotonic() - t0 < 5.0
 
 
 class TestDeterminism:

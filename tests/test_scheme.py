@@ -2,12 +2,14 @@
 
 from random import Random
 
+import numpy as np
 import pytest
 
 from mpgram.dare import muladd_encode
 from mpgram.errors import DimensionError, DomainError, ProtocolError
-from mpgram.field import FieldDomain
+from mpgram.field import FieldDomain, FloatDomain
 from mpgram.scheme import (
+    WIRE_X_SIDE,
     decode_dot,
     dump_scheme,
     encode_x_side,
@@ -16,12 +18,17 @@ from mpgram.scheme import (
     offline_components,
     pair_randoms,
     sample_randoms,
+    split_x_side,
+    wire_block,
+    x_side_wire,
     y_random_triples,
 )
+from mpgram.seeds import derive_seed
 from reference_scheme import build_bijection, reference_components
 
 m61 = FieldDomain()
 z251 = FieldDomain(scale_bits=0, p=251)
+f64 = FloatDomain()
 
 
 def brute_dot(dom, x, y):
@@ -129,9 +136,11 @@ class TestLength7Structure:
         y = [z251.uniform(rng) for _ in range(7)]
         by_ref = {ref: randoms[gen] for ref, gen in mapping.items()}
         ref_x, ref_y, ref_off = reference_components(z251, x, y, by_ref)
-        assert encode_x_side(z251, x, s, randoms) == tuple(ref_x)
-        assert encode_y_side(z251, y, s, y_random_triples(s, randoms)) == tuple(ref_y)
-        assert offline_components(z251, s, randoms) == tuple(ref_off)
+        assert encode_x_side(z251, x, s, randoms).tolist() == [list(c) for c in ref_x]
+        assert encode_y_side(z251, y, s, y_random_triples(s, randoms)).tolist() == [
+            list(c) for c in ref_y
+        ]
+        assert offline_components(z251, s, randoms).tolist() == list(ref_off)
 
 
 class TestEncoding:
@@ -139,22 +148,22 @@ class TestEncoding:
         s = generate_scheme(3)
         zero = (0,) * s.total_randoms
         x = [5, 7, 9]
-        assert encode_x_side(z251, x, s, zero) == ((5, 0), (7, 0), (9, 0))
+        assert encode_x_side(z251, x, s, zero).tolist() == [[5, 0], [7, 0], [9, 0]]
 
     def test_zero_randoms_y_side(self):
         s = generate_scheme(3)
         triples = ((0, 0, 0),) * 3
-        assert encode_y_side(z251, [4, 6, 8], s, triples) == ((4, 0), (6, 0), (8, 0))
+        assert encode_y_side(z251, [4, 6, 8], s, triples).tolist() == [[4, 0], [6, 0], [8, 0]]
 
     def test_zero_randoms_offline(self):
         s = generate_scheme(3)
-        assert offline_components(z251, s, (0,) * s.total_randoms) == (0, 0, 0)
+        assert offline_components(z251, s, (0,) * s.total_randoms).tolist() == [0, 0, 0]
 
     def test_single_leaf_hand_values(self):
         s = generate_scheme(1)
         randoms = (1, 1, 1, 1)
-        assert encode_x_side(z251, [2], s, randoms) == ((1, 2),)
-        assert encode_y_side(z251, [3], s, y_random_triples(s, randoms)) == ((2, 4),)
+        assert encode_x_side(z251, [2], s, randoms).tolist() == [[1, 2]]
+        assert encode_y_side(z251, [3], s, y_random_triples(s, randoms)).tolist() == [[2, 4]]
 
     def test_two_leaf_offline_values(self):
         s = generate_scheme(2)
@@ -174,7 +183,7 @@ class TestEncoding:
         s = generate_scheme(5)
         randoms = tuple(range(100, 100 + s.total_randoms))
         for lf, triple in zip(s.leaves, y_random_triples(s, randoms)):
-            assert triple == (randoms[lf.a], randoms[lf.b], randoms[lf.d])
+            assert triple.tolist() == [randoms[lf.a], randoms[lf.b], randoms[lf.d]]
 
     def test_leaf_components_match_muladd_gadget(self):
         # the scheme's per-leaf components are exactly a mul-add encoding
@@ -196,8 +205,8 @@ class TestEncoding:
             e = muladd_encode(
                 m61, x[i], y[i], s3, randoms[lf.a], randoms[lf.b], randoms[lf.c], randoms[lf.d]
             )
-            assert (e.c1, e.c2) == xc[i]
-            assert (e.c3, e.c4) == yc[i]
+            assert [e.c1, e.c2] == xc[i].tolist()
+            assert [e.c3, e.c4] == yc[i].tolist()
             assert e.c5 == off[i]
 
 
@@ -254,9 +263,9 @@ class TestDecoding:
 class TestFreshRandoms:
     def test_deterministic_per_pair(self):
         s = generate_scheme(4)
-        a = pair_randoms(s, m61, 99, 1, 2, 0, 1)
-        b = pair_randoms(s, m61, 99, 1, 2, 0, 1)
-        assert a == b
+        a = pair_randoms(s, m61, 99, 1, 2, 0, [1])[0]
+        b = pair_randoms(s, m61, 99, 1, 2, 0, [1])[0]
+        assert a.tolist() == b.tolist()
         assert len(a) == s.total_randoms
 
     def test_no_two_sample_pairs_share_a_vector(self):
@@ -264,11 +273,81 @@ class TestFreshRandoms:
         seen = set()
         for alice, bob in [(1, 2), (1, 3), (2, 3)]:
             for u in range(4):
-                for v in range(5):
-                    vec = pair_randoms(s, m61, 123, alice, bob, u, v)
+                for row in pair_randoms(s, m61, 123, alice, bob, u, range(5)):
+                    vec = tuple(row)
                     assert vec not in seen
                     seen.add(vec)
         assert len(seen) == 3 * 4 * 5
+
+
+    @pytest.mark.parametrize("dom", [m61, f64], ids=["m61", "float"])
+    def test_block_rows_are_per_pair_streams(self, dom):
+        # row v of a block is what the pair's own generator gives, however
+        # the block is cut
+        s = generate_scheme(6)
+        block = pair_randoms(s, dom, 5, 2, 3, 1, range(4))
+        for v in range(4):
+            rng = Random(derive_seed(5, "re-randoms", 2, 3, 1, v))
+            assert block[v].tolist() == [dom.uniform(rng) for _ in range(s.total_randoms)]
+            assert pair_randoms(s, dom, 5, 2, 3, 1, [v])[0].tolist() == block[v].tolist()
+
+
+def scalar_reference(dom, scheme, x, y, randoms):
+    """The per-scalar loop over leaves that the array path replaced."""
+    xc, yc, off = [], [], []
+    acc = dom.zero
+    for xi, yi, lf in zip(x, y, scheme.leaves):
+        ra, rb, rc, rd = (randoms[i] for i in (lf.a, lf.b, lf.c, lf.d))
+        c1, c2 = dom.sub(xi, ra), dom.add(dom.sub(dom.mul(xi, rb), dom.mul(ra, rb)), rc)
+        c3, c4 = dom.sub(yi, rb), dom.add(dom.mul(yi, ra), rd)
+        c5 = dom.zero
+        for idx, sign in lf.offline:
+            c5 = dom.add(c5, randoms[idx]) if sign > 0 else dom.sub(c5, randoms[idx])
+        acc = dom.add(acc, dom.add(dom.add(dom.add(dom.mul(c1, c3), c2), c4), c5))
+        xc.append((c1, c2))
+        yc.append((c3, c4))
+        off.append(c5)
+    return xc, yc, off, acc
+
+
+class TestArrayPath:
+    @pytest.mark.parametrize("d", [1, 2, 5, 16, 33])
+    @pytest.mark.parametrize("dom", [m61, z251, f64], ids=["m61", "z251", "float"])
+    def test_block_matches_scalar_loop_bit_for_bit(self, dom, d):
+        # one Alice sample against a block of Bob samples, as a party computes it
+        s = generate_scheme(d)
+        rng = Random(d)
+        n_b = 3
+        randoms = pair_randoms(s, dom, 11, 1, 2, 0, range(n_b))
+        x = dom.uniform_rows([rng], d)[0]
+        if dom is f64:
+            x = x - 0.5  # negative entries too, so products and sums carry both signs
+        ys = dom.uniform_rows([rng], n_b * d).reshape(n_b, d)
+        xc = encode_x_side(dom, x, s, randoms)
+        yc = encode_y_side(dom, ys, s, y_random_triples(s, randoms))
+        off = offline_components(dom, s, randoms)
+        dots = decode_dot(dom, xc, yc, off)
+        assert xc.shape == yc.shape == (n_b, d, 2)
+        assert off.shape == (n_b, d) and dots.shape == (n_b,)
+        for v in range(n_b):
+            ref_x, ref_y, ref_off, ref_dot = scalar_reference(dom, s, x, ys[v], randoms[v])
+            assert dom.pack(xc[v].ravel()) == dom.pack(np.ravel(ref_x))
+            assert dom.pack(yc[v].ravel()) == dom.pack(np.ravel(ref_y))
+            assert dom.pack(off[v]) == dom.pack(ref_off)
+            assert dom.pack([dots[v]]) == dom.pack([ref_dot])
+
+    def test_wire_layout_round_trip(self):
+        s = generate_scheme(3)
+        randoms = pair_randoms(s, m61, 1, 1, 2, 0, range(2))
+        xc = encode_x_side(m61, [4, 5, 6], s, randoms)
+        off = offline_components(m61, s, randoms)
+        wire = x_side_wire(xc, off)
+        assert wire.shape == (2, 3, len(WIRE_X_SIDE))
+        block = wire_block(np.ravel(wire), 1, 2, 3, WIRE_X_SIDE, "X side")
+        got_xc, got_off = split_x_side(block[0])
+        assert got_xc.tolist() == xc.tolist() and got_off.tolist() == off.tolist()
+        with pytest.raises(ProtocolError, match="expected 18 elements"):
+            wire_block(np.ravel(wire)[:-1], 1, 2, 3, WIRE_X_SIDE, "X side")
 
 
 class TestDump:
