@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .costs import ESCAPED, RE, cost_model, nominal_ratio
 from .errors import ConfigError, MpgramError
@@ -45,9 +46,23 @@ def _add_run_flags(p: argparse.ArgumentParser, with_protocol: bool = True):
     p.add_argument("--report", default=None, help="write the run report JSON here")
 
 
+def _sample_counts(text: str, parties: int) -> tuple:
+    """Per-party sample counts from "4" (every party) or "3,5,2" (one per party)."""
+    try:
+        counts = [int(tok) for tok in str(text).split(",")]
+    except ValueError:
+        raise ConfigError(f"sample counts must be integers, got {text!r}") from None
+    if len(counts) == 1:
+        counts *= parties
+    if len(counts) != parties:
+        raise ConfigError(f"{parties} parties but {len(counts)} sample counts")
+    if any(n < 1 for n in counts):
+        raise ConfigError(f"every party needs at least one sample, got {text!r}")
+    return tuple(counts)
+
+
 def _config_from_args(args, protocol=None) -> RunConfig:
-    parts = [int(tok) for tok in str(args.samples).split(",")]
-    samples = tuple(parts * args.parties if len(parts) == 1 else parts)
+    samples = _sample_counts(args.samples, args.parties)
     data_csv = tuple(args.data.split(",")) if args.data else None
     return RunConfig(
         protocol=protocol or args.protocol,
@@ -96,10 +111,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
-    parts = [int(tok) for tok in str(args.samples).split(",")]
-    samples = parts * args.parties if len(parts) == 1 else parts
-    if len(samples) != args.parties:
-        raise ConfigError(f"{args.parties} parties but {len(samples)} sample counts")
+    samples = _sample_counts(args.samples, args.parties)
     paths = gen_data(args.parties, args.features, samples, args.seed, args.out_dir)
     for p in paths:
         print(p)
@@ -108,7 +120,7 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_compare(args) -> int:
     base = _config_from_args(args, protocol=ESCAPED)
-    result = compare([base, _replace_protocol(base, RE)])
+    result = compare([base, replace(base, protocol=RE)])
     print(result.table_text())
     if args.report:
         doc = {
@@ -129,20 +141,13 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _replace_protocol(cfg: RunConfig, protocol: str) -> RunConfig:
-    from dataclasses import replace
-
-    return replace(cfg, protocol=protocol)
-
-
 def _cmd_dump_scheme(args) -> int:
     print(dump_scheme(generate_scheme(args.d)))
     return EXIT_OK
 
 
 def _cmd_cost(args) -> int:
-    parts = [int(tok) for tok in str(args.n).split(",")]
-    sizes = parts * args.M if len(parts) == 1 else parts
+    sizes = _sample_counts(args.n, args.M)
     protocols = [args.protocol] if args.protocol else [ESCAPED, RE]
     docs = []
     for proto in protocols:

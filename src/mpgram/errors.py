@@ -41,10 +41,6 @@ class TransportError(MpgramError):
     """Channel setup or I/O failure, annotated with the address."""
 
 
-class AuditError(MpgramError):
-    """Measured communication counts disagree with the predicted closed forms."""
-
-
 class ConfigError(MpgramError):
     """Invalid run configuration."""
 

@@ -10,17 +10,28 @@ Pairwise schedules follow the round-robin rounds of
 ``masking.pair_rounds``; within a pair the lower id acts first
 ("Alice"), sending its masked data before reading the peer's, which
 keeps every pair exchange free of send/receive cycles.
+
+The function party receives against one table, ``_owed_parts``: each part
+an input party owes it, with its owner and shape from the hello sizes --
+every party's self gram (n_i, n_i); per pair (a, b), A1 from Alice and B1,
+B2 from Bob (n_a, n_b) plus Alice's alpha (1,) once, or the RE X side from
+Alice and Y side from Bob, flat arrays of n_a n_b f leaves of components.
+It reads from each party as many frames as that party owes and rejects on
+arrival a part nobody owes, from the wrong party, repeated, or misshapen;
+so whatever it accepts is complete.  Input parties likewise check each
+masked matrix against the f x n of its sender's hello.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import transport as tp
 from .costs import ESCAPED, RE
-from .errors import ProtocolError, ProtocolIncompleteError
+from .errors import ProtocolError
 from .masking import (
     GramAssembly,
     PairResult,
@@ -32,6 +43,7 @@ from .masking import (
     bob_round1,
     make_party_state,
     pair_rounds,
+    pair_schedule,
 )
 from .matrix import Matrix, gram_t
 from .scheme import (
@@ -105,17 +117,6 @@ class FunctionPartyResult:
         return FunctionPartyResult(assembly, pair_results)
 
 
-def expected_fp_frames(protocol: str, m: int, party_id: int) -> int:
-    """Frames the function party will receive from one input party (post-hello)."""
-    alice_pairs = m - party_id
-    bob_pairs = party_id - 1
-    if protocol == ESCAPED:
-        return alice_pairs + (1 if alice_pairs else 0) + 2 * bob_pairs + 1
-    if protocol == RE:
-        return alice_pairs + bob_pairs + 1
-    raise ProtocolError(f"unknown protocol {protocol!r}")
-
-
 # -- input party -----------------------------------------------------------
 
 
@@ -152,35 +153,37 @@ class _EscapedParty:
         masked, scaled_mask = alice_round1(self.state)
         ch.send(tp.MASKED_DATA, tp.matrix_payload(masked))
         ch.send(tp.MASKED_MASK, tp.matrix_payload(scaled_mask))
-        bob_masked, _ = tp.matrix_from_payload(
-            ch.recv(tp.MASKED_DATA).payload, self.spec.domain
-        )
-        a1 = alice_compute(self.state, bob_masked)
-        self.mesh.fp_channel.send(
-            tp.PAIR_RESULT,
-            tp.pair_matrix_payload(self.state.party_id, bob_id, tp.PART_A1, a1),
-        )
+        a1 = alice_compute(self.state, self._recv_masked(bob_id, tp.MASKED_DATA))
+        fp = self.mesh.fp_channel
+        fp.send(tp.PAIR_RESULT, tp.pair_matrix_payload(self.state.party_id, bob_id, tp.PART_A1, a1))
         if not self.alpha_sent:
-            self.mesh.fp_channel.send(
-                tp.ALPHA,
-                tp.scalars_payload([self.state.mask_scalar], self.spec.domain),
-            )
+            fp.send(tp.ALPHA, tp.scalars_payload([self.state.mask_scalar], self.spec.domain))
             self.alpha_sent = True
 
     def act_bob(self, alice_id: int):
-        ch = self.mesh.peer_channels[alice_id]
-        alice_masked, _ = tp.matrix_from_payload(
-            ch.recv(tp.MASKED_DATA).payload, self.spec.domain
+        alice_masked = self._recv_masked(alice_id, tp.MASKED_DATA)
+        alice_scaled = self._recv_masked(alice_id, tp.MASKED_MASK)
+        self.mesh.peer_channels[alice_id].send(
+            tp.MASKED_DATA, tp.matrix_payload(bob_round1(self.state))
         )
-        alice_scaled, _ = tp.matrix_from_payload(
-            ch.recv(tp.MASKED_MASK).payload, self.spec.domain
-        )
-        ch.send(tp.MASKED_DATA, tp.matrix_payload(bob_round1(self.state)))
         b1, b2 = bob_compute(self.state, alice_masked, alice_scaled)
         fp = self.mesh.fp_channel
         me = self.state.party_id
         fp.send(tp.PAIR_RESULT, tp.pair_matrix_payload(alice_id, me, tp.PART_B1, b1))
         fp.send(tp.PAIR_RESULT, tp.pair_matrix_payload(alice_id, me, tp.PART_B2, b2))
+
+    def _recv_masked(self, peer: int, kind: int) -> Matrix:
+        """A masked matrix from ``peer``, which must be f x (the peer's hello size)."""
+        frame = self.mesh.peer_channels[peer].recv(kind)
+        m, _ = tp.matrix_from_payload(frame.payload, self.spec.domain)
+        want = (self.spec.features, self.mesh.n_by_peer[peer])
+        if (m.rows, m.cols) != want:
+            a, b = sorted((self.state.party_id, peer))
+            raise ProtocolError(
+                f"{tp.KIND_NAMES[kind]} of pair ({a},{b}) from party {peer} has shape "
+                f"{(m.rows, m.cols)}, expected {want}"
+            )
+        return m
 
 
 class _ReParty:
@@ -243,109 +246,104 @@ class _ReParty:
 # -- function party ----------------------------------------------------------
 
 
+# Part labels: the first element of an owed-part key.
+SELF, ALPHA, A1, B1, B2 = "self gram", "alpha", "A1", "B1", "B2"
+X_SIDE, Y_SIDE = "X-side components", "Y-side components"
+_PAIR_PARTS = {tp.PART_A1: A1, tp.PART_B1: B1, tp.PART_B2: B2}
+_RE_SIDES = {tp.SIDE_X: X_SIDE, tp.SIDE_Y: Y_SIDE}
+
+
 def function_party_session(spec: SessionSpec, mesh) -> FunctionPartyResult:
-    """Drain every input party's frames, then assemble the gram matrix."""
+    """Read every part the input parties owe (``_owed_parts``), then assemble the gram."""
     dom = spec.domain
-    inv = {
-        "a1": {},
-        "b1": {},
-        "b2": {},
-        "alpha": {},
-        "self": {},
-        "x_side": {},
-        "y_side": {},
-    }
+    sizes = mesh.n_by_peer
+    owed = _owed_parts(spec, sizes)
+    frames_from = Counter(owner for owner, _ in owed.values())
+    got = {}
     for i in range(1, spec.m + 1):
-        ch = mesh.peer_channels[i]
-        for _ in range(expected_fp_frames(spec.protocol, spec.m, i)):
-            frame = ch.recv()
-            _dispatch_fp_frame(frame, dom, inv)
+        for _ in range(frames_from[i]):
+            key, value, shape = _read_part(mesh.peer_channels[i].recv(), dom)
+            what = _part_name(key)
+            if key not in owed:
+                raise ProtocolError(f"party {i} sent {what}, which no party owes")
+            owner, want = owed[key]
+            if i != owner:
+                raise ProtocolError(f"{what} came from party {i}, expected party {owner}")
+            if key in got:
+                raise ProtocolError(f"duplicate {what} from party {i}")
+            if shape != want:
+                raise ProtocolError(f"{what} from party {i} has shape {shape}, expected {want}")
+            got[key] = value
 
-    self_blocks = inv["self"]
-    for i in range(1, spec.m + 1):
-        if i not in self_blocks:
-            raise ProtocolIncompleteError(f"missing self gram from party {i}")
-
+    self_blocks = {i: got[SELF, i] for i in range(1, spec.m + 1)}
+    pairs = pair_schedule(spec.m)
     pair_results = None
     if spec.protocol == ESCAPED:
-        pair_results = {}
-        for i in range(1, spec.m + 1):
-            for j in range(i + 1, spec.m + 1):
-                for part, store in (("A1", inv["a1"]), ("B1", inv["b1"]), ("B2", inv["b2"])):
-                    if (i, j) not in store:
-                        raise ProtocolIncompleteError(f"missing {part} for pair ({i},{j})")
-                if i not in inv["alpha"]:
-                    raise ProtocolIncompleteError(f"missing alpha from party {i}")
-                pair_results[(i, j)] = PairResult(
-                    i, j, inv["a1"][(i, j)], inv["b1"][(i, j)], inv["b2"][(i, j)], inv["alpha"][i]
-                )
+        pair_results = {
+            (a, b): PairResult(a, b, got[A1, a, b], got[B1, a, b], got[B2, a, b], got[ALPHA, a][0])
+            for a, b in pairs
+        }
         assembly = assemble_gram(self_blocks, pair_results)
     else:
-        cross_blocks = {}
-        for i in range(1, spec.m + 1):
-            for j in range(i + 1, spec.m + 1):
-                if (i, j) not in inv["x_side"] or (i, j) not in inv["y_side"]:
-                    raise ProtocolIncompleteError(f"missing components for pair ({i},{j})")
-                cross_blocks[(i, j)] = _decode_re_block(
-                    dom,
-                    spec.features,
-                    mesh.n_by_peer[i],
-                    mesh.n_by_peer[j],
-                    inv["x_side"][(i, j)],
-                    inv["y_side"][(i, j)],
-                )
-        assembly = assemble_gram(self_blocks, cross_blocks)
+        assembly = assemble_gram(self_blocks, {
+            (a, b): _decode_re_block(
+                dom, spec.features, sizes[a], sizes[b], got[X_SIDE, a, b], got[Y_SIDE, a, b]
+            )
+            for a, b in pairs
+        })
 
     for i in range(1, spec.m + 1):
         mesh.peer_channels[i].send(tp.DONE, b"")
     return FunctionPartyResult(assembly, pair_results)
 
 
-_PAIR_PARTS = {tp.PART_A1: "a1", tp.PART_B1: "b1", tp.PART_B2: "b2"}
+def _owed_parts(spec: SessionSpec, sizes: dict) -> dict:
+    """Every part the input parties owe the function party: key -> (owner, shape).
 
-
-def _dispatch_fp_frame(frame, dom, inv):
-    """Keep one inbound frame's content in ``inv``.
-
-    A frame is rejected when its pair part or side tag is unknown, when it
-    does not come from the party that owns it (Alice for A1 and the X side,
-    Bob for B1, B2 and the Y side), or when it repeats a part already held.
+    Keys are ``(label, party)`` or ``(label, alice, bob)``, over the pairs of
+    ``pair_schedule`` and the hello sizes ``sizes``; see the module docstring.
     """
+    owed = {(SELF, i): (i, (n, n)) for i, n in sizes.items()}
+    for a, b in pair_schedule(spec.m):
+        if spec.protocol == ESCAPED:
+            owed[A1, a, b] = (a, (sizes[a], sizes[b]))
+            owed[B1, a, b] = owed[B2, a, b] = (b, (sizes[a], sizes[b]))
+            owed[ALPHA, a] = (a, (1,))
+        elif spec.protocol == RE:
+            leaves = sizes[a] * sizes[b] * spec.features
+            owed[X_SIDE, a, b] = (a, (leaves * len(WIRE_X_SIDE),))
+            owed[Y_SIDE, a, b] = (b, (leaves * len(WIRE_Y_SIDE),))
+        else:
+            raise ProtocolError(f"unknown protocol {spec.protocol!r}")
+    return owed
+
+
+def _part_name(key: tuple) -> str:
+    label, *ids = key
+    return f"{label} of pair ({ids[0]},{ids[1]})" if len(ids) == 2 else f"{label} of party {ids[0]}"
+
+
+def _read_part(frame, dom) -> tuple:
+    """(key, value, shape) of one inbound frame, keyed as in ``_owed_parts``."""
     if frame.kind == tp.PAIR_RESULT:
         a, b, part, m = tp.pair_matrix_from_payload(frame.payload, dom)
-        store = _PAIR_PARTS.get(part)
-        if store is None:
-            raise ProtocolError(f"unknown pair-result part {part}")
-        owner = a if part == tp.PART_A1 else b
-        _keep_once(frame, inv[store], (a, b), m, owner, f"{store.upper()} of pair ({a},{b})")
-    elif frame.kind == tp.ALPHA:
-        xs, _ = tp.scalars_from_payload(frame.payload, dom)
-        _keep_once(frame, inv["alpha"], frame.sender, xs[0], frame.sender, "alpha")
-    elif frame.kind == tp.SELF_GRAM:
-        m, _ = tp.matrix_from_payload(frame.payload, dom)
-        _keep_once(frame, inv["self"], frame.sender, m, frame.sender, "self gram")
-    elif frame.kind == tp.RE_COMPONENTS:
+        if part not in _PAIR_PARTS:
+            raise ProtocolError(f"unknown pair-result part {part} for pair ({a},{b})")
+        return (_PAIR_PARTS[part], a, b), m, (m.rows, m.cols)
+    if frame.kind == tp.RE_COMPONENTS:
         a, b, side, xs = tp.pair_scalars_from_payload(frame.payload, dom)
-        if side == tp.SIDE_X:
-            store, owner, name = "x_side", a, "X"
-        elif side == tp.SIDE_Y:
-            store, owner, name = "y_side", b, "Y"
-        else:
+        if side not in _RE_SIDES:
             raise ProtocolError(f"unknown RE component side {side} for pair ({a},{b})")
-        what = f"{name}-side components of pair ({a},{b})"
-        _keep_once(frame, inv[store], (a, b), xs, owner, what)
-    else:
-        raise ProtocolError(
-            f"function party got unexpected {tp.KIND_NAMES.get(frame.kind, hex(frame.kind))}"
-        )
-
-
-def _keep_once(frame, store: dict, key, value, owner: int, what: str):
-    if frame.sender != owner:
-        raise ProtocolError(f"{what} came from party {frame.sender}, expected party {owner}")
-    if key in store:
-        raise ProtocolError(f"duplicate {what} from party {frame.sender}")
-    store[key] = value
+        return (_RE_SIDES[side], a, b), xs, (len(xs),)  # np.shape would copy xs to an array
+    if frame.kind == tp.ALPHA:
+        xs, _ = tp.scalars_from_payload(frame.payload, dom)
+        return (ALPHA, frame.sender), xs, (len(xs),)
+    if frame.kind == tp.SELF_GRAM:
+        m, _ = tp.matrix_from_payload(frame.payload, dom)
+        return (SELF, frame.sender), m, (m.rows, m.cols)
+    raise ProtocolError(
+        f"function party got unexpected {tp.KIND_NAMES.get(frame.kind, hex(frame.kind))}"
+    )
 
 
 def _decode_re_block(dom, f: int, n_a: int, n_b: int, x_flat, y_flat) -> Matrix:

@@ -162,7 +162,7 @@ def run(config: RunConfig) -> RunResult:
             }
 
     prediction = cost_model(config.protocol, config.m, config.features, config.samples)
-    audit = transcript_audit(transcript, prediction, strict=False)
+    audit = transcript_audit(transcript, prediction)
 
     kernel = None
     if config.sigma is not None:
@@ -331,6 +331,40 @@ def _free_ports(count: int) -> list:
     return ports
 
 
+WORKER_TIMEOUT_S = 300.0
+
+
+def _wait_workers(procs: dict, err_paths: dict):
+    """Wait for every worker at once; on the first failure kill the rest and blame it.
+
+    The error names the first worker seen to exit nonzero (or the ones still
+    running at the timeout) with the last line of its stderr.
+    """
+    deadline = time.monotonic() + WORKER_TIMEOUT_S
+    running = dict(procs)
+    try:
+        while running:
+            for pid, proc in list(running.items()):
+                code = proc.poll()
+                if code is None:
+                    continue
+                del running[pid]
+                if code != 0:
+                    with open(err_paths[pid], errors="replace") as fh:
+                        tail = fh.read().strip().splitlines()[-1:]
+                    raise ProtocolError(f"party {pid} exited {code}: {''.join(tail)}")
+            if running:
+                if time.monotonic() > deadline:
+                    raise ProtocolError(
+                        f"parties {sorted(running)} still running after {WORKER_TIMEOUT_S:.0f} s"
+                    )
+                time.sleep(0.005)
+    finally:
+        for proc in running.values():
+            proc.kill()
+            proc.wait()
+
+
 def _run_tcp(config: RunConfig, domain, reals: dict):
     rundir = tempfile.mkdtemp(prefix="mpgram-run-")
     try:
@@ -345,8 +379,7 @@ def _run_tcp(config: RunConfig, domain, reals: dict):
             csv_paths[i] = os.path.join(rundir, f"party_{i}.csv")
             save_csv(rows, csv_paths[i])
 
-        procs = []
-        out_paths = {}
+        procs, err_paths, out_paths = {}, {}, {}
         for pid in range(config.m + 1):
             cfg = {
                 "role": "fp" if pid == 0 else "ip",
@@ -366,30 +399,14 @@ def _run_tcp(config: RunConfig, domain, reals: dict):
             with open(cfg_path, "w") as fh:
                 json.dump(cfg, fh)
             out_paths[pid] = cfg["out_path"]
-            procs.append(
-                (
-                    pid,
-                    subprocess.Popen(
-                        [sys.executable, "-m", "mpgram.worker", cfg_path],
-                        stdout=subprocess.PIPE,
-                        stderr=subprocess.PIPE,
-                    ),
+            err_paths[pid] = os.path.join(rundir, f"err_{pid}.txt")
+            with open(err_paths[pid], "wb") as err:
+                procs[pid] = subprocess.Popen(
+                    [sys.executable, "-m", "mpgram.worker", cfg_path],
+                    stdout=subprocess.DEVNULL,
+                    stderr=err,
                 )
-            )
-        errors = []
-        for pid, proc in procs:
-            try:
-                _, err = proc.communicate(timeout=300)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                _, err = proc.communicate()
-                errors.append(f"party {pid} timed out")
-                continue
-            if proc.returncode != 0:
-                tail = err.decode(errors="replace").strip().splitlines()[-3:]
-                errors.append(f"party {pid} exited {proc.returncode}: {' | '.join(tail)}")
-        if errors:
-            raise ProtocolError("; ".join(errors))
+        _wait_workers(procs, err_paths)
 
         transcript = tp.Transcript()
         fp_doc = None

@@ -1,4 +1,10 @@
-"""Function-party inbound frame validation, driven by scripted input parties."""
+"""Inbound frame validation at arrival, driven by scripted peers.
+
+The function party is fed scripted input parties; an input party is fed a
+scripted peer.
+"""
+
+import re
 
 import pytest
 
@@ -6,10 +12,13 @@ from mpgram import transport as tp
 from mpgram.errors import ProtocolError, TransportError
 from mpgram.field import FieldDomain
 from mpgram.matrix import Matrix
-from mpgram.party import Mesh, SessionSpec, function_party_session
+from mpgram.party import Mesh, SessionSpec, function_party_session, input_party_session
 
 m61 = FieldDomain()
 ONE = Matrix([[1]], m61)
+TALL = Matrix([[1], [1]], m61)
+WIDE = Matrix([[1, 1]], m61)
+SQUARE = Matrix([[1, 0], [0, 1]], m61)
 
 
 class ScriptedChannel:
@@ -31,16 +40,16 @@ def frame(kind, sender, payload):
     return tp.Frame(kind, sender, tp.FUNCTION_PARTY_ID, payload)
 
 
-def part(sender, tag):
-    return frame(tp.PAIR_RESULT, sender, tp.pair_matrix_payload(1, 2, tag, ONE))
+def part(sender, tag, m=ONE, pair=(1, 2)):
+    return frame(tp.PAIR_RESULT, sender, tp.pair_matrix_payload(*pair, tag, m))
 
 
-def alpha(sender):
-    return frame(tp.ALPHA, sender, tp.scalars_payload([3], m61))
+def alpha(sender, xs=(3,)):
+    return frame(tp.ALPHA, sender, tp.scalars_payload(list(xs), m61))
 
 
-def self_gram(sender):
-    return frame(tp.SELF_GRAM, sender, tp.matrix_payload(ONE))
+def self_gram(sender, m=ONE):
+    return frame(tp.SELF_GRAM, sender, tp.matrix_payload(m))
 
 
 def side(sender, tag, count):
@@ -116,3 +125,85 @@ def test_part_from_wrong_sender_rejected(protocol, party1, party2, what):
 def test_duplicate_rejected(protocol, party1, party2):
     with pytest.raises(ProtocolError, match="duplicate"):
         run_fp(protocol, party1, party2)
+
+
+ESC_ALICE, ESC_BOB = VALID["escaped"]
+RE_BOB = VALID["re"][1]
+
+
+@pytest.mark.parametrize(
+    "protocol, party1, party2, what, shape, want",
+    [
+        ("escaped", [part(1, tp.PART_A1, TALL), alpha(1), self_gram(1)], ESC_BOB,
+         "A1 of pair (1,2) from party 1", (2, 1), (1, 1)),
+        ("escaped", ESC_ALICE, [part(2, tp.PART_B1, WIDE), part(2, tp.PART_B2), self_gram(2)],
+         "B1 of pair (1,2) from party 2", (1, 2), (1, 1)),
+        ("escaped", ESC_ALICE, [part(2, tp.PART_B1), part(2, tp.PART_B2, TALL), self_gram(2)],
+         "B2 of pair (1,2) from party 2", (2, 1), (1, 1)),
+        ("escaped", ESC_ALICE, [part(2, tp.PART_B1), part(2, tp.PART_B2), self_gram(2, SQUARE)],
+         "self gram of party 2 from party 2", (2, 2), (1, 1)),
+        ("escaped", [part(1, tp.PART_A1), alpha(1, ()), self_gram(1)], ESC_BOB,
+         "alpha of party 1 from party 1", (0,), (1,)),
+        ("escaped", [part(1, tp.PART_A1), alpha(1, (3, 4)), self_gram(1)], ESC_BOB,
+         "alpha of party 1 from party 1", (2,), (1,)),
+        ("re", [side(1, tp.SIDE_X, 2), self_gram(1)], RE_BOB,
+         "X-side components of pair (1,2) from party 1", (2,), (3,)),
+    ],
+    ids=["a1", "b1", "b2", "self-gram", "alpha-empty", "alpha-two", "short-x-side"],
+)
+def test_wrong_shape_rejected_on_arrival(protocol, party1, party2, what, shape, want):
+    message = f"{what} has shape {shape}, expected {want}"
+    with pytest.raises(ProtocolError, match=f"^{re.escape(message)}$"):
+        run_fp(protocol, party1, party2)
+
+
+@pytest.mark.parametrize(
+    "protocol, party1, what",
+    [
+        ("escaped", [part(1, tp.PART_A1, pair=(1, 3)), alpha(1), self_gram(1)],
+         "A1 of pair (1,3)"),
+        ("re", [x_side(1), alpha(1)], "alpha of party 1"),
+    ],
+    ids=["pair-outside-schedule", "alpha-in-re-run"],
+)
+def test_part_owed_by_no_party_rejected(protocol, party1, what):
+    message = f"party 1 sent {what}, which no party owes"
+    with pytest.raises(ProtocolError, match=f"^{re.escape(message)}$"):
+        run_fp(protocol, party1, VALID[protocol][1])
+
+
+# -- input parties: masked matrices must match the sender's hello ------------
+
+F = 2  # features of the input-party scripts; every party has one sample
+COLUMN = Matrix([[1]] * F, m61)
+
+
+def masked(kind, sender, m):
+    return tp.Frame(kind, sender, 3 - sender, tp.matrix_payload(m))
+
+
+def run_ip(party_id, peer_frames):
+    """Party ``party_id`` of an M=2 masking run whose peer sends ``peer_frames``."""
+    peer = 3 - party_id
+    mesh = Mesh(party_id, {peer: ScriptedChannel(peer_frames)}, ScriptedChannel([]))
+    mesh.n_by_peer = {peer: 1}
+    input_party_session(SessionSpec("escaped", 2, F, m61, 0), party_id, COLUMN, mesh)
+
+
+@pytest.mark.parametrize(
+    "party_id, peer_frames, kind, shape",
+    [
+        (1, [masked(tp.MASKED_DATA, 2, Matrix([[1, 1]] * F, m61))], "masked_data", (F, 2)),
+        (1, [masked(tp.MASKED_DATA, 2, Matrix([[1]] * (F + 1), m61))], "masked_data", (F + 1, 1)),
+        (2, [masked(tp.MASKED_DATA, 1, Matrix([[1, 1]] * F, m61)),
+             masked(tp.MASKED_MASK, 1, COLUMN)], "masked_data", (F, 2)),
+        (2, [masked(tp.MASKED_DATA, 1, COLUMN),
+             masked(tp.MASKED_MASK, 1, Matrix([[1, 1]] * F, m61))], "masked_mask", (F, 2)),
+    ],
+    ids=["alice-gets-wrong-n", "alice-gets-wrong-f", "bob-gets-wrong-data", "bob-gets-wrong-mask"],
+)
+def test_input_party_rejects_misshapen_masked_matrix(party_id, peer_frames, kind, shape):
+    peer = 3 - party_id
+    message = f"{kind} of pair (1,2) from party {peer} has shape {shape}, expected ({F}, 1)"
+    with pytest.raises(ProtocolError, match=f"^{re.escape(message)}$"):
+        run_ip(party_id, peer_frames)

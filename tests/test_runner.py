@@ -1,6 +1,7 @@
 """End-to-end orchestration: runs, reports, comparison, data generation, CLI."""
 
 import json
+import socket
 import time
 
 import numpy as np
@@ -178,6 +179,37 @@ class TestRun:
             run(cfg)
         assert time.monotonic() - t0 < 5.0
 
+    def test_failing_tcp_worker_ends_run_and_is_blamed(self):
+        # party 2 cannot listen on its port, so party 3, which connects there,
+        # would wait out its 120 s recv timeout if the runner waited on it
+        base = _free_port_block(4)
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", base + 2))
+            taken.listen()
+            cfg = RunConfig(protocol="escaped", m=3, features=2, samples=(1, 1, 1),
+                            transport="tcp", base_port=base, verify=False)
+            t0 = time.monotonic()
+            with pytest.raises(ProtocolError, match=r"^party 2 exited 1: .*cannot listen on"):
+                run(cfg)
+        assert time.monotonic() - t0 < 10.0
+
+
+def _free_port_block(count: int) -> int:
+    """A base port such that base .. base + count - 1 are free on localhost."""
+    for base in range(31000, 60000, 101):
+        socks = []
+        try:
+            for k in range(count):
+                socks.append(socket.socket())
+                socks[-1].bind(("127.0.0.1", base + k))
+            return base
+        except OSError:
+            continue
+        finally:
+            for s in socks:
+                s.close()
+    raise RuntimeError("no block of free ports")
+
 
 class TestDeterminism:
     def test_identical_seeds_identical_reports(self):
@@ -346,6 +378,25 @@ class TestCli:
     def test_run_single_party_exit_code(self, capsys):
         rc = main(["run", "--parties", "1", "--samples", "2"])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cost", "--M", "3", "--f", "4", "--n", "1,2"], "3 parties but 2 sample counts"),
+            (["cost", "--M", "3", "--f", "4", "--n", "0"], "at least one sample, got '0'"),
+            (["gen-data", "--samples", "2,x"], "must be integers, got '2,x'"),
+            (["gen-data", "--samples", "0"], "at least one sample, got '0'"),
+            (["run", "--samples", "2,x"], "must be integers, got '2,x'"),
+            (["compare", "--samples", "x"], "must be integers, got 'x'"),
+        ],
+        ids=["cost-short-list", "cost-zero", "gen-data-token", "gen-data-zero", "run-token",
+             "compare-token"],
+    )
+    def test_bad_sample_counts_exit_with_config_error(self, argv, message, tmp_path, capsys):
+        if argv[0] == "gen-data":
+            argv = argv + ["--out-dir", str(tmp_path)]
+        assert main(argv) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
     def test_gen_data_cli(self, tmp_path, capsys):
         rc = main(
