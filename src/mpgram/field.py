@@ -76,10 +76,10 @@ class FixedPointCodec:
         self.max_abs = 2.0 ** (modulus.bit_length() - 1 - scale_bits)
 
     def encode(self, x: float) -> int:
-        if abs(x) >= self.max_abs:
+        if not abs(x) < self.max_abs:  # also rejects NaN, which compares false
             raise EncodingOverflowError(
-                f"|{x}| >= 2^{self.modulus.bit_length() - 1 - self.scale_bits} "
-                "cannot be represented at this scale"
+                f"{x} cannot be represented at this scale: |x| must be below "
+                f"2^{self.modulus.bit_length() - 1 - self.scale_bits}"
             )
         v = round(x * self.scale)
         return v % self.modulus
@@ -133,9 +133,6 @@ class FieldDomain:
 
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return self.p - a if a else 0
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse via Fermat: a^(p-2) mod p."""
@@ -278,9 +275,6 @@ class FloatDomain:
 
     def mul(self, a: float, b: float) -> float:
         return a * b
-
-    def neg(self, a: float) -> float:
-        return -a
 
     def inv(self, a: float) -> float:
         if a == 0.0:

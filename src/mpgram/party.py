@@ -1,7 +1,12 @@
 """Party session logic: the exact message schedule of both protocols.
 
-The same session functions drive in-process loopback runs and TCP
-worker processes; only the mesh (channel setup) differs.  Determinism
+``run_party`` is the one entry of every party, on either transport: given
+a connected ``Mesh`` it runs the hello phase (each input party announces
+its sample count to the function party and to every peer, then reads its
+peers' counts; the function party reads every count), then the party's
+session, and returns the function party's result.  Loopback runs call it
+from one thread per party, TCP runs from one worker process per party;
+only the mesh (channel setup) differs.  Determinism
 contract: given (run seed, config, data), every byte a party sends and
 the per-channel order of its frames are fixed, so transcripts from
 different transports are comparable frame for frame.
@@ -115,6 +120,20 @@ class FunctionPartyResult:
                 for pr in doc["pair_results"]
             }
         return FunctionPartyResult(assembly, pair_results)
+
+
+def run_party(spec: SessionSpec, party_id: int, mesh, data: Matrix = None):
+    """Run party ``party_id`` on its connected ``mesh``: hello phase, then session.
+
+    Party 0 is the function party; it returns its ``FunctionPartyResult``.
+    An input party announces the sample count of its ``data`` and returns None.
+    """
+    if party_id == tp.FUNCTION_PARTY_ID:
+        fp_hello_phase(mesh)
+        return function_party_session(spec, mesh)
+    ip_hello_phase(mesh, data.cols)
+    input_party_session(spec, party_id, data, mesh)
+    return None
 
 
 # -- input party -----------------------------------------------------------
@@ -397,22 +416,21 @@ def fp_hello_phase(mesh: Mesh):
         mesh.n_by_peer[i] = check_hello_size(i, tp.u64_from_payload(frame.payload))
 
 
-def build_loopback_meshes(m: int, transcript) -> tuple:
-    """All-pairs loopback wiring for m input parties plus the function party.
+def build_loopback_meshes(m: int, transcript) -> dict:
+    """All-pairs loopback wiring of m input parties and the function party.
 
-    Returns ({party_id: Mesh}, fp_mesh); hello phases are left to the
-    party tasks so frames are recorded in each sender's own order.
+    Returns {party_id: Mesh} for ids 0..m; hello phases are left to
+    ``run_party`` so frames are recorded in each sender's own order.
     """
-    from .transport import Channel, loopback_pair
-
-    ip_meshes = {i: Mesh(i, {}, None) for i in range(1, m + 1)}
-    fp_mesh = Mesh(tp.FUNCTION_PARTY_ID, {}, None)
+    meshes = {i: Mesh(i, {}, None) for i in range(m + 1)}
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
-            e1, e2 = loopback_pair()
-            ip_meshes[i].peer_channels[j] = Channel(e1, i, j, transcript)
-            ip_meshes[j].peer_channels[i] = Channel(e2, j, i, transcript)
-        e_ip, e_fp = loopback_pair()
-        ip_meshes[i].fp_channel = Channel(e_ip, i, tp.FUNCTION_PARTY_ID, transcript)
-        fp_mesh.peer_channels[i] = Channel(e_fp, tp.FUNCTION_PARTY_ID, i, transcript)
-    return ip_meshes, fp_mesh
+            e1, e2 = tp.loopback_pair()
+            meshes[i].peer_channels[j] = tp.Channel(e1, i, j, transcript)
+            meshes[j].peer_channels[i] = tp.Channel(e2, j, i, transcript)
+        e_ip, e_fp = tp.loopback_pair()
+        meshes[i].fp_channel = tp.Channel(e_ip, i, tp.FUNCTION_PARTY_ID, transcript)
+        meshes[tp.FUNCTION_PARTY_ID].peer_channels[i] = tp.Channel(
+            e_fp, tp.FUNCTION_PARTY_ID, i, transcript
+        )
+    return meshes

@@ -33,15 +33,7 @@ from .field import make_domain
 from .kernel import KernelMatrix, rbf_from_gram
 from .masking import leakage_view, make_party_state, verify_leakage_view
 from .matrix import Matrix, encode_real_matrix, gram_t, load_real_csv, save_csv
-from .party import (
-    FunctionPartyResult,
-    SessionSpec,
-    build_loopback_meshes,
-    fp_hello_phase,
-    function_party_session,
-    input_party_session,
-    ip_hello_phase,
-)
+from .party import FunctionPartyResult, SessionSpec, build_loopback_meshes, run_party
 from .seeds import derive_seed
 
 SCHEMA_VERSION = 1
@@ -275,31 +267,19 @@ def _verify_against_oracle(domain, data: dict, gram: Matrix, gram_real: np.ndarr
 def _run_loopback(config: RunConfig, domain, data: dict):
     transcript = tp.Transcript()
     spec = SessionSpec(config.protocol, config.m, config.features, domain, config.seed)
-    ip_meshes, fp_mesh = build_loopback_meshes(config.m, transcript)
+    meshes = build_loopback_meshes(config.m, transcript)
     failures = {}  # party id -> (time.monotonic() of the failure, exception)
-    result_box = {}
+    results = {}
 
-    def fail(pid: int, mesh, exc: Exception):
-        failures[pid] = (time.monotonic(), exc)
-        mesh.close()  # peers blocked on this party fail at once: "channel closed by peer"
-
-    def ip_main(i: int):
-        mesh = ip_meshes[i]
+    def party_main(pid: int):
         try:
-            ip_hello_phase(mesh, data[i].cols)
-            input_party_session(spec, i, data[i], mesh)
+            results[pid] = run_party(spec, pid, meshes[pid], data.get(pid))
         except Exception as exc:  # noqa: BLE001 - reported with party context
-            fail(i, mesh, exc)
+            failures[pid] = (time.monotonic(), exc)
+            # peers blocked on this party fail at once: "channel closed by peer"
+            meshes[pid].close()
 
-    def fp_main():
-        try:
-            fp_hello_phase(fp_mesh)
-            result_box["fp"] = function_party_session(spec, fp_mesh)
-        except Exception as exc:  # noqa: BLE001
-            fail(tp.FUNCTION_PARTY_ID, fp_mesh, exc)
-
-    threads = [threading.Thread(target=ip_main, args=(i,), daemon=True) for i in data]
-    threads.append(threading.Thread(target=fp_main, daemon=True))
+    threads = [threading.Thread(target=party_main, args=(pid,), daemon=True) for pid in meshes]
     for t in threads:
         t.start()
     for t in threads:
@@ -309,9 +289,9 @@ def _run_loopback(config: RunConfig, domain, data: dict):
         pid, (_, exc) = min(failures.items(), key=lambda item: item[1][0])
         who = "function party" if pid == tp.FUNCTION_PARTY_ID else f"party {pid}"
         raise ProtocolError(f"{who} failed: {exc}") from exc
-    if "fp" not in result_box:
+    if results.get(tp.FUNCTION_PARTY_ID) is None:
         raise ProtocolError("run did not complete: function party produced no result")
-    return result_box["fp"], transcript
+    return results[tp.FUNCTION_PARTY_ID], transcript
 
 
 # -- TCP execution (one OS process per party) ---------------------------------
@@ -382,7 +362,6 @@ def _run_tcp(config: RunConfig, domain, reals: dict):
         procs, err_paths, out_paths = {}, {}, {}
         for pid in range(config.m + 1):
             cfg = {
-                "role": "fp" if pid == 0 else "ip",
                 "party_id": pid,
                 "protocol": config.protocol,
                 "m": config.m,

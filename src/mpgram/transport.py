@@ -342,7 +342,8 @@ class TcpEndpoint:
         with self._send_lock:
             self._sock.sendall(data)
 
-    def _read_exact(self, n: int) -> bytes:
+    def _fill(self, n: int):
+        """Buffer at least ``n`` unread bytes."""
         while len(self._buf) < n:
             try:
                 chunk = self._sock.recv(65536)
@@ -351,8 +352,16 @@ class TcpEndpoint:
             if not chunk:
                 raise TransportError("connection closed mid-frame")
             self._buf += chunk
+
+    def _read_exact(self, n: int) -> bytes:
+        self._fill(n)
         out, self._buf = self._buf[:n], self._buf[n:]
         return out
+
+    def peek_sender(self) -> int:
+        """Sender id in the header of the next frame, which is left unread."""
+        self._fill(HEADER_LEN)
+        return _HEADER.unpack_from(self._buf)[1]
 
     def recv_frame(self) -> Frame:
         header = self._read_exact(HEADER_LEN)

@@ -1,110 +1,57 @@
 """Subprocess entry point for TCP-mode parties: python -m mpgram.worker cfg.json.
 
-Connection topology: every party listens on its own port; the higher id
-connects to the lower one, and all input parties connect to the
-function party (id 0).  The first frame on every connection is the
-connector's hello, which both identifies the connection and announces
-the sample count, so the wire carries exactly the same frames as a
-loopback run.
+Connection topology: one connection per pair of parties.  Party i listens on
+its own port if a higher id exists, connects to the function party (id 0)
+and to every lower input party, and accepts the m - i higher ids.  An
+accepted connection is identified by the sender id in the header of its
+first frame, read with ``TcpEndpoint.peek_sender`` and left unread; an id
+that is out of range or already connected is rejected.  The worker sends
+and reads no hello of its own: ``party.run_party`` runs the same hello phase
+and session as a loopback run, so the wire carries exactly the same frames.
+
+Party m has nothing to accept, so its mesh completes first; each lower
+party's peek then completes once the next higher party's hello arrives.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-import threading
 
 from . import transport as tp
 from .errors import ProtocolError
 from .field import make_domain
 from .matrix import encode_real_matrix, load_real_csv
-from .party import (
-    Mesh,
-    SessionSpec,
-    check_hello_size,
-    function_party_session,
-    input_party_session,
-)
+from .party import Mesh, SessionSpec, run_party
 from .transport import Channel, Transcript, tcp_accept, tcp_connect, tcp_listen
 
 
-def _accept_identified(srv, count: int) -> list:
-    """Accept ``count`` connections, each identified by its first (hello) frame."""
-    out = []
-    for _ in range(count):
-        ep = tcp_accept(srv)
-        frame = ep.recv_frame()
-        if frame.kind != tp.HELLO:
-            raise ProtocolError(
-                f"first frame on a new connection must be hello, got "
-                f"{tp.KIND_NAMES.get(frame.kind, hex(frame.kind))}"
-            )
-        out.append((ep, frame))
-    return out
-
-
-def setup_ip_mesh(cfg: dict, n_samples: int, transcript: Transcript) -> Mesh:
-    party_id = cfg["party_id"]
-    m = cfg["m"]
-    host = cfg["host"]
+def setup_mesh(cfg: dict, transcript: Transcript) -> Mesh:
+    """Connect party ``cfg["party_id"]`` to every other party (module docstring)."""
+    me, m, host = cfg["party_id"], cfg["m"], cfg["host"]
     ports = {int(k): v for k, v in cfg["ports"].items()}
-    higher = list(range(party_id + 1, m + 1))
-    accepted = []
-    srv = tcp_listen(host, ports[party_id]) if higher else None
-    err_box = []
-
-    def acceptor():
-        try:
-            accepted.extend(_accept_identified(srv, len(higher)))
-        except Exception as exc:  # noqa: BLE001 - re-raised on the main thread
-            err_box.append(exc)
-
-    th = None
-    if higher:
-        th = threading.Thread(target=acceptor, daemon=True)
-        th.start()
-
-    mesh = Mesh(party_id, {}, None)
-    fp_ep = tcp_connect(host, ports[0])
-    mesh.fp_channel = Channel(fp_ep, party_id, tp.FUNCTION_PARTY_ID, transcript)
-    mesh.fp_channel.send(tp.HELLO, tp.u64_payload(n_samples))
-    for j in range(1, party_id):
-        ep = tcp_connect(host, ports[j])
-        ch = Channel(ep, party_id, j, transcript)
-        mesh.peer_channels[j] = ch
-        ch.send(tp.HELLO, tp.u64_payload(n_samples))
-
-    if th is not None:
-        th.join()
-        srv.close()
-        if err_box:
-            raise err_box[0]
-    for ep, frame in accepted:
-        j = frame.sender
-        if j <= party_id or j > m:
-            raise ProtocolError(f"party {party_id} got a connection claiming id {j}")
-        ch = Channel(ep, party_id, j, transcript)
-        mesh.peer_channels[j] = ch
-        mesh.n_by_peer[j] = check_hello_size(j, tp.u64_from_payload(frame.payload))
-        ch.send(tp.HELLO, tp.u64_payload(n_samples))
-    for j in range(1, party_id):
-        frame = mesh.peer_channels[j].recv(tp.HELLO)
-        mesh.n_by_peer[j] = check_hello_size(j, tp.u64_from_payload(frame.payload))
-    return mesh
-
-
-def setup_fp_mesh(cfg: dict, transcript: Transcript) -> Mesh:
-    m = cfg["m"]
-    ports = {int(k): v for k, v in cfg["ports"].items()}
-    srv = tcp_listen(cfg["host"], ports[0])
-    mesh = Mesh(tp.FUNCTION_PARTY_ID, {}, None)
-    for ep, frame in _accept_identified(srv, m):
-        i = frame.sender
-        if not 1 <= i <= m:
-            raise ProtocolError(f"function party got a connection claiming id {i}")
-        mesh.peer_channels[i] = Channel(ep, tp.FUNCTION_PARTY_ID, i, transcript)
-        mesh.n_by_peer[i] = check_hello_size(i, tp.u64_from_payload(frame.payload))
-    srv.close()
+    srv = tcp_listen(host, ports[me]) if me < m else None
+    mesh = Mesh(me, {}, None)
+    try:
+        if me != tp.FUNCTION_PARTY_ID:
+            ep = tcp_connect(host, ports[tp.FUNCTION_PARTY_ID])
+            mesh.fp_channel = Channel(ep, me, tp.FUNCTION_PARTY_ID, transcript)
+        for j in range(1, me):
+            mesh.peer_channels[j] = Channel(tcp_connect(host, ports[j]), me, j, transcript)
+        for _ in range(m - me):
+            ep = tcp_accept(srv)
+            j = ep.peek_sender()
+            if not me < j <= m or j in mesh.peer_channels:
+                ep.close()
+                why = "already connected" if j in mesh.peer_channels else f"not in {me + 1}..{m}"
+                raise ProtocolError(f"party {me} got a connection claiming id {j}, {why}")
+            mesh.peer_channels[j] = Channel(ep, me, j, transcript)
+    except BaseException:
+        mesh.close()
+        raise
+    finally:
+        if srv is not None:
+            srv.close()
     return mesh
 
 
@@ -116,27 +63,20 @@ def main(argv=None) -> int:
     with open(argv[0]) as fh:
         cfg = json.load(fh)
 
+    party_id = cfg["party_id"]
     domain = make_domain(cfg["domain"], cfg["scale_bits"])
     spec = SessionSpec(cfg["protocol"], cfg["m"], cfg["features"], domain, cfg["seed"])
+    data = None
+    if party_id != tp.FUNCTION_PARTY_ID:
+        data = encode_real_matrix(load_real_csv(cfg["data_csv"]), domain)
     transcript = Transcript()
-    out = {"party_id": cfg["party_id"]}
+    mesh = setup_mesh(cfg, transcript)
+    result = run_party(spec, party_id, mesh, data)
+    mesh.close()
 
-    if cfg["role"] == "ip":
-        rows = load_real_csv(cfg["data_csv"])
-        data = encode_real_matrix(rows, domain)
-        mesh = setup_ip_mesh(cfg, data.cols, transcript)
-        input_party_session(spec, cfg["party_id"], data, mesh)
-        mesh.close()
-    elif cfg["role"] == "fp":
-        mesh = setup_fp_mesh(cfg, transcript)
-        result = function_party_session(spec, mesh)
-        mesh.close()
+    out = {"party_id": party_id, "transcript": transcript.to_json_entries()}
+    if result is not None:
         out["result"] = result.to_doc()
-    else:
-        print(f"unknown role {cfg['role']!r}", file=sys.stderr)
-        return 2
-
-    out["transcript"] = transcript.to_json_entries()
     with open(cfg["out_path"], "w") as fh:
         json.dump(out, fh)
     return 0

@@ -9,7 +9,7 @@ import pytest
 
 from mpgram import party
 from mpgram import transport as tp
-from mpgram.cli import EXIT_CONFIG, EXIT_OK, main
+from mpgram.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROTOCOL, main
 from mpgram.errors import ConfigError, ProtocolError
 from mpgram.field import FieldDomain
 from mpgram.runner import (
@@ -68,6 +68,18 @@ class TestRun:
         )
         loop = run(cfg)
         over_tcp = run(replace(cfg, transport="tcp"))
+        assert loop.transcript.canonical_json() == over_tcp.transcript.canonical_json()
+        assert loop.report["gram"]["sha256"] == over_tcp.report["gram"]["sha256"]
+
+    def test_five_party_field_tcp_matches_loopback(self):
+        # odd M leaves one party idle in each round; the four lower parties
+        # each accept a chain of higher connections
+        from dataclasses import replace
+
+        cfg = RunConfig(protocol="escaped", m=5, features=3, samples=(2, 1, 3, 2, 1), seed=17)
+        loop = run(cfg)
+        over_tcp = run(replace(cfg, transport="tcp"))
+        assert over_tcp.report["verification"]["status"] == "pass"
         assert loop.transcript.canonical_json() == over_tcp.transcript.canonical_json()
         assert loop.report["gram"]["sha256"] == over_tcp.report["gram"]["sha256"]
 
@@ -397,6 +409,17 @@ class TestCli:
             argv = argv + ["--out-dir", str(tmp_path)]
         assert main(argv) == EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+    def test_nan_input_exits_with_protocol_error(self, tmp_path, capsys):
+        paths = gen_data(2, 2, (2, 2), seed=7, out_dir=tmp_path)
+        with open(paths[1], "w") as fh:
+            fh.write("0.5,nan\n0.25,-0.5\n")
+        rc = main(["run", "--parties", "2", "--features", "2", "--samples", "2",
+                   "--data", ",".join(paths)])
+        assert rc == EXIT_PROTOCOL
+        err = capsys.readouterr().err
+        assert err.startswith("error: nan cannot be represented")
+        assert "Traceback" not in err
 
     def test_gen_data_cli(self, tmp_path, capsys):
         rc = main(

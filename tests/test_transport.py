@@ -161,6 +161,16 @@ class TestChannels:
         a.close()
         b.close()
 
+    def test_tcp_peek_sender_leaves_frame_unread(self):
+        a, b = tp.channel_pair("tcp")
+        b.send_bytes(tp.frame_encode(tp.HELLO, 4, 0, tp.u64_payload(3)))
+        assert a.peek_sender() == 4
+        assert a.peek_sender() == 4
+        frame = a.recv_frame()
+        assert (frame.kind, frame.sender, tp.u64_from_payload(frame.payload)) == (tp.HELLO, 4, 3)
+        a.close()
+        b.close()
+
     def test_interleaved_sends_preserve_per_direction_order(self):
         a, b = tp.channel_pair("tcp")
 
