@@ -142,11 +142,17 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_dump_scheme(args) -> int:
+    if args.d < 1:
+        raise ConfigError(f"dot-product length must be >= 1, got {args.d}")
     print(dump_scheme(generate_scheme(args.d)))
     return EXIT_OK
 
 
 def _cmd_cost(args) -> int:
+    if args.M < 2:
+        raise ConfigError(f"need at least 2 input parties, got {args.M}")
+    if args.f < 1:
+        raise ConfigError(f"features must be >= 1, got {args.f}")
     sizes = _sample_counts(args.n, args.M)
     protocols = [args.protocol] if args.protocol else [ESCAPED, RE]
     docs = []

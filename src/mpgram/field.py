@@ -41,6 +41,7 @@ object arrays as well as to single scalars.
 
 from __future__ import annotations
 
+import math
 from random import Random
 
 import numpy as np
@@ -282,7 +283,10 @@ class FloatDomain:
         return 1.0 / a
 
     def encode(self, x: float) -> float:
-        return float(x)
+        v = float(x)
+        if not math.isfinite(v):
+            raise EncodingOverflowError(f"{x} cannot be represented: reals must be finite")
+        return v
 
     def decode(self, v: float) -> float:
         return v

@@ -1,15 +1,17 @@
 """Party session logic: the exact message schedule of both protocols.
 
-``run_party`` is the one entry of every party, on either transport: given
-a connected ``Mesh`` it runs the hello phase (each input party announces
-its sample count to the function party and to every peer, then reads its
-peers' counts; the function party reads every count), then the party's
-session, and returns the function party's result.  Loopback runs call it
-from one thread per party, TCP runs from one worker process per party;
-only the mesh (channel setup) differs.  Determinism
-contract: given (run seed, config, data), every byte a party sends and
-the per-channel order of its frames are fixed, so transcripts from
-different transports are comparable frame for frame.
+The parties form one complete graph over ids 0..m: party 0 is the function
+party, 1..m the input parties, and every party's ``Mesh`` holds one channel
+to each other id.  ``run_party`` is the one entry of every party, on either
+transport: given a connected ``Mesh`` it runs the hello phase, then the
+party's session, and returns the function party's result.  Hello rule: an
+input party sends its sample count on every channel in id order (the
+function party first), then every party reads one hello from each input
+party.  Loopback runs call ``run_party`` from one thread per party, TCP runs
+from one worker process per party; only the mesh (channel setup) differs.
+Determinism contract: given (run seed, config, data), every byte a party
+sends and the per-channel order of its frames are fixed, so transcripts
+from different transports are comparable frame for frame.
 
 Pairwise schedules follow the round-robin rounds of
 ``masking.pair_rounds``; within a pair the lower id acts first
@@ -122,30 +124,30 @@ class FunctionPartyResult:
         return FunctionPartyResult(assembly, pair_results)
 
 
-def run_party(spec: SessionSpec, party_id: int, mesh, data: Matrix = None):
-    """Run party ``party_id`` on its connected ``mesh``: hello phase, then session.
+def run_party(spec: SessionSpec, mesh, data: Matrix = None):
+    """Run party ``mesh.party_id`` on its connected ``mesh``: hello phase, then session.
 
     Party 0 is the function party; it returns its ``FunctionPartyResult``.
     An input party announces the sample count of its ``data`` and returns None.
     """
-    if party_id == tp.FUNCTION_PARTY_ID:
-        fp_hello_phase(mesh)
+    if mesh.party_id == tp.FUNCTION_PARTY_ID:
+        hello_phase(mesh)
         return function_party_session(spec, mesh)
-    ip_hello_phase(mesh, data.cols)
-    input_party_session(spec, party_id, data, mesh)
+    hello_phase(mesh, data.cols)
+    input_party_session(spec, data, mesh)
     return None
 
 
 # -- input party -----------------------------------------------------------
 
 
-def input_party_session(spec: SessionSpec, party_id: int, data: Matrix, mesh) -> None:
-    """Run one input party to completion.  ``mesh`` has already exchanged hellos."""
+def input_party_session(spec: SessionSpec, data: Matrix, mesh) -> None:
+    """Run input party ``mesh.party_id`` to completion.  Hellos are already exchanged."""
+    party_id = mesh.party_id
     if spec.protocol == ESCAPED:
-        state = make_party_state(party_id, data, spec.run_seed)
-        runner = _EscapedParty(spec, state, mesh)
+        runner = _EscapedParty(spec, make_party_state(party_id, data, spec.run_seed), mesh)
     elif spec.protocol == RE:
-        runner = _ReParty(spec, party_id, data, mesh)
+        runner = _ReParty(spec, data, mesh)
     else:
         raise ProtocolError(f"unknown protocol {spec.protocol!r}")
 
@@ -155,9 +157,9 @@ def input_party_session(spec: SessionSpec, party_id: int, data: Matrix, mesh) ->
                 runner.act_alice(b)
             elif b == party_id:
                 runner.act_bob(a)
-    self_gram = gram_t(data, data)
-    mesh.fp_channel.send(tp.SELF_GRAM, tp.matrix_payload(self_gram))
-    mesh.fp_channel.recv(tp.DONE)
+    fp = mesh.channels[tp.FUNCTION_PARTY_ID]
+    fp.send(tp.SELF_GRAM, tp.matrix_payload(gram_t(data, data)))
+    fp.recv(tp.DONE)
 
 
 class _EscapedParty:
@@ -168,12 +170,12 @@ class _EscapedParty:
         self.alpha_sent = False
 
     def act_alice(self, bob_id: int):
-        ch = self.mesh.peer_channels[bob_id]
+        ch = self.mesh.channels[bob_id]
         masked, scaled_mask = alice_round1(self.state)
         ch.send(tp.MASKED_DATA, tp.matrix_payload(masked))
         ch.send(tp.MASKED_MASK, tp.matrix_payload(scaled_mask))
         a1 = alice_compute(self.state, self._recv_masked(bob_id, tp.MASKED_DATA))
-        fp = self.mesh.fp_channel
+        fp = self.mesh.channels[tp.FUNCTION_PARTY_ID]
         fp.send(tp.PAIR_RESULT, tp.pair_matrix_payload(self.state.party_id, bob_id, tp.PART_A1, a1))
         if not self.alpha_sent:
             fp.send(tp.ALPHA, tp.scalars_payload([self.state.mask_scalar], self.spec.domain))
@@ -182,18 +184,16 @@ class _EscapedParty:
     def act_bob(self, alice_id: int):
         alice_masked = self._recv_masked(alice_id, tp.MASKED_DATA)
         alice_scaled = self._recv_masked(alice_id, tp.MASKED_MASK)
-        self.mesh.peer_channels[alice_id].send(
-            tp.MASKED_DATA, tp.matrix_payload(bob_round1(self.state))
-        )
+        self.mesh.channels[alice_id].send(tp.MASKED_DATA, tp.matrix_payload(bob_round1(self.state)))
         b1, b2 = bob_compute(self.state, alice_masked, alice_scaled)
-        fp = self.mesh.fp_channel
+        fp = self.mesh.channels[tp.FUNCTION_PARTY_ID]
         me = self.state.party_id
         fp.send(tp.PAIR_RESULT, tp.pair_matrix_payload(alice_id, me, tp.PART_B1, b1))
         fp.send(tp.PAIR_RESULT, tp.pair_matrix_payload(alice_id, me, tp.PART_B2, b2))
 
     def _recv_masked(self, peer: int, kind: int) -> Matrix:
         """A masked matrix from ``peer``, which must be f x (the peer's hello size)."""
-        frame = self.mesh.peer_channels[peer].recv(kind)
+        frame = self.mesh.channels[peer].recv(kind)
         m, _ = tp.matrix_from_payload(frame.payload, self.spec.domain)
         want = (self.spec.features, self.mesh.n_by_peer[peer])
         if (m.rows, m.cols) != want:
@@ -213,9 +213,9 @@ class _ReParty:
     follow the RE wire layout of ``mpgram.scheme``.
     """
 
-    def __init__(self, spec, party_id: int, data: Matrix, mesh):
+    def __init__(self, spec, data: Matrix, mesh):
         self.spec = spec
-        self.party_id = party_id
+        self.party_id = mesh.party_id
         self.data = data
         self.mesh = mesh
         self.scheme = generate_scheme(spec.features)
@@ -232,11 +232,11 @@ class _ReParty:
             to_bob.append(y_random_triples(scheme, randoms))
             x_comps = encode_x_side(dom, self.data.data[:, u], scheme, randoms)
             to_fp.append(x_side_wire(x_comps, offline_components(dom, scheme, randoms)))
-        self.mesh.peer_channels[bob_id].send(
+        self.mesh.channels[bob_id].send(
             tp.RE_RANDOMS,
             tp.pair_scalars_payload(self.party_id, bob_id, 0, np.ravel(to_bob), dom),
         )
-        self.mesh.fp_channel.send(
+        self.mesh.channels[tp.FUNCTION_PARTY_ID].send(
             tp.RE_COMPONENTS,
             tp.pair_scalars_payload(self.party_id, bob_id, tp.SIDE_X, np.ravel(to_fp), dom),
         )
@@ -244,7 +244,7 @@ class _ReParty:
     def act_bob(self, alice_id: int):
         spec, scheme = self.spec, self.scheme
         dom = spec.domain
-        frame = self.mesh.peer_channels[alice_id].recv(tp.RE_RANDOMS)
+        frame = self.mesh.channels[alice_id].recv(tp.RE_RANDOMS)
         a_id, b_id, _, flat = tp.pair_scalars_from_payload(frame.payload, dom)
         if (a_id, b_id) != (alice_id, self.party_id):
             raise ProtocolError(
@@ -256,7 +256,7 @@ class _ReParty:
         )
         y = self.data.data.T
         to_fp = [encode_y_side(dom, y, scheme, row) for row in triples]
-        self.mesh.fp_channel.send(
+        self.mesh.channels[tp.FUNCTION_PARTY_ID].send(
             tp.RE_COMPONENTS,
             tp.pair_scalars_payload(alice_id, self.party_id, tp.SIDE_Y, np.ravel(to_fp), dom),
         )
@@ -281,7 +281,7 @@ def function_party_session(spec: SessionSpec, mesh) -> FunctionPartyResult:
     got = {}
     for i in range(1, spec.m + 1):
         for _ in range(frames_from[i]):
-            key, value, shape = _read_part(mesh.peer_channels[i].recv(), dom)
+            key, value, shape = _read_part(mesh.channels[i].recv(), dom)
             what = _part_name(key)
             if key not in owed:
                 raise ProtocolError(f"party {i} sent {what}, which no party owes")
@@ -312,7 +312,7 @@ def function_party_session(spec: SessionSpec, mesh) -> FunctionPartyResult:
         })
 
     for i in range(1, spec.m + 1):
-        mesh.peer_channels[i].send(tp.DONE, b"")
+        mesh.channels[i].send(tp.DONE, b"")
     return FunctionPartyResult(assembly, pair_results)
 
 
@@ -379,19 +379,17 @@ def _decode_re_block(dom, f: int, n_a: int, n_b: int, x_flat, y_flat) -> Matrix:
 
 
 class Mesh:
-    """Connected channels of one party, with peer sample counts."""
+    """One party's channels to every other party id (0 is the function party),
+    with the sample counts that the input parties announced to it."""
 
-    def __init__(self, party_id: int, peer_channels: dict, fp_channel):
+    def __init__(self, party_id: int, channels: dict):
         self.party_id = party_id
-        self.peer_channels = peer_channels
-        self.fp_channel = fp_channel
+        self.channels = channels
         self.n_by_peer = {}
 
     def close(self):
-        for ch in self.peer_channels.values():
+        for ch in self.channels.values():
             ch.close()
-        if self.fp_channel is not None:
-            self.fp_channel.close()
 
 
 def check_hello_size(peer_id: int, n: int) -> int:
@@ -400,37 +398,28 @@ def check_hello_size(peer_id: int, n: int) -> int:
     return n
 
 
-def ip_hello_phase(mesh: Mesh, n_samples: int):
-    """Announce sizes: one hello to the function party, one per peer, then read."""
-    mesh.fp_channel.send(tp.HELLO, tp.u64_payload(n_samples))
-    for j in sorted(mesh.peer_channels):
-        mesh.peer_channels[j].send(tp.HELLO, tp.u64_payload(n_samples))
-    for j in sorted(mesh.peer_channels):
-        frame = mesh.peer_channels[j].recv(tp.HELLO)
-        mesh.n_by_peer[j] = check_hello_size(j, tp.u64_from_payload(frame.payload))
-
-
-def fp_hello_phase(mesh: Mesh):
-    for i in sorted(mesh.peer_channels):
-        frame = mesh.peer_channels[i].recv(tp.HELLO)
-        mesh.n_by_peer[i] = check_hello_size(i, tp.u64_from_payload(frame.payload))
+def hello_phase(mesh: Mesh, n_samples: int = None):
+    """An input party sends ``n_samples`` on every channel in id order; then every
+    party reads one hello from each input party it is connected to."""
+    if n_samples is not None:
+        for j in sorted(mesh.channels):
+            mesh.channels[j].send(tp.HELLO, tp.u64_payload(n_samples))
+    for j in sorted(mesh.channels):
+        if j != tp.FUNCTION_PARTY_ID:
+            frame = mesh.channels[j].recv(tp.HELLO)
+            mesh.n_by_peer[j] = check_hello_size(j, tp.u64_from_payload(frame.payload))
 
 
 def build_loopback_meshes(m: int, transcript) -> dict:
-    """All-pairs loopback wiring of m input parties and the function party.
+    """One loopback channel pair per pair of ids 0..m; returns {party_id: Mesh}.
 
-    Returns {party_id: Mesh} for ids 0..m; hello phases are left to
-    ``run_party`` so frames are recorded in each sender's own order.
+    Hello phases are left to ``run_party`` so frames are recorded in each
+    sender's own order.
     """
-    meshes = {i: Mesh(i, {}, None) for i in range(m + 1)}
-    for i in range(1, m + 1):
+    meshes = {i: Mesh(i, {}) for i in range(m + 1)}
+    for i in range(m + 1):
         for j in range(i + 1, m + 1):
             e1, e2 = tp.loopback_pair()
-            meshes[i].peer_channels[j] = tp.Channel(e1, i, j, transcript)
-            meshes[j].peer_channels[i] = tp.Channel(e2, j, i, transcript)
-        e_ip, e_fp = tp.loopback_pair()
-        meshes[i].fp_channel = tp.Channel(e_ip, i, tp.FUNCTION_PARTY_ID, transcript)
-        meshes[tp.FUNCTION_PARTY_ID].peer_channels[i] = tp.Channel(
-            e_fp, tp.FUNCTION_PARTY_ID, i, transcript
-        )
+            meshes[i].channels[j] = tp.Channel(e1, i, j, transcript)
+            meshes[j].channels[i] = tp.Channel(e2, j, i, transcript)
     return meshes

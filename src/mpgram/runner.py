@@ -66,6 +66,8 @@ class RunConfig:
             raise ConfigError("every party needs at least one sample")
         if self.features < 1:
             raise ConfigError(f"features must be >= 1, got {self.features}")
+        if self.scale_bits < 0:
+            raise ConfigError(f"scale bits must be >= 0, got {self.scale_bits}")
         if self.domain not in ("field", "float"):
             raise ConfigError(f"domain must be field or float, got {self.domain!r}")
         if self.transport not in ("loopback", "tcp"):
@@ -273,7 +275,7 @@ def _run_loopback(config: RunConfig, domain, data: dict):
 
     def party_main(pid: int):
         try:
-            results[pid] = run_party(spec, pid, meshes[pid], data.get(pid))
+            results[pid] = run_party(spec, meshes[pid], data.get(pid))
         except Exception as exc:  # noqa: BLE001 - reported with party context
             failures[pid] = (time.monotonic(), exc)
             # peers blocked on this party fail at once: "channel closed by peer"

@@ -90,7 +90,7 @@ def frame_decode(data: bytes) -> Frame:
             f"frame length mismatch at byte {min(len(data), HEADER_LEN + plen)}: "
             f"header says {HEADER_LEN + plen}, got {len(data)}"
         )
-    return Frame(kind, sender, receiver, data[HEADER_LEN:])
+    return Frame(kind, sender, receiver, bytes(memoryview(data)[HEADER_LEN:]))
 
 
 # -- payload codecs -------------------------------------------------------
@@ -336,38 +336,40 @@ class TcpEndpoint:
     def __init__(self, sock: socket.socket):
         self._sock = sock
         self._send_lock = threading.Lock()
-        self._buf = b""
+        self._header = None  # the next frame's header, once peeked
 
     def send_bytes(self, data: bytes):
         with self._send_lock:
             self._sock.sendall(data)
 
-    def _fill(self, n: int):
-        """Buffer at least ``n`` unread bytes."""
-        while len(self._buf) < n:
+    def _recv_into(self, buf):
+        """Fill the writable buffer ``buf`` from the socket, in place; returns it."""
+        view = memoryview(buf)
+        while view:
             try:
-                chunk = self._sock.recv(65536)
+                n = self._sock.recv_into(view)
             except socket.timeout:
                 raise TransportError("recv timed out waiting for peer") from None
-            if not chunk:
+            if not n:
                 raise TransportError("connection closed mid-frame")
-            self._buf += chunk
+            view = view[n:]
+        return buf
 
-    def _read_exact(self, n: int) -> bytes:
-        self._fill(n)
-        out, self._buf = self._buf[:n], self._buf[n:]
-        return out
+    def _next_header(self) -> bytearray:
+        if self._header is None:
+            self._header = self._recv_into(bytearray(HEADER_LEN))
+        return self._header
 
     def peek_sender(self) -> int:
         """Sender id in the header of the next frame, which is left unread."""
-        self._fill(HEADER_LEN)
-        return _HEADER.unpack_from(self._buf)[1]
+        return _HEADER.unpack_from(self._next_header())[1]
 
     def recv_frame(self) -> Frame:
-        header = self._read_exact(HEADER_LEN)
-        kind, sender, receiver, plen = _HEADER.unpack(header)
-        payload = self._read_exact(plen)
-        return frame_decode(header + payload)
+        header, self._header = self._next_header(), None
+        data = bytearray(HEADER_LEN + _HEADER.unpack_from(header)[3])
+        data[:HEADER_LEN] = header
+        self._recv_into(memoryview(data)[HEADER_LEN:])  # the payload, in one buffer
+        return frame_decode(data)
 
     def close(self):
         try:

@@ -1,13 +1,16 @@
 """Subprocess entry point for TCP-mode parties: python -m mpgram.worker cfg.json.
 
-Connection topology: one connection per pair of parties.  Party i listens on
-its own port if a higher id exists, connects to the function party (id 0)
-and to every lower input party, and accepts the m - i higher ids.  An
-accepted connection is identified by the sender id in the header of its
-first frame, read with ``TcpEndpoint.peek_sender`` and left unread; an id
-that is out of range or already connected is rejected.  The worker sends
-and reads no hello of its own: ``party.run_party`` runs the same hello phase
-and session as a loopback run, so the wire carries exactly the same frames.
+Connection topology: one connection per pair of ids 0..m, the function
+party being id 0, so every party's mesh is its row of one complete graph.
+Party i listens on its own port if a higher id exists, connects to every
+lower id (0 included), and accepts the m - i higher ids.  An accepted
+connection is identified by the sender id in the header of its first
+frame, read with ``TcpEndpoint.peek_sender`` and left unread; an id that is
+out of range or already connected is rejected.  The worker sends and reads
+no hello of its own: ``party.run_party`` runs the same hello phase (input
+parties send theirs on every channel in id order, every party reads one
+from each input party) and session as a loopback run, so the wire carries
+exactly the same frames.
 
 Party m has nothing to accept, so its mesh completes first; each lower
 party's peek then completes once the next higher party's hello arrives.
@@ -18,7 +21,6 @@ from __future__ import annotations
 import json
 import sys
 
-from . import transport as tp
 from .errors import ProtocolError
 from .field import make_domain
 from .matrix import encode_real_matrix, load_real_csv
@@ -31,21 +33,18 @@ def setup_mesh(cfg: dict, transcript: Transcript) -> Mesh:
     me, m, host = cfg["party_id"], cfg["m"], cfg["host"]
     ports = {int(k): v for k, v in cfg["ports"].items()}
     srv = tcp_listen(host, ports[me]) if me < m else None
-    mesh = Mesh(me, {}, None)
+    mesh = Mesh(me, {})
     try:
-        if me != tp.FUNCTION_PARTY_ID:
-            ep = tcp_connect(host, ports[tp.FUNCTION_PARTY_ID])
-            mesh.fp_channel = Channel(ep, me, tp.FUNCTION_PARTY_ID, transcript)
-        for j in range(1, me):
-            mesh.peer_channels[j] = Channel(tcp_connect(host, ports[j]), me, j, transcript)
+        for j in range(me):
+            mesh.channels[j] = Channel(tcp_connect(host, ports[j]), me, j, transcript)
         for _ in range(m - me):
             ep = tcp_accept(srv)
             j = ep.peek_sender()
-            if not me < j <= m or j in mesh.peer_channels:
+            if not me < j <= m or j in mesh.channels:
                 ep.close()
-                why = "already connected" if j in mesh.peer_channels else f"not in {me + 1}..{m}"
+                why = "already connected" if j in mesh.channels else f"not in {me + 1}..{m}"
                 raise ProtocolError(f"party {me} got a connection claiming id {j}, {why}")
-            mesh.peer_channels[j] = Channel(ep, me, j, transcript)
+            mesh.channels[j] = Channel(ep, me, j, transcript)
     except BaseException:
         mesh.close()
         raise
@@ -63,18 +62,17 @@ def main(argv=None) -> int:
     with open(argv[0]) as fh:
         cfg = json.load(fh)
 
-    party_id = cfg["party_id"]
     domain = make_domain(cfg["domain"], cfg["scale_bits"])
     spec = SessionSpec(cfg["protocol"], cfg["m"], cfg["features"], domain, cfg["seed"])
     data = None
-    if party_id != tp.FUNCTION_PARTY_ID:
+    if cfg["data_csv"] is not None:  # the function party has no data
         data = encode_real_matrix(load_real_csv(cfg["data_csv"]), domain)
     transcript = Transcript()
     mesh = setup_mesh(cfg, transcript)
-    result = run_party(spec, party_id, mesh, data)
+    result = run_party(spec, mesh, data)
     mesh.close()
 
-    out = {"party_id": party_id, "transcript": transcript.to_json_entries()}
+    out = {"party_id": mesh.party_id, "transcript": transcript.to_json_entries()}
     if result is not None:
         out["result"] = result.to_doc()
     with open(cfg["out_path"], "w") as fh:

@@ -55,6 +55,12 @@ class TestFixedPoint:
         with pytest.raises(EncodingOverflowError, match="cannot be represented"):
             m61.encode(x)
 
+    @pytest.mark.parametrize("x", [math.nan, -math.nan, math.inf, -math.inf])
+    def test_float_domain_rejects_non_finite_reals(self, f64, x):
+        with pytest.raises(EncodingOverflowError, match="reals must be finite"):
+            f64.encode(x)
+        assert f64.encode(-2.5e300) == -2.5e300
+
     def test_decode_dot_product(self, m61):
         v = m61.mul(m61.encode(2.0), m61.encode(3.0))
         assert m61.decode_dot(v) == 6.0

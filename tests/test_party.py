@@ -1,10 +1,11 @@
-"""Inbound frame validation at arrival, driven by scripted peers.
+"""Mesh shape, and inbound frame validation at arrival, driven by scripted peers.
 
 The function party is fed scripted input parties; an input party is fed a
 scripted peer.
 """
 
 import re
+import threading
 
 import pytest
 
@@ -12,7 +13,14 @@ from mpgram import transport as tp
 from mpgram.errors import ProtocolError, TransportError
 from mpgram.field import FieldDomain
 from mpgram.matrix import Matrix
-from mpgram.party import Mesh, SessionSpec, function_party_session, input_party_session
+from mpgram.party import (
+    Mesh,
+    SessionSpec,
+    build_loopback_meshes,
+    function_party_session,
+    hello_phase,
+    input_party_session,
+)
 
 m61 = FieldDomain()
 ONE = Matrix([[1]], m61)
@@ -76,7 +84,7 @@ VALID = {
 
 def run_fp(protocol, party1, party2):
     channels = {1: ScriptedChannel(party1), 2: ScriptedChannel(party2)}
-    mesh = Mesh(tp.FUNCTION_PARTY_ID, channels, None)
+    mesh = Mesh(tp.FUNCTION_PARTY_ID, channels)
     mesh.n_by_peer = {1: 1, 2: 1}
     return function_party_session(SessionSpec(protocol, 2, 1, m61, 0), mesh)
 
@@ -185,9 +193,9 @@ def masked(kind, sender, m):
 def run_ip(party_id, peer_frames):
     """Party ``party_id`` of an M=2 masking run whose peer sends ``peer_frames``."""
     peer = 3 - party_id
-    mesh = Mesh(party_id, {peer: ScriptedChannel(peer_frames)}, ScriptedChannel([]))
+    mesh = Mesh(party_id, {tp.FUNCTION_PARTY_ID: ScriptedChannel([]), peer: ScriptedChannel(peer_frames)})
     mesh.n_by_peer = {peer: 1}
-    input_party_session(SessionSpec("escaped", 2, F, m61, 0), party_id, COLUMN, mesh)
+    input_party_session(SessionSpec("escaped", 2, F, m61, 0), COLUMN, mesh)
 
 
 @pytest.mark.parametrize(
@@ -207,3 +215,33 @@ def test_input_party_rejects_misshapen_masked_matrix(party_id, peer_frames, kind
     message = f"{kind} of pair (1,2) from party {peer} has shape {shape}, expected ({F}, 1)"
     with pytest.raises(ProtocolError, match=f"^{re.escape(message)}$"):
         run_ip(party_id, peer_frames)
+
+
+# -- mesh shape: one complete graph over ids 0..m ------------------------------
+
+
+@pytest.mark.parametrize("m", [2, 5])
+def test_loopback_meshes_form_one_complete_graph(m):
+    transcript = tp.Transcript()
+    meshes = build_loopback_meshes(m, transcript)
+    ids = set(range(m + 1))
+    assert set(meshes) == ids
+    for i, mesh in meshes.items():
+        assert mesh.party_id == i
+        assert set(mesh.channels) == ids - {i}
+        assert all((ch.local_id, ch.peer_id) == (i, j) for j, ch in mesh.channels.items())
+
+    sizes = {i: i + 1 for i in range(1, m + 1)}
+    threads = [
+        threading.Thread(target=hello_phase, args=(meshes[i], sizes.get(i))) for i in meshes
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert meshes[tp.FUNCTION_PARTY_ID].n_by_peer == sizes
+    for i in range(1, m + 1):
+        assert meshes[i].n_by_peer == {j: n for j, n in sizes.items() if j != i}
+    assert [e.kind for e in transcript.entries] == [tp.HELLO] * (m * m)
+    for mesh in meshes.values():
+        mesh.close()

@@ -421,6 +421,34 @@ class TestCli:
         assert err.startswith("error: nan cannot be represented")
         assert "Traceback" not in err
 
+    def test_float_domain_nan_input_exits_with_protocol_error(self, tmp_path, capsys):
+        paths = gen_data(2, 2, (2, 2), seed=7, out_dir=tmp_path)
+        with open(paths[0], "w") as fh:
+            fh.write("0.5,nan\n0.25,-0.5\n")
+        rc = main(["run", "--domain", "float", "--parties", "2", "--features", "2",
+                   "--samples", "2", "--data", ",".join(paths), "--sigma", "1"])
+        assert rc == EXIT_PROTOCOL
+        err = capsys.readouterr().err
+        assert err.startswith("error: nan cannot be represented: reals must be finite")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--scale-bits", "-1", "--parties", "2", "--samples", "2"],
+             "scale bits must be >= 0, got -1"),
+            (["dump-scheme", "--d", "0"], "dot-product length must be >= 1, got 0"),
+            (["cost", "--M", "1", "--f", "2", "--n", "3"], "need at least 2 input parties, got 1"),
+            (["cost", "--M", "2", "--f", "0", "--n", "3"], "features must be >= 1, got 0"),
+        ],
+        ids=["run-negative-scale-bits", "dump-scheme-zero-d", "cost-one-party", "cost-zero-f"],
+    )
+    def test_invalid_numeric_arguments_exit_with_config_error(self, argv, message, capsys):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert "Traceback" not in err
+
     def test_gen_data_cli(self, tmp_path, capsys):
         rc = main(
             ["gen-data", "--parties", "2", "--features", "3", "--samples", "2",

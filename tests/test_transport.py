@@ -1,6 +1,7 @@
 """Wire framing, channels, and transcript accounting."""
 
 import threading
+import time
 from random import Random
 
 import pytest
@@ -170,6 +171,23 @@ class TestChannels:
         assert (frame.kind, frame.sender, tp.u64_from_payload(frame.payload)) == (tp.HELLO, 4, 3)
         a.close()
         b.close()
+
+    def test_tcp_large_frame_arrives_intact_and_fast(self):
+        # receive time must stay linear in the frame size
+        a, b = tp.channel_pair("tcp")
+        payload = bytes(range(256)) * (32 * 4096)  # 32 MiB
+        t = threading.Thread(target=b.send_bytes, args=(tp.frame_encode(tp.SELF_GRAM, 2, 0, payload),))
+        start = time.perf_counter()
+        t.start()
+        assert a.peek_sender() == 2
+        frame = a.recv_frame()
+        elapsed = time.perf_counter() - start
+        t.join()
+        a.close()
+        b.close()
+        assert (frame.kind, frame.sender, frame.receiver) == (tp.SELF_GRAM, 2, 0)
+        assert frame.payload == payload
+        assert elapsed < 2.0, f"32 MiB frame took {elapsed:.2f} s"
 
     def test_interleaved_sends_preserve_per_direction_order(self):
         a, b = tp.channel_pair("tcp")

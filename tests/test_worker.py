@@ -59,10 +59,10 @@ def test_first_frame_that_is_not_a_hello_fails_the_hello_phase():
         future = pool.submit(setup_mesh, cfg, None)
         eps = [_connect_as(cfg, 0, 1), _connect_as(cfg, 0, 2, kind=tp.DONE)]
         mesh = future.result(timeout=10)
-    assert sorted(mesh.peer_channels) == [1, 2]
+    assert sorted(mesh.channels) == [1, 2]
     spec = SessionSpec("escaped", 2, 1, FieldDomain(), 0)
     with pytest.raises(ProtocolError, match="expected hello from 2, got done"):
-        run_party(spec, tp.FUNCTION_PARTY_ID, mesh)
+        run_party(spec, mesh)
     mesh.close()
     for ep in eps:
         ep.close()
