@@ -10,9 +10,10 @@ Two interchangeable domains:
   overflow.  Matrix products run on float64 BLAS instead: ``matmul_t``
   splits the elements into 16-bit limbs, whose products are below 2^32, and
   sums at most 2^20 of them per BLAS call, so every partial sum stays below
-  2^52 and is an exact integer; the limb products are recombined in
-  Python ints and reduced mod p once.  The 8-byte wire codec and the uint64
-  limb split are why p must be below 2^64.
+  2^52 and is an exact integer; the limb sums are carried into 16-bit
+  digits in uint64, and only the at most three 64-bit words that hold them
+  are joined in Python ints and reduced mod p once.  The 8-byte wire codec
+  and the uint64 limb split are why p must be below 2^64.
 * ``FloatDomain`` -- IEEE double arithmetic, provided so the protocols
   can also be run directly on real-valued data.  No security properties
   are claimed for it.
@@ -35,8 +36,10 @@ Besides the scalar operations, each domain owns the arithmetic of whole
 matrices: ``reduce`` maps the result of an array expression over Python
 scalars back into the domain, ``matmul_t`` is the product A^T B of two
 entry arrays, and ``pack``/``unpack`` are the wire codec of a vector of
-elements.  ``decode`` and ``decode_dot`` apply elementwise to
-object arrays as well as to single scalars.
+elements.  ``encode_array`` is ``encode`` of every entry of a 2-D sequence
+of reals as one float64 expression.  ``decode`` and ``decode_dot`` take
+single scalars (exact Python-int arithmetic) or entry arrays, which return
+float64 arrays of the same values.
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ M61 = (1 << 61) - 1  # 2^61 - 1 = 2305843009213693951
 # below 2^52 and every BLAS partial sum is an exact integer.
 _LIMB_BITS = 16
 _CHUNK_ROWS = 1 << 20
+# Below this magnitude a float64 copy of an int is exact.
+_EXACT_INT = 2.0**53
 
 
 class FixedPointCodec:
@@ -85,10 +90,33 @@ class FixedPointCodec:
         v = round(x * self.scale)
         return v % self.modulus
 
-    def decode(self, v: int) -> float:
-        return self._signed(v) / self.scale
+    def encode_array(self, rows) -> np.ndarray:
+        """Object array of ``encode`` of every entry of a 2-D sequence of reals.
 
-    def decode_dot(self, v: int) -> float:
+        One float64 expression: x 2^s is exact, ``np.rint`` breaks ties to
+        even as ``round`` does, and a negative v maps to p - |v|.  An entry
+        that is not finite, not below ``max_abs`` or at least 2^53 in
+        magnitude (where a float64 copy of an int may have rounded) goes to
+        ``encode`` on its original value, in row-major order; so the values
+        and the first error, with its text, are those of the scalar codec.
+        """
+        try:
+            x = np.asarray(rows, dtype=np.float64)
+        except OverflowError:  # an int beyond float64; let encode name it
+            return np.array([[self.encode(v) for v in r] for r in rows], dtype=object)
+        ok = np.abs(x) < min(self.max_abs, _EXACT_INT)
+        v = np.rint(np.where(ok, x, 0.0) * self.scale).astype(np.int64)
+        p = np.uint64(self.modulus)
+        u = v.astype(np.uint64)  # a negative v wraps to 2^64 + v, and u + p to p + v
+        out = (np.where(v < 0, u + p, u) % p).astype(object)
+        for i, j in np.argwhere(~ok):
+            out[i, j] = self.encode(rows[i][j])
+        return out
+
+    def decode(self, v):
+        return self._unscale(v, self.scale_bits)
+
+    def decode_dot(self, v):
         """Decode a sum of products of two encoded reals.
 
         Values above p/2 are interpreted as negative.  A true value whose
@@ -96,12 +124,21 @@ class FixedPointCodec:
         responsible for the range precondition, and a verified run checks
         the decoded gram against a float64 one to catch a wrap.
         """
-        return self._signed(v) / (self.scale * self.scale)
+        return self._unscale(v, 2 * self.scale_bits)
 
-    def _signed(self, v):
-        """v for v <= p // 2, else v - p; elementwise on object arrays too."""
+    def _unscale(self, v, bits: int):
+        """signed(v) / 2^bits, where signed(v) is v for v <= p // 2, else v - p.
+
+        A scalar is decoded in Python ints.  An entry array is cast to uint64
+        and v - p is formed there; it wraps mod 2^64, and its int64 view is
+        v - p exactly, since -p/2 < v - p < 0 for every p < 2^64.
+        """
         half = (self.modulus - 1) // 2
-        return (v + half) % self.modulus - half
+        if isinstance(v, np.ndarray):
+            u = v.astype(np.uint64)
+            signed = np.where(u > half, u - np.uint64(self.modulus), u).view(np.int64)
+            return np.ldexp(signed, -bits)
+        return ((v + half) % self.modulus - half) / (1 << bits)
 
 
 class FieldDomain:
@@ -146,10 +183,13 @@ class FieldDomain:
     def encode(self, x: float) -> int:
         return self.codec.encode(x)
 
-    def decode(self, v: int) -> float:
+    def encode_array(self, rows) -> np.ndarray:
+        return self.codec.encode_array(rows)
+
+    def decode(self, v):
         return self.codec.decode(v)
 
-    def decode_dot(self, v: int) -> float:
+    def decode_dot(self, v):
         return self.codec.decode_dot(v)
 
     # -- sampling --------------------------------------------------------
@@ -195,29 +235,31 @@ class FieldDomain:
     def matmul_t(self, a, b):
         """A^T B mod p for entry arrays a (f x n1) and b (f x n2), exactly.
 
-        With L = ceil(bits(p) / 16), each operand is split into L limbs of
-        16 bits, A = sum_i A_i 2^(16 i), held as float64.  The BLAS products
-        A_i^T B_j are exact integers below 2^52 (see ``_CHUNK_ROWS``), so
-        they are summed as int64 into Q_k = sum_{i+j=k} A_i^T B_j, below
-        L 2^52; then sum_k Q_k 2^(16 k) is formed in Python ints and reduced
-        mod p once.  The feature axis is cut into chunks of 2^20 rows, which
-        keeps every float64 sum exact for any f.
+        A delayed-reduction kernel: with L = ceil(bits(p) / 16), each operand
+        is split into L limbs of 16 bits, A = sum_i A_i 2^(16 i), held as
+        float64.  Per chunk of at most 2^20 feature rows the BLAS products
+        A_i^T B_j are exact integers below 2^52 (see ``_CHUNK_ROWS``), and
+        Q_k = sum_{i+j=k} A_i^T B_j, a sum of at most L <= 4 of them, is below
+        2^54 in uint64.  ``_carry_words`` carries sum_k Q_k 2^(16 k) into
+        16-bit digits, four to a 64-bit word (three words for L = 4); only
+        those words are joined in Python ints, and the sum over the chunks is
+        reduced mod p once.
         """
         count = self._nlimbs
-        n1, n2 = a.shape[1], b.shape[1]
         a, b = a.astype(np.uint64), b.astype(np.uint64)
-        total = np.zeros((n1, n2), dtype=object)
-        for lo in range(0, a.shape[0], _CHUNK_ROWS):
+        total = None
+        for lo in range(0, max(a.shape[0], 1), _CHUNK_ROWS):
             la = _limbs(a[lo : lo + _CHUNK_ROWS], count)
             lb = _limbs(b[lo : lo + _CHUNK_ROWS], count)
-            q = np.zeros((2 * count - 1, n1, n2), dtype=np.int64)
+            q = np.zeros((2 * count - 1, a.shape[1], b.shape[1]), dtype=np.uint64)
             for i in range(count):
                 for j in range(count):
-                    q[i + j] += (la[i].T @ lb[j]).astype(np.int64)
-            part = q[-1].astype(object)
-            for k in range(2 * count - 3, -1, -1):
-                part = (part << _LIMB_BITS) + q[k]
-            total = total + part
+                    q[i + j] += (la[i].T @ lb[j]).astype(np.uint64)
+            words = _carry_words(q)
+            part = words[-1].astype(object)
+            for w in reversed(words[:-1]):
+                part = (part << 64) + w.astype(object)
+            total = part if total is None else total + part
         return total % self.p
 
     def pack(self, values) -> bytes:
@@ -248,6 +290,24 @@ def _words(rngs, count: int) -> np.ndarray:
     """(len(rngs), count) uint64 array of each generator's next ``count`` 32-bit words."""
     buf = b"".join(rng.randbytes(4 * count) for rng in rngs)
     return np.frombuffer(buf, dtype="<u4").reshape(len(rngs), count).astype(np.uint64)
+
+
+def _carry_words(q) -> list:
+    """The 16-bit digits of sum_k q[k] 2^(16 k), four to a uint64 word, lowest word first.
+
+    Every q[k] is below 2^54, so q[k] plus the carry from the digit below
+    stays below 2^55; the carry out of the last q[k] is below 2^39 and fills
+    three more digits.  So len(q) + 3 digits hold the sum.
+    """
+    digit = np.uint64((1 << _LIMB_BITS) - 1)
+    ndigits = len(q) + 3
+    words = [np.zeros_like(q[0]) for _ in range(-(-ndigits // 4))]
+    carry = 0
+    for k in range(ndigits):
+        s = carry + q[k] if k < len(q) else carry
+        words[k // 4] |= (s & digit) << np.uint64(_LIMB_BITS * (k % 4))
+        carry = s >> np.uint64(_LIMB_BITS)
+    return words
 
 
 def _limbs(x, count):
@@ -287,6 +347,16 @@ class FloatDomain:
         if not math.isfinite(v):
             raise EncodingOverflowError(f"{x} cannot be represented: reals must be finite")
         return v
+
+    def encode_array(self, rows) -> np.ndarray:
+        """Object array of ``encode`` of every entry of a 2-D sequence of reals;
+        the first entry that is not finite, in row-major order, raises as ``encode``."""
+        x = np.asarray(rows, dtype=np.float64)
+        bad = np.argwhere(~np.isfinite(x))
+        if bad.size:
+            i, j = bad[0]
+            self.encode(rows[i][j])
+        return x.astype(object)
 
     def decode(self, v: float) -> float:
         return v

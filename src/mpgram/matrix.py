@@ -6,7 +6,9 @@ so the gram block of two parties is ``gram_t(A, B) = A^T B`` with shape
 ``object`` plus its scalar domain.  The entries stay Python scalars (ints
 in [0, p) over the field, floats over the float domain).  Elementwise
 operations are one array expression followed by the domain's ``reduce``,
-exact because Python ints do not overflow.  ``gram_t`` is the domain's
+exact because Python ints do not overflow.  ``encode_real_matrix`` encodes
+reals as one float64 array expression of the domain and stores the result
+as such an object array.  ``gram_t`` is the domain's
 ``matmul_t``: over the field an exact limb-split product on float64 BLAS
 (see ``mpgram.field``), over floats a plain object-array sum.  The domain
 also owns the wire codec of the entries.
@@ -62,15 +64,20 @@ class Matrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence], domain) -> "Matrix":
-        nr = len(rows)
-        nc = len(rows[0]) if nr else 0
-        if any(len(r) != nc for r in rows):
-            raise DimensionError("ragged rows")
-        return Matrix(np.array(rows, dtype=object).reshape(nr, nc), domain)
+        return Matrix(np.array(rows, dtype=object).reshape(_rows_shape(rows)), domain)
 
     @staticmethod
     def zeros(rows: int, cols: int, domain) -> "Matrix":
         return Matrix(np.full((rows, cols), domain.zero, dtype=object), domain)
+
+
+def _rows_shape(rows: Sequence[Sequence]) -> tuple:
+    """(rows, cols) of a 2-D sequence; ragged rows raise ``DimensionError``."""
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    if any(len(r) != nc for r in rows):
+        raise DimensionError("ragged rows")
+    return nr, nc
 
 
 def _check_same_domain(a: Matrix, b: Matrix):
@@ -121,8 +128,15 @@ def random_matrix(shape: tuple, domain, rng: Random) -> Matrix:
 
 
 def encode_real_matrix(rows: Sequence[Sequence[float]], domain) -> Matrix:
-    enc = domain.encode
-    return Matrix.from_rows([[enc(x) for x in r] for r in rows], domain)
+    """Matrix of ``domain.encode`` of every entry of a 2-D sequence of reals.
+
+    The encode is one array expression, ``domain.encode_array``: over the
+    field a float64 fixed-point rounding with the scalar codec's ties, range
+    check and error text; the result is held, like every Matrix, as an
+    object array.
+    """
+    shape = _rows_shape(rows)  # first: numpy reports ragged rows as a ValueError
+    return Matrix(domain.encode_array(rows).reshape(shape), domain)
 
 
 # -- CSV interchange ----------------------------------------------------

@@ -163,17 +163,26 @@ def input_party_session(spec: SessionSpec, data: Matrix, mesh) -> None:
 
 
 class _EscapedParty:
+    """Masking role.  The round-1 messages do not depend on the peer, so they
+    are built and packed once per run: X - a, sent to every peer as Alice and
+    as Bob, and alpha a, sent as Alice, which only ids below m ever are."""
+
     def __init__(self, spec, state: PartyState, mesh):
         self.spec = spec
         self.state = state
         self.mesh = mesh
         self.alpha_sent = False
+        if state.party_id < spec.m:
+            masked, scaled_mask = alice_round1(state)
+            self.scaled_mask_payload = tp.matrix_payload(scaled_mask)
+        else:
+            masked = bob_round1(state)
+        self.masked_payload = tp.matrix_payload(masked)
 
     def act_alice(self, bob_id: int):
         ch = self.mesh.channels[bob_id]
-        masked, scaled_mask = alice_round1(self.state)
-        ch.send(tp.MASKED_DATA, tp.matrix_payload(masked))
-        ch.send(tp.MASKED_MASK, tp.matrix_payload(scaled_mask))
+        ch.send(tp.MASKED_DATA, self.masked_payload)
+        ch.send(tp.MASKED_MASK, self.scaled_mask_payload)
         a1 = alice_compute(self.state, self._recv_masked(bob_id, tp.MASKED_DATA))
         fp = self.mesh.channels[tp.FUNCTION_PARTY_ID]
         fp.send(tp.PAIR_RESULT, tp.pair_matrix_payload(self.state.party_id, bob_id, tp.PART_A1, a1))
@@ -184,7 +193,7 @@ class _EscapedParty:
     def act_bob(self, alice_id: int):
         alice_masked = self._recv_masked(alice_id, tp.MASKED_DATA)
         alice_scaled = self._recv_masked(alice_id, tp.MASKED_MASK)
-        self.mesh.channels[alice_id].send(tp.MASKED_DATA, tp.matrix_payload(bob_round1(self.state)))
+        self.mesh.channels[alice_id].send(tp.MASKED_DATA, self.masked_payload)
         b1, b2 = bob_compute(self.state, alice_masked, alice_scaled)
         fp = self.mesh.channels[tp.FUNCTION_PARTY_ID]
         me = self.state.party_id

@@ -2,7 +2,8 @@
 
 Loopback runs drive every party as a thread inside this process; TCP
 runs spawn one OS process per party (input parties and the function
-party) and merge their sender-side transcripts afterwards.  With the
+party), each with a single-threaded OpenBLAS, and merge their
+sender-side transcripts afterwards.  With the
 ``verify`` flag the orchestrator recomputes the plaintext gram matrix
 as an oracle and checks the protocol output against it, and checks the
 decoded gram against a float64 gram of the decoded inputs, which catches
@@ -72,6 +73,11 @@ class RunConfig:
             raise ConfigError(f"domain must be field or float, got {self.domain!r}")
         if self.transport not in ("loopback", "tcp"):
             raise ConfigError(f"transport must be loopback or tcp, got {self.transport!r}")
+        if self.base_port and not 1 <= self.base_port <= 65535 - self.m:
+            raise ConfigError(
+                f"base port must be 0 or in 1..{65535 - self.m} (ports base..base+{self.m}), "
+                f"got {self.base_port}"
+            )
         if self.data_csv is not None and len(self.data_csv) != self.m:
             raise ConfigError(f"{self.m} parties but {len(self.data_csv)} data files")
         if self.sigma is not None and self.sigma <= 0:
@@ -98,6 +104,7 @@ def synthesize_party_reals(seed: int, party_id: int, f: int, n: int) -> list:
 
 def gen_data(m: int, f: int, samples, seed: int, out_dir) -> list:
     """Write one features-x-samples CSV of reals per party; returns the paths."""
+    RunConfig(ESCAPED, m, f, tuple(samples)).validate()  # the counts a run on them needs
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for i in range(1, m + 1):
@@ -361,6 +368,9 @@ def _run_tcp(config: RunConfig, domain, reals: dict):
             csv_paths[i] = os.path.join(rundir, f"party_{i}.csv")
             save_csv(rows, csv_paths[i])
 
+        # a party's BLAS calls are small: OpenBLAS's thread pool would only add
+        # start-up time and spinning helper threads to each worker
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
         procs, err_paths, out_paths = {}, {}, {}
         for pid in range(config.m + 1):
             cfg = {
@@ -386,6 +396,7 @@ def _run_tcp(config: RunConfig, domain, reals: dict):
                     [sys.executable, "-m", "mpgram.worker", cfg_path],
                     stdout=subprocess.DEVNULL,
                     stderr=err,
+                    env=env,
                 )
         _wait_workers(procs, err_paths)
 

@@ -3,6 +3,7 @@
 import math
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -95,6 +96,37 @@ class TestFixedPoint:
                 acc = m61.add(acc, m61.mul(m61.encode(x), m61.encode(y)))
             true = math.fsum(x * y for x, y in zip(xs, ys))
             assert abs(m61.decode_dot(acc) - true) <= d * 2.0 ** (-16 + 1)
+
+
+@st.composite
+def residue_arrays(draw):
+    """(domain, entries) over M61, 2^64 - 59, Z5 or Z251, biased to the sign edge."""
+    p = draw(st.sampled_from([M61, 2**64 - 59, 5, 251]))
+    dom = FieldDomain(scale_bits=draw(st.sampled_from([0, 1, 16])), p=p)
+    edges = [0, 1, (p - 1) // 2, (p + 1) // 2, p - 1]
+    entry = st.one_of(st.sampled_from(edges), st.integers(0, p - 1))
+    return dom, draw(st.lists(entry, min_size=1, max_size=12))
+
+
+class TestArrayDecode:
+    """decode / decode_dot of entry arrays against the Python-int scalar path."""
+
+    @given(residue_arrays())
+    @settings(max_examples=300, deadline=None)
+    @example((FieldDomain(scale_bits=16, p=2**64 - 59), [0, 2**63 - 30, 2**63 - 29, 2**64 - 60]))
+    def test_equals_scalar(self, case):
+        dom, entries = case
+        arr = np.array(entries, dtype=object)
+        for name in ("decode", "decode_dot"):
+            fn = getattr(dom, name)
+            got = fn(arr)
+            assert got.dtype == np.float64
+            assert [repr(v) for v in got.tolist()] == [repr(fn(v)) for v in entries]
+
+    def test_sign_edge(self, m61):
+        half = (P - 1) // 2
+        got = m61.decode_dot(np.array([[half, half + 1], [P - 1, 0]], dtype=object))
+        assert got.tolist() == [[half / 2.0**32, -half / 2.0**32], [-(2.0**-32), 0.0]]
 
 
 class TestFieldAxioms:

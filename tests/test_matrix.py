@@ -1,5 +1,7 @@
 """Matrix operations against brute-force oracles, plus CSV interchange."""
 
+import math
+import re
 from random import Random
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpgram.errors import DimensionError, DomainMismatchError
-from mpgram.field import M61, FieldDomain
+from mpgram.field import M61, FieldDomain, FloatDomain
 from mpgram.matrix import (
     Matrix,
     encode_real_matrix,
@@ -172,6 +174,99 @@ class TestGramKernel:
         b = Matrix(np.full((f, 1), M61 - 1, dtype=object), m61)
         assert gram_t(a, b).data.tolist() == [[f], [f]]
         assert gram_t(a, a).data.tolist() == [[f, f], [f, f]]
+
+    def test_top_word_carries_across_chunks(self):
+        # every entry p - 1 over the largest prime below 2^64 fills every limb,
+        # so each chunk's limb sums reach the third 64-bit word of the combine;
+        # (p - 1)^2 = 1 mod p, so every entry is f mod p
+        p, f = 2**64 - 59, 2**20 + 3
+        dom = FieldDomain(scale_bits=0, p=p)
+        a = Matrix(np.full((f, 2), p - 1, dtype=object), dom)
+        g = gram_t(a, a)
+        assert g.data.tolist() == [[f, f], [f, f]]
+        assert all(type(v) is int for v in g.data.flat)
+
+
+def _tie(k: int, s: int) -> float:
+    """k + 1/2 units of 2^-s: a halfway case of the fixed-point rounding."""
+    return (2 * k + 1) * 2.0 ** -(s + 1)
+
+
+@st.composite
+def real_rows(draw):
+    """(domain, rows): a field (M61, 2^64 - 59 or Z251) or the float domain, and a
+    2-D list of reals biased to rounding ties, signed zeros, the range edge,
+    ints above 2^53, and non-finite or out-of-range values."""
+    kind = draw(st.sampled_from([M61, 2**64 - 59, 251, "float"]))
+    if kind == "float":
+        dom, s, limit = FloatDomain(), 0, 2.0**60
+    else:
+        s = draw(st.sampled_from([0, 1, 16]))
+        dom = FieldDomain(scale_bits=s, p=kind)
+        limit = dom.codec.max_abs
+    edges = [0.0, -0.0, math.nextafter(limit, 0), -math.nextafter(limit, 0), 2**53 + 1,
+             -(2**53 + 1), 2**60 - 1, 2**62 + 3]
+    edges += [sign * _tie(k, s) for k in (0, 1, 2, 7) for sign in (1, -1)]
+    rare = [math.nan, math.inf, -math.inf, limit, -limit, 2.0 * limit]
+    entry = st.one_of(
+        st.sampled_from(edges),
+        st.floats(-limit, limit, allow_nan=False),
+        st.integers(-(2**54), 2**54),
+        st.sampled_from(rare) if draw(st.booleans()) else st.nothing(),
+    )
+    f, n = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=f, max_size=f))
+    return dom, rows
+
+
+def _outcome(fn):
+    try:
+        return "ok", fn()
+    except Exception as exc:  # noqa: BLE001 - compared by type and text
+        return type(exc).__name__, str(exc)
+
+
+class TestArrayEncode:
+    """encode_real_matrix (one array expression) against the scalar codec."""
+
+    @given(real_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_scalar_codec(self, case):
+        dom, rows = case
+
+        def scalar():
+            return [[(type(v), repr(v)) for v in (dom.encode(x) for x in r)] for r in rows]
+
+        def array():
+            return [[(type(v), repr(v)) for v in r] for r in encode_real_matrix(rows, dom).data]
+
+        assert _outcome(array) == _outcome(scalar)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.0**45, -(2**45)])
+    def test_first_bad_entry_raises_the_scalar_error(self, m61, bad):
+        rows = [[0.5, 1.0], [bad, math.nan]]
+        with pytest.raises(Exception) as scalar:
+            m61.encode(bad)
+        with pytest.raises(type(scalar.value), match=f"^{re.escape(str(scalar.value))}$"):
+            encode_real_matrix(rows, m61)
+
+    def test_halfway_ties_round_to_even(self, m61):
+        ties = [[_tie(k, 16) for k in range(-3, 3)]]
+        assert encode_real_matrix(ties, m61).data.tolist() == [
+            [m61.encode(x) for x in ties[0]]
+        ]
+        assert encode_real_matrix(ties, m61).data.tolist() == [[M61 - 2, M61 - 2, 0, 0, 2, 2]]
+
+    def test_int_above_2_53_stays_exact(self):
+        dom = FieldDomain(scale_bits=0)
+        big = 2**53 + 1
+        assert encode_real_matrix([[big, -big, 2**60 - 1]], dom).data.tolist() == [
+            [big, M61 - big, 2**60 - 1]
+        ]
+
+    def test_ragged_rows_rejected(self, m61):
+        with pytest.raises(DimensionError, match="ragged"):
+            encode_real_matrix([[1.0, 2.0], [3.0]], m61)
 
 
 class TestRandomMatrix:

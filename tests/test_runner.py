@@ -1,13 +1,17 @@
 """End-to-end orchestration: runs, reports, comparison, data generation, CLI."""
 
 import json
+import os
+import re
 import socket
+import subprocess
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mpgram import party
+from mpgram import masking, party
 from mpgram import transport as tp
 from mpgram.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROTOCOL, main
 from mpgram.errors import ConfigError, ProtocolError
@@ -174,6 +178,41 @@ class TestRun:
         assert run(cfg).report["verification"]["status"] == "pass"
         assert calls == []
 
+    def test_escaped_round1_messages_built_once_per_party(self, monkeypatch):
+        # X - a once per party, alpha a once per party below id m: 4 and 3 at
+        # M=4, where a per-pair build makes 12 and 6
+        calls = {"mat_sub": 0, "mat_scale": 0}
+        for name in calls:
+            original = getattr(masking, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(masking, name, counted)
+        cfg = RunConfig(protocol="escaped", m=4, features=3, samples=(2, 3, 1, 2), seed=5,
+                        verify=False)
+        res = run(cfg)
+        assert calls == {"mat_sub": 4, "mat_scale": 3}
+        assert res.report["audit"]["ok"]
+
+    def test_tcp_workers_run_single_threaded_blas(self, monkeypatch):
+        envs = []
+        real_popen = subprocess.Popen
+
+        def popen(*args, **kwargs):
+            envs.append(kwargs.get("env"))
+            return real_popen(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", popen)
+        before = dict(os.environ)
+        cfg = RunConfig(protocol="escaped", m=2, features=2, samples=(1, 2), transport="tcp",
+                        seed=3, verify=False)
+        assert run(cfg).report["audit"]["ok"]
+        assert len(envs) == 3
+        assert all(env == {**before, "OPENBLAS_NUM_THREADS": "1"} for env in envs)
+        assert dict(os.environ) == before
+
     def test_failing_party_ends_loopback_run_and_is_blamed(self, monkeypatch):
         original = party._ReParty.act_alice
 
@@ -304,6 +343,20 @@ class TestGenData:
             data_csv=tuple(str(p) for p in paths),
         )
         assert run(synth).report["gram"]["sha256"] == run(loaded).report["gram"]["sha256"]
+
+    @pytest.mark.parametrize(
+        "m, f, samples, message",
+        [
+            (1, 3, (2,), "need at least 2 input parties, got 1"),
+            (2, 0, (2, 2), "features must be >= 1, got 0"),
+            (2, 3, (2,), "2 parties but 1 sample counts"),
+            (2, 3, (2, 0), "every party needs at least one sample"),
+        ],
+    )
+    def test_invalid_counts_rejected(self, tmp_path, m, f, samples, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            gen_data(m, f, samples, seed=1, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_synthetic_values_uniform_range(self):
         rows = synthesize_party_reals(0, 1, 50, 20)
@@ -448,6 +501,39 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--features", "-1"], "features must be >= 1, got -1"),
+            (["--features", "0"], "features must be >= 1, got 0"),
+            (["--parties", "0"], "need at least 2 input parties, got 0"),
+        ],
+        ids=["negative-features", "zero-features", "zero-parties"],
+    )
+    def test_gen_data_invalid_counts_exit_with_config_error(self, flags, message, tmp_path,
+                                                            capsys):
+        assert main(["gen-data", *flags, "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("base", [-1, 65534, 70000])
+    def test_base_port_out_of_range_exits_with_config_error(self, base, capsys):
+        rc = main(["run", "--transport", "tcp", "--base-port", str(base), "--parties", "2",
+                   "--samples", "2"])
+        assert rc == EXIT_CONFIG
+        assert f"base port must be 0 or in 1..65533 (ports base..base+2), got {base}" in (
+            capsys.readouterr().err
+        )
+
+    def test_base_port_range(self):
+        cfg = RunConfig(protocol="escaped", m=3, features=2, samples=(1, 1, 1))
+        for ok in (0, 1, 65532):
+            replace(cfg, base_port=ok).validate()
+        for bad in (-5, 65533, 2**16):
+            with pytest.raises(ConfigError, match="base port"):
+                replace(cfg, base_port=bad).validate()
 
     def test_gen_data_cli(self, tmp_path, capsys):
         rc = main(
