@@ -56,6 +56,10 @@ class Matrix:
 
     __hash__ = None
 
+    def __reduce__(self):
+        # through __init__, so that an unpickled matrix is read-only too
+        return Matrix, (self.data, self.domain)
+
     def __repr__(self) -> str:
         return f"Matrix(rows={self.rows}, cols={self.cols})"
 

@@ -2,16 +2,17 @@
 
 The parties form one complete graph over ids 0..m: party 0 is the function
 party, 1..m the input parties, and every party's ``Mesh`` holds one channel
-to each other id.  ``run_party`` is the one entry of every party, on either
-transport: given a connected ``Mesh`` it runs the hello phase, then the
-party's session, and returns the function party's result.  Hello rule: an
-input party sends its sample count on every channel in id order (the
-function party first), then every party reads one hello from each input
-party.  Loopback runs call ``run_party`` from one thread per party, TCP runs
-from one worker process per party; only the mesh (channel setup) differs.
-Determinism contract: given (run seed, config, data), every byte a party
-sends and the per-channel order of its frames are fixed, so transcripts
-from different transports are comparable frame for frame.
+to each other id.  ``play_party`` is the one entry of every party, on either
+transport: a loopback thread passes it a connected mesh, a TCP worker a
+``connect`` that sets the mesh up.  It runs ``run_party`` (hello phase, then
+session) and hands back one ``PartyOutcome``: the party's id, the transcript
+entries of its own sends, the function party's result, and on failure
+``(time.monotonic(), exception)``, recorded before any channel closes.
+Hello rule: an input party sends its sample count on every channel in id
+order (the function party first), then every party reads one hello from
+each input party.  Determinism contract: given (run seed, config, data),
+every byte a party sends and the per-channel order of its frames are fixed,
+so transcripts from different transports are comparable frame for frame.
 
 Pairwise schedules follow the round-robin rounds of
 ``masking.pair_rounds``; within a pair the lower id acts first
@@ -31,6 +32,7 @@ masked matrix against the f x n of its sender's hello.
 
 from __future__ import annotations
 
+import time
 from collections import Counter
 from dataclasses import dataclass
 
@@ -84,44 +86,35 @@ class FunctionPartyResult:
     assembly: GramAssembly
     pair_results: dict | None  # masking protocol only
 
-    def to_doc(self) -> dict:
-        """JSON form, in which a TCP function-party worker hands its result back."""
-        asm = self.assembly
-        doc = {
-            "party_ids": list(asm.party_ids),
-            "sizes": list(asm.sizes),
-            "gram": asm.full.data.tolist(),
-        }
-        if self.pair_results is not None:
-            doc["pair_results"] = [
-                {
-                    "alice": pr.alice_id,
-                    "bob": pr.bob_id,
-                    "a1": pr.a1.data.tolist(),
-                    "b1": pr.b1.data.tolist(),
-                    "b2": pr.b2.data.tolist(),
-                    "alpha": pr.alpha,
-                }
-                for pr in self.pair_results.values()
-            ]
-        return doc
 
-    @staticmethod
-    def from_doc(doc: dict, domain) -> "FunctionPartyResult":
-        full = Matrix(doc["gram"], domain)
-        assembly = GramAssembly(tuple(doc["party_ids"]), tuple(doc["sizes"]), full)
-        pair_results = None
-        if "pair_results" in doc:
-            pair_results = {
-                (pr["alice"], pr["bob"]): PairResult(
-                    pr["alice"],
-                    pr["bob"],
-                    *(Matrix(pr[part], domain) for part in ("a1", "b1", "b2")),
-                    pr["alpha"],
-                )
-                for pr in doc["pair_results"]
-            }
-        return FunctionPartyResult(assembly, pair_results)
+@dataclass
+class PartyOutcome:
+    """What one party hands back to the runner, on either transport."""
+
+    party_id: int
+    entries: list  # TranscriptEntry of every frame the party sent
+    result: FunctionPartyResult | None = None  # the function party's, on success
+    failure: tuple | None = None  # (time.monotonic(), exception) if the party failed
+
+
+def play_party(spec: SessionSpec, mesh, data: Matrix, record, connect=None) -> PartyOutcome:
+    """Run one party to its ``PartyOutcome``, pass that to ``record``, close the mesh.
+
+    ``connect(mesh)``, if given, first fills the empty ``mesh`` with its
+    channels; a loopback mesh comes connected.  A failure anywhere, in
+    ``connect`` too, ends the party with a failed outcome, which ``record``
+    gets before any channel of the mesh closes.
+    """
+    try:
+        if connect is not None:
+            connect(mesh)
+        result, failure = run_party(spec, mesh, data), None
+    except Exception as exc:  # noqa: BLE001 - handed back with the party's id
+        result, failure = None, (time.monotonic(), exc)
+    outcome = PartyOutcome(mesh.party_id, mesh.transcript.entries, result, failure)
+    record(outcome)
+    mesh.close()
+    return outcome
 
 
 def run_party(spec: SessionSpec, mesh, data: Matrix = None):
@@ -377,11 +370,8 @@ def _read_part(frame, dom) -> tuple:
 def _decode_re_block(dom, f: int, n_a: int, n_b: int, x_flat, y_flat) -> Matrix:
     x_side = wire_block(x_flat, n_a, n_b, f, WIRE_X_SIDE, "X-side components")
     y_side = wire_block(y_flat, n_a, n_b, f, WIRE_Y_SIDE, "Y-side components")
-    rows = []
-    for x_row, y_row in zip(x_side, y_side):
-        x_comps, offline = split_x_side(x_row)
-        rows.append(decode_dot(dom, x_comps, y_row, offline))
-    return Matrix(np.stack(rows), dom)
+    x_comps, offline = split_x_side(x_side)
+    return Matrix(decode_dot(dom, x_comps, y_side, offline), dom)
 
 
 # -- meshes ------------------------------------------------------------------
@@ -389,11 +379,12 @@ def _decode_re_block(dom, f: int, n_a: int, n_b: int, x_flat, y_flat) -> Matrix:
 
 class Mesh:
     """One party's channels to every other party id (0 is the function party),
-    with the sample counts that the input parties announced to it."""
+    the transcript of its sends, and the sample counts announced to it."""
 
-    def __init__(self, party_id: int, channels: dict):
+    def __init__(self, party_id: int, channels: dict, transcript=None):
         self.party_id = party_id
         self.channels = channels
+        self.transcript = transcript
         self.n_by_peer = {}
 
     def close(self):
@@ -419,16 +410,20 @@ def hello_phase(mesh: Mesh, n_samples: int = None):
             mesh.n_by_peer[j] = check_hello_size(j, tp.u64_from_payload(frame.payload))
 
 
-def build_loopback_meshes(m: int, transcript) -> dict:
+def build_loopback_meshes(m: int, transcript=None) -> dict:
     """One loopback channel pair per pair of ids 0..m; returns {party_id: Mesh}.
 
-    Hello phases are left to ``run_party`` so frames are recorded in each
-    sender's own order.
+    Each party records its sends into a transcript of its own, or into
+    ``transcript`` if one is given.  Hello phases are left to ``run_party``
+    so frames are recorded in each sender's own order.
     """
-    meshes = {i: Mesh(i, {}) for i in range(m + 1)}
+    meshes = {
+        i: Mesh(i, {}, tp.Transcript() if transcript is None else transcript)
+        for i in range(m + 1)
+    }
     for i in range(m + 1):
         for j in range(i + 1, m + 1):
             e1, e2 = tp.loopback_pair()
-            meshes[i].channels[j] = tp.Channel(e1, i, j, transcript)
-            meshes[j].channels[i] = tp.Channel(e2, j, i, transcript)
+            meshes[i].channels[j] = tp.Channel(e1, i, j, meshes[i].transcript)
+            meshes[j].channels[i] = tp.Channel(e2, j, i, meshes[j].transcript)
     return meshes

@@ -2,10 +2,11 @@
 
 Loopback runs drive every party as a thread inside this process; TCP
 runs spawn one OS process per party (input parties and the function
-party), each with a single-threaded OpenBLAS, and merge their
-sender-side transcripts afterwards.  With the
-``verify`` flag the orchestrator recomputes the plaintext gram matrix
-as an oracle and checks the protocol output against it, and checks the
+party), each with a single-threaded OpenBLAS, which hands its
+``PartyOutcome`` back in a pickle file.  On both, one collector merges
+the parties' sender-side transcripts and blames the earliest failure.
+With the ``verify`` flag the orchestrator recomputes the plaintext gram
+matrix as an oracle and checks the protocol output against it, and checks the
 decoded gram against a float64 gram of the decoded inputs, which catches
 fixed-point wrap-around -- in a real deployment that would defeat the
 point, so it is strictly a testing facility.
@@ -13,9 +14,11 @@ point, so it is strictly a testing facility.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
+import pickle
 import shutil
 import struct
 import subprocess
@@ -34,7 +37,7 @@ from .field import make_domain
 from .kernel import KernelMatrix, rbf_from_gram
 from .masking import leakage_view, make_party_state, verify_leakage_view
 from .matrix import Matrix, encode_real_matrix, gram_t, load_real_csv, save_csv
-from .party import FunctionPartyResult, SessionSpec, build_loopback_meshes, run_party
+from .party import FunctionPartyResult, SessionSpec, build_loopback_meshes, play_party
 from .seeds import derive_seed
 
 SCHEMA_VERSION = 1
@@ -139,10 +142,12 @@ def run(config: RunConfig) -> RunResult:
     t_data = time.perf_counter() - t0
 
     t1 = time.perf_counter()
+    spec = SessionSpec(config.protocol, config.m, config.features, domain, config.seed)
     if config.transport == "loopback":
-        fp_result, transcript = _run_loopback(config, domain, data)
+        outcomes = _run_loopback(spec, data)
     else:
-        fp_result, transcript = _run_tcp(config, domain, reals)
+        outcomes = _run_tcp(config, spec, reals)
+    fp_result, transcript = collect_outcomes(outcomes, config.m)
     t_protocol = time.perf_counter() - t1
 
     t2 = time.perf_counter()
@@ -270,37 +275,50 @@ def _verify_against_oracle(domain, data: dict, gram: Matrix, gram_real: np.ndarr
     }
 
 
-# -- loopback execution ------------------------------------------------------
+# -- party outcomes -----------------------------------------------------------
+
+PARTY_TIMEOUT_S = 300.0  # for a whole run's parties, on either transport
 
 
-def _run_loopback(config: RunConfig, domain, data: dict):
-    transcript = tp.Transcript()
-    spec = SessionSpec(config.protocol, config.m, config.features, domain, config.seed)
-    meshes = build_loopback_meshes(config.m, transcript)
-    failures = {}  # party id -> (time.monotonic() of the failure, exception)
-    results = {}
+def collect_outcomes(outcomes, m: int) -> tuple:
+    """The function party's result and the merged transcript of parties 0..m.
 
-    def party_main(pid: int):
-        try:
-            results[pid] = run_party(spec, meshes[pid], data.get(pid))
-        except Exception as exc:  # noqa: BLE001 - reported with party context
-            failures[pid] = (time.monotonic(), exc)
-            # peers blocked on this party fail at once: "channel closed by peer"
-            meshes[pid].close()
-
-    threads = [threading.Thread(target=party_main, args=(pid,), daemon=True) for pid in meshes]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=300)
-    if failures:
-        # the earliest failure is the root cause; the others follow from its close
-        pid, (_, exc) = min(failures.items(), key=lambda item: item[1][0])
+    One blame rule for both transports: if any party failed, the earliest
+    failure by ``time.monotonic()`` is the root cause.  A party records its
+    outcome before it closes a channel, so a peer that fails from that close
+    fails later.
+    """
+    outcomes = sorted(outcomes, key=lambda o: o.party_id)
+    failed = [o for o in outcomes if o.failure is not None]
+    if failed:
+        first = min(failed, key=lambda o: o.failure[0])
+        pid, (_, exc) = first.party_id, first.failure
         who = "function party" if pid == tp.FUNCTION_PARTY_ID else f"party {pid}"
         raise ProtocolError(f"{who} failed: {exc}") from exc
-    if results.get(tp.FUNCTION_PARTY_ID) is None:
-        raise ProtocolError("run did not complete: function party produced no result")
-    return results[tp.FUNCTION_PARTY_ID], transcript
+    missing = sorted(set(range(m + 1)) - {o.party_id for o in outcomes})
+    if missing:
+        raise ProtocolError(f"parties {missing} handed back no outcome in {PARTY_TIMEOUT_S:.0f} s")
+    transcript = tp.Transcript()
+    transcript.entries = [e for o in outcomes for e in o.entries]
+    return outcomes[tp.FUNCTION_PARTY_ID].result, transcript
+
+
+def _run_loopback(spec: SessionSpec, data: dict) -> list:
+    """Every party as a thread of this process; returns their outcomes."""
+    meshes = build_loopback_meshes(spec.m)
+    outcomes = []
+    threads = [
+        threading.Thread(
+            target=play_party, args=(spec, mesh, data.get(i), outcomes.append), daemon=True
+        )
+        for i, mesh in meshes.items()
+    ]
+    for t in threads:
+        t.start()
+    deadline = time.monotonic() + PARTY_TIMEOUT_S
+    for t in threads:
+        t.join(max(0.0, deadline - time.monotonic()))
+    return list(outcomes)
 
 
 # -- TCP execution (one OS process per party) ---------------------------------
@@ -320,96 +338,77 @@ def _free_ports(count: int) -> list:
     return ports
 
 
-WORKER_TIMEOUT_S = 300.0
+def _wait_workers(procs: dict):
+    """Wait for every worker at once; kill the rest on the first nonzero exit.
 
-
-def _wait_workers(procs: dict, err_paths: dict):
-    """Wait for every worker at once; on the first failure kill the rest and blame it.
-
-    The error names the first worker seen to exit nonzero (or the ones still
-    running at the timeout) with the last line of its stderr.
+    Returns (party id, exit code) of that exit, or None.  Workers still
+    running after ``PARTY_TIMEOUT_S`` are killed too.
     """
-    deadline = time.monotonic() + WORKER_TIMEOUT_S
+    deadline = time.monotonic() + PARTY_TIMEOUT_S
     running = dict(procs)
     try:
-        while running:
+        while running and time.monotonic() < deadline:
             for pid, proc in list(running.items()):
                 code = proc.poll()
                 if code is None:
                     continue
                 del running[pid]
                 if code != 0:
-                    with open(err_paths[pid], errors="replace") as fh:
-                        tail = fh.read().strip().splitlines()[-1:]
-                    raise ProtocolError(f"party {pid} exited {code}: {''.join(tail)}")
+                    return pid, code
             if running:
-                if time.monotonic() > deadline:
-                    raise ProtocolError(
-                        f"parties {sorted(running)} still running after {WORKER_TIMEOUT_S:.0f} s"
-                    )
                 time.sleep(0.005)
+        return None
     finally:
         for proc in running.values():
             proc.kill()
             proc.wait()
 
 
-def _run_tcp(config: RunConfig, domain, reals: dict):
+def _run_tcp(config: RunConfig, spec: SessionSpec, reals: dict) -> list:
+    """Every party as a ``python -m mpgram.worker`` process; returns their outcomes.
+
+    A worker whose nonzero exit ended the run before it wrote an outcome is
+    blamed here, by its exit code and the last line of its stderr."""
     rundir = tempfile.mkdtemp(prefix="mpgram-run-")
     try:
         if config.base_port:
             ports = {i: config.base_port + i for i in range(config.m + 1)}
         else:
-            flat = _free_ports(config.m + 1)
-            ports = {i: flat[i] for i in range(config.m + 1)}
-
-        csv_paths = {}
-        for i, rows in reals.items():
-            csv_paths[i] = os.path.join(rundir, f"party_{i}.csv")
-            save_csv(rows, csv_paths[i])
+            ports = dict(enumerate(_free_ports(config.m + 1)))
 
         # a party's BLAS calls are small: OpenBLAS's thread pool would only add
         # start-up time and spinning helper threads to each worker
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
-        procs, err_paths, out_paths = {}, {}, {}
+        path = functools.partial(os.path.join, rundir)
+        procs = {}
         for pid in range(config.m + 1):
-            cfg = {
-                "party_id": pid,
-                "protocol": config.protocol,
-                "m": config.m,
-                "features": config.features,
-                "domain": config.domain,
-                "scale_bits": config.scale_bits,
-                "seed": config.seed,
-                "host": "127.0.0.1",
-                "ports": {str(k): v for k, v in ports.items()},
-                "data_csv": csv_paths.get(pid),
-                "out_path": os.path.join(rundir, f"out_{pid}.json"),
-            }
-            cfg_path = os.path.join(rundir, f"cfg_{pid}.json")
-            with open(cfg_path, "w") as fh:
-                json.dump(cfg, fh)
-            out_paths[pid] = cfg["out_path"]
-            err_paths[pid] = os.path.join(rundir, f"err_{pid}.txt")
-            with open(err_paths[pid], "wb") as err:
+            job = {"spec": spec, "party_id": pid, "host": "127.0.0.1", "ports": ports,
+                   "data_csv": None, "out_path": path(f"outcome_{pid}.pickle")}
+            if pid in reals:
+                job["data_csv"] = path(f"party_{pid}.csv")
+                save_csv(reals[pid], job["data_csv"])
+            with open(path(f"job_{pid}.pickle"), "wb") as fh:
+                pickle.dump(job, fh)
+            with open(path(f"err_{pid}.txt"), "wb") as err:
                 procs[pid] = subprocess.Popen(
-                    [sys.executable, "-m", "mpgram.worker", cfg_path],
+                    [sys.executable, "-m", "mpgram.worker", path(f"job_{pid}.pickle")],
                     stdout=subprocess.DEVNULL,
                     stderr=err,
                     env=env,
                 )
-        _wait_workers(procs, err_paths)
+        first_exit = _wait_workers(procs)
 
-        transcript = tp.Transcript()
-        fp_doc = None
-        for pid, path in out_paths.items():
-            with open(path) as fh:
-                doc = json.load(fh)
-            transcript.extend(tp.Transcript.from_json_entries(doc["transcript"]).entries)
-            if pid == 0:
-                fp_doc = doc["result"]
-        fp_result = FunctionPartyResult.from_doc(fp_doc, domain)
-        return fp_result, transcript
+        outcomes = {}
+        for pid in procs:
+            if os.path.exists(path(f"outcome_{pid}.pickle")):
+                with open(path(f"outcome_{pid}.pickle"), "rb") as fh:
+                    outcomes[pid] = pickle.load(fh)
+        if first_exit is not None and first_exit[0] not in outcomes:
+            pid, code = first_exit
+            with open(path(f"err_{pid}.txt"), errors="replace") as fh:
+                tail = fh.read().strip().splitlines()[-1:]
+            raise ProtocolError(f"party {pid} exited {code}: {''.join(tail)}")
+        return list(outcomes.values())
     finally:
         shutil.rmtree(rundir, ignore_errors=True)
 

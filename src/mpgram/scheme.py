@@ -105,19 +105,21 @@ class DotEncodingScheme:
         return np.array([(lf.a, lf.b, lf.c, lf.d) for lf in self.leaves], dtype=np.intp)
 
     @cached_property
-    def offline_terms(self) -> tuple:
-        """(index, sign) arrays of shape (d, k) listing each leaf's offline randoms.
+    def offline_columns(self) -> tuple:
+        """The leaves' offline lists column by column, for ``offline_components``.
 
-        Rows shorter than the longest are padded at the front with sign 0,
-        so a sum from zero over a row adds zeros before the first real term.
+        Taken longest list first, the leaves that have a j-th term form a
+        prefix; column j holds, for that prefix, the j-th random index and
+        whether its sign is negative.  Returns (inverse of that leaf order,
+        ((index, negative), ...)).
         """
-        k = max(len(lf.offline) for lf in self.leaves)
-        idx = np.zeros((self.d, k), dtype=np.intp)
-        sign = np.zeros((self.d, k), dtype=object)
-        for row, lf in enumerate(self.leaves):
-            for col, (j, sg) in enumerate(lf.offline, start=k - len(lf.offline)):
-                idx[row, col], sign[row, col] = j, sg
-        return idx, sign
+        order = sorted(range(self.d), key=lambda i: -len(self.leaves[i].offline))
+        lists = [self.leaves[i].offline for i in order]
+        columns = []
+        for j in range(len(lists[0])):
+            idx, sign = zip(*(off[j] for off in lists if len(off) > j))
+            columns.append((np.array(idx, dtype=np.intp), np.array(sign) < 0))
+        return np.argsort(order), tuple(columns)
 
 
 _ABD = [0, 1, 3]  # columns of ``DotEncodingScheme.leaf_index`` that the Y side needs
@@ -208,10 +210,19 @@ def encode_y_side(dom, y, scheme: DotEncodingScheme, triples) -> np.ndarray:
 
 
 def offline_components(dom, scheme: DotEncodingScheme, randoms) -> np.ndarray:
-    """(..., d): c5 per leaf, the signed sum of that leaf's offline randoms."""
-    idx, sign = scheme.offline_terms
-    terms = sign * np.asarray(randoms, dtype=object)[..., idx]
-    return dom.reduce(np.add.reduce(terms, axis=-1, initial=dom.zero))
+    """(..., d): c5 per leaf, the signed sum of that leaf's offline randoms.
+
+    Each leaf sums its list in order from ``dom.zero``, subtracting the
+    terms of sign -1, so float sums are those of a scalar loop.
+    """
+    randoms = np.asarray(randoms, dtype=object)
+    unorder, columns = scheme.offline_columns
+    c5 = np.full(randoms.shape[:-1] + (scheme.d,), dom.zero, dtype=object)
+    for idx, negative in columns:
+        acc, terms = c5[..., : len(idx)], randoms[..., idx]
+        np.add(acc, terms, out=acc, where=~negative)
+        np.subtract(acc, terms, out=acc, where=negative)
+    return dom.reduce(c5[..., unorder])
 
 
 def decode_dot(dom, x_comps, y_comps, offline):

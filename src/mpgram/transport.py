@@ -207,19 +207,13 @@ class TranscriptEntry:
 
 
 class Transcript:
-    """Thread-safe sender-side record of every frame in a run."""
+    """Sender-side record of the frames sent on the channels that share it."""
 
     def __init__(self):
-        self._lock = threading.Lock()
         self.entries = []
 
     def record(self, entry: TranscriptEntry):
-        with self._lock:
-            self.entries.append(entry)
-
-    def extend(self, entries):
-        with self._lock:
-            self.entries.extend(entries)
+        self.entries.append(entry)
 
     def sorted_entries(self) -> list:
         return sorted(self.entries, key=TranscriptEntry.key)
@@ -275,27 +269,6 @@ class Transcript:
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
-
-    def to_json_entries(self) -> list:
-        return json.loads(self.canonical_json())["frames"]
-
-    @staticmethod
-    def from_json_entries(frames) -> "Transcript":
-        name_to_kind = {v: k for k, v in KIND_NAMES.items()}
-        t = Transcript()
-        for f in frames:
-            t.record(
-                TranscriptEntry(
-                    sender=f["sender"],
-                    receiver=f["receiver"],
-                    seq=f["seq"],
-                    kind=name_to_kind[f["kind"]],
-                    n_bytes=f["bytes"],
-                    n_elements=f["elements"],
-                    payload_sha=f["payload_sha"],
-                )
-            )
-        return t
 
 
 # -- endpoints -------------------------------------------------------------

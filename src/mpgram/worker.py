@@ -1,4 +1,9 @@
-"""Subprocess entry point for TCP-mode parties: python -m mpgram.worker cfg.json.
+"""Subprocess entry point for TCP-mode parties: python -m mpgram.worker job.pickle.
+
+The job is a pickled dict: ``spec``, ``party_id``, ``host``, ``ports`` (one
+per id 0..m), ``data_csv`` (None for the function party) and ``out_path``,
+where ``party.play_party`` pickles the ``PartyOutcome`` before any channel
+closes.  A failed party then re-raises, so the worker exits 1.
 
 Connection topology: one connection per pair of ids 0..m, the function
 party being id 0, so every party's mesh is its row of one complete graph.
@@ -18,25 +23,33 @@ party's peek then completes once the next higher party's hello arrives.
 
 from __future__ import annotations
 
-import json
+import functools
+import os
+import pickle
 import sys
 
 from .errors import ProtocolError
-from .field import make_domain
 from .matrix import encode_real_matrix, load_real_csv
-from .party import Mesh, SessionSpec, run_party
+from .party import Mesh, play_party
 from .transport import Channel, Transcript, tcp_accept, tcp_connect, tcp_listen
 
 
-def setup_mesh(cfg: dict, transcript: Transcript) -> Mesh:
-    """Connect party ``cfg["party_id"]`` to every other party (module docstring)."""
-    me, m, host = cfg["party_id"], cfg["m"], cfg["host"]
-    ports = {int(k): v for k, v in cfg["ports"].items()}
+def setup_mesh(cfg: dict, mesh: Mesh = None) -> Mesh:
+    """Connect party ``cfg["party_id"]`` to every other party (module docstring).
+
+    The channels go into ``mesh``, where on a failure they stay open for the
+    mesh's owner to close once it has recorded the failure.  Without a
+    ``mesh`` they go into a new one that records nothing, closed here on a
+    failure.
+    """
+    me, host, ports = cfg["party_id"], cfg["host"], cfg["ports"]
+    m = len(ports) - 1
+    own = mesh is None
+    mesh = Mesh(me, {}) if own else mesh
     srv = tcp_listen(host, ports[me]) if me < m else None
-    mesh = Mesh(me, {})
     try:
         for j in range(me):
-            mesh.channels[j] = Channel(tcp_connect(host, ports[j]), me, j, transcript)
+            mesh.channels[j] = Channel(tcp_connect(host, ports[j]), me, j, mesh.transcript)
         for _ in range(m - me):
             ep = tcp_accept(srv)
             j = ep.peek_sender()
@@ -44,9 +57,10 @@ def setup_mesh(cfg: dict, transcript: Transcript) -> Mesh:
                 ep.close()
                 why = "already connected" if j in mesh.channels else f"not in {me + 1}..{m}"
                 raise ProtocolError(f"party {me} got a connection claiming id {j}, {why}")
-            mesh.channels[j] = Channel(ep, me, j, transcript)
+            mesh.channels[j] = Channel(ep, me, j, mesh.transcript)
     except BaseException:
-        mesh.close()
+        if own:
+            mesh.close()
         raise
     finally:
         if srv is not None:
@@ -54,29 +68,31 @@ def setup_mesh(cfg: dict, transcript: Transcript) -> Mesh:
     return mesh
 
 
+def write_outcome(path: str, outcome) -> None:
+    """Pickle ``outcome`` to ``path`` atomically: a reader sees all of it or no file."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        pickle.dump(outcome, fh)
+    os.replace(tmp, path)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
-        print("usage: python -m mpgram.worker <config.json>", file=sys.stderr)
+        print("usage: python -m mpgram.worker <job.pickle>", file=sys.stderr)
         return 2
-    with open(argv[0]) as fh:
-        cfg = json.load(fh)
+    with open(argv[0], "rb") as fh:
+        job = pickle.load(fh)
 
-    domain = make_domain(cfg["domain"], cfg["scale_bits"])
-    spec = SessionSpec(cfg["protocol"], cfg["m"], cfg["features"], domain, cfg["seed"])
+    spec = job["spec"]
     data = None
-    if cfg["data_csv"] is not None:  # the function party has no data
-        data = encode_real_matrix(load_real_csv(cfg["data_csv"]), domain)
-    transcript = Transcript()
-    mesh = setup_mesh(cfg, transcript)
-    result = run_party(spec, mesh, data)
-    mesh.close()
-
-    out = {"party_id": mesh.party_id, "transcript": transcript.to_json_entries()}
-    if result is not None:
-        out["result"] = result.to_doc()
-    with open(cfg["out_path"], "w") as fh:
-        json.dump(out, fh)
+    if job["data_csv"] is not None:  # the function party has no data
+        data = encode_real_matrix(load_real_csv(job["data_csv"]), spec.domain)
+    mesh = Mesh(job["party_id"], {}, Transcript())
+    record = functools.partial(write_outcome, job["out_path"])
+    outcome = play_party(spec, mesh, data, record, connect=functools.partial(setup_mesh, job))
+    if outcome.failure is not None:
+        raise outcome.failure[1]
     return 0
 
 

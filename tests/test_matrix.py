@@ -1,6 +1,7 @@
 """Matrix operations against brute-force oracles, plus CSV interchange."""
 
 import math
+import pickle
 import re
 from random import Random
 
@@ -289,6 +290,16 @@ class TestRandomMatrix:
         sigma = (draws * 0.2 * 0.8) ** 0.5
         for c in counts:
             assert abs(c - expected) <= 3 * sigma
+
+
+class TestPickle:
+    @pytest.mark.parametrize("domain", ["m61", "f64"])
+    def test_round_trip_is_equal_and_read_only(self, domain, request):
+        dom = request.getfixturevalue(domain)
+        m = random_matrix((3, 2), dom, Random(11))
+        back = pickle.loads(pickle.dumps(m))
+        assert back == m
+        assert not back.data.flags.writeable
 
 
 class TestCsv:

@@ -20,6 +20,7 @@ from mpgram.party import (
     function_party_session,
     hello_phase,
     input_party_session,
+    play_party,
 )
 
 m61 = FieldDomain()
@@ -245,3 +246,34 @@ def test_loopback_meshes_form_one_complete_graph(m):
     assert [e.kind for e in transcript.entries] == [tp.HELLO] * (m * m)
     for mesh in meshes.values():
         mesh.close()
+
+
+# -- outcomes: recorded before any channel closes ------------------------------
+
+
+class ClosingChannel(ScriptedChannel):
+    closed = False
+
+    def close(self):
+        self.closed = True
+
+
+@pytest.mark.parametrize("fail_in", ["connect", "session"])
+def test_failing_party_records_its_outcome_before_closing_a_channel(fail_in):
+    channels = {tp.FUNCTION_PARTY_ID: ClosingChannel([]), 2: ClosingChannel([])}
+    mesh = Mesh(1, {} if fail_in == "connect" else channels, tp.Transcript())
+
+    def connect(mesh):
+        mesh.channels.update(channels)
+        raise TransportError("setup failed")
+
+    closed_at_record = []
+    outcome = play_party(
+        SessionSpec("escaped", 2, F, m61, 0), mesh, COLUMN,
+        lambda _: closed_at_record.extend(ch.closed for ch in channels.values()),
+        connect=connect if fail_in == "connect" else None,
+    )
+    assert closed_at_record == [False, False]
+    assert all(ch.closed for ch in channels.values())
+    assert (outcome.party_id, outcome.result) == (1, None)
+    assert isinstance(outcome.failure[1], TransportError)

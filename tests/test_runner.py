@@ -1,5 +1,6 @@
 """End-to-end orchestration: runs, reports, comparison, data generation, CLI."""
 
+import itertools
 import json
 import os
 import re
@@ -16,8 +17,10 @@ from mpgram import transport as tp
 from mpgram.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROTOCOL, main
 from mpgram.errors import ConfigError, ProtocolError
 from mpgram.field import FieldDomain
+from mpgram.party import PartyOutcome
 from mpgram.runner import (
     RunConfig,
+    collect_outcomes,
     compare,
     gen_data,
     plaintext_gram,
@@ -240,9 +243,59 @@ class TestRun:
             cfg = RunConfig(protocol="escaped", m=3, features=2, samples=(1, 1, 1),
                             transport="tcp", base_port=base, verify=False)
             t0 = time.monotonic()
-            with pytest.raises(ProtocolError, match=r"^party 2 exited 1: .*cannot listen on"):
+            with pytest.raises(ProtocolError, match=r"^party 2 failed: .*cannot listen on"):
                 run(cfg)
         assert time.monotonic() - t0 < 10.0
+
+    def test_tcp_run_blames_the_root_cause(self, tmp_path, monkeypatch):
+        # party 2 fails first; its peers then fail too, on the channels it closes
+        (tmp_path / "sitecustomize.py").write_text(SITE_INJECT_ACT_ALICE)
+        src = os.path.dirname(os.path.dirname(party.__file__))
+        paths = [str(tmp_path), src, *os.environ.get("PYTHONPATH", "").split(os.pathsep)]
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(p for p in paths if p))
+        cfg = RunConfig(protocol="escaped", m=4, features=2, samples=(1, 2, 1, 2),
+                        transport="tcp", verify=False)
+        for _ in range(10):
+            t0 = time.monotonic()
+            with pytest.raises(ProtocolError, match="^party 2 failed: injected"):
+                run(cfg)
+            assert time.monotonic() - t0 < 10.0
+
+
+# imported first by every worker: party 2's first act as Alice raises
+SITE_INJECT_ACT_ALICE = """
+from mpgram import party
+
+_act_alice = party._EscapedParty.act_alice
+
+
+def act_alice(self, bob_id):
+    if self.state.party_id == 2:
+        raise RuntimeError("injected")
+    _act_alice(self, bob_id)
+
+
+party._EscapedParty.act_alice = act_alice
+"""
+
+
+def _outcome(pid, failed_at=None):
+    failure = None if failed_at is None else (failed_at, RuntimeError(f"boom {pid}"))
+    return PartyOutcome(pid, [], failure=failure)
+
+
+def test_collector_blames_the_earliest_failure_in_any_order():
+    # party 2 failed first; parties 0 and 3 failed after it; party 1 finished
+    failed_at = {0: 12.5, 1: None, 2: 10.0, 3: 11.0}
+    for order in itertools.permutations(failed_at):
+        outcomes = [_outcome(pid, failed_at[pid]) for pid in order]
+        with pytest.raises(ProtocolError, match="^party 2 failed: boom 2$"):
+            collect_outcomes(outcomes, 3)
+
+
+def test_collector_names_parties_without_an_outcome():
+    with pytest.raises(ProtocolError, match=r"^parties \[1, 3\] handed back no outcome"):
+        collect_outcomes([_outcome(0), _outcome(2)], 3)
 
 
 def _free_port_block(count: int) -> int:
