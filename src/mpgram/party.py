@@ -7,7 +7,7 @@ transport: a loopback thread passes it a connected mesh, a TCP worker a
 ``connect`` that sets the mesh up.  It runs ``run_party`` (hello phase, then
 session) and hands back one ``PartyOutcome``: the party's id, the transcript
 entries of its own sends, the function party's result, and on failure
-``(time.monotonic(), exception)``, recorded before any channel closes.
+``(time.monotonic(), exception)``, recorded before any socket closes.
 Hello rule: an input party sends its sample count on every channel in id
 order (the function party first), then every party reads one hello from
 each input party.  Determinism contract: given (run seed, config, data),
@@ -103,7 +103,7 @@ def play_party(spec: SessionSpec, mesh, data: Matrix, record, connect=None) -> P
     ``connect(mesh)``, if given, first fills the empty ``mesh`` with its
     channels; a loopback mesh comes connected.  A failure anywhere, in
     ``connect`` too, ends the party with a failed outcome, which ``record``
-    gets before any channel of the mesh closes.
+    gets before any channel or socket of the mesh closes.
     """
     try:
         if connect is not None:
@@ -379,17 +379,19 @@ def _decode_re_block(dom, f: int, n_a: int, n_b: int, x_flat, y_flat) -> Matrix:
 
 class Mesh:
     """One party's channels to every other party id (0 is the function party),
-    the transcript of its sends, and the sample counts announced to it."""
+    the transcript of its sends, the sample counts announced to it, and the
+    other sockets its setup opened, which ``close`` closes with the channels."""
 
     def __init__(self, party_id: int, channels: dict, transcript=None):
         self.party_id = party_id
         self.channels = channels
         self.transcript = transcript
         self.n_by_peer = {}
+        self.sockets = []
 
     def close(self):
-        for ch in self.channels.values():
-            ch.close()
+        for sock in [*self.channels.values(), *self.sockets]:
+            sock.close()
 
 
 def check_hello_size(peer_id: int, n: int) -> int:
@@ -410,17 +412,13 @@ def hello_phase(mesh: Mesh, n_samples: int = None):
             mesh.n_by_peer[j] = check_hello_size(j, tp.u64_from_payload(frame.payload))
 
 
-def build_loopback_meshes(m: int, transcript=None) -> dict:
+def build_loopback_meshes(m: int) -> dict:
     """One loopback channel pair per pair of ids 0..m; returns {party_id: Mesh}.
 
-    Each party records its sends into a transcript of its own, or into
-    ``transcript`` if one is given.  Hello phases are left to ``run_party``
-    so frames are recorded in each sender's own order.
+    Each party records its sends into a transcript of its own.  Hello phases
+    are left to ``run_party`` so frames are recorded in each sender's own order.
     """
-    meshes = {
-        i: Mesh(i, {}, tp.Transcript() if transcript is None else transcript)
-        for i in range(m + 1)
-    }
+    meshes = {i: Mesh(i, {}, tp.Transcript()) for i in range(m + 1)}
     for i in range(m + 1):
         for j in range(i + 1, m + 1):
             e1, e2 = tp.loopback_pair()

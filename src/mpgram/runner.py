@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import os
 import pickle
 import shutil
@@ -37,7 +38,7 @@ from .field import make_domain
 from .kernel import KernelMatrix, rbf_from_gram
 from .masking import leakage_view, make_party_state, verify_leakage_view
 from .matrix import Matrix, encode_real_matrix, gram_t, load_real_csv, save_csv
-from .party import FunctionPartyResult, SessionSpec, build_loopback_meshes, play_party
+from .party import FunctionPartyResult, PartyOutcome, SessionSpec, build_loopback_meshes, play_party
 from .seeds import derive_seed
 
 SCHEMA_VERSION = 1
@@ -285,7 +286,7 @@ def collect_outcomes(outcomes, m: int) -> tuple:
 
     One blame rule for both transports: if any party failed, the earliest
     failure by ``time.monotonic()`` is the root cause.  A party records its
-    outcome before it closes a channel, so a peer that fails from that close
+    outcome before it closes a socket, so a peer that fails from that close
     fails later.
     """
     outcomes = sorted(outcomes, key=lambda o: o.party_id)
@@ -297,7 +298,7 @@ def collect_outcomes(outcomes, m: int) -> tuple:
         raise ProtocolError(f"{who} failed: {exc}") from exc
     missing = sorted(set(range(m + 1)) - {o.party_id for o in outcomes})
     if missing:
-        raise ProtocolError(f"parties {missing} handed back no outcome in {PARTY_TIMEOUT_S:.0f} s")
+        raise ProtocolError(f"parties {missing} handed back no outcome")
     transcript = tp.Transcript()
     transcript.entries = [e for o in outcomes for e in o.entries]
     return outcomes[tp.FUNCTION_PARTY_ID].result, transcript
@@ -367,8 +368,9 @@ def _wait_workers(procs: dict):
 def _run_tcp(config: RunConfig, spec: SessionSpec, reals: dict) -> list:
     """Every party as a ``python -m mpgram.worker`` process; returns their outcomes.
 
-    A worker whose nonzero exit ended the run before it wrote an outcome is
-    blamed here, by its exit code and the last line of its stderr."""
+    A worker whose nonzero exit ended the run without an outcome that loads
+    gets one here, failed after every recorded failure with its exit code and
+    last stderr line: the collector blames it only if no party recorded one."""
     rundir = tempfile.mkdtemp(prefix="mpgram-run-")
     try:
         if config.base_port:
@@ -400,14 +402,17 @@ def _run_tcp(config: RunConfig, spec: SessionSpec, reals: dict) -> list:
 
         outcomes = {}
         for pid in procs:
-            if os.path.exists(path(f"outcome_{pid}.pickle")):
+            try:
                 with open(path(f"outcome_{pid}.pickle"), "rb") as fh:
                     outcomes[pid] = pickle.load(fh)
+            except Exception:  # noqa: BLE001 - no file, or one that does not load
+                pass
         if first_exit is not None and first_exit[0] not in outcomes:
             pid, code = first_exit
             with open(path(f"err_{pid}.txt"), errors="replace") as fh:
-                tail = fh.read().strip().splitlines()[-1:]
-            raise ProtocolError(f"party {pid} exited {code}: {''.join(tail)}")
+                tail = "".join(fh.read().strip().splitlines()[-1:])
+            exc = ProtocolError(f"exited {code}: {tail}")
+            outcomes[pid] = PartyOutcome(pid, [], failure=(math.inf, exc))
         return list(outcomes.values())
     finally:
         shutil.rmtree(rundir, ignore_errors=True)

@@ -391,27 +391,6 @@ def tcp_connect(host: str, port: int, retries: int = 200, delay: float = 0.025) 
     raise TransportError(f"cannot connect to {host}:{port}: {last}")
 
 
-def channel_pair(kind: str, host: str = "127.0.0.1", port: int = 0) -> tuple:
-    """Connected endpoint pair of the requested transport (test helper)."""
-    if kind == "loopback":
-        return loopback_pair()
-    if kind == "tcp":
-        srv = tcp_listen(host, port)
-        actual_port = srv.getsockname()[1]
-        result = {}
-
-        def _accept():
-            result["ep"] = tcp_accept(srv)
-
-        t = threading.Thread(target=_accept)
-        t.start()
-        client = tcp_connect(host, actual_port)
-        t.join()
-        srv.close()
-        return result["ep"], client
-    raise TransportError(f"unknown transport kind {kind!r}")
-
-
 class Channel:
     """One direction-aware channel between two parties, with recording.
 

@@ -2,8 +2,8 @@
 
 The job is a pickled dict: ``spec``, ``party_id``, ``host``, ``ports`` (one
 per id 0..m), ``data_csv`` (None for the function party) and ``out_path``,
-where ``party.play_party`` pickles the ``PartyOutcome`` before any channel
-closes.  A failed party then re-raises, so the worker exits 1.
+where ``party.play_party`` pickles the ``PartyOutcome`` before any socket
+of the mesh closes.  A failed party then re-raises, so the worker exits 1.
 
 Connection topology: one connection per pair of ids 0..m, the function
 party being id 0, so every party's mesh is its row of one complete graph.
@@ -27,49 +27,50 @@ import functools
 import os
 import pickle
 import sys
+from dataclasses import replace
 
 from .errors import ProtocolError
 from .matrix import encode_real_matrix, load_real_csv
-from .party import Mesh, play_party
+from .party import Mesh, PartyOutcome, play_party
 from .transport import Channel, Transcript, tcp_accept, tcp_connect, tcp_listen
 
 
-def setup_mesh(cfg: dict, mesh: Mesh = None) -> Mesh:
+def setup_mesh(cfg: dict, mesh: Mesh) -> Mesh:
     """Connect party ``cfg["party_id"]`` to every other party (module docstring).
 
-    The channels go into ``mesh``, where on a failure they stay open for the
-    mesh's owner to close once it has recorded the failure.  Without a
-    ``mesh`` they go into a new one that records nothing, closed here on a
-    failure.
+    The channels go into ``mesh``, and the listening socket and a rejected
+    connection into ``mesh.sockets``.  Nothing is closed here, on a failure
+    either: the mesh's owner records the failure first, then closes the mesh.
     """
     me, host, ports = cfg["party_id"], cfg["host"], cfg["ports"]
     m = len(ports) - 1
-    own = mesh is None
-    mesh = Mesh(me, {}) if own else mesh
-    srv = tcp_listen(host, ports[me]) if me < m else None
-    try:
-        for j in range(me):
-            mesh.channels[j] = Channel(tcp_connect(host, ports[j]), me, j, mesh.transcript)
-        for _ in range(m - me):
-            ep = tcp_accept(srv)
-            j = ep.peek_sender()
-            if not me < j <= m or j in mesh.channels:
-                ep.close()
-                why = "already connected" if j in mesh.channels else f"not in {me + 1}..{m}"
-                raise ProtocolError(f"party {me} got a connection claiming id {j}, {why}")
-            mesh.channels[j] = Channel(ep, me, j, mesh.transcript)
-    except BaseException:
-        if own:
-            mesh.close()
-        raise
-    finally:
-        if srv is not None:
-            srv.close()
+    if me < m:
+        mesh.sockets.append(tcp_listen(host, ports[me]))
+    for j in range(me):
+        mesh.channels[j] = Channel(tcp_connect(host, ports[j]), me, j, mesh.transcript)
+    for _ in range(m - me):
+        ep = tcp_accept(mesh.sockets[0])
+        j = ep.peek_sender()
+        if not me < j <= m or j in mesh.channels:
+            mesh.sockets.append(ep)
+            why = "already connected" if j in mesh.channels else f"not in {me + 1}..{m}"
+            raise ProtocolError(f"party {me} got a connection claiming id {j}, {why}")
+        mesh.channels[j] = Channel(ep, me, j, mesh.transcript)
     return mesh
 
 
-def write_outcome(path: str, outcome) -> None:
-    """Pickle ``outcome`` to ``path`` atomically: a reader sees all of it or no file."""
+def write_outcome(path: str, outcome: PartyOutcome) -> None:
+    """Pickle ``outcome`` to ``path`` atomically: a reader sees all of it or no file.
+
+    An error that does not survive a pickle round trip is handed back as a
+    ``RuntimeError`` naming its type, so the runner can still blame the party.
+    """
+    if outcome.failure is not None:
+        at, exc = outcome.failure
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:  # noqa: BLE001 - any error of the round trip
+            outcome = replace(outcome, failure=(at, RuntimeError(f"{type(exc).__name__}: {exc}")))
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
         pickle.dump(outcome, fh)

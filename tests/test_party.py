@@ -223,8 +223,7 @@ def test_input_party_rejects_misshapen_masked_matrix(party_id, peer_frames, kind
 
 @pytest.mark.parametrize("m", [2, 5])
 def test_loopback_meshes_form_one_complete_graph(m):
-    transcript = tp.Transcript()
-    meshes = build_loopback_meshes(m, transcript)
+    meshes = build_loopback_meshes(m)
     ids = set(range(m + 1))
     assert set(meshes) == ids
     for i, mesh in meshes.items():
@@ -243,7 +242,8 @@ def test_loopback_meshes_form_one_complete_graph(m):
     assert meshes[tp.FUNCTION_PARTY_ID].n_by_peer == sizes
     for i in range(1, m + 1):
         assert meshes[i].n_by_peer == {j: n for j, n in sizes.items() if j != i}
-    assert [e.kind for e in transcript.entries] == [tp.HELLO] * (m * m)
+    for i, mesh in meshes.items():  # each input party's own transcript holds its m hellos
+        assert [e.kind for e in mesh.transcript.entries] == [tp.HELLO] * (m if i else 0)
     for mesh in meshes.values():
         mesh.close()
 

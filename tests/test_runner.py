@@ -249,20 +249,43 @@ class TestRun:
 
     def test_tcp_run_blames_the_root_cause(self, tmp_path, monkeypatch):
         # party 2 fails first; its peers then fail too, on the channels it closes
-        (tmp_path / "sitecustomize.py").write_text(SITE_INJECT_ACT_ALICE)
-        src = os.path.dirname(os.path.dirname(party.__file__))
-        paths = [str(tmp_path), src, *os.environ.get("PYTHONPATH", "").split(os.pathsep)]
-        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(p for p in paths if p))
-        cfg = RunConfig(protocol="escaped", m=4, features=2, samples=(1, 2, 1, 2),
-                        transport="tcp", verify=False)
+        _inject_site(tmp_path, monkeypatch, SITE_INJECT_ACT_ALICE)
         for _ in range(10):
             t0 = time.monotonic()
             with pytest.raises(ProtocolError, match="^party 2 failed: injected"):
-                run(cfg)
+                run(TCP_M4)
             assert time.monotonic() - t0 < 10.0
 
+    def test_tcp_run_blames_a_party_whose_error_does_not_unpickle(self, tmp_path, monkeypatch):
+        # NeedsTwo cannot be rebuilt from its args: the worker hands it back by name
+        _inject_site(tmp_path, monkeypatch, SITE_INJECT_NEEDS_TWO)
+        for _ in range(3):
+            t0 = time.monotonic()
+            with pytest.raises(ProtocolError, match="^party 2 failed: NeedsTwo: injected in act_alice$"):
+                run(TCP_M4)
+            assert time.monotonic() - t0 < 10.0
 
-# imported first by every worker: party 2's first act as Alice raises
+    def test_tcp_worker_exiting_without_an_outcome_is_blamed_by_its_exit(
+        self, tmp_path, monkeypatch
+    ):
+        _inject_site(tmp_path, monkeypatch, SITE_EXIT_WITHOUT_OUTCOME)
+        with pytest.raises(ProtocolError, match="^party 2 failed: exited 1: no outcome from 2$"):
+            run(TCP_M4)
+
+
+TCP_M4 = RunConfig(protocol="escaped", m=4, features=2, samples=(1, 2, 1, 2), transport="tcp",
+                   verify=False)
+
+
+def _inject_site(tmp_path, monkeypatch, code: str):
+    """Have every worker import ``code`` first, as its ``sitecustomize``."""
+    (tmp_path / "sitecustomize.py").write_text(code)
+    src = os.path.dirname(os.path.dirname(party.__file__))
+    paths = [str(tmp_path), src, *os.environ.get("PYTHONPATH", "").split(os.pathsep)]
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(p for p in paths if p))
+
+
+# party 2's first act as Alice raises
 SITE_INJECT_ACT_ALICE = """
 from mpgram import party
 
@@ -276,6 +299,45 @@ def act_alice(self, bob_id):
 
 
 party._EscapedParty.act_alice = act_alice
+"""
+
+# the same, with an error whose __init__ does not take its own args
+SITE_INJECT_NEEDS_TWO = """
+from mpgram import party
+
+_act_alice = party._EscapedParty.act_alice
+
+
+class NeedsTwo(Exception):
+    def __init__(self, what, where):
+        super().__init__(f"{what} in {where}")
+
+
+def act_alice(self, bob_id):
+    if self.state.party_id == 2:
+        raise NeedsTwo("injected", "act_alice")
+    _act_alice(self, bob_id)
+
+
+party._EscapedParty.act_alice = act_alice
+"""
+
+# party 2's worker exits 1 before it connects or records anything
+SITE_EXIT_WITHOUT_OUTCOME = """
+import sys
+
+from mpgram import party
+
+_play_party = party.play_party
+
+
+def play_party(spec, mesh, data, record, connect=None):
+    if mesh.party_id == 2:
+        sys.exit("no outcome from 2")
+    return _play_party(spec, mesh, data, record, connect)
+
+
+party.play_party = play_party
 """
 
 

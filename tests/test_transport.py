@@ -19,6 +19,15 @@ m61 = FieldDomain()
 f64 = FloatDomain()
 
 
+def tcp_pair() -> tuple:
+    """(accepted, connecting) TCP endpoints on an ephemeral localhost port."""
+    srv = tp.tcp_listen("127.0.0.1", 0)
+    client = tp.tcp_connect("127.0.0.1", srv.getsockname()[1])
+    accepted = tp.tcp_accept(srv)
+    srv.close()
+    return accepted, client
+
+
 class TestFraming:
     def test_empty_payload_is_header_only(self):
         frame = tp.frame_encode(tp.DONE, 1, 2, b"")
@@ -149,14 +158,14 @@ class TestPayloads:
 
 class TestChannels:
     def test_loopback_send_recv(self):
-        a, b = tp.channel_pair("loopback")
+        a, b = tp.loopback_pair()
         a.send_bytes(tp.frame_encode(tp.HELLO, 1, 2, tp.u64_payload(3)))
         frame = b.recv_frame()
         assert frame.kind == tp.HELLO
         assert tp.u64_from_payload(frame.payload) == 3
 
     def test_tcp_ephemeral_port(self):
-        a, b = tp.channel_pair("tcp")
+        a, b = tcp_pair()
         payload = tp.matrix_payload(random_matrix((4, 4), m61, Random(6)))
         b.send_bytes(tp.frame_encode(tp.MASKED_DATA, 2, 1, payload))
         frame = a.recv_frame()
@@ -165,7 +174,7 @@ class TestChannels:
         b.close()
 
     def test_tcp_peek_sender_leaves_frame_unread(self):
-        a, b = tp.channel_pair("tcp")
+        a, b = tcp_pair()
         b.send_bytes(tp.frame_encode(tp.HELLO, 4, 0, tp.u64_payload(3)))
         assert a.peek_sender() == 4
         assert a.peek_sender() == 4
@@ -176,7 +185,7 @@ class TestChannels:
 
     def test_tcp_large_frame_arrives_intact_and_fast(self):
         # receive time must stay linear in the frame size
-        a, b = tp.channel_pair("tcp")
+        a, b = tcp_pair()
         payload = bytes(range(256)) * (32 * 4096)  # 32 MiB
         t = threading.Thread(target=b.send_bytes, args=(tp.frame_encode(tp.SELF_GRAM, 2, 0, payload),))
         start = time.perf_counter()
@@ -192,7 +201,7 @@ class TestChannels:
         assert elapsed < 2.0, f"32 MiB frame took {elapsed:.2f} s"
 
     def test_interleaved_sends_preserve_per_direction_order(self):
-        a, b = tp.channel_pair("tcp")
+        a, b = tcp_pair()
 
         def sender(ep, sender_id):
             for i in range(20):
