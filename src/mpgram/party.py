@@ -19,21 +19,26 @@ Pairwise schedules follow the round-robin rounds of
 ("Alice"), sending its masked data before reading the peer's, which
 keeps every pair exchange free of send/receive cycles.
 
-The function party receives against one table, ``_owed_parts``: each part
-an input party owes it, with its owner and shape from the hello sizes --
-every party's self gram (n_i, n_i); per pair (a, b), A1 from Alice and B1,
-B2 from Bob (n_a, n_b) plus Alice's alpha (1,) once, or the RE X side from
-Alice and Y side from Bob, flat arrays of n_a n_b f leaves of components.
-It reads from each party as many frames as that party owes and rejects on
-arrival a part nobody owes, from the wrong party, repeated, or misshapen;
-so whatever it accepts is complete.  Input parties likewise check each
-masked matrix against the f x n of its sender's hello.
+The function party receives against one table, ``_owed_parts``, in send
+order: per pair in ``pair_rounds`` order, Alice's parts, then Bob's -- A1
+from Alice (plus her alpha (1,) after her first A1) and B1, B2 from Bob
+(n_a, n_b), or the RE X side from Alice and Y side from Bob, flat arrays
+of n_a n_b f leaves of components -- and last every party's self gram
+(n_i, n_i).  It reads one frame from each entry's owner in that order and
+rejects on arrival a part nobody owes, from the wrong party, repeated, or
+misshapen; so whatever it accepts is complete.  Input parties likewise
+check each masked matrix against the f x n of its sender's hello.
+
+This read order cannot deadlock on bounded socket buffers: a party's
+round-r sends to the function party depend only on its round-r peer, and
+the function party finishes round r before it reads round r+1.  (Reading
+all of party 1's parts first can leave party 1 waiting on party 2 while
+party 2 is blocked sending a part nobody reads yet.)
 """
 
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -275,26 +280,24 @@ _RE_SIDES = {tp.SIDE_X: X_SIDE, tp.SIDE_Y: Y_SIDE}
 
 
 def function_party_session(spec: SessionSpec, mesh) -> FunctionPartyResult:
-    """Read every part the input parties owe (``_owed_parts``), then assemble the gram."""
+    """Read every part the input parties owe, in ``_owed_parts`` order, then assemble the gram."""
     dom = spec.domain
     sizes = mesh.n_by_peer
     owed = _owed_parts(spec, sizes)
-    frames_from = Counter(owner for owner, _ in owed.values())
     got = {}
-    for i in range(1, spec.m + 1):
-        for _ in range(frames_from[i]):
-            key, value, shape = _read_part(mesh.channels[i].recv(), dom)
-            what = _part_name(key)
-            if key not in owed:
-                raise ProtocolError(f"party {i} sent {what}, which no party owes")
-            owner, want = owed[key]
-            if i != owner:
-                raise ProtocolError(f"{what} came from party {i}, expected party {owner}")
-            if key in got:
-                raise ProtocolError(f"duplicate {what} from party {i}")
-            if shape != want:
-                raise ProtocolError(f"{what} from party {i} has shape {shape}, expected {want}")
-            got[key] = value
+    for i, _ in owed.values():
+        key, value, shape = _read_part(mesh.channels[i].recv(), dom)
+        what = _part_name(key)
+        if key not in owed:
+            raise ProtocolError(f"party {i} sent {what}, which no party owes")
+        owner, want = owed[key]
+        if i != owner:
+            raise ProtocolError(f"{what} came from party {i}, expected party {owner}")
+        if key in got:
+            raise ProtocolError(f"duplicate {what} from party {i}")
+        if shape != want:
+            raise ProtocolError(f"{what} from party {i} has shape {shape}, expected {want}")
+        got[key] = value
 
     self_blocks = {i: got[SELF, i] for i in range(1, spec.m + 1)}
     pairs = pair_schedule(spec.m)
@@ -319,23 +322,24 @@ def function_party_session(spec: SessionSpec, mesh) -> FunctionPartyResult:
 
 
 def _owed_parts(spec: SessionSpec, sizes: dict) -> dict:
-    """Every part the input parties owe the function party: key -> (owner, shape).
+    """Every part the input parties owe the function party, in send order: key -> (owner, shape).
 
     Keys are ``(label, party)`` or ``(label, alice, bob)``, over the pairs of
-    ``pair_schedule`` and the hello sizes ``sizes``; see the module docstring.
+    ``pair_rounds`` and the hello sizes ``sizes``; see the module docstring.
     """
-    owed = {(SELF, i): (i, (n, n)) for i, n in sizes.items()}
-    for a, b in pair_schedule(spec.m):
+    owed = {}
+    for a, b in (pair for rnd in pair_rounds(spec.m) for pair in rnd):
         if spec.protocol == ESCAPED:
             owed[A1, a, b] = (a, (sizes[a], sizes[b]))
+            owed.setdefault((ALPHA, a), (a, (1,)))
             owed[B1, a, b] = owed[B2, a, b] = (b, (sizes[a], sizes[b]))
-            owed[ALPHA, a] = (a, (1,))
         elif spec.protocol == RE:
             leaves = sizes[a] * sizes[b] * spec.features
             owed[X_SIDE, a, b] = (a, (leaves * len(WIRE_X_SIDE),))
             owed[Y_SIDE, a, b] = (b, (leaves * len(WIRE_Y_SIDE),))
         else:
             raise ProtocolError(f"unknown protocol {spec.protocol!r}")
+    owed.update({(SELF, i): (i, (sizes[i], sizes[i])) for i in sorted(sizes)})
     return owed
 
 
@@ -413,10 +417,11 @@ def hello_phase(mesh: Mesh, n_samples: int = None):
 
 
 def build_loopback_meshes(m: int) -> dict:
-    """One loopback channel pair per pair of ids 0..m; returns {party_id: Mesh}.
+    """One ``socket.socketpair()`` per pair of ids 0..m; returns {party_id: Mesh}.
 
-    Each party records its sends into a transcript of its own.  Hello phases
-    are left to ``run_party`` so frames are recorded in each sender's own order.
+    Sends block on a full socket buffer just as over TCP.  Each party records
+    its sends into a transcript of its own.  Hello phases are left to
+    ``run_party`` so frames are recorded in each sender's own order.
     """
     meshes = {i: Mesh(i, {}, tp.Transcript()) for i in range(m + 1)}
     for i in range(m + 1):

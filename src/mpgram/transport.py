@@ -13,6 +13,11 @@ Matrices are prefixed with two 4-byte dims (rows, cols) and sent
 row-major; flat scalar arrays with one 4-byte count.  No compression and
 no variable-width encodings, so every byte is accounted for exactly.
 
+Both transports use one endpoint class, ``TcpEndpoint``, over a stream
+socket: a TCP run over connected TCP sockets, a loopback run over
+``socket.socketpair()`` inside one process.  So framing, buffering,
+bounded send buffers, timeouts and close semantics are the same on both.
+
 Transcripts record the sender side of every frame with a per-channel
 sequence number.  The canonical order (sender, receiver, seq) is
 independent of arrival interleaving, which is what makes loopback and
@@ -23,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import queue
 import socket
 import struct
 import threading
@@ -274,38 +278,12 @@ class Transcript:
 # -- endpoints -------------------------------------------------------------
 
 
-class LoopbackEndpoint:
-    """In-memory duplex endpoint; semantically identical to the TCP one."""
-
-    RECV_TIMEOUT = 120.0  # guards against a dead peer wedging the run
-
-    def __init__(self, out_q: queue.Queue, in_q: queue.Queue):
-        self._out = out_q
-        self._in = in_q
-
-    def send_bytes(self, data: bytes):
-        self._out.put(data)
-
-    def recv_frame(self) -> Frame:
-        try:
-            data = self._in.get(timeout=self.RECV_TIMEOUT)
-        except queue.Empty:
-            raise TransportError("recv timed out waiting for peer") from None
-        if data is None:
-            raise TransportError("channel closed by peer")
-        return frame_decode(data)
-
-    def close(self):
-        self._out.put(None)
-
-
-def loopback_pair() -> tuple:
-    a_to_b: queue.Queue = queue.Queue()
-    b_to_a: queue.Queue = queue.Queue()
-    return LoopbackEndpoint(a_to_b, b_to_a), LoopbackEndpoint(b_to_a, a_to_b)
+IO_TIMEOUT = 120.0  # per socket operation; guards against a dead peer wedging the run
 
 
 class TcpEndpoint:
+    """One end of a stream socket carrying whole frames; loopback and TCP alike."""
+
     def __init__(self, sock: socket.socket):
         self._sock = sock
         self._send_lock = threading.Lock()
@@ -352,6 +330,14 @@ class TcpEndpoint:
         self._sock.close()
 
 
+def loopback_pair() -> tuple:
+    """Two connected endpoints over ``socket.socketpair()``, in this process."""
+    a, b = socket.socketpair()
+    for sock in (a, b):
+        sock.settimeout(IO_TIMEOUT)
+    return TcpEndpoint(a), TcpEndpoint(b)
+
+
 def tcp_listen(host: str, port: int) -> socket.socket:
     try:
         srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -361,9 +347,6 @@ def tcp_listen(host: str, port: int) -> socket.socket:
         return srv
     except OSError as exc:
         raise TransportError(f"cannot listen on {host}:{port}: {exc}") from exc
-
-
-IO_TIMEOUT = 120.0
 
 
 def tcp_accept(srv: socket.socket) -> TcpEndpoint:

@@ -62,19 +62,30 @@ def setup_mesh(cfg: dict, mesh: Mesh) -> Mesh:
 def write_outcome(path: str, outcome: PartyOutcome) -> None:
     """Pickle ``outcome`` to ``path`` atomically: a reader sees all of it or no file.
 
-    An error that does not survive a pickle round trip is handed back as a
-    ``RuntimeError`` naming its type, so the runner can still blame the party.
+    A failure's error is handed back as itself only if the runner can unpickle
+    it; any other as ``RuntimeError("<type>: <text>")``, so the runner can
+    still blame the party.
     """
     if outcome.failure is not None:
         at, exc = outcome.failure
-        try:
-            pickle.loads(pickle.dumps(exc))
-        except Exception:  # noqa: BLE001 - any error of the round trip
+        if not _portable(exc):
             outcome = replace(outcome, failure=(at, RuntimeError(f"{type(exc).__name__}: {exc}")))
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
         pickle.dump(outcome, fh)
     os.replace(tmp, path)
+
+
+def _portable(exc: BaseException) -> bool:
+    """Whether ``exc``'s class is one the runner imports (``builtins``, ``mpgram``)
+    and ``exc`` survives a pickle round trip."""
+    if type(exc).__module__.partition(".")[0] not in ("builtins", "mpgram"):
+        return False
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:  # noqa: BLE001 - any error of the round trip
+        return False
+    return True
 
 
 def main(argv=None) -> int:

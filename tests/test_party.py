@@ -1,9 +1,11 @@
-"""Mesh shape, and inbound frame validation at arrival, driven by scripted peers.
+"""Mesh shape, the function party's read order, and inbound frame validation
+at arrival, driven by scripted peers.
 
 The function party is fed scripted input parties; an input party is fed a
 scripted peer.
 """
 
+import hashlib
 import re
 import threading
 
@@ -16,12 +18,15 @@ from mpgram.matrix import Matrix
 from mpgram.party import (
     Mesh,
     SessionSpec,
+    _owed_parts,
+    _read_part,
     build_loopback_meshes,
     function_party_session,
     hello_phase,
     input_party_session,
     play_party,
 )
+from mpgram.runner import RunConfig, run
 
 m61 = FieldDomain()
 ONE = Matrix([[1]], m61)
@@ -246,6 +251,35 @@ def test_loopback_meshes_form_one_complete_graph(m):
         assert [e.kind for e in mesh.transcript.entries] == [tp.HELLO] * (m if i else 0)
     for mesh in meshes.values():
         mesh.close()
+
+
+# -- read order: the function party reads in the order parties send -----------
+
+
+@pytest.mark.parametrize("protocol", ["escaped", "re"])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_owed_parts_are_in_each_partys_send_order(monkeypatch, protocol, m):
+    sent = {}  # (sender, payload sha as in the transcript) -> frame to the function party
+    send = tp.Channel.send
+
+    def recording_send(self, kind, payload):
+        if self.peer_id == tp.FUNCTION_PARTY_ID:
+            sha = hashlib.sha256(payload).hexdigest()[:16]
+            sent[self.local_id, sha] = frame(kind, self.local_id, payload)
+        send(self, kind, payload)
+
+    monkeypatch.setattr(tp.Channel, "send", recording_send)
+    samples = tuple(range(m, 0, -1))
+    res = run(RunConfig(protocol=protocol, m=m, features=2, samples=samples, verify=False))
+    owed = _owed_parts(SessionSpec(protocol, m, 2, m61, 0), dict(enumerate(samples, 1)))
+    for i in range(1, m + 1):
+        to_fp = sorted(
+            (e for e in res.transcript.entries
+             if (e.sender, e.receiver) == (i, tp.FUNCTION_PARTY_ID) and e.kind != tp.HELLO),
+            key=lambda e: e.seq,
+        )
+        sent_keys = [_read_part(sent[i, e.payload_sha], m61)[0] for e in to_fp]
+        assert sent_keys == [key for key, (owner, _) in owed.items() if owner == i]
 
 
 # -- outcomes: recorded before any channel closes ------------------------------

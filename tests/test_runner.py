@@ -226,12 +226,31 @@ class TestRun:
 
         monkeypatch.setattr(party._ReParty, "act_alice", act_alice)
         # bounds the wait of a run that does not fail fast
-        monkeypatch.setattr(tp.LoopbackEndpoint, "RECV_TIMEOUT", 10.0)
+        monkeypatch.setattr(tp, "IO_TIMEOUT", 10.0)
         cfg = RunConfig(protocol="re", m=3, features=4, samples=(2, 3, 2), verify=False)
         t0 = time.monotonic()
         with pytest.raises(ProtocolError, match="^party 2 failed: injected encode failure$"):
             run(cfg)
         assert time.monotonic() - t0 < 5.0
+
+    @pytest.mark.parametrize("protocol, features, n", [("escaped", 4, 200), ("re", 32, 24)])
+    def test_loopback_run_at_size_does_not_wedge(self, monkeypatch, protocol, features, n):
+        # the parts outgrow a socket buffer here, so the function party must
+        # read them in the order the parties send (party module docstring)
+        monkeypatch.setattr(tp, "IO_TIMEOUT", 10.0)
+        cfg = RunConfig(protocol=protocol, m=3, features=features, samples=(n, n, n),
+                        verify=False)
+        t0 = time.monotonic()
+        assert run(cfg).report["audit"]["ok"]
+        assert time.monotonic() - t0 < 5.0
+
+    def test_tcp_run_at_size_does_not_wedge(self):
+        # reading all of party 1's parts first waits out the 120 s recv timeout here
+        cfg = RunConfig(protocol="re", m=3, features=32, samples=(100, 100, 100),
+                        transport="tcp", verify=False)
+        t0 = time.monotonic()
+        assert run(cfg).report["audit"]["ok"]
+        assert time.monotonic() - t0 < 20.0
 
     def test_failing_tcp_worker_ends_run_and_is_blamed(self):
         # party 2 cannot listen on its port, so party 3, which connects there,
@@ -262,6 +281,17 @@ class TestRun:
         for _ in range(3):
             t0 = time.monotonic()
             with pytest.raises(ProtocolError, match="^party 2 failed: NeedsTwo: injected in act_alice$"):
+                run(TCP_M4)
+            assert time.monotonic() - t0 < 10.0
+
+    def test_tcp_run_blames_a_party_whose_error_class_the_runner_cannot_import(
+        self, tmp_path, monkeypatch
+    ):
+        # Boom pickles in the worker, but only the worker's sitecustomize defines it
+        _inject_site(tmp_path, monkeypatch, SITE_INJECT_BOOM)
+        for _ in range(3):
+            t0 = time.monotonic()
+            with pytest.raises(ProtocolError, match="^party 2 failed: Boom: injected$"):
                 run(TCP_M4)
             assert time.monotonic() - t0 < 10.0
 
@@ -316,6 +346,26 @@ class NeedsTwo(Exception):
 def act_alice(self, bob_id):
     if self.state.party_id == 2:
         raise NeedsTwo("injected", "act_alice")
+    _act_alice(self, bob_id)
+
+
+party._EscapedParty.act_alice = act_alice
+"""
+
+# the same, with an error class that only the workers can import
+SITE_INJECT_BOOM = """
+from mpgram import party
+
+_act_alice = party._EscapedParty.act_alice
+
+
+class Boom(Exception):
+    pass
+
+
+def act_alice(self, bob_id):
+    if self.state.party_id == 2:
+        raise Boom("injected")
     _act_alice(self, bob_id)
 
 
