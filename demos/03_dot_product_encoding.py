@@ -6,10 +6,10 @@ right, so everything telescopes away), and recurses down to per-index
 mul-add gadgets with four randoms each: 5d - 1 randoms in total.
 
 Encoding and decoding are array operations: leading axes carry a block of
-sample pairs, the last ones the leaves and their components.
+sample pairs, the last ones the leaves and their components.  The randoms
+come from the scheme owner's own key, so the peer learns only the triples
+it is sent.
 """
-
-from random import Random
 
 from mpgram import (
     FieldDomain,
@@ -20,9 +20,9 @@ from mpgram import (
     generate_scheme,
     offline_components,
     pair_randoms,
-    sample_randoms,
     y_random_triples,
 )
+from mpgram.seeds import party_key
 
 scheme = generate_scheme(7)
 print(dump_scheme(scheme))
@@ -32,10 +32,10 @@ print(f"\nrandom budget: {scheme.total_randoms} = 4 per leaf * 7 leaves + 6 spli
 # one party (the scheme owner) holds x and every random; the peer holds y
 # and receives only the three per-leaf randoms its components mention
 field = FieldDomain(scale_bits=0, p=251)
-rng = Random(7)
-randoms = sample_randoms(scheme, field, rng)                   # shape (34,)
-x = field.uniform_rows([rng], 7)[0]
-y = field.uniform_rows([rng], 7)[0]
+key = party_key(7, 1)                                          # the owner's own key
+randoms = field.sample(key, "demo", scheme.total_randoms)      # shape (34,)
+x = field.sample(key, "x", 7)
+y = field.sample(key, "y", 7)
 
 x_comps = encode_x_side(field, x, scheme, randoms)            # (7, 2): (c1, c2) per leaf
 triples = y_random_triples(scheme, randoms)                    # (7, 3): what crosses the wire
@@ -56,9 +56,10 @@ print(f"\ndecoded dot product = {decoded}; plaintext = {plain}; exact match: {de
 print(f"scalars revealed to the decoder: {5 * scheme.d} (vs 14 plaintext inputs)")
 
 # A party encodes one of its samples against a whole block of the peer's
-# samples at once: one row of fresh randoms per sample pair (u, v).
-peer = field.uniform_rows([rng], 4 * 7).reshape(4, 7)          # 4 peer samples
-block = pair_randoms(scheme, field, 42, 1, 2, 0, range(4))     # (4, 34)
+# samples at once: one row of fresh randoms per sample pair (u, v), all
+# read from its own key under the label ("re", peer id, u).
+peer = field.sample(key, "peer", 4 * 7).reshape(4, 7)          # 4 peer samples
+block = pair_randoms(scheme, field, key, 2, 0, 4)              # (4, 34): u = 0, peer id 2
 dots = decode_dot(
     field,
     encode_x_side(field, x, scheme, block),                    # (4, 7, 2)

@@ -3,10 +3,11 @@
 Alice (lower id, data X) and Bob (data Y) each hold an f x n matrix,
 one column per sample.  Three masked messages between them plus three
 small matrices to the function party produce the exact cross-gram block
-X^T Y without anyone seeing the other side's data.
+X^T Y without anyone seeing the other side's data.  Each party draws its
+masks from its own key, which no other party holds.
 """
 
-from random import Random
+import numpy as np
 
 from mpgram import (
     FieldDomain,
@@ -15,20 +16,23 @@ from mpgram import (
     assemble_gram,
     bob_compute,
     bob_round1,
+    encode_real_matrix,
     fp_combine,
     gram_t,
     make_party_state,
     plaintext_gram,
-    random_matrix,
     run_pair,
 )
 from mpgram.masking import PairResult
+from mpgram.seeds import party_key
 
 field = FieldDomain(scale_bits=16)
-rng = Random(42)
+rng = np.random.default_rng(42)
 
-alice = make_party_state(1, random_matrix((5, 3), field, rng), run_seed=42)
-bob = make_party_state(2, random_matrix((5, 4), field, rng), run_seed=43)
+# party i's key: in this simulation derived from a run seed, in a deployment
+# an independent secret of each party
+alice = make_party_state(1, encode_real_matrix(rng.uniform(-1, 1, (5, 3)), field), party_key(42, 1))
+bob = make_party_state(2, encode_real_matrix(rng.uniform(-1, 1, (5, 4)), field), party_key(42, 2))
 print(f"alice: data 5x3, mask 5x3, scalar mask alpha = {alice.mask_scalar}")
 print(f"bob:   data 5x4, mask 5x4")
 

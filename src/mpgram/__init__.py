@@ -63,7 +63,6 @@ from .scheme import (
     generate_scheme,
     offline_components,
     pair_randoms,
-    sample_randoms,
     y_random_triples,
 )
 

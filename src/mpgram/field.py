@@ -21,16 +21,16 @@ Two interchangeable domains:
 Small test primes (Z_5, Z_251) are supported by passing ``p`` explicitly;
 exhaustive distribution checks are only feasible over tiny fields.
 
-Each domain has one bulk sampler, ``uniform_rows(rngs, n)``: row i holds
-exactly the values that n calls of ``uniform(rngs[i])`` would return, and
-each generator ends in the state those calls would leave it in.  It works
-because ``Random.getrandbits(k)`` consumes ceil(k/32) 32-bit Mersenne
-Twister words, lowest word first, and drops the low bits of the last one,
-while ``Random.randbytes(4w)`` returns the next w words, little-endian.  So
-one ``randbytes`` call per generator yields every word that n draws use,
-and numpy cuts them into draws; a field draw at or above p is rejected, and
-only the shortfall is drawn again from the same generator, so no word is
-drawn that the scalar loop would not draw.
+Each domain has one bulk sampler, ``sample(key, label, n)``, which turns
+the words of the keyed stream ``seeds.stream_words(key, label, .)`` into n
+uniform elements: over the field each word is cut to its top bits(p) bits
+and values at or above p are rejected, with a shortfall filled by reading
+further into the same stream; over floats a word w gives (w >> 11) 2^-53.
+So fewer draws of one (key, label) are a prefix of more.
+``sample_nonzero(key, label)`` draws a nonzero scalar from a label of its
+own.  Each domain also has ``check_gram_range``, which the field uses to
+reject, before anything is sent, encoded data whose dot products could
+wrap around.
 
 Besides the scalar operations, each domain owns the arithmetic of whole
 matrices: ``reduce`` maps the result of an array expression over Python
@@ -45,11 +45,11 @@ float64 arrays of the same values.
 from __future__ import annotations
 
 import math
-from random import Random
 
 import numpy as np
 
 from .errors import DomainError, EncodingOverflowError
+from .seeds import stream_words
 
 M61 = (1 << 61) - 1  # 2^61 - 1 = 2305843009213693951
 
@@ -120,9 +120,10 @@ class FixedPointCodec:
         """Decode a sum of products of two encoded reals.
 
         Values above p/2 are interpreted as negative.  A true value whose
-        magnitude exceeds the headroom wraps silently here; callers are
-        responsible for the range precondition, and a verified run checks
-        the decoded gram against a float64 one to catch a wrap.
+        magnitude exceeds the headroom wraps silently here; input parties
+        check the range precondition with ``check_gram_range`` before they
+        send anything, and a verified run also checks the decoded gram
+        against a float64 one.
         """
         return self._unscale(v, 2 * self.scale_bits)
 
@@ -133,12 +134,42 @@ class FixedPointCodec:
         and v - p is formed there; it wraps mod 2^64, and its int64 view is
         v - p exactly, since -p/2 < v - p < 0 for every p < 2^64.
         """
-        half = (self.modulus - 1) // 2
         if isinstance(v, np.ndarray):
-            u = v.astype(np.uint64)
-            signed = np.where(u > half, u - np.uint64(self.modulus), u).view(np.int64)
-            return np.ldexp(signed, -bits)
+            return np.ldexp(self.centred(v), -bits)
+        half = (self.modulus - 1) // 2
         return ((v + half) % self.modulus - half) / (1 << bits)
+
+    def centred(self, entries) -> np.ndarray:
+        """int64 array of signed(v) for an entry array (see ``_unscale``)."""
+        u = entries.astype(np.uint64)
+        half = np.uint64((self.modulus - 1) // 2)
+        return np.where(u > half, u - np.uint64(self.modulus), u).view(np.int64)
+
+    def check_gram_range(self, entries, party_id: int) -> None:
+        """Raise ``EncodingOverflowError`` unless every column x of the f x n
+        entry array has ||signed(x)||^2 <= (p - 1) / 2.
+
+        (p - 1) / 2 is the largest magnitude that decodes, and by
+        Cauchy-Schwarz |<x, y>| <= ||x|| ||y||, so when every party's columns
+        pass, no entry of the pooled gram wraps around, and each party checks
+        its own data alone.  The squared norms are summed in float64, within
+        a relative (f + 3) 2^-53 of the exact sum; a column within twice that
+        margin of the limit is summed again in Python ints, so the verdict is
+        exact.
+        """
+        limit = (self.modulus - 1) // 2
+        signed = self.centred(entries)
+        x = signed.astype(np.float64)
+        margin = (signed.shape[0] + 3) * 2.0**-52
+        for u in np.flatnonzero((x * x).sum(axis=0) > limit * (1.0 - margin)):
+            norm2 = sum(v * v for v in signed[:, u].tolist())
+            if norm2 > limit:
+                raise EncodingOverflowError(
+                    f"sample {u} of party {party_id} has encoded squared norm {norm2} > "
+                    f"(p - 1) / 2 = {limit} (norm {math.sqrt(norm2) / self.scale:.6g} > "
+                    f"{math.sqrt(limit) / self.scale:.6g} in real units), so its dot "
+                    f"products could wrap around mod p"
+                )
 
 
 class FieldDomain:
@@ -192,39 +223,35 @@ class FieldDomain:
     def decode_dot(self, v):
         return self.codec.decode_dot(v)
 
+    def check_gram_range(self, entries, party_id: int) -> None:
+        self.codec.check_gram_range(entries, party_id)
+
     # -- sampling --------------------------------------------------------
 
-    def uniform(self, rng: Random) -> int:
-        """Uniform element of Z_p via rejection on p.bit_length() bits."""
-        while True:
-            v = rng.getrandbits(self._bits)
-            if v < self.p:
-                return v
+    def sample(self, key: bytes, label, n: int) -> np.ndarray:
+        """(n,) object array of uniform elements of Z_p from the stream (key, label).
 
-    def uniform_nonzero(self, rng: Random) -> int:
-        while True:
-            v = self.uniform(rng)
-            if v:
-                return v
-
-    def uniform_rows(self, rngs, n: int) -> np.ndarray:
-        """(len(rngs), n) object array; row i is n calls of ``uniform(rngs[i])``.
-
-        A draw of k <= 32 bits is the top k bits of one word; a wider draw is
-        w0 | (w1 >> (64 - k)) << 32.  Rows with a rejected draw keep the
-        accepted values in order and draw only the shortfall again.
+        Each word's top bits(p) bits are one candidate, kept if below p.  The
+        first read takes the expected number of words for n values; each
+        shortfall reads the stream again, further, and keeps the accepted
+        values in stream order.
         """
-        k = self._bits
-        if k <= 32:
-            v = _words(rngs, n) >> np.uint64(32 - k)
-        else:
-            w = _words(rngs, 2 * n)
-            v = w[:, 0::2] | (w[:, 1::2] >> np.uint64(64 - k)) << np.uint64(32)
-        out = v.astype(object)
-        for i in np.flatnonzero((v >= self.p).any(axis=1)):
-            kept = out[i][v[i] < self.p]
-            out[i] = np.concatenate((kept, self.uniform_rows([rngs[i]], n - kept.size)[0]))
-        return out
+        shift = np.uint64(64 - self._bits)
+        count, v = 0, np.empty(0, dtype=np.uint64)
+        while v.size < n:
+            count -= ((v.size - n) << self._bits) // self.p  # += ceil(shortfall 2^bits / p)
+            v = stream_words(key, label, count) >> shift
+            v = v[v < self.p]
+        return v[:n].astype(object)
+
+    def sample_nonzero(self, key: bytes, label) -> int:
+        """The first nonzero value of ``sample(key, label, .)``."""
+        n = 1
+        while True:
+            v = self.sample(key, label, n)
+            if v.any():
+                return v[v != 0][0]
+            n *= 2
 
     # -- arrays: reduction and wire codec (8-byte little-endian unsigned) --
 
@@ -284,12 +311,6 @@ class FieldDomain:
 
     def __repr__(self):
         return f"FieldDomain(p={self.p}, scale_bits={self.scale_bits})"
-
-
-def _words(rngs, count: int) -> np.ndarray:
-    """(len(rngs), count) uint64 array of each generator's next ``count`` 32-bit words."""
-    buf = b"".join(rng.randbytes(4 * count) for rng in rngs)
-    return np.frombuffer(buf, dtype="<u4").reshape(len(rngs), count).astype(np.uint64)
 
 
 def _carry_words(q) -> list:
@@ -364,23 +385,16 @@ class FloatDomain:
     def decode_dot(self, v: float) -> float:
         return v
 
-    def uniform(self, rng: Random) -> float:
-        return rng.random()
+    def sample(self, key: bytes, label, n: int) -> np.ndarray:
+        """(n,) object array of floats in [0, 1): (w >> 11) 2^-53 of each stream word."""
+        return ((stream_words(key, label, n) >> np.uint64(11)) * 2.0**-53).astype(object)
 
-    def uniform_rows(self, rngs, n: int) -> np.ndarray:
-        """(len(rngs), n) object array; row i is n calls of ``uniform(rngs[i])``.
+    def sample_nonzero(self, key: bytes, label) -> float:
+        """0.5 + 1.5 u, u the first float of ``sample(key, label, .)``: in [0.5, 2.0)."""
+        return 0.5 + 1.5 * self.sample(key, label, 1)[0]
 
-        ``Random.random()`` is ((w0 >> 5) 2^26 + (w1 >> 6)) / 2^53 of two
-        words, which float64 computes exactly.
-        """
-        w = _words(rngs, 2 * n)
-        v = ((w[:, 0::2] >> np.uint64(5)) * 67108864.0 + (w[:, 1::2] >> np.uint64(6))) * (
-            1.0 / 9007199254740992.0
-        )
-        return v.astype(object)
-
-    def uniform_nonzero(self, rng: Random) -> float:
-        return 0.5 + 1.5 * rng.random()
+    def check_gram_range(self, entries, party_id: int) -> None:
+        """Floats do not wrap around, so any finite data passes."""
 
     # -- arrays: reduction and wire codec (IEEE binary64) ----------------
 

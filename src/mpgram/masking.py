@@ -13,9 +13,10 @@ and the function party recovers the cross-gram block exactly:
     A1 + B1 + (1/alpha) B2
       = a^T Y - a^T b + X^T Y - a^T Y + a^T b = X^T Y.
 
-One mask matrix and one scalar mask per party per run, reused across all
-of that party's pairs; the scalar is what keeps the transmitted mask
-``alpha a`` from revealing ``a`` to the peer.  ``leakage_view``
+One mask matrix and one scalar mask per party per run, drawn from the
+party's own key and reused across all of that party's pairs; the scalar
+is what keeps the transmitted mask ``alpha a`` from revealing ``a`` to
+the peer.  ``leakage_view``
 reconstructs everything the function party can derive from its messages
 alone, which is an incomplete gram matrix of data and mask columns.
 """
@@ -29,7 +30,6 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, ProtocolError, ProtocolIncompleteError
 from .matrix import Matrix, gram_t, mat_add, mat_scale, mat_sub, random_matrix
-from .seeds import derived_rng
 
 
 @dataclass(frozen=True)
@@ -46,17 +46,16 @@ class PartyState:
         return self.data.cols
 
 
-def make_party_state(party_id: int, data: Matrix, run_seed: int) -> PartyState:
-    """Sample the party's masks deterministically from the run seed.
+def make_party_state(party_id: int, data: Matrix, key: bytes) -> PartyState:
+    """Draw the party's masks from its own key: mask a from the stream
+    ``"mask"``, alpha from ``"alpha"``.
 
     Mask and scalar are drawn once per run and reused for every pair the
-    party participates in.
+    party participates in.  Only the key's holder can draw them.
     """
-    rng = derived_rng(run_seed, "mask", party_id)
     dom = data.domain
-    mask = random_matrix((data.rows, data.cols), dom, rng)
-    alpha = dom.uniform_nonzero(rng)
-    return PartyState(party_id, data, mask, alpha)
+    mask = random_matrix((data.rows, data.cols), dom, key, "mask")
+    return PartyState(party_id, data, mask, dom.sample_nonzero(key, "alpha"))
 
 
 def alice_round1(state: PartyState) -> tuple:

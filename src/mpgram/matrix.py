@@ -16,7 +16,6 @@ also owns the wire codec of the entries.
 
 from __future__ import annotations
 
-from random import Random
 from typing import Sequence
 
 import numpy as np
@@ -121,14 +120,10 @@ def gram_t(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.domain.matmul_t(a.data, b.data), a.domain)
 
 
-def random_matrix(shape: tuple, domain, rng: Random) -> Matrix:
-    """Matrix of i.i.d. uniform domain elements from a seeded generator.
-
-    The entries, in row-major order, are the values of successive
-    ``domain.uniform(rng)`` calls, drawn in bulk by ``domain.uniform_rows``.
-    """
+def random_matrix(shape: tuple, domain, key: bytes, label) -> Matrix:
+    """Matrix of i.i.d. uniform domain elements: ``domain.sample(key, label, .)``, row-major."""
     rows, cols = shape
-    return Matrix(domain.uniform_rows([rng], rows * cols).reshape(rows, cols), domain)
+    return Matrix(domain.sample(key, label, rows * cols).reshape(rows, cols), domain)
 
 
 def encode_real_matrix(rows: Sequence[Sequence[float]], domain) -> Matrix:

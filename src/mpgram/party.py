@@ -10,9 +10,12 @@ entries of its own sends, the function party's result, and on failure
 ``(time.monotonic(), exception)``, recorded before any socket closes.
 Hello rule: an input party sends its sample count on every channel in id
 order (the function party first), then every party reads one hello from
-each input party.  Determinism contract: given (run seed, config, data),
-every byte a party sends and the per-channel order of its frames are fixed,
-so transcripts from different transports are comparable frame for frame.
+each input party; before it, an input party checks that its data cannot
+wrap around (``check_gram_range``).  Each party draws its randomness from
+its own key in ``SessionSpec.key`` and from no other.  Determinism
+contract: given (keys, config, data), every byte a party sends and the
+per-channel order of its frames are fixed, so transcripts from different
+transports are comparable frame for frame.
 
 Pairwise schedules follow the round-robin rounds of
 ``masking.pair_rounds``; within a pair the lower id acts first
@@ -79,11 +82,17 @@ from .scheme import (
 
 @dataclass(frozen=True)
 class SessionSpec:
+    """One party's view of a run: the shared config and its own stream key.
+
+    ``key`` is the ``seeds.KEY_BYTES``-byte key of the party that holds this
+    spec, or None for the function party, which draws nothing.
+    """
+
     protocol: str
     m: int
     features: int
     domain: object
-    run_seed: int
+    key: bytes | None
 
 
 @dataclass
@@ -126,11 +135,14 @@ def run_party(spec: SessionSpec, mesh, data: Matrix = None):
     """Run party ``mesh.party_id`` on its connected ``mesh``: hello phase, then session.
 
     Party 0 is the function party; it returns its ``FunctionPartyResult``.
-    An input party announces the sample count of its ``data`` and returns None.
+    An input party first checks that no dot product of its data can wrap
+    around (``check_gram_range``), then announces the sample count of its
+    ``data``, and returns None.
     """
     if mesh.party_id == tp.FUNCTION_PARTY_ID:
         hello_phase(mesh)
         return function_party_session(spec, mesh)
+    data.domain.check_gram_range(data.data, mesh.party_id)
     hello_phase(mesh, data.cols)
     input_party_session(spec, data, mesh)
     return None
@@ -143,7 +155,7 @@ def input_party_session(spec: SessionSpec, data: Matrix, mesh) -> None:
     """Run input party ``mesh.party_id`` to completion.  Hellos are already exchanged."""
     party_id = mesh.party_id
     if spec.protocol == ESCAPED:
-        runner = _EscapedParty(spec, make_party_state(party_id, data, spec.run_seed), mesh)
+        runner = _EscapedParty(spec, make_party_state(party_id, data, spec.key), mesh)
     elif spec.protocol == RE:
         runner = _ReParty(spec, data, mesh)
     else:
@@ -216,8 +228,8 @@ class _ReParty:
     """Randomized-encoding role: fresh randoms per sample pair, components to FP.
 
     Alice works one of her samples at a time: the randoms of that sample
-    against every Bob sample form one (n_b, total_randoms) block.  The frames
-    follow the RE wire layout of ``mpgram.scheme``.
+    against every Bob sample form one (n_b, total_randoms) block, read from
+    her own key.  The frames follow the RE wire layout of ``mpgram.scheme``.
     """
 
     def __init__(self, spec, data: Matrix, mesh):
@@ -230,12 +242,10 @@ class _ReParty:
     def act_alice(self, bob_id: int):
         spec, scheme = self.spec, self.scheme
         dom = spec.domain
-        bob_samples = range(self.mesh.n_by_peer[bob_id])
+        n_b = self.mesh.n_by_peer[bob_id]
         to_bob, to_fp = [], []
         for u in range(self.data.cols):
-            randoms = pair_randoms(
-                scheme, dom, spec.run_seed, self.party_id, bob_id, u, bob_samples
-            )
+            randoms = pair_randoms(scheme, dom, spec.key, bob_id, u, n_b)
             to_bob.append(y_random_triples(scheme, randoms))
             x_comps = encode_x_side(dom, self.data.data[:, u], scheme, randoms)
             to_fp.append(x_side_wire(x_comps, offline_components(dom, scheme, randoms)))

@@ -5,16 +5,19 @@ runs spawn one OS process per party (input parties and the function
 party), each with a single-threaded OpenBLAS, which hands its
 ``PartyOutcome`` back in a pickle file.  On both, one collector merges
 the parties' sender-side transcripts and blames the earliest failure.
+Each party gets its own copy of the ``SessionSpec``, which carries only
+its own key (``party_specs``; see ``mpgram.seeds``).
 With the ``verify`` flag the orchestrator recomputes the plaintext gram
-matrix as an oracle and checks the protocol output against it, and checks the
-decoded gram against a float64 gram of the decoded inputs, which catches
-fixed-point wrap-around -- in a real deployment that would defeat the
-point, so it is strictly a testing facility.
+matrix as an oracle and checks the protocol output against it, checks the
+decoded gram against a float64 gram of the decoded inputs, a second guard
+against fixed-point wrap-around after each party's own ``check_gram_range``,
+and re-derives the party keys from the run seed to check the function
+party's leakage view against the parties' masks -- in a real deployment
+that would defeat the point, so it is strictly a testing facility.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -39,7 +42,7 @@ from .kernel import KernelMatrix, rbf_from_gram
 from .masking import leakage_view, make_party_state, verify_leakage_view
 from .matrix import Matrix, encode_real_matrix, gram_t, load_real_csv, save_csv
 from .party import FunctionPartyResult, PartyOutcome, SessionSpec, build_loopback_meshes, play_party
-from .seeds import derive_seed
+from .seeds import derive_seed, party_key
 
 SCHEMA_VERSION = 1
 
@@ -100,10 +103,10 @@ class RunResult:
     party_data: dict = field(default_factory=dict)
 
 
-def synthesize_party_reals(seed: int, party_id: int, f: int, n: int) -> list:
-    """Reproducible synthetic data, uniform in [-1, 1], shape f x n."""
+def synthesize_party_reals(seed: int, party_id: int, f: int, n: int) -> np.ndarray:
+    """Reproducible synthetic data, a float64 array uniform in [-1, 1], shape f x n."""
     rng = np.random.default_rng(derive_seed(seed, "data", party_id))
-    return rng.uniform(-1.0, 1.0, (f, n)).tolist()
+    return rng.uniform(-1.0, 1.0, (f, n))
 
 
 def gen_data(m: int, f: int, samples, seed: int, out_dir) -> list:
@@ -143,11 +146,11 @@ def run(config: RunConfig) -> RunResult:
     t_data = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    spec = SessionSpec(config.protocol, config.m, config.features, domain, config.seed)
+    specs = party_specs(config, domain)
     if config.transport == "loopback":
-        outcomes = _run_loopback(spec, data)
+        outcomes = _run_loopback(specs, data)
     else:
-        outcomes = _run_tcp(config, spec, reals)
+        outcomes = _run_tcp(config, specs, reals)
     fp_result, transcript = collect_outcomes(outcomes, config.m)
     t_protocol = time.perf_counter() - t1
 
@@ -160,7 +163,7 @@ def run(config: RunConfig) -> RunResult:
     if config.verify:
         verification = _verify_against_oracle(domain, data, gram, gram_real)
         if config.protocol == ESCAPED:
-            states = {i: make_party_state(i, data[i], config.seed) for i in data}
+            states = {i: make_party_state(i, data[i], party_key(config.seed, i)) for i in data}
             view = leakage_view(fp_result.assembly.self_blocks, fp_result.pair_results)
             dev = verify_leakage_view(view, states)
             leakage = {
@@ -215,6 +218,16 @@ def run(config: RunConfig) -> RunResult:
         kernel=kernel,
         party_data=data,
     )
+
+
+def party_specs(config: RunConfig, domain) -> dict:
+    """{party id: that party's own ``SessionSpec``}: input party i holds only
+    ``party_key(config.seed, i)``, the function party no key."""
+    return {
+        i: SessionSpec(config.protocol, config.m, config.features, domain,
+                       None if i == tp.FUNCTION_PARTY_ID else party_key(config.seed, i))
+        for i in range(config.m + 1)
+    }
 
 
 def determinism_digest(report: dict) -> str:
@@ -304,13 +317,13 @@ def collect_outcomes(outcomes, m: int) -> tuple:
     return outcomes[tp.FUNCTION_PARTY_ID].result, transcript
 
 
-def _run_loopback(spec: SessionSpec, data: dict) -> list:
-    """Every party as a thread of this process; returns their outcomes."""
-    meshes = build_loopback_meshes(spec.m)
+def _run_loopback(specs: dict, data: dict) -> list:
+    """Every party as a thread of this process, each with its own spec; returns their outcomes."""
+    meshes = build_loopback_meshes(len(specs) - 1)
     outcomes = []
     threads = [
         threading.Thread(
-            target=play_party, args=(spec, mesh, data.get(i), outcomes.append), daemon=True
+            target=play_party, args=(specs[i], mesh, data.get(i), outcomes.append), daemon=True
         )
         for i, mesh in meshes.items()
     ]
@@ -365,12 +378,14 @@ def _wait_workers(procs: dict):
             proc.wait()
 
 
-def _run_tcp(config: RunConfig, spec: SessionSpec, reals: dict) -> list:
+def _run_tcp(config: RunConfig, specs: dict, reals: dict) -> list:
     """Every party as a ``python -m mpgram.worker`` process; returns their outcomes.
 
-    A worker whose nonzero exit ended the run without an outcome that loads
-    gets one here, failed after every recorded failure with its exit code and
-    last stderr line: the collector blames it only if no party recorded one."""
+    Party i's job (its own spec, so only its own key), its data and the
+    files it writes sit in a subdirectory ``party_i`` of its own.  A worker
+    whose nonzero exit ended the run without an outcome that loads gets one
+    here, failed after every recorded failure with its exit code and last
+    stderr line: the collector blames it only if no party recorded one."""
     rundir = tempfile.mkdtemp(prefix="mpgram-run-")
     try:
         if config.base_port:
@@ -381,19 +396,23 @@ def _run_tcp(config: RunConfig, spec: SessionSpec, reals: dict) -> list:
         # a party's BLAS calls are small: OpenBLAS's thread pool would only add
         # start-up time and spinning helper threads to each worker
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
-        path = functools.partial(os.path.join, rundir)
+
+        def path(pid, name):
+            return os.path.join(rundir, f"party_{pid}", name)
+
         procs = {}
-        for pid in range(config.m + 1):
+        for pid, spec in specs.items():
+            os.mkdir(path(pid, ""))
             job = {"spec": spec, "party_id": pid, "host": "127.0.0.1", "ports": ports,
-                   "data_csv": None, "out_path": path(f"outcome_{pid}.pickle")}
+                   "data_csv": None, "out_path": path(pid, "outcome.pickle")}
             if pid in reals:
-                job["data_csv"] = path(f"party_{pid}.csv")
+                job["data_csv"] = path(pid, "data.csv")
                 save_csv(reals[pid], job["data_csv"])
-            with open(path(f"job_{pid}.pickle"), "wb") as fh:
+            with open(path(pid, "job.pickle"), "wb") as fh:
                 pickle.dump(job, fh)
-            with open(path(f"err_{pid}.txt"), "wb") as err:
+            with open(path(pid, "err.txt"), "wb") as err:
                 procs[pid] = subprocess.Popen(
-                    [sys.executable, "-m", "mpgram.worker", path(f"job_{pid}.pickle")],
+                    [sys.executable, "-m", "mpgram.worker", path(pid, "job.pickle")],
                     stdout=subprocess.DEVNULL,
                     stderr=err,
                     env=env,
@@ -403,13 +422,13 @@ def _run_tcp(config: RunConfig, spec: SessionSpec, reals: dict) -> list:
         outcomes = {}
         for pid in procs:
             try:
-                with open(path(f"outcome_{pid}.pickle"), "rb") as fh:
+                with open(path(pid, "outcome.pickle"), "rb") as fh:
                     outcomes[pid] = pickle.load(fh)
             except Exception:  # noqa: BLE001 - no file, or one that does not load
                 pass
         if first_exit is not None and first_exit[0] not in outcomes:
             pid, code = first_exit
-            with open(path(f"err_{pid}.txt"), errors="replace") as fh:
+            with open(path(pid, "err.txt"), errors="replace") as fh:
                 tail = "".join(fh.read().strip().splitlines()[-1:])
             exc = ProtocolError(f"exited {code}: {tail}")
             outcomes[pid] = PartyOutcome(pid, [], failure=(math.inf, exc))

@@ -28,7 +28,7 @@ Encoding and decoding are array expressions over object arrays of domain
 scalars, with any leading axes; a party uses the leading axes for a block
 of sample pairs.  For randoms of shape (..., R), R = total_randoms:
 
-    pair_randoms        -> (len(vs), R) one row per sample pair (u, v), v in vs
+    pair_randoms        -> (n_b, R)      one row per sample pair (u, v), v < n_b
     y_random_triples    -> (..., d, 3)   (r[a], r[b], r[d]) per leaf
     encode_x_side       -> (..., d, 2)   (c1, c2)
     encode_y_side       -> (..., d, 2)   (c3, c4), from the triples
@@ -41,11 +41,11 @@ scalar loop -- ``x*r[b] - r[a]*r[b] + r[c]``, ``c1*c3 + c2 + c4 + c5``,
 and sums over the leaves in leaf order starting from the domain's zero --
 so float results are bit-identical to it.
 
-The randoms of sample pair (u, v) come from their own ``Random`` seeded by
-``derive_seed(run_seed, "re-randoms", alice, bob, u, v)``; the domain's
-bulk sampler ``uniform_rows`` returns exactly what R calls of ``uniform``
-would draw from that generator (see ``mpgram.field``), so a block of pairs
-is drawn at once without changing a single value.
+The randoms of Alice's sample u against all of Bob's samples are one read
+of Alice's own key under the label ``("re", bob, u)`` (see
+``mpgram.seeds``): row v of that (n_b, R) block belongs to sample pair
+(u, v), so no two sample pairs of a run share a random vector, and Bob
+learns the randoms only from the triples Alice sends him.
 
 RE wire layout.  Each RE frame carries one flat element array in
 (u, v, leaf, component) order -- Alice sample u, Bob sample v, leaf --
@@ -64,12 +64,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from random import Random
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, ProtocolError
-from .seeds import derive_seed
 
 
 @dataclass(frozen=True)
@@ -161,23 +159,16 @@ def generate_scheme(d: int) -> DotEncodingScheme:
     return DotEncodingScheme(d=d, total_randoms=total, leaves=leaves)
 
 
-def sample_randoms(scheme: DotEncodingScheme, domain, rng: Random) -> np.ndarray:
-    """Uniform scalars for every random index of the scheme, shape (total_randoms,)."""
-    return domain.uniform_rows([rng], scheme.total_randoms)[0]
-
-
 def pair_randoms(
-    scheme: DotEncodingScheme, domain, run_seed: int, alice_id: int, bob_id: int, u: int, vs
+    scheme: DotEncodingScheme, domain, key: bytes, bob_id: int, u: int, n_b: int
 ) -> np.ndarray:
-    """Fresh randoms for the sample pairs (alice sample u, bob sample v), v in ``vs``.
+    """(n_b, total_randoms) randoms of the sample pairs (Alice's u, Bob's v), v < n_b.
 
-    Row k of the (len(vs), total_randoms) result belongs to pair (u, vs[k]).
-    Each pair has its own generator, seeded from the party pair and both
-    sample indices, so no two sample pairs in a run ever share a random
-    vector; the words of all of them are turned into values in one pass.
+    One read of Alice's ``key`` under the label ("re", bob_id, u); row v
+    belongs to pair (u, v), and fewer rows are a prefix of more.
     """
-    rngs = [Random(derive_seed(run_seed, "re-randoms", alice_id, bob_id, u, v)) for v in vs]
-    return domain.uniform_rows(rngs, scheme.total_randoms)
+    randoms = domain.sample(key, ("re", bob_id, u), n_b * scheme.total_randoms)
+    return randoms.reshape(n_b, scheme.total_randoms)
 
 
 def y_random_triples(scheme: DotEncodingScheme, randoms) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Subprocess entry point for TCP-mode parties: python -m mpgram.worker job.pickle.
 
-The job is a pickled dict: ``spec``, ``party_id``, ``host``, ``ports`` (one
-per id 0..m), ``data_csv`` (None for the function party) and ``out_path``,
+The job is a pickled dict: ``spec`` (the party's own ``SessionSpec``, which
+holds its own key and no other), ``party_id``, ``host``, ``ports`` (one per
+id 0..m), ``data_csv`` (None for the function party) and ``out_path``,
 where ``party.play_party`` pickles the ``PartyOutcome`` before any socket
 of the mesh closes.  A failed party then re-raises, so the worker exits 1.
 

@@ -33,9 +33,9 @@ from mpgram.scheme import (
     encode_y_side,
     generate_scheme,
     offline_components,
-    sample_randoms,
     y_random_triples,
 )
+from mpgram.seeds import party_key
 from reference_scheme import REF_TOTAL_RANDOMS, build_bijection
 
 m61 = FieldDomain()
@@ -86,9 +86,9 @@ def test_03_re_decode_oracle():
         for _ in range(1000):
             d = rng.randint(1, 64)
             s = schemes.setdefault(d, generate_scheme(d))
-            randoms = sample_randoms(s, m61, rng)
-            x = [m61.uniform(rng) for _ in range(d)]
-            y = [m61.uniform(rng) for _ in range(d)]
+            randoms = [rng.randrange(m61.p) for _ in range(s.total_randoms)]
+            x = [rng.randrange(m61.p) for _ in range(d)]
+            y = [rng.randrange(m61.p) for _ in range(d)]
             xc = encode_x_side(m61, x, s, randoms)
             yc = encode_y_side(m61, y, s, y_random_triples(s, randoms))
             off = offline_components(m61, s, randoms)
@@ -105,8 +105,9 @@ def test_04_masking_protocol_correctness():
             f = rng.randint(1, 32)
             na, nb = rng.randint(1, 8), rng.randint(1, 8)
             seed = rng.getrandbits(48)
-            alice = make_party_state(1, random_matrix((f, na), m61, rng), seed)
-            bob = make_party_state(2, random_matrix((f, nb), m61, rng), seed + 1)
+            key = party_key(seed, 0)  # draws the test data
+            alice = make_party_state(1, random_matrix((f, na), m61, key, "x"), party_key(seed, 1))
+            bob = make_party_state(2, random_matrix((f, nb), m61, key, "y"), party_key(seed, 2))
             self_blocks = {1: gram_t(alice.data, alice.data), 2: gram_t(bob.data, bob.data)}
             asm = assemble_gram(self_blocks, {(1, 2): run_pair(alice, bob)})
             oracle = plaintext_gram(m61, {1: alice.data, 2: bob.data})

@@ -40,7 +40,7 @@ class TestAddEncoding:
     def test_components_sum_over_z251(self, z251):
         rng = Random(0)
         for _ in range(300):
-            s1, s2, r = (z251.uniform(rng) for _ in range(3))
+            s1, s2, r = (rng.randrange(z251.p) for _ in range(3))
             e = add_encode(z251, s1, s2, r)
             assert z251.add(e.c1, e.c2) == z251.add(s1, s2)
 
@@ -93,7 +93,7 @@ class TestSimulator:
     def test_add_simulator_sums_to_t(self, z251):
         rng = Random(2)
         for _ in range(200):
-            t, coin = z251.uniform(rng), z251.uniform(rng)
+            t, coin = rng.randrange(z251.p), rng.randrange(z251.p)
             e = add_simulate(z251, t, coin)
             assert add_decode(z251, e) == t
 

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from mpgram.errors import DomainError, EncodingOverflowError
 from mpgram.field import M61, FieldDomain, FixedPointCodec, FloatDomain, make_domain
+from mpgram.matrix import Matrix, gram_t
+from mpgram.seeds import party_key, stream_words
 
 P = M61
 
@@ -157,30 +159,9 @@ class TestFieldAxioms:
         assert dom.sub(a, b) == dom.add(a, dom.sub(dom.zero, b))
 
 
-class TestSampling:
-    def test_uniform_in_range(self, m61):
-        rng = Random(1)
-        for _ in range(1000):
-            assert 0 <= m61.uniform(rng) < P
+KEY = party_key(0, 1)
 
-    def test_nonzero_never_zero(self, z5):
-        rng = Random(2)
-        assert all(z5.uniform_nonzero(rng) != 0 for _ in range(500))
-
-    def test_chi_square_uniformity(self, m61):
-        from scipy.stats import chisquare
-
-        rng = Random(3)
-        draws = 10 ** 6
-        buckets = [0] * 256
-        shift = P.bit_length() - 8
-        for _ in range(draws):
-            buckets[m61.uniform(rng) >> shift] += 1
-        _, pvalue = chisquare(buckets)
-        assert pvalue > 0.001
-
-
-# Z5 rejects 3 of every 8 draws, so its cases run the re-draw path.
+# Z5 rejects 3 of every 8 words, so its draws run the shortfall path.
 SAMPLER_DOMAINS = {
     "m61": FieldDomain(),
     "2^64-59": FieldDomain(p=2**64 - 59),
@@ -188,22 +169,105 @@ SAMPLER_DOMAINS = {
     "z251": FieldDomain(scale_bits=0, p=251),
     "float": FloatDomain(),
 }
+FIELDS = [SAMPLER_DOMAINS[name] for name in ("m61", "2^64-59", "z5", "z251")]
 
 
-class TestBulkSampler:
+class TestSampling:
+    def test_uniform_in_range(self):
+        for dom in FIELDS:
+            v = dom.sample(KEY, "range", 10**4)
+            assert v.shape == (10**4,) and all(type(x) is int for x in v)
+            assert 0 <= min(v) and max(v) < dom.p
+
+    def test_nonzero_never_zero(self, z5):
+        # the first nonzero draw of the label's stream
+        for i in range(500):
+            alpha = z5.sample_nonzero(KEY, ("alpha", i))
+            assert alpha != 0
+            assert alpha == next(x for x in z5.sample(KEY, ("alpha", i), 64) if x)
+
+    def test_chi_square_uniformity(self):
+        from scipy.stats import chisquare
+
+        for dom in FIELDS:
+            v = np.array(dom.sample(KEY, "chi", 10**6).tolist(), dtype=np.uint64)
+            if dom.p > 256:  # 256 buckets of the top 8 bits
+                counts = np.bincount((v >> np.uint64(dom.p.bit_length() - 8)).astype(np.intp))
+            else:  # every residue
+                counts = np.bincount(v.astype(np.intp), minlength=dom.p)
+            _, pvalue = chisquare(counts)
+            assert pvalue > 0.001, dom
+
+
+class TestStream:
     @pytest.mark.parametrize("name", sorted(SAMPLER_DOMAINS))
-    @given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4), n=st.integers(0, 300))
-    @example(seeds=[0], n=1)
-    @example(seeds=[7, 8, 9], n=1)
+    @given(n=st.integers(0, 300), more=st.integers(0, 300))
     @settings(max_examples=60, deadline=None)
-    def test_equals_scalar_draws(self, name, seeds, n):
+    def test_fewer_draws_are_a_prefix_of_more(self, name, n, more):
         dom = SAMPLER_DOMAINS[name]
-        bulk = [Random(s) for s in seeds]
-        scalar = [Random(s) for s in seeds]
-        got = dom.uniform_rows(bulk, n)
-        assert got.shape == (len(seeds), n)
-        assert got.tolist() == [[dom.uniform(rng) for _ in range(n)] for rng in scalar]
-        assert [rng.getstate() for rng in bulk] == [rng.getstate() for rng in scalar]
+        longer = dom.sample(KEY, "prefix", n + more)
+        assert dom.sample(KEY, "prefix", n).tolist() == longer[:n].tolist()
+
+    @pytest.mark.parametrize("name", ["m61", "2^64-59", "z5", "z251"])
+    def test_field_draws_are_the_stream_words_below_p(self, name):
+        dom = SAMPLER_DOMAINS[name]
+        bits = dom.p.bit_length()
+        words = stream_words(KEY, "words", 4000) >> np.uint64(64 - bits)
+        assert dom.sample(KEY, "words", 1000).tolist() == words[words < dom.p][:1000].tolist()
+
+    def test_float_draws_are_53_bit_fractions(self, f64):
+        words = stream_words(KEY, "words", 1000)
+        assert f64.sample(KEY, "words", 1000).tolist() == [(int(w) >> 11) / 2**53 for w in words]
+        assert f64.sample_nonzero(KEY, "alpha") == 0.5 + 1.5 * f64.sample(KEY, "alpha", 1)[0]
+
+    def test_labels_and_keys_name_distinct_streams(self, m61):
+        draws = [
+            m61.sample(key, label, 8).tolist()
+            for key in (KEY, party_key(0, 2))
+            for label in ("mask", "alpha", ("re", 2, 0), ("re", 2, 1), ("re", 3, 0))
+        ]
+        assert len({tuple(d) for d in draws}) == len(draws)
+
+
+def _column_near_limit(dom, head, sign, above):
+    """Signed ints: ``head`` and a last entry that puts the squared norm at most
+    (p - 1) / 2 (``above`` False) or just over it."""
+    rest = (dom.p - 1) // 2 - sum(v * v for v in head)
+    last = math.isqrt(rest) + above
+    return [*head, sign * last]
+
+
+class TestGramRange:
+    @pytest.mark.parametrize("name", ["m61", "2^64-59", "z5", "z251"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_norms_at_the_limit(self, name, data):
+        # at most (p - 1) / 2 passes, and then no dot product wraps (Cauchy-Schwarz);
+        # just above raises and names the sample
+        dom = SAMPLER_DOMAINS[name]
+        f = data.draw(st.integers(1, 6))
+        small = math.isqrt((dom.p - 1) // 2 // f)
+        cols = [
+            _column_near_limit(
+                dom,
+                data.draw(st.lists(st.integers(-small, small), min_size=f - 1, max_size=f - 1)),
+                data.draw(st.sampled_from([1, -1])),
+                above=False,
+            )
+            for _ in range(3)
+        ]
+        x = Matrix(np.array(cols, dtype=object).T % dom.p, dom)
+        dom.check_gram_range(x.data, 1)
+        exact = [[sum(a * b for a, b in zip(u, v)) for v in cols] for u in cols]
+        assert dom.codec.centred(gram_t(x, x).data).tolist() == exact
+
+        bad = data.draw(st.integers(0, 2))
+        cols[bad] = _column_near_limit(dom, cols[bad][:-1], 1, above=True)
+        with pytest.raises(EncodingOverflowError, match=f"^sample {bad} of party 3 has"):
+            dom.check_gram_range(np.array(cols, dtype=object).T % dom.p, 3)
+
+    def test_float_domain_is_not_checked(self, f64):
+        f64.check_gram_range(np.array([[1e300], [1e300]], dtype=object), 1)
 
 
 class TestSerialization:

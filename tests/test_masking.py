@@ -28,10 +28,12 @@ from mpgram.masking import (
     verify_leakage_view,
 )
 from mpgram.matrix import Matrix, gram_t, random_matrix
+from mpgram.seeds import party_key
 
 m61 = FieldDomain()
 z5 = FieldDomain(scale_bits=0, p=5)
 z251 = FieldDomain(scale_bits=0, p=251)
+KEY = party_key(0, 0)  # draws test data
 
 
 def state(party_id, data_rows, mask_rows, alpha, dom):
@@ -80,9 +82,9 @@ class TestRounds:
         assert a1.data.tolist() == [[6]]
 
     def test_alice_compute_matches_gram_oracle(self):
-        rng = Random(0)
-        st = PartyState(1, random_matrix((6, 3), m61, rng), random_matrix((6, 3), m61, rng), 5)
-        bob_masked = random_matrix((6, 4), m61, rng)
+        x, a = (random_matrix((6, 3), m61, KEY, (0, name)) for name in ("x", "a"))
+        st = PartyState(1, x, a, 5)
+        bob_masked = random_matrix((6, 4), m61, KEY, (0, "y"))
         assert alice_compute(st, bob_masked) == gram_t(st.mask, bob_masked)
 
     def test_alice_compute_feature_mismatch(self):
@@ -102,10 +104,10 @@ class TestRounds:
         assert b2.data.tolist() == [[24]]
 
     def test_bob_compute_matches_gram_oracles(self):
-        rng = Random(1)
-        st = PartyState(2, random_matrix((5, 4), m61, rng), random_matrix((5, 4), m61, rng), 7)
-        am = random_matrix((5, 3), m61, rng)
-        sm = random_matrix((5, 3), m61, rng)
+        y, b = (random_matrix((5, 4), m61, KEY, (1, name)) for name in ("y", "b"))
+        st = PartyState(2, y, b, 7)
+        am = random_matrix((5, 3), m61, KEY, (1, "am"))
+        sm = random_matrix((5, 3), m61, KEY, (1, "sm"))
         b1, b2 = bob_compute(st, am, sm)
         assert b1 == gram_t(am, st.data)
         assert b2 == gram_t(sm, st.mask)
@@ -135,18 +137,22 @@ class TestCombine:
 
     def test_fuzz_two_party_exact(self):
         rng = Random(2)
-        for _ in range(200):
+        for t in range(200):
             f = rng.randint(1, 32)
             na, nb = rng.randint(1, 8), rng.randint(1, 8)
-            alice = make_party_state(1, random_matrix((f, na), m61, rng), rng.getrandbits(32))
-            bob = make_party_state(2, random_matrix((f, nb), m61, rng), rng.getrandbits(32))
+            x = random_matrix((f, na), m61, KEY, (t, "x"))
+            y = random_matrix((f, nb), m61, KEY, (t, "y"))
+            alice = make_party_state(1, x, party_key(rng.getrandbits(32), 1))
+            bob = make_party_state(2, y, party_key(rng.getrandbits(32), 2))
             assert fp_combine(run_pair(alice, bob)) == gram_t(alice.data, bob.data)
 
     def test_float_domain_within_tolerance(self, f64):
         rng = Random(3)
-        for _ in range(50):
-            alice = make_party_state(1, random_matrix((10, 3), f64, rng), rng.getrandbits(32))
-            bob = make_party_state(2, random_matrix((10, 4), f64, rng), rng.getrandbits(32))
+        for t in range(50):
+            x = random_matrix((10, 3), f64, KEY, (t, "x"))
+            y = random_matrix((10, 4), f64, KEY, (t, "y"))
+            alice = make_party_state(1, x, party_key(rng.getrandbits(32), 1))
+            bob = make_party_state(2, y, party_key(rng.getrandbits(32), 2))
             got = fp_combine(run_pair(alice, bob))
             want = gram_t(alice.data, bob.data)
             for g, w in zip(got.data.flat, want.data.flat):
@@ -194,10 +200,9 @@ class TestAssembly:
         assert asm.full == blk
 
     def test_three_way_split_matches_plaintext(self):
-        rng = Random(4)
-        full = random_matrix((4, 6), m61, rng)
+        full = random_matrix((4, 6), m61, KEY, 4)
         cols = [Matrix(full.data[:, i : i + 2], m61) for i in (0, 2, 4)]
-        states = {i + 1: make_party_state(i + 1, cols[i], 77) for i in range(3)}
+        states = {i + 1: make_party_state(i + 1, cols[i], party_key(77, i + 1)) for i in range(3)}
         self_blocks = {i: gram_t(states[i].data, states[i].data) for i in states}
         pairs = {
             (a, b): run_pair(states[a], states[b]) for a, b in combinations(states, 2)
@@ -206,8 +211,10 @@ class TestAssembly:
         assert asm.full == gram_t(full, full)
 
     def test_symmetry(self):
-        rng = Random(5)
-        states = {i: make_party_state(i, random_matrix((3, i + 1), m61, rng), 9) for i in (1, 2, 3)}
+        states = {
+            i: make_party_state(i, random_matrix((3, i + 1), m61, KEY, (5, i)), party_key(9, i))
+            for i in (1, 2, 3)
+        }
         self_blocks = {i: gram_t(states[i].data, states[i].data) for i in states}
         pairs = {(a, b): run_pair(states[a], states[b]) for a, b in combinations(states, 2)}
         asm = assemble_gram(self_blocks, pairs)
@@ -215,8 +222,10 @@ class TestAssembly:
         assert asm.block(2, 1) == asm.block(1, 2).transpose()
 
     def test_missing_pair_named(self):
-        rng = Random(6)
-        states = {i: make_party_state(i, random_matrix((2, 2), m61, rng), 3) for i in (1, 2, 3)}
+        states = {
+            i: make_party_state(i, random_matrix((2, 2), m61, KEY, (6, i)), party_key(3, i))
+            for i in (1, 2, 3)
+        }
         self_blocks = {i: gram_t(states[i].data, states[i].data) for i in states}
         pairs = {(1, 2): run_pair(states[1], states[2])}
         with pytest.raises(ProtocolIncompleteError, match=r"\(1,3\)"):
@@ -225,9 +234,11 @@ class TestAssembly:
 
 class TestLeakage:
     def make_run(self, seed=7):
-        rng = Random(seed)
         states = {
-            i: make_party_state(i, random_matrix((4, 2 + i), m61, rng), seed) for i in (1, 2, 3)
+            i: make_party_state(
+                i, random_matrix((4, 2 + i), m61, KEY, (seed, i)), party_key(seed, i)
+            )
+            for i in (1, 2, 3)
         }
         self_blocks = {i: gram_t(st.data, st.data) for i, st in states.items()}
         pairs = {(a, b): run_pair(states[a], states[b]) for a, b in combinations(states, 2)}

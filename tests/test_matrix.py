@@ -3,8 +3,6 @@
 import math
 import pickle
 import re
-from random import Random
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +21,9 @@ from mpgram.matrix import (
     random_matrix,
     save_csv,
 )
+from mpgram.seeds import party_key
+
+KEY = party_key(0, 1)
 
 
 def naive_gram(a: Matrix, b: Matrix) -> list:
@@ -40,7 +41,7 @@ def naive_gram(a: Matrix, b: Matrix) -> list:
 
 class TestSub:
     def test_self_minus_self_is_zero(self, z251):
-        a = random_matrix((3, 2), z251, Random(0))
+        a = random_matrix((3, 2), z251, KEY, 0)
         assert mat_sub(a, a) == Matrix.zeros(3, 2, z251)
 
     def test_one_by_one(self, z251):
@@ -49,9 +50,8 @@ class TestSub:
         assert mat_sub(a, b).data.tolist() == [[2]]
 
     def test_elementwise_oracle_z5(self, z5):
-        rng = Random(1)
-        a = random_matrix((3, 2), z5, rng)
-        b = random_matrix((3, 2), z5, rng)
+        a = random_matrix((3, 2), z5, KEY, (1, "a"))
+        b = random_matrix((3, 2), z5, KEY, (1, "b"))
         c = mat_sub(a, b)
         for r in range(3):
             for col in range(2):
@@ -68,17 +68,16 @@ class TestSub:
 
 class TestScale:
     def test_identity_scalar(self, z251):
-        a = random_matrix((2, 3), z251, Random(2))
+        a = random_matrix((2, 3), z251, KEY, 2)
         assert mat_scale(1, a) == a
 
     def test_zero_scalar(self, z251):
-        a = random_matrix((2, 3), z251, Random(3))
+        a = random_matrix((2, 3), z251, KEY, 3)
         assert mat_scale(0, a) == Matrix.zeros(2, 3, z251)
 
     def test_scale_then_inverse_round_trips(self, m61):
-        rng = Random(4)
-        a = random_matrix((4, 3), m61, rng)
-        alpha = m61.uniform_nonzero(rng)
+        a = random_matrix((4, 3), m61, KEY, 4)
+        alpha = m61.sample_nonzero(KEY, (4, "alpha"))
         assert mat_scale(m61.inv(alpha), mat_scale(alpha, a)) == a
 
 
@@ -93,9 +92,8 @@ class TestGram:
         assert gram_t(a, b).data.tolist() == [[11]]
 
     def test_against_naive_oracle(self, m61, f64):
-        rng = Random(5)
         cases = [
-            (random_matrix((10, 4), dom, rng), random_matrix((10, 6), dom, rng))
+            (random_matrix((10, 4), dom, KEY, "a"), random_matrix((10, 6), dom, KEY, "b"))
             for dom in (m61, f64)
         ]
         # every product is -0.0; the loop's sum from +0.0 gives +0.0
@@ -111,19 +109,17 @@ class TestGram:
             gram_t(Matrix.zeros(3, 2, z5), Matrix.zeros(4, 2, z5))
 
     def test_transpose_symmetry(self, m61):
-        rng = Random(6)
-        a = random_matrix((5, 3), m61, rng)
-        b = random_matrix((5, 4), m61, rng)
+        a = random_matrix((5, 3), m61, KEY, (6, "a"))
+        b = random_matrix((5, 4), m61, KEY, (6, "b"))
         assert gram_t(a, b) == gram_t(b, a).transpose()
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=30)
     def test_bilinearity(self, seed):
         dom = FieldDomain()
-        rng = Random(seed)
-        a1 = random_matrix((4, 2), dom, rng)
-        a2 = random_matrix((4, 2), dom, rng)
-        b = random_matrix((4, 3), dom, rng)
+        a1 = random_matrix((4, 2), dom, KEY, (seed, "a1"))
+        a2 = random_matrix((4, 2), dom, KEY, (seed, "a2"))
+        b = random_matrix((4, 3), dom, KEY, (seed, "b"))
         assert gram_t(mat_add(a1, a2), b) == mat_add(gram_t(a1, b), gram_t(a2, b))
 
 
@@ -272,18 +268,18 @@ class TestArrayEncode:
 
 class TestRandomMatrix:
     def test_deterministic_under_seed(self, m61):
-        assert random_matrix((3, 3), m61, Random(7)) == random_matrix((3, 3), m61, Random(7))
+        assert random_matrix((3, 3), m61, KEY, 7) == random_matrix((3, 3), m61, KEY, 7)
 
     def test_different_seeds_differ(self, m61):
-        a = random_matrix((3, 3), m61, Random(8))
-        b = random_matrix((3, 3), m61, Random(9))
-        assert a != b
+        # a different label or a different key gives a different stream
+        a = random_matrix((3, 3), m61, KEY, 8)
+        assert a != random_matrix((3, 3), m61, KEY, 9)
+        assert a != random_matrix((3, 3), m61, party_key(0, 2), 8)
 
     def test_z5_residue_frequencies(self, z5):
-        rng = Random(10)
         draws = 10 ** 5
         counts = [0] * 5
-        m = random_matrix((draws // 100, 100), z5, rng)
+        m = random_matrix((draws // 100, 100), z5, KEY, 10)
         for v in m.data.flat:
             counts[v] += 1
         expected = draws / 5
@@ -296,7 +292,7 @@ class TestPickle:
     @pytest.mark.parametrize("domain", ["m61", "f64"])
     def test_round_trip_is_equal_and_read_only(self, domain, request):
         dom = request.getfixturevalue(domain)
-        m = random_matrix((3, 2), dom, Random(11))
+        m = random_matrix((3, 2), dom, KEY, 11)
         back = pickle.loads(pickle.dumps(m))
         assert back == m
         assert not back.data.flags.writeable
@@ -304,7 +300,7 @@ class TestPickle:
 
 class TestCsv:
     def test_field_round_trip(self, tmp_path, m61):
-        m = random_matrix((3, 4), m61, Random(11))
+        m = random_matrix((3, 4), m61, KEY, 11)
         path = tmp_path / "m.csv"
         save_csv(m, path)
         assert Matrix.from_rows(load_real_csv(path), m61) == m

@@ -12,7 +12,7 @@ import threading
 import pytest
 
 from mpgram import transport as tp
-from mpgram.errors import ProtocolError, TransportError
+from mpgram.errors import EncodingOverflowError, ProtocolError, TransportError
 from mpgram.field import FieldDomain
 from mpgram.matrix import Matrix
 from mpgram.party import (
@@ -27,6 +27,7 @@ from mpgram.party import (
     play_party,
 )
 from mpgram.runner import RunConfig, run
+from mpgram.seeds import party_key
 
 m61 = FieldDomain()
 ONE = Matrix([[1]], m61)
@@ -92,7 +93,7 @@ def run_fp(protocol, party1, party2):
     channels = {1: ScriptedChannel(party1), 2: ScriptedChannel(party2)}
     mesh = Mesh(tp.FUNCTION_PARTY_ID, channels)
     mesh.n_by_peer = {1: 1, 2: 1}
-    return function_party_session(SessionSpec(protocol, 2, 1, m61, 0), mesh)
+    return function_party_session(SessionSpec(protocol, 2, 1, m61, None), mesh)
 
 
 @pytest.mark.parametrize("protocol", sorted(VALID))
@@ -201,7 +202,7 @@ def run_ip(party_id, peer_frames):
     peer = 3 - party_id
     mesh = Mesh(party_id, {tp.FUNCTION_PARTY_ID: ScriptedChannel([]), peer: ScriptedChannel(peer_frames)})
     mesh.n_by_peer = {peer: 1}
-    input_party_session(SessionSpec("escaped", 2, F, m61, 0), COLUMN, mesh)
+    input_party_session(SessionSpec("escaped", 2, F, m61, party_key(0, party_id)), COLUMN, mesh)
 
 
 @pytest.mark.parametrize(
@@ -271,7 +272,7 @@ def test_owed_parts_are_in_each_partys_send_order(monkeypatch, protocol, m):
     monkeypatch.setattr(tp.Channel, "send", recording_send)
     samples = tuple(range(m, 0, -1))
     res = run(RunConfig(protocol=protocol, m=m, features=2, samples=samples, verify=False))
-    owed = _owed_parts(SessionSpec(protocol, m, 2, m61, 0), dict(enumerate(samples, 1)))
+    owed = _owed_parts(SessionSpec(protocol, m, 2, m61, None), dict(enumerate(samples, 1)))
     for i in range(1, m + 1):
         to_fp = sorted(
             (e for e in res.transcript.entries
@@ -303,7 +304,7 @@ def test_failing_party_records_its_outcome_before_closing_a_channel(fail_in):
 
     closed_at_record = []
     outcome = play_party(
-        SessionSpec("escaped", 2, F, m61, 0), mesh, COLUMN,
+        SessionSpec("escaped", 2, F, m61, party_key(0, 1)), mesh, COLUMN,
         lambda _: closed_at_record.extend(ch.closed for ch in channels.values()),
         connect=connect if fail_in == "connect" else None,
     )
@@ -311,3 +312,32 @@ def test_failing_party_records_its_outcome_before_closing_a_channel(fail_in):
     assert all(ch.closed for ch in channels.values())
     assert (outcome.party_id, outcome.result) == (1, None)
     assert isinstance(outcome.failure[1], TransportError)
+
+
+# -- fixed-point range: checked before a party sends anything ------------------
+
+
+class RecordingChannel(ScriptedChannel):
+    def __init__(self, sent):
+        super().__init__([])
+        self.sent = sent
+
+    def send(self, kind, payload):
+        self.sent.append(kind)
+
+    def close(self):
+        pass
+
+
+def test_data_that_could_wrap_fails_before_the_party_sends_anything():
+    # sample 1's encoded squared norm is 2 (2^30)^2 = 2^61 > (p - 1) / 2 = 2^60 - 1
+    sent = []
+    mesh = Mesh(2, {j: RecordingChannel(sent) for j in (0, 1)}, tp.Transcript())
+    data = Matrix([[1, 1 << 30], [0, 1 << 30]], m61)
+    outcome = play_party(SessionSpec("escaped", 2, 2, m61, party_key(0, 2)), mesh, data,
+                         lambda _: None)
+    assert sent == [] and outcome.entries == []
+    assert isinstance(outcome.failure[1], EncodingOverflowError)
+    assert str(outcome.failure[1]).startswith(
+        f"sample 1 of party 2 has encoded squared norm {2**61} > (p - 1) / 2 = {2**60 - 1}"
+    )

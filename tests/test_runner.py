@@ -3,23 +3,27 @@
 import itertools
 import json
 import os
+import pickle
 import re
 import socket
 import subprocess
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mpgram import masking, party
+from mpgram import masking, party, runner
 from mpgram import transport as tp
 from mpgram.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROTOCOL, main
 from mpgram.errors import ConfigError, ProtocolError
 from mpgram.field import FieldDomain
 from mpgram.party import PartyOutcome
+from mpgram.matrix import encode_real_matrix
 from mpgram.runner import (
     RunConfig,
+    _verify_against_oracle,
     collect_outcomes,
     compare,
     gen_data,
@@ -27,6 +31,7 @@ from mpgram.runner import (
     run,
     synthesize_party_reals,
 )
+from mpgram.seeds import party_key
 
 
 class TestRun:
@@ -103,24 +108,38 @@ class TestRun:
         res = run(cfg)
         assert res.report["verification"]["status"] == "pass"
 
-    def test_verify_catches_fixed_point_wrap(self, tmp_path):
+    def test_verify_catches_fixed_point_wrap(self):
         # Dot products of reals up to 3e4 reach ~2.3e9, past p / 2^33 ~ 2.7e8
         # at 16 fractional bits, so they wrap.  The field oracle wraps alike.
+        # Input parties refuse such data before they send anything (below);
+        # verify's float64 check is the second guard, reached here directly.
+        dom = FieldDomain()
         rng = np.random.default_rng(0)
-        paths = []
-        for i in (1, 2):
-            paths.append(str(tmp_path / f"party_{i}.csv"))
-            np.savetxt(paths[-1], rng.uniform(-3e4, 3e4, (4, 3)), fmt="%.17g", delimiter=",")
-        cfg = RunConfig(
-            protocol="escaped", m=2, features=4, samples=(3, 3), seed=1, data_csv=tuple(paths)
-        )
-        res = run(cfg)
-        x = np.hstack([np.loadtxt(p, delimiter=",") for p in paths])
-        assert np.max(np.abs(res.gram_real - x.T @ x)) > 1e8
-        v = res.report["verification"]
+        reals = [rng.uniform(-3e4, 3e4, (4, 3)) for _ in (1, 2)]
+        data = {i: encode_real_matrix(x, dom) for i, x in enumerate(reals, 1)}
+        gram = plaintext_gram(dom, data)
+        gram_real = dom.decode_dot(gram.data)
+        x = np.hstack(reals)
+        assert np.max(np.abs(gram_real - x.T @ x)) > 1e8
+        v = _verify_against_oracle(dom, data, gram, gram_real)
         assert v["status"] == "fail"
         assert v["max_abs_deviation"] > 1e8 > v["bound"]
         assert "wrap-around" in v["reason"]
+
+    @pytest.mark.parametrize("transport", ["loopback", "tcp"])
+    def test_data_that_could_wrap_fails_the_run(self, tmp_path, transport):
+        # party 2's reals up to 3e4 exceed the column norm limit; party 1's do not
+        rng = np.random.default_rng(0)
+        paths = []
+        for i, bound in ((1, 1.0), (2, 3e4)):
+            paths.append(str(tmp_path / f"party_{i}.csv"))
+            np.savetxt(paths[-1], rng.uniform(-bound, bound, (4, 3)), fmt="%.17g", delimiter=",")
+        cfg = RunConfig(protocol="escaped", m=2, features=4, samples=(3, 3), seed=1,
+                        data_csv=tuple(paths), transport=transport, verify=False)
+        with pytest.raises(ProtocolError, match=r"^party 2 failed: sample 0 of party 2 has "
+                           r"encoded squared norm \d+ > \(p - 1\) / 2 = 1152921504606846975 "
+                           r"\(norm [\d.e+]+ > 16384 in real units\)"):
+            run(cfg)
 
     def test_verify_pass_report_unchanged_near_range(self, tmp_path):
         # reals up to 3e3 keep every dot product below p / 2^33
@@ -173,7 +192,7 @@ class TestRun:
         # the RE path is array expressions over the domain's bulk sampler and
         # reduce; a per-scalar fallback would show up here
         calls = []
-        for name in ("add", "sub", "mul", "uniform"):
+        for name in ("add", "sub", "mul", "sample_nonzero"):
             monkeypatch.setattr(
                 FieldDomain, name, lambda self, *args, _name=name: calls.append(_name)
             )
@@ -427,6 +446,62 @@ def _free_port_block(count: int) -> int:
     raise RuntimeError("no block of free ports")
 
 
+# the run seed, chosen so that its decimal digits and its pickled bytes are distinctive
+MASTER_SEED = 0x5EED0FC0FFEE
+
+
+def _assert_holds_no_other_secret(blob: bytes, own_key, keys: dict):
+    """``blob`` holds neither the run seed nor any party key but ``own_key``."""
+    assert str(MASTER_SEED).encode() not in blob
+    assert MASTER_SEED.to_bytes(6, "little") not in blob  # pickle's LONG1 form
+    for key in keys.values():
+        assert (key in blob) == (key == own_key)
+
+
+class TestPartyKeys:
+    @pytest.mark.parametrize("protocol", ["escaped", "re"])
+    def test_loopback_parties_hold_only_their_own_key(self, monkeypatch, protocol):
+        held = {}
+        play_party = runner.play_party
+
+        def play(spec, mesh, *args, **kwargs):
+            held[mesh.party_id] = spec
+            return play_party(spec, mesh, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "play_party", play)
+        cfg = RunConfig(protocol=protocol, m=3, features=2, samples=(1, 2, 1), seed=MASTER_SEED)
+        assert run(cfg).report["verification"]["status"] == "pass"
+        keys = {i: party_key(MASTER_SEED, i) for i in (1, 2, 3)}
+        assert {i: spec.key for i, spec in held.items()} == {0: None, **keys}
+        for i, spec in held.items():
+            _assert_holds_no_other_secret(pickle.dumps(spec), keys.get(i), keys)
+
+    @pytest.mark.parametrize("protocol", ["escaped", "re"])
+    def test_tcp_jobs_hold_only_their_own_key_in_their_own_directory(self, monkeypatch, protocol):
+        jobs = {}
+        real_popen = subprocess.Popen
+
+        def popen(args, **kwargs):
+            with open(args[-1], "rb") as fh:
+                blob = fh.read()
+            job = pickle.loads(blob)
+            jobs[job["party_id"]] = (os.path.dirname(args[-1]), blob, job)
+            return real_popen(args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", popen)
+        cfg = RunConfig(protocol=protocol, m=3, features=2, samples=(1, 2, 1), transport="tcp",
+                        seed=MASTER_SEED, verify=False)
+        assert run(cfg).report["audit"]["ok"]
+        keys = {i: party_key(MASTER_SEED, i) for i in (1, 2, 3)}
+        assert sorted(jobs) == [0, 1, 2, 3]
+        assert len({where for where, _, _ in jobs.values()}) == 4
+        for i, (where, blob, job) in jobs.items():
+            assert job["spec"].key == keys.get(i)
+            assert os.path.dirname(job["out_path"]) == where
+            assert job["data_csv"] is None if i == 0 else os.path.dirname(job["data_csv"]) == where
+            _assert_holds_no_other_secret(blob, keys.get(i), keys)
+
+
 class TestDeterminism:
     def test_identical_seeds_identical_reports(self):
         cfg = RunConfig(protocol="escaped", m=3, features=5, samples=(2, 2, 2), seed=11)
@@ -443,29 +518,34 @@ class TestDeterminism:
         assert run(cfg1).report["transcript_sha256"] != run(cfg2).report["transcript_sha256"]
 
 
-# gram.sha256, transcript_sha256 and determinism_digest of one fixed config,
-# recorded before matrices moved onto numpy arrays: a refactor of the
-# matrix, codec or assembly layers must reproduce every byte.
+# gram.sha256, transcript_sha256 and determinism_digest of one fixed config:
+# a refactor of the matrix, codec or assembly layers must reproduce every
+# byte.  The field gram digests were recorded before matrices moved onto
+# numpy arrays.  The other digests were re-pinned once, when the parties'
+# randomness moved from random.Random streams of the run seed to SHAKE-256
+# streams of per-party keys: every mask and RE random changed, so every
+# transcript changed, and so did the float grams, whose rounding depends on
+# the masks.
 PINNED_DIGESTS = {
     ("escaped", "field"): (
         "ef18623e7fbc16c145acf9e935cc823a6e93be7e3c3811ea945052f631536df2",
-        "5c8798e54b480adc139ca9307e4e3839fca4ad4a4c27f80c627bb8635d9642db",
-        "d19538991b9c0121ecc5236cb1d8a4dd10b8a837775b8e79098cce674d15e5f9",
+        "b1ab693d897a9c42ba13fbfb578694e2fb5770cbc9781b088d9955b07408ee96",
+        "b6ac0ea6389c03d0d77d1eabef0d6202cf6cfc76a7b6d421a7fea8d6504af72f",
     ),
     ("escaped", "float"): (
-        "dbce7aa19c0f1d2f926696b24d607998132757b1f43cc50c7c2594df966707da",
-        "79ffc6fe67f639acdb88725c538583ce3b963b6129868964496420ab0a71cd92",
-        "f9b19e4a264d2df6fd2104b107ab9452ab5c2d91779fe30cf2021b7a647b9eb7",
+        "ca25ccbcd778a1f6bf7292cc81651d636e4a3b06b049bb9c96ee6cf9efab24af",
+        "35734b36be2163d03bd03f2a59c88892237b1ff1ed52bf4e0b103ff040ffa7f8",
+        "858d0458b6aa04eaff7aa40c6401a5e834d6cb5a9b3895ff5f4364b0d5401984",
     ),
     ("re", "field"): (
         "ef18623e7fbc16c145acf9e935cc823a6e93be7e3c3811ea945052f631536df2",
-        "15a81e99d5e855385abbc37a429f4e7e23fbb72fd4ce379eab869acf0cae8556",
-        "6ae2349b180ef4846805b54aa965fbdf5011fbaf1fb19df533df8c3563222c68",
+        "365212772d8e1580945cfc64079302137bfdc70f12a2f1395981eac578de0d36",
+        "8a413d872fa96cb5ce9db557b1116f83bfc33fec4036f3f1853f222eeeb04f06",
     ),
     ("re", "float"): (
-        "ab7b27d261816a8f59442d55dab793a55bc0b4e32d3a7a70e6f51a4e2e339ed9",
-        "084cb8f8f60059ececd2919274385ad3371f7ef4f554a2e3850c65d1455041f4",
-        "1777bee8a464bebef26167b41ba116513af922168e32ed69ee1145c25978e74e",
+        "2ec05ed41ee030ed5e74a42df928e471b942f3b4c30343fb98491ba0e77d9e5e",
+        "739c9196d5da6f0e732cf38e13db8c535af17a8abaa4d09d103da3366492efae",
+        "ddb9e4e6ed41c968b325aa740dcffadbfc2336f620e590bc6f9e6b4c824947da",
     ),
 }
 
@@ -487,11 +567,11 @@ class TestGenData:
         p1 = gen_data(2, 3, (2, 2), seed=9, out_dir=tmp_path / "a")
         p2 = gen_data(2, 3, (2, 2), seed=9, out_dir=tmp_path / "b")
         for a, b in zip(p1, p2):
-            assert open(a).read() == open(b).read()
+            assert Path(a).read_text() == Path(b).read_text()
 
     def test_shapes_and_range(self, tmp_path):
         paths = gen_data(2, 5, (3, 4), seed=10, out_dir=tmp_path)
-        rows = [line.split(",") for line in open(paths[1]).read().strip().splitlines()]
+        rows = [line.split(",") for line in Path(paths[1]).read_text().strip().splitlines()]
         assert len(rows) == 5
         assert all(len(r) == 4 for r in rows)
         assert all(-1.0 <= float(x) <= 1.0 for r in rows for x in r)
@@ -649,6 +729,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: nan cannot be represented: reals must be finite")
         assert "Traceback" not in err
+
+    def test_data_that_could_wrap_exits_with_protocol_error(self, tmp_path, capsys):
+        # reals up to 3e4: without the range check this run exits 0 with a wrong gram
+        rng = np.random.default_rng(0)
+        paths = []
+        for i in (1, 2):
+            paths.append(str(tmp_path / f"party_{i}.csv"))
+            np.savetxt(paths[-1], rng.uniform(-3e4, 3e4, (4, 3)), fmt="%.17g", delimiter=",")
+        rc = main(["run", "--parties", "2", "--features", "4", "--samples", "3",
+                   "--data", ",".join(paths)])
+        assert rc == EXIT_PROTOCOL
+        err = capsys.readouterr().err
+        assert re.match(r"error: party (\d) failed: sample \d of party \1 has encoded squared norm",
+                        err)
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -17,18 +17,24 @@ from mpgram.scheme import (
     generate_scheme,
     offline_components,
     pair_randoms,
-    sample_randoms,
     split_x_side,
     wire_block,
     x_side_wire,
     y_random_triples,
 )
-from mpgram.seeds import derive_seed
+from mpgram.seeds import party_key
 from reference_scheme import build_bijection, reference_components
 
 m61 = FieldDomain()
+z5 = FieldDomain(scale_bits=0, p=5)
 z251 = FieldDomain(scale_bits=0, p=251)
 f64 = FloatDomain()
+KEY = party_key(0, 1)
+
+
+def draw(dom, rng, n):
+    """n uniform elements of a field domain, as test data."""
+    return [rng.randrange(dom.p) for _ in range(n)]
 
 
 def brute_dot(dom, x, y):
@@ -108,9 +114,9 @@ class TestGeneration:
     def test_five_components_per_leaf(self):
         s = generate_scheme(9)
         rng = Random(0)
-        randoms = sample_randoms(s, m61, rng)
-        x = [m61.uniform(rng) for _ in range(9)]
-        y = [m61.uniform(rng) for _ in range(9)]
+        randoms = draw(m61, rng, s.total_randoms)
+        x = draw(m61, rng, 9)
+        y = draw(m61, rng, 9)
         xc = encode_x_side(m61, x, s, randoms)
         yc = encode_y_side(m61, y, s, y_random_triples(s, randoms))
         off = offline_components(m61, s, randoms)
@@ -131,9 +137,9 @@ class TestLength7Structure:
         s = generate_scheme(7)
         mapping = build_bijection(s)
         rng = Random(1)
-        randoms = sample_randoms(s, z251, rng)
-        x = [z251.uniform(rng) for _ in range(7)]
-        y = [z251.uniform(rng) for _ in range(7)]
+        randoms = draw(z251, rng, s.total_randoms)
+        x = draw(z251, rng, 7)
+        y = draw(z251, rng, 7)
         by_ref = {ref: randoms[gen] for ref, gen in mapping.items()}
         ref_x, ref_y, ref_off = reference_components(z251, x, y, by_ref)
         assert encode_x_side(z251, x, s, randoms).tolist() == [list(c) for c in ref_x]
@@ -190,9 +196,9 @@ class TestEncoding:
         # whose s3 is that leaf's signed split sum
         s = generate_scheme(6)
         rng = Random(2)
-        randoms = sample_randoms(s, m61, rng)
-        x = [m61.uniform(rng) for _ in range(6)]
-        y = [m61.uniform(rng) for _ in range(6)]
+        randoms = draw(m61, rng, s.total_randoms)
+        x = draw(m61, rng, 6)
+        y = draw(m61, rng, 6)
         xc = encode_x_side(m61, x, s, randoms)
         yc = encode_y_side(m61, y, s, y_random_triples(s, randoms))
         off = offline_components(m61, s, randoms)
@@ -224,9 +230,9 @@ class TestDecoding:
         s = generate_scheme(d)
         rng = Random(d)
         for _ in range(10):
-            randoms = sample_randoms(s, m61, rng)
-            x = [m61.uniform(rng) for _ in range(d)]
-            y = [m61.uniform(rng) for _ in range(d)]
+            randoms = draw(m61, rng, s.total_randoms)
+            x = draw(m61, rng, d)
+            y = draw(m61, rng, d)
             xc = encode_x_side(m61, x, s, randoms)
             yc = encode_y_side(m61, y, s, y_random_triples(s, randoms))
             off = offline_components(m61, s, randoms)
@@ -236,9 +242,9 @@ class TestDecoding:
         s = generate_scheme(7)
         rng = Random(3)
         for _ in range(1000):
-            randoms = sample_randoms(s, z251, rng)
-            x = [z251.uniform(rng) for _ in range(7)]
-            y = [z251.uniform(rng) for _ in range(7)]
+            randoms = draw(z251, rng, s.total_randoms)
+            x = draw(z251, rng, 7)
+            y = draw(z251, rng, 7)
             xc = encode_x_side(z251, x, s, randoms)
             yc = encode_y_side(z251, y, s, y_random_triples(s, randoms))
             off = offline_components(z251, s, randoms)
@@ -248,7 +254,7 @@ class TestDecoding:
     def test_split_telescoping(self, d):
         s = generate_scheme(d)
         rng = Random(d + 100)
-        randoms = sample_randoms(s, m61, rng)
+        randoms = draw(m61, rng, s.total_randoms)
         off = offline_components(m61, s, randoms)
         acc = m61.zero
         for lf, c5 in zip(s.leaves, off):
@@ -263,33 +269,32 @@ class TestDecoding:
 class TestFreshRandoms:
     def test_deterministic_per_pair(self):
         s = generate_scheme(4)
-        a = pair_randoms(s, m61, 99, 1, 2, 0, [1])[0]
-        b = pair_randoms(s, m61, 99, 1, 2, 0, [1])[0]
+        a = pair_randoms(s, m61, KEY, 2, 0, 2)[1]
+        b = pair_randoms(s, m61, KEY, 2, 0, 2)[1]
         assert a.tolist() == b.tolist()
         assert len(a) == s.total_randoms
 
     def test_no_two_sample_pairs_share_a_vector(self):
+        # each Alice reads her own key: pairs of different Alices differ too
         s = generate_scheme(4)
         seen = set()
         for alice, bob in [(1, 2), (1, 3), (2, 3)]:
             for u in range(4):
-                for row in pair_randoms(s, m61, 123, alice, bob, u, range(5)):
+                for row in pair_randoms(s, m61, party_key(123, alice), bob, u, 5):
                     vec = tuple(row)
                     assert vec not in seen
                     seen.add(vec)
         assert len(seen) == 3 * 4 * 5
 
-
-    @pytest.mark.parametrize("dom", [m61, f64], ids=["m61", "float"])
-    def test_block_rows_are_per_pair_streams(self, dom):
-        # row v of a block is what the pair's own generator gives, however
-        # the block is cut
+    @pytest.mark.parametrize("dom", [m61, z5, f64], ids=["m61", "z5", "float"])
+    def test_fewer_rows_are_a_prefix_of_more(self, dom):
+        # so a block's rows do not depend on how many Bob samples there are;
+        # Z5 rejects 3 of every 8 words, so its shortfall path runs too
         s = generate_scheme(6)
-        block = pair_randoms(s, dom, 5, 2, 3, 1, range(4))
-        for v in range(4):
-            rng = Random(derive_seed(5, "re-randoms", 2, 3, 1, v))
-            assert block[v].tolist() == [dom.uniform(rng) for _ in range(s.total_randoms)]
-            assert pair_randoms(s, dom, 5, 2, 3, 1, [v])[0].tolist() == block[v].tolist()
+        block = pair_randoms(s, dom, KEY, 3, 1, 4)
+        assert block.shape == (4, s.total_randoms)
+        for n_b in range(5):
+            assert pair_randoms(s, dom, KEY, 3, 1, n_b).tolist() == block[:n_b].tolist()
 
 
 def scalar_reference(dom, scheme, x, y, randoms):
@@ -316,13 +321,12 @@ class TestArrayPath:
     def test_block_matches_scalar_loop_bit_for_bit(self, dom, d):
         # one Alice sample against a block of Bob samples, as a party computes it
         s = generate_scheme(d)
-        rng = Random(d)
         n_b = 3
-        randoms = pair_randoms(s, dom, 11, 1, 2, 0, range(n_b))
-        x = dom.uniform_rows([rng], d)[0]
+        randoms = pair_randoms(s, dom, KEY, 2, 0, n_b)
+        x = dom.sample(KEY, "x", d)
         if dom is f64:
             x = x - 0.5  # negative entries too, so products and sums carry both signs
-        ys = dom.uniform_rows([rng], n_b * d).reshape(n_b, d)
+        ys = dom.sample(KEY, "ys", n_b * d).reshape(n_b, d)
         xc = encode_x_side(dom, x, s, randoms)
         yc = encode_y_side(dom, ys, s, y_random_triples(s, randoms))
         off = offline_components(dom, s, randoms)
@@ -338,7 +342,7 @@ class TestArrayPath:
 
     def test_wire_layout_round_trip(self):
         s = generate_scheme(3)
-        randoms = pair_randoms(s, m61, 1, 1, 2, 0, range(2))
+        randoms = pair_randoms(s, m61, KEY, 2, 0, 2)
         xc = encode_x_side(m61, [4, 5, 6], s, randoms)
         off = offline_components(m61, s, randoms)
         wire = x_side_wire(xc, off)

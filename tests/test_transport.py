@@ -14,9 +14,11 @@ from mpgram import transport as tp
 from mpgram.errors import DomainError, FramingError, ProtocolError, ProtocolVersionError
 from mpgram.field import FieldDomain, FloatDomain
 from mpgram.matrix import Matrix, random_matrix
+from mpgram.seeds import party_key
 
 m61 = FieldDomain()
 f64 = FloatDomain()
+KEY = party_key(0, 0)  # draws test data
 
 
 def tcp_pair() -> tuple:
@@ -71,7 +73,7 @@ class TestFraming:
 
 class TestPayloads:
     def test_matrix_round_trip_field(self):
-        m = random_matrix((3, 5), m61, Random(0))
+        m = random_matrix((3, 5), m61, KEY, 0)
         got, consumed = tp.matrix_from_payload(tp.matrix_payload(m), m61)
         assert got == m
         assert consumed == 8 + 8 * 15
@@ -87,7 +89,7 @@ class TestPayloads:
         assert got == xs
 
     def test_pair_matrix_round_trip(self):
-        m = random_matrix((2, 3), m61, Random(2))
+        m = random_matrix((2, 3), m61, KEY, 2)
         a, b, part, got = tp.pair_matrix_from_payload(
             tp.pair_matrix_payload(1, 3, tp.PART_B2, m), m61
         )
@@ -101,7 +103,7 @@ class TestPayloads:
         assert (a, b, side, got) == (2, 5, tp.SIDE_Y, xs)
 
     def test_truncated_matrix_payload(self):
-        payload = tp.matrix_payload(random_matrix((2, 2), m61, Random(3)))
+        payload = tp.matrix_payload(random_matrix((2, 2), m61, KEY, 3))
         with pytest.raises(FramingError):
             tp.matrix_from_payload(payload[:-5], m61)
 
@@ -144,10 +146,10 @@ class TestPayloads:
             tp.scalars_from_payload(tp.scalars_payload((7, 251), m61), z251)
 
     def test_element_counts_per_kind(self):
-        mat = tp.matrix_payload(random_matrix((3, 4), m61, Random(4)))
+        mat = tp.matrix_payload(random_matrix((3, 4), m61, KEY, 4))
         assert tp.payload_elements(tp.MASKED_DATA, mat) == 12
         assert tp.payload_elements(tp.SELF_GRAM, mat) == 12
-        pr = tp.pair_matrix_payload(1, 2, tp.PART_A1, random_matrix((2, 5), m61, Random(5)))
+        pr = tp.pair_matrix_payload(1, 2, tp.PART_A1, random_matrix((2, 5), m61, KEY, 5))
         assert tp.payload_elements(tp.PAIR_RESULT, pr) == 10
         sc = tp.pair_scalars_payload(1, 2, tp.SIDE_X, (1, 2, 3), m61)
         assert tp.payload_elements(tp.RE_COMPONENTS, sc) == 3
@@ -161,12 +163,14 @@ class TestChannels:
         a, b = tp.loopback_pair()
         a.send_bytes(tp.frame_encode(tp.HELLO, 1, 2, tp.u64_payload(3)))
         frame = b.recv_frame()
+        a.close()
+        b.close()
         assert frame.kind == tp.HELLO
         assert tp.u64_from_payload(frame.payload) == 3
 
     def test_tcp_ephemeral_port(self):
         a, b = tcp_pair()
-        payload = tp.matrix_payload(random_matrix((4, 4), m61, Random(6)))
+        payload = tp.matrix_payload(random_matrix((4, 4), m61, KEY, 6))
         b.send_bytes(tp.frame_encode(tp.MASKED_DATA, 2, 1, payload))
         frame = a.recv_frame()
         assert frame.payload == payload
@@ -219,16 +223,19 @@ class TestChannels:
 
 
 class TestTranscript:
-    def make_channel_pair(self):
+    @pytest.fixture
+    def channel_pair(self):
         transcript = tp.Transcript()
         e1, e2 = tp.loopback_pair()
         c1 = tp.Channel(e1, 1, 2, transcript)
         c2 = tp.Channel(e2, 2, 1, transcript)
-        return transcript, c1, c2
+        yield transcript, c1, c2
+        c1.close()
+        c2.close()
 
-    def test_totals_recompute_from_entries(self):
-        transcript, c1, c2 = self.make_channel_pair()
-        m = random_matrix((2, 2), m61, Random(7))
+    def test_totals_recompute_from_entries(self, channel_pair):
+        transcript, c1, c2 = channel_pair
+        m = random_matrix((2, 2), m61, KEY, 7)
         c1.send(tp.MASKED_DATA, tp.matrix_payload(m))
         c2.send(tp.MASKED_DATA, tp.matrix_payload(m))
         c1.send(tp.HELLO, tp.u64_payload(2))
@@ -244,23 +251,25 @@ class TestTranscript:
 
     def test_ip_fp_scope(self):
         transcript = tp.Transcript()
-        e1, _ = tp.loopback_pair()
+        e1, e2 = tp.loopback_pair()
         fp_chan = tp.Channel(e1, 1, tp.FUNCTION_PARTY_ID, transcript)
-        fp_chan.send(tp.SELF_GRAM, tp.matrix_payload(random_matrix((2, 2), m61, Random(8))))
+        fp_chan.send(tp.SELF_GRAM, tp.matrix_payload(random_matrix((2, 2), m61, KEY, 8)))
+        fp_chan.close()
+        e2.close()
         totals = transcript.totals()
         assert totals["ip_fp"]["elements"] == 4
         assert totals["ip_ip"]["frames"] == 0
 
-    def test_sequence_numbers_per_channel(self):
-        transcript, c1, c2 = self.make_channel_pair()
+    def test_sequence_numbers_per_channel(self, channel_pair):
+        transcript, c1, c2 = channel_pair
         c1.send(tp.HELLO, tp.u64_payload(1))
         c1.send(tp.DONE, b"")
         c2.send(tp.HELLO, tp.u64_payload(2))
         seqs = {(e.sender, e.receiver, e.seq) for e in transcript.entries}
         assert seqs == {(1, 2, 0), (1, 2, 1), (2, 1, 0)}
 
-    def test_canonical_json_round_trip(self):
-        transcript, c1, c2 = self.make_channel_pair()
+    def test_canonical_json_round_trip(self, channel_pair):
+        transcript, c1, c2 = channel_pair
         c2.send(tp.HELLO, tp.u64_payload(2))
         c1.send(tp.HELLO, tp.u64_payload(1))
         blob = transcript.canonical_json()
@@ -273,8 +282,8 @@ class TestTranscript:
         assert totals["total"] == {"bytes": 0, "elements": 0, "frames": 0}
         assert totals["per_kind"] == {}
 
-    def test_channel_recv_kind_validation(self):
-        _, c1, c2 = self.make_channel_pair()
+    def test_channel_recv_kind_validation(self, channel_pair):
+        _, c1, c2 = channel_pair
         c1.send(tp.HELLO, tp.u64_payload(1))
         with pytest.raises(ProtocolError, match="expected masked_data"):
             c2.recv(tp.MASKED_DATA)

@@ -86,7 +86,7 @@ def test_first_frame_that_is_not_a_hello_fails_the_hello_phase():
             eps = [_connect_as(cfg, 0, 1), _connect_as(cfg, 0, 2, kind=tp.DONE)]
             future.result(timeout=10)
         assert sorted(mesh.channels) == [1, 2]
-        spec = SessionSpec("escaped", 2, 1, FieldDomain(), 0)
+        spec = SessionSpec("escaped", 2, 1, FieldDomain(), None)
         with pytest.raises(ProtocolError, match="expected hello from 2, got done"):
             run_party(spec, mesh)
     finally:
