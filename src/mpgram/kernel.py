@@ -70,7 +70,7 @@ def export_matrix(k: KernelMatrix, path, fmt: str = "csv") -> None:
 
 def import_matrix(path, fmt: str = "csv") -> KernelMatrix:
     if fmt == "csv":
-        return KernelMatrix(np.array(load_real_csv(path), dtype=float), sigma=float("nan"))
+        return KernelMatrix(load_real_csv(path), sigma=float("nan"))
     if fmt == "json":
         with open(path) as fh:
             doc = json.load(fh)

@@ -16,11 +16,12 @@ also owns the wire codec of the entries.
 
 from __future__ import annotations
 
+import warnings
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DomainMismatchError
+from .errors import DataError, DimensionError, DomainMismatchError
 
 
 class Matrix:
@@ -140,29 +141,27 @@ def encode_real_matrix(rows: Sequence[Sequence[float]], domain) -> Matrix:
 
 # -- CSV interchange ----------------------------------------------------
 #
-# Header-free, comma-separated, one matrix row per line.  Ints (encoded
-# field elements) are written and read back exactly; reals are written with
-# 17 significant digits, enough to read them back bit for bit.
+# Header-free, comma-separated, one matrix row per line, every value a
+# float64.  Reals are written with 17 significant digits, enough to read
+# them back bit for bit.
 
 
-def save_csv(m, path) -> None:
-    """Write a Matrix, or any 2-D sequence of numbers, as CSV."""
-    rows = m.data if isinstance(m, Matrix) else m
-    with open(path, "w") as fh:
-        for row in rows:
-            fh.write(",".join(str(x) if isinstance(x, int) else format(x, ".17g") for x in row))
-            fh.write("\n")
+def save_csv(x, path) -> None:
+    """Write a 2-D array of reals as CSV."""
+    np.savetxt(path, x, fmt="%.17g", delimiter=",")
 
 
-def load_real_csv(path, transpose: bool = False) -> list:
-    """Rows of numbers from a CSV file; integer tokens are read as exact ints."""
-    with open(path) as fh:
-        rows = [[_number(tok) for tok in line.split(",")] for line in map(str.strip, fh) if line]
-    if transpose:
-        return [list(col) for col in zip(*rows)]
-    return rows
-
-
-def _number(tok: str):
-    tok = tok.strip()
-    return int(tok) if tok.lstrip("-").isdecimal() else float(tok)
+def load_real_csv(path, transpose: bool = False) -> np.ndarray:
+    """A CSV file's numbers as a 2-D float64 array; a file that cannot be read,
+    is ragged or holds a non-number or no number raises ``DataError``."""
+    try:
+        with open(path) as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "no data": checked below
+            x = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+    except OSError as exc:
+        raise DataError(exc.strerror) from None
+    except ValueError as exc:
+        raise DataError(str(exc).partition(";")[0]) from None
+    if x.size == 0:
+        raise DataError("holds no numbers")
+    return x.T if transpose else x

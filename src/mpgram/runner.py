@@ -36,7 +36,7 @@ import numpy as np
 
 from . import transport as tp
 from .costs import ESCAPED, PROTOCOLS, RE, cost_model, transcript_audit
-from .errors import ConfigError, MpgramError, ProtocolError
+from .errors import ConfigError, DataError, MpgramError, ProtocolError
 from .field import make_domain
 from .kernel import KernelMatrix, rbf_from_gram
 from .masking import leakage_view, make_party_state, verify_leakage_view
@@ -122,18 +122,23 @@ def gen_data(m: int, f: int, samples, seed: int, out_dir) -> list:
 
 
 def _load_party_reals(config: RunConfig) -> dict:
+    """{input party id: its reals, a float64 array of shape features x samples}."""
     reals = {}
     for i in range(1, config.m + 1):
         if config.data_csv is not None:
-            rows = load_real_csv(config.data_csv[i - 1], transpose=config.transpose)
+            path = config.data_csv[i - 1]
+            try:
+                x = load_real_csv(path, transpose=config.transpose)
+            except DataError as exc:
+                raise ConfigError(f"party {i} data file {path}: {exc}") from None
         else:
-            rows = synthesize_party_reals(config.seed, i, config.features, config.samples[i - 1])
-        if len(rows) != config.features or any(len(r) != config.samples[i - 1] for r in rows):
+            x = synthesize_party_reals(config.seed, i, config.features, config.samples[i - 1])
+        if x.shape != (config.features, config.samples[i - 1]):
             raise ConfigError(
-                f"party {i} data is {len(rows)}x{len(rows[0]) if rows else 0}, "
+                f"party {i} data is {x.shape[0]}x{x.shape[1]}, "
                 f"expected {config.features} features x {config.samples[i - 1]} samples"
             )
-        reals[i] = rows
+        reals[i] = x
     return reals
 
 
@@ -141,8 +146,7 @@ def run(config: RunConfig) -> RunResult:
     config.validate()
     domain = make_domain(config.domain, config.scale_bits)
     t0 = time.perf_counter()
-    reals = _load_party_reals(config)
-    data = {i: encode_real_matrix(reals[i], domain) for i in reals}
+    data = {i: encode_real_matrix(x, domain) for i, x in _load_party_reals(config).items()}
     t_data = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -150,7 +154,7 @@ def run(config: RunConfig) -> RunResult:
     if config.transport == "loopback":
         outcomes = _run_loopback(specs, data)
     else:
-        outcomes = _run_tcp(config, specs, reals)
+        outcomes = _run_tcp(config, specs, data)
     fp_result, transcript = collect_outcomes(outcomes, config.m)
     t_protocol = time.perf_counter() - t1
 
@@ -378,11 +382,12 @@ def _wait_workers(procs: dict):
             proc.wait()
 
 
-def _run_tcp(config: RunConfig, specs: dict, reals: dict) -> list:
+def _run_tcp(config: RunConfig, specs: dict, data: dict) -> list:
     """Every party as a ``python -m mpgram.worker`` process; returns their outcomes.
 
-    Party i's job (its own spec, so only its own key), its data and the
-    files it writes sit in a subdirectory ``party_i`` of its own.  A worker
+    Party i's job carries its own spec, so only its own key, and its own
+    encoded data (none for the function party); the job and the files the
+    worker writes sit in a subdirectory ``party_i`` of its own.  A worker
     whose nonzero exit ended the run without an outcome that loads gets one
     here, failed after every recorded failure with its exit code and last
     stderr line: the collector blames it only if no party recorded one."""
@@ -404,10 +409,7 @@ def _run_tcp(config: RunConfig, specs: dict, reals: dict) -> list:
         for pid, spec in specs.items():
             os.mkdir(path(pid, ""))
             job = {"spec": spec, "party_id": pid, "host": "127.0.0.1", "ports": ports,
-                   "data_csv": None, "out_path": path(pid, "outcome.pickle")}
-            if pid in reals:
-                job["data_csv"] = path(pid, "data.csv")
-                save_csv(reals[pid], job["data_csv"])
+                   "data": data.get(pid), "out_path": path(pid, "outcome.pickle")}
             with open(path(pid, "job.pickle"), "wb") as fh:
                 pickle.dump(job, fh)
             with open(path(pid, "err.txt"), "wb") as err:

@@ -2,9 +2,10 @@
 
 The job is a pickled dict: ``spec`` (the party's own ``SessionSpec``, which
 holds its own key and no other), ``party_id``, ``host``, ``ports`` (one per
-id 0..m), ``data_csv`` (None for the function party) and ``out_path``,
-where ``party.play_party`` pickles the ``PartyOutcome`` before any socket
-of the mesh closes.  A failed party then re-raises, so the worker exits 1.
+id 0..m), ``data`` (the party's own encoded ``Matrix``, None for the
+function party) and ``out_path``, where ``party.play_party`` pickles the
+``PartyOutcome`` before any socket of the mesh closes.  A failed party then
+re-raises, so the worker exits 1.
 
 Connection topology: one connection per pair of ids 0..m, the function
 party being id 0, so every party's mesh is its row of one complete graph.
@@ -31,7 +32,6 @@ import sys
 from dataclasses import replace
 
 from .errors import ProtocolError
-from .matrix import encode_real_matrix, load_real_csv
 from .party import Mesh, PartyOutcome, play_party
 from .transport import Channel, Transcript, tcp_accept, tcp_connect, tcp_listen
 
@@ -97,13 +97,10 @@ def main(argv=None) -> int:
     with open(argv[0], "rb") as fh:
         job = pickle.load(fh)
 
-    spec = job["spec"]
-    data = None
-    if job["data_csv"] is not None:  # the function party has no data
-        data = encode_real_matrix(load_real_csv(job["data_csv"]), spec.domain)
     mesh = Mesh(job["party_id"], {}, Transcript())
     record = functools.partial(write_outcome, job["out_path"])
-    outcome = play_party(spec, mesh, data, record, connect=functools.partial(setup_mesh, job))
+    connect = functools.partial(setup_mesh, job)
+    outcome = play_party(job["spec"], mesh, job["data"], record, connect=connect)
     if outcome.failure is not None:
         raise outcome.failure[1]
     return 0

@@ -5,7 +5,8 @@ import pickle
 import re
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
+from hypothesis.extra import numpy as hnp
 from hypothesis import strategies as st
 
 from mpgram.errors import DimensionError, DomainMismatchError
@@ -298,25 +299,30 @@ class TestPickle:
         assert not back.data.flags.writeable
 
 
+def float64_arrays():
+    """2-D float64 arrays of any finite values, biased to -0.0, subnormals and +-max."""
+    big = np.finfo(np.float64).max
+    edges = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, big, -big])
+    entry = st.one_of(edges, st.floats(allow_nan=False, allow_infinity=False))
+    shapes = hnp.array_shapes(min_dims=2, max_dims=2, max_side=5)
+    return hnp.arrays(np.float64, shapes, elements=entry)
+
+
 class TestCsv:
-    def test_field_round_trip(self, tmp_path, m61):
-        m = random_matrix((3, 4), m61, KEY, 11)
+    @given(float64_arrays())
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_float_round_trip(self, tmp_path, x):
         path = tmp_path / "m.csv"
-        save_csv(m, path)
-        assert Matrix.from_rows(load_real_csv(path), m61) == m
+        save_csv(x, path)
+        back = load_real_csv(path)
+        assert back.dtype == np.float64 and back.shape == x.shape
+        assert (back.view(np.uint64) == x.view(np.uint64)).all()  # bit for bit: -0.0 too
 
-    def test_float_round_trip(self, tmp_path, f64):
-        m = Matrix.from_rows([[0.1, -2.5, 3e-17], [1.0, 2.0, -0.75]], f64)
+    def test_transpose_flag(self, tmp_path):
+        x = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         path = tmp_path / "m.csv"
-        save_csv(m, path)
-        assert Matrix.from_rows(load_real_csv(path), f64) == m
-
-    def test_transpose_flag(self, tmp_path, f64):
-        m = Matrix.from_rows([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], f64)
-        path = tmp_path / "m.csv"
-        save_csv(m, path)
-        assert Matrix.from_rows(load_real_csv(path, transpose=True), f64) == m.transpose()
-        assert load_real_csv(path, transpose=True) == m.transpose().data.tolist()
+        save_csv(x, path)
+        assert np.array_equal(load_real_csv(path, transpose=True), x.T)
 
     def test_encode_real_matrix(self, m61):
         m = encode_real_matrix([[1.0, -1.0]], m61)

@@ -491,14 +491,16 @@ class TestPartyKeys:
         monkeypatch.setattr(subprocess, "Popen", popen)
         cfg = RunConfig(protocol=protocol, m=3, features=2, samples=(1, 2, 1), transport="tcp",
                         seed=MASTER_SEED, verify=False)
-        assert run(cfg).report["audit"]["ok"]
+        res = run(cfg)
+        assert res.report["audit"]["ok"]
         keys = {i: party_key(MASTER_SEED, i) for i in (1, 2, 3)}
         assert sorted(jobs) == [0, 1, 2, 3]
         assert len({where for where, _, _ in jobs.values()}) == 4
         for i, (where, blob, job) in jobs.items():
+            assert set(job) == {"spec", "party_id", "host", "ports", "data", "out_path"}
             assert job["spec"].key == keys.get(i)
             assert os.path.dirname(job["out_path"]) == where
-            assert job["data_csv"] is None if i == 0 else os.path.dirname(job["data_csv"]) == where
+            assert job["data"] is None if i == 0 else job["data"] == res.party_data[i]
             _assert_holds_no_other_secret(blob, keys.get(i), keys)
 
 
@@ -576,18 +578,14 @@ class TestGenData:
         assert all(len(r) == 4 for r in rows)
         assert all(-1.0 <= float(x) <= 1.0 for r in rows for x in r)
 
-    def test_csv_run_equals_synthetic_run(self, tmp_path):
+    @pytest.mark.parametrize("transport", ["loopback", "tcp"])
+    def test_csv_run_equals_synthetic_run(self, tmp_path, transport):
         paths = gen_data(2, 4, (2, 3), seed=12, out_dir=tmp_path)
         synth = RunConfig(protocol="escaped", m=2, features=4, samples=(2, 3), seed=12)
-        loaded = RunConfig(
-            protocol="escaped",
-            m=2,
-            features=4,
-            samples=(2, 3),
-            seed=12,
-            data_csv=tuple(str(p) for p in paths),
-        )
-        assert run(synth).report["gram"]["sha256"] == run(loaded).report["gram"]["sha256"]
+        loaded = replace(synth, data_csv=tuple(str(p) for p in paths), transport=transport)
+        want, got = run(synth).report, run(loaded).report
+        for key in ("gram", "transcript_sha256"):
+            assert got[key] == want[key]
 
     @pytest.mark.parametrize(
         "m, f, samples, message",
@@ -743,6 +741,49 @@ class TestCli:
         err = capsys.readouterr().err
         assert re.match(r"error: party (\d) failed: sample \d of party \1 has encoded squared norm",
                         err)
+
+    @pytest.mark.parametrize(
+        "content, detail",
+        [
+            (None, "No such file or directory"),
+            ("dir", "Is a directory"),
+            ("0.5,0.25\n1,x\n", "could not convert string 'x' to float64 at row 1, column 2."),
+            ("0.5,0.25\n1\n", "the number of columns changed from 2 to 1 at row 2"),
+            ("\n\n", "holds no numbers"),
+        ],
+        ids=["missing", "unreadable", "non-number", "ragged", "no-numbers"],
+    )
+    def test_bad_data_file_exits_with_config_error(self, tmp_path, capsys, monkeypatch,
+                                                   content, detail):
+        started = []
+        monkeypatch.setattr(runner, "play_party", lambda *args, **kwargs: started.append(args))
+        paths = gen_data(2, 2, (2, 2), seed=7, out_dir=tmp_path)
+        bad = paths[1]
+        os.remove(bad)
+        if content == "dir":
+            os.mkdir(bad)
+        elif content is not None:
+            Path(bad).write_text(content)
+        rc = main(["run", "--parties", "2", "--features", "2", "--samples", "2",
+                   "--data", ",".join(paths)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: party 2 data file {bad}: {detail}\n"
+        assert not started
+
+    def test_bad_data_file_starts_no_tcp_worker(self, tmp_path, capsys, monkeypatch):
+        def popen(*args, **kwargs):
+            raise AssertionError("a worker was started")
+
+        monkeypatch.setattr(subprocess, "Popen", popen)
+        paths = gen_data(2, 2, (2, 2), seed=7, out_dir=tmp_path)
+        Path(paths[0]).write_text("1,x\n0.5,0.25\n")
+        rc = main(["run", "--transport", "tcp", "--parties", "2", "--features", "2",
+                   "--samples", "2", "--data", ",".join(paths)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: party 1 data file {paths[0]}: could not convert")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv, message",
