@@ -6,14 +6,14 @@ Two interchangeable domains:
   (production prime: the Mersenne prime M61 = 2^61 - 1) together with a
   fixed-point codec that embeds reals by scaling and rounding.  All
   arithmetic is exact, which is what the uniform-mask security checks rely
-  on.  Elements are plain Python ints in [0, p), so scalar products never
-  overflow.  Matrix products run on float64 BLAS instead: ``matmul_t``
-  splits the elements into 16-bit limbs, whose products are below 2^32, and
-  sums at most 2^20 of them per BLAS call, so every partial sum stays below
-  2^52 and is an exact integer; the limb sums are carried into 16-bit
-  digits in uint64, and only the at most three 64-bit words that hold them
-  are joined in Python ints and reduced mod p once.  The 8-byte wire codec
-  and the uint64 limb split are why p must be below 2^64.
+  on.  Elements are uint64 residues in [0, p).  Matrix products run on
+  float64 BLAS: ``matmul_t`` splits the elements into 16-bit limbs, whose
+  products are below 2^32, and sums at most 2^20 of them per BLAS call, so
+  every partial sum stays below 2^52 and is an exact integer; the limb sums
+  are carried into 16-bit digits in uint64, and only the at most three
+  64-bit words that hold them are joined in Python ints and reduced mod p
+  once.  The 8-byte wire codec and the uint64 limb split are why p must be
+  below 2^64.
 * ``FloatDomain`` -- IEEE double arithmetic, provided so the protocols
   can also be run directly on real-valued data.  No security properties
   are claimed for it.
@@ -32,14 +32,21 @@ own.  Each domain also has ``check_gram_range``, which the field uses to
 reject, before anything is sent, encoded data whose dot products could
 wrap around.
 
-Besides the scalar operations, each domain owns the arithmetic of whole
-matrices: ``reduce`` maps the result of an array expression over Python
-scalars back into the domain, ``matmul_t`` is the product A^T B of two
-entry arrays, and ``pack``/``unpack`` are the wire codec of a vector of
-elements.  ``encode_array`` is ``encode`` of every entry of a 2-D sequence
-of reals as one float64 expression.  ``decode`` and ``decode_dot`` take
-single scalars (exact Python-int arithmetic) or entry arrays, which return
-float64 arrays of the same values.
+Every entry array is held in the domain's fixed-width ``dtype``: uint64
+residues in [0, p) over the field, float64 over floats.  ``sample``,
+``encode_array`` and ``unpack`` return that dtype, and the domain owns all
+arithmetic on such arrays: ``array_add``, ``array_sub`` and ``array_mul``
+(elementwise, broadcasting, scalars allowed), ``array_sum`` (over the last
+axis, in index order from zero), ``matmul_t`` (the product A^T B) and
+``pack``/``unpack`` (the wire codec of a vector of elements).  Field add and
+sub stay in uint64 with one compare; the field product is exact through
+Python ints, since numpy would wrap a uint64 product silently.  Over floats
+every operation runs in the order of a scalar loop, so results are
+bit-identical to it.  The per-scalar operations (``add``, ``sub``, ``mul``,
+``inv``) take single elements, which the field computes in Python ints;
+they are the reference the array operations are checked against.
+``decode`` and ``decode_dot`` take single scalars (exact Python-int
+arithmetic) or entry arrays, which return float64 arrays of the same values.
 """
 
 from __future__ import annotations
@@ -60,6 +67,17 @@ _LIMB_BITS = 16
 _CHUNK_ROWS = 1 << 20
 # Below this magnitude a float64 copy of an int is exact.
 _EXACT_INT = 2.0**53
+
+
+def _sum_in_order(dom, a) -> np.ndarray:
+    """Sum over the last axis of an entry array, added in index order from zero
+    with ``dom.array_add``; so a float sum is that of a scalar loop (numpy's
+    own float sums are pairwise)."""
+    a = np.asarray(a, dtype=dom.dtype)
+    total = np.zeros(a.shape[:-1], dtype=dom.dtype)
+    for k in range(a.shape[-1]):
+        total = dom.array_add(total, a[..., k])
+    return total
 
 
 class FixedPointCodec:
@@ -91,7 +109,7 @@ class FixedPointCodec:
         return v % self.modulus
 
     def encode_array(self, rows) -> np.ndarray:
-        """Object array of ``encode`` of every entry of a 2-D sequence of reals.
+        """uint64 array of ``encode`` of every entry of a 2-D sequence of reals.
 
         One float64 expression: x 2^s is exact, ``np.rint`` breaks ties to
         even as ``round`` does, and a negative v maps to p - |v|.  An entry
@@ -103,12 +121,12 @@ class FixedPointCodec:
         try:
             x = np.asarray(rows, dtype=np.float64)
         except OverflowError:  # an int beyond float64; let encode name it
-            return np.array([[self.encode(v) for v in r] for r in rows], dtype=object)
+            return np.array([[self.encode(v) for v in r] for r in rows], dtype=np.uint64)
         ok = np.abs(x) < min(self.max_abs, _EXACT_INT)
         v = np.rint(np.where(ok, x, 0.0) * self.scale).astype(np.int64)
         p = np.uint64(self.modulus)
         u = v.astype(np.uint64)  # a negative v wraps to 2^64 + v, and u + p to p + v
-        out = (np.where(v < 0, u + p, u) % p).astype(object)
+        out = np.where(v < 0, u + p, u) % p
         for i, j in np.argwhere(~ok):
             out[i, j] = self.encode(rows[i][j])
         return out
@@ -130,18 +148,19 @@ class FixedPointCodec:
     def _unscale(self, v, bits: int):
         """signed(v) / 2^bits, where signed(v) is v for v <= p // 2, else v - p.
 
-        A scalar is decoded in Python ints.  An entry array is cast to uint64
-        and v - p is formed there; it wraps mod 2^64, and its int64 view is
-        v - p exactly, since -p/2 < v - p < 0 for every p < 2^64.
+        A Python scalar is decoded in Python ints.  An entry array (or numpy
+        scalar) is cast to uint64 and v - p is formed there; it wraps mod
+        2^64, and its int64 view is v - p exactly, since -p/2 < v - p < 0 for
+        every p < 2^64.
         """
-        if isinstance(v, np.ndarray):
+        if isinstance(v, (np.ndarray, np.generic)):
             return np.ldexp(self.centred(v), -bits)
         half = (self.modulus - 1) // 2
         return ((v + half) % self.modulus - half) / (1 << bits)
 
     def centred(self, entries) -> np.ndarray:
         """int64 array of signed(v) for an entry array (see ``_unscale``)."""
-        u = entries.astype(np.uint64)
+        u = np.asarray(entries, dtype=np.uint64)
         half = np.uint64((self.modulus - 1) // 2)
         return np.where(u > half, u - np.uint64(self.modulus), u).view(np.int64)
 
@@ -176,6 +195,7 @@ class FieldDomain:
     """Prime field Z_p with a fixed-point codec for real data."""
 
     kind = "field"
+    dtype = np.dtype(np.uint64)
 
     def __init__(self, scale_bits: int = 16, p: int = M61):
         if p < 2:
@@ -187,27 +207,28 @@ class FieldDomain:
         self.codec = FixedPointCodec(scale_bits, p)
         self.zero = 0
         self.one = 1 % p
+        self._p = np.uint64(p)
         self._bits = p.bit_length()
         self._nlimbs = -(-self._bits // _LIMB_BITS)
 
-    # -- field arithmetic ------------------------------------------------
+    # -- field arithmetic: single elements (Python ints or numpy scalars) --
 
     def add(self, a: int, b: int) -> int:
-        s = a + b
+        s = int(a) + int(b)
         return s - self.p if s >= self.p else s
 
     def sub(self, a: int, b: int) -> int:
-        s = a - b
+        s = int(a) - int(b)
         return s + self.p if s < 0 else s
 
     def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
+        return (int(a) * int(b)) % self.p
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse via Fermat: a^(p-2) mod p."""
         if a == 0:
             raise DomainError("no inverse of zero")
-        return pow(a, self.p - 2, self.p)
+        return pow(int(a), self.p - 2, self.p)
 
     # -- real <-> field --------------------------------------------------
 
@@ -229,7 +250,7 @@ class FieldDomain:
     # -- sampling --------------------------------------------------------
 
     def sample(self, key: bytes, label, n: int) -> np.ndarray:
-        """(n,) object array of uniform elements of Z_p from the stream (key, label).
+        """(n,) uint64 array of uniform elements of Z_p from the stream (key, label).
 
         Each word's top bits(p) bits are one candidate, kept if below p.  The
         first read takes the expected number of words for n values; each
@@ -241,8 +262,8 @@ class FieldDomain:
         while v.size < n:
             count -= ((v.size - n) << self._bits) // self.p  # += ceil(shortfall 2^bits / p)
             v = stream_words(key, label, count) >> shift
-            v = v[v < self.p]
-        return v[:n].astype(object)
+            v = v[v < self._p]
+        return v[:n]
 
     def sample_nonzero(self, key: bytes, label) -> int:
         """The first nonzero value of ``sample(key, label, .)``."""
@@ -250,14 +271,29 @@ class FieldDomain:
         while True:
             v = self.sample(key, label, n)
             if v.any():
-                return v[v != 0][0]
+                return int(v[v != 0][0])
             n *= 2
 
-    # -- arrays: reduction and wire codec (8-byte little-endian unsigned) --
+    # -- arrays: arithmetic and wire codec (8-byte little-endian unsigned) --
 
-    def reduce(self, values):
-        """Residues mod p of an object array of Python ints."""
-        return values % self.p
+    def array_add(self, a, b) -> np.ndarray:
+        """(a + b) mod p, elementwise: a - (p - b), which never leaves uint64."""
+        return self.array_sub(a, np.subtract(self._p, np.asarray(b, dtype=np.uint64)))
+
+    def array_sub(self, a, b) -> np.ndarray:
+        """(a - b) mod p, elementwise: a - b wraps mod 2^64 when a < b, and adding
+        p then wraps it back to a - b + p."""
+        a, b = np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64)
+        d = np.subtract(a, b)
+        return np.where(a >= b, d, np.add(d, self._p))
+
+    def array_mul(self, a, b) -> np.ndarray:
+        """(a b) mod p, elementwise, exact through Python ints (numpy wraps a
+        uint64 product silently)."""
+        a, b = np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64)
+        return np.asarray(a.astype(object) * b.astype(object) % self.p, dtype=np.uint64)
+
+    array_sum = _sum_in_order
 
     def matmul_t(self, a, b):
         """A^T B mod p for entry arrays a (f x n1) and b (f x n2), exactly.
@@ -273,7 +309,7 @@ class FieldDomain:
         reduced mod p once.
         """
         count = self._nlimbs
-        a, b = a.astype(np.uint64), b.astype(np.uint64)
+        a, b = np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64)
         total = None
         for lo in range(0, max(a.shape[0], 1), _CHUNK_ROWS):
             la = _limbs(a[lo : lo + _CHUNK_ROWS], count)
@@ -287,17 +323,18 @@ class FieldDomain:
             for w in reversed(words[:-1]):
                 part = (part << 64) + w.astype(object)
             total = part if total is None else total + part
-        return total % self.p
+        return np.asarray(total % self.p, dtype=np.uint64)
 
     def pack(self, values) -> bytes:
         return np.asarray(values, dtype="<u8").tobytes()
 
     def unpack(self, buf) -> np.ndarray:
-        """Flat object array of the elements in ``buf``; each must be < p."""
+        """Read-only flat uint64 array of the elements in ``buf``; each must be < p."""
         values = np.frombuffer(buf, dtype="<u8")
-        if values.size and values.max() >= self.p:
+        values.flags.writeable = False  # frombuffer over a bytearray is writable
+        if values.size and values.max() >= self._p:
             raise DomainError(f"serialized value {values.max()} >= modulus {self.p}")
-        return values.astype(object)
+        return values
 
     def __eq__(self, other) -> bool:
         return (
@@ -346,6 +383,7 @@ class FloatDomain:
     """
 
     kind = "float64"
+    dtype = np.dtype(np.float64)
     zero = 0.0
     one = 1.0
 
@@ -370,14 +408,14 @@ class FloatDomain:
         return v
 
     def encode_array(self, rows) -> np.ndarray:
-        """Object array of ``encode`` of every entry of a 2-D sequence of reals;
+        """float64 array of ``encode`` of every entry of a 2-D sequence of reals;
         the first entry that is not finite, in row-major order, raises as ``encode``."""
         x = np.asarray(rows, dtype=np.float64)
         bad = np.argwhere(~np.isfinite(x))
         if bad.size:
             i, j = bad[0]
             self.encode(rows[i][j])
-        return x.astype(object)
+        return x
 
     def decode(self, v: float) -> float:
         return v
@@ -386,33 +424,50 @@ class FloatDomain:
         return v
 
     def sample(self, key: bytes, label, n: int) -> np.ndarray:
-        """(n,) object array of floats in [0, 1): (w >> 11) 2^-53 of each stream word."""
-        return ((stream_words(key, label, n) >> np.uint64(11)) * 2.0**-53).astype(object)
+        """(n,) float64 array in [0, 1): (w >> 11) 2^-53 of each stream word."""
+        return (stream_words(key, label, n) >> np.uint64(11)) * 2.0**-53
 
     def sample_nonzero(self, key: bytes, label) -> float:
         """0.5 + 1.5 u, u the first float of ``sample(key, label, .)``: in [0.5, 2.0)."""
-        return 0.5 + 1.5 * self.sample(key, label, 1)[0]
+        return 0.5 + 1.5 * float(self.sample(key, label, 1)[0])
 
     def check_gram_range(self, entries, party_id: int) -> None:
         """Floats do not wrap around, so any finite data passes."""
 
-    # -- arrays: reduction and wire codec (IEEE binary64) ----------------
+    # -- arrays: arithmetic and wire codec (IEEE binary64) ----------------
 
-    def reduce(self, values):
-        return values
+    def array_add(self, a, b) -> np.ndarray:
+        return np.add(a, b, dtype=np.float64)
+
+    def array_sub(self, a, b) -> np.ndarray:
+        return np.subtract(a, b, dtype=np.float64)
+
+    def array_mul(self, a, b) -> np.ndarray:
+        return np.multiply(a, b, dtype=np.float64)
+
+    array_sum = _sum_in_order
 
     def matmul_t(self, a, b):
-        """A^T B of object arrays of floats, summed in the order of a plain loop.
+        """A^T B, each entry summed over the rows in order, as a scalar loop does.
 
-        The sum starts at +0.0, so a sum whose products are all -0.0 is +0.0.
+        BLAS may sum in another order, so the outer products of the rows are
+        accumulated one by one.  The sum starts at +0.0, so a sum whose
+        products are all -0.0 is +0.0.
         """
-        return self.zero + a.T @ b
+        a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+        total = np.zeros((a.shape[1], b.shape[1]))
+        for k in range(a.shape[0]):
+            total += np.multiply.outer(a[k], b[k])
+        return total
 
     def pack(self, values) -> bytes:
         return np.asarray(values, dtype="<f8").tobytes()
 
     def unpack(self, buf) -> np.ndarray:
-        return np.frombuffer(buf, dtype="<f8").astype(object)
+        """Read-only flat float64 array of the elements in ``buf``."""
+        values = np.frombuffer(buf, dtype="<f8")
+        values.flags.writeable = False  # frombuffer over a bytearray is writable
+        return values
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FloatDomain)

@@ -104,8 +104,8 @@ def fp_combine(pr: PairResult) -> Matrix:
     shapes = {(m.rows, m.cols) for m in (pr.a1, pr.b1, pr.b2)}
     if len(shapes) != 1:
         raise DimensionError(f"pair result blocks disagree in shape: {sorted(shapes)}")
-    inv_alpha = dom.inv(pr.alpha)
-    return Matrix(dom.reduce(pr.a1.data + pr.b1.data + inv_alpha * pr.b2.data), dom)
+    scaled = dom.array_mul(dom.inv(pr.alpha), pr.b2.data)
+    return Matrix(dom.array_add(dom.array_add(pr.a1.data, pr.b1.data), scaled), dom)
 
 
 def run_pair(alice: PartyState, bob: PartyState) -> PairResult:
@@ -293,7 +293,7 @@ def verify_leakage_view(view: LeakageView, states: dict) -> float:
 def _block_dev(a: Matrix, b: Matrix) -> float:
     if a.domain.kind == "field":
         return 0.0 if a == b else 1.0
-    return float(np.max(np.abs(a.data - b.data), initial=0.0))
+    return float(np.max(np.abs(a.domain.array_sub(a.data, b.data)), initial=0.0))
 
 
 # -- gram non-invertibility demonstration ---------------------------------

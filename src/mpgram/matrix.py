@@ -2,15 +2,14 @@
 
 Every data matrix in the protocols is f x n with one column per sample,
 so the gram block of two parties is ``gram_t(A, B) = A^T B`` with shape
-(A.cols x B.cols).  A matrix is a read-only 2-D numpy array of dtype
-``object`` plus its scalar domain.  The entries stay Python scalars (ints
-in [0, p) over the field, floats over the float domain).  Elementwise
-operations are one array expression followed by the domain's ``reduce``,
-exact because Python ints do not overflow.  ``encode_real_matrix`` encodes
-reals as one float64 array expression of the domain and stores the result
-as such an object array.  ``gram_t`` is the domain's
-``matmul_t``: over the field an exact limb-split product on float64 BLAS
-(see ``mpgram.field``), over floats a plain object-array sum.  The domain
+(A.cols x B.cols).  A matrix is a read-only 2-D numpy array in its
+domain's fixed-width ``dtype`` (uint64 residues over the field, float64
+over floats) plus that domain.  The domain owns every operation on the
+entries: the elementwise ones are its ``array_add``, ``array_sub`` and
+``array_mul``, and ``gram_t`` is its ``matmul_t`` -- over the field an
+exact limb-split product on float64 BLAS (see ``mpgram.field``), over
+floats a sum in the order of a scalar loop.  ``encode_real_matrix``
+encodes reals as one float64 array expression of the domain.  The domain
 also owns the wire codec of the entries.
 """
 
@@ -25,12 +24,13 @@ from .errors import DataError, DimensionError, DomainMismatchError
 
 
 class Matrix:
-    """An immutable rows x cols matrix over ``domain``; ``data`` is its entry array."""
+    """An immutable rows x cols matrix over ``domain``; ``data`` is its entry
+    array, a read-only copy of ``data`` in ``domain.dtype``."""
 
     __slots__ = ("data", "domain")
 
-    def __init__(self, data, domain=None):
-        data = np.array(data, dtype=object)
+    def __init__(self, data, domain):
+        data = np.array(data, dtype=domain.dtype)
         if data.ndim != 2:
             raise DimensionError(f"matrix data must be 2-D, got shape {data.shape}")
         data.flags.writeable = False
@@ -68,11 +68,12 @@ class Matrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence], domain) -> "Matrix":
-        return Matrix(np.array(rows, dtype=object).reshape(_rows_shape(rows)), domain)
+        shape = _rows_shape(rows)  # first: numpy reports ragged rows as a ValueError
+        return Matrix(np.array(rows, dtype=domain.dtype).reshape(shape), domain)
 
     @staticmethod
     def zeros(rows: int, cols: int, domain) -> "Matrix":
-        return Matrix(np.full((rows, cols), domain.zero, dtype=object), domain)
+        return Matrix(np.zeros((rows, cols), dtype=domain.dtype), domain)
 
 
 def _rows_shape(rows: Sequence[Sequence]) -> tuple:
@@ -99,16 +100,16 @@ def _check_same_shape(a: Matrix, b: Matrix):
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     _check_same_shape(a, b)
-    return Matrix(a.domain.reduce(a.data + b.data), a.domain)
+    return Matrix(a.domain.array_add(a.data, b.data), a.domain)
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     _check_same_shape(a, b)
-    return Matrix(a.domain.reduce(a.data - b.data), a.domain)
+    return Matrix(a.domain.array_sub(a.data, b.data), a.domain)
 
 
 def mat_scale(s, a: Matrix) -> Matrix:
-    return Matrix(a.domain.reduce(s * a.data), a.domain)
+    return Matrix(a.domain.array_mul(s, a.data), a.domain)
 
 
 def gram_t(a: Matrix, b: Matrix) -> Matrix:
@@ -132,8 +133,7 @@ def encode_real_matrix(rows: Sequence[Sequence[float]], domain) -> Matrix:
 
     The encode is one array expression, ``domain.encode_array``: over the
     field a float64 fixed-point rounding with the scalar codec's ties, range
-    check and error text; the result is held, like every Matrix, as an
-    object array.
+    check and error text.
     """
     shape = _rows_shape(rows)  # first: numpy reports ragged rows as a ValueError
     return Matrix(domain.encode_array(rows).reshape(shape), domain)
@@ -153,7 +153,8 @@ def save_csv(x, path) -> None:
 
 def load_real_csv(path, transpose: bool = False) -> np.ndarray:
     """A CSV file's numbers as a 2-D float64 array; a file that cannot be read,
-    is ragged or holds a non-number or no number raises ``DataError``."""
+    is ragged or holds a non-number or no number raises ``DataError``, which
+    names the 1-based line of the file where a bad row is."""
     try:
         with open(path) as fh, warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "no data": checked below
@@ -161,7 +162,36 @@ def load_real_csv(path, transpose: bool = False) -> np.ndarray:
     except OSError as exc:
         raise DataError(exc.strerror) from None
     except ValueError as exc:
-        raise DataError(str(exc).partition(";")[0]) from None
+        raise DataError(_first_bad_line(path) or str(exc).partition(";")[0]) from None
     if x.size == 0:
         raise DataError("holds no numbers")
     return x.T if transpose else x
+
+
+def _first_bad_line(path) -> str | None:
+    """What is wrong with the first bad row of a CSV file, at its file line.
+
+    ``np.loadtxt`` skips empty lines and numbers the rows it reads, from 0 for
+    a non-number and from 1 for a change in the number of columns; so its row
+    is not the line of the file.  This scan, run only after loadtxt failed,
+    makes the same checks in the same order (column count first) and counts
+    every line.  None if it finds nothing wrong.
+    """
+    width = None
+    with open(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split(",")
+            if width is not None and len(fields) != width:
+                return (f"the number of columns changed from {width} to {len(fields)} "
+                        f"at line {line_no}")
+            width = len(fields)
+            for col, text in enumerate(fields, start=1):
+                try:
+                    float(text)
+                except ValueError:
+                    return (f"could not convert string {text!r} to float64 "
+                            f"at line {line_no}, column {col}.")
+    return None

@@ -314,7 +314,9 @@ def function_party_session(spec: SessionSpec, mesh) -> FunctionPartyResult:
     pair_results = None
     if spec.protocol == ESCAPED:
         pair_results = {
-            (a, b): PairResult(a, b, got[A1, a, b], got[B1, a, b], got[B2, a, b], got[ALPHA, a][0])
+            (a, b): PairResult(
+                a, b, got[A1, a, b], got[B1, a, b], got[B2, a, b], got[ALPHA, a].item()
+            )
             for a, b in pairs
         }
         assembly = assemble_gram(self_blocks, pair_results)
@@ -369,10 +371,10 @@ def _read_part(frame, dom) -> tuple:
         a, b, side, xs = tp.pair_scalars_from_payload(frame.payload, dom)
         if side not in _RE_SIDES:
             raise ProtocolError(f"unknown RE component side {side} for pair ({a},{b})")
-        return (_RE_SIDES[side], a, b), xs, (len(xs),)  # np.shape would copy xs to an array
+        return (_RE_SIDES[side], a, b), xs, xs.shape
     if frame.kind == tp.ALPHA:
         xs, _ = tp.scalars_from_payload(frame.payload, dom)
-        return (ALPHA, frame.sender), xs, (len(xs),)
+        return (ALPHA, frame.sender), xs, xs.shape
     if frame.kind == tp.SELF_GRAM:
         m, _ = tp.matrix_from_payload(frame.payload, dom)
         return (SELF, frame.sender), m, (m.rows, m.cols)

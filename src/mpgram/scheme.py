@@ -24,9 +24,9 @@ The Y side touches only r[a], r[b], r[d], so those three per leaf are
 the full set of randoms the scheme owner must transmit to the peer.
 Dumps show each leaf's raw index lists, derived from its plan.
 
-Encoding and decoding are array expressions over object arrays of domain
-scalars, with any leading axes; a party uses the leading axes for a block
-of sample pairs.  For randoms of shape (..., R), R = total_randoms:
+Encoding and decoding are array expressions over entry arrays in the
+domain's dtype, with any leading axes; a party uses the leading axes for a
+block of sample pairs.  For randoms of shape (..., R), R = total_randoms:
 
     pair_randoms        -> (n_b, R)      one row per sample pair (u, v), v < n_b
     y_random_triples    -> (..., d, 3)   (r[a], r[b], r[d]) per leaf
@@ -35,11 +35,12 @@ of sample pairs.  For randoms of shape (..., R), R = total_randoms:
     offline_components  -> (..., d)      c5
     decode_dot          -> (...)         the dot products
 
-Each gathers the randoms through the scheme's leaf index arrays and ends in
-the domain's ``reduce``.  Over floats the operations run in the order of a
-scalar loop -- ``x*r[b] - r[a]*r[b] + r[c]``, ``c1*c3 + c2 + c4 + c5``,
-and sums over the leaves in leaf order starting from the domain's zero --
-so float results are bit-identical to it.
+Each gathers the randoms through the scheme's leaf index arrays and does
+its arithmetic through the domain's array operations (``array_add``,
+``array_sub``, ``array_mul``, ``array_sum``).  Over floats these run in the
+order of a scalar loop -- ``x*r[b] - r[a]*r[b] + r[c]``,
+``c1*c3 + c2 + c4 + c5``, and sums over the leaves in leaf order starting
+from the domain's zero -- so float results are bit-identical to it.
 
 The randoms of Alice's sample u against all of Bob's samples are one read
 of Alice's own key under the label ``("re", bob, u)`` (see
@@ -173,31 +174,32 @@ def pair_randoms(
 
 def y_random_triples(scheme: DotEncodingScheme, randoms) -> np.ndarray:
     """(..., d, 3): per leaf (r[a], r[b], r[d]), exactly what the scheme owner transmits."""
-    return np.asarray(randoms, dtype=object)[..., scheme.leaf_index[:, _ABD]]
+    return np.asarray(randoms)[..., scheme.leaf_index[:, _ABD]]
 
 
 def encode_x_side(dom, x, scheme: DotEncodingScheme, randoms) -> np.ndarray:
     """(..., d, 2): (c1, c2) per leaf for the x-vector owner, who holds all randoms."""
-    x = np.asarray(x, dtype=object)
+    x = np.asarray(x)
     if x.shape[-1] != scheme.d:
         raise DimensionError(f"vector length {x.shape[-1]} != scheme length {scheme.d}")
-    randoms = np.asarray(randoms, dtype=object)
+    randoms = np.asarray(randoms)
     ra, rb, rc = (randoms[..., scheme.leaf_index[:, k]] for k in range(3))
-    return np.stack((dom.reduce(x - ra), dom.reduce(x * rb - ra * rb + rc)), axis=-1)
+    c2 = dom.array_add(dom.array_sub(dom.array_mul(x, rb), dom.array_mul(ra, rb)), rc)
+    return np.stack((dom.array_sub(x, ra), c2), axis=-1)
 
 
 def encode_y_side(dom, y, scheme: DotEncodingScheme, triples) -> np.ndarray:
     """(..., d, 2): (c3, c4) per leaf from the transmitted (r[a], r[b], r[d]) triples."""
-    y = np.asarray(y, dtype=object)
+    y = np.asarray(y)
     if y.shape[-1] != scheme.d:
         raise DimensionError(f"vector length {y.shape[-1]} != scheme length {scheme.d}")
-    triples = np.asarray(triples, dtype=object)
+    triples = np.asarray(triples)
     if triples.shape[-2:] != (scheme.d, 3):
         raise ProtocolError(
             f"received random triples of shape {triples.shape} for {scheme.d} leaves"
         )
     ra, rb, rd = triples[..., 0], triples[..., 1], triples[..., 2]
-    return np.stack((dom.reduce(y - rb), dom.reduce(y * ra + rd)), axis=-1)
+    return np.stack((dom.array_sub(y, rb), dom.array_add(dom.array_mul(y, ra), rd)), axis=-1)
 
 
 def offline_components(dom, scheme: DotEncodingScheme, randoms) -> np.ndarray:
@@ -206,25 +208,26 @@ def offline_components(dom, scheme: DotEncodingScheme, randoms) -> np.ndarray:
     Each leaf sums its list in order from ``dom.zero``, subtracting the
     terms of sign -1, so float sums are those of a scalar loop.
     """
-    randoms = np.asarray(randoms, dtype=object)
+    randoms = np.asarray(randoms)
     unorder, columns = scheme.offline_columns
-    c5 = np.full(randoms.shape[:-1] + (scheme.d,), dom.zero, dtype=object)
+    c5 = np.zeros(randoms.shape[:-1] + (scheme.d,), dtype=dom.dtype)
     for idx, negative in columns:
         acc, terms = c5[..., : len(idx)], randoms[..., idx]
-        np.add(acc, terms, out=acc, where=~negative)
-        np.subtract(acc, terms, out=acc, where=negative)
-    return dom.reduce(c5[..., unorder])
+        acc[...] = np.where(negative, dom.array_sub(acc, terms), dom.array_add(acc, terms))
+    return c5[..., unorder]
 
 
 def decode_dot(dom, x_comps, y_comps, offline):
     """<x, y> from the per-leaf components: (..., d, 2), (..., d, 2), (..., d) -> (...)."""
-    x_comps, y_comps, offline = (np.asarray(c, dtype=object) for c in (x_comps, y_comps, offline))
+    x_comps, y_comps, offline = (np.asarray(c) for c in (x_comps, y_comps, offline))
     if not (x_comps.shape[:-1] == y_comps.shape[:-1] == offline.shape):
         raise DimensionError(
             f"component shapes differ: {x_comps.shape}, {y_comps.shape}, {offline.shape}"
         )
-    terms = x_comps[..., 0] * y_comps[..., 0] + x_comps[..., 1] + y_comps[..., 1] + offline
-    return dom.reduce(np.add.reduce(terms, axis=-1, initial=dom.zero))
+    terms = dom.array_mul(x_comps[..., 0], y_comps[..., 0])
+    for part in (x_comps[..., 1], y_comps[..., 1], offline):
+        terms = dom.array_add(terms, part)
+    return dom.array_sum(terms)
 
 
 # -- RE wire layout (see the module docstring) ---------------------------------
@@ -256,7 +259,7 @@ def wire_block(flat, n_a: int, n_b: int, d: int, layout: tuple, what: str) -> np
             f"{what}: expected {math.prod(shape)} elements for d={d}, "
             f"{n_a}x{n_b} sample pairs, got {len(flat)}"
         )
-    return np.asarray(flat, dtype=object).reshape(shape)
+    return np.asarray(flat).reshape(shape)
 
 
 def dump_scheme(scheme: DotEncodingScheme) -> str:

@@ -8,10 +8,13 @@ Frame layout (little-endian throughout):
     offset 5   payload_len   8 bytes unsigned
     offset 13  payload
 
-Field elements travel as 8-byte unsigned, floats as IEEE binary64.
-Matrices are prefixed with two 4-byte dims (rows, cols) and sent
-row-major; flat scalar arrays with one 4-byte count.  No compression and
-no variable-width encodings, so every byte is accounted for exactly.
+Field elements travel as 8-byte unsigned, floats as IEEE binary64: the
+bytes of the domain's fixed-width entry arrays, so encoding is ``tobytes``
+and decoding ``frombuffer`` plus the field's range check.  Matrices are
+prefixed with two 4-byte dims (rows, cols) and sent row-major; flat scalar
+arrays with one 4-byte count, and they decode to a read-only flat array.
+No compression and no variable-width encodings, so every byte is accounted
+for exactly.
 
 Both transports use one endpoint class, ``TcpEndpoint``, over a stream
 socket: a TCP run over connected TCP sockets, a loopback run over
@@ -118,11 +121,11 @@ def scalars_payload(xs, domain) -> bytes:
 
 
 def scalars_from_payload(b: bytes, domain, offset: int = 0) -> tuple:
-    """The scalars that fill ``b`` from ``offset`` to its end, and that end."""
+    """The flat entry array that fills ``b`` from ``offset`` to its end, and that end."""
     (n,) = _unpack_header("<I", b, offset, "scalar array")
     start = offset + 4
     end = _check_length(b, start + 8 * n, "scalar array")
-    return tuple(domain.unpack(memoryview(b)[start:end])), end
+    return domain.unpack(memoryview(b)[start:end]), end
 
 
 def u64_payload(v: int) -> bytes:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from mpgram.errors import DomainError, EncodingOverflowError
 from mpgram.field import M61, FieldDomain, FixedPointCodec, FloatDomain, make_domain
-from mpgram.matrix import Matrix, gram_t
+from mpgram.matrix import Matrix, gram_t, mat_scale
 from mpgram.seeds import party_key, stream_words
 
 P = M61
@@ -125,10 +125,97 @@ class TestArrayDecode:
             assert got.dtype == np.float64
             assert [repr(v) for v in got.tolist()] == [repr(fn(v)) for v in entries]
 
+    def test_entry_of_an_array_decodes_as_its_int(self):
+        # an entry indexed out of a uint64 array is a numpy scalar, whose own
+        # arithmetic would wrap mod 2^64 near the largest prime
+        dom = FieldDomain(scale_bits=16, p=2**64 - 59)
+        for v in (0, 2**63 - 30, 2**63 - 29, 2**64 - 60):
+            for name in ("decode", "decode_dot"):
+                fn = getattr(dom, name)
+                assert fn(np.array([v], dtype=np.uint64)[0]) == fn(v)
+
     def test_sign_edge(self, m61):
         half = (P - 1) // 2
         got = m61.decode_dot(np.array([[half, half + 1], [P - 1, 0]], dtype=object))
         assert got.tolist() == [[half / 2.0**32, -half / 2.0**32], [-(2.0**-32), 0.0]]
+
+
+@st.composite
+def residue_operands(draw):
+    """(domain, a, b): two equal-length lists of residues over Z5, Z251, M61 or
+    2^64 - 59, biased to 0, 1, p - 1 and, for the largest prime, to operands whose
+    sum is above 2^64."""
+    p = draw(st.sampled_from([5, 251, M61, 2**64 - 59]))
+    edges = [0, 1, p - 1, p - 2, (p - 1) // 2, (p + 1) // 2]
+    if p > 2**63:
+        edges += [2**63, 2**63 + 1, 2**64 - 60 - 2**62]
+    entry = st.one_of(st.sampled_from([e for e in edges if 0 <= e < p]), st.integers(0, p - 1))
+    n = draw(st.integers(1, 12))
+    a, b = (draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(2))
+    return FieldDomain(scale_bits=0, p=p), a, b
+
+
+class TestArrayOps:
+    """The domains' array operations against the per-scalar API, entry by entry."""
+
+    @given(residue_operands())
+    @settings(max_examples=300, deadline=None)
+    @example((FieldDomain(scale_bits=0, p=2**64 - 59), [2**64 - 60, 2**63], [2**64 - 60, 2**63]))
+    def test_field_ops_equal_scalar_api(self, case):
+        dom, a, b = case
+        ua, ub = np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64)
+        for name in ("add", "sub", "mul"):
+            got = getattr(dom, f"array_{name}")(ua, ub)
+            assert got.dtype == np.uint64
+            assert got.tolist() == [getattr(dom, name)(x, y) for x, y in zip(a, b)], name
+        # a Python-int scalar operand broadcasts, one of at least 2^63 included
+        for s in (b[0], dom.p - 1):
+            assert dom.array_mul(s, ua).tolist() == [dom.mul(s, x) for x in a]
+        total = 0
+        for x in a + b:
+            total = dom.add(total, x)
+        assert dom.array_sum(np.array([a + b], dtype=np.uint64)).tolist() == [total]
+
+    def test_sums_above_2_64(self):
+        # (p - 1) + (p - 1) and 2^63 + 2^63 exceed 2^64, so a bare uint64 sum wraps
+        p = 2**64 - 59
+        dom = FieldDomain(scale_bits=0, p=p)
+        a = np.array([p - 1, 2**63, p - 1], dtype=np.uint64)
+        b = np.array([p - 1, 2**63, 1], dtype=np.uint64)
+        assert dom.array_add(a, b).tolist() == [p - 2, 2**64 - p, 0]
+        assert dom.array_sum(np.stack((a, b), axis=-1)).tolist() == [p - 2, 2**64 - p, 0]
+
+    def test_scalar_at_least_2_63_times_a_matrix(self):
+        p = 2**64 - 59
+        dom = FieldDomain(scale_bits=0, p=p)
+        s = 2**63 + 12345
+        m = Matrix.from_rows([[p - 1, 2], [2**63, 1]], dom)
+        got = mat_scale(s, m)
+        assert got.data.dtype == np.uint64
+        assert got.data.tolist() == [[dom.mul(s, v) for v in row] for row in m.data.tolist()]
+        # the product numpy would form silently wraps mod 2^64
+        assert (np.uint64(s) * m.data).tolist() != got.data.tolist()
+
+    @given(
+        st.lists(
+            st.tuples(*[st.one_of(st.sampled_from([0.0, -0.0, 1e16, -1e16, 1.0]),
+                                  st.floats(-1e150, 1e150))] * 2),
+            min_size=1, max_size=40,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    @example([(1e16, 1.0), (-1e16, 1.0), (1.0, 1e16), (1.0, -1e16)] * 3)
+    def test_float_ops_equal_scalar_loop_bit_for_bit(self, pairs):
+        dom = FloatDomain()
+        a, b = (np.array(v) for v in zip(*pairs))
+        for name in ("add", "sub", "mul"):
+            got = getattr(dom, f"array_{name}")(a, b)
+            want = [getattr(dom, name)(float(x), float(y)) for x, y in zip(a, b)]
+            assert got.dtype == np.float64 and dom.pack(got) == dom.pack(want), name
+        total = dom.zero
+        for x in a.tolist() + b.tolist():
+            total = dom.add(total, x)
+        assert dom.pack(dom.array_sum(np.concatenate((a, b))[None, :])) == dom.pack([total])
 
 
 class TestFieldAxioms:
@@ -176,7 +263,7 @@ class TestSampling:
     def test_uniform_in_range(self):
         for dom in FIELDS:
             v = dom.sample(KEY, "range", 10**4)
-            assert v.shape == (10**4,) and all(type(x) is int for x in v)
+            assert v.shape == (10**4,) and v.dtype == np.uint64
             assert 0 <= min(v) and max(v) < dom.p
 
     def test_nonzero_never_zero(self, z5):

@@ -56,7 +56,7 @@ class TestSub:
         c = mat_sub(a, b)
         for r in range(3):
             for col in range(2):
-                assert c.data[r, col] == (a.data[r, col] - b.data[r, col]) % 5
+                assert c.data[r, col] == (int(a.data[r, col]) - int(b.data[r, col])) % 5
 
     def test_shape_mismatch(self, z5):
         with pytest.raises(DimensionError, match="features x samples"):
@@ -162,7 +162,7 @@ class TestGramKernel:
         mb = ma if b is a else Matrix.from_rows(b, dom)  # a self gram passes one array twice
         g = gram_t(ma, mb)
         assert g.data.tolist() == python_gram(a, b, p)
-        assert all(type(v) is int for v in g.data.flat)
+        assert g.data.dtype == np.uint64
 
     def test_feature_axis_crosses_chunk_boundary(self, m61):
         # 2^20 + 3 rows of p - 1 leave three rows for a second chunk;
@@ -182,7 +182,7 @@ class TestGramKernel:
         a = Matrix(np.full((f, 2), p - 1, dtype=object), dom)
         g = gram_t(a, a)
         assert g.data.tolist() == [[f, f], [f, f]]
-        assert all(type(v) is int for v in g.data.flat)
+        assert g.data.dtype == np.uint64
 
 
 def _tie(k: int, s: int) -> float:
@@ -236,7 +236,8 @@ class TestArrayEncode:
             return [[(type(v), repr(v)) for v in (dom.encode(x) for x in r)] for r in rows]
 
         def array():
-            return [[(type(v), repr(v)) for v in r] for r in encode_real_matrix(rows, dom).data]
+            entries = encode_real_matrix(rows, dom).data.tolist()
+            return [[(type(v), repr(v)) for v in r] for r in entries]
 
         assert _outcome(array) == _outcome(scalar)
 
@@ -287,6 +288,37 @@ class TestRandomMatrix:
         sigma = (draws * 0.2 * 0.8) ** 0.5
         for c in counts:
             assert abs(c - expected) <= 3 * sigma
+
+
+class TestEntryDtype:
+    @pytest.mark.parametrize("domain", ["m61", "f64"])
+    def test_every_producer_returns_read_only_domain_dtype(self, domain, request):
+        from mpgram import transport as tp
+
+        dom = request.getfixturevalue(domain)
+        assert dom.dtype in (np.uint64, np.float64)
+        a = random_matrix((3, 2), dom, KEY, 12)
+        b = encode_real_matrix([[0.5, -1.0], [2.0, 0.0], [-0.25, 3.0]], dom)
+        payload, scalars = tp.matrix_payload(a), tp.scalars_payload(a.data.ravel(), dom)
+        received = bytearray(payload)  # a receive buffer is writable
+        produced = {
+            "random_matrix": a.data,
+            "encode_real_matrix": b.data,
+            "mat_add": mat_add(a, b).data,
+            "mat_sub": mat_sub(a, b).data,
+            "mat_scale": mat_scale(dom.sample_nonzero(KEY, "s"), a).data,
+            "gram_t": gram_t(a, b).data,
+            "transpose": a.transpose().data,
+            "from_rows": Matrix.from_rows([[1, 2]], dom).data,
+            "zeros": Matrix.zeros(2, 2, dom).data,
+            "matrix_from_payload": tp.matrix_from_payload(payload, dom)[0].data,
+            "matrix_from_payload, bytearray": tp.matrix_from_payload(received, dom)[0].data,
+            "scalars_from_payload": tp.scalars_from_payload(scalars, dom)[0],
+            "scalars_from_payload, bytearray": tp.scalars_from_payload(bytearray(scalars), dom)[0],
+        }
+        for name, data in produced.items():
+            assert data.dtype == dom.dtype, name
+            assert not data.flags.writeable, name
 
 
 class TestPickle:

@@ -190,7 +190,7 @@ class TestRun:
 
     def test_field_re_run_makes_no_scalar_domain_calls(self, monkeypatch):
         # the RE path is array expressions over the domain's bulk sampler and
-        # reduce; a per-scalar fallback would show up here
+        # array operations; a per-scalar fallback would show up here
         calls = []
         for name in ("add", "sub", "mul", "sample_nonzero"):
             monkeypatch.setattr(
@@ -747,11 +747,15 @@ class TestCli:
         [
             (None, "No such file or directory"),
             ("dir", "Is a directory"),
-            ("0.5,0.25\n1,x\n", "could not convert string 'x' to float64 at row 1, column 2."),
-            ("0.5,0.25\n1\n", "the number of columns changed from 2 to 1 at row 2"),
+            ("0.5,0.25\n1,x\n", "could not convert string 'x' to float64 at line 2, column 2."),
+            ("0.5,0.25\n1\n", "the number of columns changed from 2 to 1 at line 2"),
             ("\n\n", "holds no numbers"),
+            # numpy skips the blank line and calls these row 1 and row 2
+            ("0.5,0.25\n\n1,x\n", "could not convert string 'x' to float64 at line 3, column 2."),
+            ("\n0.5,0.25\n \n", "the number of columns changed from 2 to 1 at line 3"),
         ],
-        ids=["missing", "unreadable", "non-number", "ragged", "no-numbers"],
+        ids=["missing", "unreadable", "non-number", "ragged", "no-numbers",
+             "non-number-after-blank-line", "ragged-after-blank-line"],
     )
     def test_bad_data_file_exits_with_config_error(self, tmp_path, capsys, monkeypatch,
                                                    content, detail):
