@@ -2,7 +2,7 @@
 
 Two interchangeable domains:
 
-* ``FieldDomain`` -- the prime field Z_p for any prime p < 2^64
+* ``FieldDomain`` -- the prime field Z_p for any odd prime p < 2^64
   (production prime: the Mersenne prime M61 = 2^61 - 1) together with a
   fixed-point codec that embeds reals by scaling and rounding.  All
   arithmetic is exact, which is what the uniform-mask security checks rely
@@ -39,8 +39,10 @@ arithmetic on such arrays: ``array_add``, ``array_sub`` and ``array_mul``
 (elementwise, broadcasting, scalars allowed), ``array_sum`` (over the last
 axis, in index order from zero), ``matmul_t`` (the product A^T B) and
 ``pack``/``unpack`` (the wire codec of a vector of elements).  Field add and
-sub stay in uint64 with one compare; the field product is exact through
-Python ints, since numpy would wrap a uint64 product silently.  Over floats
+sub stay in uint64 with one compare.  The field product is Montgomery's
+(Math. Comp. 1985) with R = 2^64, also in uint64: the 128-bit product is
+formed from 32-bit halves and reduced without leaving uint64.  The
+reduction needs p^-1 mod 2^64, which is why p must be odd.  Over floats
 every operation runs in the order of a scalar loop, so results are
 bit-identical to it.  The per-scalar operations (``add``, ``sub``, ``mul``,
 ``inv``) take single elements, which the field computes in Python ints;
@@ -202,12 +204,16 @@ class FieldDomain:
             raise DomainError(f"modulus must be >= 2, got {p}")
         if p >= 1 << 64:
             raise DomainError(f"modulus must be < 2^64 (8-byte wire elements), got {p}")
+        if p % 2 == 0:
+            raise DomainError(f"modulus must be odd (Montgomery's product needs it), got {p}")
         self.p = p
         self.scale_bits = scale_bits
         self.codec = FixedPointCodec(scale_bits, p)
         self.zero = 0
         self.one = 1 % p
         self._p = np.uint64(p)
+        self._p_inv = np.uint64(pow(p, -1, 1 << 64))  # p^-1 mod 2^64, for ``_redc``
+        self._r2 = np.uint64((1 << 128) % p)  # R^2 mod p, R = 2^64
         self._bits = p.bit_length()
         self._nlimbs = -(-self._bits // _LIMB_BITS)
 
@@ -288,10 +294,43 @@ class FieldDomain:
         return np.where(a >= b, d, np.add(d, self._p))
 
     def array_mul(self, a, b) -> np.ndarray:
-        """(a b) mod p, elementwise, exact through Python ints (numpy wraps a
-        uint64 product silently)."""
-        a, b = np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64)
-        return np.asarray(a.astype(object) * b.astype(object) % self.p, dtype=np.uint64)
+        """(a b) mod p, elementwise, for entries in [0, p): Montgomery's product
+        with R = 2^64, in uint64 throughout.
+
+        ``_mul_hi`` and numpy's wrapping uint64 product give the two words of
+        the 128-bit product, and ``_redc`` takes it to a b R^-1 mod p.  Two
+        arrays take a second reduction, of that times the constant R^2 mod p.
+        A scalar operand (a Python int, numpy scalar or 0-d array) is first
+        moved to s R mod p in Python ints, so its product takes one reduction.
+        Operands are lifted to at least one dimension, since numpy hands back
+        numpy scalars for 0-d ones, whose arithmetic warns on wrap-around; the
+        result has the broadcast shape.
+        """
+        if np.ndim(a) == 0:
+            a, b = b, a
+        shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+        x = np.atleast_1d(np.asarray(a, dtype=np.uint64))
+        if np.ndim(b) == 0:
+            s = np.uint64((int(b) << 64) % self.p)
+            return self._redc(_mul_hi(x, s), np.multiply(x, s)).reshape(shape)
+        y = np.atleast_1d(np.asarray(b, dtype=np.uint64))
+        t = self._redc(_mul_hi(x, y), np.multiply(x, y))
+        return self._redc(_mul_hi(t, self._r2), np.multiply(t, self._r2)).reshape(shape)
+
+    def _redc(self, hi, lo) -> np.ndarray:
+        """(hi 2^64 + lo) 2^-64 mod p for uint64 arrays with hi < p; overwrites both.
+
+        m = lo p^-1 mod 2^64 (numpy's wrapping product) makes the low word of
+        m p equal lo, so (hi 2^64 + lo - m p) / 2^64 = hi - mulhi(m, p)
+        exactly.  Both terms are below p, so adding p where hi < mulhi(m, p)
+        lands on the residue, and no sum leaves uint64, also for p > 2^63.
+        """
+        lo *= self._p_inv
+        mh = _mul_hi(lo, self._p)
+        borrow = hi < mh
+        hi -= mh
+        np.add(hi, self._p, out=hi, where=borrow)
+        return hi
 
     array_sum = _sum_in_order
 
@@ -348,6 +387,34 @@ class FieldDomain:
 
     def __repr__(self):
         return f"FieldDomain(p={self.p}, scale_bits={self.scale_bits})"
+
+
+_HALF = np.uint64(32)
+_LO32 = np.uint64((1 << 32) - 1)
+
+
+def _mul_hi(a, b) -> np.ndarray:
+    """floor(a b / 2^64), elementwise, for a uint64 array a and a uint64 array or scalar b.
+
+    From 32-bit halves, a = a1 2^32 + a0 and b likewise: floor(a b / 2^32) is
+    (a1 b1 + floor(a0 b1 / 2^32)) 2^32 + mid, with mid = floor(a0 b0 / 2^32)
+    + (a0 b1 mod 2^32) + a1 b0 < 2^32 + 2^32 + (2^32 - 1)^2 < 2^64, so mid
+    fits a word.  Each product of halves is a new array of the broadcast
+    shape, which the sums then update in place.
+    """
+    a0, a1 = a & _LO32, a >> _HALF
+    b0, b1 = b & _LO32, b >> _HALF
+    mid = a0 * b0
+    mid >>= _HALF
+    cross = a0 * b1
+    mid += cross & _LO32
+    cross >>= _HALF
+    mid += a1 * b0
+    mid >>= _HALF
+    hi = a1 * b1
+    hi += cross
+    hi += mid
+    return hi
 
 
 def _carry_words(q) -> list:

@@ -227,9 +227,12 @@ class _EscapedParty:
 class _ReParty:
     """Randomized-encoding role: fresh randoms per sample pair, components to FP.
 
-    Alice works one of her samples at a time: the randoms of that sample
-    against every Bob sample form one (n_b, total_randoms) block, read from
-    her own key.  The frames follow the RE wire layout of ``mpgram.scheme``.
+    Alice reads the randoms of each of her samples u against every Bob sample
+    from her own key, one (n_b, total_randoms) read per u, and stacks them into
+    one (n_a, n_b, total_randoms) block for the pair; she encodes that block
+    with one call per step, and Bob encodes the (n_a, n_b, d, 3) triples he
+    receives with one call.  The frames follow the RE wire layout of
+    ``mpgram.scheme``.
     """
 
     def __init__(self, spec, data: Matrix, mesh):
@@ -243,12 +246,12 @@ class _ReParty:
         spec, scheme = self.spec, self.scheme
         dom = spec.domain
         n_b = self.mesh.n_by_peer[bob_id]
-        to_bob, to_fp = [], []
-        for u in range(self.data.cols):
-            randoms = pair_randoms(scheme, dom, spec.key, bob_id, u, n_b)
-            to_bob.append(y_random_triples(scheme, randoms))
-            x_comps = encode_x_side(dom, self.data.data[:, u], scheme, randoms)
-            to_fp.append(x_side_wire(x_comps, offline_components(dom, scheme, randoms)))
+        randoms = np.stack(
+            [pair_randoms(scheme, dom, spec.key, bob_id, u, n_b) for u in range(self.data.cols)]
+        )
+        to_bob = y_random_triples(scheme, randoms)
+        x_comps = encode_x_side(dom, self.data.data.T[:, None, :], scheme, randoms)
+        to_fp = x_side_wire(x_comps, offline_components(dom, scheme, randoms))
         self.mesh.channels[bob_id].send(
             tp.RE_RANDOMS,
             tp.pair_scalars_payload(self.party_id, bob_id, 0, np.ravel(to_bob), dom),
@@ -271,8 +274,7 @@ class _ReParty:
             flat, self.mesh.n_by_peer[alice_id], self.data.cols, scheme.d, WIRE_RANDOMS,
             f"randoms of pair ({alice_id},{self.party_id})",
         )
-        y = self.data.data.T
-        to_fp = [encode_y_side(dom, y, scheme, row) for row in triples]
+        to_fp = encode_y_side(dom, self.data.data.T, scheme, triples)
         self.mesh.channels[tp.FUNCTION_PARTY_ID].send(
             tp.RE_COMPONENTS,
             tp.pair_scalars_payload(alice_id, self.party_id, tp.SIDE_Y, np.ravel(to_fp), dom),

@@ -1,6 +1,7 @@
 """Field arithmetic, fixed-point codec, and sampling distribution checks."""
 
 import math
+import warnings
 from random import Random
 
 import numpy as np
@@ -218,6 +219,83 @@ class TestArrayOps:
         assert dom.pack(dom.array_sum(np.concatenate((a, b))[None, :])) == dom.pack([total])
 
 
+LARGEST = 2**64 - 59  # the largest prime below 2^64
+
+
+class TestMontgomeryProduct:
+    """``FieldDomain.array_mul`` at its reduction edges, operand kinds and shapes,
+    against Python ints."""
+
+    @pytest.mark.parametrize("p", [LARGEST, M61, 251, 5])
+    def test_edges_against_python_ints(self, p):
+        # over the largest prime the 128-bit products reach the top of every
+        # word: (p - 1)^2 and (p - 1)/2 (p - 1) fill the high word, and the
+        # reduction's hi - mulhi(m, p) takes both signs across these pairs
+        dom = FieldDomain(scale_bits=0, p=p)
+        edges = [0, 1, 2, p - 1, p - 2, (p - 1) // 2, (p + 1) // 2]
+        edges += [v for v in (2**32 - 1, 2**32, 2**63, 2**63 + 1, 2**64 - 60 - 2**62) if v < p]
+        a, b = zip(*((x, y) for x in edges for y in edges))
+        got = dom.array_mul(np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64))
+        assert got.dtype == np.uint64
+        assert got.tolist() == [x * y % p for x, y in zip(a, b)]
+        for s in edges:  # a Python-int scalar, on either side
+            want = [s * y % p for y in edges]
+            assert dom.array_mul(s, np.array(edges, dtype=np.uint64)).tolist() == want
+            assert dom.array_mul(np.array(edges, dtype=np.uint64), s).tolist() == want
+
+    def test_largest_prime_high_word_cases(self):
+        dom = FieldDomain(scale_bits=0, p=LARGEST)
+        p = LARGEST
+        for x, y in [(p - 1, p - 1), ((p - 1) // 2, p - 1), (p - 1, (p + 1) // 2), (2**63, p - 1)]:
+            want = x * y % p
+            assert dom.array_mul(np.array([x], dtype=np.uint64),
+                                 np.array([y], dtype=np.uint64)).tolist() == [want]
+            assert dom.array_mul(x, np.array([y], dtype=np.uint64)).tolist() == [want]
+
+    def test_scalar_operands(self):
+        # numpy hands back numpy scalars for 0-d operands, whose own arithmetic
+        # warns on wrap-around; the product must neither warn nor lose the shape
+        dom = FieldDomain(scale_bits=0, p=LARGEST)
+        s, x = 2**63 + 12345, LARGEST - 1
+        want = s * x % LARGEST
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            zero_d, one_d = np.array(x, dtype=np.uint64), np.array([x], dtype=np.uint64)
+            for a, b in [(np.array(s, dtype=np.uint64), zero_d), (s, zero_d), (zero_d, s),
+                         (np.uint64(s), np.uint64(x)), (np.uint64(s), one_d)]:
+                got = dom.array_mul(a, b)
+                assert isinstance(got, np.ndarray) and got.dtype == np.uint64
+                assert got.shape == np.broadcast_shapes(np.shape(a), np.shape(b))
+                assert got.tolist() == (want if got.ndim == 0 else [want])
+
+    def test_scalar_times_read_only_matrix_leaves_it_unchanged(self):
+        dom = FieldDomain(scale_bits=0, p=LARGEST)
+        m = Matrix.from_rows([[LARGEST - 1, 2**63], [0, 1]], dom)
+        before = m.data.tolist()
+        got = dom.array_mul(2**63 + 1, m.data)
+        assert m.data.tolist() == before
+        assert got.tolist() == [[(2**63 + 1) * v % LARGEST for v in row] for row in before]
+
+    @pytest.mark.parametrize("p", [LARGEST, M61, 251])
+    def test_broadcast_shapes(self, p):
+        # the RE encoders multiply (n_a, 1, d) samples by (n_a, n_b, d) randoms
+        dom = FieldDomain(scale_bits=0, p=p)
+        rng = np.random.default_rng(p % 1000)
+        x = rng.integers(0, p, (3, 1, 5), dtype=np.uint64)
+        r = rng.integers(0, p, (3, 4, 5), dtype=np.uint64)
+        r[0, 0] = p - 1
+        x[0, 0] = p - 1
+        want = [[[int(x[i, 0, k]) * int(r[i, j, k]) % p for k in range(5)] for j in range(4)]
+                for i in range(3)]
+        for got in (dom.array_mul(x, r), dom.array_mul(r, x)):
+            assert got.shape == (3, 4, 5) and got.tolist() == want
+        # a (n_b, d) operand against a (n_a, n_b, d) block, as on the Y side
+        y = r[0]
+        want = [[[int(y[j, k]) * int(r[i, j, k]) % p for k in range(5)] for j in range(4)]
+                for i in range(3)]
+        assert dom.array_mul(y, r).tolist() == want
+
+
 class TestFieldAxioms:
     def test_exhaustive_z5_against_mirror(self, z5):
         # plain modular arithmetic as the independent mirror
@@ -393,6 +471,14 @@ class TestDomainConstruction:
         largest = FieldDomain(p=2**64 - 59)  # the largest prime below 2^64
         x = largest.p - 1
         assert largest.unpack(largest.pack([x])).tolist() == [x]
+
+    def test_modulus_must_be_odd(self):
+        # the Montgomery product needs p^-1 mod 2^64, which an even p lacks
+        for p in (2, 4, 2**61 - 2, 2**64 - 2):
+            with pytest.raises(DomainError, match="must be odd"):
+                FieldDomain(p=p)
+        for p in (3, 5, M61, LARGEST):
+            assert FieldDomain(p=p).p == p
 
     def test_domain_equality(self):
         assert FieldDomain() == FieldDomain()

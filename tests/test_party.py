@@ -9,6 +9,7 @@ import hashlib
 import re
 import threading
 
+import numpy as np
 import pytest
 
 from mpgram import transport as tp
@@ -27,6 +28,15 @@ from mpgram.party import (
     play_party,
 )
 from mpgram.runner import RunConfig, run
+from mpgram.scheme import (
+    encode_x_side,
+    encode_y_side,
+    generate_scheme,
+    offline_components,
+    pair_randoms,
+    x_side_wire,
+    y_random_triples,
+)
 from mpgram.seeds import party_key
 
 m61 = FieldDomain()
@@ -341,3 +351,39 @@ def test_data_that_could_wrap_fails_before_the_party_sends_anything():
     assert str(outcome.failure[1]).startswith(
         f"sample 1 of party 2 has encoded squared norm {2**61} > (p - 1) / 2 = {2**60 - 1}"
     )
+
+
+# -- RE frames: one block per pair equals the per-sample encoding ---------------
+
+
+@pytest.mark.parametrize("domain", ["field", "float"])
+def test_re_pair_blocks_equal_a_per_sample_reference(monkeypatch, domain):
+    # unequal sample counts, so an n_a / n_b mix-up in the stacked blocks shows
+    sent = {}  # (sender, receiver, pair header) -> RE payload
+    send = tp.Channel.send
+
+    def recording_send(self, kind, payload):
+        if kind in (tp.RE_RANDOMS, tp.RE_COMPONENTS):
+            sent[self.local_id, self.peer_id, payload[:5]] = payload  # "<HHB" alice, bob, tag
+        send(self, kind, payload)
+
+    monkeypatch.setattr(tp.Channel, "send", recording_send)
+    cfg = RunConfig(protocol="re", m=3, features=5, samples=(3, 2, 4), domain=domain,
+                    seed=11, verify=False)
+    res = run(cfg)
+    dom, scheme = res.party_data[1].domain, generate_scheme(cfg.features)
+    for a, b in [(1, 2), (1, 3), (2, 3)]:
+        x, y = res.party_data[a].data, res.party_data[b].data
+        triples, x_side, y_side = [], [], []
+        for u in range(x.shape[1]):
+            randoms = pair_randoms(scheme, dom, party_key(cfg.seed, a), b, u, y.shape[1])
+            triples.append(y_random_triples(scheme, randoms))
+            x_comps = encode_x_side(dom, x[:, u], scheme, randoms)
+            x_side.append(x_side_wire(x_comps, offline_components(dom, scheme, randoms)))
+            y_side.append(encode_y_side(dom, y.T, scheme, triples[-1]))
+        for what, sender, receiver, payload in [
+            ("RE_RANDOMS", a, b, tp.pair_scalars_payload(a, b, 0, np.ravel(triples), dom)),
+            ("X side", a, 0, tp.pair_scalars_payload(a, b, tp.SIDE_X, np.ravel(x_side), dom)),
+            ("Y side", b, 0, tp.pair_scalars_payload(a, b, tp.SIDE_Y, np.ravel(y_side), dom)),
+        ]:
+            assert sent[sender, receiver, payload[:5]] == payload, f"{what} of pair ({a},{b})"
