@@ -1,8 +1,10 @@
 """End-to-end run orchestration: provision parties, execute, verify, report.
 
-Loopback runs drive every party as a thread inside this process; TCP
-runs spawn one OS process per party (input parties and the function
-party), each with a single-threaded OpenBLAS, which hands its
+Loopback runs drive every party as a thread inside this process.  A TCP
+run starts one interpreter, ``python -m mpgram.worker`` with every party's
+job, and a single-threaded OpenBLAS: it forks one process per input party,
+plays the function party itself, and reaps its children (``mpgram.worker``).
+Each party's process loads only its own job and hands its
 ``PartyOutcome`` back in a pickle file.  On both, one collector merges
 the parties' sender-side transcripts and blames the earliest failure.
 Each party gets its own copy of the ``SessionSpec``, which carries only
@@ -24,6 +26,7 @@ import math
 import os
 import pickle
 import shutil
+import signal
 import struct
 import subprocess
 import sys
@@ -80,6 +83,9 @@ class RunConfig:
             raise ConfigError(f"domain must be field or float, got {self.domain!r}")
         if self.transport not in ("loopback", "tcp"):
             raise ConfigError(f"transport must be loopback or tcp, got {self.transport!r}")
+        if self.transport == "tcp" and not hasattr(os, "fork"):
+            raise ConfigError("tcp transport starts its parties with os.fork, "
+                              "which this platform does not have")
         if self.base_port and not 1 <= self.base_port <= 65535 - self.m:
             raise ConfigError(
                 f"base port must be 0 or in 1..{65535 - self.m} (ports base..base+{self.m}), "
@@ -356,41 +362,46 @@ def _free_ports(count: int) -> list:
     return ports
 
 
-def _wait_workers(procs: dict):
-    """Wait for every worker at once; kill the rest on the first nonzero exit.
+def _wait_launcher(proc) -> int | None:
+    """The launcher's exit code, polled every 5 ms; None if it outlives ``PARTY_TIMEOUT_S``.
 
-    Returns (party id, exit code) of that exit, or None.  Workers still
-    running after ``PARTY_TIMEOUT_S`` are killed too.
+    The launcher stops and reaps its own children (``mpgram.worker``).  Only
+    past the deadline, or if this wait is interrupted, does the runner kill
+    the launcher's whole session, whose orphans it cannot reap.
     """
     deadline = time.monotonic() + PARTY_TIMEOUT_S
-    running = dict(procs)
     try:
-        while running and time.monotonic() < deadline:
-            for pid, proc in list(running.items()):
-                code = proc.poll()
-                if code is None:
-                    continue
-                del running[pid]
-                if code != 0:
-                    return pid, code
-            if running:
-                time.sleep(0.005)
-        return None
+        while proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.005)
+        return proc.returncode
     finally:
-        for proc in running.values():
-            proc.kill()
+        if proc.returncode is None:
+            os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
 
 
-def _run_tcp(config: RunConfig, specs: dict, data: dict) -> list:
-    """Every party as a ``python -m mpgram.worker`` process; returns their outcomes.
+def _first_failure(exit_log: str):
+    """(party id, code) of the first nonzero line of the launcher's exit log, or None."""
+    with open(exit_log) as fh:
+        for line in fh:
+            party, code = map(int, line.split())
+            if code != 0:
+                return party, code
+    return None
 
-    Party i's job carries its own spec, so only its own key, and its own
-    encoded data (none for the function party); the job and the files the
-    worker writes sit in a subdirectory ``party_i`` of its own.  A worker
-    whose nonzero exit ended the run without an outcome that loads gets one
-    here, failed after every recorded failure with its exit code and last
-    stderr line: the collector blames it only if no party recorded one."""
+
+def _run_tcp(config: RunConfig, specs: dict, data: dict) -> list:
+    """Every party as a process of one ``python -m mpgram.worker job_0 .. job_m``
+    launch; returns their outcomes.
+
+    The launcher plays the function party's job 0 and forks one process per
+    input party (``mpgram.worker``).  Party i's job carries its own spec, so
+    only its own key, and its own encoded data (none for the function party);
+    the job and the files its process writes sit in a subdirectory
+    ``party_i`` of its own.  A party whose nonzero exit ended the run without
+    an outcome that loads gets one here, failed after every recorded failure
+    with its exit code and last stderr line: the collector blames it only if
+    no party recorded one."""
     rundir = tempfile.mkdtemp(prefix="mpgram-run-")
     try:
         if config.base_port:
@@ -399,35 +410,38 @@ def _run_tcp(config: RunConfig, specs: dict, data: dict) -> list:
             ports = dict(enumerate(_free_ports(config.m + 1)))
 
         # a party's BLAS calls are small: OpenBLAS's thread pool would only add
-        # start-up time and spinning helper threads to each worker
+        # start-up time and spinning helper threads to each party
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
 
         def path(pid, name):
             return os.path.join(rundir, f"party_{pid}", name)
 
-        procs = {}
-        for pid, spec in specs.items():
+        jobs = []
+        for pid, spec in specs.items():  # ids 0..m, so job k is party k's
             os.mkdir(path(pid, ""))
             job = {"spec": spec, "party_id": pid, "host": "127.0.0.1", "ports": ports,
                    "data": data.get(pid), "out_path": path(pid, "outcome.pickle")}
-            with open(path(pid, "job.pickle"), "wb") as fh:
+            jobs.append(path(pid, "job.pickle"))
+            with open(jobs[-1], "wb") as fh:
                 pickle.dump(job, fh)
-            with open(path(pid, "err.txt"), "wb") as err:
-                procs[pid] = subprocess.Popen(
-                    [sys.executable, "-m", "mpgram.worker", path(pid, "job.pickle")],
-                    stdout=subprocess.DEVNULL,
-                    stderr=err,
-                    env=env,
-                )
-        first_exit = _wait_workers(procs)
+        exit_log = os.path.join(rundir, "exits.txt")
+        with open(exit_log, "wb") as log, open(path(tp.FUNCTION_PARTY_ID, "err.txt"), "wb") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "mpgram.worker", *jobs],
+                stdout=log, stderr=err, env=env, start_new_session=True,
+            )
+        code = _wait_launcher(proc)
 
         outcomes = {}
-        for pid in procs:
+        for pid in specs:
             try:
                 with open(path(pid, "outcome.pickle"), "rb") as fh:
                     outcomes[pid] = pickle.load(fh)
             except Exception:  # noqa: BLE001 - no file, or one that does not load
                 pass
+        first_exit = None
+        if code:  # nonzero; None past the deadline blames no exit
+            first_exit = _first_failure(exit_log) or (tp.FUNCTION_PARTY_ID, code)
         if first_exit is not None and first_exit[0] not in outcomes:
             pid, code = first_exit
             with open(path(pid, "err.txt"), errors="replace") as fh:

@@ -1,11 +1,25 @@
-"""Subprocess entry point for TCP-mode parties: python -m mpgram.worker job.pickle.
+"""Entry point for TCP-mode parties: python -m mpgram.worker job_0 [job_1 ...].
 
-The job is a pickled dict: ``spec`` (the party's own ``SessionSpec``, which
-holds its own key and no other), ``party_id``, ``host``, ``ports`` (one per
-id 0..m), ``data`` (the party's own encoded ``Matrix``, None for the
-function party) and ``out_path``, where ``party.play_party`` pickles the
-``PartyOutcome`` before any socket of the mesh closes.  A failed party then
-re-raises, so the worker exits 1.
+Each job is a pickled dict: ``spec`` (the party's own ``SessionSpec``,
+which holds its own key and no other), ``party_id``, ``host``, ``ports``
+(one per id 0..m), ``data`` (the party's own encoded ``Matrix``, None for
+the function party) and ``out_path``, where ``party.play_party`` pickles
+the ``PartyOutcome`` before any socket of the mesh closes.  A failed party
+then re-raises, so its process exits 1.
+
+With one job, the process plays that party: the form for a party on its
+own host.  With several, one interpreter starts a whole localhost run.
+Before it reads any job or starts any thread, the process forks one child
+per job after the first; each child sends its stderr to ``err.txt`` beside
+its own job, loads only that job and exits normally, so ``atexit``
+handlers run in every party's process.  The parent plays job 0, the
+function party, which holds no key, while a reaper thread waits for the
+children.  Every job's exit code goes to stdout as one ``<job index>
+<code>`` line, in the order the jobs end.  On the first nonzero code the
+other children are killed and reaped, and the process ends: a child's
+failure ends it with exit 1 once the rest are reaped, the function
+party's as that party's own error.  So every process of a run is reaped
+by its parent, on every path.
 
 Connection topology: one connection per pair of ids 0..m, the function
 party being id 0, so every party's mesh is its row of one complete graph.
@@ -28,7 +42,9 @@ from __future__ import annotations
 import functools
 import os
 import pickle
+import signal
 import sys
+import threading
 from dataclasses import replace
 
 from .errors import ProtocolError
@@ -89,21 +105,99 @@ def _portable(exc: BaseException) -> bool:
     return True
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1:
-        print("usage: python -m mpgram.worker <job.pickle>", file=sys.stderr)
-        return 2
-    with open(argv[0], "rb") as fh:
-        job = pickle.load(fh)
+def play_job(path: str, record=write_outcome) -> int:
+    """Play the party whose job is pickled at ``path``; a failed party re-raises its error.
 
+    ``record(out_path, outcome)`` hands the outcome back.
+    """
+    with open(path, "rb") as fh:
+        job = pickle.load(fh)
     mesh = Mesh(job["party_id"], {}, Transcript())
-    record = functools.partial(write_outcome, job["out_path"])
+    record = functools.partial(record, job["out_path"])
     connect = functools.partial(setup_mesh, job)
     outcome = play_party(job["spec"], mesh, job["data"], record, connect=connect)
     if outcome.failure is not None:
         raise outcome.failure[1]
     return 0
+
+
+class _Children:
+    """A launcher's forked parties: logs each job's exit and stops the rest on a failure."""
+
+    def __init__(self):
+        self.running = {}  # pid -> job index
+        self.failed = None  # job index of the first nonzero exit
+        self._lock = threading.Lock()
+
+    def ended(self, job: int, code: int) -> None:
+        """Log ``job``'s exit code on stdout; the first nonzero one kills every running child."""
+        with self._lock:
+            os.write(1, f"{job} {code}\n".encode())
+            if code != 0 and self.failed is None:
+                self.failed = job
+                for pid in self.running:
+                    try:
+                        os.kill(pid, signal.SIGKILL)
+                    except ProcessLookupError:  # reaped, not yet popped by ``reap``
+                        pass
+
+    def record(self, path: str, outcome: PartyOutcome) -> None:
+        """Write the launcher's own outcome, unless a child's failure came first.
+
+        The children killed on that failure close their sockets, and the
+        function party would otherwise record the consequence as a failure
+        of its own, earlier than the child's exit.
+        """
+        with self._lock:
+            if self.failed is None:
+                write_outcome(path, outcome)
+
+    def reap(self) -> None:
+        """Reap every child; if one of them failed first, then end this process."""
+        while self.running:
+            pid, status = os.wait()
+            with self._lock:
+                job = self.running.pop(pid)
+            self.ended(job, os.waitstatus_to_exitcode(status))
+        if self.failed not in (None, 0):
+            os._exit(1)
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if not argv:
+        print("usage: python -m mpgram.worker <job.pickle> [<job.pickle> ...]", file=sys.stderr)
+        return 2
+    if len(argv) == 1:
+        return play_job(argv[0])
+
+    children = _Children()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    for k, path in enumerate(argv[1:], start=1):
+        try:
+            pid = os.fork()
+        except BaseException:
+            children.ended(0, 1)
+            children.reap()
+            raise
+        if pid == 0:
+            with open(os.devnull, "wb") as null, \
+                    open(os.path.join(os.path.dirname(path), "err.txt"), "wb") as err:
+                os.dup2(null.fileno(), 1)
+                os.dup2(err.fileno(), 2)
+            return play_job(path)
+        children.running[pid] = k
+
+    reaper = threading.Thread(target=children.reap, name="reaper")
+    reaper.start()
+    code = 1
+    try:
+        code = play_job(argv[0], children.record)
+    finally:
+        children.ended(0, code)
+        reaper.join()
+    return code
 
 
 if __name__ == "__main__":

@@ -231,8 +231,8 @@ class TestRun:
         cfg = RunConfig(protocol="escaped", m=2, features=2, samples=(1, 2), transport="tcp",
                         seed=3, verify=False)
         assert run(cfg).report["audit"]["ok"]
-        assert len(envs) == 3
-        assert all(env == {**before, "OPENBLAS_NUM_THREADS": "1"} for env in envs)
+        # one launch; the function party's process forks the input parties
+        assert envs == [{**before, "OPENBLAS_NUM_THREADS": "1"}]
         assert dict(os.environ) == before
 
     def test_failing_party_ends_loopback_run_and_is_blamed(self, monkeypatch):
@@ -320,6 +320,39 @@ class TestRun:
         _inject_site(tmp_path, monkeypatch, SITE_EXIT_WITHOUT_OUTCOME)
         with pytest.raises(ProtocolError, match="^party 2 failed: exited 1: no outcome from 2$"):
             run(TCP_M4)
+
+    @pytest.mark.parametrize("case", ["ok", "exit-without-outcome", "port-taken"])
+    def test_no_party_process_outlives_a_tcp_run(self, tmp_path, monkeypatch, case):
+        log = tmp_path / "pids.txt"
+        site = SITE_EXIT_WITHOUT_OUTCOME if case == "exit-without-outcome" else ""
+        _inject_site(tmp_path, monkeypatch, site + f"\nLOG = {str(log)!r}\n" + SITE_LOG_PIDS)
+        with socket.socket() as taken:
+            cfg = TCP_M4
+            if case == "port-taken":  # as in test_failing_tcp_worker_ends_run_and_is_blamed
+                cfg = replace(TCP_M4, base_port=_free_port_block(5))
+                taken.bind(("127.0.0.1", cfg.base_port + 2))
+                taken.listen()
+            if case == "ok":
+                assert run(cfg).report["audit"]["ok"]
+            else:
+                with pytest.raises(ProtocolError, match="^party 2 failed: "):
+                    run(cfg)
+        pids = [int(pid) for pid in log.read_text().split()]
+        assert len(set(pids)) == cfg.m + 1
+        for pid in pids:  # gone and reaped: a zombie still takes signal 0
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_tcp_transport_needs_fork(self, monkeypatch, capsys):
+        monkeypatch.delattr(os, "fork")
+        cfg = RunConfig(protocol="escaped", m=2, features=2, samples=(1, 1), transport="tcp")
+        with pytest.raises(ConfigError, match="^tcp transport starts its parties with os.fork"):
+            run(cfg)
+        rc = main(["run", "--transport", "tcp", "--parties", "2", "--features", "2",
+                   "--samples", "1"])
+        assert rc == EXIT_CONFIG
+        assert "os.fork, which this platform does not have" in capsys.readouterr().err
+        assert run(replace(cfg, transport="loopback")).report["audit"]["ok"]
 
 
 TCP_M4 = RunConfig(protocol="escaped", m=4, features=2, samples=(1, 2, 1, 2), transport="tcp",
@@ -409,6 +442,52 @@ def play_party(spec, mesh, data, record, connect=None):
 party.play_party = play_party
 """
 
+# every party's process appends its pid to LOG: the launcher at start-up,
+# each input party's process when it is forked
+SITE_LOG_PIDS = """
+import os
+
+
+def _log_pid():
+    with open(LOG, "a") as fh:
+        fh.write(f"{os.getpid()}\\n")
+
+
+_log_pid()
+os.register_at_fork(after_in_child=_log_pid)
+"""
+
+# every party's process appends "<pid> read <path>" for each job file it opens
+# and "<pid> plays <party id>" when it starts its party
+SITE_LOG_JOB_READS = """
+import os
+import sys
+
+from mpgram import party
+
+
+def _log(what):
+    with open(LOG, "a") as fh:
+        fh.write(f"{os.getpid()} {what}\\n")
+
+
+def _audit(event, args):
+    if event == "open" and str(args[0]).endswith("job.pickle"):
+        _log(f"read {args[0]}")
+
+
+sys.addaudithook(_audit)
+_play_party = party.play_party
+
+
+def play_party(spec, mesh, data, record, connect=None):
+    _log(f"plays {mesh.party_id}")
+    return _play_party(spec, mesh, data, record, connect)
+
+
+party.play_party = play_party
+"""
+
 
 def _outcome(pid, failed_at=None):
     failure = None if failed_at is None else (failed_at, RuntimeError(f"boom {pid}"))
@@ -482,10 +561,12 @@ class TestPartyKeys:
         real_popen = subprocess.Popen
 
         def popen(args, **kwargs):
-            with open(args[-1], "rb") as fh:
-                blob = fh.read()
-            job = pickle.loads(blob)
-            jobs[job["party_id"]] = (os.path.dirname(args[-1]), blob, job)
+            assert not jobs, "more than one launch"
+            for path in args[args.index("mpgram.worker") + 1:]:
+                with open(path, "rb") as fh:
+                    blob = fh.read()
+                job = pickle.loads(blob)
+                jobs[job["party_id"]] = (os.path.dirname(path), blob, job)
             return real_popen(args, **kwargs)
 
         monkeypatch.setattr(subprocess, "Popen", popen)
@@ -494,7 +575,7 @@ class TestPartyKeys:
         res = run(cfg)
         assert res.report["audit"]["ok"]
         keys = {i: party_key(MASTER_SEED, i) for i in (1, 2, 3)}
-        assert sorted(jobs) == [0, 1, 2, 3]
+        assert list(jobs) == [0, 1, 2, 3]  # job 0, the launcher's own, is the function party's
         assert len({where for where, _, _ in jobs.values()}) == 4
         for i, (where, blob, job) in jobs.items():
             assert set(job) == {"spec", "party_id", "host", "ports", "data", "out_path"}
@@ -502,6 +583,23 @@ class TestPartyKeys:
             assert os.path.dirname(job["out_path"]) == where
             assert job["data"] is None if i == 0 else job["data"] == res.party_data[i]
             _assert_holds_no_other_secret(blob, keys.get(i), keys)
+
+    def test_each_tcp_party_process_reads_only_its_own_job(self, tmp_path, monkeypatch):
+        log = tmp_path / "jobs.txt"
+        _inject_site(tmp_path, monkeypatch, f"LOG = {str(log)!r}\n" + SITE_LOG_JOB_READS)
+        assert run(TCP_M4).report["audit"]["ok"]
+        reads, plays = {}, {}
+        for line in log.read_text().splitlines():
+            pid, what, arg = line.split(" ", 2)
+            if what == "read":
+                reads.setdefault(pid, []).append(Path(arg))
+            else:
+                plays[pid] = int(arg)
+        assert sorted(plays.values()) == list(range(TCP_M4.m + 1))  # one process per party
+        assert reads.keys() == plays.keys()
+        for pid, party_id in plays.items():
+            [job] = reads[pid]
+            assert (job.parent.name, job.name) == (f"party_{party_id}", "job.pickle")
 
 
 class TestDeterminism:
