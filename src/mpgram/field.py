@@ -7,13 +7,13 @@ Two interchangeable domains:
   fixed-point codec that embeds reals by scaling and rounding.  All
   arithmetic is exact, which is what the uniform-mask security checks rely
   on.  Elements are uint64 residues in [0, p).  Matrix products run on
-  float64 BLAS: ``matmul_t`` splits the elements into 16-bit limbs, whose
-  products are below 2^32, and sums at most 2^20 of them per BLAS call, so
-  every partial sum stays below 2^52 and is an exact integer; the limb sums
-  are carried into 16-bit digits in uint64, and only the at most three
-  64-bit words that hold them are joined in Python ints and reduced mod p
-  once.  The 8-byte wire codec and the uint64 limb split are why p must be
-  below 2^64.
+  float64 BLAS: ``matmul_t`` splits each operand by the width of its own
+  centred values, into one limb (the values themselves) when they fit 21
+  bits, as encoded data does, and else into ceil(bits / 21) limbs of equal
+  width; it sums in chunks of feature rows short enough that every BLAS
+  sum is an exact integer of at most 2^53, adds the chunks in int64 and
+  reduces them to residues in uint64, with no Python ints.  The 8-byte
+  wire codec and the uint64 residues are why p must be below 2^64.
 * ``FloatDomain`` -- IEEE double arithmetic, provided so the protocols
   can also be run directly on real-valued data.  No security properties
   are claimed for it.
@@ -62,13 +62,16 @@ from .seeds import stream_words
 
 M61 = (1 << 61) - 1  # 2^61 - 1 = 2305843009213693951
 
-# The field kernel splits elements into 16-bit limbs held as float64.  A
-# product of two limbs is below 2^32, so a sum of up to 2^20 of them stays
-# below 2^52 and every BLAS partial sum is an exact integer.
-_LIMB_BITS = 16
-_CHUNK_ROWS = 1 << 20
 # Below this magnitude a float64 copy of an int is exact.
 _EXACT_INT = 2.0**53
+# The field kernel's limbs are at most this many bits wide, so an operand
+# whose centred values fit it is one limb: the values themselves.  Three
+# limbs cover any centred value below 2^63, and a product of two limbs is at
+# most 2^42, which leaves at least 2^11 / 3 rows per exact chunk.
+_LIMB_MAX_BITS = 21
+# An int64 sum of this many chunk sums, each at most 2^53 in magnitude,
+# stays below 2^63.
+_ACC_CHUNKS = (1 << 10) - 1
 
 
 def _sum_in_order(dom, a) -> np.ndarray:
@@ -215,7 +218,6 @@ class FieldDomain:
         self._p_inv = np.uint64(pow(p, -1, 1 << 64))  # p^-1 mod 2^64, for ``_redc``
         self._r2 = np.uint64((1 << 128) % p)  # R^2 mod p, R = 2^64
         self._bits = p.bit_length()
-        self._nlimbs = -(-self._bits // _LIMB_BITS)
 
     # -- field arithmetic: single elements (Python ints or numpy scalars) --
 
@@ -337,32 +339,67 @@ class FieldDomain:
     def matmul_t(self, a, b):
         """A^T B mod p for entry arrays a (f x n1) and b (f x n2), exactly.
 
-        A delayed-reduction kernel: with L = ceil(bits(p) / 16), each operand
-        is split into L limbs of 16 bits, A = sum_i A_i 2^(16 i), held as
-        float64.  Per chunk of at most 2^20 feature rows the BLAS products
-        A_i^T B_j are exact integers below 2^52 (see ``_CHUNK_ROWS``), and
-        Q_k = sum_{i+j=k} A_i^T B_j, a sum of at most L <= 4 of them, is below
-        2^54 in uint64.  ``_carry_words`` carries sum_k Q_k 2^(16 k) into
-        16-bit digits, four to a 64-bit word (three words for L = 4); only
-        those words are joined in Python ints, and the sum over the chunks is
-        reduced mod p once.
+        Error-free splitting (Ozaki, Ogita, Oishi and Rump, 2012) on float64
+        BLAS, with delayed reduction (Dumas, Giorgi and Pernet, 2008).  Each
+        operand is split by the width of its own centred values c
+        (``_split_width``): one limb, c itself, when max |c| fits 21 bits,
+        else k = ceil(bits / 21) limbs of w = ceil(bits / k) bits, c =
+        sum_i c_i 2^(w i).  Every limb is at most 2^w in magnitude.  With t
+        the most limb products that share a shift w_a i + w_b j, chunks of r
+        feature rows with r t 2^(w_a + w_b) <= 2^53 keep every BLAS sum an
+        exact integer.  Per chunk each product A_i^T B_j is its own GEMM,
+        added into the float64 slot of its shift; the slots are summed over
+        the chunks in int64 and reduced to residues (``_residues``) every
+        ``_ACC_CHUNKS`` chunks and at the end.  One ``_redc`` multiplies the
+        residue of every shift s > 0 by 2^s R mod p, and the shifts are added
+        mod p.  A self gram (``b is a``) splits its array once.
         """
-        count = self._nlimbs
-        a, b = np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64)
-        total = None
-        for lo in range(0, max(a.shape[0], 1), _CHUNK_ROWS):
-            la = _limbs(a[lo : lo + _CHUNK_ROWS], count)
-            lb = _limbs(b[lo : lo + _CHUNK_ROWS], count)
-            q = np.zeros((2 * count - 1, a.shape[1], b.shape[1]), dtype=np.uint64)
-            for i in range(count):
-                for j in range(count):
-                    q[i + j] += (la[i].T @ lb[j]).astype(np.uint64)
-            words = _carry_words(q)
-            part = words[-1].astype(object)
-            for w in reversed(words[:-1]):
-                part = (part << 64) + w.astype(object)
-            total = part if total is None else total + part
-        return np.asarray(total % self.p, dtype=np.uint64)
+        same = b is a
+        ca = self.codec.centred(a)
+        cb = ca if same else self.codec.centred(b)
+        wa, ka = _split_width(ca)
+        wb, kb = (wa, ka) if same else _split_width(cb)
+        groups = {}  # shift -> the limb pairs (i, j) with w_a i + w_b j = shift; 0 first
+        for i in range(ka):
+            for j in range(kb):
+                groups.setdefault(wa * i + wb * j, []).append((i, j))
+        # r rows of t products of at most 2^(w_a + w_b) sum to at most 2^53
+        rows = (1 << 53) // (max(map(len, groups.values())) << (wa + wb))
+        acc = np.zeros((len(groups), ca.shape[1], cb.shape[1]), dtype=np.int64)
+        folded = []
+        for n, lo in enumerate(range(0, ca.shape[0], rows), start=1):
+            la = _split(ca[lo : lo + rows], wa, ka)
+            lb = la if same else _split(cb[lo : lo + rows], wb, kb)
+            for g, ((i, j), *rest) in enumerate(groups.values()):
+                slot = la[i].T @ lb[j]
+                for i, j in rest:
+                    slot += la[i].T @ lb[j]
+                acc[g] += slot.astype(np.int64)
+            if n % _ACC_CHUNKS == 0:
+                folded.append(self._residues(acc))
+                acc[...] = 0
+        res = self._residues(acc)
+        for r in folded:
+            res = self.array_add(res, r)
+        out = res[0]  # shift 0 needs no scaling
+        if len(groups) > 1:
+            scale = [(1 << (64 + s)) % self.p for s in list(groups)[1:]]  # 2^s R mod p
+            scale = np.array(scale, dtype=np.uint64)[:, None, None]
+            for t in self._redc(_mul_hi(res[1:], scale), np.multiply(res[1:], scale)):
+                out = self.array_add(out, t)
+        return out
+
+    def _residues(self, acc) -> np.ndarray:
+        """uint64 array of v mod p, in [0, p), for an int64 array of values v.
+
+        Below 2^63 p is an int64 and ``np.mod`` takes the residue.  Above it
+        |v| < 2^63 < p, so v is its own residue when v >= 0, and a negative v,
+        whose uint64 view is 2^64 + v, is lifted to p + v by adding p mod 2^64.
+        """
+        if self.p < 1 << 63:
+            return np.mod(acc, np.int64(self.p)).view(np.uint64)
+        u = acc.view(np.uint64)
+        return np.where(acc < 0, u + self._p, u)
 
     def pack(self, values) -> bytes:
         return np.asarray(values, dtype="<u8").tobytes()
@@ -417,28 +454,34 @@ def _mul_hi(a, b) -> np.ndarray:
     return hi
 
 
-def _carry_words(q) -> list:
-    """The 16-bit digits of sum_k q[k] 2^(16 k), four to a uint64 word, lowest word first.
+def _split_width(c) -> tuple:
+    """(w, k) for an int64 array c of centred values: k limbs of w bits each.
 
-    Every q[k] is below 2^54, so q[k] plus the carry from the digit below
-    stays below 2^55; the carry out of the last q[k] is below 2^39 and fills
-    three more digits.  So len(q) + 3 digits hold the sum.
+    With bits the width of max |c|, an operand of at most ``_LIMB_MAX_BITS``
+    bits is one limb of w = bits; a wider one is k = ceil(bits / 21) limbs of
+    w = ceil(bits / k) <= 21 bits.  Either way every limb of ``_split`` is at
+    most 2^w in magnitude.
     """
-    digit = np.uint64((1 << _LIMB_BITS) - 1)
-    ndigits = len(q) + 3
-    words = [np.zeros_like(q[0]) for _ in range(-(-ndigits // 4))]
-    carry = 0
-    for k in range(ndigits):
-        s = carry + q[k] if k < len(q) else carry
-        words[k // 4] |= (s & digit) << np.uint64(_LIMB_BITS * (k % 4))
-        carry = s >> np.uint64(_LIMB_BITS)
-    return words
+    bits = max(int(c.max(initial=0)), -int(c.min(initial=0))).bit_length()
+    if bits <= _LIMB_MAX_BITS:
+        return bits, 1
+    k = -(-bits // _LIMB_MAX_BITS)
+    return -(-bits // k), k
 
 
-def _limbs(x, count):
-    """The ``count`` 16-bit limbs of a uint64 array, lowest first, as float64 arrays."""
-    mask = np.uint64((1 << _LIMB_BITS) - 1)
-    return [((x >> np.uint64(_LIMB_BITS * i)) & mask).astype(np.float64) for i in range(count)]
+def _split(c, w: int, k: int) -> list:
+    """The k limbs of w bits of an int64 array c, lowest first, as float64 arrays.
+
+    c = sum_i c_i 2^(w i): the lower limbs are the unsigned bits
+    [w i, w (i + 1)) of c's two's complement, in [0, 2^w), and the top limb
+    is c shifted arithmetically, signed, with |c_(k-1)| <= 2^(bits - w (k - 1))
+    <= 2^w.  One limb is c itself.
+    """
+    if k == 1:
+        return [c.astype(np.float64)]
+    mask = np.int64((1 << w) - 1)
+    limbs = [((c >> np.int64(w * i)) & mask).astype(np.float64) for i in range(k - 1)]
+    return limbs + [(c >> np.int64(w * (k - 1))).astype(np.float64)]
 
 
 class FloatDomain:

@@ -7,7 +7,8 @@ domain's fixed-width ``dtype`` (uint64 residues over the field, float64
 over floats) plus that domain.  The domain owns every operation on the
 entries: the elementwise ones are its ``array_add``, ``array_sub`` and
 ``array_mul``, and ``gram_t`` is its ``matmul_t`` -- over the field an
-exact limb-split product on float64 BLAS (see ``mpgram.field``), over
+exact product on float64 BLAS whose limbs are sized by each operand's own
+width, one GEMM for narrow encoded data (see ``mpgram.field``), over
 floats a sum in the order of a scalar loop.  ``encode_real_matrix``
 encodes reals as one float64 array expression of the domain.  The domain
 also owns the wire codec of the entries.

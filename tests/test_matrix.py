@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from hypothesis import strategies as st
 
 from mpgram.errors import DimensionError, DomainMismatchError
-from mpgram.field import M61, FieldDomain, FloatDomain
+from mpgram.field import M61, FieldDomain, FloatDomain, _split_width
 from mpgram.matrix import (
     Matrix,
     encode_real_matrix,
@@ -183,6 +183,117 @@ class TestGramKernel:
         g = gram_t(a, a)
         assert g.data.tolist() == [[f, f], [f, f]]
         assert g.data.dtype == np.uint64
+
+
+P64 = 2**64 - 59  # the largest prime below 2^64
+NARROW = 2**21 - 1  # the widest centred value that is one limb
+
+
+def _residues(centred: list, p: int) -> np.ndarray:
+    """uint64 entry array of the residues of a 2-D list of centred values."""
+    return np.array([[v % p for v in row] for row in centred], dtype=np.uint64)
+
+
+def _check_gram(p: int, a: list, b: list = None):
+    """``matmul_t`` of centred lists a and b against Python-int dot products;
+    with b None, a self gram, which passes one array twice."""
+    dom = FieldDomain(scale_bits=0, p=p)
+    ea = _residues(a, p)
+    g = dom.matmul_t(ea, ea if b is None else _residues(b, p))
+    assert g.dtype == np.uint64
+    assert g.tolist() == python_gram(a, a if b is None else b, p)
+
+
+def _centred(rng, f: int, n: int, lo: int, hi: int) -> list:
+    return rng.integers(lo, hi, (f, n), endpoint=True).tolist()
+
+
+class TestGramKernelWidths:
+    """The kernel at the edges of its operand widths, chunks and int64 sums.
+
+    An operand whose centred values fit 21 bits is one limb; a wider one over
+    M61 is 3 limbs of 20 bits and over 2^64 - 59 3 limbs of 21 bits.  Each
+    chunk-boundary case fills every row with the largest limbs of its kind,
+    so a chunk one row longer than the kernel's would sum an odd integer
+    above 2^53, which float64 cannot hold.
+    """
+
+    @pytest.mark.parametrize(
+        "p, top, split",
+        [
+            (P64, NARROW, (21, 1)),
+            (P64, NARROW + 1, (11, 2)),
+            (M61, NARROW, (21, 1)),
+            (M61, NARROW + 1, (11, 2)),
+            (251, 125, (7, 1)),  # the widest centred values of the small fields
+            (5, 2, (2, 1)),
+        ],
+    )
+    def test_max_centred_value_where_the_limb_count_changes(self, p, top, split):
+        rng = np.random.default_rng(top)
+        a = _centred(rng, 40, 3, -top, top)
+        a[7][1], a[31][2] = top, -top
+        assert _split_width(FieldDomain(scale_bits=0, p=p).codec.centred(_residues(a, p))) == split
+        _check_gram(p, a)
+        _check_gram(p, a, _centred(rng, 40, 4, -top, top))
+        _check_gram(p, a, _centred(rng, 40, 2, -3, 3))
+        _check_gram(p, a, _centred(rng, 40, 2, -(p // 2), p // 2))
+
+    @pytest.mark.parametrize("p", [P64, M61, 251, 5])
+    def test_all_negative_operands(self, p):
+        rng = np.random.default_rng(p % 1000)
+        wide = _centred(rng, 30, 3, -(p // 2), -1)
+        narrow = _centred(rng, 30, 4, -min(NARROW, p // 2), -1)
+        positive = _centred(rng, 30, 2, 1, p // 2)
+        for a in (wide, narrow):
+            _check_gram(p, a)
+            _check_gram(p, a, positive)  # every sum is negative
+            _check_gram(p, positive, a)
+        _check_gram(p, wide, narrow)
+        _check_gram(p, narrow, wide)
+
+    @pytest.mark.parametrize("p", [P64, M61, 251, 5])
+    def test_one_wide_entry_widens_its_operand(self, p):
+        # the last entry decides the width, so a width read from part of the
+        # data, or from anywhere but the data, would be too narrow
+        rng = np.random.default_rng(p % 997)
+        a = _centred(rng, 50, 3, -2, 2)
+        a[-1][-1] = p // 2
+        _check_gram(p, a)
+        _check_gram(p, a, _centred(rng, 50, 2, -2, 2))
+        _check_gram(p, _centred(rng, 50, 2, -(p // 2), p // 2), a)
+
+    @pytest.mark.parametrize(
+        "p, kind, rows",
+        [
+            (M61, "narrow x narrow", 2**11),  # 2^53 / 2^(21 + 21)
+            (M61, "wide x narrow", 2**12),  # 2^53 / 2^(20 + 21)
+            (M61, "wide x wide", 2**13 // 3),  # 2^53 / (3 products 2^(20 + 20))
+            (P64, "narrow x narrow", 2**11),
+            (P64, "wide x narrow", 2**11),  # 2^53 / 2^(21 + 21)
+            (P64, "wide x wide", 2**11 // 3),  # 2^53 / (3 products 2^(21 + 21))
+        ],
+    )
+    def test_feature_axis_crosses_a_chunk_boundary(self, p, kind, rows):
+        width = {"narrow": NARROW, "wide": p // 2}
+        left, right = (width[w] for w in kind.split(" x "))
+        for f in (rows, rows + 1, 2 * rows + 1):
+            a = [[left, -left]] * f
+            b = [[right, -right, right]] * f
+            _check_gram(p, a, b)
+            if left == right:
+                _check_gram(p, a)
+
+    @pytest.mark.parametrize("p, rows", [(M61, 2**13 // 3), (P64, 2**11 // 3)])
+    def test_int64_sums_are_reduced_before_they_overflow(self, p, rows):
+        # every limb of v = (p - 1) / 2 is within 2^5 of 2^w, so each wide x wide
+        # chunk adds nearly 2^53 to the int64 sum of its middle shift, and 1100
+        # chunks pass 2^63 unless the sum is reduced on the way; every entry is
+        # v, so each dot product is f v^2
+        f, v = 1100 * rows + 1, p // 2
+        a = np.full((f, 1), v, dtype=np.uint64)
+        g = FieldDomain(scale_bits=0, p=p).matmul_t(a, a)
+        assert g.tolist() == [[f * v * v % p]]
 
 
 def _tie(k: int, s: int) -> float:
