@@ -398,10 +398,11 @@ def _run_tcp(config: RunConfig, specs: dict, data: dict) -> list:
     input party (``mpgram.worker``).  Party i's job carries its own spec, so
     only its own key, and its own encoded data (none for the function party);
     the job and the files its process writes sit in a subdirectory
-    ``party_i`` of its own.  A party whose nonzero exit ended the run without
-    an outcome that loads gets one here, failed after every recorded failure
-    with its exit code and last stderr line: the collector blames it only if
-    no party recorded one."""
+    ``party_i`` of its own.  Each party process runs its ``atexit`` handlers,
+    then ends without the interpreter's teardown (``mpgram.worker``).  A party
+    whose nonzero exit ended the run without an outcome that loads gets one
+    here, failed after every recorded failure with its exit code and last
+    stderr line: the collector blames it only if no party recorded one."""
     rundir = tempfile.mkdtemp(prefix="mpgram-run-")
     try:
         if config.base_port:

@@ -321,6 +321,35 @@ class TestRun:
         with pytest.raises(ProtocolError, match="^party 2 failed: exited 1: no outcome from 2$"):
             run(TCP_M4)
 
+    @pytest.mark.parametrize("ending, blame", [
+        ('sys.exit("no outcome from {p}")', "exited 1: no outcome from {p}"),
+        ("sys.exit(3)", "exited 3: "),
+        ('print("last words", file=sys.stderr, end=""); sys.exit(4)', "exited 4: last words"),
+        ('raise RuntimeError("boom")', "exited 1: RuntimeError: boom"),
+    ])
+    @pytest.mark.parametrize("who", [2, 0], ids=["forked-child", "launcher"])
+    def test_tcp_party_process_ending_is_blamed_by_its_exit_code_and_stderr(
+        self, tmp_path, monkeypatch, who, ending, blame
+    ):
+        _inject_site(tmp_path, monkeypatch, _site_ending(who, ending.format(p=who)))
+        # buffered, "last words" reach err.txt only if the process flushes stderr
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        name = "function party" if who == 0 else f"party {who}"
+        with pytest.raises(ProtocolError) as info:
+            run(TCP_M4)
+        assert str(info.value) == f"{name} failed: {blame.format(p=who)}"
+
+    def test_every_tcp_party_process_runs_its_atexit_handlers(self, tmp_path, monkeypatch):
+        log = tmp_path / "pids.txt"
+        _inject_site(tmp_path, monkeypatch,
+                     f"LOG = {str(log)!r}\n" + SITE_LOG_PIDS + SITE_LOG_ATEXIT)
+        assert run(TCP_M4).report["audit"]["ok"]
+        lines = [line.split() for line in log.read_text().splitlines()]
+        pids = [int(words[0]) for words in lines if len(words) == 1]
+        ran = [int(words[0]) for words in lines if words[1:] == ["atexit"]]
+        assert len(set(pids)) == len(pids) == TCP_M4.m + 1
+        assert sorted(ran) == sorted(pids)  # exactly once in every party's process
+
     @pytest.mark.parametrize("case", ["ok", "exit-without-outcome", "port-taken"])
     def test_no_party_process_outlives_a_tcp_run(self, tmp_path, monkeypatch, case):
         log = tmp_path / "pids.txt"
@@ -424,8 +453,11 @@ def act_alice(self, bob_id):
 party._EscapedParty.act_alice = act_alice
 """
 
-# party 2's worker exits 1 before it connects or records anything
-SITE_EXIT_WITHOUT_OUTCOME = """
+
+def _site_ending(party_id: int, ending: str) -> str:
+    """A ``sitecustomize`` in which party ``party_id``'s process runs the statement
+    ``ending`` before it connects or records anything."""
+    return f"""
 import sys
 
 from mpgram import party
@@ -434,13 +466,17 @@ _play_party = party.play_party
 
 
 def play_party(spec, mesh, data, record, connect=None):
-    if mesh.party_id == 2:
-        sys.exit("no outcome from 2")
+    if mesh.party_id == {party_id}:
+        {ending}
     return _play_party(spec, mesh, data, record, connect)
 
 
 party.play_party = play_party
 """
+
+
+# party 2's worker exits 1 before it connects or records anything
+SITE_EXIT_WITHOUT_OUTCOME = _site_ending(2, 'sys.exit("no outcome from 2")')
 
 # every party's process appends its pid to LOG: the launcher at start-up,
 # each input party's process when it is forked
@@ -455,6 +491,20 @@ def _log_pid():
 
 _log_pid()
 os.register_at_fork(after_in_child=_log_pid)
+"""
+
+# with SITE_LOG_PIDS: every atexit handler run appends "<pid> atexit" to LOG;
+# the forked input parties inherit the launcher's registration
+SITE_LOG_ATEXIT = """
+import atexit
+
+
+def _log_atexit():
+    with open(LOG, "a") as fh:
+        fh.write(f"{os.getpid()} atexit\\n")
+
+
+atexit.register(_log_atexit)
 """
 
 # every party's process appends "<pid> read <path>" for each job file it opens

@@ -1,15 +1,20 @@
-"""TCP mesh setup of the worker: which connections a party accepts, and as whom."""
+"""The TCP worker: which connections a party accepts, and as whom; the single-job form."""
 
+import os
+import pickle
 import socket
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from mpgram import party
 from mpgram import transport as tp
 from mpgram.errors import ProtocolError
-from mpgram.field import FieldDomain
+from mpgram.field import FieldDomain, make_domain
 from mpgram.party import Mesh, SessionSpec, run_party
-from mpgram.runner import _free_ports
+from mpgram.runner import RunConfig, _free_ports, collect_outcomes, party_specs, run
 from mpgram.worker import setup_mesh
 
 HOST = "127.0.0.1"
@@ -93,3 +98,76 @@ def test_first_frame_that_is_not_a_hello_fails_the_hello_phase():
         mesh.close()
     for ep in eps:
         ep.close()
+
+
+# a party's first act as Alice raises
+SITE_FAIL_ACT_ALICE = """
+from mpgram import party
+
+
+def act_alice(self, bob_id):
+    raise RuntimeError("injected")
+
+
+party._EscapedParty.act_alice = act_alice
+"""
+
+
+def _write_jobs(rundir, cfg: RunConfig, data: dict) -> dict:
+    """{party id: job path}, written as ``runner._run_tcp`` writes them: one
+    directory per party, free ports, each party's own spec and data."""
+    ports = dict(enumerate(_free_ports(cfg.m + 1)))
+    jobs = {}
+    for pid, spec in party_specs(cfg, make_domain(cfg.domain, cfg.scale_bits)).items():
+        where = rundir / f"party_{pid}"
+        where.mkdir(parents=True)
+        job = {"spec": spec, "party_id": pid, "host": HOST, "ports": ports,
+               "data": data.get(pid), "out_path": str(where / "outcome.pickle")}
+        jobs[pid] = where / "job.pickle"
+        jobs[pid].write_bytes(pickle.dumps(job))
+    return jobs
+
+
+def _play_single_jobs(jobs: dict, site_dirs: dict) -> dict:
+    """Run ``python -m mpgram.worker <job>`` once per party, all at once, with
+    ``site_dirs[pid]`` (if any) first on that party's path; {party id: exit code}.
+    Each party's stderr goes to ``err.txt`` beside its job."""
+    src = os.path.dirname(os.path.dirname(party.__file__))
+    procs = {}
+    for pid, job in jobs.items():
+        paths = [str(site_dirs.get(pid, "")), src, *os.environ.get("PYTHONPATH", "").split(os.pathsep)]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+        with open(job.parent / "err.txt", "wb") as err:
+            procs[pid] = subprocess.Popen([sys.executable, "-m", "mpgram.worker", str(job)],
+                                          stdout=subprocess.DEVNULL, stderr=err, env=env)
+    try:
+        return {pid: proc.wait(timeout=60) for pid, proc in procs.items()}
+    finally:
+        for proc in procs.values():
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+
+
+def _outcomes(jobs: dict) -> list:
+    return [pickle.loads((job.parent / "outcome.pickle").read_bytes()) for job in jobs.values()]
+
+
+def test_single_job_form_matches_a_loopback_run_and_blames_a_failed_party(tmp_path):
+    cfg = RunConfig(protocol="escaped", m=3, features=2, samples=(1, 2, 1), verify=False)
+    loopback = run(cfg)
+
+    jobs = _write_jobs(tmp_path / "ok", cfg, loopback.party_data)
+    assert _play_single_jobs(jobs, {}) == {pid: 0 for pid in jobs}
+    _, transcript = collect_outcomes(_outcomes(jobs), cfg.m)
+    assert transcript.digest() == loopback.report["transcript_sha256"]
+
+    (tmp_path / "site").mkdir()
+    (tmp_path / "site" / "sitecustomize.py").write_text(SITE_FAIL_ACT_ALICE)
+    jobs = _write_jobs(tmp_path / "fail", cfg, loopback.party_data)
+    assert _play_single_jobs(jobs, {2: tmp_path / "site"})[2] == 1
+    err = (jobs[2].parent / "err.txt").read_text()
+    assert err.splitlines()[-1] == "RuntimeError: injected"
+    with pytest.raises(ProtocolError, match="^party 2 failed: injected$"):
+        collect_outcomes(_outcomes(jobs), cfg.m)
