@@ -1,11 +1,12 @@
 """Executable security arguments: distributions, leakage, non-invertibility.
 
 The security story ships as runnable checks rather than prose: masked
-messages are exhaustively uniform over a tiny field, the function
-party's derivable view is an explicitly incomplete gram matrix, and even
-the complete gram matrix has a whole orthogonal orbit of preimages.
-Each party's masks come from its own key, so no other party can
-regenerate them.
+messages are exhaustively uniform per entry over a tiny field, the
+function party's derivable view is an explicitly incomplete gram matrix,
+and even the complete gram matrix has a whole orthogonal orbit of
+preimages.  Each party's masks come from its own key, so no other party
+can regenerate them.  Yet per entry is all: from X - a and alpha a, the
+peer recovers the whole matrix X (``peer_recovery``).
 """
 
 from collections import Counter
@@ -26,12 +27,12 @@ from mpgram import (
     run_pair,
     verify_leakage_view,
 )
-from mpgram.masking import PartyState
+from mpgram.masking import PartyState, peer_recovery
 from mpgram.seeds import party_key
 
 z5 = FieldDomain(scale_bits=0, p=5)
 
-# 1. masked data is uniform whatever the data is (exhaustive over Z_5)
+# 1. each masked entry is uniform whatever the data is (exhaustive over Z_5)
 print("masked-entry distribution over all masks, Z_5:")
 for x in (1, 3):
     hist = Counter()
@@ -39,12 +40,23 @@ for x in (1, 3):
         st = PartyState(1, Matrix.from_rows([[x]], z5), Matrix.from_rows([[a]], z5), 1)
         hist[alice_round1(st)[0].data[0, 0]] += 1
     print(f"  data={x}: histogram of x-a = {dict(sorted(hist.items()))}")
-print("  -> uniform and identical: an observer of X-a learns nothing about X")
+print("  -> uniform and identical: one entry of X-a alone says nothing of its x")
+
+# 1b. ...per entry only: Bob gets X - a and alpha a, so X = (X - a) + t alpha a
+#     for one unknown t = 1/alpha, and fixed-point entries are small enough
+#     that a 2-D lattice search on two entries finds t (here in M61)
+m61 = FieldDomain()
+reals = np.random.default_rng(7).uniform(-1000, 1000, (8, 5))
+alice = make_party_state(1, encode_real_matrix(reals, m61), party_key(7, 1))
+recovered, alpha = peer_recovery(*alice_round1(alice), m61)
+print("\npeer recovery from Bob's two round-1 messages (8x5 reals in +-1000, M61):")
+print(f"  Alice's X recovered exactly: {recovered == alice.data}; "
+      f"alpha recovered: {alpha == alice.mask_scalar}")
+print("  -> the masked matrix is not private: escaped leaks X to its peer")
 
 # 2. what the function party can derive: an incomplete gram matrix over
 #    data and mask columns; mask self-grams and own-mask-vs-own-data
 #    blocks are structurally absent
-m61 = FieldDomain()
 rng = np.random.default_rng(0)
 states = {
     i: make_party_state(i, encode_real_matrix(rng.uniform(-1, 1, (6, 3)), m61), party_key(1000, i))

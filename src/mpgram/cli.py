@@ -9,9 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
-from .costs import ESCAPED, RE, cost_model, nominal_ratio
+from .costs import ESCAPED, PROTOCOLS, cost_model, nominal_ratio
 from .errors import ConfigError, MpgramError
 from .kernel import export_matrix
 from .runner import RunConfig, compare, gen_data, run
@@ -26,7 +25,7 @@ EXIT_PROTOCOL = 5
 
 def _add_run_flags(p: argparse.ArgumentParser, with_protocol: bool = True):
     if with_protocol:
-        p.add_argument("--protocol", choices=[ESCAPED, RE], default=ESCAPED)
+        p.add_argument("--protocol", choices=list(PROTOCOLS), default=ESCAPED)
     p.add_argument("--parties", type=int, default=3, help="number of input parties M")
     p.add_argument("--features", type=int, default=8)
     p.add_argument(
@@ -119,8 +118,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    base = _config_from_args(args, protocol=ESCAPED)
-    result = compare([base, replace(base, protocol=RE)])
+    result = compare([_config_from_args(args, protocol=p) for p in PROTOCOLS])
     print(result.table_text())
     if args.report:
         doc = {
@@ -154,7 +152,7 @@ def _cmd_cost(args) -> int:
     if args.f < 1:
         raise ConfigError(f"features must be >= 1, got {args.f}")
     sizes = _sample_counts(args.n, args.M)
-    protocols = [args.protocol] if args.protocol else [ESCAPED, RE]
+    protocols = [args.protocol] if args.protocol else list(PROTOCOLS)
     docs = []
     for proto in protocols:
         pred = cost_model(proto, args.M, args.f, sizes)
@@ -204,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dump.set_defaults(fn=_cmd_dump_scheme)
 
     p_cost = sub.add_parser("cost", help="closed-form communication predictions")
-    p_cost.add_argument("--protocol", choices=[ESCAPED, RE], default=None)
+    p_cost.add_argument("--protocol", choices=list(PROTOCOLS), default=None)
     p_cost.add_argument("--M", type=int, required=True)
     p_cost.add_argument("--f", type=int, required=True)
     p_cost.add_argument("--n", required=True, help="samples per party (or comma list)")

@@ -1,7 +1,8 @@
 """Closed-form communication costs and the transcript audit.
 
-Two closed forms per protocol, in scalar elements, for M equally sized
-parties (n samples each, f features):
+Two closed forms per protocol, each given by the protocol's class in
+``mpgram.party``, in scalar elements, for M equally sized parties (n
+samples each, f features):
 
 * ``nominal`` -- the coarse per-leaf accounting: the masking protocol
   moves 3*C(M,2) f*n elements among input parties and 3*C(M,2) n^2 to
@@ -24,12 +25,9 @@ the two protocols.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import comb
+from dataclasses import asdict, dataclass
 
-ESCAPED = "escaped"
-RE = "re"
-PROTOCOLS = (ESCAPED, RE)
+from .party import ESCAPED, PROTOCOLS, RE, protocol_record  # noqa: F401 - re-exported
 
 
 @dataclass(frozen=True)
@@ -40,6 +38,9 @@ class CostForm:
     @property
     def total(self) -> int:
         return self.among_ips + self.ip_fp
+
+    def as_dict(self) -> dict:
+        return {**asdict(self), "total": self.total}
 
 
 @dataclass(frozen=True)
@@ -54,35 +55,20 @@ class CostPrediction:
     wire_ip_fp: int
 
     def as_dict(self) -> dict:
+        wire = CostForm(self.wire_among_ips, self.wire_ip_fp)
         return {
             "protocol": self.protocol,
             "m": self.m,
             "f": self.f,
             "sizes": list(self.sizes),
-            "nominal": None
-            if self.nominal is None
-            else {
-                "among_ips": self.nominal.among_ips,
-                "ip_fp": self.nominal.ip_fp,
-                "total": self.nominal.total,
-            },
-            "wire": {
-                "per_kind": dict(self.wire_per_kind),
-                "among_ips": self.wire_among_ips,
-                "ip_fp": self.wire_ip_fp,
-                "total": self.wire_among_ips + self.wire_ip_fp,
-            },
+            "nominal": None if self.nominal is None else self.nominal.as_dict(),
+            "wire": {"per_kind": dict(self.wire_per_kind), **wire.as_dict()},
         }
 
 
 def nominal_form(protocol: str, m: int, f: int, n: int) -> CostForm:
     """Equal-size closed form in elements; excludes self grams and alphas."""
-    pairs = comb(m, 2)
-    if protocol == ESCAPED:
-        return CostForm(among_ips=3 * pairs * f * n, ip_fp=3 * pairs * n * n)
-    if protocol == RE:
-        return CostForm(among_ips=4 * pairs * f * n * n, ip_fp=5 * pairs * f * n * n)
-    raise ValueError(f"unknown protocol {protocol!r}")
+    return CostForm(*protocol_record(protocol).nominal(m, f, n))
 
 
 def cost_model(protocol: str, m: int, f: int, sizes) -> CostPrediction:
@@ -96,40 +82,8 @@ def cost_model(protocol: str, m: int, f: int, sizes) -> CostPrediction:
     sizes = tuple(sizes)
     if len(sizes) != m:
         raise ValueError(f"{m} parties but {len(sizes)} sample counts")
-    pair_products = sum(
-        sizes[i] * sizes[j] for i in range(m) for j in range(i + 1, m)
-    )
-    self_gram = sum(n * n for n in sizes)
-    if protocol == ESCAPED:
-        # per pair: X-a and Y-b (f*(n_a + n_b)), alpha*a (f*n_a),
-        # then A1/B1/B2 (3 n_a*n_b) to the function party
-        masked_data = f * sum(
-            sizes[i] + sizes[j] for i in range(m) for j in range(i + 1, m)
-        )
-        masked_mask = f * sum(sizes[i] * (m - 1 - i) for i in range(m))
-        per_kind = {
-            "hello": 0,
-            "done": 0,
-            "masked_data": masked_data,
-            "masked_mask": masked_mask,
-            "pair_result": 3 * pair_products,
-            "alpha": m - 1,
-            "self_gram": self_gram,
-        }
-        among = masked_data + masked_mask
-        ip_fp = per_kind["pair_result"] + per_kind["alpha"] + self_gram
-    elif protocol == RE:
-        per_kind = {
-            "hello": 0,
-            "done": 0,
-            "re_randoms": 3 * f * pair_products,
-            "re_components": 5 * f * pair_products,
-            "self_gram": self_gram,
-        }
-        among = per_kind["re_randoms"]
-        ip_fp = per_kind["re_components"] + self_gram
-    else:
-        raise ValueError(f"unknown protocol {protocol!r}")
+    among, to_fp = protocol_record(protocol).wire(m, f, sizes)
+    to_fp["self_gram"] = sum(n * n for n in sizes)  # sent in every protocol, as hellos and done are
     nominal = nominal_form(protocol, m, f, sizes[0]) if len(set(sizes)) == 1 else None
     return CostPrediction(
         protocol=protocol,
@@ -137,9 +91,9 @@ def cost_model(protocol: str, m: int, f: int, sizes) -> CostPrediction:
         f=f,
         sizes=sizes,
         nominal=nominal,
-        wire_per_kind=per_kind,
-        wire_among_ips=among,
-        wire_ip_fp=ip_fp,
+        wire_per_kind={"hello": 0, "done": 0, **among, **to_fp},
+        wire_among_ips=sum(among.values()),
+        wire_ip_fp=sum(to_fp.values()),
     )
 
 
@@ -153,14 +107,7 @@ class AuditReport:
     measured_ip_fp: int
 
     def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "mismatches": list(self.mismatches),
-            "measured_per_kind": dict(self.measured_per_kind),
-            "predicted_per_kind": dict(self.predicted_per_kind),
-            "measured_among_ips": self.measured_among_ips,
-            "measured_ip_fp": self.measured_ip_fp,
-        }
+        return {**asdict(self), "mismatches": list(self.mismatches)}
 
 
 def transcript_audit(transcript, predicted: CostPrediction) -> AuditReport:

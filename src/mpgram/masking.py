@@ -317,3 +317,45 @@ def rotation_nonuniqueness_check(d: np.ndarray, seed: int) -> tuple:
     residual = float(np.max(np.abs(e.T @ e - d.T @ d)))
     distance = float(np.max(np.abs(e - d)))
     return residual, distance, e
+
+
+def peer_recovery(masked: Matrix, scaled_mask: Matrix, domain) -> tuple:
+    """Alice's encoded data X and scalar alpha, from the two messages Bob gets.
+
+    Bob holds M = X - a and S = alpha a, so X = M + t S for the one unknown
+    t = 1/alpha.  Take two entries with S_1, S_2 != 0 and c = S_2 / S_1:
+    then X_2 - c X_1 = M_2 - c M_1 = d, so (X_1, X_2) lies in the coset
+    (0, d) + L of the lattice L = {(u, v): v = c u mod p}, whose volume is
+    p.  Fixed-point entries are far below sqrt(p), so (X_1, X_2) is that
+    coset's shortest point: Lagrange-Gauss reduction of L's basis, then
+    Babai rounding of (0, -d), finds it, in Python ints.  X_1 fixes t.
+    So over a field ``escaped`` masks each entry, but not the matrix.  S
+    needs two nonzero entries.
+    """
+
+    def dot(u, v):
+        return u[0] * v[0] + u[1] * v[1]
+
+    def round_div(a, b):  # a / b to the nearest int, for any nonzero b
+        a, b = (-a, -b) if b < 0 else (a, b)
+        return (2 * a + b) // (2 * b)
+
+    p = domain.p
+    (m1, s1), (m2, s2) = [
+        (int(mv), int(sv)) for mv, sv in zip(masked.data.flat, scaled_mask.data.flat) if sv
+    ][:2]
+    c = s2 * pow(s1, -1, p) % p
+    d = (m2 - c * m1) % p
+    b1, b2 = (1, c), (0, p)
+    while True:  # Lagrange-Gauss: b1 ends as a shortest vector of L
+        if dot(b2, b2) < dot(b1, b1):
+            b1, b2 = b2, b1
+        q = round_div(dot(b1, b2), dot(b1, b1))
+        if q == 0:
+            break
+        b2 = (b2[0] - q * b1[0], b2[1] - q * b1[1])
+    det = b1[0] * b2[1] - b1[1] * b2[0]  # k1, k2: the target (0, -d) in b1, b2, rounded
+    k1, k2 = round_div(d * b2[0], det), round_div(-d * b1[0], det)
+    x1 = k1 * b1[0] + k2 * b2[0]  # (x1, x2) = (0, d) + the lattice vector nearest (0, -d)
+    t = (x1 - m1) * pow(s1, -1, p) % p
+    return mat_add(masked, mat_scale(t, scaled_mask)), pow(t, -1, p)

@@ -1,4 +1,4 @@
-"""Party session logic: the exact message schedule of both protocols.
+"""Party session logic: the exact message schedule of every protocol.
 
 The parties form one complete graph over ids 0..m: party 0 is the function
 party, 1..m the input parties, and every party's ``Mesh`` holds one channel
@@ -17,20 +17,23 @@ contract: given (keys, config, data), every byte a party sends and the
 per-channel order of its frames are fixed, so transcripts from different
 transports are comparable frame for frame.
 
+Each protocol is one class in ``PROTOCOLS``.  An instance plays an input
+party's pair roles (``act_alice``, ``act_bob``); the class gives the parts
+the function party reads (``owed``) and their ``assemble``, its cost forms
+(``wire``, ``nominal``) and its verify-time ``leakage_check`` (or None).
+
 Pairwise schedules follow the round-robin rounds of
 ``masking.pair_rounds``; within a pair the lower id acts first
-("Alice"), sending its masked data before reading the peer's, which
-keeps every pair exchange free of send/receive cycles.
+("Alice"), sending to her peer before reading from it, which keeps every
+pair exchange free of send/receive cycles.
 
 The function party receives against one table, ``_owed_parts``, in send
-order: per pair in ``pair_rounds`` order, Alice's parts, then Bob's -- A1
-from Alice (plus her alpha (1,) after her first A1) and B1, B2 from Bob
-(n_a, n_b), or the RE X side from Alice and Y side from Bob, flat arrays
-of n_a n_b f leaves of components -- and last every party's self gram
-(n_i, n_i).  It reads one frame from each entry's owner in that order and
-rejects on arrival a part nobody owes, from the wrong party, repeated, or
-misshapen; so whatever it accepts is complete.  Input parties likewise
-check each masked matrix against the f x n of its sender's hello.
+order: per pair in ``pair_rounds`` order, the protocol's parts (Alice's,
+then Bob's), and last every party's self gram (n_i, n_i).  It reads one
+frame from each entry's owner in that order and rejects on arrival a part
+nobody owes, from the wrong party, repeated, or misshapen; so whatever it
+accepts is complete.  Input parties likewise check each matrix a peer
+sends against the f x n of that peer's hello.
 
 This read order cannot deadlock on bounded socket buffers: a party's
 round-r sends to the function party depend only on its round-r peer, and
@@ -43,24 +46,26 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import combinations
+from math import comb
 
 import numpy as np
 
 from . import transport as tp
-from .costs import ESCAPED, RE
-from .errors import ProtocolError
+from .errors import ConfigError, ProtocolError
 from .masking import (
     GramAssembly,
     PairResult,
-    PartyState,
     alice_compute,
     alice_round1,
     assemble_gram,
     bob_compute,
     bob_round1,
+    leakage_view,
     make_party_state,
     pair_rounds,
     pair_schedule,
+    verify_leakage_view,
 )
 from .matrix import Matrix, gram_t
 from .scheme import (
@@ -78,6 +83,15 @@ from .scheme import (
     x_side_wire,
     y_random_triples,
 )
+
+ESCAPED = "escaped"
+RE = "re"
+
+# Part labels: the first element of an owed-part key.
+SELF, ALPHA, A1, B1, B2 = "self gram", "alpha", "A1", "B1", "B2"
+X_SIDE, Y_SIDE = "X-side components", "Y-side components"
+_PAIR_PARTS = {tp.PART_A1: A1, tp.PART_B1: B1, tp.PART_B2: B2}
+_RE_SIDES = {tp.SIDE_X: X_SIDE, tp.SIDE_Y: Y_SIDE}
 
 
 @dataclass(frozen=True)
@@ -98,7 +112,7 @@ class SessionSpec:
 @dataclass
 class FunctionPartyResult:
     assembly: GramAssembly
-    pair_results: dict | None  # masking protocol only
+    pair_results: dict  # (alice, bob) -> what the protocol's ``assemble`` made of the pair
 
 
 @dataclass
@@ -154,13 +168,7 @@ def run_party(spec: SessionSpec, mesh, data: Matrix = None):
 def input_party_session(spec: SessionSpec, data: Matrix, mesh) -> None:
     """Run input party ``mesh.party_id`` to completion.  Hellos are already exchanged."""
     party_id = mesh.party_id
-    if spec.protocol == ESCAPED:
-        runner = _EscapedParty(spec, make_party_state(party_id, data, spec.key), mesh)
-    elif spec.protocol == RE:
-        runner = _ReParty(spec, data, mesh)
-    else:
-        raise ProtocolError(f"unknown protocol {spec.protocol!r}")
-
+    runner = protocol_record(spec.protocol)(spec, data, mesh)
     for rnd in pair_rounds(spec.m):
         for a, b in rnd:
             if a == party_id:
@@ -173,27 +181,31 @@ def input_party_session(spec: SessionSpec, data: Matrix, mesh) -> None:
 
 
 class _EscapedParty:
-    """Masking role.  The round-1 messages do not depend on the peer, so they
-    are built and packed once per run: X - a, sent to every peer as Alice and
-    as Bob, and alpha a, sent as Alice, which only ids below m ever are."""
+    """``escaped``, the masking protocol of ``mpgram.masking``.  The function party
+    gets A1 (n_a, n_b) from Alice, plus her alpha (1,) after her first A1, then
+    B1 and B2 (n_a, n_b) from Bob.  The round-1 messages do not depend on the
+    peer, so they are built and packed once per run: X - a, sent to every peer
+    as Alice and as Bob, and alpha a, sent as Alice, which only ids below m are."""
 
-    def __init__(self, spec, state: PartyState, mesh):
+    name = ESCAPED
+
+    def __init__(self, spec, data: Matrix, mesh):
         self.spec = spec
-        self.state = state
+        self.state = make_party_state(mesh.party_id, data, spec.key)
         self.mesh = mesh
         self.alpha_sent = False
-        if state.party_id < spec.m:
-            masked, scaled_mask = alice_round1(state)
+        if mesh.party_id < spec.m:
+            masked, scaled_mask = alice_round1(self.state)
             self.scaled_mask_payload = tp.matrix_payload(scaled_mask)
         else:
-            masked = bob_round1(state)
+            masked = bob_round1(self.state)
         self.masked_payload = tp.matrix_payload(masked)
 
     def act_alice(self, bob_id: int):
         ch = self.mesh.channels[bob_id]
         ch.send(tp.MASKED_DATA, self.masked_payload)
         ch.send(tp.MASKED_MASK, self.scaled_mask_payload)
-        a1 = alice_compute(self.state, self._recv_masked(bob_id, tp.MASKED_DATA))
+        a1 = alice_compute(self.state, recv_matrix(self.mesh, bob_id, tp.MASKED_DATA, self.spec))
         fp = self.mesh.channels[tp.FUNCTION_PARTY_ID]
         fp.send(tp.PAIR_RESULT, tp.pair_matrix_payload(self.state.party_id, bob_id, tp.PART_A1, a1))
         if not self.alpha_sent:
@@ -201,8 +213,8 @@ class _EscapedParty:
             self.alpha_sent = True
 
     def act_bob(self, alice_id: int):
-        alice_masked = self._recv_masked(alice_id, tp.MASKED_DATA)
-        alice_scaled = self._recv_masked(alice_id, tp.MASKED_MASK)
+        alice_masked = recv_matrix(self.mesh, alice_id, tp.MASKED_DATA, self.spec)
+        alice_scaled = recv_matrix(self.mesh, alice_id, tp.MASKED_MASK, self.spec)
         self.mesh.channels[alice_id].send(tp.MASKED_DATA, self.masked_payload)
         b1, b2 = bob_compute(self.state, alice_masked, alice_scaled)
         fp = self.mesh.channels[tp.FUNCTION_PARTY_ID]
@@ -210,30 +222,57 @@ class _EscapedParty:
         fp.send(tp.PAIR_RESULT, tp.pair_matrix_payload(alice_id, me, tp.PART_B1, b1))
         fp.send(tp.PAIR_RESULT, tp.pair_matrix_payload(alice_id, me, tp.PART_B2, b2))
 
-    def _recv_masked(self, peer: int, kind: int) -> Matrix:
-        """A masked matrix from ``peer``, which must be f x (the peer's hello size)."""
-        frame = self.mesh.channels[peer].recv(kind)
-        m, _ = tp.matrix_from_payload(frame.payload, self.spec.domain)
-        want = (self.spec.features, self.mesh.n_by_peer[peer])
-        if (m.rows, m.cols) != want:
-            a, b = sorted((self.state.party_id, peer))
-            raise ProtocolError(
-                f"{tp.KIND_NAMES[kind]} of pair ({a},{b}) from party {peer} has shape "
-                f"{(m.rows, m.cols)}, expected {want}"
-            )
-        return m
+    @staticmethod
+    def owed(m: int, sizes: dict, f: int) -> dict:
+        owed = {}
+        for a, b in (pair for rnd in pair_rounds(m) for pair in rnd):
+            owed[A1, a, b] = (a, (sizes[a], sizes[b]))
+            owed.setdefault((ALPHA, a), (a, (1,)))
+            owed[B1, a, b] = owed[B2, a, b] = (b, (sizes[a], sizes[b]))
+        return owed
+
+    @staticmethod
+    def assemble(dom, got: dict, sizes: dict, f: int) -> dict:
+        return {(a, b): PairResult(a, b, got[A1, a, b], got[B1, a, b], got[B2, a, b],
+                                   got[ALPHA, a].item())
+                for a, b in pair_schedule(len(sizes))}
+
+    @staticmethod
+    def wire(m: int, f: int, sizes: tuple) -> tuple:
+        # per pair X-a, Y-b and alpha*a among input parties, then A1, B1, B2 (n_a n_b each)
+        pairs = list(combinations(sizes, 2))
+        data, mask = f * sum(map(sum, pairs)), f * sum(a for a, _ in pairs)
+        among = {"masked_data": data, "masked_mask": mask}
+        return among, {"pair_result": 3 * sum(a * b for a, b in pairs), "alpha": m - 1}
+
+    @staticmethod
+    def nominal(m: int, f: int, n: int) -> tuple:
+        return 3 * comb(m, 2) * f * n, 3 * comb(m, 2) * n * n
+
+    @staticmethod
+    def leakage_check(domain, data: dict, keys: dict, fp_result: FunctionPartyResult) -> dict:
+        """The function party's derived blocks against every party's regenerated masks."""
+        states = {i: make_party_state(i, data[i], keys[i]) for i in data}
+        view = leakage_view(fp_result.assembly.self_blocks, fp_result.pair_results)
+        dev = verify_leakage_view(view, states)
+        verified = dev == 0.0 if domain.kind == "field" else dev <= 1e-9
+        return {"verified": verified, "max_deviation": dev}
 
 
 class _ReParty:
-    """Randomized-encoding role: fresh randoms per sample pair, components to FP.
+    """``re``, the randomized-encoding baseline: fresh randoms per sample pair.
 
-    Alice reads the randoms of each of her samples u against every Bob sample
-    from her own key, one (n_b, total_randoms) read per u, and stacks them into
-    one (n_a, n_b, total_randoms) block for the pair; she encodes that block
-    with one call per step, and Bob encodes the (n_a, n_b, d, 3) triples he
-    receives with one call.  The frames follow the RE wire layout of
-    ``mpgram.scheme``.
+    The function party gets the X side from Alice and the Y side from Bob,
+    flat arrays of n_a n_b f leaves of components.  Alice reads the randoms
+    of each of her samples u against every Bob sample from her own key, one
+    (n_b, total_randoms) read per u, and stacks them into one (n_a, n_b,
+    total_randoms) block for the pair; she encodes that block with one call
+    per step, and Bob encodes the (n_a, n_b, d, 3) triples he receives with
+    one call.  The frames follow the RE wire layout of ``mpgram.scheme``.
     """
+
+    name = RE
+    leakage_check = None
 
     def __init__(self, spec, data: Matrix, mesh):
         self.spec = spec
@@ -280,15 +319,61 @@ class _ReParty:
             tp.pair_scalars_payload(alice_id, self.party_id, tp.SIDE_Y, np.ravel(to_fp), dom),
         )
 
+    @staticmethod
+    def owed(m: int, sizes: dict, f: int) -> dict:
+        owed = {}
+        for a, b in (pair for rnd in pair_rounds(m) for pair in rnd):
+            leaves = sizes[a] * sizes[b] * f
+            owed[X_SIDE, a, b] = (a, (leaves * len(WIRE_X_SIDE),))
+            owed[Y_SIDE, a, b] = (b, (leaves * len(WIRE_Y_SIDE),))
+        return owed
+
+    @staticmethod
+    def assemble(dom, got: dict, sizes: dict, f: int) -> dict:
+        blocks = {}
+        for a, b in pair_schedule(len(sizes)):
+            x_side = wire_block(got[X_SIDE, a, b], sizes[a], sizes[b], f, WIRE_X_SIDE, X_SIDE)
+            y_side = wire_block(got[Y_SIDE, a, b], sizes[a], sizes[b], f, WIRE_Y_SIDE, Y_SIDE)
+            x_comps, offline = split_x_side(x_side)
+            blocks[a, b] = Matrix(decode_dot(dom, x_comps, y_side, offline), dom)
+        return blocks
+
+    @staticmethod
+    def wire(m: int, f: int, sizes: tuple) -> tuple:
+        # three of the four per-leaf randoms cross between input parties
+        pair_products = sum(a * b for a, b in combinations(sizes, 2))
+        return {"re_randoms": 3 * f * pair_products}, {"re_components": 5 * f * pair_products}
+
+    @staticmethod
+    def nominal(m: int, f: int, n: int) -> tuple:
+        return 4 * comb(m, 2) * f * n * n, 5 * comb(m, 2) * f * n * n
+
+
+PROTOCOLS = {cls.name: cls for cls in (_EscapedParty, _ReParty)}
+
+
+def protocol_record(name: str) -> type:
+    """The class of protocol ``name`` in ``PROTOCOLS``; the one rejection of an unknown name."""
+    if name not in PROTOCOLS:
+        raise ConfigError(f"protocol must be one of {tuple(PROTOCOLS)}, got {name!r}")
+    return PROTOCOLS[name]
+
+
+def recv_matrix(mesh, peer: int, kind: int, spec: SessionSpec) -> Matrix:
+    """A matrix of kind ``kind`` from ``peer``, which must be f x (the peer's hello size)."""
+    frame = mesh.channels[peer].recv(kind)
+    m, _ = tp.matrix_from_payload(frame.payload, spec.domain)
+    want = (spec.features, mesh.n_by_peer[peer])
+    if (m.rows, m.cols) != want:
+        a, b = sorted((mesh.party_id, peer))
+        raise ProtocolError(
+            f"{tp.KIND_NAMES[kind]} of pair ({a},{b}) from party {peer} has shape "
+            f"{(m.rows, m.cols)}, expected {want}"
+        )
+    return m
+
 
 # -- function party ----------------------------------------------------------
-
-
-# Part labels: the first element of an owed-part key.
-SELF, ALPHA, A1, B1, B2 = "self gram", "alpha", "A1", "B1", "B2"
-X_SIDE, Y_SIDE = "X-side components", "Y-side components"
-_PAIR_PARTS = {tp.PART_A1: A1, tp.PART_B1: B1, tp.PART_B2: B2}
-_RE_SIDES = {tp.SIDE_X: X_SIDE, tp.SIDE_Y: Y_SIDE}
 
 
 def function_party_session(spec: SessionSpec, mesh) -> FunctionPartyResult:
@@ -312,24 +397,8 @@ def function_party_session(spec: SessionSpec, mesh) -> FunctionPartyResult:
         got[key] = value
 
     self_blocks = {i: got[SELF, i] for i in range(1, spec.m + 1)}
-    pairs = pair_schedule(spec.m)
-    pair_results = None
-    if spec.protocol == ESCAPED:
-        pair_results = {
-            (a, b): PairResult(
-                a, b, got[A1, a, b], got[B1, a, b], got[B2, a, b], got[ALPHA, a].item()
-            )
-            for a, b in pairs
-        }
-        assembly = assemble_gram(self_blocks, pair_results)
-    else:
-        assembly = assemble_gram(self_blocks, {
-            (a, b): _decode_re_block(
-                dom, spec.features, sizes[a], sizes[b], got[X_SIDE, a, b], got[Y_SIDE, a, b]
-            )
-            for a, b in pairs
-        })
-
+    pair_results = protocol_record(spec.protocol).assemble(dom, got, sizes, spec.features)
+    assembly = assemble_gram(self_blocks, pair_results)
     for i in range(1, spec.m + 1):
         mesh.channels[i].send(tp.DONE, b"")
     return FunctionPartyResult(assembly, pair_results)
@@ -338,21 +407,10 @@ def function_party_session(spec: SessionSpec, mesh) -> FunctionPartyResult:
 def _owed_parts(spec: SessionSpec, sizes: dict) -> dict:
     """Every part the input parties owe the function party, in send order: key -> (owner, shape).
 
-    Keys are ``(label, party)`` or ``(label, alice, bob)``, over the pairs of
-    ``pair_rounds`` and the hello sizes ``sizes``; see the module docstring.
+    Keys are ``(label, party)`` or ``(label, alice, bob)``: the protocol's ``owed``
+    over the hello sizes ``sizes``, then the self grams; see the module docstring.
     """
-    owed = {}
-    for a, b in (pair for rnd in pair_rounds(spec.m) for pair in rnd):
-        if spec.protocol == ESCAPED:
-            owed[A1, a, b] = (a, (sizes[a], sizes[b]))
-            owed.setdefault((ALPHA, a), (a, (1,)))
-            owed[B1, a, b] = owed[B2, a, b] = (b, (sizes[a], sizes[b]))
-        elif spec.protocol == RE:
-            leaves = sizes[a] * sizes[b] * spec.features
-            owed[X_SIDE, a, b] = (a, (leaves * len(WIRE_X_SIDE),))
-            owed[Y_SIDE, a, b] = (b, (leaves * len(WIRE_Y_SIDE),))
-        else:
-            raise ProtocolError(f"unknown protocol {spec.protocol!r}")
+    owed = protocol_record(spec.protocol).owed(spec.m, sizes, spec.features)
     owed.update({(SELF, i): (i, (sizes[i], sizes[i])) for i in sorted(sizes)})
     return owed
 
@@ -383,13 +441,6 @@ def _read_part(frame, dom) -> tuple:
     raise ProtocolError(
         f"function party got unexpected {tp.KIND_NAMES.get(frame.kind, hex(frame.kind))}"
     )
-
-
-def _decode_re_block(dom, f: int, n_a: int, n_b: int, x_flat, y_flat) -> Matrix:
-    x_side = wire_block(x_flat, n_a, n_b, f, WIRE_X_SIDE, "X-side components")
-    y_side = wire_block(y_flat, n_a, n_b, f, WIRE_Y_SIDE, "Y-side components")
-    x_comps, offline = split_x_side(x_side)
-    return Matrix(decode_dot(dom, x_comps, y_side, offline), dom)
 
 
 # -- meshes ------------------------------------------------------------------

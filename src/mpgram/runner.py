@@ -13,8 +13,8 @@ With the ``verify`` flag the orchestrator recomputes the plaintext gram
 matrix as an oracle and checks the protocol output against it, checks the
 decoded gram against a float64 gram of the decoded inputs, a second guard
 against fixed-point wrap-around after each party's own ``check_gram_range``,
-and re-derives the party keys from the run seed to check the function
-party's leakage view against the parties' masks -- in a real deployment
+and re-derives the party keys from the run seed for the protocol's
+``leakage_check`` of the function party's view -- in a real deployment
 that would defeat the point, so it is strictly a testing facility.
 """
 
@@ -38,11 +38,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import transport as tp
-from .costs import ESCAPED, PROTOCOLS, RE, cost_model, transcript_audit
+from .costs import ESCAPED, RE, cost_model, protocol_record, transcript_audit
 from .errors import ConfigError, DataError, MpgramError, ProtocolError
 from .field import make_domain
 from .kernel import KernelMatrix, rbf_from_gram
-from .masking import leakage_view, make_party_state, verify_leakage_view
 from .matrix import Matrix, encode_real_matrix, gram_t, load_real_csv, save_csv
 from .party import FunctionPartyResult, PartyOutcome, SessionSpec, build_loopback_meshes, play_party
 from .seeds import derive_seed, party_key
@@ -67,8 +66,7 @@ class RunConfig:
     verify: bool = True
 
     def validate(self):
-        if self.protocol not in PROTOCOLS:
-            raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
+        protocol_record(self.protocol)
         if self.m < 2:
             raise ConfigError(f"need at least 2 input parties, got {self.m}")
         if len(self.samples) != self.m:
@@ -172,14 +170,9 @@ def run(config: RunConfig) -> RunResult:
     leakage = None
     if config.verify:
         verification = _verify_against_oracle(domain, data, gram, gram_real)
-        if config.protocol == ESCAPED:
-            states = {i: make_party_state(i, data[i], party_key(config.seed, i)) for i in data}
-            view = leakage_view(fp_result.assembly.self_blocks, fp_result.pair_results)
-            dev = verify_leakage_view(view, states)
-            leakage = {
-                "verified": dev == 0.0 if domain.kind == "field" else dev <= 1e-9,
-                "max_deviation": dev,
-            }
+        check = protocol_record(config.protocol).leakage_check
+        if check is not None:
+            leakage = check(domain, data, {i: party_key(config.seed, i) for i in data}, fp_result)
 
     prediction = cost_model(config.protocol, config.m, config.features, config.samples)
     audit = transcript_audit(transcript, prediction)

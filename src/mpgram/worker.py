@@ -16,9 +16,9 @@ function party, which holds no key, while a reaper thread waits for the
 children.  Every job's exit code goes to stdout as one ``<job index>
 <code>`` line, in the order the jobs end.  On the first nonzero code the
 other children are killed and reaped, and the process ends: a child's
-failure ends it with exit 1 once the rest are reaped, the function
-party's as that party's own error.  So every process of a run is reaped
-by its parent, on every path.
+failure ends it with exit 1 once the rest are reaped (``_Children.stop``),
+the function party's as that party's own error.  So every process of a
+run is reaped by its parent, on every path.
 
 Every party's process, in either form, ends as ``multiprocessing`` ends a
 forked child (``_exit``): the exit code is the one the interpreter would
@@ -141,6 +141,7 @@ class _Children:
     def __init__(self):
         self.running = {}  # pid -> job index
         self.failed = None  # job index of the first nonzero exit
+        self.recorded = False  # whether the function party has recorded its outcome
         self._lock = threading.Lock()
 
     def ended(self, job: int, code: int) -> None:
@@ -163,18 +164,24 @@ class _Children:
         of its own, earlier than the child's exit.
         """
         with self._lock:
+            self.recorded = True
             if self.failed is None:
                 write_outcome(path, outcome)
 
     def reap(self) -> None:
-        """Reap every child; if one of them failed first, then end this process."""
+        """Reap every child; if one of them failed first, then stop the main thread."""
         while self.running:
             pid, status = os.wait()
             with self._lock:
                 job = self.running.pop(pid)
             self.ended(job, os.waitstatus_to_exitcode(status))
         if self.failed not in (None, 0):
-            os._exit(1)
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGUSR1)
+
+    def stop(self, signum, frame) -> None:
+        """SIGUSR1 handler: ends an unrecorded function party, which may wait in ``accept``."""
+        if not self.recorded:
+            raise SystemExit(1)
 
 
 def _status(code) -> int:
@@ -237,6 +244,7 @@ def main(argv=None) -> int:
             _exit(functools.partial(play_job, path))
         children.running[pid] = k
 
+    signal.signal(signal.SIGUSR1, children.stop)
     reaper = threading.Thread(target=children.reap, name="reaper")
     reaper.start()
     code = 1
@@ -248,7 +256,7 @@ def main(argv=None) -> int:
     finally:
         children.ended(0, code)
         reaper.join()
-    return code
+    return 1 if children.failed is not None else code
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ import pytest
 
 from mpgram.costs import (
     ESCAPED,
+    PROTOCOLS,
     RE,
     cost_model,
     nominal_form,
@@ -62,7 +63,7 @@ class TestWireForms:
 
 
 class TestLiveAudit:
-    @pytest.mark.parametrize("protocol", [ESCAPED, RE])
+    @pytest.mark.parametrize("protocol", list(PROTOCOLS))
     def test_measured_equals_wire_form(self, protocol):
         cfg = RunConfig(protocol=protocol, m=3, features=6, samples=(2, 3, 4), seed=5, verify=False)
         result = run(cfg)

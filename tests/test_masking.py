@@ -7,6 +7,7 @@ from random import Random
 import numpy as np
 import pytest
 
+from mpgram import transport as tp
 from mpgram.errors import DimensionError, DomainError, ProtocolError, ProtocolIncompleteError
 from mpgram.field import FieldDomain
 from mpgram.masking import (
@@ -23,11 +24,13 @@ from mpgram.masking import (
     make_party_state,
     pair_rounds,
     pair_schedule,
+    peer_recovery,
     rotation_nonuniqueness_check,
     run_pair,
     verify_leakage_view,
 )
-from mpgram.matrix import Matrix, gram_t, random_matrix
+from mpgram.matrix import Matrix, encode_real_matrix, gram_t, random_matrix
+from mpgram.runner import RunConfig, run
 from mpgram.seeds import party_key
 
 m61 = FieldDomain()
@@ -339,6 +342,36 @@ class TestMaskDistributions:
         for h in (h1, h2):
             for m in range(5):
                 assert sum(c for (mm, _), c in h.items() if mm == m) == 4
+
+
+class TestPeerRecovery:
+    """Bob's X - a and alpha a leave Alice's X one unknown scalar away."""
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    @pytest.mark.parametrize("scale", [1.0, 1000.0])
+    def test_round1_messages_give_alices_data_and_alpha(self, seed, scale):
+        x = encode_real_matrix(np.random.default_rng(seed).uniform(-scale, scale, (8, 5)), m61)
+        alice = make_party_state(1, x, party_key(seed, 1))
+        recovered, alpha = peer_recovery(*alice_round1(alice), m61)
+        assert recovered == x and alpha == alice.mask_scalar
+
+    def test_bob_recovers_alices_data_from_a_loopback_run(self, monkeypatch):
+        inbound = {}  # message kind -> the payload party 1 (Alice) sent party 2 (Bob)
+        send = tp.Channel.send
+
+        def recording_send(self, kind, payload):
+            if (self.local_id, self.peer_id) == (1, 2):
+                inbound[kind] = payload
+            send(self, kind, payload)
+
+        monkeypatch.setattr(tp.Channel, "send", recording_send)
+        cfg = RunConfig(protocol="escaped", m=2, features=6, samples=(4, 3), seed=7, verify=False)
+        res = run(cfg)
+        masked, _ = tp.matrix_from_payload(inbound[tp.MASKED_DATA], m61)
+        scaled, _ = tp.matrix_from_payload(inbound[tp.MASKED_MASK], m61)
+        x, alpha = peer_recovery(masked, scaled, m61)
+        assert x == res.party_data[1]
+        assert alpha == make_party_state(1, x, party_key(cfg.seed, 1)).mask_scalar
 
 
 class TestRotationNonUniqueness:

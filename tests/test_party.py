@@ -8,15 +8,21 @@ scripted peer.
 import hashlib
 import re
 import threading
+from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 
 from mpgram import transport as tp
+from mpgram.cli import EXIT_OK, main
 from mpgram.errors import EncodingOverflowError, ProtocolError, TransportError
 from mpgram.field import FieldDomain
-from mpgram.matrix import Matrix
+from mpgram.masking import pair_rounds, pair_schedule
+from mpgram.matrix import Matrix, gram_t
 from mpgram.party import (
+    B1,
+    PROTOCOLS,
     Mesh,
     SessionSpec,
     _owed_parts,
@@ -26,6 +32,7 @@ from mpgram.party import (
     hello_phase,
     input_party_session,
     play_party,
+    recv_matrix,
 )
 from mpgram.runner import RunConfig, run
 from mpgram.scheme import (
@@ -267,7 +274,7 @@ def test_loopback_meshes_form_one_complete_graph(m):
 # -- read order: the function party reads in the order parties send -----------
 
 
-@pytest.mark.parametrize("protocol", ["escaped", "re"])
+@pytest.mark.parametrize("protocol", list(PROTOCOLS))
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_owed_parts_are_in_each_partys_send_order(monkeypatch, protocol, m):
     sent = {}  # (sender, payload sha as in the transcript) -> frame to the function party
@@ -291,6 +298,62 @@ def test_owed_parts_are_in_each_partys_send_order(monkeypatch, protocol, m):
         )
         sent_keys = [_read_part(sent[i, e.payload_sha], m61)[0] for e in to_fp]
         assert sent_keys == [key for key, (owner, _) in owed.items() if owner == i]
+
+
+# -- the protocol table: a protocol is one class in PROTOCOLS -----------------
+
+
+class _PlainParty:
+    """A test-only protocol without privacy: Alice sends Bob her plain X as
+    ``MASKED_DATA``, and Bob sends the function party B1 = X^T Y."""
+
+    name = "plain"
+    leakage_check = None
+
+    def __init__(self, spec, data, mesh):
+        self.spec, self.data, self.mesh = spec, data, mesh
+
+    def act_alice(self, bob_id):
+        self.mesh.channels[bob_id].send(tp.MASKED_DATA, tp.matrix_payload(self.data))
+
+    def act_bob(self, alice_id):
+        x_t_y = gram_t(recv_matrix(self.mesh, alice_id, tp.MASKED_DATA, self.spec), self.data)
+        self.mesh.channels[tp.FUNCTION_PARTY_ID].send(
+            tp.PAIR_RESULT, tp.pair_matrix_payload(alice_id, self.mesh.party_id, tp.PART_B1, x_t_y)
+        )
+
+    @staticmethod
+    def owed(m, sizes, f):
+        return {(B1, a, b): (b, (sizes[a], sizes[b])) for rnd in pair_rounds(m) for a, b in rnd}
+
+    @staticmethod
+    def assemble(dom, got, sizes, f):
+        return {(a, b): got[B1, a, b] for a, b in pair_schedule(len(sizes))}
+
+    @staticmethod
+    def wire(m, f, sizes):
+        pairs = list(combinations(sizes, 2))
+        among = {"masked_data": f * sum(a for a, _ in pairs)}
+        return among, {"pair_result": sum(a * b for a, b in pairs)}
+
+    @staticmethod
+    def nominal(m, f, n):
+        return comb(m, 2) * f * n, comb(m, 2) * n * n
+
+
+def test_a_protocol_registered_in_the_table_runs_end_to_end(monkeypatch, capsys):
+    monkeypatch.setitem(PROTOCOLS, _PlainParty.name, _PlainParty)
+    cfg = RunConfig(protocol="plain", m=3, features=4, samples=(2, 3, 1), seed=5, verify=True)
+    report = run(cfg).report
+    assert report["audit"]["ok"], report["audit"]["mismatches"]
+    assert report["verification"]["status"] == "pass"
+    assert report["leakage"] is None
+    assert report["costs"]["nominal"] is None  # unequal sizes
+    assert report["gram"] == run(RunConfig("escaped", 3, 4, (2, 3, 1), seed=5)).report["gram"]
+    # the CLI reads its choices from the same table
+    assert main(["run", "--protocol", "plain", "--parties", "3", "--verify"]) == EXIT_OK
+    assert main(["cost", "--protocol", "plain", "--M", "2", "--f", "3", "--n", "2"]) == EXIT_OK
+    assert "plain: nominal among-IPs=6 IP-FP=4 total=10" in capsys.readouterr().out
 
 
 # -- outcomes: recorded before any channel closes ------------------------------

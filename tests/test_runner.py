@@ -340,15 +340,31 @@ class TestRun:
         assert str(info.value) == f"{name} failed: {blame.format(p=who)}"
 
     def test_every_tcp_party_process_runs_its_atexit_handlers(self, tmp_path, monkeypatch):
-        log = tmp_path / "pids.txt"
-        _inject_site(tmp_path, monkeypatch,
-                     f"LOG = {str(log)!r}\n" + SITE_LOG_PIDS + SITE_LOG_ATEXIT)
-        assert run(TCP_M4).report["audit"]["ok"]
-        lines = [line.split() for line in log.read_text().splitlines()]
-        pids = [int(words[0]) for words in lines if len(words) == 1]
-        ran = [int(words[0]) for words in lines if words[1:] == ["atexit"]]
-        assert len(set(pids)) == len(pids) == TCP_M4.m + 1
-        assert sorted(ran) == sorted(pids)  # exactly once in every party's process
+        for case, site, blame in [
+            ("ok", "", None),
+            ("party-2-raises", SITE_INJECT_ACT_ALICE, "injected"),
+            # the launcher still waits to accept party 2's connection
+            ("party-2-exits-unconnected", SITE_EXIT_WITHOUT_OUTCOME, "exited 1: no outcome from 2"),
+        ]:
+            log = tmp_path / f"{case}.txt"
+            _inject_site(tmp_path, monkeypatch,
+                         site + f"\nLOG = {str(log)!r}\n" + SITE_LOG_PIDS + SITE_LOG_ATEXIT)
+            if blame is None:
+                assert run(TCP_M4).report["audit"]["ok"]
+            else:
+                with pytest.raises(ProtocolError, match=f"^party 2 failed: {blame}$"):
+                    run(TCP_M4)
+            lines = [line.split() for line in log.read_text().splitlines()]
+            pids = [int(words[0]) for words in lines if len(words) == 1]
+            ran = [int(words[0]) for words in lines if words[1:] == ["atexit"]]
+            if blame is None:
+                assert len(set(pids)) == len(pids) == TCP_M4.m + 1
+                assert sorted(ran) == sorted(pids)  # exactly once in every party's process
+            else:
+                # the children killed on party 2's failure run none (a child killed
+                # early logs no pid either); the launcher, which logs its pid
+                # first, still ends through its handlers
+                assert len(set(ran)) == len(ran) and ran.count(pids[0]) == 1, case
 
     @pytest.mark.parametrize("case", ["ok", "exit-without-outcome", "port-taken"])
     def test_no_party_process_outlives_a_tcp_run(self, tmp_path, monkeypatch, case):
