@@ -37,16 +37,30 @@ residues in [0, p) over the field, float64 over floats.  ``sample``,
 ``encode_array`` and ``unpack`` return that dtype, and the domain owns all
 arithmetic on such arrays: ``array_add``, ``array_sub`` and ``array_mul``
 (elementwise, broadcasting, scalars allowed), ``array_sum`` (over the last
-axis, in index order from zero), ``matmul_t`` (the product A^T B) and
-``pack``/``unpack`` (the wire codec of a vector of elements).  Field add and
-sub stay in uint64 with one compare.  The field product is Montgomery's
-(Math. Comp. 1985) with R = 2^64, also in uint64: the 128-bit product is
-formed from 32-bit halves and reduced without leaving uint64.  The
-reduction needs p^-1 mod 2^64, which is why p must be odd.  Over floats
-every operation runs in the order of a scalar loop, so results are
-bit-identical to it.  The per-scalar operations (``add``, ``sub``, ``mul``,
-``inv``) take single elements, which the field computes in Python ints;
-they are the reference the array operations are checked against.
+axis), ``matmul_t`` (the product A^T B) and ``pack``/``unpack`` (the wire
+codec of a vector of elements).  The field's array arithmetic never leaves
+uint64, and its formulas split at 2^63, one predicate for all of them:
+
+* below 2^63 a sum of two residues fits a word, so add is min(a + b,
+  a + b - p) and sub is min(a - b, a - b + p), one pass and one correction
+  each (a wrapped difference is the larger of the two); from 2^63 on, sub
+  adds p where a < b, and add is a - (p - b);
+* the product of two arrays is Montgomery's (Math. Comp. 1985) with
+  R = 2^64, the 128-bit product formed from 32-bit halves, which gives
+  a b R^-1 mod p; that, and any array times a scalar, is then multiplied by
+  a constant: below 2^63 with Shoup's precomputed quotient (Harvey, J. Symb.
+  Comp. 2014), from 2^63 on with a second Montgomery reduction.  The
+  reduction needs p^-1 mod 2^64, which is why p must be odd;
+* the sum uses delayed reduction (Dumas, Giorgi and Pernet, ACM TOMS 2008):
+  below 2^63, runs of floor((2^64 - 1) / (p - 1)) residues (8 for M61) are
+  added in uint64 with one ``% p`` per run; from 2^63 on, entries are added
+  one by one.
+
+Over floats every operation runs in the order of a scalar loop, sums
+included, in index order from zero, so results are bit-identical to it.
+The per-scalar operations (``add``, ``sub``, ``mul``, ``inv``) take single
+elements, which the field computes in Python ints; they are the reference
+the array operations are checked against.
 ``decode`` and ``decode_dot`` take single scalars (exact Python-int
 arithmetic) or entry arrays, which return float64 arrays of the same values.
 """
@@ -54,6 +68,7 @@ arithmetic) or entry arrays, which return float64 arrays of the same values.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -72,6 +87,18 @@ _LIMB_MAX_BITS = 21
 # An int64 sum of this many chunk sums, each at most 2^53 in magnitude,
 # stays below 2^63.
 _ACC_CHUNKS = (1 << 10) - 1
+
+
+def _count(n) -> int:
+    """A sample count ``n`` as a Python int; DomainError if it is negative.
+
+    A numpy integer would keep the sampler's shortfall arithmetic in int64,
+    where ``shortfall << bits`` wraps.
+    """
+    n = operator.index(n)
+    if n < 0:
+        raise DomainError(f"cannot sample a negative number of elements, got {n}")
+    return n
 
 
 def _sum_in_order(dom, a) -> np.ndarray:
@@ -216,8 +243,12 @@ class FieldDomain:
         self.one = 1 % p
         self._p = np.uint64(p)
         self._p_inv = np.uint64(pow(p, -1, 1 << 64))  # p^-1 mod 2^64, for ``_redc``
-        self._r2 = np.uint64((1 << 128) % p)  # R^2 mod p, R = 2^64
+        self._r = (1 << 64) % p  # R mod p, R = 2^64
         self._bits = p.bit_length()
+        # Below 2^63 a sum of two residues, and Shoup's remainder in [0, 2p),
+        # fit a uint64; this one predicate picks every formula that needs it.
+        self._small = p < 1 << 63
+        self._sum_run = ((1 << 64) - 1) // (p - 1)  # residues per uint64 partial sum
 
     # -- field arithmetic: single elements (Python ints or numpy scalars) --
 
@@ -263,8 +294,10 @@ class FieldDomain:
         Each word's top bits(p) bits are one candidate, kept if below p.  The
         first read takes the expected number of words for n values; each
         shortfall reads the stream again, further, and keeps the accepted
-        values in stream order.
+        values in stream order.  ``n`` may be any integer that is not negative,
+        a numpy one included.
         """
+        n = _count(n)
         shift = np.uint64(64 - self._bits)
         count, v = 0, np.empty(0, dtype=np.uint64)
         while v.size < n:
@@ -285,39 +318,77 @@ class FieldDomain:
     # -- arrays: arithmetic and wire codec (8-byte little-endian unsigned) --
 
     def array_add(self, a, b) -> np.ndarray:
-        """(a + b) mod p, elementwise: a - (p - b), which never leaves uint64."""
-        return self.array_sub(a, np.subtract(self._p, np.asarray(b, dtype=np.uint64)))
+        """(a + b) mod p, elementwise, for entries in [0, p).
+
+        Below 2^63, s = a + b < 2p fits a uint64, and min(s, s - p) is the
+        residue: s - p wraps above s when s < p.  From 2^63 on, a + b may
+        leave uint64, so it is a - (p - b), which never does, taken by the
+        general difference ``_sub``.
+        """
+        a, b = np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64)
+        if self._small:
+            s = np.add(a, b)
+            return np.minimum(s, np.subtract(s, self._p))
+        return self._sub(a, np.subtract(self._p, b))
 
     def array_sub(self, a, b) -> np.ndarray:
-        """(a - b) mod p, elementwise: a - b wraps mod 2^64 when a < b, and adding
-        p then wraps it back to a - b + p."""
+        """(a - b) mod p, elementwise, for entries in [0, p).
+
+        d = a - b wraps mod 2^64 when a < b, and d + p then wraps back to
+        a - b + p.  Below 2^63 the residue is min(d, d + p), since d + p stays
+        in [p, 2p) when a >= b; from 2^63 on, d + p is taken where a < b.
+        """
         a, b = np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64)
-        d = np.subtract(a, b)
-        return np.where(a >= b, d, np.add(d, self._p))
+        if self._small:
+            d = np.subtract(a, b)
+            return np.minimum(d, np.add(d, self._p))
+        return self._sub(a, b)
+
+    def _sub(self, a, b) -> np.ndarray:
+        """(a - b) mod p for uint64 arrays of residues of any p < 2^64."""
+        return np.where(a >= b, np.subtract(a, b), np.add(np.subtract(a, b), self._p))
 
     def array_mul(self, a, b) -> np.ndarray:
-        """(a b) mod p, elementwise, for entries in [0, p): Montgomery's product
-        with R = 2^64, in uint64 throughout.
+        """(a b) mod p, elementwise, for entries in [0, p).
 
-        ``_mul_hi`` and numpy's wrapping uint64 product give the two words of
-        the 128-bit product, and ``_redc`` takes it to a b R^-1 mod p.  Two
-        arrays take a second reduction, of that times the constant R^2 mod p.
-        A scalar operand (a Python int, numpy scalar or 0-d array) is first
-        moved to s R mod p in Python ints, so its product takes one reduction.
-        Operands are lifted to at least one dimension, since numpy hands back
-        numpy scalars for 0-d ones, whose arithmetic warns on wrap-around; the
-        result has the broadcast shape.
+        Two arrays take Montgomery's product (Math. Comp. 1985) with R = 2^64,
+        in uint64 throughout: ``_mul_hi`` and numpy's wrapping uint64 product
+        give the two words of the 128-bit product, and ``_redc`` takes it to
+        t = a b R^-1 mod p; then ``_times`` multiplies t by the constant R mod
+        p.  A scalar operand (a Python int, numpy scalar or 0-d array) is a
+        constant itself, so its product is one ``_times``.  Operands are
+        lifted to at least one dimension, since numpy hands back numpy scalars
+        for 0-d ones, whose arithmetic warns on wrap-around; the result has
+        the broadcast shape.
         """
         if np.ndim(a) == 0:
             a, b = b, a
         shape = np.broadcast_shapes(np.shape(a), np.shape(b))
         x = np.atleast_1d(np.asarray(a, dtype=np.uint64))
         if np.ndim(b) == 0:
-            s = np.uint64((int(b) << 64) % self.p)
-            return self._redc(_mul_hi(x, s), np.multiply(x, s)).reshape(shape)
+            return self._times(x, int(b) % self.p).reshape(shape)
         y = np.atleast_1d(np.asarray(b, dtype=np.uint64))
         t = self._redc(_mul_hi(x, y), np.multiply(x, y))
-        return self._redc(_mul_hi(t, self._r2), np.multiply(t, self._r2)).reshape(shape)
+        return self._times(t, self._r).reshape(shape)
+
+    def _times(self, t, w: int) -> np.ndarray:
+        """t w mod p for a uint64 array t and a constant w in [0, p).
+
+        Below 2^63 this is Shoup's product (Harvey, "Faster arithmetic for
+        number-theoretic transforms", J. Symb. Comp. 2014): with w' =
+        floor(w 2^64 / p), q = mulhi(t, w') and r = t w - q p, computed mod
+        2^64, lands in [0, 2p) for every t < 2^64, and min(r, r - p) is the
+        residue.  From 2^63 on, 2p leaves uint64, so it is Montgomery's
+        ``_redc`` of t (w R mod p), which is t w mod p.
+        """
+        if self._small:
+            q = _mul_hi(t, np.uint64((w << 64) // self.p))
+            r = np.multiply(t, np.uint64(w))
+            q *= self._p
+            r -= q
+            return np.minimum(r, np.subtract(r, self._p))
+        s = np.uint64((w << 64) % self.p)
+        return self._redc(_mul_hi(t, s), np.multiply(t, s))
 
     def _redc(self, hi, lo) -> np.ndarray:
         """(hi 2^64 + lo) 2^-64 mod p for uint64 arrays with hi < p; overwrites both.
@@ -334,7 +405,25 @@ class FieldDomain:
         np.add(hi, self._p, out=hi, where=borrow)
         return hi
 
-    array_sum = _sum_in_order
+    def array_sum(self, a) -> np.ndarray:
+        """Sum mod p over the last axis of an entry array, with delayed reduction
+        (Dumas, Giorgi and Pernet, ACM TOMS 2008).
+
+        k = floor((2^64 - 1) / (p - 1)) residues sum to at most 2^64 - 1, so
+        each level adds runs of k entries in uint64 (``np.add.reduceat``) and
+        takes one ``% p``, until one entry is left: k = 8 for M61, and a sum of
+        d entries takes ceil(log_k d) levels.  From 2^63 on k is 1, and the
+        entries are added one by one with ``array_add``.
+        """
+        a = np.asarray(a, dtype=np.uint64)
+        if not self._small:
+            return _sum_in_order(self, a)
+        if a.shape[-1] == 0:
+            return np.zeros(a.shape[:-1], dtype=np.uint64)
+        while a.shape[-1] > 1:
+            a = np.add.reduceat(a, np.arange(0, a.shape[-1], self._sum_run), axis=-1)
+            a %= self._p
+        return a[..., 0].copy()
 
     def matmul_t(self, a, b):
         """A^T B mod p for entry arrays a (f x n1) and b (f x n2), exactly.
@@ -396,13 +485,14 @@ class FieldDomain:
         |v| < 2^63 < p, so v is its own residue when v >= 0, and a negative v,
         whose uint64 view is 2^64 + v, is lifted to p + v by adding p mod 2^64.
         """
-        if self.p < 1 << 63:
+        if self._small:
             return np.mod(acc, np.int64(self.p)).view(np.uint64)
         u = acc.view(np.uint64)
         return np.where(acc < 0, u + self._p, u)
 
-    def pack(self, values) -> bytes:
-        return np.asarray(values, dtype="<u8").tobytes()
+    def pack(self, values, prefix: bytes = b"") -> bytes:
+        """``prefix`` and then the 8-byte elements of ``values``, joined in one copy."""
+        return b"".join((prefix, np.ascontiguousarray(values, dtype="<u8")))
 
     def unpack(self, buf) -> np.ndarray:
         """Read-only flat uint64 array of the elements in ``buf``; each must be < p."""
@@ -535,7 +625,7 @@ class FloatDomain:
 
     def sample(self, key: bytes, label, n: int) -> np.ndarray:
         """(n,) float64 array in [0, 1): (w >> 11) 2^-53 of each stream word."""
-        return (stream_words(key, label, n) >> np.uint64(11)) * 2.0**-53
+        return (stream_words(key, label, _count(n)) >> np.uint64(11)) * 2.0**-53
 
     def sample_nonzero(self, key: bytes, label) -> float:
         """0.5 + 1.5 u, u the first float of ``sample(key, label, .)``: in [0.5, 2.0)."""
@@ -570,8 +660,9 @@ class FloatDomain:
             total += np.multiply.outer(a[k], b[k])
         return total
 
-    def pack(self, values) -> bytes:
-        return np.asarray(values, dtype="<f8").tobytes()
+    def pack(self, values, prefix: bytes = b"") -> bytes:
+        """``prefix`` and then the 8-byte elements of ``values``, joined in one copy."""
+        return b"".join((prefix, np.ascontiguousarray(values, dtype="<f8")))
 
     def unpack(self, buf) -> np.ndarray:
         """Read-only flat float64 array of the elements in ``buf``."""

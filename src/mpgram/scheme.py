@@ -205,15 +205,20 @@ def encode_y_side(dom, y, scheme: DotEncodingScheme, triples) -> np.ndarray:
 def offline_components(dom, scheme: DotEncodingScheme, randoms) -> np.ndarray:
     """(..., d): c5 per leaf, the signed sum of that leaf's offline randoms.
 
-    Each leaf sums its list in order from ``dom.zero``, subtracting the
-    terms of sign -1, so float sums are those of a scalar loop.
+    Each leaf sums its list in order from ``dom.zero``; a term of sign -1 is
+    negated first, as ``dom.zero - r``, and then added like the others, so
+    each column takes one ``array_add``.  Float sums are still those of a
+    scalar loop that subtracts those terms: x - r is x + (-r) in IEEE 754,
+    0 - r is -r for r != 0, and for r = 0 the +0.0 it gives leaves every x
+    but -0.0 unchanged, which a sum that starts at +0.0 never reaches.
     """
     randoms = np.asarray(randoms)
     unorder, columns = scheme.offline_columns
     c5 = np.zeros(randoms.shape[:-1] + (scheme.d,), dtype=dom.dtype)
     for idx, negative in columns:
         acc, terms = c5[..., : len(idx)], randoms[..., idx]
-        acc[...] = np.where(negative, dom.array_sub(acc, terms), dom.array_add(acc, terms))
+        terms[..., negative] = dom.array_sub(dom.zero, terms[..., negative])
+        acc[...] = dom.array_add(acc, terms)
     return c5[..., unorder]
 
 

@@ -9,10 +9,13 @@ Frame layout (little-endian throughout):
     offset 13  payload
 
 Field elements travel as 8-byte unsigned, floats as IEEE binary64: the
-bytes of the domain's fixed-width entry arrays, so encoding is ``tobytes``
-and decoding ``frombuffer`` plus the field's range check.  Matrices are
-prefixed with two 4-byte dims (rows, cols) and sent row-major; flat scalar
-arrays with one 4-byte count, and they decode to a read-only flat array.
+bytes of the domain's fixed-width entry arrays.  Matrices are prefixed with
+two 4-byte dims (rows, cols) and sent row-major; flat scalar arrays with one
+4-byte count, and they decode to a read-only flat array.  Encoding is one
+join of a payload's packed header and its array's buffer (``domain.pack``).
+Decoding copies nothing: a received frame is read into one buffer, its
+``Frame.payload`` is a memoryview of that buffer past the header, and the
+arrays are ``frombuffer`` views of it, after the field's range check.
 No compression and no variable-width encodings, so every byte is accounted
 for exactly.
 
@@ -79,7 +82,7 @@ class Frame:
     kind: int
     sender: int
     receiver: int
-    payload: bytes = field(repr=False)
+    payload: bytes = field(repr=False)  # a memoryview of the received buffer, once decoded
 
 
 def frame_encode(kind: int, sender: int, receiver: int, payload: bytes) -> bytes:
@@ -87,6 +90,7 @@ def frame_encode(kind: int, sender: int, receiver: int, payload: bytes) -> bytes
 
 
 def frame_decode(data: bytes) -> Frame:
+    """The frame in ``data``; its payload is a memoryview of ``data``, not a copy."""
     if len(data) < HEADER_LEN:
         raise FramingError(f"truncated frame: {len(data)} bytes, header needs {HEADER_LEN}")
     kind, sender, receiver, plen = _HEADER.unpack_from(data)
@@ -97,14 +101,14 @@ def frame_decode(data: bytes) -> Frame:
             f"frame length mismatch at byte {min(len(data), HEADER_LEN + plen)}: "
             f"header says {HEADER_LEN + plen}, got {len(data)}"
         )
-    return Frame(kind, sender, receiver, bytes(memoryview(data)[HEADER_LEN:]))
+    return Frame(kind, sender, receiver, memoryview(data)[HEADER_LEN:])
 
 
 # -- payload codecs -------------------------------------------------------
 
 
 def matrix_payload(m: Matrix) -> bytes:
-    return struct.pack("<II", m.rows, m.cols) + m.domain.pack(m.data)
+    return m.domain.pack(m.data, struct.pack("<II", m.rows, m.cols))
 
 
 def matrix_from_payload(b: bytes, domain, offset: int = 0) -> tuple:
@@ -117,7 +121,7 @@ def matrix_from_payload(b: bytes, domain, offset: int = 0) -> tuple:
 
 
 def scalars_payload(xs, domain) -> bytes:
-    return struct.pack("<I", len(xs)) + domain.pack(xs)
+    return domain.pack(xs, struct.pack("<I", len(xs)))
 
 
 def scalars_from_payload(b: bytes, domain, offset: int = 0) -> tuple:
@@ -159,7 +163,7 @@ SIDE_X, SIDE_Y = 0, 1
 
 
 def pair_matrix_payload(alice: int, bob: int, part: int, m: Matrix) -> bytes:
-    return struct.pack("<HHB", alice, bob, part) + matrix_payload(m)
+    return m.domain.pack(m.data, struct.pack("<HHBII", alice, bob, part, m.rows, m.cols))
 
 
 def pair_matrix_from_payload(b: bytes, domain) -> tuple:
@@ -169,7 +173,7 @@ def pair_matrix_from_payload(b: bytes, domain) -> tuple:
 
 
 def pair_scalars_payload(alice: int, bob: int, tag: int, xs, domain) -> bytes:
-    return struct.pack("<HHB", alice, bob, tag) + scalars_payload(xs, domain)
+    return domain.pack(xs, struct.pack("<HHBI", alice, bob, tag, len(xs)))
 
 
 def pair_scalars_from_payload(b: bytes, domain) -> tuple:

@@ -1,6 +1,9 @@
 """Field arithmetic, fixed-point codec, and sampling distribution checks."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 from random import Random
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mpgram import field
 from mpgram.errors import DomainError, EncodingOverflowError
 from mpgram.field import M61, FieldDomain, FixedPointCodec, FloatDomain, make_domain
 from mpgram.matrix import Matrix, gram_t, mat_scale
@@ -296,6 +300,86 @@ class TestMontgomeryProduct:
         assert dom.array_mul(y, r).tolist() == want
 
 
+# the primes on each side of 2^63, where the one-pass add and sub, Shoup's
+# product and the delayed-reduction sum give way to the general formulas
+BELOW_2_63, ABOVE_2_63 = 2**63 - 25, 2**63 + 29
+SPLIT_PRIMES = [M61, BELOW_2_63, ABOVE_2_63, LARGEST]
+
+
+class TestOnePassArithmetic:
+    """``array_add``/``array_sub``/``array_mul``/``array_sum`` on both sides of 2^63."""
+
+    @pytest.mark.parametrize("p", [5, 251])
+    def test_exhaustive_against_the_scalar_ops(self, p):
+        dom = FieldDomain(scale_bits=0, p=p)
+        a, b = (v.ravel() for v in np.meshgrid(np.arange(p), np.arange(p), indexing="ij"))
+        ua, ub = a.astype(np.uint64), b.astype(np.uint64)
+        for name in ("add", "sub", "mul"):
+            got = getattr(dom, f"array_{name}")(ua, ub)
+            assert got.dtype == np.uint64
+            assert got.tolist() == [getattr(dom, name)(x, y) for x, y in zip(a, b)], name
+        residues = np.arange(p, dtype=np.uint64)
+        for s in range(p):  # a Python-int constant, Shoup's path below 2^63
+            assert dom.array_mul(residues, s).tolist() == [dom.mul(x, s) for x in range(p)]
+        # every pair summed, and every residue repeated n times
+        assert dom.array_sum(np.stack((ua, ub), axis=-1)).tolist() == [
+            dom.add(x, y) for x, y in zip(a, b)
+        ]
+        for n in (0, 1, 3, 2 * p + 1):
+            rows = np.repeat(residues[:, None], n, axis=1)
+            assert dom.array_sum(rows).tolist() == [v * n % p for v in range(p)]
+
+    @pytest.mark.parametrize("p", SPLIT_PRIMES)
+    def test_random_and_edge_values_against_python_ints(self, p):
+        dom = FieldDomain(scale_bits=0, p=p)
+        rng = Random(p)
+        edges = [0, 1, 2, p - 2, p - 1, (p - 1) // 2, (p + 1) // 2]
+        values = edges + [rng.randrange(p) for _ in range(60)]
+        a, b = zip(*((x, y) for x in values for y in values))
+        ua, ub = np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64)
+        assert dom.array_add(ua, ub).tolist() == [(x + y) % p for x, y in zip(a, b)]
+        assert dom.array_sub(ua, ub).tolist() == [(x - y) % p for x, y in zip(a, b)]
+        assert dom.array_mul(ua, ub).tolist() == [x * y % p for x, y in zip(a, b)]
+        for s in edges:
+            assert dom.array_mul(s, ua).tolist() == [s * x % p for x in a]
+        assert dom.array_sum(np.array([values], dtype=np.uint64)).tolist() == [sum(values) % p]
+        assert dom.array_sum(ua.reshape(len(values), -1)).tolist() == [
+            sum(a[i : i + len(values)]) % p for i in range(0, len(a), len(values))
+        ]
+
+    @pytest.mark.parametrize("p", SPLIT_PRIMES)
+    def test_result_dtype_of_array_and_0d_operands(self, p):
+        # numpy 1.24's value-based casting could turn a mixed operation into
+        # float64 or int64, and numpy scalar arithmetic warns on wrap-around
+        dom = FieldDomain(scale_bits=0, p=p)
+        x, y = p - 1, p - 2
+        want = {"add": (x + y) % p, "sub": (x - y) % p, "mul": x * y % p}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            operands = [np.array([x], dtype=np.uint64), np.array(x, dtype=np.uint64),
+                        np.uint64(x), x]
+            for a in operands:
+                for b in (np.array([y], dtype=np.uint64), np.array(y, dtype=np.uint64),
+                          np.uint64(y), y):
+                    for name, value in want.items():
+                        got = getattr(dom, f"array_{name}")(a, b)
+                        assert got.dtype == np.uint64, (name, type(a), type(b))
+                        assert np.ravel(got).tolist() == [value], name
+                        assert np.shape(got) == np.broadcast_shapes(np.shape(a), np.shape(b))
+
+    @pytest.mark.parametrize("p", SPLIT_PRIMES)
+    def test_sum_of_all_p_minus_1_entries(self, p):
+        # k entries of p - 1 fill a uint64 partial sum (8 for M61, 2 below 2^63,
+        # 1 above it); k + 1 and k^2 + 1 need a reduction between levels
+        dom = FieldDomain(scale_bits=0, p=p)
+        k = (2**64 - 1) // (p - 1)
+        for n in sorted({0, 1, k, k + 1, k * k + 1}):
+            a = np.full((2, 3, n), p - 1, dtype=np.uint64)
+            got = dom.array_sum(a)
+            assert got.shape == (2, 3) and got.dtype == np.uint64, n
+            assert got.tolist() == [[n * (p - 1) % p] * 3] * 2, n
+
+
 class TestFieldAxioms:
     def test_exhaustive_z5_against_mirror(self, z5):
         # plain modular arithmetic as the independent mirror
@@ -384,6 +468,39 @@ class TestStream:
         words = stream_words(KEY, "words", 1000)
         assert f64.sample(KEY, "words", 1000).tolist() == [(int(w) >> 11) / 2**53 for w in words]
         assert f64.sample_nonzero(KEY, "alpha") == 0.5 + 1.5 * f64.sample(KEY, "alpha", 1)[0]
+
+    def test_numpy_integer_count(self):
+        # an int64 count once wrapped the shortfall arithmetic to 0 and spun
+        # forever, so the draw runs in a child with a deadline
+        code = (
+            "import numpy as np\n"
+            "from mpgram.field import FieldDomain, FloatDomain\n"
+            "from mpgram.matrix import random_matrix\n"
+            "from mpgram.seeds import party_key\n"
+            "key = party_key(0, 1)\n"
+            "for dom in (FieldDomain(), FieldDomain(scale_bits=0, p=5), FloatDomain()):\n"
+            "    n = np.prod((24, 24, 32))\n"
+            "    assert isinstance(n, np.int64)\n"
+            "    got, want = dom.sample(key, 'a', n), dom.sample(key, 'a', int(n))\n"
+            "    assert got.tolist() == want.tolist() and len(got) == 18432\n"
+            "    m = random_matrix((np.int64(96), 32), dom, key, 'x')\n"
+            "    assert m.data.tolist() == dom.sample(key, 'x', 96 * 32).reshape(96, 32).tolist()\n"
+            "print('ok')\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(field.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert out.returncode == 0 and out.stdout == "ok\n", out.stderr
+
+    @pytest.mark.parametrize("name", sorted(SAMPLER_DOMAINS))
+    def test_negative_count_rejected(self, name):
+        dom = SAMPLER_DOMAINS[name]
+        for n in (-1, np.int64(-5)):
+            with pytest.raises(DomainError, match="negative number of elements, got -"):
+                dom.sample(KEY, "neg", n)
+        with pytest.raises(TypeError):
+            dom.sample(KEY, "neg", 2.0)
 
     def test_labels_and_keys_name_distinct_streams(self, m61):
         draws = [

@@ -361,9 +361,8 @@ class TestRun:
                 assert len(set(pids)) == len(pids) == TCP_M4.m + 1
                 assert sorted(ran) == sorted(pids)  # exactly once in every party's process
             else:
-                # the children killed on party 2's failure run none (a child killed
-                # early logs no pid either); the launcher, which logs its pid
-                # first, still ends through its handlers
+                # the children killed on party 2's failure run none; the
+                # launcher, which logs its pid first, still ends through its handlers
                 assert len(set(ran)) == len(ran) and ran.count(pids[0]) == 1, case
 
     @pytest.mark.parametrize("case", ["ok", "exit-without-outcome", "port-taken"])
@@ -494,19 +493,30 @@ party.play_party = play_party
 # party 2's worker exits 1 before it connects or records anything
 SITE_EXIT_WITHOUT_OUTCOME = _site_ending(2, 'sys.exit("no outcome from 2")')
 
-# every party's process appends its pid to LOG: the launcher at start-up,
-# each input party's process when it is forked
+# every party's process has its pid appended to LOG: the launcher's at
+# start-up, and each input party's by the launcher as soon as ``os.fork``
+# returns it, so a child killed right after its fork is logged too
 SITE_LOG_PIDS = """
 import os
 
 
-def _log_pid():
+def _log_pid(pid):
     with open(LOG, "a") as fh:
-        fh.write(f"{os.getpid()}\\n")
+        fh.write(f"{pid}\\n")
 
 
-_log_pid()
-os.register_at_fork(after_in_child=_log_pid)
+_fork = os.fork
+
+
+def _fork_and_log():
+    pid = _fork()
+    if pid:
+        _log_pid(pid)
+    return pid
+
+
+_log_pid(os.getpid())
+os.fork = _fork_and_log
 """
 
 # with SITE_LOG_PIDS: every atexit handler run appends "<pid> atexit" to LOG;

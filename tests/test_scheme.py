@@ -340,6 +340,32 @@ class TestArrayPath:
             assert dom.pack(off[v]) == dom.pack(ref_off)
             assert dom.pack([dots[v]]) == dom.pack([ref_dot])
 
+    @pytest.mark.parametrize("d", [1, 2, 7, 33])
+    def test_float_offline_and_decode_with_zero_randoms_bit_for_bit(self, d):
+        # offline_components negates a term of sign -1 as 0 - r and adds it;
+        # for r = 0 that is +0.0, where the scalar loop subtracts 0.0.  Rows of
+        # all-zero randoms, zero randoms mixed with others and signed data
+        s = generate_scheme(d)
+        n_b = 4
+        randoms = pair_randoms(s, f64, KEY, 2, 0, n_b)
+        randoms[0] = 0.0
+        randoms[1, ::2] = 0.0
+        randoms[2, ::3] = -randoms[2, ::3]
+        x = f64.sample(KEY, "x", d) - 0.5
+        ys = f64.sample(KEY, "ys", n_b * d).reshape(n_b, d) - 0.5
+        ys[3] = 0.0
+        xc = encode_x_side(f64, x, s, randoms)
+        yc = encode_y_side(f64, ys, s, y_random_triples(s, randoms))
+        off = offline_components(f64, s, randoms)
+        dots = decode_dot(f64, xc, yc, off)
+        for v in range(n_b):
+            _, _, ref_off, ref_dot = scalar_reference(f64, s, x, ys[v], randoms[v])
+            assert f64.pack(off[v]) == f64.pack(ref_off), v
+            assert f64.pack([dots[v]]) == f64.pack([ref_dot]), v
+        assert f64.pack(offline_components(f64, s, np.zeros(s.total_randoms))) == f64.pack(
+            [0.0] * d
+        )
+
     def test_wire_layout_round_trip(self):
         s = generate_scheme(3)
         randoms = pair_randoms(s, m61, KEY, 2, 0, 2)

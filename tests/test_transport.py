@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import struct
 import threading
 import time
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,6 +57,28 @@ class TestFraming:
             receiver,
             payload,
         )
+
+    def test_decoded_payload_is_a_view_of_the_frame(self):
+        # a received RE frame is half a megabyte; decoding must not copy it
+        payload = tp.pair_scalars_payload(1, 2, tp.SIDE_X, np.arange(9, dtype=np.uint64), m61)
+        data = bytearray(tp.frame_encode(tp.RE_COMPONENTS, 1, 0, payload))
+        frame = tp.frame_decode(data)
+        assert frame.payload == payload and frame.payload.obj is data
+        _, _, _, xs = tp.pair_scalars_from_payload(frame.payload, m61)
+        assert np.shares_memory(xs, np.frombuffer(data, dtype=np.uint8))
+        assert xs.tolist() == list(range(9)) and not xs.flags.writeable
+
+    def test_payloads_are_the_header_then_the_array_bytes(self):
+        xs = np.arange(6, dtype=np.uint64)
+        body = xs.astype("<u8").tobytes()
+        assert tp.pair_scalars_payload(3, 4, 1, xs, m61) == struct.pack("<HHBI", 3, 4, 1, 6) + body
+        assert tp.scalars_payload(xs, m61) == struct.pack("<I", 6) + body
+        m = Matrix(xs.reshape(2, 3), m61)
+        assert tp.matrix_payload(m) == struct.pack("<II", 2, 3) + body
+        assert tp.pair_matrix_payload(3, 4, 2, m) == struct.pack("<HHBII", 3, 4, 2, 2, 3) + body
+        # a transposed (non-contiguous) matrix goes row-major, as it reads
+        t = Matrix(xs.reshape(3, 2).T, m61)
+        assert tp.matrix_payload(t) == struct.pack("<II", 2, 3) + xs.reshape(3, 2).T.tobytes()
 
     def test_truncated_frame_reports_offset(self):
         data = tp.frame_encode(tp.HELLO, 1, 2, b"12345678")
