@@ -19,7 +19,7 @@ from .dare import (
     muladd_encode,
     muladd_simulate,
 )
-from .field import M61, FieldDomain, FixedPointCodec, FloatDomain, make_domain
+from .field import M61, FieldDomain, FloatDomain, make_domain
 from .kernel import KernelMatrix, export_matrix, import_matrix, rbf_direct, rbf_from_gram
 from .masking import (
     GramAssembly,

@@ -129,8 +129,6 @@ def _cmd_compare(args) -> int:
         }
         with open(args.report, "w") as fh:
             json.dump(doc, fh, indent=2)
-    if not result.grams_equal:
-        return EXIT_VERIFY
     for r in result.results:
         if r.report["verification"]["enabled"] and r.report["verification"]["status"] != "pass":
             return EXIT_VERIFY

@@ -2,8 +2,8 @@
 
 Two interchangeable domains:
 
-* ``FieldDomain`` -- the prime field Z_p for any odd prime p < 2^64
-  (production prime: the Mersenne prime M61 = 2^61 - 1) together with a
+* ``FieldDomain`` -- the prime field Z_p for an odd prime p < 2^63
+  (production prime: the Mersenne prime M61 = 2^61 - 1), which is also the
   fixed-point codec that embeds reals by scaling and rounding.  All
   arithmetic is exact, which is what the uniform-mask security checks rely
   on.  Elements are uint64 residues in [0, p).  Matrix products run on
@@ -12,8 +12,7 @@ Two interchangeable domains:
   bits, as encoded data does, and else into ceil(bits / 21) limbs of equal
   width; it sums in chunks of feature rows short enough that every BLAS
   sum is an exact integer of at most 2^53, adds the chunks in int64 and
-  reduces them to residues in uint64, with no Python ints.  The 8-byte
-  wire codec and the uint64 residues are why p must be below 2^64.
+  reduces them to residues in uint64, with no Python ints.
 * ``FloatDomain`` -- IEEE double arithmetic, provided so the protocols
   can also be run directly on real-valued data.  No security properties
   are claimed for it.
@@ -39,22 +38,22 @@ arithmetic on such arrays: ``array_add``, ``array_sub`` and ``array_mul``
 (elementwise, broadcasting, scalars allowed), ``array_sum`` (over the last
 axis), ``matmul_t`` (the product A^T B) and ``pack``/``unpack`` (the wire
 codec of a vector of elements).  The field's array arithmetic never leaves
-uint64, and its formulas split at 2^63, one predicate for all of them:
+uint64, and p < 2^63 gives each operation one formula:
 
-* below 2^63 a sum of two residues fits a word, so add is min(a + b,
-  a + b - p) and sub is min(a - b, a - b + p), one pass and one correction
-  each (a wrapped difference is the larger of the two); from 2^63 on, sub
-  adds p where a < b, and add is a - (p - b);
+* a sum of two residues fits a word, so add is min(a + b, a + b - p) and
+  sub is min(a - b, a - b + p), one pass and one correction each (a wrapped
+  difference is the larger of the two);
 * the product of two arrays is Montgomery's (Math. Comp. 1985) with
   R = 2^64, the 128-bit product formed from 32-bit halves, which gives
   a b R^-1 mod p; that, and any array times a scalar, is then multiplied by
-  a constant: below 2^63 with Shoup's precomputed quotient (Harvey, J. Symb.
-  Comp. 2014), from 2^63 on with a second Montgomery reduction.  The
-  reduction needs p^-1 mod 2^64, which is why p must be odd;
+  a constant with Shoup's precomputed quotient (Harvey, J. Symb. Comp.
+  2014), whose remainder in [0, 2p) fits a word.  The reduction needs
+  p^-1 mod 2^64, which is why p must be odd;
 * the sum uses delayed reduction (Dumas, Giorgi and Pernet, ACM TOMS 2008):
-  below 2^63, runs of floor((2^64 - 1) / (p - 1)) residues (8 for M61) are
-  added in uint64 with one ``% p`` per run; from 2^63 on, entries are added
-  one by one.
+  runs of floor((2^64 - 1) / (p - 1)) residues (8 for M61) are added in
+  uint64 with one ``% p`` per run;
+* an int64 value, such as an encoded real or a sum of BLAS chunks, takes
+  its residue with ``np.mod``, since p is an int64 too.
 
 Over floats every operation runs in the order of a scalar loop, sums
 included, in index order from zero, so results are bit-identical to it.
@@ -112,40 +111,81 @@ def _sum_in_order(dom, a) -> np.ndarray:
     return total
 
 
-class FixedPointCodec:
-    """Embedding of reals into Z_p by scaling with 2**scale_bits.
+class FieldDomain:
+    """Prime field Z_p, for an odd prime p < 2^63, with a fixed-point codec for reals.
 
-    encode(x) = round(x * 2**scale_bits) mod p, with negative values
-    mapped onto the upper half of the field (p - |.|).  A product of two
-    encoded values therefore carries a factor 2**(2*scale_bits), which
-    ``decode_dot`` divides out again.
+    encode(x) = round(x * 2**scale_bits) mod p, with negative values mapped
+    onto the upper half of the field (p - |.|).  A product of two encoded
+    values therefore carries a factor 2**(2*scale_bits), which ``decode_dot``
+    divides out again.
     """
 
-    def __init__(self, scale_bits: int = 16, modulus: int = M61):
+    kind = "field"
+    dtype = np.dtype(np.uint64)
+
+    def __init__(self, scale_bits: int = 16, p: int = M61):
+        if p < 2:
+            raise DomainError(f"modulus must be >= 2, got {p}")
+        if p >= 1 << 63:
+            raise DomainError(
+                f"modulus must be < 2^63 (a sum of two residues must fit a uint64), got {p}"
+            )
+        if p % 2 == 0:
+            raise DomainError(f"modulus must be odd (Montgomery's product needs it), got {p}")
         if scale_bits < 0:
             raise DomainError(f"scale_bits must be non-negative, got {scale_bits}")
+        self.p = p
         self.scale_bits = scale_bits
-        self.modulus = modulus
         self.scale = 1 << scale_bits
+        self.zero = 0
+        self.one = 1 % p
+        self._p = np.uint64(p)
+        self._p_inv = np.uint64(pow(p, -1, 1 << 64))  # p^-1 mod 2^64, for ``_redc``
+        self._r = (1 << 64) % p  # R mod p, R = 2^64
+        self._bits = p.bit_length()
+        self._sum_run = ((1 << 64) - 1) // (p - 1)  # residues per uint64 partial sum
         # |x| must stay clear of the wrap-around point; for M61 that is
         # 2^(60 - scale_bits) so that sums of products still fit.
-        self.max_abs = 2.0 ** (modulus.bit_length() - 1 - scale_bits)
+        self.max_abs = 2.0 ** (self._bits - 1 - scale_bits)
+
+    # -- field arithmetic: single elements (Python ints or numpy scalars) --
+
+    def add(self, a: int, b: int) -> int:
+        s = int(a) + int(b)
+        return s - self.p if s >= self.p else s
+
+    def sub(self, a: int, b: int) -> int:
+        s = int(a) - int(b)
+        return s + self.p if s < 0 else s
+
+    def mul(self, a: int, b: int) -> int:
+        return (int(a) * int(b)) % self.p
+
+    def inv(self, a: int) -> int:
+        """The multiplicative inverse of a mod p; DomainError if a has none."""
+        if a == 0:
+            raise DomainError("no inverse of zero")
+        try:
+            return pow(int(a), -1, self.p)
+        except ValueError:  # gcd(a, p) > 1: a multiple of p, or p is not prime
+            raise DomainError(f"{a} has no inverse mod {self.p}") from None
+
+    # -- real <-> field --------------------------------------------------
 
     def encode(self, x: float) -> int:
         if not abs(x) < self.max_abs:  # also rejects NaN, which compares false
             raise EncodingOverflowError(
                 f"{x} cannot be represented at this scale: |x| must be below "
-                f"2^{self.modulus.bit_length() - 1 - self.scale_bits}"
+                f"2^{self._bits - 1 - self.scale_bits}"
             )
-        v = round(x * self.scale)
-        return v % self.modulus
+        return round(x * self.scale) % self.p
 
     def encode_array(self, rows) -> np.ndarray:
         """uint64 array of ``encode`` of every entry of a 2-D sequence of reals.
 
         One float64 expression: x 2^s is exact, ``np.rint`` breaks ties to
-        even as ``round`` does, and a negative v maps to p - |v|.  An entry
-        that is not finite, not below ``max_abs`` or at least 2^53 in
+        even as ``round`` does, and ``_residues`` maps a negative v to p - |v|.
+        An entry that is not finite, not below ``max_abs`` or at least 2^53 in
         magnitude (where a float64 copy of an int may have rounded) goes to
         ``encode`` on its original value, in row-major order; so the values
         and the first error, with its text, are those of the scalar codec.
@@ -155,10 +195,7 @@ class FixedPointCodec:
         except OverflowError:  # an int beyond float64; let encode name it
             return np.array([[self.encode(v) for v in r] for r in rows], dtype=np.uint64)
         ok = np.abs(x) < min(self.max_abs, _EXACT_INT)
-        v = np.rint(np.where(ok, x, 0.0) * self.scale).astype(np.int64)
-        p = np.uint64(self.modulus)
-        u = v.astype(np.uint64)  # a negative v wraps to 2^64 + v, and u + p to p + v
-        out = np.where(v < 0, u + p, u) % p
+        out = self._residues(np.rint(np.where(ok, x, 0.0) * self.scale).astype(np.int64))
         for i, j in np.argwhere(~ok):
             out[i, j] = self.encode(rows[i][j])
         return out
@@ -180,21 +217,23 @@ class FixedPointCodec:
     def _unscale(self, v, bits: int):
         """signed(v) / 2^bits, where signed(v) is v for v <= p // 2, else v - p.
 
-        A Python scalar is decoded in Python ints.  An entry array (or numpy
-        scalar) is cast to uint64 and v - p is formed there; it wraps mod
-        2^64, and its int64 view is v - p exactly, since -p/2 < v - p < 0 for
-        every p < 2^64.
+        A Python scalar is decoded in Python ints, an entry array (or numpy
+        scalar) through ``centred``.
         """
         if isinstance(v, (np.ndarray, np.generic)):
             return np.ldexp(self.centred(v), -bits)
-        half = (self.modulus - 1) // 2
-        return ((v + half) % self.modulus - half) / (1 << bits)
+        half = (self.p - 1) // 2
+        return ((v + half) % self.p - half) / (1 << bits)
 
     def centred(self, entries) -> np.ndarray:
-        """int64 array of signed(v) for an entry array (see ``_unscale``)."""
+        """int64 array of signed(v) for an entry array (see ``_unscale``).
+
+        v - p is formed in uint64, where it wraps mod 2^64, and its int64 view
+        is v - p exactly, since -p/2 < v - p < 0.
+        """
         u = np.asarray(entries, dtype=np.uint64)
-        half = np.uint64((self.modulus - 1) // 2)
-        return np.where(u > half, u - np.uint64(self.modulus), u).view(np.int64)
+        half = np.uint64((self.p - 1) // 2)
+        return np.where(u > half, u - self._p, u).view(np.int64)
 
     def check_gram_range(self, entries, party_id: int) -> None:
         """Raise ``EncodingOverflowError`` unless every column x of the f x n
@@ -208,7 +247,7 @@ class FixedPointCodec:
         margin of the limit is summed again in Python ints, so the verdict is
         exact.
         """
-        limit = (self.modulus - 1) // 2
+        limit = (self.p - 1) // 2
         signed = self.centred(entries)
         x = signed.astype(np.float64)
         margin = (signed.shape[0] + 3) * 2.0**-52
@@ -221,70 +260,6 @@ class FixedPointCodec:
                     f"{math.sqrt(limit) / self.scale:.6g} in real units), so its dot "
                     f"products could wrap around mod p"
                 )
-
-
-class FieldDomain:
-    """Prime field Z_p with a fixed-point codec for real data."""
-
-    kind = "field"
-    dtype = np.dtype(np.uint64)
-
-    def __init__(self, scale_bits: int = 16, p: int = M61):
-        if p < 2:
-            raise DomainError(f"modulus must be >= 2, got {p}")
-        if p >= 1 << 64:
-            raise DomainError(f"modulus must be < 2^64 (8-byte wire elements), got {p}")
-        if p % 2 == 0:
-            raise DomainError(f"modulus must be odd (Montgomery's product needs it), got {p}")
-        self.p = p
-        self.scale_bits = scale_bits
-        self.codec = FixedPointCodec(scale_bits, p)
-        self.zero = 0
-        self.one = 1 % p
-        self._p = np.uint64(p)
-        self._p_inv = np.uint64(pow(p, -1, 1 << 64))  # p^-1 mod 2^64, for ``_redc``
-        self._r = (1 << 64) % p  # R mod p, R = 2^64
-        self._bits = p.bit_length()
-        # Below 2^63 a sum of two residues, and Shoup's remainder in [0, 2p),
-        # fit a uint64; this one predicate picks every formula that needs it.
-        self._small = p < 1 << 63
-        self._sum_run = ((1 << 64) - 1) // (p - 1)  # residues per uint64 partial sum
-
-    # -- field arithmetic: single elements (Python ints or numpy scalars) --
-
-    def add(self, a: int, b: int) -> int:
-        s = int(a) + int(b)
-        return s - self.p if s >= self.p else s
-
-    def sub(self, a: int, b: int) -> int:
-        s = int(a) - int(b)
-        return s + self.p if s < 0 else s
-
-    def mul(self, a: int, b: int) -> int:
-        return (int(a) * int(b)) % self.p
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse via Fermat: a^(p-2) mod p."""
-        if a == 0:
-            raise DomainError("no inverse of zero")
-        return pow(int(a), self.p - 2, self.p)
-
-    # -- real <-> field --------------------------------------------------
-
-    def encode(self, x: float) -> int:
-        return self.codec.encode(x)
-
-    def encode_array(self, rows) -> np.ndarray:
-        return self.codec.encode_array(rows)
-
-    def decode(self, v):
-        return self.codec.decode(v)
-
-    def decode_dot(self, v):
-        return self.codec.decode_dot(v)
-
-    def check_gram_range(self, entries, party_id: int) -> None:
-        self.codec.check_gram_range(entries, party_id)
 
     # -- sampling --------------------------------------------------------
 
@@ -320,33 +295,21 @@ class FieldDomain:
     def array_add(self, a, b) -> np.ndarray:
         """(a + b) mod p, elementwise, for entries in [0, p).
 
-        Below 2^63, s = a + b < 2p fits a uint64, and min(s, s - p) is the
-        residue: s - p wraps above s when s < p.  From 2^63 on, a + b may
-        leave uint64, so it is a - (p - b), which never does, taken by the
-        general difference ``_sub``.
+        s = a + b < 2p fits a uint64, and min(s, s - p) is the residue: s - p
+        wraps above s when s < p.
         """
-        a, b = np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64)
-        if self._small:
-            s = np.add(a, b)
-            return np.minimum(s, np.subtract(s, self._p))
-        return self._sub(a, np.subtract(self._p, b))
+        s = np.add(np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64))
+        return np.minimum(s, np.subtract(s, self._p))
 
     def array_sub(self, a, b) -> np.ndarray:
         """(a - b) mod p, elementwise, for entries in [0, p).
 
         d = a - b wraps mod 2^64 when a < b, and d + p then wraps back to
-        a - b + p.  Below 2^63 the residue is min(d, d + p), since d + p stays
-        in [p, 2p) when a >= b; from 2^63 on, d + p is taken where a < b.
+        a - b + p.  The residue is min(d, d + p), since d + p stays in [p, 2p)
+        when a >= b.
         """
-        a, b = np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64)
-        if self._small:
-            d = np.subtract(a, b)
-            return np.minimum(d, np.add(d, self._p))
-        return self._sub(a, b)
-
-    def _sub(self, a, b) -> np.ndarray:
-        """(a - b) mod p for uint64 arrays of residues of any p < 2^64."""
-        return np.where(a >= b, np.subtract(a, b), np.add(np.subtract(a, b), self._p))
+        d = np.subtract(np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64))
+        return np.minimum(d, np.add(d, self._p))
 
     def array_mul(self, a, b) -> np.ndarray:
         """(a b) mod p, elementwise, for entries in [0, p).
@@ -374,36 +337,29 @@ class FieldDomain:
     def _times(self, t, w: int) -> np.ndarray:
         """t w mod p for a uint64 array t and a constant w in [0, p).
 
-        Below 2^63 this is Shoup's product (Harvey, "Faster arithmetic for
+        This is Shoup's product (Harvey, "Faster arithmetic for
         number-theoretic transforms", J. Symb. Comp. 2014): with w' =
         floor(w 2^64 / p), q = mulhi(t, w') and r = t w - q p, computed mod
         2^64, lands in [0, 2p) for every t < 2^64, and min(r, r - p) is the
-        residue.  From 2^63 on, 2p leaves uint64, so it is Montgomery's
-        ``_redc`` of t (w R mod p), which is t w mod p.
+        residue.
         """
-        if self._small:
-            q = _mul_hi(t, np.uint64((w << 64) // self.p))
-            r = np.multiply(t, np.uint64(w))
-            q *= self._p
-            r -= q
-            return np.minimum(r, np.subtract(r, self._p))
-        s = np.uint64((w << 64) % self.p)
-        return self._redc(_mul_hi(t, s), np.multiply(t, s))
+        q = _mul_hi(t, np.uint64((w << 64) // self.p))
+        r = np.multiply(t, np.uint64(w))
+        q *= self._p
+        r -= q
+        return np.minimum(r, np.subtract(r, self._p))
 
     def _redc(self, hi, lo) -> np.ndarray:
         """(hi 2^64 + lo) 2^-64 mod p for uint64 arrays with hi < p; overwrites both.
 
         m = lo p^-1 mod 2^64 (numpy's wrapping product) makes the low word of
         m p equal lo, so (hi 2^64 + lo - m p) / 2^64 = hi - mulhi(m, p)
-        exactly.  Both terms are below p, so adding p where hi < mulhi(m, p)
-        lands on the residue, and no sum leaves uint64, also for p > 2^63.
+        exactly.  Both terms are below p, so their difference mod p is
+        ``array_sub``'s min(d, d + p).
         """
         lo *= self._p_inv
-        mh = _mul_hi(lo, self._p)
-        borrow = hi < mh
-        hi -= mh
-        np.add(hi, self._p, out=hi, where=borrow)
-        return hi
+        hi -= _mul_hi(lo, self._p)
+        return np.minimum(hi, np.add(hi, self._p), out=hi)
 
     def array_sum(self, a) -> np.ndarray:
         """Sum mod p over the last axis of an entry array, with delayed reduction
@@ -412,12 +368,9 @@ class FieldDomain:
         k = floor((2^64 - 1) / (p - 1)) residues sum to at most 2^64 - 1, so
         each level adds runs of k entries in uint64 (``np.add.reduceat``) and
         takes one ``% p``, until one entry is left: k = 8 for M61, and a sum of
-        d entries takes ceil(log_k d) levels.  From 2^63 on k is 1, and the
-        entries are added one by one with ``array_add``.
+        d entries takes ceil(log_k d) levels.
         """
         a = np.asarray(a, dtype=np.uint64)
-        if not self._small:
-            return _sum_in_order(self, a)
         if a.shape[-1] == 0:
             return np.zeros(a.shape[:-1], dtype=np.uint64)
         while a.shape[-1] > 1:
@@ -444,8 +397,8 @@ class FieldDomain:
         mod p.  A self gram (``b is a``) splits its array once.
         """
         same = b is a
-        ca = self.codec.centred(a)
-        cb = ca if same else self.codec.centred(b)
+        ca = self.centred(a)
+        cb = ca if same else self.centred(b)
         wa, ka = _split_width(ca)
         wb, kb = (wa, ka) if same else _split_width(cb)
         groups = {}  # shift -> the limb pairs (i, j) with w_a i + w_b j = shift; 0 first
@@ -479,16 +432,8 @@ class FieldDomain:
         return out
 
     def _residues(self, acc) -> np.ndarray:
-        """uint64 array of v mod p, in [0, p), for an int64 array of values v.
-
-        Below 2^63 p is an int64 and ``np.mod`` takes the residue.  Above it
-        |v| < 2^63 < p, so v is its own residue when v >= 0, and a negative v,
-        whose uint64 view is 2^64 + v, is lifted to p + v by adding p mod 2^64.
-        """
-        if self._small:
-            return np.mod(acc, np.int64(self.p)).view(np.uint64)
-        u = acc.view(np.uint64)
-        return np.where(acc < 0, u + self._p, u)
+        """uint64 array of v mod p, in [0, p), for an int64 array of values v."""
+        return np.mod(acc, np.int64(self.p)).view(np.uint64)
 
     def pack(self, values, prefix: bytes = b"") -> bytes:
         """``prefix`` and then the 8-byte elements of ``values``, joined in one copy."""
@@ -680,10 +625,10 @@ class FloatDomain:
         return "FloatDomain()"
 
 
-def make_domain(kind: str, scale_bits: int = 16, p: int = M61):
-    """Build a domain from its config name ('field' or 'float')."""
+def make_domain(kind: str, scale_bits: int = 16):
+    """Build a domain from its config name ('field', over M61, or 'float')."""
     if kind == "field":
-        return FieldDomain(scale_bits=scale_bits, p=p)
+        return FieldDomain(scale_bits=scale_bits)
     if kind in ("float", "float64"):
         return FloatDomain()
     raise DomainError(f"unknown domain kind {kind!r}")

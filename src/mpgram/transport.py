@@ -255,13 +255,6 @@ class Transcript:
         out["per_kind"] = {k: per_kind[k] for k in sorted(per_kind)}
         return out
 
-    def per_channel_bytes(self) -> dict:
-        chans = {}
-        for e in self.entries:
-            key = (e.sender, e.receiver)
-            chans[key] = chans.get(key, 0) + e.n_bytes
-        return chans
-
     def canonical_json(self) -> str:
         """Deterministic serialization; excludes wall-clock information."""
         frames = [
@@ -418,6 +411,11 @@ class Channel:
             raise ProtocolError(
                 f"party {self.local_id} expected a frame from {self.peer_id}, "
                 f"got one from {frame.sender}"
+            )
+        if frame.receiver != self.local_id:
+            raise ProtocolError(
+                f"party {self.local_id} got a frame from {self.peer_id} "
+                f"addressed to party {frame.receiver}"
             )
         if expect_kind is not None and frame.kind != expect_kind:
             raise ProtocolError(

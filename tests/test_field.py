@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 
 from mpgram import field
 from mpgram.errors import DomainError, EncodingOverflowError
-from mpgram.field import M61, FieldDomain, FixedPointCodec, FloatDomain, make_domain
+from mpgram.field import M61, FieldDomain, FloatDomain, make_domain
 from mpgram.matrix import Matrix, gram_t, mat_scale
 from mpgram.seeds import party_key, stream_words
 
 P = M61
+LARGEST = 2**63 - 25  # the largest prime below 2^63
 
 
 class TestInverse:
@@ -36,6 +37,13 @@ class TestInverse:
     def test_zero_has_no_inverse(self, m61):
         with pytest.raises(DomainError, match="no inverse of zero"):
             m61.inv(0)
+
+    def test_a_divisor_of_the_modulus_has_no_inverse(self):
+        # Fermat's a^(p - 2) assumes a prime p: over Z9 it gives 3^7 = 0 mod 9
+        z9 = FieldDomain(scale_bits=0, p=9)
+        with pytest.raises(DomainError, match="^3 has no inverse mod 9$"):
+            z9.inv(3)
+        assert z9.inv(2) == 5
 
     @given(st.integers(min_value=1, max_value=P - 1))
     def test_inverse_identity(self, x):
@@ -87,7 +95,7 @@ class TestFixedPoint:
             assert abs(m61.decode(m61.encode(x)) - x) <= 2.0 ** -16
 
     def test_codec_standalone(self):
-        codec = FixedPointCodec(scale_bits=8)
+        codec = FieldDomain(scale_bits=8)
         assert codec.encode(1.0) == 256
         assert codec.decode(codec.encode(-3.25)) == -3.25
 
@@ -107,8 +115,8 @@ class TestFixedPoint:
 
 @st.composite
 def residue_arrays(draw):
-    """(domain, entries) over M61, 2^64 - 59, Z5 or Z251, biased to the sign edge."""
-    p = draw(st.sampled_from([M61, 2**64 - 59, 5, 251]))
+    """(domain, entries) over M61, 2^63 - 25, Z5 or Z251, biased to the sign edge."""
+    p = draw(st.sampled_from([M61, LARGEST, 5, 251]))
     dom = FieldDomain(scale_bits=draw(st.sampled_from([0, 1, 16])), p=p)
     edges = [0, 1, (p - 1) // 2, (p + 1) // 2, p - 1]
     entry = st.one_of(st.sampled_from(edges), st.integers(0, p - 1))
@@ -120,7 +128,7 @@ class TestArrayDecode:
 
     @given(residue_arrays())
     @settings(max_examples=300, deadline=None)
-    @example((FieldDomain(scale_bits=16, p=2**64 - 59), [0, 2**63 - 30, 2**63 - 29, 2**64 - 60]))
+    @example((FieldDomain(scale_bits=16, p=LARGEST), [0, 2**62 - 13, 2**62 - 12, 2**63 - 26]))
     def test_equals_scalar(self, case):
         dom, entries = case
         arr = np.array(entries, dtype=object)
@@ -132,9 +140,9 @@ class TestArrayDecode:
 
     def test_entry_of_an_array_decodes_as_its_int(self):
         # an entry indexed out of a uint64 array is a numpy scalar, whose own
-        # arithmetic would wrap mod 2^64 near the largest prime
-        dom = FieldDomain(scale_bits=16, p=2**64 - 59)
-        for v in (0, 2**63 - 30, 2**63 - 29, 2**64 - 60):
+        # arithmetic would wrap mod 2^64 below zero
+        dom = FieldDomain(scale_bits=16, p=LARGEST)
+        for v in (0, 2**62 - 13, 2**62 - 12, 2**63 - 26):
             for name in ("decode", "decode_dot"):
                 fn = getattr(dom, name)
                 assert fn(np.array([v], dtype=np.uint64)[0]) == fn(v)
@@ -148,12 +156,10 @@ class TestArrayDecode:
 @st.composite
 def residue_operands(draw):
     """(domain, a, b): two equal-length lists of residues over Z5, Z251, M61 or
-    2^64 - 59, biased to 0, 1, p - 1 and, for the largest prime, to operands whose
-    sum is above 2^64."""
-    p = draw(st.sampled_from([5, 251, M61, 2**64 - 59]))
+    2^63 - 25, biased to 0, 1, p - 1 and the sign edge; over the largest prime
+    a sum of two residues reaches 2^64 - 52."""
+    p = draw(st.sampled_from([5, 251, M61, LARGEST]))
     edges = [0, 1, p - 1, p - 2, (p - 1) // 2, (p + 1) // 2]
-    if p > 2**63:
-        edges += [2**63, 2**63 + 1, 2**64 - 60 - 2**62]
     entry = st.one_of(st.sampled_from([e for e in edges if 0 <= e < p]), st.integers(0, p - 1))
     n = draw(st.integers(1, 12))
     a, b = (draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(2))
@@ -165,7 +171,7 @@ class TestArrayOps:
 
     @given(residue_operands())
     @settings(max_examples=300, deadline=None)
-    @example((FieldDomain(scale_bits=0, p=2**64 - 59), [2**64 - 60, 2**63], [2**64 - 60, 2**63]))
+    @example((FieldDomain(scale_bits=0, p=LARGEST), [LARGEST - 1, 2**62], [LARGEST - 1, 2**62]))
     def test_field_ops_equal_scalar_api(self, case):
         dom, a, b = case
         ua, ub = np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64)
@@ -174,7 +180,7 @@ class TestArrayOps:
             assert got.dtype == np.uint64
             assert got.tolist() == [getattr(dom, name)(x, y) for x, y in zip(a, b)], name
         # a Python-int scalar operand broadcasts, one of at least 2^63 included
-        for s in (b[0], dom.p - 1):
+        for s in (b[0], dom.p - 1, 2**63 + 1):
             assert dom.array_mul(s, ua).tolist() == [dom.mul(s, x) for x in a]
         total = 0
         for x in a + b:
@@ -182,19 +188,20 @@ class TestArrayOps:
         assert dom.array_sum(np.array([a + b], dtype=np.uint64)).tolist() == [total]
 
     def test_sums_above_2_64(self):
-        # (p - 1) + (p - 1) and 2^63 + 2^63 exceed 2^64, so a bare uint64 sum wraps
-        p = 2**64 - 59
+        # two residues of the largest prime below 2^63 sum to at most 2^64 - 52,
+        # but three of p - 1 exceed 2^64, so a bare uint64 sum of them wraps
+        p = LARGEST
         dom = FieldDomain(scale_bits=0, p=p)
-        a = np.array([p - 1, 2**63, p - 1], dtype=np.uint64)
-        b = np.array([p - 1, 2**63, 1], dtype=np.uint64)
-        assert dom.array_add(a, b).tolist() == [p - 2, 2**64 - p, 0]
-        assert dom.array_sum(np.stack((a, b), axis=-1)).tolist() == [p - 2, 2**64 - p, 0]
+        a = np.array([p - 1, 2**62, p - 1], dtype=np.uint64)
+        b = np.array([p - 1, 2**62, 1], dtype=np.uint64)
+        assert dom.array_add(a, b).tolist() == [p - 2, 2**63 % p, 0]
+        assert dom.array_sum(np.stack((a, b, a), axis=-1)).tolist() == [p - 3, 3 * 2**62 % p, p - 1]
 
     def test_scalar_at_least_2_63_times_a_matrix(self):
-        p = 2**64 - 59
+        p = LARGEST
         dom = FieldDomain(scale_bits=0, p=p)
         s = 2**63 + 12345
-        m = Matrix.from_rows([[p - 1, 2], [2**63, 1]], dom)
+        m = Matrix.from_rows([[p - 1, 2], [2**62, 1]], dom)
         got = mat_scale(s, m)
         assert got.data.dtype == np.uint64
         assert got.data.tolist() == [[dom.mul(s, v) for v in row] for row in m.data.tolist()]
@@ -223,21 +230,18 @@ class TestArrayOps:
         assert dom.pack(dom.array_sum(np.concatenate((a, b))[None, :])) == dom.pack([total])
 
 
-LARGEST = 2**64 - 59  # the largest prime below 2^64
-
-
 class TestMontgomeryProduct:
     """``FieldDomain.array_mul`` at its reduction edges, operand kinds and shapes,
     against Python ints."""
 
     @pytest.mark.parametrize("p", [LARGEST, M61, 251, 5])
     def test_edges_against_python_ints(self, p):
-        # over the largest prime the 128-bit products reach the top of every
-        # word: (p - 1)^2 and (p - 1)/2 (p - 1) fill the high word, and the
+        # over the largest prime the 128-bit products reach 2^126: (p - 1)^2
+        # and (p - 1)/2 (p - 1) fill the high word up to its top bit, and the
         # reduction's hi - mulhi(m, p) takes both signs across these pairs
         dom = FieldDomain(scale_bits=0, p=p)
         edges = [0, 1, 2, p - 1, p - 2, (p - 1) // 2, (p + 1) // 2]
-        edges += [v for v in (2**32 - 1, 2**32, 2**63, 2**63 + 1, 2**64 - 60 - 2**62) if v < p]
+        edges += [v for v in (2**32 - 1, 2**32, 2**62, 2**62 + 1, 2**63 - 26 - 2**61) if v < p]
         a, b = zip(*((x, y) for x in edges for y in edges))
         got = dom.array_mul(np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64))
         assert got.dtype == np.uint64
@@ -250,7 +254,7 @@ class TestMontgomeryProduct:
     def test_largest_prime_high_word_cases(self):
         dom = FieldDomain(scale_bits=0, p=LARGEST)
         p = LARGEST
-        for x, y in [(p - 1, p - 1), ((p - 1) // 2, p - 1), (p - 1, (p + 1) // 2), (2**63, p - 1)]:
+        for x, y in [(p - 1, p - 1), ((p - 1) // 2, p - 1), (p - 1, (p + 1) // 2), (2**62, p - 1)]:
             want = x * y % p
             assert dom.array_mul(np.array([x], dtype=np.uint64),
                                  np.array([y], dtype=np.uint64)).tolist() == [want]
@@ -274,7 +278,7 @@ class TestMontgomeryProduct:
 
     def test_scalar_times_read_only_matrix_leaves_it_unchanged(self):
         dom = FieldDomain(scale_bits=0, p=LARGEST)
-        m = Matrix.from_rows([[LARGEST - 1, 2**63], [0, 1]], dom)
+        m = Matrix.from_rows([[LARGEST - 1, 2**62], [0, 1]], dom)
         before = m.data.tolist()
         got = dom.array_mul(2**63 + 1, m.data)
         assert m.data.tolist() == before
@@ -300,14 +304,13 @@ class TestMontgomeryProduct:
         assert dom.array_mul(y, r).tolist() == want
 
 
-# the primes on each side of 2^63, where the one-pass add and sub, Shoup's
-# product and the delayed-reduction sum give way to the general formulas
-BELOW_2_63, ABOVE_2_63 = 2**63 - 25, 2**63 + 29
-SPLIT_PRIMES = [M61, BELOW_2_63, ABOVE_2_63, LARGEST]
+# the primes whose uint64 partial sums hold 8, 4, 3 and 2 residues of p - 1:
+# M61, the primes on each side of 2^62 and the largest prime below 2^63
+SUM_RUN_PRIMES = [M61, 2**62 - 57, 2**62 + 135, LARGEST]
 
 
 class TestOnePassArithmetic:
-    """``array_add``/``array_sub``/``array_mul``/``array_sum`` on both sides of 2^63."""
+    """``array_add``/``array_sub``/``array_mul``/``array_sum`` up to the largest prime."""
 
     @pytest.mark.parametrize("p", [5, 251])
     def test_exhaustive_against_the_scalar_ops(self, p):
@@ -319,7 +322,7 @@ class TestOnePassArithmetic:
             assert got.dtype == np.uint64
             assert got.tolist() == [getattr(dom, name)(x, y) for x, y in zip(a, b)], name
         residues = np.arange(p, dtype=np.uint64)
-        for s in range(p):  # a Python-int constant, Shoup's path below 2^63
+        for s in range(p):  # a Python-int constant, Shoup's product
             assert dom.array_mul(residues, s).tolist() == [dom.mul(x, s) for x in range(p)]
         # every pair summed, and every residue repeated n times
         assert dom.array_sum(np.stack((ua, ub), axis=-1)).tolist() == [
@@ -329,7 +332,7 @@ class TestOnePassArithmetic:
             rows = np.repeat(residues[:, None], n, axis=1)
             assert dom.array_sum(rows).tolist() == [v * n % p for v in range(p)]
 
-    @pytest.mark.parametrize("p", SPLIT_PRIMES)
+    @pytest.mark.parametrize("p", SUM_RUN_PRIMES)
     def test_random_and_edge_values_against_python_ints(self, p):
         dom = FieldDomain(scale_bits=0, p=p)
         rng = Random(p)
@@ -347,7 +350,7 @@ class TestOnePassArithmetic:
             sum(a[i : i + len(values)]) % p for i in range(0, len(a), len(values))
         ]
 
-    @pytest.mark.parametrize("p", SPLIT_PRIMES)
+    @pytest.mark.parametrize("p", SUM_RUN_PRIMES)
     def test_result_dtype_of_array_and_0d_operands(self, p):
         # numpy 1.24's value-based casting could turn a mixed operation into
         # float64 or int64, and numpy scalar arithmetic warns on wrap-around
@@ -367,10 +370,11 @@ class TestOnePassArithmetic:
                         assert np.ravel(got).tolist() == [value], name
                         assert np.shape(got) == np.broadcast_shapes(np.shape(a), np.shape(b))
 
-    @pytest.mark.parametrize("p", SPLIT_PRIMES)
+    @pytest.mark.parametrize("p", SUM_RUN_PRIMES)
     def test_sum_of_all_p_minus_1_entries(self, p):
-        # k entries of p - 1 fill a uint64 partial sum (8 for M61, 2 below 2^63,
-        # 1 above it); k + 1 and k^2 + 1 need a reduction between levels
+        # k entries of p - 1 fill a uint64 partial sum (8 for M61, 4 and 3 on
+        # each side of 2^62, 2 for the largest prime); k + 1 and k^2 + 1 need
+        # a reduction between levels
         dom = FieldDomain(scale_bits=0, p=p)
         k = (2**64 - 1) // (p - 1)
         for n in sorted({0, 1, k, k + 1, k * k + 1}):
@@ -413,12 +417,12 @@ KEY = party_key(0, 1)
 # Z5 rejects 3 of every 8 words, so its draws run the shortfall path.
 SAMPLER_DOMAINS = {
     "m61": FieldDomain(),
-    "2^64-59": FieldDomain(p=2**64 - 59),
+    "2^63-25": FieldDomain(p=LARGEST),
     "z5": FieldDomain(scale_bits=0, p=5),
     "z251": FieldDomain(scale_bits=0, p=251),
     "float": FloatDomain(),
 }
-FIELDS = [SAMPLER_DOMAINS[name] for name in ("m61", "2^64-59", "z5", "z251")]
+FIELDS = [SAMPLER_DOMAINS[name] for name in ("m61", "2^63-25", "z5", "z251")]
 
 
 class TestSampling:
@@ -457,7 +461,7 @@ class TestStream:
         longer = dom.sample(KEY, "prefix", n + more)
         assert dom.sample(KEY, "prefix", n).tolist() == longer[:n].tolist()
 
-    @pytest.mark.parametrize("name", ["m61", "2^64-59", "z5", "z251"])
+    @pytest.mark.parametrize("name", ["m61", "2^63-25", "z5", "z251"])
     def test_field_draws_are_the_stream_words_below_p(self, name):
         dom = SAMPLER_DOMAINS[name]
         bits = dom.p.bit_length()
@@ -520,7 +524,7 @@ def _column_near_limit(dom, head, sign, above):
 
 
 class TestGramRange:
-    @pytest.mark.parametrize("name", ["m61", "2^64-59", "z5", "z251"])
+    @pytest.mark.parametrize("name", ["m61", "2^63-25", "z5", "z251"])
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_norms_at_the_limit(self, name, data):
@@ -541,7 +545,7 @@ class TestGramRange:
         x = Matrix(np.array(cols, dtype=object).T % dom.p, dom)
         dom.check_gram_range(x.data, 1)
         exact = [[sum(a * b for a, b in zip(u, v)) for v in cols] for u in cols]
-        assert dom.codec.centred(gram_t(x, x).data).tolist() == exact
+        assert dom.centred(gram_t(x, x).data).tolist() == exact
 
         bad = data.draw(st.integers(0, 2))
         cols[bad] = _column_near_limit(dom, cols[bad][:-1], 1, above=True)
@@ -581,17 +585,17 @@ class TestDomainConstruction:
             f64.inv(0.0)
 
     def test_modulus_must_fit_a_wire_word(self):
-        # elements travel as 8-byte words and the matmul kernel casts to uint64
-        for p in (2**64, 2**89 - 1):
-            with pytest.raises(DomainError, match="2\\^64"):
+        # elements travel as 8-byte words, and a sum of two of them must fit one
+        for p in (2**63 + 29, 2**64 - 59, 2**64 - 2, 2**64, 2**89 - 1):
+            with pytest.raises(DomainError, match="2\\^63"):
                 FieldDomain(p=p)
-        largest = FieldDomain(p=2**64 - 59)  # the largest prime below 2^64
+        largest = FieldDomain(p=LARGEST)
         x = largest.p - 1
         assert largest.unpack(largest.pack([x])).tolist() == [x]
 
     def test_modulus_must_be_odd(self):
         # the Montgomery product needs p^-1 mod 2^64, which an even p lacks
-        for p in (2, 4, 2**61 - 2, 2**64 - 2):
+        for p in (2, 4, 2**61 - 2, 2**63 - 2):
             with pytest.raises(DomainError, match="must be odd"):
                 FieldDomain(p=p)
         for p in (3, 5, M61, LARGEST):

@@ -124,6 +124,9 @@ class TestGram:
         assert gram_t(mat_add(a1, a2), b) == mat_add(gram_t(a1, b), gram_t(a2, b))
 
 
+P63 = 2**63 - 25  # the largest prime below 2^63
+
+
 def python_gram(a: list, b: list, p: int) -> list:
     """A^T B mod p of nested lists in exact Python ints, one dot product per entry."""
     return [[sum(x * y for x, y in zip(ca, cb)) % p for cb in zip(*b)] for ca in zip(*a)]
@@ -131,13 +134,13 @@ def python_gram(a: list, b: list, p: int) -> list:
 
 @st.composite
 def field_operands(draw):
-    """(p, a, b) over M61, the largest prime below 2^64, Z5 or Z251.
+    """(p, a, b) over M61, the largest prime below 2^63, Z5 or Z251.
 
-    Entries are biased towards limb and word edges: 2^63 and above do not fit
-    an int64, and 2^64 - 60 fills every bit of the top limb.
+    Entries are biased towards limb and sign edges: (p - 1) / 2 and
+    (p + 1) / 2 are the widest centred values of each sign.
     """
-    p = draw(st.sampled_from([M61, 2**64 - 59, 5, 251]))
-    edges = (0, 1, p - 1, 2**16 - 1, 2**16, 2**32 - 1, 2**48, 2**63, 2**64 - 60)
+    p = draw(st.sampled_from([M61, P63, 5, 251]))
+    edges = (0, 1, p - 1, 2**16 - 1, 2**16, 2**32 - 1, 2**48, 2**62, (p - 1) // 2, (p + 1) // 2)
     edges = [v for v in edges if v < p]
     entry = st.one_of(st.sampled_from(edges), st.integers(0, p - 1))
     f, n1, n2 = draw(st.integers(1, 9)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
@@ -174,10 +177,9 @@ class TestGramKernel:
         assert gram_t(a, a).data.tolist() == [[f, f], [f, f]]
 
     def test_top_word_carries_across_chunks(self):
-        # every entry p - 1 over the largest prime below 2^64 fills every limb,
-        # so each chunk's limb sums reach the third 64-bit word of the combine;
+        # every entry is p - 1 over the largest prime below 2^63;
         # (p - 1)^2 = 1 mod p, so every entry is f mod p
-        p, f = 2**64 - 59, 2**20 + 3
+        p, f = P63, 2**20 + 3
         dom = FieldDomain(scale_bits=0, p=p)
         a = Matrix(np.full((f, 2), p - 1, dtype=object), dom)
         g = gram_t(a, a)
@@ -185,7 +187,6 @@ class TestGramKernel:
         assert g.data.dtype == np.uint64
 
 
-P64 = 2**64 - 59  # the largest prime below 2^64
 NARROW = 2**21 - 1  # the widest centred value that is one limb
 
 
@@ -212,7 +213,7 @@ class TestGramKernelWidths:
     """The kernel at the edges of its operand widths, chunks and int64 sums.
 
     An operand whose centred values fit 21 bits is one limb; a wider one over
-    M61 is 3 limbs of 20 bits and over 2^64 - 59 3 limbs of 21 bits.  Each
+    M61 is 3 limbs of 20 bits and over 2^63 - 25 3 limbs of 21 bits.  Each
     chunk-boundary case fills every row with the largest limbs of its kind,
     so a chunk one row longer than the kernel's would sum an odd integer
     above 2^53, which float64 cannot hold.
@@ -221,8 +222,8 @@ class TestGramKernelWidths:
     @pytest.mark.parametrize(
         "p, top, split",
         [
-            (P64, NARROW, (21, 1)),
-            (P64, NARROW + 1, (11, 2)),
+            (P63, NARROW, (21, 1)),
+            (P63, NARROW + 1, (11, 2)),
             (M61, NARROW, (21, 1)),
             (M61, NARROW + 1, (11, 2)),
             (251, 125, (7, 1)),  # the widest centred values of the small fields
@@ -233,13 +234,13 @@ class TestGramKernelWidths:
         rng = np.random.default_rng(top)
         a = _centred(rng, 40, 3, -top, top)
         a[7][1], a[31][2] = top, -top
-        assert _split_width(FieldDomain(scale_bits=0, p=p).codec.centred(_residues(a, p))) == split
+        assert _split_width(FieldDomain(scale_bits=0, p=p).centred(_residues(a, p))) == split
         _check_gram(p, a)
         _check_gram(p, a, _centred(rng, 40, 4, -top, top))
         _check_gram(p, a, _centred(rng, 40, 2, -3, 3))
         _check_gram(p, a, _centred(rng, 40, 2, -(p // 2), p // 2))
 
-    @pytest.mark.parametrize("p", [P64, M61, 251, 5])
+    @pytest.mark.parametrize("p", [P63, M61, 251, 5])
     def test_all_negative_operands(self, p):
         rng = np.random.default_rng(p % 1000)
         wide = _centred(rng, 30, 3, -(p // 2), -1)
@@ -252,7 +253,7 @@ class TestGramKernelWidths:
         _check_gram(p, wide, narrow)
         _check_gram(p, narrow, wide)
 
-    @pytest.mark.parametrize("p", [P64, M61, 251, 5])
+    @pytest.mark.parametrize("p", [P63, M61, 251, 5])
     def test_one_wide_entry_widens_its_operand(self, p):
         # the last entry decides the width, so a width read from part of the
         # data, or from anywhere but the data, would be too narrow
@@ -269,9 +270,9 @@ class TestGramKernelWidths:
             (M61, "narrow x narrow", 2**11),  # 2^53 / 2^(21 + 21)
             (M61, "wide x narrow", 2**12),  # 2^53 / 2^(20 + 21)
             (M61, "wide x wide", 2**13 // 3),  # 2^53 / (3 products 2^(20 + 20))
-            (P64, "narrow x narrow", 2**11),
-            (P64, "wide x narrow", 2**11),  # 2^53 / 2^(21 + 21)
-            (P64, "wide x wide", 2**11 // 3),  # 2^53 / (3 products 2^(21 + 21))
+            (P63, "narrow x narrow", 2**11),
+            (P63, "wide x narrow", 2**11),  # 2^53 / 2^(21 + 21)
+            (P63, "wide x wide", 2**11 // 3),  # 2^53 / (3 products 2^(21 + 21))
         ],
     )
     def test_feature_axis_crosses_a_chunk_boundary(self, p, kind, rows):
@@ -284,13 +285,16 @@ class TestGramKernelWidths:
             if left == right:
                 _check_gram(p, a)
 
-    @pytest.mark.parametrize("p, rows", [(M61, 2**13 // 3), (P64, 2**11 // 3)])
+    @pytest.mark.parametrize("p, rows", [(M61, 2**13 // 3), (P63, 2**11 // 3)])
     def test_int64_sums_are_reduced_before_they_overflow(self, p, rows):
-        # every limb of v = (p - 1) / 2 is within 2^5 of 2^w, so each wide x wide
-        # chunk adds nearly 2^53 to the int64 sum of its middle shift, and 1100
-        # chunks pass 2^63 unless the sum is reduced on the way; every entry is
+        # over M61 every limb of v = (p - 1) / 2 is 2^20 - 1, so each wide x wide
+        # chunk adds nearly 2^53 to the int64 sum of its middle shift, and 1025
+        # chunks pass 2^63; over 2^63 - 25 the top limb is 2^20 - 1 and the
+        # others within 2^4 of 2^21, so a chunk adds about 2^53 2/3, and 1538
+        # chunks pass it; unless the sum is reduced on the way.  Every entry is
         # v, so each dot product is f v^2
-        f, v = 1100 * rows + 1, p // 2
+        chunks = {M61: 1100, P63: 1600}[p]
+        f, v = chunks * rows + 1, p // 2
         a = np.full((f, 1), v, dtype=np.uint64)
         g = FieldDomain(scale_bits=0, p=p).matmul_t(a, a)
         assert g.tolist() == [[f * v * v % p]]
@@ -303,16 +307,16 @@ def _tie(k: int, s: int) -> float:
 
 @st.composite
 def real_rows(draw):
-    """(domain, rows): a field (M61, 2^64 - 59 or Z251) or the float domain, and a
+    """(domain, rows): a field (M61, 2^63 - 25 or Z251) or the float domain, and a
     2-D list of reals biased to rounding ties, signed zeros, the range edge,
     ints above 2^53, and non-finite or out-of-range values."""
-    kind = draw(st.sampled_from([M61, 2**64 - 59, 251, "float"]))
+    kind = draw(st.sampled_from([M61, P63, 251, "float"]))
     if kind == "float":
         dom, s, limit = FloatDomain(), 0, 2.0**60
     else:
         s = draw(st.sampled_from([0, 1, 16]))
         dom = FieldDomain(scale_bits=s, p=kind)
-        limit = dom.codec.max_abs
+        limit = dom.max_abs
     edges = [0.0, -0.0, math.nextafter(limit, 0), -math.nextafter(limit, 0), 2**53 + 1,
              -(2**53 + 1), 2**60 - 1, 2**62 + 3]
     edges += [sign * _tie(k, s) for k in (0, 1, 2, 7) for sign in (1, -1)]

@@ -269,9 +269,6 @@ class TestTranscript:
         assert totals["total"]["bytes"] == 2 * frame_bytes + 13 + 8
         assert totals["total"]["elements"] == 8
         assert totals["ip_ip"] == totals["total"]
-        per_channel = transcript.per_channel_bytes()
-        assert per_channel[(1, 2)] == frame_bytes + 21
-        assert per_channel[(2, 1)] == frame_bytes
 
     def test_ip_fp_scope(self):
         transcript = tp.Transcript()
@@ -311,6 +308,15 @@ class TestTranscript:
         c1.send(tp.HELLO, tp.u64_payload(1))
         with pytest.raises(ProtocolError, match="expected masked_data"):
             c2.recv(tp.MASKED_DATA)
+
+    def test_channel_recv_rejects_a_frame_addressed_to_another_party(self):
+        e1, e2 = tp.loopback_pair()
+        c2 = tp.Channel(e2, 2, 1, tp.Transcript())
+        e1.send_bytes(tp.frame_encode(tp.HELLO, 1, 7, tp.u64_payload(1)))
+        with pytest.raises(ProtocolError, match="^party 2 got a frame from 1 addressed to party 7$"):
+            c2.recv(tp.HELLO)
+        e1.close()
+        c2.close()
 
 
 class TestFailureModes:
