@@ -58,5 +58,5 @@ print(f"\nA1 + B1 + B2/alpha == X^T Y exactly over the field: {block == truth}")
 self_blocks = {1: gram_t(alice.data, alice.data), 2: gram_t(bob.data, bob.data)}
 asm = assemble_gram(self_blocks, {(1, 2): run_pair(alice, bob)})
 oracle = plaintext_gram(field, {1: alice.data, 2: bob.data})
-print(f"assembled 7x7 gram equals plaintext gram of pooled data: {asm.full == oracle}")
-print(f"gram symmetric by construction: {asm.full == asm.full.transpose()}")
+print(f"assembled 7x7 gram equals plaintext gram of pooled data: {asm == oracle}")
+print(f"gram symmetric by construction: {asm == asm.transpose()}")

@@ -22,7 +22,6 @@ from .dare import (
 from .field import M61, FieldDomain, FloatDomain, make_domain
 from .kernel import KernelMatrix, export_matrix, import_matrix, rbf_direct, rbf_from_gram
 from .masking import (
-    GramAssembly,
     LeakageView,
     PairResult,
     PartyState,

@@ -11,8 +11,8 @@ Two interchangeable domains:
   centred values, into one limb (the values themselves) when they fit 21
   bits, as encoded data does, and else into ceil(bits / 21) limbs of equal
   width; it sums in chunks of feature rows short enough that every BLAS
-  sum is an exact integer of at most 2^53, adds the chunks in int64 and
-  reduces them to residues in uint64, with no Python ints.
+  sum is an exact integer of at most 2^53, reduces each chunk's sums to
+  residues in uint64 and adds the chunks mod p, with no Python ints.
 * ``FloatDomain`` -- IEEE double arithmetic, provided so the protocols
   can also be run directly on real-valued data.  No security properties
   are claimed for it.
@@ -52,7 +52,7 @@ uint64, and p < 2^63 gives each operation one formula:
 * the sum uses delayed reduction (Dumas, Giorgi and Pernet, ACM TOMS 2008):
   runs of floor((2^64 - 1) / (p - 1)) residues (8 for M61) are added in
   uint64 with one ``% p`` per run;
-* an int64 value, such as an encoded real or a sum of BLAS chunks, takes
+* an int64 value, such as an encoded real or a chunk's BLAS sum, takes
   its residue with ``np.mod``, since p is an int64 too.
 
 Over floats every operation runs in the order of a scalar loop, sums
@@ -83,9 +83,6 @@ _EXACT_INT = 2.0**53
 # limbs cover any centred value below 2^63, and a product of two limbs is at
 # most 2^42, which leaves at least 2^11 / 3 rows per exact chunk.
 _LIMB_MAX_BITS = 21
-# An int64 sum of this many chunk sums, each at most 2^53 in magnitude,
-# stays below 2^63.
-_ACC_CHUNKS = (1 << 10) - 1
 
 
 def _count(n) -> int:
@@ -138,7 +135,6 @@ class FieldDomain:
         self.scale_bits = scale_bits
         self.scale = 1 << scale_bits
         self.zero = 0
-        self.one = 1 % p
         self._p = np.uint64(p)
         self._p_inv = np.uint64(pow(p, -1, 1 << 64))  # p^-1 mod 2^64, for ``_redc``
         self._r = (1 << 64) % p  # R mod p, R = 2^64
@@ -389,12 +385,12 @@ class FieldDomain:
         sum_i c_i 2^(w i).  Every limb is at most 2^w in magnitude.  With t
         the most limb products that share a shift w_a i + w_b j, chunks of r
         feature rows with r t 2^(w_a + w_b) <= 2^53 keep every BLAS sum an
-        exact integer.  Per chunk each product A_i^T B_j is its own GEMM,
-        added into the float64 slot of its shift; the slots are summed over
-        the chunks in int64 and reduced to residues (``_residues``) every
-        ``_ACC_CHUNKS`` chunks and at the end.  One ``_redc`` multiplies the
-        residue of every shift s > 0 by 2^s R mod p, and the shifts are added
-        mod p.  A self gram (``b is a``) splits its array once.
+        exact integer, and r >= 682 rows share one reduction.  Per chunk each
+        product A_i^T B_j is its own GEMM, added into the float64 slot of its
+        shift; the chunk's slots are reduced to residues (``_residues``), and
+        the chunks are added mod p.  One ``_redc`` multiplies the residue of
+        every shift s > 0 by 2^s R mod p, and the shifts are added mod p.  A
+        self gram (``b is a``) splits its array once.
         """
         same = b is a
         ca = self.centred(a)
@@ -407,22 +403,18 @@ class FieldDomain:
                 groups.setdefault(wa * i + wb * j, []).append((i, j))
         # r rows of t products of at most 2^(w_a + w_b) sum to at most 2^53
         rows = (1 << 53) // (max(map(len, groups.values())) << (wa + wb))
-        acc = np.zeros((len(groups), ca.shape[1], cb.shape[1]), dtype=np.int64)
-        folded = []
-        for n, lo in enumerate(range(0, ca.shape[0], rows), start=1):
+        sums = np.empty((len(groups), ca.shape[1], cb.shape[1]), dtype=np.int64)
+        res = np.zeros(sums.shape, dtype=np.uint64)  # the gram of no feature rows
+        for lo in range(0, ca.shape[0], rows):
             la = _split(ca[lo : lo + rows], wa, ka)
             lb = la if same else _split(cb[lo : lo + rows], wb, kb)
             for g, ((i, j), *rest) in enumerate(groups.values()):
                 slot = la[i].T @ lb[j]
                 for i, j in rest:
                     slot += la[i].T @ lb[j]
-                acc[g] += slot.astype(np.int64)
-            if n % _ACC_CHUNKS == 0:
-                folded.append(self._residues(acc))
-                acc[...] = 0
-        res = self._residues(acc)
-        for r in folded:
-            res = self.array_add(res, r)
+                sums[g] = slot  # an exact integer of at most 2^53
+            chunk = self._residues(sums)
+            res = self.array_add(res, chunk) if lo else chunk
         out = res[0]  # shift 0 needs no scaling
         if len(groups) > 1:
             scale = [(1 << (64 + s)) % self.p for s in list(groups)[1:]]  # 2^s R mod p
@@ -530,7 +522,6 @@ class FloatDomain:
     kind = "float64"
     dtype = np.dtype(np.float64)
     zero = 0.0
-    one = 1.0
 
     def add(self, a: float, b: float) -> float:
         return a + b
@@ -629,6 +620,6 @@ def make_domain(kind: str, scale_bits: int = 16):
     """Build a domain from its config name ('field', over M61, or 'float')."""
     if kind == "field":
         return FieldDomain(scale_bits=scale_bits)
-    if kind in ("float", "float64"):
+    if kind == "float":
         return FloatDomain()
     raise DomainError(f"unknown domain kind {kind!r}")

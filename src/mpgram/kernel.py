@@ -10,12 +10,16 @@ matrix assembled by the function party is all that is needed:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, DomainError
 from .matrix import load_real_csv, save_csv
+
+# The largest |G[i,j] - G[j,i]| a gram may show and still count as symmetric.
+_SYM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -28,14 +32,15 @@ class KernelMatrix:
         return self.entries.shape[0]
 
 
-def rbf_from_gram(gram, sigma: float, sym_tol: float = 1e-9) -> KernelMatrix:
-    """Gaussian RBF kernel derived from an N x N gram matrix of dot products."""
-    if sigma <= 0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
+def rbf_from_gram(gram, sigma: float) -> KernelMatrix:
+    """Gaussian RBF kernel derived from an N x N gram matrix of dot products,
+    which must be symmetric to within ``_SYM_TOL``."""
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise DomainError(f"sigma must be positive and finite, got {sigma}")
     g = np.asarray(gram, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise DataError(f"gram matrix must be square, got shape {g.shape}")
-    if g.size and np.max(np.abs(g - g.T)) > sym_tol:
+    if g.size and np.max(np.abs(g - g.T)) > _SYM_TOL:
         raise DataError("gram matrix is not symmetric within tolerance")
     diag = np.diag(g)
     d2 = diag[:, None] - 2.0 * g + diag[None, :]

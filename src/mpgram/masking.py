@@ -24,7 +24,6 @@ alone, which is an incomplete gram matrix of data and mask columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -152,33 +151,9 @@ def pair_rounds(m: int) -> list:
 # -- assembly ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GramAssembly:
-    """The pooled gram matrix; rows and columns run over the parties in id order."""
-
-    party_ids: tuple
-    sizes: tuple  # samples per party, in party_ids order
-    full: Matrix
-
-    @property
-    def offsets(self) -> tuple:
-        return tuple(accumulate(self.sizes[:-1], initial=0))
-
-    def block(self, i: int, j: int) -> Matrix:
-        """Gram block of party i's samples against party j's."""
-        spans = {
-            p: slice(off, off + size)
-            for p, off, size in zip(self.party_ids, self.offsets, self.sizes)
-        }
-        return Matrix(self.full.data[spans[i], spans[j]], self.full.domain)
-
-    @property
-    def self_blocks(self) -> dict:
-        return {i: self.block(i, i) for i in self.party_ids}
-
-
-def assemble_gram(self_blocks: dict, pair_results: dict) -> GramAssembly:
-    """Stitch self blocks and combined cross blocks into the full gram matrix.
+def assemble_gram(self_blocks: dict, pair_results: dict) -> Matrix:
+    """Stitch self blocks and combined cross blocks into the full gram matrix,
+    whose rows and columns run over the parties' samples in party id order.
 
     ``pair_results`` maps (alice_id, bob_id) to a PairResult (combined
     here) or an already-decoded cross block; block (j, i) is the
@@ -213,8 +188,7 @@ def assemble_gram(self_blocks: dict, pair_results: dict) -> GramAssembly:
         ]
         for i in party_ids
     ]
-    full = Matrix(np.block(grid), dom)
-    return GramAssembly(party_ids, tuple(sizes[i] for i in party_ids), full)
+    return Matrix(np.block(grid), dom)
 
 
 # -- function-party leakage analysis --------------------------------------

@@ -54,7 +54,6 @@ import numpy as np
 from . import transport as tp
 from .errors import ConfigError, ProtocolError
 from .masking import (
-    GramAssembly,
     PairResult,
     alice_compute,
     alice_round1,
@@ -111,7 +110,8 @@ class SessionSpec:
 
 @dataclass
 class FunctionPartyResult:
-    assembly: GramAssembly
+    gram: Matrix  # the pooled gram, from ``masking.assemble_gram``
+    self_blocks: dict  # input party id -> its self gram, as the party sent it
     pair_results: dict  # (alice, bob) -> what the protocol's ``assemble`` made of the pair
 
 
@@ -253,7 +253,7 @@ class _EscapedParty:
     def leakage_check(domain, data: dict, keys: dict, fp_result: FunctionPartyResult) -> dict:
         """The function party's derived blocks against every party's regenerated masks."""
         states = {i: make_party_state(i, data[i], keys[i]) for i in data}
-        view = leakage_view(fp_result.assembly.self_blocks, fp_result.pair_results)
+        view = leakage_view(fp_result.self_blocks, fp_result.pair_results)
         dev = verify_leakage_view(view, states)
         verified = dev == 0.0 if domain.kind == "field" else dev <= 1e-9
         return {"verified": verified, "max_deviation": dev}
@@ -399,10 +399,10 @@ def function_party_session(spec: SessionSpec, mesh) -> FunctionPartyResult:
 
     self_blocks = {i: got[SELF, i] for i in range(1, spec.m + 1)}
     pair_results = protocol_record(spec.protocol).assemble(dom, got, sizes, spec.features)
-    assembly = assemble_gram(self_blocks, pair_results)
+    gram = assemble_gram(self_blocks, pair_results)
     for i in range(1, spec.m + 1):
         mesh.channels[i].send(tp.DONE, b"")
-    return FunctionPartyResult(assembly, pair_results)
+    return FunctionPartyResult(gram, self_blocks, pair_results)
 
 
 def _owed_parts(spec: SessionSpec, sizes: dict) -> dict:

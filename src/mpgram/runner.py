@@ -91,15 +91,14 @@ class RunConfig:
             )
         if self.data_csv is not None and len(self.data_csv) != self.m:
             raise ConfigError(f"{self.m} parties but {len(self.data_csv)} data files")
-        if self.sigma is not None and self.sigma <= 0:
-            raise ConfigError(f"sigma must be positive, got {self.sigma}")
+        if self.sigma is not None and not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ConfigError(f"sigma must be positive and finite, got {self.sigma}")
 
 
 @dataclass
 class RunResult:
     config: RunConfig
     report: dict
-    assembly: object
     fp_result: FunctionPartyResult
     transcript: tp.Transcript
     gram_real: np.ndarray
@@ -163,7 +162,7 @@ def run(config: RunConfig) -> RunResult:
     t_protocol = time.perf_counter() - t1
 
     t2 = time.perf_counter()
-    gram = fp_result.assembly.full
+    gram = fp_result.gram
     gram_real = domain.decode_dot(gram.data).astype(float)
 
     verification = {"enabled": bool(config.verify), "status": "skipped"}
@@ -214,7 +213,6 @@ def run(config: RunConfig) -> RunResult:
     return RunResult(
         config=config,
         report=report,
-        assembly=fp_result.assembly,
         fp_result=fp_result,
         transcript=transcript,
         gram_real=gram_real,

@@ -7,18 +7,18 @@ the function party) and ``out_path``, where ``party.play_party`` pickles
 the ``PartyOutcome`` before any socket of the mesh closes.  A failed party
 then re-raises, so its process exits 1.
 
-With one job, the process plays that party: the form for a party on its
-own host.  With several, one interpreter starts a whole localhost run.
 Before it reads any job or starts any thread, the process forks one child
 per job after the first; each child sends its stderr to ``err.txt`` beside
-its own job and loads only that job.  The parent plays job 0, the
-function party, which holds no key, while a reaper thread waits for the
-children.  Every job's exit code goes to stdout as one ``<job index>
-<code>`` line, in the order the jobs end.  On the first nonzero code the
-other children are killed and reaped, and the process ends: a child's
-failure ends it with exit 1 once the rest are reaped (``_Children.stop``),
-the function party's as that party's own error.  So every process of a
-run is reaped by its parent, on every path.
+its own job and loads only that job.  The parent plays job 0 while a
+reaper thread waits for the children.  So one job, the form for a party on
+its own host, forks nothing, and several start a whole localhost run from
+one interpreter, whose job 0 is the function party, which holds no key.
+Every job's exit code goes to stdout as one ``<job index> <code>`` line,
+in the order the jobs end.  On the first nonzero code the other children
+are killed and reaped, and the process ends: a child's failure ends it
+with exit 1 once the rest are reaped (``_Children.stop``), job 0's as that
+party's own error.  So every process of a run is reaped by its parent, on
+every path.
 
 Every party's process, in either form, ends as ``multiprocessing`` ends a
 forked child (``_exit``): the exit code is the one the interpreter would
@@ -223,8 +223,6 @@ def main(argv=None) -> int:
     if not argv:
         print("usage: python -m mpgram.worker <job.pickle> [<job.pickle> ...]", file=sys.stderr)
         return 2
-    if len(argv) == 1:
-        return play_job(argv[0])
 
     children = _Children()
     sys.stdout.flush()

@@ -1,6 +1,7 @@
 """RBF kernel derivation from gram matrices, plus export round trips."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -42,6 +43,11 @@ class TestRbf:
     def test_sigma_must_be_positive(self):
         with pytest.raises(DomainError):
             rbf_from_gram(np.eye(3), sigma=0.0)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_sigma_must_be_finite(self, sigma):
+        with pytest.raises(DomainError, match="sigma must be positive"):
+            rbf_from_gram(np.eye(3), sigma=sigma)
 
     def test_asymmetric_gram_rejected(self):
         g = np.array([[1.0, 0.5], [0.2, 1.0]])

@@ -177,13 +177,17 @@ class TestGramKernel:
         assert gram_t(a, a).data.tolist() == [[f, f], [f, f]]
 
     def test_top_word_carries_across_chunks(self):
-        # every entry is p - 1 over the largest prime below 2^63;
-        # (p - 1)^2 = 1 mod p, so every entry is f mod p
-        p, f = P63, 2**20 + 3
+        # over the largest prime below 2^63, (p - 1) / 2 and (p + 1) / 2 are the
+        # widest positive and negative centred values, +-(p - 1) / 2: 3 limbs
+        # of 21 bits whose top limb carries the sign, and 2 * 682 + 1 rows of
+        # them are three wide x wide chunks
+        p, f = P63, 2 * 682 + 1
         dom = FieldDomain(scale_bits=0, p=p)
-        a = Matrix(np.full((f, 2), p - 1, dtype=object), dom)
+        c = [(p - 1) // 2, (p + 1) // 2]
+        a = Matrix([c] * f, dom)
+        assert _split_width(dom.centred(a.data)) == (21, 3)
         g = gram_t(a, a)
-        assert g.data.tolist() == [[f, f], [f, f]]
+        assert g.data.tolist() == [[f * ci * cj % p for cj in c] for ci in c]
         assert g.data.dtype == np.uint64
 
 

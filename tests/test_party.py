@@ -116,7 +116,7 @@ def run_fp(protocol, party1, party2):
 @pytest.mark.parametrize("protocol", sorted(VALID))
 def test_valid_script_assembles(protocol):
     result = run_fp(protocol, *VALID[protocol])
-    assert result.assembly.full.data.shape == (2, 2)
+    assert result.gram.data.shape == (2, 2)
 
 
 def test_unknown_component_side_rejected():

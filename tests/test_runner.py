@@ -178,15 +178,15 @@ class TestRun:
         res = run(cfg)
         dom = FieldDomain(scale_bits=16)
         oracle = plaintext_gram(dom, res.party_data)
-        assert res.assembly.full == oracle
+        assert res.fp_result.gram == oracle
 
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_pair_and_block_counts(self, m):
         cfg = RunConfig(protocol="escaped", m=m, features=3, samples=(2,) * m, seed=8)
         res = run(cfg)
         assert len(res.fp_result.pair_results) == m * (m - 1) // 2
-        assert len(res.fp_result.assembly.self_blocks) == m
-        assert sorted(res.fp_result.assembly.self_blocks) == list(range(1, m + 1))
+        assert len(res.fp_result.self_blocks) == m
+        assert sorted(res.fp_result.self_blocks) == list(range(1, m + 1))
 
     def test_field_re_run_makes_no_scalar_domain_calls(self, monkeypatch):
         # the RE path is array expressions over the domain's bulk sampler and
@@ -971,8 +971,13 @@ class TestCli:
             (["dump-scheme", "--d", "0"], "dot-product length must be >= 1, got 0"),
             (["cost", "--M", "1", "--f", "2", "--n", "3"], "need at least 2 input parties, got 1"),
             (["cost", "--M", "2", "--f", "0", "--n", "3"], "features must be >= 1, got 0"),
+            (["run", "--parties", "2", "--features", "4", "--samples", "3", "--sigma", "nan"],
+             "sigma must be positive and finite, got nan"),
+            (["run", "--parties", "2", "--features", "4", "--samples", "3", "--sigma", "inf"],
+             "sigma must be positive and finite, got inf"),
         ],
-        ids=["run-negative-scale-bits", "dump-scheme-zero-d", "cost-one-party", "cost-zero-f"],
+        ids=["run-negative-scale-bits", "dump-scheme-zero-d", "cost-one-party", "cost-zero-f",
+             "run-nan-sigma", "run-inf-sigma"],
     )
     def test_invalid_numeric_arguments_exit_with_config_error(self, argv, message, capsys):
         assert main(argv) == EXIT_CONFIG
