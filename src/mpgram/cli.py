@@ -81,6 +81,8 @@ def _config_from_args(args, protocol=None) -> RunConfig:
 
 
 def _cmd_run(args) -> int:
+    if args.kernel_out and args.sigma is None:
+        raise ConfigError("--kernel-out needs --sigma: a run derives no RBF kernel without one")
     result = run(_config_from_args(args))
     report = result.report
     if args.report:

@@ -12,7 +12,14 @@ Two interchangeable domains:
   bits, as encoded data does, and else into ceil(bits / 21) limbs of equal
   width; it sums in chunks of feature rows short enough that every BLAS
   sum is an exact integer of at most 2^53, reduces each chunk's sums to
-  residues in uint64 and adds the chunks mod p, with no Python ints.
+  residues in uint64 and adds the chunks mod p, with no Python ints.  A
+  product takes few numpy passes, and apart from the split their number
+  does not grow with the limb counts: each operand's limbs in one stacked
+  array, every limb product from one batched ``np.matmul`` call, one sum
+  for the products that share a shift, one reduction per chunk and one
+  Shoup product that scales every shift.  The count matters because each
+  pass over more than 500 elements releases the GIL, which the party
+  threads of a loopback run then hand between cores.
 * ``FloatDomain`` -- IEEE double arithmetic, provided so the protocols
   can also be run directly on real-valued data.  No security properties
   are claimed for it.
@@ -330,17 +337,26 @@ class FieldDomain:
         t = self._redc(_mul_hi(x, y), np.multiply(x, y))
         return self._times(t, self._r).reshape(shape)
 
-    def _times(self, t, w: int) -> np.ndarray:
-        """t w mod p for a uint64 array t and a constant w in [0, p).
+    def _times(self, t, w) -> np.ndarray:
+        """t w mod p for a uint64 array t and constants w in [0, p): one Python
+        int for all of t, or a list of them, whose i-th multiplies t[i].
 
         This is Shoup's product (Harvey, "Faster arithmetic for
         number-theoretic transforms", J. Symb. Comp. 2014): with w' =
         floor(w 2^64 / p), q = mulhi(t, w') and r = t w - q p, computed mod
         2^64, lands in [0, 2p) for every t < 2^64, and min(r, r - p) is the
-        residue.
+        residue.  A list broadcasts over t's first axis, so scaling many
+        slices takes the passes of one; one constant stays a numpy scalar,
+        for which numpy's loops are faster than for a broadcast array.
         """
-        q = _mul_hi(t, np.uint64((w << 64) // self.p))
-        r = np.multiply(t, np.uint64(w))
+        if isinstance(w, list):
+            shape = (len(w),) + (1,) * (t.ndim - 1)
+            quot = np.array([(v << 64) // self.p for v in w], dtype=np.uint64).reshape(shape)
+            w = np.array(w, dtype=np.uint64).reshape(shape)
+        else:
+            quot, w = np.uint64((w << 64) // self.p), np.uint64(w)
+        q = _mul_hi(t, quot)
+        r = np.multiply(t, w)
         q *= self._p
         r -= q
         return np.minimum(r, np.subtract(r, self._p))
@@ -384,44 +400,75 @@ class FieldDomain:
         else k = ceil(bits / 21) limbs of w = ceil(bits / k) bits, c =
         sum_i c_i 2^(w i).  Every limb is at most 2^w in magnitude.  With t
         the most limb products that share a shift w_a i + w_b j, chunks of r
-        feature rows with r t 2^(w_a + w_b) <= 2^53 keep every BLAS sum an
-        exact integer, and r >= 682 rows share one reduction.  Per chunk each
-        product A_i^T B_j is its own GEMM, added into the float64 slot of its
-        shift; the chunk's slots are reduced to residues (``_residues``), and
-        the chunks are added mod p.  One ``_redc`` multiplies the residue of
-        every shift s > 0 by 2^s R mod p, and the shifts are added mod p.  A
-        self gram (``b is a``) splits its array once.
+        feature rows with r t 2^(w_a + w_b) <= 2^53 keep every BLAS sum, and
+        every sum of one shift's products, an exact integer, and r >= 682
+        rows share one reduction.
+
+        A chunk takes few numpy passes, and apart from the split (two per
+        limb after the first), their number does not grow with the limb
+        counts.  Each operand's limbs are one stacked array (``_split``).
+        One ``np.matmul`` call forms every product A_i^T B_j, each the GEMM
+        that BLAS would be given for it alone.  Where products share a
+        shift, one sum over a skewed array adds them.  One ``_residues``
+        reduces the chunk's shift sums, and the chunks are added mod p.
+        Then one Shoup product (``_times``) multiplies the sum of every
+        shift s by 2^s mod p, and one uint64 sum and ``% p`` add the shifts
+        (delayed reduction, as in ``array_sum``).  A product of one-limb
+        operands, such as a gram of encoded data, has the one shift 0: one
+        GEMM, one reduction and no scaling.  A self gram (``b is a``)
+        splits its array once.
+
+        The count of passes matters because each numpy pass over more than
+        500 elements releases the GIL and takes it back.  When the parties of
+        a loopback run call this from threads on several cores, each pass
+        can hand the GIL to another core and wait for it.  A wide x wide
+        product of one chunk takes 43 such passes, where a GEMM per limb
+        product and a scaling per shift took 90.
         """
         same = b is a
         ca = self.centred(a)
         cb = ca if same else self.centred(b)
         wa, ka = _split_width(ca)
         wb, kb = (wa, ka) if same else _split_width(cb)
-        groups = {}  # shift -> the limb pairs (i, j) with w_a i + w_b j = shift; 0 first
-        for i in range(ka):
-            for j in range(kb):
-                groups.setdefault(wa * i + wb * j, []).append((i, j))
+        n1, n2 = ca.shape[1], cb.shape[1]
+        # With w_a = w_b = w, the products (i, j) with one i + j share the
+        # shift w (i + j), at most min(ka, kb) of them.  Otherwise no two
+        # share one: a limb count above 1 has a width of 11 to 21 bits, and
+        # i, j < 3, so w_a i + w_b j = w_a i' + w_b j' would need one width
+        # twice the other.
+        share = wa == wb and min(ka, kb) > 1
+        if share:
+            shifts = [wa * s for s in range(ka + kb - 1)]
+            slots = np.zeros((ka, ka + kb, n1, n2))  # see the loop
+        else:
+            shifts = [wa * i + wb * j for i in range(ka) for j in range(kb)]
         # r rows of t products of at most 2^(w_a + w_b) sum to at most 2^53
-        rows = (1 << 53) // (max(map(len, groups.values())) << (wa + wb))
-        sums = np.empty((len(groups), ca.shape[1], cb.shape[1]), dtype=np.int64)
-        res = np.zeros(sums.shape, dtype=np.uint64)  # the gram of no feature rows
+        rows = (1 << 53) // ((min(ka, kb) if share else 1) << (wa + wb))
+        res = np.zeros((len(shifts), n1, n2), dtype=np.uint64)  # the gram of no feature rows
         for lo in range(0, ca.shape[0], rows):
             la = _split(ca[lo : lo + rows], wa, ka)
             lb = la if same else _split(cb[lo : lo + rows], wb, kb)
-            for g, ((i, j), *rest) in enumerate(groups.values()):
-                slot = la[i].T @ lb[j]
-                for i, j in rest:
-                    slot += la[i].T @ lb[j]
-                sums[g] = slot  # an exact integer of at most 2^53
-            chunk = self._residues(sums)
+            lat = la.swapaxes(1, 2)[:, None]
+            if share:
+                # product (i, j) goes to slot j of row i of ``slots``, whose
+                # other slots stay zero.  Read as ka rows one slot shorter,
+                # that slot is slot i + j of row i, so the sum over the rows
+                # adds the products of each shift.
+                np.matmul(lat, lb[None], out=slots[:, :kb])
+                flat = slots.reshape(ka * (ka + kb), n1, n2)[: ka * len(shifts)]
+                sums = flat.reshape(ka, len(shifts), n1, n2).sum(axis=0)
+            else:
+                sums = np.matmul(lat, lb[None]).reshape(len(shifts), n1, n2)
+            chunk = self._residues(sums.astype(np.int64))
             res = self.array_add(res, chunk) if lo else chunk
-        out = res[0]  # shift 0 needs no scaling
-        if len(groups) > 1:
-            scale = [(1 << (64 + s)) % self.p for s in list(groups)[1:]]  # 2^s R mod p
-            scale = np.array(scale, dtype=np.uint64)[:, None, None]
-            for t in self._redc(_mul_hi(res[1:], scale), np.multiply(res[1:], scale)):
-                out = self.array_add(out, t)
-        return out
+        if len(shifts) == 1:  # shift 0 needs no scaling
+            return res[0]
+        scaled = self._times(res, [pow(2, s, self.p) for s in shifts])
+        if len(shifts) > self._sum_run:  # more shifts than residues that fit a word
+            return self.array_sum(np.moveaxis(scaled, 0, -1))
+        total = scaled.sum(axis=0)  # adds whole slices, unlike array_sum's reduceat
+        total %= self._p
+        return total
 
     def _residues(self, acc) -> np.ndarray:
         """uint64 array of v mod p, in [0, p), for an int64 array of values v."""
@@ -496,19 +543,26 @@ def _split_width(c) -> tuple:
     return -(-bits // k), k
 
 
-def _split(c, w: int, k: int) -> list:
-    """The k limbs of w bits of an int64 array c, lowest first, as float64 arrays.
+def _split(c, w: int, k: int) -> np.ndarray:
+    """The k limbs of w bits of an int64 array c, lowest first, stacked in one
+    float64 array of shape (k,) + c.shape.
 
     c = sum_i c_i 2^(w i): the lower limbs are the unsigned bits
     [w i, w (i + 1)) of c's two's complement, in [0, 2^w), and the top limb
     is c shifted arithmetically, signed, with |c_(k-1)| <= 2^(bits - w (k - 1))
-    <= 2^w.  One limb is c itself.
+    <= 2^w.  One limb is c itself.  Each limb's last integer step casts its
+    result straight into the stack: a stacked int64 array of every limb, in
+    three passes, made the split of a 10000 x 200 operand 1.6 times slower.
     """
     if k == 1:
-        return [c.astype(np.float64)]
+        return c.astype(np.float64)[None]
+    limbs = np.empty((k,) + c.shape)
     mask = np.int64((1 << w) - 1)
-    limbs = [((c >> np.int64(w * i)) & mask).astype(np.float64) for i in range(k - 1)]
-    return limbs + [(c >> np.int64(w * (k - 1))).astype(np.float64)]
+    np.bitwise_and(c, mask, out=limbs[0], casting="unsafe")
+    for i in range(1, k - 1):
+        np.bitwise_and(c >> np.int64(w * i), mask, out=limbs[i], casting="unsafe")
+    np.right_shift(c, np.int64(w * (k - 1)), out=limbs[-1], casting="unsafe")
+    return limbs
 
 
 class FloatDomain:

@@ -62,11 +62,16 @@ def rbf_direct(samples, sigma: float) -> np.ndarray:
 
 
 def export_matrix(k: KernelMatrix, path, fmt: str = "csv") -> None:
-    """Write the kernel as CSV (17 significant digits) or JSON."""
+    """Write the kernel as CSV (17 significant digits) or JSON.
+
+    JSON has no NaN, so a sigma that is not finite, such as that of a kernel
+    read from CSV, is written as ``null``.
+    """
     if fmt == "csv":
         save_csv(k.entries, path)
     elif fmt == "json":
-        doc = {"n": k.n, "sigma": k.sigma, "rows": [[float(v) for v in row] for row in k.entries]}
+        sigma = k.sigma if math.isfinite(k.sigma) else None
+        doc = {"n": k.n, "sigma": sigma, "rows": [[float(v) for v in row] for row in k.entries]}
         with open(path, "w") as fh:
             json.dump(doc, fh)
     else:
@@ -74,10 +79,13 @@ def export_matrix(k: KernelMatrix, path, fmt: str = "csv") -> None:
 
 
 def import_matrix(path, fmt: str = "csv") -> KernelMatrix:
+    """Read a kernel that ``export_matrix`` wrote.  CSV carries no sigma, and
+    JSON's ``null`` stands for none, so either gives a NaN sigma."""
     if fmt == "csv":
         return KernelMatrix(load_real_csv(path), sigma=float("nan"))
     if fmt == "json":
         with open(path) as fh:
             doc = json.load(fh)
-        return KernelMatrix(np.array(doc["rows"], dtype=float), sigma=doc["sigma"])
+        sigma = float("nan") if doc["sigma"] is None else doc["sigma"]
+        return KernelMatrix(np.array(doc["rows"], dtype=float), sigma=sigma)
     raise DataError(f"unknown export format {fmt!r}")

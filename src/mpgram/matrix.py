@@ -8,10 +8,12 @@ over floats) plus that domain.  The domain owns every operation on the
 entries: the elementwise ones are its ``array_add``, ``array_sub`` and
 ``array_mul``, and ``gram_t`` is its ``matmul_t`` -- over the field an
 exact product on float64 BLAS whose limbs are sized by each operand's own
-width, one GEMM for narrow encoded data (see ``mpgram.field``), over
-floats a sum in the order of a scalar loop.  ``encode_real_matrix``
-encodes reals as one float64 array expression of the domain.  The domain
-also owns the wire codec of the entries.
+width: one GEMM for narrow encoded data, and for wider operands every limb
+product from one batched ``np.matmul`` call, in few numpy passes, since
+the party threads of a loopback run hand the GIL over at each pass (see
+``mpgram.field``); over floats a sum in the order of a scalar loop.  ``encode_real_matrix`` encodes reals as one
+float64 array expression of the domain.  The domain also owns the wire
+codec of the entries.
 """
 
 from __future__ import annotations

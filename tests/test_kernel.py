@@ -107,6 +107,22 @@ class TestExport:
         assert doc["sigma"] == 1.0
         assert len(doc["rows"]) == 2
 
+    def test_csv_kernel_exports_strict_json(self, tmp_path):
+        # CSV carries no sigma; JSON (RFC 8259) has no NaN, so it goes as null
+        k = rbf_from_gram(np.array([[2.0, 1.0], [1.0, 3.0]]), sigma=1.0)
+        export_matrix(k, tmp_path / "k.csv")
+        export_matrix(import_matrix(tmp_path / "k.csv"), tmp_path / "k.json", fmt="json")
+
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        with open(tmp_path / "k.json") as fh:
+            doc = json.load(fh, parse_constant=no_constant)
+        assert doc["sigma"] is None
+        back = import_matrix(tmp_path / "k.json", fmt="json")
+        assert np.array_equal(back.entries, k.entries)
+        assert math.isnan(back.sigma)
+
     def test_unknown_format(self, tmp_path):
         k = rbf_from_gram(np.eye(2), sigma=1.0)
         with pytest.raises(DataError):

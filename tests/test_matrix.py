@@ -3,6 +3,8 @@
 import math
 import pickle
 import re
+import sys
+import threading
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -268,6 +270,16 @@ class TestGramKernelWidths:
         _check_gram(p, a, _centred(rng, 50, 2, -2, 2))
         _check_gram(p, _centred(rng, 50, 2, -(p // 2), p // 2), a)
 
+    @pytest.mark.parametrize("p", [P63, M61])
+    def test_operands_without_columns(self, p):
+        rng = np.random.default_rng(p % 991)
+        wide, narrow = _centred(rng, 30, 3, -(p // 2), p // 2), _centred(rng, 30, 2, -5, 5)
+        empty = [[] for _ in range(30)]
+        for other in (wide, narrow):
+            _check_gram(p, empty, other)
+            _check_gram(p, other, empty)
+        _check_gram(p, empty)
+
     @pytest.mark.parametrize(
         "p, kind, rows",
         [
@@ -302,6 +314,51 @@ class TestGramKernelWidths:
         a = np.full((f, 1), v, dtype=np.uint64)
         g = FieldDomain(scale_bits=0, p=p).matmul_t(a, a)
         assert g.tolist() == [[f * v * v % p]]
+
+
+class TestGramKernelThreads:
+    """The kernel called from several threads at once, as the parties of a
+    loopback run call it: every call gives the result of a sequential one."""
+
+    @pytest.mark.parametrize("p", [M61, P63])
+    def test_concurrent_callers_get_the_sequential_results(self, p):
+        dom = FieldDomain(scale_bits=16, p=p)
+        rng = np.random.default_rng(p % 1009)
+        wide = [rng.integers(0, p, (96, 32), dtype=np.uint64) for _ in range(2)]
+        narrow = [dom.encode_array(rng.uniform(-1, 1, (96, 32))) for _ in range(2)]
+        cases = [
+            (wide[0], wide[1]),  # wide x wide: products that share shifts
+            (wide[0], narrow[0]),  # wide x narrow
+            (narrow[0], narrow[1]),  # narrow x narrow: one GEMM
+            (wide[1], wide[1]),  # self grams pass one array twice
+            (narrow[1], narrow[1]),
+        ]
+        expected = [dom.matmul_t(a, b).tolist() for a, b in cases]
+        calls = 50
+        wrong = [None] * 4
+
+        def caller(t):
+            try:
+                wrong[t] = sum(
+                    dom.matmul_t(*cases[(t + c) % len(cases)]).tolist()
+                    != expected[(t + c) % len(cases)]
+                    for c in range(calls)
+                )
+            except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+                wrong[t] = exc
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(t,)) for t in range(len(wrong))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert wrong == [0] * len(wrong)
 
 
 def _tie(k: int, s: int) -> float:

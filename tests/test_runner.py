@@ -857,6 +857,17 @@ class TestCli:
         assert doc["schema_version"] == 1
         assert doc["verification"]["status"] == "pass"
 
+    def test_kernel_out_without_sigma_exits_with_config_error(self, tmp_path, capsys):
+        path = tmp_path / "k.csv"
+        argv = ["run", "--parties", "2", "--features", "4", "--samples", "3",
+                "--kernel-out", str(path)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "--kernel-out" in err and "--sigma" in err
+        assert not path.exists()
+        assert main(argv + ["--sigma", "1.5"]) == EXIT_OK
+        assert path.exists()
+
     def test_run_single_party_exit_code(self, capsys):
         rc = main(["run", "--parties", "1", "--samples", "2"])
         assert rc == EXIT_CONFIG
