@@ -1,7 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 invalid configuration, 3 oracle verification
-failure, 4 communication-audit failure, 5 protocol/transport failure.
+Exit codes: 0 success, 2 invalid configuration (an output path that
+cannot be written included), 3 oracle verification failure, 4
+communication-audit failure, 5 protocol/transport failure.  A failed
+audit comes before a failed verification, in ``run`` and ``compare`` alike.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from .costs import ESCAPED, PROTOCOLS, cost_model, nominal_ratio
 from .errors import ConfigError, MpgramError
@@ -80,16 +83,42 @@ def _config_from_args(args, protocol=None) -> RunConfig:
     )
 
 
+@contextmanager
+def _writing(path):
+    """Every output path is written inside this: an ``OSError`` in the block
+    becomes ``ConfigError("cannot write <path>: <reason>")``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _write_json(path, doc) -> None:
+    with _writing(path), open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+
+
+def _exit_code(*reports: dict) -> int:
+    """The exit code of one or more run reports: a failed audit in any of them
+    first, then a failed verification."""
+    if not all(r["audit"]["ok"] for r in reports):
+        return EXIT_AUDIT
+    if any(r["verification"]["enabled"] and r["verification"]["status"] != "pass"
+           for r in reports):
+        return EXIT_VERIFY
+    return EXIT_OK
+
+
 def _cmd_run(args) -> int:
     if args.kernel_out and args.sigma is None:
         raise ConfigError("--kernel-out needs --sigma: a run derives no RBF kernel without one")
     result = run(_config_from_args(args))
     report = result.report
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(report, fh, indent=2)
+        _write_json(args.report, report)
     if args.kernel_out and result.kernel is not None:
-        export_matrix(result.kernel, args.kernel_out, fmt=args.kernel_format)
+        with _writing(args.kernel_out):
+            export_matrix(result.kernel, args.kernel_out, fmt=args.kernel_format)
     tot = report["totals"]["total"]
     print(
         f"{report['protocol']} run: m={report['m']} f={report['features']} "
@@ -102,18 +131,15 @@ def _cmd_run(args) -> int:
     )
     print(f"verification: {report['verification']['status']}; audit: "
           f"{'ok' if report['audit']['ok'] else 'FAILED'}")
-    if not report["audit"]["ok"]:
-        for line in report["audit"]["mismatches"]:
-            print(f"  audit mismatch: {line}")
-        return EXIT_AUDIT
-    if report["verification"]["enabled"] and report["verification"]["status"] != "pass":
-        return EXIT_VERIFY
-    return EXIT_OK
+    for line in report["audit"]["mismatches"]:
+        print(f"  audit mismatch: {line}")
+    return _exit_code(report)
 
 
 def _cmd_gen_data(args) -> int:
     samples = _sample_counts(args.samples, args.parties)
-    paths = gen_data(args.parties, args.features, samples, args.seed, args.out_dir)
+    with _writing(args.out_dir):
+        paths = gen_data(args.parties, args.features, samples, args.seed, args.out_dir)
     for p in paths:
         print(p)
     return EXIT_OK
@@ -123,20 +149,13 @@ def _cmd_compare(args) -> int:
     result = compare([_config_from_args(args, protocol=p) for p in PROTOCOLS])
     print(result.table_text())
     if args.report:
-        doc = {
+        _write_json(args.report, {
             "byte_ratio_re_over_escaped": result.byte_ratio,
             "element_ratio": result.element_ratio,
             "grams_equal": result.grams_equal,
             "runs": [r.report for r in result.results],
-        }
-        with open(args.report, "w") as fh:
-            json.dump(doc, fh, indent=2)
-    for r in result.results:
-        if r.report["verification"]["enabled"] and r.report["verification"]["status"] != "pass":
-            return EXIT_VERIFY
-        if not r.report["audit"]["ok"]:
-            return EXIT_AUDIT
-    return EXIT_OK
+        })
+    return _exit_code(*(r.report for r in result.results))
 
 
 def _cmd_dump_scheme(args) -> int:
@@ -167,8 +186,7 @@ def _cmd_cost(args) -> int:
     if len(set(sizes)) == 1 and not args.protocol:
         print(f"nominal total ratio re/escaped: {nominal_ratio(args.M, args.f, sizes[0]):.2f}")
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(docs, fh, indent=2)
+        _write_json(args.report, docs)
     return EXIT_OK
 
 

@@ -178,10 +178,11 @@ def _first_bad_line(path) -> str | None:
     a non-number and from 1 for a change in the number of columns; so its row
     is not the line of the file.  This scan, run only after loadtxt failed,
     makes the same checks in the same order (column count first) and counts
-    every line.  None if it finds nothing wrong.
+    every line.  Bytes that are not text read as U+FFFD, so they show as a
+    non-number.  None if it finds nothing wrong.
     """
     width = None
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

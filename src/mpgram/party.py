@@ -492,7 +492,7 @@ def build_loopback_meshes(m: int) -> dict:
     meshes = {i: Mesh(i, {}, tp.Transcript()) for i in range(m + 1)}
     for i in range(m + 1):
         for j in range(i + 1, m + 1):
-            e1, e2 = tp.loopback_pair()
-            meshes[i].channels[j] = tp.Channel(e1, i, j, meshes[i].transcript)
-            meshes[j].channels[i] = tp.Channel(e2, j, i, meshes[j].transcript)
+            a, b = tp.loopback_pair()
+            meshes[i].channels[j] = tp.Channel(a, i, j, meshes[i].transcript)
+            meshes[j].channels[i] = tp.Channel(b, j, i, meshes[j].transcript)
     return meshes

@@ -13,16 +13,22 @@ bytes of the domain's fixed-width entry arrays.  Matrices are prefixed with
 two 4-byte dims (rows, cols) and sent row-major; flat scalar arrays with one
 4-byte count, and they decode to a read-only flat array.  Encoding is one
 join of a payload's packed header and its array's buffer (``domain.pack``).
-Decoding copies nothing: a received frame is read into one buffer, its
-``Frame.payload`` is a memoryview of that buffer past the header, and the
-arrays are ``frombuffer`` views of it, after the field's range check.
-No compression and no variable-width encodings, so every byte is accounted
-for exactly.
+A received payload is read into one buffer of its own, and ``Frame.payload``
+is a memoryview of it.  A decoded scalar array is a ``frombuffer`` view of
+that buffer, after the field's range check; a decoded matrix is copied once,
+by ``Matrix()``.  No compression and no variable-width encodings, so every
+byte is accounted for exactly.
 
-Both transports use one endpoint class, ``TcpEndpoint``, over a stream
-socket: a TCP run over connected TCP sockets, a loopback run over
-``socket.socketpair()`` inside one process.  So framing, buffering,
-bounded send buffers, timeouts and close semantics are the same on both.
+Each connection is one ``Channel``, which owns its stream socket, the two
+party ids and the transcript it records into: connected TCP sockets in a
+TCP run, ``socket.socketpair()`` inside one process in a loopback run.  So
+framing, buffering, bounded send buffers, timeouts and close semantics are
+the same on both.  ``Channel.recv`` checks each header when it arrives (a
+known tag, the peer as sender, this party as receiver, the expected kind)
+before it reads the payload, so a bad header fails at once instead of
+waiting out ``IO_TIMEOUT`` for a payload that may never come.  On a stream
+the header's length is the only frame boundary: a frame cut short fails as
+a connection closed mid-frame.
 
 Transcripts record the sender side of every frame with a per-channel
 sequence number.  The canonical order (sender, receiver, seq) is
@@ -82,26 +88,11 @@ class Frame:
     kind: int
     sender: int
     receiver: int
-    payload: bytes = field(repr=False)  # a memoryview of the received buffer, once decoded
+    payload: bytes = field(repr=False)  # received: a memoryview of its own buffer
 
 
 def frame_encode(kind: int, sender: int, receiver: int, payload: bytes) -> bytes:
     return _HEADER.pack(kind, sender, receiver, len(payload)) + payload
-
-
-def frame_decode(data: bytes) -> Frame:
-    """The frame in ``data``; its payload is a memoryview of ``data``, not a copy."""
-    if len(data) < HEADER_LEN:
-        raise FramingError(f"truncated frame: {len(data)} bytes, header needs {HEADER_LEN}")
-    kind, sender, receiver, plen = _HEADER.unpack_from(data)
-    if kind not in KIND_NAMES:
-        raise ProtocolVersionError(f"unknown message tag 0x{kind:02x}")
-    if len(data) != HEADER_LEN + plen:
-        raise FramingError(
-            f"frame length mismatch at byte {min(len(data), HEADER_LEN + plen)}: "
-            f"header says {HEADER_LEN + plen}, got {len(data)}"
-        )
-    return Frame(kind, sender, receiver, memoryview(data)[HEADER_LEN:])
 
 
 # -- payload codecs -------------------------------------------------------
@@ -275,67 +266,18 @@ class Transcript:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
 
-# -- endpoints -------------------------------------------------------------
+# -- channels --------------------------------------------------------------
 
 
 IO_TIMEOUT = 120.0  # per socket operation; guards against a dead peer wedging the run
 
 
-class TcpEndpoint:
-    """One end of a stream socket carrying whole frames; loopback and TCP alike."""
-
-    def __init__(self, sock: socket.socket):
-        self._sock = sock
-        self._send_lock = threading.Lock()
-        self._header = None  # the next frame's header, once peeked
-
-    def send_bytes(self, data: bytes):
-        with self._send_lock:
-            self._sock.sendall(data)
-
-    def _recv_into(self, buf):
-        """Fill the writable buffer ``buf`` from the socket, in place; returns it."""
-        view = memoryview(buf)
-        while view:
-            try:
-                n = self._sock.recv_into(view)
-            except socket.timeout:
-                raise TransportError("recv timed out waiting for peer") from None
-            if not n:
-                raise TransportError("connection closed mid-frame")
-            view = view[n:]
-        return buf
-
-    def _next_header(self) -> bytearray:
-        if self._header is None:
-            self._header = self._recv_into(bytearray(HEADER_LEN))
-        return self._header
-
-    def peek_sender(self) -> int:
-        """Sender id in the header of the next frame, which is left unread."""
-        return _HEADER.unpack_from(self._next_header())[1]
-
-    def recv_frame(self) -> Frame:
-        header, self._header = self._next_header(), None
-        data = bytearray(HEADER_LEN + _HEADER.unpack_from(header)[3])
-        data[:HEADER_LEN] = header
-        self._recv_into(memoryview(data)[HEADER_LEN:])  # the payload, in one buffer
-        return frame_decode(data)
-
-    def close(self):
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self._sock.close()
-
-
 def loopback_pair() -> tuple:
-    """Two connected endpoints over ``socket.socketpair()``, in this process."""
+    """Two connected stream sockets from ``socket.socketpair()``, in this process."""
     a, b = socket.socketpair()
     for sock in (a, b):
         sock.settimeout(IO_TIMEOUT)
-    return TcpEndpoint(a), TcpEndpoint(b)
+    return a, b
 
 
 def tcp_listen(host: str, port: int) -> socket.socket:
@@ -349,7 +291,7 @@ def tcp_listen(host: str, port: int) -> socket.socket:
         raise TransportError(f"cannot listen on {host}:{port}: {exc}") from exc
 
 
-def tcp_accept(srv: socket.socket) -> TcpEndpoint:
+def tcp_accept(srv: socket.socket) -> socket.socket:
     srv.settimeout(IO_TIMEOUT)
     try:
         sock, _ = srv.accept()
@@ -357,17 +299,17 @@ def tcp_accept(srv: socket.socket) -> TcpEndpoint:
         raise TransportError(f"accept timed out on {srv.getsockname()}") from None
     sock.settimeout(IO_TIMEOUT)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    return TcpEndpoint(sock)
+    return sock
 
 
-def tcp_connect(host: str, port: int, retries: int = 200, delay: float = 0.025) -> TcpEndpoint:
+def tcp_connect(host: str, port: int, retries: int = 200, delay: float = 0.025) -> socket.socket:
     last = None
     for _ in range(retries):
         try:
             sock = socket.create_connection((host, port), timeout=10.0)
             sock.settimeout(IO_TIMEOUT)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            return TcpEndpoint(sock)
+            return sock
         except OSError as exc:
             last = exc
             time.sleep(delay)
@@ -375,18 +317,23 @@ def tcp_connect(host: str, port: int, retries: int = 200, delay: float = 0.025) 
 
 
 class Channel:
-    """One direction-aware channel between two parties, with recording.
+    """One party's end of the stream socket ``sock`` to one peer: whole frames, checked.
 
     Sends are recorded into the transcript with a per-channel sequence
     number; receives are not (the peer records them as its own sends).
+    ``peer_id`` may be None until ``peek_sender`` has named the peer.
     """
 
-    def __init__(self, endpoint, local_id: int, peer_id: int, transcript: Transcript):
-        self.endpoint = endpoint
+    def __init__(
+        self, sock: socket.socket, local_id: int, peer_id: int | None, transcript: Transcript
+    ):
+        self.sock = sock
         self.local_id = local_id
         self.peer_id = peer_id
         self.transcript = transcript
         self._seq = 0
+        self._send_lock = threading.Lock()
+        self._header = None  # the next frame's header, once peeked
 
     def send(self, kind: int, payload: bytes):
         frame = frame_encode(kind, self.local_id, self.peer_id, payload)
@@ -403,26 +350,57 @@ class Channel:
                 )
             )
         self._seq += 1
-        self.endpoint.send_bytes(frame)
+        with self._send_lock:
+            self.sock.sendall(frame)
+
+    def peek_sender(self) -> int:
+        """Sender id in the header of the next frame, which is left unread."""
+        return _HEADER.unpack_from(self._next_header())[1]
 
     def recv(self, expect_kind: int = None) -> Frame:
-        frame = self.endpoint.recv_frame()
-        if frame.sender != self.peer_id:
+        """The next frame: its header is checked before the payload is read into its own buffer."""
+        header, self._header = self._next_header(), None
+        kind, sender, receiver, plen = _HEADER.unpack(header)
+        if kind not in KIND_NAMES:
+            raise ProtocolVersionError(f"unknown message tag 0x{kind:02x}")
+        if sender != self.peer_id:
             raise ProtocolError(
                 f"party {self.local_id} expected a frame from {self.peer_id}, "
-                f"got one from {frame.sender}"
+                f"got one from {sender}"
             )
-        if frame.receiver != self.local_id:
+        if receiver != self.local_id:
             raise ProtocolError(
                 f"party {self.local_id} got a frame from {self.peer_id} "
-                f"addressed to party {frame.receiver}"
+                f"addressed to party {receiver}"
             )
-        if expect_kind is not None and frame.kind != expect_kind:
+        if expect_kind is not None and kind != expect_kind:
             raise ProtocolError(
                 f"party {self.local_id} expected {KIND_NAMES[expect_kind]} from "
-                f"{self.peer_id}, got {KIND_NAMES.get(frame.kind, hex(frame.kind))}"
+                f"{self.peer_id}, got {KIND_NAMES[kind]}"
             )
-        return frame
+        return Frame(kind, sender, receiver, memoryview(self._recv_into(bytearray(plen))))
+
+    def _next_header(self) -> bytearray:
+        if self._header is None:
+            self._header = self._recv_into(bytearray(HEADER_LEN))
+        return self._header
+
+    def _recv_into(self, buf: bytearray) -> bytearray:
+        """Fill ``buf`` from the socket, in place; returns it."""
+        view = memoryview(buf)
+        while view:
+            try:
+                n = self.sock.recv_into(view)
+            except socket.timeout:
+                raise TransportError("recv timed out waiting for peer") from None
+            if not n:
+                raise TransportError("connection closed mid-frame")
+            view = view[n:]
+        return buf
 
     def close(self):
-        self.endpoint.close()
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self.sock.close()

@@ -38,7 +38,7 @@ party being id 0, so every party's mesh is its row of one complete graph.
 Party i listens on its own port if a higher id exists, connects to every
 lower id (0 included), and accepts the m - i higher ids.  An accepted
 connection is identified by the sender id in the header of its first
-frame, read with ``TcpEndpoint.peek_sender`` and left unread; an id that is
+frame, read with ``Channel.peek_sender`` and left unread; an id that is
 out of range or already connected is rejected.  The worker sends and reads
 no hello of its own: ``party.run_party`` runs the same hello phase (input
 parties send theirs on every channel in id order, every party reads one
@@ -80,13 +80,13 @@ def setup_mesh(cfg: dict, mesh: Mesh) -> Mesh:
     for j in range(me):
         mesh.channels[j] = Channel(tcp_connect(host, ports[j]), me, j, mesh.transcript)
     for _ in range(m - me):
-        ep = tcp_accept(mesh.sockets[0])
-        j = ep.peek_sender()
+        channel = Channel(tcp_accept(mesh.sockets[0]), me, None, mesh.transcript)
+        j = channel.peer_id = channel.peek_sender()
         if not me < j <= m or j in mesh.channels:
-            mesh.sockets.append(ep)
+            mesh.sockets.append(channel)
             why = "already connected" if j in mesh.channels else f"not in {me + 1}..{m}"
             raise ProtocolError(f"party {me} got a connection claiming id {j}, {why}")
-        mesh.channels[j] = Channel(ep, me, j, mesh.transcript)
+        mesh.channels[j] = channel
     return mesh
 
 

@@ -123,6 +123,12 @@ class TestExport:
         assert np.array_equal(back.entries, k.entries)
         assert math.isnan(back.sigma)
 
+    def test_csv_that_is_not_text_raises_data_error(self, tmp_path):
+        path = tmp_path / "k.csv"
+        path.write_bytes(b"1,2\n\xff\xfe,3\n")
+        with pytest.raises(DataError, match="^could not convert string .* at line 2, column 1.$"):
+            import_matrix(path)
+
     def test_unknown_format(self, tmp_path):
         k = rbf_from_gram(np.eye(2), sigma=1.0)
         with pytest.raises(DataError):

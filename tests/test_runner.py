@@ -16,7 +16,15 @@ import pytest
 
 from mpgram import masking, party, runner
 from mpgram import transport as tp
-from mpgram.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROTOCOL, main
+from mpgram.cli import (
+    EXIT_AUDIT,
+    EXIT_CONFIG,
+    EXIT_OK,
+    EXIT_PROTOCOL,
+    EXIT_VERIFY,
+    _exit_code,
+    main,
+)
 from mpgram.errors import ConfigError, ProtocolError
 from mpgram.field import FieldDomain
 from mpgram.party import PartyOutcome
@@ -938,9 +946,11 @@ class TestCli:
             # numpy skips the blank line and calls these row 1 and row 2
             ("0.5,0.25\n\n1,x\n", "could not convert string 'x' to float64 at line 3, column 2."),
             ("\n0.5,0.25\n \n", "the number of columns changed from 2 to 1 at line 3"),
+            (b"1,2\n\xff\xfe,3\n",
+             "could not convert string '\ufffd\ufffd' to float64 at line 2, column 1."),
         ],
         ids=["missing", "unreadable", "non-number", "ragged", "no-numbers",
-             "non-number-after-blank-line", "ragged-after-blank-line"],
+             "non-number-after-blank-line", "ragged-after-blank-line", "not-text"],
     )
     def test_bad_data_file_exits_with_config_error(self, tmp_path, capsys, monkeypatch,
                                                    content, detail):
@@ -951,6 +961,8 @@ class TestCli:
         os.remove(bad)
         if content == "dir":
             os.mkdir(bad)
+        elif isinstance(content, bytes):
+            Path(bad).write_bytes(content)
         elif content is not None:
             Path(bad).write_text(content)
         rc = main(["run", "--parties", "2", "--features", "2", "--samples", "2",
@@ -959,6 +971,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"config error: party 2 data file {bad}: {detail}\n"
         assert not started
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--parties", "2", "--features", "2", "--samples", "2", "--report"],
+            ["run", "--parties", "2", "--features", "2", "--samples", "2", "--sigma", "1",
+             "--kernel-out"],
+            ["compare", "--parties", "2", "--features", "2", "--samples", "2", "--report"],
+            ["cost", "--M", "2", "--f", "2", "--n", "2", "--report"],
+            ["gen-data", "--parties", "2", "--features", "2", "--samples", "2", "--out-dir"],
+        ],
+        ids=["run-report", "run-kernel-out", "compare-report", "cost-report", "gen-data-out-dir"],
+    )
+    def test_unwritable_output_path_exits_with_config_error(self, argv, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out = str(tmp_path / "file" / "out")  # under a regular file, so it cannot be made
+        assert main([*argv, out]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: cannot write {out}: Not a directory\n"
+
+    def test_exit_code_puts_the_audit_before_verification(self):
+        def report(audit_ok, status):
+            return {"audit": {"ok": audit_ok}, "verification": {"enabled": True, "status": status}}
+
+        assert _exit_code(report(False, "fail")) == EXIT_AUDIT
+        assert _exit_code(report(False, "pass")) == EXIT_AUDIT
+        assert _exit_code(report(True, "fail")) == EXIT_VERIFY
+        assert _exit_code(report(True, "pass")) == EXIT_OK
+        # compare's two runs: one fails verification, the other the audit
+        assert _exit_code(report(True, "fail"), report(False, "pass")) == EXIT_AUDIT
+        unverified = {"audit": {"ok": True}, "verification": {"enabled": False, "status": "skipped"}}
+        assert _exit_code(unverified) == EXIT_OK
 
     def test_bad_data_file_starts_no_tcp_worker(self, tmp_path, capsys, monkeypatch):
         def popen(*args, **kwargs):

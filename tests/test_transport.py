@@ -13,7 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpgram import transport as tp
-from mpgram.errors import DomainError, FramingError, ProtocolError, ProtocolVersionError
+from mpgram.errors import (
+    DomainError,
+    FramingError,
+    ProtocolError,
+    ProtocolVersionError,
+    TransportError,
+)
 from mpgram.field import FieldDomain, FloatDomain
 from mpgram.matrix import Matrix, random_matrix
 from mpgram.seeds import party_key
@@ -24,12 +30,18 @@ KEY = party_key(0, 0)  # draws test data
 
 
 def tcp_pair() -> tuple:
-    """(accepted, connecting) TCP endpoints on an ephemeral localhost port."""
+    """(accepted, connecting) TCP sockets on an ephemeral localhost port."""
     srv = tp.tcp_listen("127.0.0.1", 0)
     client = tp.tcp_connect("127.0.0.1", srv.getsockname()[1])
     accepted = tp.tcp_accept(srv)
     srv.close()
     return accepted, client
+
+
+def loopback_channels(a_id: int = 1, b_id: int = 2) -> tuple:
+    """Unrecorded channels a -> b and b -> a over one loopback socket pair."""
+    sa, sb = tp.loopback_pair()
+    return tp.Channel(sa, a_id, b_id, None), tp.Channel(sb, b_id, a_id, None)
 
 
 class TestFraming:
@@ -50,7 +62,11 @@ class TestFraming:
     )
     @settings(max_examples=100)
     def test_round_trip(self, kind, sender, receiver, payload):
-        frame = tp.frame_decode(tp.frame_encode(kind, sender, receiver, payload))
+        tx, rx = loopback_channels(sender, receiver)
+        tx.send(kind, payload)
+        frame = rx.recv(kind)
+        tx.close()
+        rx.close()
         assert (frame.kind, frame.sender, frame.receiver, frame.payload) == (
             kind,
             sender,
@@ -61,11 +77,16 @@ class TestFraming:
     def test_decoded_payload_is_a_view_of_the_frame(self):
         # a received RE frame is half a megabyte; decoding must not copy it
         payload = tp.pair_scalars_payload(1, 2, tp.SIDE_X, np.arange(9, dtype=np.uint64), m61)
-        data = bytearray(tp.frame_encode(tp.RE_COMPONENTS, 1, 0, payload))
-        frame = tp.frame_decode(data)
-        assert frame.payload == payload and frame.payload.obj is data
+        tx, rx = loopback_channels(1, 0)
+        tx.send(tp.RE_COMPONENTS, payload)
+        frame = rx.recv(tp.RE_COMPONENTS)
+        tx.close()
+        rx.close()
+        received = frame.payload.obj  # the buffer the payload was read into
+        assert frame.payload == payload and isinstance(received, bytearray)
+        assert len(received) == len(payload)
         _, _, _, xs = tp.pair_scalars_from_payload(frame.payload, m61)
-        assert np.shares_memory(xs, np.frombuffer(data, dtype=np.uint8))
+        assert np.shares_memory(xs, np.frombuffer(received, dtype=np.uint8))
         assert xs.tolist() == list(range(9)) and not xs.flags.writeable
 
     def test_payloads_are_the_header_then_the_array_bytes(self):
@@ -80,19 +101,65 @@ class TestFraming:
         t = Matrix(xs.reshape(3, 2).T, m61)
         assert tp.matrix_payload(t) == struct.pack("<II", 2, 3) + xs.reshape(3, 2).T.tobytes()
 
-    def test_truncated_frame_reports_offset(self):
-        data = tp.frame_encode(tp.HELLO, 1, 2, b"12345678")
-        with pytest.raises(FramingError, match="byte"):
-            tp.frame_decode(data[:-3])
+    # on a stream the header's length is the only frame boundary, so a frame
+    # cut short shows as the sender closing inside it
+    def test_truncated_frame_fails_as_closed_mid_frame(self):
+        tx, rx = loopback_channels()
+        tx.sock.sendall(tp.frame_encode(tp.HELLO, 1, 2, b"12345678")[:-3])
+        tx.close()
+        with pytest.raises(TransportError, match="^connection closed mid-frame$"):
+            rx.recv(tp.HELLO)
+        rx.close()
 
     def test_header_shorter_than_13(self):
-        with pytest.raises(FramingError, match="truncated"):
-            tp.frame_decode(b"\x01\x00")
+        tx, rx = loopback_channels()
+        tx.sock.sendall(b"\x01\x00")
+        tx.close()
+        with pytest.raises(TransportError, match="^connection closed mid-frame$"):
+            rx.recv()
+        rx.close()
 
     def test_unknown_tag(self):
-        data = tp.frame_encode(tp.HELLO, 1, 2, b"")
+        tx, rx = loopback_channels()
+        tx.sock.sendall(b"\x7f" + tp.frame_encode(tp.HELLO, 1, 2, b"")[1:])
         with pytest.raises(ProtocolVersionError, match="0x7f"):
-            tp.frame_decode(b"\x7f" + data[1:])
+            rx.recv()
+        tx.close()
+        rx.close()
+
+
+class TestHeaderChecks:
+    """A bad header fails its ``recv`` when it arrives, not after its payload."""
+
+    @pytest.mark.parametrize(
+        "header, expect_kind, error, match",
+        [
+            ((0xEE, 1, 2), None, ProtocolVersionError, "^unknown message tag 0xee$"),
+            ((tp.HELLO, 3, 2), None, ProtocolError,
+             "^party 2 expected a frame from 1, got one from 3$"),
+            ((tp.HELLO, 1, 7), None, ProtocolError,
+             "^party 2 got a frame from 1 addressed to party 7$"),
+            ((tp.HELLO, 1, 2), tp.MASKED_DATA, ProtocolError,
+             "^party 2 expected masked_data from 1, got hello$"),
+        ],
+        ids=["unknown-tag", "wrong-sender", "wrong-receiver", "wrong-kind"],
+    )
+    def test_bad_header_fails_before_its_payload_arrives(
+        self, monkeypatch, header, expect_kind, error, match
+    ):
+        # a recv that waits for the payload instead times out, after 5 s
+        monkeypatch.setattr(tp, "IO_TIMEOUT", 5.0)
+        tx, rx = loopback_channels()
+        try:
+            tx.sock.sendall(struct.pack("<BHHQ", *header, 8))  # the payload never comes
+            start = time.perf_counter()
+            with pytest.raises(error, match=match):
+                rx.recv(expect_kind)
+            elapsed = time.perf_counter() - start
+        finally:
+            tx.close()
+            rx.close()
+        assert elapsed < 1.0, f"rejected after {elapsed:.2f} s"
 
 
 class TestPayloads:
@@ -184,42 +251,46 @@ class TestPayloads:
 
 class TestChannels:
     def test_loopback_send_recv(self):
-        a, b = tp.loopback_pair()
-        a.send_bytes(tp.frame_encode(tp.HELLO, 1, 2, tp.u64_payload(3)))
-        frame = b.recv_frame()
+        a, b = loopback_channels()
+        a.send(tp.HELLO, tp.u64_payload(3))
+        frame = b.recv()
         a.close()
         b.close()
         assert frame.kind == tp.HELLO
         assert tp.u64_from_payload(frame.payload) == 3
 
     def test_tcp_ephemeral_port(self):
-        a, b = tcp_pair()
+        accepted, client = tcp_pair()
+        a, b = tp.Channel(accepted, 1, 2, None), tp.Channel(client, 2, 1, None)
         payload = tp.matrix_payload(random_matrix((4, 4), m61, KEY, 6))
-        b.send_bytes(tp.frame_encode(tp.MASKED_DATA, 2, 1, payload))
-        frame = a.recv_frame()
+        b.send(tp.MASKED_DATA, payload)
+        frame = a.recv(tp.MASKED_DATA)
         assert frame.payload == payload
         a.close()
         b.close()
 
     def test_tcp_peek_sender_leaves_frame_unread(self):
-        a, b = tcp_pair()
-        b.send_bytes(tp.frame_encode(tp.HELLO, 4, 0, tp.u64_payload(3)))
+        accepted, client = tcp_pair()
+        a, b = tp.Channel(accepted, 0, None, None), tp.Channel(client, 4, 0, None)
+        b.send(tp.HELLO, tp.u64_payload(3))
         assert a.peek_sender() == 4
         assert a.peek_sender() == 4
-        frame = a.recv_frame()
+        a.peer_id = 4
+        frame = a.recv(tp.HELLO)
         assert (frame.kind, frame.sender, tp.u64_from_payload(frame.payload)) == (tp.HELLO, 4, 3)
         a.close()
         b.close()
 
     def test_tcp_large_frame_arrives_intact_and_fast(self):
         # receive time must stay linear in the frame size
-        a, b = tcp_pair()
+        accepted, client = tcp_pair()
+        a, b = tp.Channel(accepted, 0, 2, None), tp.Channel(client, 2, 0, None)
         payload = bytes(range(256)) * (32 * 4096)  # 32 MiB
-        t = threading.Thread(target=b.send_bytes, args=(tp.frame_encode(tp.SELF_GRAM, 2, 0, payload),))
+        t = threading.Thread(target=b.send, args=(tp.SELF_GRAM, payload))
         start = time.perf_counter()
         t.start()
         assert a.peek_sender() == 2
-        frame = a.recv_frame()
+        frame = a.recv(tp.SELF_GRAM)
         elapsed = time.perf_counter() - start
         t.join()
         a.close()
@@ -229,17 +300,18 @@ class TestChannels:
         assert elapsed < 2.0, f"32 MiB frame took {elapsed:.2f} s"
 
     def test_interleaved_sends_preserve_per_direction_order(self):
-        a, b = tcp_pair()
+        accepted, client = tcp_pair()
+        a, b = tp.Channel(accepted, 1, 2, None), tp.Channel(client, 2, 1, None)
 
-        def sender(ep, sender_id):
+        def sender(channel):
             for i in range(20):
-                ep.send_bytes(tp.frame_encode(tp.HELLO, sender_id, 3 - sender_id, tp.u64_payload(i + 1)))
+                channel.send(tp.HELLO, tp.u64_payload(i + 1))
 
-        t1 = threading.Thread(target=sender, args=(a, 1))
-        t2 = threading.Thread(target=sender, args=(b, 2))
+        t1 = threading.Thread(target=sender, args=(a,))
+        t2 = threading.Thread(target=sender, args=(b,))
         t1.start(), t2.start()
-        got_a = [tp.u64_from_payload(a.recv_frame().payload) for _ in range(20)]
-        got_b = [tp.u64_from_payload(b.recv_frame().payload) for _ in range(20)]
+        got_a = [tp.u64_from_payload(a.recv(tp.HELLO).payload) for _ in range(20)]
+        got_b = [tp.u64_from_payload(b.recv(tp.HELLO).payload) for _ in range(20)]
         t1.join(), t2.join()
         assert got_a == list(range(1, 21))
         assert got_b == list(range(1, 21))
@@ -312,7 +384,7 @@ class TestTranscript:
     def test_channel_recv_rejects_a_frame_addressed_to_another_party(self):
         e1, e2 = tp.loopback_pair()
         c2 = tp.Channel(e2, 2, 1, tp.Transcript())
-        e1.send_bytes(tp.frame_encode(tp.HELLO, 1, 7, tp.u64_payload(1)))
+        e1.sendall(tp.frame_encode(tp.HELLO, 1, 7, tp.u64_payload(1)))
         with pytest.raises(ProtocolError, match="^party 2 got a frame from 1 addressed to party 7$"):
             c2.recv(tp.HELLO)
         e1.close()

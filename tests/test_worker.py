@@ -25,19 +25,18 @@ def _cfg(party_id: int, m: int) -> dict:
     return {"party_id": party_id, "m": m, "host": HOST, "ports": dict(enumerate(ports))}
 
 
-def _connect_as(cfg: dict, to: int, sender: int, kind: int = tp.HELLO) -> tp.TcpEndpoint:
+def _connect_as(cfg: dict, to: int, sender: int, kind: int = tp.HELLO) -> tp.Channel:
     """Connect to party ``to`` and send one frame that claims to come from ``sender``."""
-    ep = tp.tcp_connect(HOST, cfg["ports"][to])
-    payload = tp.u64_payload(2) if kind == tp.HELLO else b""
-    ep.send_bytes(tp.frame_encode(kind, sender, to, payload))
-    return ep
+    channel = tp.Channel(tp.tcp_connect(HOST, cfg["ports"][to]), sender, to, None)
+    channel.send(kind, tp.u64_payload(2) if kind == tp.HELLO else b"")
+    return channel
 
 
-def _peer_sees_close(ep: tp.TcpEndpoint) -> bool:
-    """True once the other end of ``ep`` has closed, False while it is open."""
-    ep._sock.settimeout(0.2)
+def _peer_sees_close(channel: tp.Channel) -> bool:
+    """True once the other end of ``channel`` has closed, False while it is open."""
+    channel.sock.settimeout(0.2)
     try:
-        return ep._sock.recv(1) == b""
+        return channel.sock.recv(1) == b""
     except socket.timeout:
         return False
 
@@ -48,19 +47,19 @@ def test_function_party_rejects_a_repeated_id():
     try:
         with ThreadPoolExecutor(1) as pool:
             future = pool.submit(setup_mesh, cfg, mesh)
-            eps = [_connect_as(cfg, 0, 1), _connect_as(cfg, 0, 1)]
+            peers = [_connect_as(cfg, 0, 1), _connect_as(cfg, 0, 1)]
             with pytest.raises(ProtocolError, match="claiming id 1, already connected"):
                 future.result(timeout=10)
         # the listener and the rejected connection stay open until the mesh closes
         socket.create_connection((HOST, cfg["ports"][0]), timeout=1).close()
-        assert not _peer_sees_close(eps[1])
+        assert not _peer_sees_close(peers[1])
     finally:
         mesh.close()
-    assert _peer_sees_close(eps[1])
+    assert _peer_sees_close(peers[1])
     with pytest.raises(ConnectionRefusedError):
         socket.create_connection((HOST, cfg["ports"][0]), timeout=1)
-    for ep in eps:
-        ep.close()
+    for peer in peers:
+        peer.close()
 
 
 @pytest.mark.parametrize("claimed", [2, 1, 0, 4], ids=["own", "lower", "function-party", "above-m"])
@@ -72,12 +71,12 @@ def test_input_party_accepts_only_higher_ids(claimed):
     try:
         with ThreadPoolExecutor(1) as pool:
             future = pool.submit(setup_mesh, cfg, mesh)
-            ep = _connect_as(cfg, 2, claimed)
+            peer = _connect_as(cfg, 2, claimed)
             with pytest.raises(ProtocolError, match=f"party 2 got a connection claiming id {claimed}"):
                 future.result(timeout=10)
     finally:
         mesh.close()
-    ep.close()
+    peer.close()
     for srv in lower:
         srv.close()
 
@@ -88,7 +87,7 @@ def test_first_frame_that_is_not_a_hello_fails_the_hello_phase():
     try:
         with ThreadPoolExecutor(1) as pool:
             future = pool.submit(setup_mesh, cfg, mesh)
-            eps = [_connect_as(cfg, 0, 1), _connect_as(cfg, 0, 2, kind=tp.DONE)]
+            peers = [_connect_as(cfg, 0, 1), _connect_as(cfg, 0, 2, kind=tp.DONE)]
             future.result(timeout=10)
         assert sorted(mesh.channels) == [1, 2]
         spec = SessionSpec("escaped", 2, 1, FieldDomain(), None)
@@ -96,8 +95,8 @@ def test_first_frame_that_is_not_a_hello_fails_the_hello_phase():
             run_party(spec, mesh)
     finally:
         mesh.close()
-    for ep in eps:
-        ep.close()
+    for peer in peers:
+        peer.close()
 
 
 # a party's first act as Alice raises
