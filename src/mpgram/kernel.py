@@ -80,12 +80,24 @@ def export_matrix(k: KernelMatrix, path, fmt: str = "csv") -> None:
 
 def import_matrix(path, fmt: str = "csv") -> KernelMatrix:
     """Read a kernel that ``export_matrix`` wrote.  CSV carries no sigma, and
-    JSON's ``null`` stands for none, so either gives a NaN sigma."""
+    JSON's ``null`` stands for none, so either gives a NaN sigma.
+
+    A file that cannot be read, is not UTF-8 or not JSON, or has no
+    ``"sigma"`` or no ``"rows"`` raises ``DataError``, as a bad CSV file does.
+    """
     if fmt == "csv":
         return KernelMatrix(load_real_csv(path), sigma=float("nan"))
     if fmt == "json":
-        with open(path) as fh:
-            doc = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except OSError as exc:
+            raise DataError(exc.strerror) from None
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+            raise DataError(f"not a JSON kernel file: {exc}") from None
+        missing = [key for key in ("sigma", "rows") if not isinstance(doc, dict) or key not in doc]
+        if missing:
+            raise DataError(f"JSON kernel file has no {' or '.join(map(repr, missing))}")
         sigma = float("nan") if doc["sigma"] is None else doc["sigma"]
         return KernelMatrix(np.array(doc["rows"], dtype=float), sigma=sigma)
     raise DataError(f"unknown export format {fmt!r}")

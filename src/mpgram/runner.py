@@ -51,6 +51,14 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's configuration; ``validate`` checks it, and ``run`` calls that first.
+
+    ``verify`` defaults to True here: ``run`` then also computes the
+    test-only plaintext oracle and the protocol's leakage recheck (module
+    docstring), which a timed library call pays for too.  The CLI's
+    ``--verify`` is off by default.
+    """
+
     protocol: str
     m: int
     features: int

@@ -302,9 +302,19 @@ def tcp_accept(srv: socket.socket) -> socket.socket:
     return sock
 
 
-def tcp_connect(host: str, port: int, retries: int = 200, delay: float = 0.025) -> socket.socket:
+def tcp_connect(host: str, port: int, retries: int = 205, delay: float = 0.025) -> socket.socket:
+    """A socket connected to ``host:port`` within ``retries`` attempts.
+
+    After a failed attempt it waits 1 ms, twice as long after each further
+    one, up to ``delay``: a peer that is about to listen is reached within
+    a few ms, and the defaults wait 5.006 s in all before giving up.
+    """
     last = None
-    for _ in range(retries):
+    wait = min(0.001, delay)
+    for attempt in range(retries):
+        if attempt:
+            time.sleep(wait)
+            wait = min(2 * wait, delay)
         try:
             sock = socket.create_connection((host, port), timeout=10.0)
             sock.settimeout(IO_TIMEOUT)
@@ -312,7 +322,6 @@ def tcp_connect(host: str, port: int, retries: int = 200, delay: float = 0.025) 
             return sock
         except OSError as exc:
             last = exc
-            time.sleep(delay)
     raise TransportError(f"cannot connect to {host}:{port}: {last}")
 
 

@@ -13,6 +13,16 @@ its own job and loads only that job.  The parent plays job 0 while a
 reaper thread waits for the children.  So one job, the form for a party on
 its own host, forks nothing, and several start a whole localhost run from
 one interpreter, whose job 0 is the function party, which holds no key.
+
+Before the fork the process has imported every module a party runs, and
+no other: the package's ``__init__`` resolves its names lazily, so
+``runner``, ``kernel``, ``costs``, ``dare`` and ``cli`` stay unloaded,
+and this module imports ``field``, whose classes a job's pickle names,
+and the ``idna`` codec that ``socket.getaddrinfo`` needs to connect.  A
+module first imported after the fork would be imported in every party
+process, each compiling it anew where no byte code is cached; one
+imported before is shared by all of them copy-on-write.
+
 Every job's exit code goes to stdout as one ``<job index> <code>`` line,
 in the order the jobs end.  On the first nonzero code the other children
 are killed and reaped, and the process ends: a child's failure ends it
@@ -52,6 +62,7 @@ party's peek then completes once the next higher party's hello arrives.
 from __future__ import annotations
 
 import atexit
+import encodings.idna  # noqa: F401 - socket.getaddrinfo encodes a host name with it
 import functools
 import os
 import pickle
@@ -61,6 +72,7 @@ import threading
 from dataclasses import replace
 from typing import NoReturn
 
+from . import field  # noqa: F401 - a job's pickle names its domain's class
 from .errors import ProtocolError
 from .party import Mesh, PartyOutcome, play_party
 from .transport import Channel, Transcript, tcp_accept, tcp_connect, tcp_listen

@@ -133,3 +133,24 @@ class TestExport:
         k = rbf_from_gram(np.eye(2), sigma=1.0)
         with pytest.raises(DataError):
             export_matrix(k, tmp_path / "k.xml", fmt="xml")
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"sigma": 1.0, "rows": [[1.0]]}\xff', "^not a JSON kernel file: 'utf-8' codec"),
+            (b"1,2\n3,4\n", "^not a JSON kernel file: Extra data"),
+            (b'{"rows": [[1.0]]}', "^JSON kernel file has no 'sigma'$"),
+            (b'{"sigma": 1.0}', "^JSON kernel file has no 'rows'$"),
+            (b"[[1.0]]", "^JSON kernel file has no 'sigma' or 'rows'$"),
+        ],
+        ids=["not-utf8", "not-json", "no-sigma", "no-rows", "not-an-object"],
+    )
+    def test_bad_json_kernel_raises_data_error(self, tmp_path, content, message):
+        path = tmp_path / "k.json"
+        path.write_bytes(content)
+        with pytest.raises(DataError, match=message):
+            import_matrix(path, fmt="json")
+
+    def test_missing_json_kernel_raises_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="^No such file or directory$"):
+            import_matrix(tmp_path / "absent.json", fmt="json")

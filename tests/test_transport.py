@@ -404,3 +404,46 @@ class TestFailureModes:
         with pytest.raises(ProtocolError, match="empty parties"):
             check_hello_size(3, 0)
         assert check_hello_size(3, 5) == 5
+
+
+class TestConnectBackoff:
+    """``tcp_connect`` waits 1 ms after a refused connect, doubling up to ``delay``."""
+
+    @staticmethod
+    def _closed_port() -> int:
+        srv = tp.tcp_listen("127.0.0.1", 0)
+        port = srv.getsockname()[1]
+        srv.close()
+        return port
+
+    def test_waits_double_up_to_delay_for_at_least_5_s(self, monkeypatch):
+        waits = []
+        monkeypatch.setattr(tp.time, "sleep", waits.append)
+        port = self._closed_port()
+        with pytest.raises(TransportError, match=f"^cannot connect to 127.0.0.1:{port}: "):
+            tp.tcp_connect("127.0.0.1", port)
+        assert waits[:6] == pytest.approx([0.001, 0.002, 0.004, 0.008, 0.016, 0.025])
+        assert waits[5:] == [0.025] * (len(waits) - 5)
+        assert 5.0 <= sum(waits) < 5.1
+
+    def test_no_wait_after_the_last_attempt(self, monkeypatch):
+        waits = []
+        monkeypatch.setattr(tp.time, "sleep", waits.append)
+        with pytest.raises(TransportError):
+            tp.tcp_connect("127.0.0.1", self._closed_port(), retries=3, delay=0.003)
+        assert waits == pytest.approx([0.001, 0.002])
+
+    def test_connects_once_the_peer_listens(self, monkeypatch):
+        port = self._closed_port()
+        waits, listeners = [], []
+
+        def sleep(seconds):
+            waits.append(seconds)
+            if len(waits) == 3:
+                listeners.append(tp.tcp_listen("127.0.0.1", port))
+
+        monkeypatch.setattr(tp.time, "sleep", sleep)
+        sock = tp.tcp_connect("127.0.0.1", port)
+        sock.close()
+        listeners[0].close()
+        assert waits == pytest.approx([0.001, 0.002, 0.004])

@@ -1,5 +1,6 @@
 """The TCP worker: which connections a party accepts, and as whom; the single-job form."""
 
+import json
 import os
 import pickle
 import socket
@@ -170,3 +171,34 @@ def test_single_job_form_matches_a_loopback_run_and_blames_a_failed_party(tmp_pa
     assert err.splitlines()[-1] == "RuntimeError: injected"
     with pytest.raises(ProtocolError, match="^party 2 failed: injected$"):
         collect_outcomes(_outcomes(jobs), cfg.m)
+
+
+# modules that no party runs
+PARTY_FREE = ("mpgram.runner", "mpgram.kernel", "mpgram.costs", "mpgram.dare", "mpgram.cli")
+
+LOAD_JOBS = """
+import json, pickle, sys
+import mpgram.worker
+loaded = set(sys.modules)
+for path in sys.argv[1:]:
+    with open(path, "rb") as fh:
+        pickle.load(fh)
+print(json.dumps({"loaded": sorted(loaded), "added": sorted(set(sys.modules) - loaded)}))
+"""
+
+
+@pytest.mark.parametrize("domain", ["field", "float"])
+def test_a_party_process_imports_no_module_after_its_fork(tmp_path, domain):
+    # the launcher forks right after its imports; a module first imported by a
+    # job's pickle would be imported again in every party process
+    cfg = RunConfig(protocol="escaped", m=2, features=2, samples=(1, 2), domain=domain, verify=False)
+    jobs = _write_jobs(tmp_path, cfg, run(cfg).party_data)
+    src = os.path.dirname(os.path.dirname(party.__file__))
+    paths = [src, *os.environ.get("PYTHONPATH", "").split(os.pathsep)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    out = subprocess.run([sys.executable, "-c", LOAD_JOBS, *map(str, jobs.values())],
+                         env=env, capture_output=True, text=True, timeout=60, check=True)
+    modules = json.loads(out.stdout)
+    assert "mpgram.field" in modules["loaded"]
+    assert [name for name in PARTY_FREE if name in modules["loaded"]] == []
+    assert modules["added"] == []
