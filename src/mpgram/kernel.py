@@ -82,8 +82,8 @@ def import_matrix(path, fmt: str = "csv") -> KernelMatrix:
     """Read a kernel that ``export_matrix`` wrote.  CSV carries no sigma, and
     JSON's ``null`` stands for none, so either gives a NaN sigma.
 
-    A file that cannot be read, is not UTF-8 or not JSON, or has no
-    ``"sigma"`` or no ``"rows"`` raises ``DataError``, as a bad CSV file does.
+    A file that cannot be read, is not UTF-8 or not JSON, or lacks a numeric or ``null``
+    ``"sigma"`` or rectangular numeric ``"rows"`` raises ``DataError``, as a bad CSV file does.
     """
     if fmt == "csv":
         return KernelMatrix(load_real_csv(path), sigma=float("nan"))
@@ -98,6 +98,12 @@ def import_matrix(path, fmt: str = "csv") -> KernelMatrix:
         missing = [key for key in ("sigma", "rows") if not isinstance(doc, dict) or key not in doc]
         if missing:
             raise DataError(f"JSON kernel file has no {' or '.join(map(repr, missing))}")
-        sigma = float("nan") if doc["sigma"] is None else doc["sigma"]
-        return KernelMatrix(np.array(doc["rows"], dtype=float), sigma=sigma)
+        sigma, rows = doc["sigma"], doc["rows"]
+        if sigma is not None and type(sigma) not in (int, float):
+            raise DataError(f"JSON kernel file's sigma is not a number or null: {sigma!r}")
+        if not (isinstance(rows, list) and rows and all(
+                isinstance(row, list) and len(row) == len(rows[0])
+                and all(type(v) in (int, float) for v in row) for row in rows)):
+            raise DataError("JSON kernel file's rows are not rectangular lists of numbers")
+        return KernelMatrix(np.array(rows, dtype=float), float("nan") if sigma is None else sigma)
     raise DataError(f"unknown export format {fmt!r}")

@@ -47,7 +47,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, inf
 
 import numpy as np
 
@@ -85,6 +85,7 @@ from .scheme import (
 
 ESCAPED = "escaped"
 RE = "re"
+OUTCOME_FILE = "outcome.pickle"  # a TCP party process's outcome, beside its job
 
 # Part labels: the first element of an owed-part key.
 SELF, ALPHA, A1, B1, B2 = "self gram", "alpha", "A1", "B1", "B2"
@@ -123,6 +124,13 @@ class PartyOutcome:
     entries: list  # TranscriptEntry of every frame the party sent
     result: FunctionPartyResult | None = None  # the function party's, on success
     failure: tuple | None = None  # (time.monotonic(), exception) if the party failed
+
+
+def exit_outcome(party_id: int, code: int, stderr: str) -> PartyOutcome:
+    """The outcome of a party process that exited with ``code`` and left none: failed at
+    -inf, before every recorded failure, as its peers fail on the sockets its exit closes."""
+    tail = "".join(stderr.strip().splitlines()[-1:])
+    return PartyOutcome(party_id, [], failure=(-inf, ProtocolError(f"exited {code}: {tail}")))
 
 
 def play_party(spec: SessionSpec, mesh, data: Matrix, record, connect=None) -> PartyOutcome:

@@ -5,7 +5,8 @@ run starts one interpreter, ``python -m mpgram.worker`` with every party's
 job, and a single-threaded OpenBLAS: it forks one process per input party,
 plays the function party itself, and reaps its children (``mpgram.worker``).
 Each party's process loads only its own job and hands its
-``PartyOutcome`` back in a pickle file.  On both, one collector merges
+``PartyOutcome`` back in a pickle file, which the launcher writes for a
+child that exited nonzero without one.  On both, one collector merges
 the parties' sender-side transcripts and blames the earliest failure.
 Each party gets its own copy of the ``SessionSpec``, which carries only
 its own key (``party_specs``; see ``mpgram.seeds``).
@@ -43,7 +44,8 @@ from .errors import ConfigError, DataError, MpgramError, ProtocolError
 from .field import make_domain
 from .kernel import KernelMatrix, rbf_from_gram
 from .matrix import Matrix, encode_real_matrix, gram_t, load_real_csv, save_csv
-from .party import FunctionPartyResult, PartyOutcome, SessionSpec, build_loopback_meshes, play_party
+from .party import (OUTCOME_FILE, FunctionPartyResult, SessionSpec, build_loopback_meshes,
+                    exit_outcome, play_party)
 from .seeds import derive_seed, party_key
 
 SCHEMA_VERSION = 1
@@ -361,94 +363,75 @@ def _free_ports(count: int) -> list:
     return ports
 
 
-def _wait_launcher(proc) -> int | None:
-    """The launcher's exit code, polled every 5 ms; None if it outlives ``PARTY_TIMEOUT_S``.
+def _wait_launcher(proc) -> tuple:
+    """The launcher's exit code and stderr; the code is None if it outlives ``PARTY_TIMEOUT_S``.
 
     The launcher stops and reaps its own children (``mpgram.worker``).  Only
     past the deadline, or if this wait is interrupted, does the runner kill
     the launcher's whole session, whose orphans it cannot reap.
     """
-    deadline = time.monotonic() + PARTY_TIMEOUT_S
     try:
-        while proc.poll() is None and time.monotonic() < deadline:
-            time.sleep(0.005)
-        return proc.returncode
+        _, err = proc.communicate(timeout=PARTY_TIMEOUT_S)
+        return proc.returncode, err.decode(errors="replace")
+    except subprocess.TimeoutExpired:
+        return None, ""
     finally:
         if proc.returncode is None:
             os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait()
+            proc.communicate()
 
 
-def _first_failure(exit_log: str):
-    """(party id, code) of the first nonzero line of the launcher's exit log, or None."""
-    with open(exit_log) as fh:
-        for line in fh:
-            party, code = map(int, line.split())
-            if code != 0:
-                return party, code
-    return None
+def _write_jobs(rundir: str, specs: dict, data: dict, ports: dict) -> list:
+    """Pickle party i's job, with its own spec and data, to ``<rundir>/party_i/job.pickle``
+    for ids 0..m; returns the paths.  Its process writes its outcome beside it."""
+    jobs = []
+    for pid, spec in specs.items():  # ids 0..m, so job k is party k's
+        jobs.append(os.path.join(rundir, f"party_{pid}", "job.pickle"))
+        os.mkdir(os.path.dirname(jobs[-1]))
+        job = {"spec": spec, "party_id": pid, "host": "127.0.0.1", "ports": ports,
+               "data": data.get(pid)}
+        with open(jobs[-1], "wb") as fh:
+            pickle.dump(job, fh)
+    return jobs
 
 
 def _run_tcp(config: RunConfig, specs: dict, data: dict) -> list:
     """Every party as a process of one ``python -m mpgram.worker job_0 .. job_m``
     launch; returns their outcomes.
 
-    The launcher plays the function party's job 0 and forks one process per
-    input party (``mpgram.worker``).  Party i's job carries its own spec, so
-    only its own key, and its own encoded data (none for the function party);
-    the job and the files its process writes sit in a subdirectory
-    ``party_i`` of its own.  Each party process runs its ``atexit`` handlers,
-    then ends without the interpreter's teardown (``mpgram.worker``).  A party
-    whose nonzero exit ended the run without an outcome that loads gets one
-    here, failed after every recorded failure with its exit code and last
-    stderr line: the collector blames it only if no party recorded one."""
+    The launcher plays the function party's job 0, forks one process per
+    input party, and writes the outcome of a child that exited nonzero
+    without one (``mpgram.worker``).  So the runner reads only the outcome
+    files and the launcher's stderr: only if the launcher exits nonzero
+    with no outcome of its own and no party recorded a failure is the
+    function party blamed, by the launcher's exit code and last stderr line.
+    """
     rundir = tempfile.mkdtemp(prefix="mpgram-run-")
     try:
         if config.base_port:
             ports = {i: config.base_port + i for i in range(config.m + 1)}
         else:
             ports = dict(enumerate(_free_ports(config.m + 1)))
-
+        jobs = _write_jobs(rundir, specs, data, ports)
         # a party's BLAS calls are small: OpenBLAS's thread pool would only add
         # start-up time and spinning helper threads to each party
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mpgram.worker", *jobs],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env, start_new_session=True,
+        )
+        code, err = _wait_launcher(proc)
 
-        def path(pid, name):
-            return os.path.join(rundir, f"party_{pid}", name)
-
-        jobs = []
-        for pid, spec in specs.items():  # ids 0..m, so job k is party k's
-            os.mkdir(path(pid, ""))
-            job = {"spec": spec, "party_id": pid, "host": "127.0.0.1", "ports": ports,
-                   "data": data.get(pid), "out_path": path(pid, "outcome.pickle")}
-            jobs.append(path(pid, "job.pickle"))
-            with open(jobs[-1], "wb") as fh:
-                pickle.dump(job, fh)
-        exit_log = os.path.join(rundir, "exits.txt")
-        with open(exit_log, "wb") as log, open(path(tp.FUNCTION_PARTY_ID, "err.txt"), "wb") as err:
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "mpgram.worker", *jobs],
-                stdout=log, stderr=err, env=env, start_new_session=True,
-            )
-        code = _wait_launcher(proc)
-
-        outcomes = {}
-        for pid in specs:
+        outcomes = []
+        for job in jobs:
             try:
-                with open(path(pid, "outcome.pickle"), "rb") as fh:
-                    outcomes[pid] = pickle.load(fh)
+                with open(os.path.join(os.path.dirname(job), OUTCOME_FILE), "rb") as fh:
+                    outcomes.append(pickle.load(fh))
             except Exception:  # noqa: BLE001 - no file, or one that does not load
                 pass
-        first_exit = None
-        if code:  # nonzero; None past the deadline blames no exit
-            first_exit = _first_failure(exit_log) or (tp.FUNCTION_PARTY_ID, code)
-        if first_exit is not None and first_exit[0] not in outcomes:
-            pid, code = first_exit
-            with open(path(pid, "err.txt"), errors="replace") as fh:
-                tail = "".join(fh.read().strip().splitlines()[-1:])
-            exc = ProtocolError(f"exited {code}: {tail}")
-            outcomes[pid] = PartyOutcome(pid, [], failure=(math.inf, exc))
-        return list(outcomes.values())
+        if code and all(o.party_id != tp.FUNCTION_PARTY_ID and o.failure is None for o in outcomes):
+            outcomes.append(exit_outcome(tp.FUNCTION_PARTY_ID, code, err))
+        return outcomes
     finally:
         shutil.rmtree(rundir, ignore_errors=True)
 

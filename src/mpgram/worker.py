@@ -2,17 +2,17 @@
 
 Each job is a pickled dict: ``spec`` (the party's own ``SessionSpec``,
 which holds its own key and no other), ``party_id``, ``host``, ``ports``
-(one per id 0..m), ``data`` (the party's own encoded ``Matrix``, None for
-the function party) and ``out_path``, where ``party.play_party`` pickles
-the ``PartyOutcome`` before any socket of the mesh closes.  A failed party
-then re-raises, so its process exits 1.
+(one per id 0..m) and ``data`` (the party's own encoded ``Matrix``, None
+for the function party).  ``party.play_party`` pickles the
+``PartyOutcome`` to ``outcome.pickle`` beside the job before any socket
+of the mesh closes.  A failed party then re-raises, so its process exits 1.
 
 Before it reads any job or starts any thread, the process forks one child
 per job after the first; each child sends its stderr to ``err.txt`` beside
 its own job and loads only that job.  The parent plays job 0 while a
 reaper thread waits for the children.  So one job, the form for a party on
 its own host, forks nothing, and several start a whole localhost run from
-one interpreter, whose job 0 is the function party, which holds no key.
+one interpreter, whose job k is party k's: job 0 is the keyless function party.
 
 Before the fork the process has imported every module a party runs, and
 no other: the package's ``__init__`` resolves its names lazily, so
@@ -23,12 +23,13 @@ module first imported after the fork would be imported in every party
 process, each compiling it anew where no byte code is cached; one
 imported before is shared by all of them copy-on-write.
 
-Every job's exit code goes to stdout as one ``<job index> <code>`` line,
-in the order the jobs end.  On the first nonzero code the other children
-are killed and reaped, and the process ends: a child's failure ends it
-with exit 1 once the rest are reaped (``_Children.stop``), job 0's as that
-party's own error.  So every process of a run is reaped by its parent, on
-every path.
+A child that exits nonzero on its own, not by the launcher's kill, and
+left no outcome gets one from the launcher (``party.exit_outcome``, with
+its ``err.txt``'s last line).  On the first nonzero code the other
+children are killed and reaped, and the process ends: a child's failure
+ends it with exit 1 once the rest are reaped (``_Children.stop``), job 0's
+as that party's own error.  So every process of a run is reaped by its
+parent, on every path.
 
 Every party's process, in either form, ends as ``multiprocessing`` ends a
 forked child (``_exit``): the exit code is the one the interpreter would
@@ -74,7 +75,7 @@ from typing import NoReturn
 
 from . import field  # noqa: F401 - a job's pickle names its domain's class
 from .errors import ProtocolError
-from .party import Mesh, PartyOutcome, play_party
+from .party import OUTCOME_FILE, Mesh, PartyOutcome, exit_outcome, play_party
 from .transport import Channel, Transcript, tcp_accept, tcp_connect, tcp_listen
 
 
@@ -134,12 +135,12 @@ def _portable(exc: BaseException) -> bool:
 def play_job(path: str, record=write_outcome) -> int:
     """Play the party whose job is pickled at ``path``; a failed party re-raises its error.
 
-    ``record(out_path, outcome)`` hands the outcome back.
+    ``record(path, outcome)`` hands the outcome back, to ``OUTCOME_FILE`` beside the job.
     """
     with open(path, "rb") as fh:
         job = pickle.load(fh)
     mesh = Mesh(job["party_id"], {}, Transcript())
-    record = functools.partial(record, job["out_path"])
+    record = functools.partial(record, os.path.join(os.path.dirname(path), OUTCOME_FILE))
     connect = functools.partial(setup_mesh, job)
     outcome = play_party(job["spec"], mesh, job["data"], record, connect=connect)
     if outcome.failure is not None:
@@ -148,19 +149,27 @@ def play_job(path: str, record=write_outcome) -> int:
 
 
 class _Children:
-    """A launcher's forked parties: logs each job's exit and stops the rest on a failure."""
+    """A launcher's forked parties: hands back one that died without an outcome."""
 
-    def __init__(self):
+    def __init__(self, jobs: list):
+        self.jobs = jobs  # job paths; job k is party k's
         self.running = {}  # pid -> job index
         self.failed = None  # job index of the first nonzero exit
         self.recorded = False  # whether the function party has recorded its outcome
         self._lock = threading.Lock()
 
     def ended(self, job: int, code: int) -> None:
-        """Log ``job``'s exit code on stdout; the first nonzero one kills every running child."""
+        """Note ``job``'s exit; the first nonzero code kills every running child.  A child
+        exiting nonzero not by that kill gets ``party.exit_outcome`` unless it left one."""
         with self._lock:
-            os.write(1, f"{job} {code}\n".encode())
-            if code != 0 and self.failed is None:
+            if code == 0 or self.failed is not None and code == -signal.SIGKILL:
+                return
+            where = os.path.dirname(self.jobs[job])
+            out = os.path.join(where, OUTCOME_FILE)
+            if job != 0 and not os.path.exists(out):
+                with open(os.path.join(where, "err.txt"), errors="replace") as err:
+                    write_outcome(out, exit_outcome(job, code, err.read()))
+            if self.failed is None:
                 self.failed = job
                 for pid in self.running:
                     try:
@@ -169,16 +178,9 @@ class _Children:
                         pass
 
     def record(self, path: str, outcome: PartyOutcome) -> None:
-        """Write the launcher's own outcome, unless a child's failure came first.
-
-        The children killed on that failure close their sockets, and the
-        function party would otherwise record the consequence as a failure
-        of its own, earlier than the child's exit.
-        """
-        with self._lock:
-            self.recorded = True
-            if self.failed is None:
-                write_outcome(path, outcome)
+        """Write the launcher's own outcome; from then on ``stop`` leaves its party be."""
+        self.recorded = True
+        write_outcome(path, outcome)
 
     def reap(self) -> None:
         """Reap every child; if one of them failed first, then stop the main thread."""
@@ -236,22 +238,21 @@ def main(argv=None) -> int:
         print("usage: python -m mpgram.worker <job.pickle> [<job.pickle> ...]", file=sys.stderr)
         return 2
 
-    children = _Children()
+    children = _Children(argv)
     sys.stdout.flush()
     sys.stderr.flush()
     for k, path in enumerate(argv[1:], start=1):
-        try:
+        try:  # the parent creates err.txt, so ``ended`` finds one for every child
+            err = open(os.path.join(os.path.dirname(path), "err.txt"), "wb")
             pid = os.fork()
         except BaseException:
             children.ended(0, 1)
             children.reap()
             raise
         if pid == 0:
-            with open(os.devnull, "wb") as null, \
-                    open(os.path.join(os.path.dirname(path), "err.txt"), "wb") as err:
-                os.dup2(null.fileno(), 1)
-                os.dup2(err.fileno(), 2)
+            os.dup2(err.fileno(), 2)
             _exit(functools.partial(play_job, path))
+        err.close()
         children.running[pid] = k
 
     signal.signal(signal.SIGUSR1, children.stop)
@@ -260,7 +261,7 @@ def main(argv=None) -> int:
     code = 1
     try:
         code = play_job(argv[0], children.record)
-    except SystemExit as exc:  # logged as the status it gives this process
+    except SystemExit as exc:  # noted as the status it gives this process
         code = _status(exc.code)
         raise
     finally:

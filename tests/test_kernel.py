@@ -134,6 +134,9 @@ class TestExport:
         with pytest.raises(DataError):
             export_matrix(k, tmp_path / "k.xml", fmt="xml")
 
+    ROWS_MESSAGE = "^JSON kernel file's rows are not rectangular lists of numbers$"
+    SIGMA_MESSAGE = "^JSON kernel file's sigma is not a number or null: "
+
     @pytest.mark.parametrize(
         "content, message",
         [
@@ -142,8 +145,18 @@ class TestExport:
             (b'{"rows": [[1.0]]}', "^JSON kernel file has no 'sigma'$"),
             (b'{"sigma": 1.0}', "^JSON kernel file has no 'rows'$"),
             (b"[[1.0]]", "^JSON kernel file has no 'sigma' or 'rows'$"),
+            (b'{"sigma": 1.0, "rows": [[1.0, 2.0], [3.0]]}', ROWS_MESSAGE),
+            (b'{"sigma": 1.0, "rows": [["a"]]}', ROWS_MESSAGE),
+            (b'{"sigma": 1.0, "rows": 5}', ROWS_MESSAGE),
+            (b'{"sigma": 1.0, "rows": []}', ROWS_MESSAGE),
+            (b'{"sigma": 1.0, "rows": [1.0]}', ROWS_MESSAGE),
+            (b'{"sigma": 1.0, "rows": [[true]]}', ROWS_MESSAGE),
+            (b'{"sigma": "x", "rows": [[1.0]]}', SIGMA_MESSAGE + "'x'$"),
+            (b'{"sigma": true, "rows": [[1.0]]}', SIGMA_MESSAGE + "True$"),
         ],
-        ids=["not-utf8", "not-json", "no-sigma", "no-rows", "not-an-object"],
+        ids=["not-utf8", "not-json", "no-sigma", "no-rows", "not-an-object", "ragged-rows",
+             "string-entry", "number-rows", "empty-rows", "flat-rows", "bool-entry",
+             "string-sigma", "bool-sigma"],
     )
     def test_bad_json_kernel_raises_data_error(self, tmp_path, content, message):
         path = tmp_path / "k.json"

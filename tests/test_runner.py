@@ -302,6 +302,24 @@ class TestRun:
                 run(TCP_M4)
             assert time.monotonic() - t0 < 10.0
 
+    def test_tcp_party_process_that_dies_after_connecting_is_blamed(self, tmp_path, monkeypatch):
+        # party 2 dies in round 1, after its mesh and hellos; its peers, the
+        # function party included, then record failures on the sockets its exit closes
+        log = tmp_path / "pids.txt"
+        _inject_site(tmp_path, monkeypatch,
+                     SITE_EXIT_ACT_ALICE + f"\nLOG = {str(log)!r}\n" + SITE_LOG_PIDS)
+        for _ in range(10):
+            log.write_text("")
+            t0 = time.monotonic()
+            with pytest.raises(ProtocolError, match="^party 2 failed: exited 7: $"):
+                run(TCP_M4)
+            assert time.monotonic() - t0 < 10.0
+            pids = [int(pid) for pid in log.read_text().split()]
+            assert len(set(pids)) == TCP_M4.m + 1
+            for pid in pids:  # gone and reaped, as in test_no_party_process_outlives_a_tcp_run
+                with pytest.raises(ProcessLookupError):
+                    os.kill(pid, 0)
+
     def test_tcp_run_blames_a_party_whose_error_does_not_unpickle(self, tmp_path, monkeypatch):
         # NeedsTwo cannot be rebuilt from its args: the worker hands it back by name
         _inject_site(tmp_path, monkeypatch, SITE_INJECT_NEEDS_TWO)
@@ -429,6 +447,24 @@ _act_alice = party._EscapedParty.act_alice
 def act_alice(self, bob_id):
     if self.state.party_id == 2:
         raise RuntimeError("injected")
+    _act_alice(self, bob_id)
+
+
+party._EscapedParty.act_alice = act_alice
+"""
+
+# party 2's process dies at its first act as Alice, without a word or an outcome
+SITE_EXIT_ACT_ALICE = """
+import os
+
+from mpgram import party
+
+_act_alice = party._EscapedParty.act_alice
+
+
+def act_alice(self, bob_id):
+    if self.state.party_id == 2:
+        os._exit(7)
     _act_alice(self, bob_id)
 
 
@@ -662,9 +698,9 @@ class TestPartyKeys:
         assert list(jobs) == [0, 1, 2, 3]  # job 0, the launcher's own, is the function party's
         assert len({where for where, _, _ in jobs.values()}) == 4
         for i, (where, blob, job) in jobs.items():
-            assert set(job) == {"spec", "party_id", "host", "ports", "data", "out_path"}
+            assert set(job) == {"spec", "party_id", "host", "ports", "data"}
             assert job["spec"].key == keys.get(i)
-            assert os.path.dirname(job["out_path"]) == where
+            assert os.path.basename(where) == f"party_{i}"
             assert job["data"] is None if i == 0 else job["data"] == res.party_data[i]
             _assert_holds_no_other_secret(blob, keys.get(i), keys)
 

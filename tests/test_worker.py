@@ -7,10 +7,11 @@ import socket
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
-from mpgram import party
+from mpgram import party, runner
 from mpgram import transport as tp
 from mpgram.errors import ProtocolError
 from mpgram.field import FieldDomain, make_domain
@@ -114,18 +115,13 @@ party._EscapedParty.act_alice = act_alice
 
 
 def _write_jobs(rundir, cfg: RunConfig, data: dict) -> dict:
-    """{party id: job path}, written as ``runner._run_tcp`` writes them: one
-    directory per party, free ports, each party's own spec and data."""
+    """{party id: job path}, written by ``runner._write_jobs`` into ``rundir``
+    with free ports and each party's own spec and data."""
+    rundir.mkdir(parents=True, exist_ok=True)
+    specs = party_specs(cfg, make_domain(cfg.domain, cfg.scale_bits))
     ports = dict(enumerate(_free_ports(cfg.m + 1)))
-    jobs = {}
-    for pid, spec in party_specs(cfg, make_domain(cfg.domain, cfg.scale_bits)).items():
-        where = rundir / f"party_{pid}"
-        where.mkdir(parents=True)
-        job = {"spec": spec, "party_id": pid, "host": HOST, "ports": ports,
-               "data": data.get(pid), "out_path": str(where / "outcome.pickle")}
-        jobs[pid] = where / "job.pickle"
-        jobs[pid].write_bytes(pickle.dumps(job))
-    return jobs
+    jobs = runner._write_jobs(str(rundir), specs, data, ports)
+    return {pid: Path(job) for pid, job in enumerate(jobs)}
 
 
 def _play_single_jobs(jobs: dict, site_dirs: dict) -> dict:
