@@ -366,9 +366,11 @@ def _free_ports(count: int) -> list:
 def _wait_launcher(proc) -> tuple:
     """The launcher's exit code and stderr; the code is None if it outlives ``PARTY_TIMEOUT_S``.
 
-    The launcher stops and reaps its own children (``mpgram.worker``).  Only
-    past the deadline, or if this wait is interrupted, does the runner kill
-    the launcher's whole session, whose orphans it cannot reap.
+    The launcher stops and reaps its own children (``mpgram.worker``), but
+    a launcher that dies leaves them running.  So after every launch the
+    runner kills what is left of the launcher's session, and then reaps the
+    launcher if it has not yet.  The kernel reuses no PID that is still a
+    process group's ID, so the kill reaches the launcher's group or none.
     """
     try:
         _, err = proc.communicate(timeout=PARTY_TIMEOUT_S)
@@ -376,8 +378,11 @@ def _wait_launcher(proc) -> tuple:
     except subprocess.TimeoutExpired:
         return None, ""
     finally:
-        if proc.returncode is None:
+        try:
             os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:  # the launcher left nothing running
+            pass
+        if proc.returncode is None:
             proc.communicate()
 
 
@@ -401,10 +406,10 @@ def _run_tcp(config: RunConfig, specs: dict, data: dict) -> list:
 
     The launcher plays the function party's job 0, forks one process per
     input party, and writes the outcome of a child that exited nonzero
-    without one (``mpgram.worker``).  So the runner reads only the outcome
-    files and the launcher's stderr: only if the launcher exits nonzero
-    with no outcome of its own and no party recorded a failure is the
-    function party blamed, by the launcher's exit code and last stderr line.
+    without one (``mpgram.worker``).  The runner applies the same rule to
+    the launcher: if it exits nonzero with no function-party outcome, the
+    function party is blamed by its exit code and last stderr line.  So the
+    runner reads only the outcome files and the launcher's stderr.
     """
     rundir = tempfile.mkdtemp(prefix="mpgram-run-")
     try:
@@ -429,7 +434,7 @@ def _run_tcp(config: RunConfig, specs: dict, data: dict) -> list:
                     outcomes.append(pickle.load(fh))
             except Exception:  # noqa: BLE001 - no file, or one that does not load
                 pass
-        if code and all(o.party_id != tp.FUNCTION_PARTY_ID and o.failure is None for o in outcomes):
+        if code and all(o.party_id != tp.FUNCTION_PARTY_ID for o in outcomes):
             outcomes.append(exit_outcome(tp.FUNCTION_PARTY_ID, code, err))
         return outcomes
     finally:

@@ -173,22 +173,16 @@ def pair_scalars_from_payload(b: bytes, domain) -> tuple:
     return alice, bob, tag, xs
 
 
+# the bytes each kind's payload carries before its 8-byte elements
+_PREFIX_BYTES = {HELLO: 8, DONE: 0, ALPHA: 4, MASKED_DATA: 8, MASKED_MASK: 8, SELF_GRAM: 8,
+                 PAIR_RESULT: 13, RE_RANDOMS: 9, RE_COMPONENTS: 9}
+
+
 def payload_elements(kind: int, payload: bytes) -> int:
     """Protocol scalar count of a payload; framing metadata is not counted."""
-    if kind in (HELLO, DONE):
-        return 0
-    if kind == ALPHA:
-        return 1
-    if kind in (MASKED_DATA, MASKED_MASK, SELF_GRAM):
-        rows, cols = struct.unpack_from("<II", payload)
-        return rows * cols
-    if kind == PAIR_RESULT:
-        rows, cols = struct.unpack_from("<II", payload, 5)
-        return rows * cols
-    if kind in (RE_RANDOMS, RE_COMPONENTS):
-        (n,) = struct.unpack_from("<I", payload, 5)
-        return n
-    raise ProtocolVersionError(f"unknown message tag 0x{kind:02x}")
+    if kind not in _PREFIX_BYTES:
+        raise ProtocolVersionError(f"unknown message tag 0x{kind:02x}")
+    return (len(payload) - _PREFIX_BYTES[kind]) // 8
 
 
 # -- transcript ------------------------------------------------------------

@@ -23,13 +23,16 @@ module first imported after the fork would be imported in every party
 process, each compiling it anew where no byte code is cached; one
 imported before is shared by all of them copy-on-write.
 
-A child that exits nonzero on its own, not by the launcher's kill, and
-left no outcome gets one from the launcher (``party.exit_outcome``, with
-its ``err.txt``'s last line).  On the first nonzero code the other
-children are killed and reaped, and the process ends: a child's failure
-ends it with exit 1 once the rest are reaped (``_Children.stop``), job 0's
-as that party's own error.  So every process of a run is reaped by its
-parent, on every path.
+One exit rule serves every party process: one that exits nonzero and
+left no outcome is blamed by its exit (``party.exit_outcome``, failed at
+-inf, with its stderr's last line), and whoever started it applies the
+rule and ends what it leaves behind.  The launcher does so for a child
+that exits nonzero on its own, not by the launcher's kill (with its
+``err.txt``), and the runner for the launcher.  On the first nonzero code
+the other children are killed and reaped, and the process ends: job 0's
+as that party's own error, a child's with exit 1 once the rest are
+reaped and the function party has an outcome (``_Children.stop``).  So
+the launcher leaves a function-party outcome unless its process dies.
 
 Every party's process, in either form, ends as ``multiprocessing`` ends a
 forked child (``_exit``): the exit code is the one the interpreter would
@@ -70,6 +73,7 @@ import pickle
 import signal
 import sys
 import threading
+import time
 from dataclasses import replace
 from typing import NoReturn
 
@@ -193,16 +197,13 @@ class _Children:
             signal.pthread_kill(threading.main_thread().ident, signal.SIGUSR1)
 
     def stop(self, signum, frame) -> None:
-        """SIGUSR1 handler: ends an unrecorded function party, which may wait in ``accept``."""
+        """SIGUSR1 handler: ends an unrecorded function party, which may wait in ``accept``
+        for a child that is gone, with its own failure, later than that child's."""
         if not self.recorded:
+            failure = (time.monotonic(), ProtocolError(f"stopped: party {self.failed} failed"))
+            self.record(os.path.join(os.path.dirname(self.jobs[0]), OUTCOME_FILE),
+                        PartyOutcome(0, [], failure=failure))
             raise SystemExit(1)
-
-
-def _status(code) -> int:
-    """The exit status the interpreter gives for ``sys.exit(code)``."""
-    if code is None:
-        return 0
-    return code if isinstance(code, int) else 1
 
 
 def _exit(body) -> NoReturn:
@@ -220,9 +221,11 @@ def _exit(body) -> NoReturn:
     except BaseException:  # noqa: BLE001 - reported as the interpreter would
         sys.excepthook(*sys.exc_info())
         code = 1
-    status = _status(code)
-    if code is not None and not isinstance(code, int):
+    if code is None or isinstance(code, int):
+        status = code or 0
+    else:
         print(code, file=sys.stderr)
+        status = 1
     atexit._run_exitfuncs()
     for stream in (sys.stdout, sys.stderr):
         try:
@@ -261,9 +264,6 @@ def main(argv=None) -> int:
     code = 1
     try:
         code = play_job(argv[0], children.record)
-    except SystemExit as exc:  # noted as the status it gives this process
-        code = _status(exc.code)
-        raise
     finally:
         children.ended(0, code)
         reaper.join()

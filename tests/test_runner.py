@@ -320,6 +320,35 @@ class TestRun:
                 with pytest.raises(ProcessLookupError):
                     os.kill(pid, 0)
 
+    @pytest.mark.parametrize("case, runs", [
+        ("exit-before-connecting", 1), ("exit-after-hellos", 10), ("sigkill-after-hellos", 10),
+    ])
+    def test_function_party_process_that_dies_is_blamed_and_no_party_process_outlives_it(
+        self, tmp_path, monkeypatch, case, runs
+    ):
+        # the launcher's own process dies: the runner blames it by its exit, as
+        # the launcher blames a child, and ends the children it leaves running
+        site = {
+            "exit-before-connecting": _site_ending(0, "import os; os._exit(9)"),
+            "exit-after-hellos": _site_function_party_ending("os._exit(9)"),
+            "sigkill-after-hellos":
+                _site_function_party_ending("os.kill(os.getpid(), signal.SIGKILL)"),
+        }[case]
+        log = tmp_path / "pids.txt"
+        _inject_site(tmp_path, monkeypatch, site + f"\nLOG = {str(log)!r}\n" + SITE_LOG_PIDS)
+        for _ in range(runs):
+            log.write_text("")
+            t0 = time.monotonic()
+            with pytest.raises(ProtocolError, match=r"^function party failed: exited -?9: $"):
+                run(TCP_M4)
+            assert time.monotonic() - t0 < 10.0
+            pids = {int(pid) for pid in log.read_text().split()}
+            assert len(pids) == TCP_M4.m + 1
+            deadline = time.monotonic() + 2.0  # a process killed by signal runs on briefly
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert [pid for pid in pids if _running(pid)] == []
+
     def test_tcp_run_blames_a_party_whose_error_does_not_unpickle(self, tmp_path, monkeypatch):
         # NeedsTwo cannot be rebuilt from its args: the worker hands it back by name
         _inject_site(tmp_path, monkeypatch, SITE_INJECT_NEEDS_TWO)
@@ -537,6 +566,25 @@ party.play_party = play_party
 # party 2's worker exits 1 before it connects or records anything
 SITE_EXIT_WITHOUT_OUTCOME = _site_ending(2, 'sys.exit("no outcome from 2")')
 
+
+def _site_function_party_ending(ending: str) -> str:
+    """A ``sitecustomize`` in which the function party's process runs the statement
+    ``ending`` once it has its mesh and every hello, before it reads any part."""
+    return f"""
+import os
+import signal
+
+from mpgram import party
+
+
+def function_party_session(spec, mesh):
+    {ending}
+
+
+party.function_party_session = function_party_session
+"""
+
+
 # every party's process has its pid appended to LOG: the launcher's at
 # start-up, and each input party's by the launcher as soon as ``os.fork``
 # returns it, so a child killed right after its fork is logged too
@@ -626,6 +674,16 @@ def test_collector_blames_the_earliest_failure_in_any_order():
 def test_collector_names_parties_without_an_outcome():
     with pytest.raises(ProtocolError, match=r"^parties \[1, 3\] handed back no outcome"):
         collect_outcomes([_outcome(0), _outcome(2)], 3)
+
+
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie; a killed orphan is
+    reaped by PID 1, not by the runner."""
+    try:
+        with open(f"/proc/{pid}/status") as fh:
+            return not re.search(r"^State:\s+Z", fh.read(), re.M)
+    except FileNotFoundError:
+        return False
 
 
 def _free_port_block(count: int) -> int:

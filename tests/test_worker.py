@@ -169,6 +169,52 @@ def test_single_job_form_matches_a_loopback_run_and_blames_a_failed_party(tmp_pa
         collect_outcomes(_outcomes(jobs), cfg.m)
 
 
+# party 2's process exits 1 before it connects or records anything, and the
+# other input parties wait, unconnected, until the launcher kills them
+SITE_EXIT_WITHOUT_OUTCOME = """
+import sys
+import time
+
+from mpgram import party
+
+_play_party = party.play_party
+
+
+def play_party(spec, mesh, data, record, connect=None):
+    if mesh.party_id == 2:
+        sys.exit("no outcome from 2")
+    if mesh.party_id != 0:
+        time.sleep(60)
+    return _play_party(spec, mesh, data, record, connect)
+
+
+party.play_party = play_party
+"""
+
+
+def test_a_launcher_that_stops_its_function_party_hands_back_that_partys_outcome(tmp_path):
+    # the function party waits in accept for parties that never connect until
+    # the launcher stops it; it still hands back a failure of its own, after party 2's
+    cfg = RunConfig(protocol="escaped", m=3, features=2, samples=(1, 2, 1), verify=False)
+    jobs = _write_jobs(tmp_path / "run", cfg, run(cfg).party_data)
+    (tmp_path / "site").mkdir()
+    (tmp_path / "site" / "sitecustomize.py").write_text(SITE_EXIT_WITHOUT_OUTCOME)
+    src = os.path.dirname(os.path.dirname(party.__file__))
+    paths = [str(tmp_path / "site"), src, *os.environ.get("PYTHONPATH", "").split(os.pathsep)]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    launch = subprocess.run([sys.executable, "-m", "mpgram.worker", *map(str, jobs.values())],
+                            env=env, stdout=subprocess.DEVNULL, timeout=60)
+    assert launch.returncode == 1
+    files = [job.parent / "outcome.pickle" for job in jobs.values()]
+    assert files[0].exists()
+    outcomes = [pickle.loads(f.read_bytes()) for f in files if f.exists()]
+    assert outcomes[0].party_id == 0
+    assert str(outcomes[0].failure[1]) == "stopped: party 2 failed"
+    with pytest.raises(ProtocolError, match="^party 2 failed: exited 1: no outcome from 2$"):
+        collect_outcomes(outcomes, cfg.m)
+
+
 # modules that no party runs
 PARTY_FREE = ("mpgram.runner", "mpgram.kernel", "mpgram.costs", "mpgram.dare", "mpgram.cli")
 
