@@ -59,7 +59,7 @@ print(f"scalars revealed to the decoder: {5 * scheme.d} (vs 14 plaintext inputs)
 # samples at once: one row of fresh randoms per sample pair (u, v), all
 # read from its own key under the label ("re", peer id, u).
 peer = field.sample(key, "peer", 4 * 7).reshape(4, 7)          # 4 peer samples
-block = pair_randoms(scheme, field, key, 2, 0, 4)              # (4, 34): u = 0, peer id 2
+block = pair_randoms(scheme, field, key, 2, 1, 4)[0]           # (4, 34): u = 0, peer id 2
 dots = decode_dot(
     field,
     encode_x_side(field, x, scheme, block),                    # (4, 7, 2)

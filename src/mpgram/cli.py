@@ -129,6 +129,11 @@ def _cmd_run(args) -> int:
         f"gram {report['gram']['n']}x{report['gram']['n']} sha256={report['gram']['sha256'][:16]}... "
         f"bytes={tot['bytes']} elements={tot['elements']}"
     )
+    headroom = [m.domain.gram_headroom(m.data) for m in result.party_data.values()]
+    if None not in headroom:
+        largest, limit = max(headroom)
+        print(f"headroom: largest encoded column squared norm {largest} of (p - 1) / 2 = "
+              f"{limit} ({largest / limit:.3g} of the limit)")
     print(f"verification: {report['verification']['status']}; audit: "
           f"{'ok' if report['audit']['ok'] else 'FAILED'}")
     for line in report["audit"]["mismatches"]:

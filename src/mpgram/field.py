@@ -32,7 +32,9 @@ the words of the keyed stream ``seeds.stream_words(key, label, .)`` into n
 uniform elements: over the field each word is cut to its top bits(p) bits
 and values at or above p are rejected, with a shortfall filled by reading
 further into the same stream; over floats a word w gives (w >> 11) 2^-53.
-So fewer draws of one (key, label) are a prefix of more.
+So fewer draws of one (key, label) are a prefix of more.  A list of labels
+gives one row per label, each row exactly the draw of its label alone: a
+party draws a whole pair block of RE randoms in one call.
 ``sample_nonzero(key, label)`` draws a nonzero scalar from a label of its
 own.  Each domain also has ``check_gram_range``, which the field uses to
 reject, before anything is sent, encoded data whose dot products could
@@ -102,6 +104,12 @@ def _count(n) -> int:
     if n < 0:
         raise DomainError(f"cannot sample a negative number of elements, got {n}")
     return n
+
+
+def _wire_parts(prefix: bytes, values, dtype: str) -> tuple:
+    """(prefix, a byte view of ``values`` in ``dtype``): the view is of the array's
+    own buffer when it is C-contiguous in that dtype, and of one copy otherwise."""
+    return prefix, memoryview(np.ascontiguousarray(values, dtype=dtype)).cast("B")
 
 
 def _sum_in_order(dom, a) -> np.ndarray:
@@ -264,20 +272,51 @@ class FieldDomain:
                     f"products could wrap around mod p"
                 )
 
+    def gram_headroom(self, entries) -> tuple:
+        """(largest ||signed(x)||^2 over the columns x of the f x n entry array,
+        (p - 1) / 2): how close the data comes to the limit of ``check_gram_range``.
+
+        The norms are summed in float64, and every column within twice their
+        error of the largest is summed again in Python ints, so the value is
+        exact.
+        """
+        signed = self.centred(entries)
+        x = signed.astype(np.float64)
+        norms = (x * x).sum(axis=0)
+        margin = (signed.shape[0] + 3) * 2.0**-52
+        near = np.flatnonzero(norms >= norms.max(initial=0.0) * (1.0 - margin))
+        largest = max((sum(v * v for v in signed[:, u].tolist()) for u in near), default=0)
+        return largest, (self.p - 1) // 2
+
     # -- sampling --------------------------------------------------------
 
     def sample(self, key: bytes, label, n: int) -> np.ndarray:
         """(n,) uint64 array of uniform elements of Z_p from the stream (key, label).
 
-        Each word's top bits(p) bits are one candidate, kept if below p.  The
-        first read takes the expected number of words for n values; each
-        shortfall reads the stream again, further, and keeps the accepted
-        values in stream order.  ``n`` may be any integer that is not negative,
-        a numpy one included.
+        Each word's top bits(p) bits are one candidate, kept if below p, so the
+        draw is the first n candidates below p, in stream order.  A list of
+        labels gives one such row per label, in a (len(labels), n) array: the
+        first n words of every label's stream are shifted into one block as
+        they are read, the block is checked at once, and only a row that
+        holds a candidate of p or more is drawn again on its own
+        (``_accepted``).  ``n`` may be any integer that is not negative, a
+        numpy one included.
         """
         n = _count(n)
+        labels = label if isinstance(label, list) else [label]
+        block = np.empty((len(labels), n), dtype=np.uint64)
+        for row, one in zip(block, labels):
+            np.right_shift(stream_words(key, one, n), np.uint64(64 - self._bits), out=row)
+        for i in np.flatnonzero((block >= self._p).any(axis=1)):
+            block[i] = self._accepted(key, labels[i], n, block[i])
+        return block if isinstance(label, list) else block[0]
+
+    def _accepted(self, key: bytes, label, n: int, head) -> np.ndarray:
+        """The first n candidates below p of the stream (key, label), whose first
+        candidates are ``head``.  Each shortfall reads the stream again, the
+        expected number of words further, until n are kept."""
         shift = np.uint64(64 - self._bits)
-        count, v = 0, np.empty(0, dtype=np.uint64)
+        v, count = head[head < self._p], head.size
         while v.size < n:
             count -= ((v.size - n) << self._bits) // self.p  # += ceil(shortfall 2^bits / p)
             v = stream_words(key, label, count) >> shift
@@ -474,9 +513,9 @@ class FieldDomain:
         """uint64 array of v mod p, in [0, p), for an int64 array of values v."""
         return np.mod(acc, np.int64(self.p)).view(np.uint64)
 
-    def pack(self, values, prefix: bytes = b"") -> bytes:
-        """``prefix`` and then the 8-byte elements of ``values``, joined in one copy."""
-        return b"".join((prefix, np.ascontiguousarray(values, dtype="<u8")))
+    def pack(self, values, prefix: bytes = b"") -> tuple:
+        """The payload parts ``prefix`` and the 8-byte elements of ``values`` (``_wire_parts``)."""
+        return _wire_parts(prefix, values, "<u8")
 
     def unpack(self, buf) -> np.ndarray:
         """Read-only flat uint64 array of the elements in ``buf``; each must be < p."""
@@ -614,8 +653,14 @@ class FloatDomain:
         return v
 
     def sample(self, key: bytes, label, n: int) -> np.ndarray:
-        """(n,) float64 array in [0, 1): (w >> 11) 2^-53 of each stream word."""
-        return (stream_words(key, label, _count(n)) >> np.uint64(11)) * 2.0**-53
+        """(n,) float64 array in [0, 1): (w >> 11) 2^-53 of each stream word; a
+        list of labels gives one row per label, of shape (len(labels), n)."""
+        n = _count(n)
+        labels = label if isinstance(label, list) else [label]
+        block = np.empty((len(labels), n))
+        for row, one in zip(block, labels):
+            np.multiply(stream_words(key, one, n) >> np.uint64(11), 2.0**-53, out=row)
+        return block if isinstance(label, list) else block[0]
 
     def sample_nonzero(self, key: bytes, label) -> float:
         """0.5 + 1.5 u, u the first float of ``sample(key, label, .)``: in [0.5, 2.0)."""
@@ -623,6 +668,9 @@ class FloatDomain:
 
     def check_gram_range(self, entries, party_id: int) -> None:
         """Floats do not wrap around, so any finite data passes."""
+
+    def gram_headroom(self, entries) -> None:
+        """Floats do not wrap around, so there is no limit to come close to."""
 
     # -- arrays: arithmetic and wire codec (IEEE binary64) ----------------
 
@@ -650,9 +698,9 @@ class FloatDomain:
             total += np.multiply.outer(a[k], b[k])
         return total
 
-    def pack(self, values, prefix: bytes = b"") -> bytes:
-        """``prefix`` and then the 8-byte elements of ``values``, joined in one copy."""
-        return b"".join((prefix, np.ascontiguousarray(values, dtype="<f8")))
+    def pack(self, values, prefix: bytes = b"") -> tuple:
+        """The payload parts ``prefix`` and the 8-byte elements of ``values`` (``_wire_parts``)."""
+        return _wire_parts(prefix, values, "<f8")
 
     def unpack(self, buf) -> np.ndarray:
         """Read-only flat float64 array of the elements in ``buf``."""

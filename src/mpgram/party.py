@@ -271,13 +271,13 @@ class _ReParty:
     """``re``, the randomized-encoding baseline: fresh randoms per sample pair.
 
     The function party gets the X side from Alice and the Y side from Bob,
-    flat arrays of n_a n_b f leaves of components.  Alice reads the randoms
-    of each of her samples u against every Bob sample from her own key, one
-    (n_b, total_randoms) read per u, each copied into its row of one
-    preallocated (n_a, n_b, total_randoms) block for the pair; she encodes
-    that block with one call per step, and Bob encodes the (n_a, n_b, d, 3)
-    triples he receives with one call.  The frames follow the RE wire layout
-    of ``mpgram.scheme``.
+    flat arrays of n_a n_b f leaves of components.  Alice draws the randoms
+    of the pair from her own key in one call, one (n_a, n_b, total_randoms)
+    block that reads one stream per sample u (``scheme.pair_randoms``); she
+    encodes that block with one call per step, and Bob encodes the
+    (n_a, n_b, d, 3) triples he receives with one call.  The frames follow
+    the RE wire layout of ``mpgram.scheme``, and each is sent from the
+    encoded array's own buffer.
     """
 
     name = RE
@@ -293,10 +293,9 @@ class _ReParty:
     def act_alice(self, bob_id: int):
         spec, scheme = self.spec, self.scheme
         dom = spec.domain
-        n_b = self.mesh.n_by_peer[bob_id]
-        randoms = np.empty((self.data.cols, n_b, scheme.total_randoms), dtype=dom.dtype)
-        for u in range(self.data.cols):
-            randoms[u] = pair_randoms(scheme, dom, spec.key, bob_id, u, n_b)
+        randoms = pair_randoms(
+            scheme, dom, spec.key, bob_id, self.data.cols, self.mesh.n_by_peer[bob_id]
+        )
         to_bob = y_random_triples(scheme, randoms)
         x_comps = encode_x_side(dom, self.data.data.T[:, None, :], scheme, randoms)
         to_fp = x_side_wire(x_comps, offline_components(dom, scheme, randoms))

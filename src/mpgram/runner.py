@@ -28,6 +28,7 @@ import os
 import pickle
 import shutil
 import signal
+import socket
 import struct
 import subprocess
 import sys
@@ -93,6 +94,9 @@ class RunConfig:
             raise ConfigError(f"transport must be loopback or tcp, got {self.transport!r}")
         if self.transport == "tcp" and not hasattr(os, "fork"):
             raise ConfigError("tcp transport starts its parties with os.fork, "
+                              "which this platform does not have")
+        if not hasattr(socket.socket, "sendmsg"):
+            raise ConfigError("every channel sends its frames with socket.sendmsg, "
                               "which this platform does not have")
         if self.base_port and not 1 <= self.base_port <= 65535 - self.m:
             raise ConfigError(
@@ -249,7 +253,8 @@ def determinism_digest(report: dict) -> str:
 
 def _gram_sha(gram: Matrix) -> str:
     h = hashlib.sha256(struct.pack("<II", gram.rows, gram.cols))
-    h.update(gram.domain.pack(gram.data))
+    for part in gram.domain.pack(gram.data):
+        h.update(part)
     return h.hexdigest()
 
 

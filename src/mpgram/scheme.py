@@ -28,7 +28,7 @@ Encoding and decoding are array expressions over entry arrays in the
 domain's dtype, with any leading axes; a party uses the leading axes for a
 block of sample pairs.  For randoms of shape (..., R), R = total_randoms:
 
-    pair_randoms        -> (n_b, R)      one row per sample pair (u, v), v < n_b
+    pair_randoms        -> (n_a, n_b, R) one row per sample pair (u, v)
     y_random_triples    -> (..., d, 3)   (r[a], r[b], r[d]) per leaf
     encode_x_side       -> (..., d, 2)   (c1, c2)
     encode_y_side       -> (..., d, 2)   (c3, c4), from the triples
@@ -42,11 +42,12 @@ order of a scalar loop -- ``x*r[b] - r[a]*r[b] + r[c]``,
 ``c1*c3 + c2 + c4 + c5``, and sums over the leaves in leaf order starting
 from the domain's zero -- so float results are bit-identical to it.
 
-The randoms of Alice's sample u against all of Bob's samples are one read
-of Alice's own key under the label ``("re", bob, u)`` (see
-``mpgram.seeds``): row v of that (n_b, R) block belongs to sample pair
-(u, v), so no two sample pairs of a run share a random vector, and Bob
-learns the randoms only from the triples Alice sends him.
+The randoms of Alice's sample u against all of Bob's samples are read from
+Alice's own key under the label ``("re", bob, u)`` (see ``mpgram.seeds``),
+and one draw reads every u of a pair into one (n_a, n_b, R) block: row v of
+u's (n_b, R) slice belongs to sample pair (u, v), so no two sample pairs of
+a run share a random vector, and Bob learns the randoms only from the
+triples Alice sends him.
 
 RE wire layout.  Each RE frame carries one flat element array in
 (u, v, leaf, component) order -- Alice sample u, Bob sample v, leaf --
@@ -161,15 +162,18 @@ def generate_scheme(d: int) -> DotEncodingScheme:
 
 
 def pair_randoms(
-    scheme: DotEncodingScheme, domain, key: bytes, bob_id: int, u: int, n_b: int
+    scheme: DotEncodingScheme, domain, key: bytes, bob_id: int, n_a: int, n_b: int
 ) -> np.ndarray:
-    """(n_b, total_randoms) randoms of the sample pairs (Alice's u, Bob's v), v < n_b.
+    """(n_a, n_b, total_randoms) randoms of the sample pairs (Alice's u, Bob's v).
 
-    One read of Alice's ``key`` under the label ("re", bob_id, u); row v
-    belongs to pair (u, v), and fewer rows are a prefix of more.
+    One draw from Alice's ``key`` under the labels ("re", bob_id, u), u < n_a:
+    block [u, v] belongs to pair (u, v), row u is the draw of its label
+    alone, and fewer samples on either side give a corner of the block.
     """
-    randoms = domain.sample(key, ("re", bob_id, u), n_b * scheme.total_randoms)
-    return randoms.reshape(n_b, scheme.total_randoms)
+    labels = [("re", bob_id, u) for u in range(n_a)]
+    return domain.sample(key, labels, n_b * scheme.total_randoms).reshape(
+        n_a, n_b, scheme.total_randoms
+    )
 
 
 def y_random_triples(scheme: DotEncodingScheme, randoms) -> np.ndarray:

@@ -11,9 +11,13 @@ Frame layout (little-endian throughout):
 Field elements travel as 8-byte unsigned, floats as IEEE binary64: the
 bytes of the domain's fixed-width entry arrays.  Matrices are prefixed with
 two 4-byte dims (rows, cols) and sent row-major; flat scalar arrays with one
-4-byte count, and they decode to a read-only flat array.  Encoding is one
-join of a payload's packed header and its array's buffer (``domain.pack``).
-A received payload is read into one buffer of its own, and ``Frame.payload``
+4-byte count, and they decode to a read-only flat array.  A payload is a
+tuple of byte buffers, its parts, which the frame carries back to back: a
+codec gives the packed prefix and a byte view of its entry array's own
+buffer (``domain.pack``), so nothing joins them.  ``Channel.send`` hashes
+the parts for the transcript and writes the header and the parts with
+``socket.sendmsg``, so a frame reaches the kernel without a copy.  A
+received payload is read into one buffer of its own, and ``Frame.payload``
 is a memoryview of it.  A decoded scalar array is a ``frombuffer`` view of
 that buffer, after the field's range check; a decoded matrix is copied once,
 by ``Matrix()``.  No compression and no variable-width encodings, so every
@@ -91,14 +95,15 @@ class Frame:
     payload: bytes = field(repr=False)  # received: a memoryview of its own buffer
 
 
-def frame_encode(kind: int, sender: int, receiver: int, payload: bytes) -> bytes:
-    return _HEADER.pack(kind, sender, receiver, len(payload)) + payload
+def frame_header(kind: int, sender: int, receiver: int, n_bytes: int) -> bytes:
+    """The header of a frame whose payload is ``n_bytes`` long."""
+    return _HEADER.pack(kind, sender, receiver, n_bytes)
 
 
 # -- payload codecs -------------------------------------------------------
 
 
-def matrix_payload(m: Matrix) -> bytes:
+def matrix_payload(m: Matrix) -> tuple:
     return m.domain.pack(m.data, struct.pack("<II", m.rows, m.cols))
 
 
@@ -111,7 +116,7 @@ def matrix_from_payload(b: bytes, domain, offset: int = 0) -> tuple:
     return Matrix(values.reshape(rows, cols), domain), end
 
 
-def scalars_payload(xs, domain) -> bytes:
+def scalars_payload(xs, domain) -> tuple:
     return domain.pack(xs, struct.pack("<I", len(xs)))
 
 
@@ -123,8 +128,8 @@ def scalars_from_payload(b: bytes, domain, offset: int = 0) -> tuple:
     return domain.unpack(memoryview(b)[start:end]), end
 
 
-def u64_payload(v: int) -> bytes:
-    return struct.pack("<Q", v)
+def u64_payload(v: int) -> tuple:
+    return (struct.pack("<Q", v),)
 
 
 def u64_from_payload(b: bytes) -> int:
@@ -153,7 +158,7 @@ PART_A1, PART_B1, PART_B2 = 1, 2, 3
 SIDE_X, SIDE_Y = 0, 1
 
 
-def pair_matrix_payload(alice: int, bob: int, part: int, m: Matrix) -> bytes:
+def pair_matrix_payload(alice: int, bob: int, part: int, m: Matrix) -> tuple:
     return m.domain.pack(m.data, struct.pack("<HHBII", alice, bob, part, m.rows, m.cols))
 
 
@@ -163,7 +168,7 @@ def pair_matrix_from_payload(b: bytes, domain) -> tuple:
     return alice, bob, part, m
 
 
-def pair_scalars_payload(alice: int, bob: int, tag: int, xs, domain) -> bytes:
+def pair_scalars_payload(alice: int, bob: int, tag: int, xs, domain) -> tuple:
     return domain.pack(xs, struct.pack("<HHBI", alice, bob, tag, len(xs)))
 
 
@@ -178,11 +183,11 @@ _PREFIX_BYTES = {HELLO: 8, DONE: 0, ALPHA: 4, MASKED_DATA: 8, MASKED_MASK: 8, SE
                  PAIR_RESULT: 13, RE_RANDOMS: 9, RE_COMPONENTS: 9}
 
 
-def payload_elements(kind: int, payload: bytes) -> int:
-    """Protocol scalar count of a payload; framing metadata is not counted."""
+def payload_elements(kind: int, n_bytes: int) -> int:
+    """Protocol scalar count of an ``n_bytes`` payload; framing metadata is not counted."""
     if kind not in _PREFIX_BYTES:
         raise ProtocolVersionError(f"unknown message tag 0x{kind:02x}")
-    return (len(payload) - _PREFIX_BYTES[kind]) // 8
+    return (n_bytes - _PREFIX_BYTES[kind]) // 8
 
 
 # -- transcript ------------------------------------------------------------
@@ -338,23 +343,41 @@ class Channel:
         self._send_lock = threading.Lock()
         self._header = None  # the next frame's header, once peeked
 
-    def send(self, kind: int, payload: bytes):
-        frame = frame_encode(kind, self.local_id, self.peer_id, payload)
+    def send(self, kind: int, payload: tuple):
+        """Send one frame whose payload is the byte buffers ``payload``, back to back."""
+        n_bytes = sum(map(len, payload))
         if self.transcript is not None:
+            sha = hashlib.sha256()
+            for part in payload:
+                sha.update(part)
             self.transcript.record(
                 TranscriptEntry(
                     sender=self.local_id,
                     receiver=self.peer_id,
                     seq=self._seq,
                     kind=kind,
-                    n_bytes=len(frame),
-                    n_elements=payload_elements(kind, payload),
-                    payload_sha=hashlib.sha256(payload).hexdigest()[:16],
+                    n_bytes=HEADER_LEN + n_bytes,
+                    n_elements=payload_elements(kind, n_bytes),
+                    payload_sha=sha.hexdigest()[:16],
                 )
             )
         self._seq += 1
+        parts = (frame_header(kind, self.local_id, self.peer_id, n_bytes), *payload)
         with self._send_lock:
-            self.sock.sendall(frame)
+            self._send_parts(parts, HEADER_LEN + n_bytes)
+
+    def _send_parts(self, parts: tuple, n_bytes: int):
+        """Write the ``n_bytes`` of ``parts`` back to back with ``socket.sendmsg``: a
+        call takes what the socket buffer has room for, and the next one sends the
+        rest, from views of the parts."""
+        done = self.sock.sendmsg(parts)
+        while done < n_bytes:
+            rest, skip = [], done
+            for part in parts:
+                if skip < len(part):
+                    rest.append(memoryview(part)[skip:])
+                skip = max(skip - len(part), 0)
+            done += self.sock.sendmsg(rest)
 
     def peek_sender(self) -> int:
         """Sender id in the header of the next frame, which is left unread."""

@@ -17,6 +17,7 @@ from mpgram.errors import DomainError, EncodingOverflowError
 from mpgram.field import M61, FieldDomain, FloatDomain, make_domain
 from mpgram.matrix import Matrix, gram_t, mat_scale
 from mpgram.seeds import party_key, stream_words
+from payloads import joined
 
 P = M61
 LARGEST = 2**63 - 25  # the largest prime below 2^63
@@ -223,11 +224,13 @@ class TestArrayOps:
         for name in ("add", "sub", "mul"):
             got = getattr(dom, f"array_{name}")(a, b)
             want = [getattr(dom, name)(float(x), float(y)) for x, y in zip(a, b)]
-            assert got.dtype == np.float64 and dom.pack(got) == dom.pack(want), name
+            assert got.dtype == np.float64 and joined(dom.pack(got)) == joined(dom.pack(want)), name
         total = dom.zero
         for x in a.tolist() + b.tolist():
             total = dom.add(total, x)
-        assert dom.pack(dom.array_sum(np.concatenate((a, b))[None, :])) == dom.pack([total])
+        assert joined(dom.pack(dom.array_sum(np.concatenate((a, b))[None, :]))) == joined(
+            dom.pack([total])
+        )
 
 
 class TestMontgomeryProduct:
@@ -461,6 +464,19 @@ class TestStream:
         longer = dom.sample(KEY, "prefix", n + more)
         assert dom.sample(KEY, "prefix", n).tolist() == longer[:n].tolist()
 
+    @pytest.mark.parametrize("name", ["m61", "z251", "z5", "float"])
+    @given(rows=st.integers(0, 6), n=st.integers(0, 120))
+    @settings(max_examples=40, deadline=None)
+    def test_many_labels_draw_each_row_as_its_label_alone(self, name, rows, n):
+        # Z5 rejects 3 of every 8 words, so nearly every row takes the per-row
+        # shortfall path; Z251 rejects 5 of 256, so blocks mix both kinds
+        dom = SAMPLER_DOMAINS[name]
+        labels = [("row", i) for i in range(rows)]
+        block = dom.sample(KEY, labels, n)
+        assert block.shape == (rows, n) and block.dtype == dom.dtype
+        for label, row in zip(labels, block):
+            assert row.tolist() == dom.sample(KEY, label, n).tolist()
+
     @pytest.mark.parametrize("name", ["m61", "2^63-25", "z5", "z251"])
     def test_field_draws_are_the_stream_words_below_p(self, name):
         dom = SAMPLER_DOMAINS[name]
@@ -546,26 +562,31 @@ class TestGramRange:
         dom.check_gram_range(x.data, 1)
         exact = [[sum(a * b for a, b in zip(u, v)) for v in cols] for u in cols]
         assert dom.centred(gram_t(x, x).data).tolist() == exact
+        limit = (dom.p - 1) // 2
+        assert dom.gram_headroom(x.data) == (max(exact[u][u] for u in range(3)), limit)
 
         bad = data.draw(st.integers(0, 2))
         cols[bad] = _column_near_limit(dom, cols[bad][:-1], 1, above=True)
+        over = Matrix(np.array(cols, dtype=object).T % dom.p, dom).data
+        assert dom.gram_headroom(over) == (sum(v * v for v in cols[bad]), limit)
         with pytest.raises(EncodingOverflowError, match=f"^sample {bad} of party 3 has"):
             dom.check_gram_range(np.array(cols, dtype=object).T % dom.p, 3)
 
     def test_float_domain_is_not_checked(self, f64):
         f64.check_gram_range(np.array([[1e300], [1e300]], dtype=object), 1)
+        assert f64.gram_headroom(np.array([[1e300], [1e300]])) is None
 
 
 class TestSerialization:
     @given(st.integers(min_value=0, max_value=P - 1))
     def test_field_round_trip(self, x):
         dom = FieldDomain()
-        assert dom.unpack(dom.pack([x])).tolist() == [x]
+        assert dom.unpack(joined(dom.pack([x]))).tolist() == [x]
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_float_round_trip(self, x):
         dom = FloatDomain()
-        assert dom.unpack(dom.pack([x])).tolist() == [x]
+        assert dom.unpack(joined(dom.pack([x]))).tolist() == [x]
 
     def test_out_of_range_rejected(self, m61):
         with pytest.raises(DomainError):
@@ -591,7 +612,7 @@ class TestDomainConstruction:
                 FieldDomain(p=p)
         largest = FieldDomain(p=LARGEST)
         x = largest.p - 1
-        assert largest.unpack(largest.pack([x])).tolist() == [x]
+        assert largest.unpack(joined(largest.pack([x]))).tolist() == [x]
 
     def test_modulus_must_be_odd(self):
         # the Montgomery product needs p^-1 mod 2^64, which an even p lacks

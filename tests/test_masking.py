@@ -32,6 +32,7 @@ from mpgram.masking import (
 from mpgram.matrix import Matrix, encode_real_matrix, gram_t, random_matrix
 from mpgram.runner import RunConfig, run
 from mpgram.seeds import party_key
+from payloads import joined
 
 m61 = FieldDomain()
 z5 = FieldDomain(scale_bits=0, p=5)
@@ -360,7 +361,7 @@ class TestPeerRecovery:
 
         def recording_send(self, kind, payload):
             if (self.local_id, self.peer_id) == (1, 2):
-                inbound[kind] = payload
+                inbound[kind] = joined(payload)
             send(self, kind, payload)
 
         monkeypatch.setattr(tp.Channel, "send", recording_send)

@@ -25,6 +25,7 @@ from mpgram.matrix import (
     save_csv,
 )
 from mpgram.seeds import party_key
+from payloads import joined
 
 KEY = party_key(0, 1)
 
@@ -105,7 +106,7 @@ class TestGram:
             g = gram_t(a, b)
             assert (g.rows, g.cols) == (a.cols, b.cols)
             # bytes, not ==: float sums must match the loop bit for bit, signed zeros too
-            assert g.domain.pack(g.data) == g.domain.pack(naive_gram(a, b))
+            assert joined(g.domain.pack(g.data)) == joined(g.domain.pack(naive_gram(a, b)))
 
     def test_feature_mismatch(self, z5):
         with pytest.raises(DimensionError, match="feature dimension"):
@@ -475,7 +476,8 @@ class TestEntryDtype:
         assert dom.dtype in (np.uint64, np.float64)
         a = random_matrix((3, 2), dom, KEY, 12)
         b = encode_real_matrix([[0.5, -1.0], [2.0, 0.0], [-0.25, 3.0]], dom)
-        payload, scalars = tp.matrix_payload(a), tp.scalars_payload(a.data.ravel(), dom)
+        payload = joined(tp.matrix_payload(a))
+        scalars = joined(tp.scalars_payload(a.data.ravel(), dom))
         received = bytearray(payload)  # a receive buffer is writable
         produced = {
             "random_matrix": a.data,

@@ -40,11 +40,11 @@ from mpgram.scheme import (
     encode_y_side,
     generate_scheme,
     offline_components,
-    pair_randoms,
     x_side_wire,
     y_random_triples,
 )
 from mpgram.seeds import party_key
+from payloads import joined
 
 m61 = FieldDomain()
 ONE = Matrix([[1]], m61)
@@ -69,7 +69,7 @@ class ScriptedChannel:
 
 
 def frame(kind, sender, payload):
-    return tp.Frame(kind, sender, tp.FUNCTION_PARTY_ID, payload)
+    return tp.Frame(kind, sender, tp.FUNCTION_PARTY_ID, joined(payload))
 
 
 def part(sender, tag, m=ONE, pair=(1, 2)):
@@ -211,7 +211,7 @@ COLUMN = Matrix([[1]] * F, m61)
 
 
 def masked(kind, sender, m):
-    return tp.Frame(kind, sender, 3 - sender, tp.matrix_payload(m))
+    return tp.Frame(kind, sender, 3 - sender, joined(tp.matrix_payload(m)))
 
 
 def run_ip(party_id, peer_frames):
@@ -282,7 +282,7 @@ def test_owed_parts_are_in_each_partys_send_order(monkeypatch, protocol, m):
 
     def recording_send(self, kind, payload):
         if self.peer_id == tp.FUNCTION_PARTY_ID:
-            sha = hashlib.sha256(payload).hexdigest()[:16]
+            sha = hashlib.sha256(joined(payload)).hexdigest()[:16]
             sent[self.local_id, sha] = frame(kind, self.local_id, payload)
         send(self, kind, payload)
 
@@ -427,7 +427,8 @@ def test_re_pair_blocks_equal_a_per_sample_reference(monkeypatch, domain):
 
     def recording_send(self, kind, payload):
         if kind in (tp.RE_RANDOMS, tp.RE_COMPONENTS):
-            sent[self.local_id, self.peer_id, payload[:5]] = payload  # "<HHB" alice, bob, tag
+            body = joined(payload)
+            sent[self.local_id, self.peer_id, body[:5]] = body  # "<HHB" alice, bob, tag
         send(self, kind, payload)
 
     monkeypatch.setattr(tp.Channel, "send", recording_send)
@@ -439,7 +440,9 @@ def test_re_pair_blocks_equal_a_per_sample_reference(monkeypatch, domain):
         x, y = res.party_data[a].data, res.party_data[b].data
         triples, x_side, y_side = [], [], []
         for u in range(x.shape[1]):
-            randoms = pair_randoms(scheme, dom, party_key(cfg.seed, a), b, u, y.shape[1])
+            # sample u's randoms against every Bob sample, drawn under its own label
+            randoms = dom.sample(party_key(cfg.seed, a), ("re", b, u),
+                                 y.shape[1] * scheme.total_randoms).reshape(y.shape[1], -1)
             triples.append(y_random_triples(scheme, randoms))
             x_comps = encode_x_side(dom, x[:, u], scheme, randoms)
             x_side.append(x_side_wire(x_comps, offline_components(dom, scheme, randoms)))
@@ -449,4 +452,5 @@ def test_re_pair_blocks_equal_a_per_sample_reference(monkeypatch, domain):
             ("X side", a, 0, tp.pair_scalars_payload(a, b, tp.SIDE_X, np.ravel(x_side), dom)),
             ("Y side", b, 0, tp.pair_scalars_payload(a, b, tp.SIDE_Y, np.ravel(y_side), dom)),
         ]:
-            assert sent[sender, receiver, payload[:5]] == payload, f"{what} of pair ({a},{b})"
+            body = joined(payload)
+            assert sent[sender, receiver, body[:5]] == body, f"{what} of pair ({a},{b})"

@@ -453,6 +453,20 @@ class TestRun:
         assert "os.fork, which this platform does not have" in capsys.readouterr().err
         assert run(replace(cfg, transport="loopback")).report["audit"]["ok"]
 
+    @pytest.mark.parametrize("transport", ["loopback", "tcp"])
+    def test_every_transport_needs_sendmsg(self, monkeypatch, capsys, transport):
+        class PlainSocket:  # a platform whose sockets have no sendmsg
+            pass
+
+        monkeypatch.setattr(socket, "socket", PlainSocket)
+        cfg = RunConfig(protocol="re", m=2, features=2, samples=(1, 1), transport=transport)
+        with pytest.raises(ConfigError, match="^every channel sends its frames with socket.sendmsg"):
+            run(cfg)
+        rc = main(["run", "--transport", transport, "--parties", "2", "--features", "2",
+                   "--samples", "1"])
+        assert rc == EXIT_CONFIG
+        assert "socket.sendmsg, which this platform does not have" in capsys.readouterr().err
+
 
 TCP_M4 = RunConfig(protocol="escaped", m=4, features=2, samples=(1, 2, 1, 2), transport="tcp",
                    verify=False)
@@ -958,6 +972,34 @@ class TestCli:
         doc = json.loads(report_path.read_text())
         assert doc["schema_version"] == 1
         assert doc["verification"]["status"] == "pass"
+
+    @pytest.mark.parametrize("domain", ["field", "float"])
+    def test_run_prints_headroom_on_stdout_only(self, tmp_path, capsys, domain):
+        argv = ["run", "--protocol", "re", "--parties", "3", "--features", "5", "--samples",
+                "4,2,3", "--seed", "9", "--domain", domain, "--report", str(tmp_path / "r.json")]
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        text = (tmp_path / "r.json").read_text()
+        cfg = RunConfig(protocol="re", m=3, features=5, samples=(4, 2, 3), seed=9, domain=domain,
+                        verify=False)
+        res = run(cfg)
+        # the report, its digests included, is that of a library run
+        doc = json.loads(text)
+        for key in ("determinism_digest", "transcript_sha256", "gram"):
+            assert doc[key] == res.report[key], key
+        assert "headroom" not in text
+        lines = [line for line in out.splitlines() if line.startswith("headroom: ")]
+        if domain == "float":
+            assert lines == []
+            return
+        dom = res.party_data[1].domain
+        largest = max(
+            sum(v * v for v in dom.centred(m.data)[:, u].tolist())
+            for m in res.party_data.values() for u in range(m.cols)
+        )
+        limit = (dom.p - 1) // 2
+        assert lines == [f"headroom: largest encoded column squared norm {largest} of "
+                         f"(p - 1) / 2 = {limit} ({largest / limit:.3g} of the limit)"]
 
     def test_kernel_out_without_sigma_exits_with_config_error(self, tmp_path, capsys):
         path = tmp_path / "k.csv"

@@ -23,6 +23,7 @@ from mpgram.scheme import (
     y_random_triples,
 )
 from mpgram.seeds import party_key
+from payloads import joined
 from reference_scheme import build_bijection, reference_components
 
 m61 = FieldDomain()
@@ -269,8 +270,8 @@ class TestDecoding:
 class TestFreshRandoms:
     def test_deterministic_per_pair(self):
         s = generate_scheme(4)
-        a = pair_randoms(s, m61, KEY, 2, 0, 2)[1]
-        b = pair_randoms(s, m61, KEY, 2, 0, 2)[1]
+        a = pair_randoms(s, m61, KEY, 2, 1, 2)[0, 1]
+        b = pair_randoms(s, m61, KEY, 2, 1, 2)[0, 1]
         assert a.tolist() == b.tolist()
         assert len(a) == s.total_randoms
 
@@ -279,22 +280,36 @@ class TestFreshRandoms:
         s = generate_scheme(4)
         seen = set()
         for alice, bob in [(1, 2), (1, 3), (2, 3)]:
-            for u in range(4):
-                for row in pair_randoms(s, m61, party_key(123, alice), bob, u, 5):
-                    vec = tuple(row)
-                    assert vec not in seen
-                    seen.add(vec)
+            block = pair_randoms(s, m61, party_key(123, alice), bob, 4, 5)
+            assert block.shape == (4, 5, s.total_randoms)
+            for row in block.reshape(-1, s.total_randoms):
+                vec = tuple(row)
+                assert vec not in seen
+                seen.add(vec)
         assert len(seen) == 3 * 4 * 5
+
+    @pytest.mark.parametrize("dom", [m61, z5, z251, f64], ids=["m61", "z5", "z251", "float"])
+    def test_each_row_is_the_draw_of_its_own_label(self, dom):
+        # Z5 rejects 3 of every 8 words, so rows take the per-row shortfall path
+        s = generate_scheme(5)
+        block = pair_randoms(s, dom, KEY, 3, 6, 4)
+        assert block.shape == (6, 4, s.total_randoms)
+        for u in range(6):
+            alone = dom.sample(KEY, ("re", 3, u), 4 * s.total_randoms)
+            assert block[u].tolist() == alone.reshape(4, s.total_randoms).tolist()
 
     @pytest.mark.parametrize("dom", [m61, z5, f64], ids=["m61", "z5", "float"])
     def test_fewer_rows_are_a_prefix_of_more(self, dom):
-        # so a block's rows do not depend on how many Bob samples there are;
+        # so a block does not depend on how many samples either side has;
         # Z5 rejects 3 of every 8 words, so its shortfall path runs too
         s = generate_scheme(6)
-        block = pair_randoms(s, dom, KEY, 3, 1, 4)
-        assert block.shape == (4, s.total_randoms)
-        for n_b in range(5):
-            assert pair_randoms(s, dom, KEY, 3, 1, n_b).tolist() == block[:n_b].tolist()
+        block = pair_randoms(s, dom, KEY, 3, 3, 4)
+        assert block.shape == (3, 4, s.total_randoms)
+        for n_a in range(4):
+            for n_b in range(5):
+                got = pair_randoms(s, dom, KEY, 3, n_a, n_b)
+                assert got.shape == (n_a, n_b, s.total_randoms)
+                assert got.tolist() == block[:n_a, :n_b].tolist()
 
 
 def scalar_reference(dom, scheme, x, y, randoms):
@@ -322,7 +337,7 @@ class TestArrayPath:
         # one Alice sample against a block of Bob samples, as a party computes it
         s = generate_scheme(d)
         n_b = 3
-        randoms = pair_randoms(s, dom, KEY, 2, 0, n_b)
+        randoms = pair_randoms(s, dom, KEY, 2, 1, n_b)[0]
         x = dom.sample(KEY, "x", d)
         if dom is f64:
             x = x - 0.5  # negative entries too, so products and sums carry both signs
@@ -335,10 +350,10 @@ class TestArrayPath:
         assert off.shape == (n_b, d) and dots.shape == (n_b,)
         for v in range(n_b):
             ref_x, ref_y, ref_off, ref_dot = scalar_reference(dom, s, x, ys[v], randoms[v])
-            assert dom.pack(xc[v].ravel()) == dom.pack(np.ravel(ref_x))
-            assert dom.pack(yc[v].ravel()) == dom.pack(np.ravel(ref_y))
-            assert dom.pack(off[v]) == dom.pack(ref_off)
-            assert dom.pack([dots[v]]) == dom.pack([ref_dot])
+            assert joined(dom.pack(xc[v].ravel())) == joined(dom.pack(np.ravel(ref_x)))
+            assert joined(dom.pack(yc[v].ravel())) == joined(dom.pack(np.ravel(ref_y)))
+            assert joined(dom.pack(off[v])) == joined(dom.pack(ref_off))
+            assert joined(dom.pack([dots[v]])) == joined(dom.pack([ref_dot]))
 
     @pytest.mark.parametrize("d", [1, 2, 7, 33])
     def test_float_offline_and_decode_with_zero_randoms_bit_for_bit(self, d):
@@ -347,7 +362,7 @@ class TestArrayPath:
         # all-zero randoms, zero randoms mixed with others and signed data
         s = generate_scheme(d)
         n_b = 4
-        randoms = pair_randoms(s, f64, KEY, 2, 0, n_b)
+        randoms = pair_randoms(s, f64, KEY, 2, 1, n_b)[0]
         randoms[0] = 0.0
         randoms[1, ::2] = 0.0
         randoms[2, ::3] = -randoms[2, ::3]
@@ -360,15 +375,15 @@ class TestArrayPath:
         dots = decode_dot(f64, xc, yc, off)
         for v in range(n_b):
             _, _, ref_off, ref_dot = scalar_reference(f64, s, x, ys[v], randoms[v])
-            assert f64.pack(off[v]) == f64.pack(ref_off), v
-            assert f64.pack([dots[v]]) == f64.pack([ref_dot]), v
-        assert f64.pack(offline_components(f64, s, np.zeros(s.total_randoms))) == f64.pack(
-            [0.0] * d
+            assert joined(f64.pack(off[v])) == joined(f64.pack(ref_off)), v
+            assert joined(f64.pack([dots[v]])) == joined(f64.pack([ref_dot])), v
+        assert joined(f64.pack(offline_components(f64, s, np.zeros(s.total_randoms)))) == joined(
+            f64.pack([0.0] * d)
         )
 
     def test_wire_layout_round_trip(self):
         s = generate_scheme(3)
-        randoms = pair_randoms(s, m61, KEY, 2, 0, 2)
+        randoms = pair_randoms(s, m61, KEY, 2, 1, 2)[0]
         xc = encode_x_side(m61, [4, 5, 6], s, randoms)
         off = offline_components(m61, s, randoms)
         wire = x_side_wire(xc, off)

@@ -23,6 +23,7 @@ from mpgram.errors import (
 from mpgram.field import FieldDomain, FloatDomain
 from mpgram.matrix import Matrix, random_matrix
 from mpgram.seeds import party_key
+from payloads import joined
 
 m61 = FieldDomain()
 f64 = FloatDomain()
@@ -44,15 +45,103 @@ def loopback_channels(a_id: int = 1, b_id: int = 2) -> tuple:
     return tp.Channel(sa, a_id, b_id, None), tp.Channel(sb, b_id, a_id, None)
 
 
+class RecordingSocket:
+    """A socket whose ``sendmsg`` takes at most ``step`` bytes per call.  It keeps
+    the buffers of every call as handed over, and the bytes it took."""
+
+    def __init__(self, step: int = 1 << 30):
+        self.step = step
+        self.calls = []
+        self.taken = bytearray()
+
+    def sendmsg(self, buffers):
+        self.calls.append(list(buffers))
+        took = b"".join(buffers)[: self.step]
+        self.taken += took
+        return len(took)
+
+
+def recorded_send(kind, payload, step: int = 1 << 30) -> tuple:
+    """(socket, transcript entry) of one ``Channel.send`` from party 1 to 2."""
+    sock, transcript = RecordingSocket(step), tp.Transcript()
+    tp.Channel(sock, 1, 2, transcript).send(kind, payload)
+    return sock, transcript.entries[0]
+
+
 class TestFraming:
     def test_empty_payload_is_header_only(self):
-        frame = tp.frame_encode(tp.DONE, 1, 2, b"")
-        assert len(frame) == 13
+        # one sendmsg of the header alone: a send of an empty part after it
+        # could meet a peer that has already read the header and closed
+        sock, entry = recorded_send(tp.DONE, ())
+        assert [[bytes(b) for b in call] for call in sock.calls] == [
+            [tp.frame_header(tp.DONE, 1, 2, 0)]
+        ]
+        assert entry.n_bytes == tp.HEADER_LEN == 13
 
     def test_one_by_one_field_matrix_is_29_bytes(self):
-        payload = tp.matrix_payload(Matrix.from_rows([[5]], m61))
-        frame = tp.frame_encode(tp.SELF_GRAM, 1, 0, payload)
-        assert len(frame) == 13 + 8 + 8 == 29
+        _, entry = recorded_send(tp.SELF_GRAM, tp.matrix_payload(Matrix.from_rows([[5]], m61)))
+        assert entry.n_bytes == 13 + 8 + 8 == 29
+
+    @pytest.mark.parametrize("step", [1, 2, 3, 5, 8, 12, 13, 14, 21, 22, 100])
+    def test_partial_sends_deliver_the_exact_frame(self, step):
+        # cuts fall inside the 13-byte header, the 9-byte prefix and the body
+        xs = np.arange(5, dtype=np.uint64) * np.uint64(0x0102030405060708)
+        payload = tp.pair_scalars_payload(1, 2, tp.SIDE_X, xs, m61)
+        sock, _ = recorded_send(tp.RE_COMPONENTS, payload, step)
+        frame = tp.frame_header(tp.RE_COMPONENTS, 1, 2, 9 + 40) + joined(payload)
+        assert bytes(sock.taken) == frame
+        assert len(sock.calls) == -(-len(frame) // step)
+
+    @pytest.mark.parametrize(
+        "kind, payload",
+        [
+            (tp.HELLO, tp.u64_payload(7)),
+            (tp.DONE, ()),
+            (tp.ALPHA, tp.scalars_payload([5], m61)),
+            (tp.SELF_GRAM, tp.matrix_payload(random_matrix((3, 3), m61, KEY, 6))),
+            (tp.MASKED_DATA, tp.matrix_payload(Matrix(np.arange(6.0).reshape(2, 3).T, f64))),
+            (tp.PAIR_RESULT, tp.pair_matrix_payload(1, 2, tp.PART_B1, Matrix.zeros(2, 4, m61))),
+            (tp.RE_RANDOMS, tp.pair_scalars_payload(1, 2, 0, np.arange(12, dtype=np.uint64), m61)),
+        ],
+        ids=["hello", "done", "alpha", "self_gram", "float-transposed", "pair_result", "re"],
+    )
+    def test_transcript_entry_equals_the_joined_bytes_form(self, kind, payload):
+        body = joined(payload)
+        _, entry = recorded_send(kind, payload)
+        _, entry_of_joined = recorded_send(kind, (body,))
+        assert entry == entry_of_joined
+        assert (entry.n_bytes, entry.n_elements, entry.payload_sha) == (
+            13 + len(body),
+            tp.payload_elements(kind, len(body)),
+            hashlib.sha256(body).hexdigest()[:16],
+        )
+
+    def test_body_is_sent_from_the_entry_array_itself(self):
+        xs = np.arange(40, dtype=np.uint64)
+        sock, _ = recorded_send(
+            tp.RE_COMPONENTS, tp.pair_scalars_payload(1, 2, tp.SIDE_X, xs, m61)
+        )
+        (call,) = sock.calls
+        assert [len(b) for b in call] == [13, 9, 320]
+        assert np.shares_memory(np.asarray(call[2]), xs)
+        m = random_matrix((4, 3), m61, KEY, 7)
+        sock, _ = recorded_send(tp.SELF_GRAM, tp.matrix_payload(m))
+        assert np.shares_memory(np.asarray(sock.calls[0][2]), m.data)
+
+    def test_frame_larger_than_the_socket_buffer(self):
+        # sendmsg takes a partial write on a real socket; the reader drains it
+        xs = np.arange(1 << 19, dtype=np.uint64)  # 4 MiB
+        tx, rx = loopback_channels(1, 0)
+        sender = threading.Thread(
+            target=tx.send, args=(tp.RE_COMPONENTS, tp.pair_scalars_payload(1, 0, 0, xs, m61))
+        )
+        sender.start()
+        frame = rx.recv(tp.RE_COMPONENTS)
+        sender.join(timeout=30)
+        tx.close()
+        rx.close()
+        assert not sender.is_alive()
+        assert tp.pair_scalars_from_payload(frame.payload, m61)[3].tolist() == xs.tolist()
 
     @given(
         st.sampled_from(sorted(tp.KIND_NAMES)),
@@ -63,7 +152,7 @@ class TestFraming:
     @settings(max_examples=100)
     def test_round_trip(self, kind, sender, receiver, payload):
         tx, rx = loopback_channels(sender, receiver)
-        tx.send(kind, payload)
+        tx.send(kind, (payload,))
         frame = rx.recv(kind)
         tx.close()
         rx.close()
@@ -83,8 +172,8 @@ class TestFraming:
         tx.close()
         rx.close()
         received = frame.payload.obj  # the buffer the payload was read into
-        assert frame.payload == payload and isinstance(received, bytearray)
-        assert len(received) == len(payload)
+        assert frame.payload == joined(payload) and isinstance(received, bytearray)
+        assert len(received) == len(joined(payload))
         _, _, _, xs = tp.pair_scalars_from_payload(frame.payload, m61)
         assert np.shares_memory(xs, np.frombuffer(received, dtype=np.uint8))
         assert xs.tolist() == list(range(9)) and not xs.flags.writeable
@@ -92,20 +181,26 @@ class TestFraming:
     def test_payloads_are_the_header_then_the_array_bytes(self):
         xs = np.arange(6, dtype=np.uint64)
         body = xs.astype("<u8").tobytes()
-        assert tp.pair_scalars_payload(3, 4, 1, xs, m61) == struct.pack("<HHBI", 3, 4, 1, 6) + body
-        assert tp.scalars_payload(xs, m61) == struct.pack("<I", 6) + body
+        assert joined(tp.pair_scalars_payload(3, 4, 1, xs, m61)) == struct.pack(
+            "<HHBI", 3, 4, 1, 6
+        ) + body
+        assert joined(tp.scalars_payload(xs, m61)) == struct.pack("<I", 6) + body
         m = Matrix(xs.reshape(2, 3), m61)
-        assert tp.matrix_payload(m) == struct.pack("<II", 2, 3) + body
-        assert tp.pair_matrix_payload(3, 4, 2, m) == struct.pack("<HHBII", 3, 4, 2, 2, 3) + body
+        assert joined(tp.matrix_payload(m)) == struct.pack("<II", 2, 3) + body
+        assert joined(tp.pair_matrix_payload(3, 4, 2, m)) == struct.pack(
+            "<HHBII", 3, 4, 2, 2, 3
+        ) + body
         # a transposed (non-contiguous) matrix goes row-major, as it reads
         t = Matrix(xs.reshape(3, 2).T, m61)
-        assert tp.matrix_payload(t) == struct.pack("<II", 2, 3) + xs.reshape(3, 2).T.tobytes()
+        assert joined(tp.matrix_payload(t)) == struct.pack(
+            "<II", 2, 3
+        ) + xs.reshape(3, 2).T.tobytes()
 
     # on a stream the header's length is the only frame boundary, so a frame
     # cut short shows as the sender closing inside it
     def test_truncated_frame_fails_as_closed_mid_frame(self):
         tx, rx = loopback_channels()
-        tx.sock.sendall(tp.frame_encode(tp.HELLO, 1, 2, b"12345678")[:-3])
+        tx.sock.sendall((tp.frame_header(tp.HELLO, 1, 2, 8) + b"12345678")[:-3])
         tx.close()
         with pytest.raises(TransportError, match="^connection closed mid-frame$"):
             rx.recv(tp.HELLO)
@@ -121,7 +216,7 @@ class TestFraming:
 
     def test_unknown_tag(self):
         tx, rx = loopback_channels()
-        tx.sock.sendall(b"\x7f" + tp.frame_encode(tp.HELLO, 1, 2, b"")[1:])
+        tx.sock.sendall(b"\x7f" + tp.frame_header(tp.HELLO, 1, 2, 0)[1:])
         with pytest.raises(ProtocolVersionError, match="0x7f"):
             rx.recv()
         tx.close()
@@ -165,36 +260,36 @@ class TestHeaderChecks:
 class TestPayloads:
     def test_matrix_round_trip_field(self):
         m = random_matrix((3, 5), m61, KEY, 0)
-        got, consumed = tp.matrix_from_payload(tp.matrix_payload(m), m61)
+        got, consumed = tp.matrix_from_payload(joined(tp.matrix_payload(m)), m61)
         assert got == m
         assert consumed == 8 + 8 * 15
 
     def test_matrix_round_trip_float(self):
         m = Matrix.from_rows([[1.5, -2.25], [0.0, 3e-9]], f64)
-        got, _ = tp.matrix_from_payload(tp.matrix_payload(m), f64)
+        got, _ = tp.matrix_from_payload(joined(tp.matrix_payload(m)), f64)
         assert got == m
 
     def test_scalars_round_trip(self):
         xs = tuple(Random(1).randrange(m61.p) for _ in range(9))
-        got, _ = tp.scalars_from_payload(tp.scalars_payload(xs, m61), m61)
+        got, _ = tp.scalars_from_payload(joined(tp.scalars_payload(xs, m61)), m61)
         assert got.tolist() == list(xs)
 
     def test_pair_matrix_round_trip(self):
         m = random_matrix((2, 3), m61, KEY, 2)
         a, b, part, got = tp.pair_matrix_from_payload(
-            tp.pair_matrix_payload(1, 3, tp.PART_B2, m), m61
+            joined(tp.pair_matrix_payload(1, 3, tp.PART_B2, m)), m61
         )
         assert (a, b, part, got) == (1, 3, tp.PART_B2, m)
 
     def test_pair_scalars_round_trip(self):
         xs = (4, 9, 13)
         a, b, side, got = tp.pair_scalars_from_payload(
-            tp.pair_scalars_payload(2, 5, tp.SIDE_Y, xs, m61), m61
+            joined(tp.pair_scalars_payload(2, 5, tp.SIDE_Y, xs, m61)), m61
         )
         assert (a, b, side, got.tolist()) == (2, 5, tp.SIDE_Y, list(xs))
 
     def test_truncated_matrix_payload(self):
-        payload = tp.matrix_payload(random_matrix((2, 2), m61, KEY, 3))
+        payload = joined(tp.matrix_payload(random_matrix((2, 2), m61, KEY, 3)))
         with pytest.raises(FramingError):
             tp.matrix_from_payload(payload[:-5], m61)
 
@@ -216,6 +311,7 @@ class TestPayloads:
         ids=["matrix", "scalars", "pair_matrix", "pair_scalars", "u64"],
     )
     def test_exact_length_required(self, payload, decode):
+        payload = joined(payload)
         decode(payload)
         with pytest.raises(FramingError, match="8 trailing bytes"):
             decode(payload + b"garbage!")
@@ -224,29 +320,32 @@ class TestPayloads:
                 decode(payload[:cut])
 
     def test_matrix_element_out_of_range_rejected(self):
-        payload = bytearray(tp.matrix_payload(Matrix.from_rows([[1, 2], [3, 4]], m61)))
+        payload = bytearray(joined(tp.matrix_payload(Matrix.from_rows([[1, 2], [3, 4]], m61))))
         payload[8 + 8 * 3 : 8 + 8 * 4] = m61.p.to_bytes(8, "little")
         with pytest.raises(DomainError, match=">= modulus"):
             tp.matrix_from_payload(bytes(payload), m61)
 
     def test_scalar_element_out_of_range_rejected(self):
         z251 = FieldDomain(scale_bits=0, p=251)
-        payload = tp.scalars_payload((7, 250), m61)
+        payload = joined(tp.scalars_payload((7, 250), m61))
         assert tp.scalars_from_payload(payload, z251)[0].tolist() == [7, 250]
         with pytest.raises(DomainError, match="251 >= modulus 251"):
-            tp.scalars_from_payload(tp.scalars_payload((7, 251), m61), z251)
+            tp.scalars_from_payload(joined(tp.scalars_payload((7, 251), m61)), z251)
 
     def test_element_counts_per_kind(self):
-        mat = tp.matrix_payload(random_matrix((3, 4), m61, KEY, 4))
+        def size(payload):
+            return len(joined(payload))
+
+        mat = size(tp.matrix_payload(random_matrix((3, 4), m61, KEY, 4)))
         assert tp.payload_elements(tp.MASKED_DATA, mat) == 12
         assert tp.payload_elements(tp.SELF_GRAM, mat) == 12
-        pr = tp.pair_matrix_payload(1, 2, tp.PART_A1, random_matrix((2, 5), m61, KEY, 5))
+        pr = size(tp.pair_matrix_payload(1, 2, tp.PART_A1, random_matrix((2, 5), m61, KEY, 5)))
         assert tp.payload_elements(tp.PAIR_RESULT, pr) == 10
-        sc = tp.pair_scalars_payload(1, 2, tp.SIDE_X, (1, 2, 3), m61)
+        sc = size(tp.pair_scalars_payload(1, 2, tp.SIDE_X, (1, 2, 3), m61))
         assert tp.payload_elements(tp.RE_COMPONENTS, sc) == 3
-        assert tp.payload_elements(tp.ALPHA, tp.scalars_payload((7,), m61)) == 1
-        assert tp.payload_elements(tp.HELLO, tp.u64_payload(5)) == 0
-        assert tp.payload_elements(tp.DONE, b"") == 0
+        assert tp.payload_elements(tp.ALPHA, size(tp.scalars_payload((7,), m61))) == 1
+        assert tp.payload_elements(tp.HELLO, size(tp.u64_payload(5))) == 0
+        assert tp.payload_elements(tp.DONE, 0) == 0
 
 
 class TestChannels:
@@ -265,7 +364,7 @@ class TestChannels:
         payload = tp.matrix_payload(random_matrix((4, 4), m61, KEY, 6))
         b.send(tp.MASKED_DATA, payload)
         frame = a.recv(tp.MASKED_DATA)
-        assert frame.payload == payload
+        assert frame.payload == joined(payload)
         a.close()
         b.close()
 
@@ -286,7 +385,7 @@ class TestChannels:
         accepted, client = tcp_pair()
         a, b = tp.Channel(accepted, 0, 2, None), tp.Channel(client, 2, 0, None)
         payload = bytes(range(256)) * (32 * 4096)  # 32 MiB
-        t = threading.Thread(target=b.send, args=(tp.SELF_GRAM, payload))
+        t = threading.Thread(target=b.send, args=(tp.SELF_GRAM, (payload,)))
         start = time.perf_counter()
         t.start()
         assert a.peek_sender() == 2
@@ -384,7 +483,7 @@ class TestTranscript:
     def test_channel_recv_rejects_a_frame_addressed_to_another_party(self):
         e1, e2 = tp.loopback_pair()
         c2 = tp.Channel(e2, 2, 1, tp.Transcript())
-        e1.sendall(tp.frame_encode(tp.HELLO, 1, 7, tp.u64_payload(1)))
+        e1.sendall(tp.frame_header(tp.HELLO, 1, 7, 8) + joined(tp.u64_payload(1)))
         with pytest.raises(ProtocolError, match="^party 2 got a frame from 1 addressed to party 7$"):
             c2.recv(tp.HELLO)
         e1.close()
