@@ -30,16 +30,20 @@ pair exchange free of send/receive cycles.
 The function party receives against one table, ``_owed_parts``, in send
 order: per pair in ``pair_rounds`` order, the protocol's parts (Alice's,
 then Bob's), and last every party's self gram (n_i, n_i).  It reads one
-frame from each entry's owner in that order and rejects on arrival a part
-nobody owes, from the wrong party, repeated, or misshapen; so whatever it
-accepts is complete.  Input parties likewise check each matrix a peer
-sends against the f x n of that peer's hello.
+frame from each entry's owner in that order; each must be that entry, of
+its shape, so a lost, repeated, reordered or unknown part fails on arrival
+and names its sender, the part sent and the part owed.  Input parties
+likewise check each matrix a peer sends against the f x n of its hello.
 
 This read order cannot deadlock on bounded socket buffers: a party's
 round-r sends to the function party depend only on its round-r peer, and
 the function party finishes round r before it reads round r+1.  (Reading
 all of party 1's parts first can leave party 1 waiting on party 2 while
-party 2 is blocked sending a part nobody reads yet.)
+party 2 is blocked sending a part nobody reads yet.)  A party half-closes
+each channel right after its last frame there (``Channel.end_sends``, which
+never blocks, so it adds no wait): to a peer, its last frame of their pair;
+to the function party, its self gram.  So a frame that never comes fails
+its read at once, and no two parties wait on each other.
 """
 
 from __future__ import annotations
@@ -185,6 +189,7 @@ def input_party_session(spec: SessionSpec, data: Matrix, mesh) -> None:
                 runner.act_bob(a)
     fp = mesh.channels[tp.FUNCTION_PARTY_ID]
     fp.send(tp.SELF_GRAM, tp.matrix_payload(gram_t(data, data)))
+    fp.end_sends()
     fp.recv(tp.DONE)
 
 
@@ -213,6 +218,7 @@ class _EscapedParty:
         ch = self.mesh.channels[bob_id]
         ch.send(tp.MASKED_DATA, self.masked_payload)
         ch.send(tp.MASKED_MASK, self.scaled_mask_payload)
+        ch.end_sends()
         a1 = alice_compute(self.state, recv_matrix(self.mesh, bob_id, tp.MASKED_DATA, self.spec))
         fp = self.mesh.channels[tp.FUNCTION_PARTY_ID]
         fp.send(tp.PAIR_RESULT, tp.pair_matrix_payload(self.state.party_id, bob_id, tp.PART_A1, a1))
@@ -224,6 +230,7 @@ class _EscapedParty:
         alice_masked = recv_matrix(self.mesh, alice_id, tp.MASKED_DATA, self.spec)
         alice_scaled = recv_matrix(self.mesh, alice_id, tp.MASKED_MASK, self.spec)
         self.mesh.channels[alice_id].send(tp.MASKED_DATA, self.masked_payload)
+        self.mesh.channels[alice_id].end_sends()
         b1, b2 = bob_compute(self.state, alice_masked, alice_scaled)
         fp = self.mesh.channels[tp.FUNCTION_PARTY_ID]
         me = self.state.party_id
@@ -303,6 +310,7 @@ class _ReParty:
             tp.RE_RANDOMS,
             tp.pair_scalars_payload(self.party_id, bob_id, 0, np.ravel(to_bob), dom),
         )
+        self.mesh.channels[bob_id].end_sends()
         self.mesh.channels[tp.FUNCTION_PARTY_ID].send(
             tp.RE_COMPONENTS,
             tp.pair_scalars_payload(self.party_id, bob_id, tp.SIDE_X, np.ravel(to_fp), dom),
@@ -386,20 +394,12 @@ def recv_matrix(mesh, peer: int, kind: int, spec: SessionSpec) -> Matrix:
 
 def function_party_session(spec: SessionSpec, mesh) -> FunctionPartyResult:
     """Read every part the input parties owe, in ``_owed_parts`` order, then assemble the gram."""
-    dom = spec.domain
-    sizes = mesh.n_by_peer
-    owed = _owed_parts(spec, sizes)
-    got = {}
-    for i, _ in owed.values():
-        key, value, shape = _read_part(mesh.channels[i].recv(), dom)
+    dom, sizes, got = spec.domain, mesh.n_by_peer, {}
+    for key, (i, want) in _owed_parts(spec, sizes).items():
+        sent, value, shape = _read_part(mesh.channels[i].recv(), dom)
         what = _part_name(key)
-        if key not in owed:
-            raise ProtocolError(f"party {i} sent {what}, which no party owes")
-        owner, want = owed[key]
-        if i != owner:
-            raise ProtocolError(f"{what} came from party {i}, expected party {owner}")
-        if key in got:
-            raise ProtocolError(f"duplicate {what} from party {i}")
+        if sent != key:
+            raise ProtocolError(f"party {i} sent {_part_name(sent)}, expected {what}")
         if shape != want:
             raise ProtocolError(f"{what} from party {i} has shape {shape}, expected {want}")
         got[key] = value
@@ -429,26 +429,22 @@ def _part_name(key: tuple) -> str:
 
 
 def _read_part(frame, dom) -> tuple:
-    """(key, value, shape) of one inbound frame, keyed as in ``_owed_parts``."""
+    """(key, value, shape) of one inbound frame, keyed as in ``_owed_parts``; a frame
+    of no part a party owes, such as a part or side tag without a label, gets a key
+    no owed part has."""
     if frame.kind == tp.PAIR_RESULT:
         a, b, part, m = tp.pair_matrix_from_payload(frame.payload, dom)
-        if part not in _PAIR_PARTS:
-            raise ProtocolError(f"unknown pair-result part {part} for pair ({a},{b})")
-        return (_PAIR_PARTS[part], a, b), m, (m.rows, m.cols)
+        return (_PAIR_PARTS.get(part, f"pair-result part {part}"), a, b), m, (m.rows, m.cols)
     if frame.kind == tp.RE_COMPONENTS:
         a, b, side, xs = tp.pair_scalars_from_payload(frame.payload, dom)
-        if side not in _RE_SIDES:
-            raise ProtocolError(f"unknown RE component side {side} for pair ({a},{b})")
-        return (_RE_SIDES[side], a, b), xs, xs.shape
+        return (_RE_SIDES.get(side, f"RE component side {side}"), a, b), xs, xs.shape
     if frame.kind == tp.ALPHA:
         xs, _ = tp.scalars_from_payload(frame.payload, dom)
         return (ALPHA, frame.sender), xs, xs.shape
     if frame.kind == tp.SELF_GRAM:
         m, _ = tp.matrix_from_payload(frame.payload, dom)
         return (SELF, frame.sender), m, (m.rows, m.cols)
-    raise ProtocolError(
-        f"function party got unexpected {tp.KIND_NAMES.get(frame.kind, hex(frame.kind))}"
-    )
+    return (tp.KIND_NAMES[frame.kind], frame.sender), None, None
 
 
 # -- meshes ------------------------------------------------------------------

@@ -32,7 +32,9 @@ known tag, the peer as sender, this party as receiver, the expected kind)
 before it reads the payload, so a bad header fails at once instead of
 waiting out ``IO_TIMEOUT`` for a payload that may never come.  On a stream
 the header's length is the only frame boundary: a frame cut short fails as
-a connection closed mid-frame.
+a connection closed mid-frame.  A party calls ``Channel.end_sends`` after
+its last frame on a channel, so a read past that frame fails at once, as
+the peer having ended its sends, instead of waiting out ``IO_TIMEOUT``.
 
 Transcripts record the sender side of every frame with a per-channel
 sequence number.  The canonical order (sender, receiver, seq) is
@@ -389,40 +391,41 @@ class Channel:
         kind, sender, receiver, plen = _HEADER.unpack(header)
         if kind not in KIND_NAMES:
             raise ProtocolVersionError(f"unknown message tag 0x{kind:02x}")
-        if sender != self.peer_id:
-            raise ProtocolError(
-                f"party {self.local_id} expected a frame from {self.peer_id}, "
-                f"got one from {sender}"
-            )
-        if receiver != self.local_id:
-            raise ProtocolError(
-                f"party {self.local_id} got a frame from {self.peer_id} "
-                f"addressed to party {receiver}"
-            )
+        me, peer = self.local_id, self.peer_id
+        if sender != peer:
+            raise ProtocolError(f"party {me} expected a frame from {peer}, got one from {sender}")
+        if receiver != me:
+            raise ProtocolError(f"party {me} got a frame from {peer} addressed to party {receiver}")
         if expect_kind is not None and kind != expect_kind:
             raise ProtocolError(
-                f"party {self.local_id} expected {KIND_NAMES[expect_kind]} from "
-                f"{self.peer_id}, got {KIND_NAMES[kind]}"
+                f"party {me} expected {KIND_NAMES[expect_kind]} from {peer}, got {KIND_NAMES[kind]}"
             )
         return Frame(kind, sender, receiver, memoryview(self._recv_into(bytearray(plen))))
 
     def _next_header(self) -> bytearray:
         if self._header is None:
-            self._header = self._recv_into(bytearray(HEADER_LEN))
+            self._header = self._recv_into(bytearray(HEADER_LEN), frame_start=True)
         return self._header
 
-    def _recv_into(self, buf: bytearray) -> bytearray:
-        """Fill ``buf`` from the socket, in place; returns it."""
-        view = memoryview(buf)
+    def _recv_into(self, buf: bytearray, frame_start: bool = False) -> bytearray:
+        """Fill ``buf`` from the socket, in place; returns it.  A close before the
+        first byte of a frame (``frame_start``) is the peer's end of sends."""
+        me, peer, view = self.local_id, self.peer_id, memoryview(buf)
         while view:
             try:
                 n = self.sock.recv_into(view)
             except socket.timeout:
-                raise TransportError("recv timed out waiting for peer") from None
+                raise TransportError(f"party {me} timed out waiting for party {peer}") from None
+            if not n and frame_start and len(view) == len(buf):
+                raise TransportError(f"party {peer} ended its sends to party {me}")
             if not n:
-                raise TransportError("connection closed mid-frame")
+                raise TransportError(f"connection from party {peer} to party {me} closed mid-frame")
             view = view[n:]
         return buf
+
+    def end_sends(self):
+        """Half-close after the last frame: ``shutdown(SHUT_WR)``, which does not block."""
+        self.sock.shutdown(socket.SHUT_WR)
 
     def close(self):
         try:

@@ -67,6 +67,9 @@ class ScriptedChannel:
     def send(self, kind, payload):
         pass
 
+    def end_sends(self):
+        pass
+
 
 def frame(kind, sender, payload):
     return tp.Frame(kind, sender, tp.FUNCTION_PARTY_ID, joined(payload))
@@ -119,46 +122,6 @@ def test_valid_script_assembles(protocol):
     assert result.gram.data.shape == (2, 2)
 
 
-def test_unknown_component_side_rejected():
-    with pytest.raises(ProtocolError, match="unknown RE component side 7"):
-        run_fp("re", [side(1, 7, 3), self_gram(1)], VALID["re"][1])
-
-
-@pytest.mark.parametrize(
-    "protocol, party1, party2, what",
-    [
-        ("escaped", [part(1, tp.PART_A1), alpha(1), self_gram(1)],
-         [part(2, tp.PART_A1), part(2, tp.PART_B2), self_gram(2)], "A1"),
-        ("escaped", [part(1, tp.PART_B1), alpha(1), self_gram(1)],
-         [part(2, tp.PART_A1), part(2, tp.PART_B2), self_gram(2)], "B1"),
-        ("escaped", [part(1, tp.PART_B2), alpha(1), self_gram(1)],
-         [part(2, tp.PART_A1), part(2, tp.PART_B1), self_gram(2)], "B2"),
-        ("re", [y_side(1), self_gram(1)], [x_side(2), self_gram(2)], "Y-side"),
-        ("re", [x_side(1), self_gram(1)], [x_side(2), self_gram(2)], "X-side"),
-    ],
-    ids=["a1-from-bob", "b1-from-alice", "b2-from-alice", "y-from-alice", "x-from-bob"],
-)
-def test_part_from_wrong_sender_rejected(protocol, party1, party2, what):
-    with pytest.raises(ProtocolError, match=f"{what}.* came from party"):
-        run_fp(protocol, party1, party2)
-
-
-@pytest.mark.parametrize(
-    "protocol, party1, party2",
-    [
-        ("escaped", [part(1, tp.PART_A1), part(1, tp.PART_A1), self_gram(1)],
-         VALID["escaped"][1]),
-        ("escaped", [part(1, tp.PART_A1), alpha(1), alpha(1)], VALID["escaped"][1]),
-        ("escaped", [part(1, tp.PART_A1), self_gram(1), self_gram(1)], VALID["escaped"][1]),
-        ("re", [x_side(1), x_side(1)], VALID["re"][1]),
-    ],
-    ids=["pair-part", "alpha", "self-gram", "re-side"],
-)
-def test_duplicate_rejected(protocol, party1, party2):
-    with pytest.raises(ProtocolError, match="duplicate"):
-        run_fp(protocol, party1, party2)
-
-
 ESC_ALICE, ESC_BOB = VALID["escaped"]
 RE_BOB = VALID["re"][1]
 
@@ -189,19 +152,53 @@ def test_wrong_shape_rejected_on_arrival(protocol, party1, party2, what, shape, 
         run_fp(protocol, party1, party2)
 
 
+# one check on arrival: each frame must be the next part its sender owes
 @pytest.mark.parametrize(
-    "protocol, party1, what",
+    "protocol, party1, party2, message",
     [
-        ("escaped", [part(1, tp.PART_A1, pair=(1, 3)), alpha(1), self_gram(1)],
-         "A1 of pair (1,3)"),
-        ("re", [x_side(1), alpha(1)], "alpha of party 1"),
+        # a part from the party that does not owe it
+        ("escaped", ESC_ALICE, [part(2, tp.PART_A1), part(2, tp.PART_B2), self_gram(2)],
+         "party 2 sent A1 of pair (1,2), expected B1 of pair (1,2)"),
+        ("escaped", [part(1, tp.PART_B1), alpha(1), self_gram(1)],
+         [part(2, tp.PART_A1), part(2, tp.PART_B2), self_gram(2)],
+         "party 1 sent B1 of pair (1,2), expected A1 of pair (1,2)"),
+        ("escaped", [part(1, tp.PART_B2), alpha(1), self_gram(1)],
+         [part(2, tp.PART_A1), part(2, tp.PART_B1), self_gram(2)],
+         "party 1 sent B2 of pair (1,2), expected A1 of pair (1,2)"),
+        ("re", [y_side(1), self_gram(1)], [x_side(2), self_gram(2)],
+         "party 1 sent Y-side components of pair (1,2), expected X-side components of pair (1,2)"),
+        ("re", [x_side(1), self_gram(1)], [x_side(2), self_gram(2)],
+         "party 2 sent X-side components of pair (1,2), expected Y-side components of pair (1,2)"),
+        # a repeated part
+        ("escaped", [part(1, tp.PART_A1), part(1, tp.PART_A1), self_gram(1)], ESC_BOB,
+         "party 1 sent A1 of pair (1,2), expected alpha of party 1"),
+        ("escaped", [part(1, tp.PART_A1), alpha(1), alpha(1)], ESC_BOB,
+         "party 1 sent alpha of party 1, expected self gram of party 1"),
+        ("escaped", [part(1, tp.PART_A1), self_gram(1), self_gram(1)], ESC_BOB,
+         "party 1 sent self gram of party 1, expected alpha of party 1"),
+        ("re", [x_side(1), x_side(1)], RE_BOB,
+         "party 1 sent X-side components of pair (1,2), expected self gram of party 1"),
+        # a part no party owes, or a tag without a label
+        ("escaped", [part(1, tp.PART_A1, pair=(1, 3)), alpha(1), self_gram(1)], ESC_BOB,
+         "party 1 sent A1 of pair (1,3), expected A1 of pair (1,2)"),
+        ("re", [x_side(1), alpha(1)], RE_BOB,
+         "party 1 sent alpha of party 1, expected self gram of party 1"),
+        ("re", [side(1, 7, 3), self_gram(1)], RE_BOB,
+         "party 1 sent RE component side 7 of pair (1,2), expected X-side components of pair (1,2)"),
+        # a reordered part, and a lost one
+        ("escaped", ESC_ALICE, [part(2, tp.PART_B2), part(2, tp.PART_B1), self_gram(2)],
+         "party 2 sent B2 of pair (1,2), expected B1 of pair (1,2)"),
+        ("escaped", [alpha(1), self_gram(1)], ESC_BOB,
+         "party 1 sent alpha of party 1, expected A1 of pair (1,2)"),
     ],
-    ids=["pair-outside-schedule", "alpha-in-re-run"],
+    ids=["a1-from-bob", "b1-from-alice", "b2-from-alice", "y-from-alice", "x-from-bob",
+         "repeated-pair-part", "repeated-alpha", "repeated-self-gram", "repeated-re-side",
+         "pair-outside-schedule", "alpha-in-re-run", "unknown-re-side",
+         "swapped-b1-b2", "dropped-a1"],
 )
-def test_part_owed_by_no_party_rejected(protocol, party1, what):
-    message = f"party 1 sent {what}, which no party owes"
+def test_part_other_than_the_next_owed_rejected(protocol, party1, party2, message):
     with pytest.raises(ProtocolError, match=f"^{re.escape(message)}$"):
-        run_fp(protocol, party1, VALID[protocol][1])
+        run_fp(protocol, party1, party2)
 
 
 # -- input parties: masked matrices must match the sender's hello ------------

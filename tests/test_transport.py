@@ -202,7 +202,9 @@ class TestFraming:
         tx, rx = loopback_channels()
         tx.sock.sendall((tp.frame_header(tp.HELLO, 1, 2, 8) + b"12345678")[:-3])
         tx.close()
-        with pytest.raises(TransportError, match="^connection closed mid-frame$"):
+        with pytest.raises(
+            TransportError, match="^connection from party 1 to party 2 closed mid-frame$"
+        ):
             rx.recv(tp.HELLO)
         rx.close()
 
@@ -210,8 +212,29 @@ class TestFraming:
         tx, rx = loopback_channels()
         tx.sock.sendall(b"\x01\x00")
         tx.close()
-        with pytest.raises(TransportError, match="^connection closed mid-frame$"):
+        with pytest.raises(
+            TransportError, match="^connection from party 1 to party 2 closed mid-frame$"
+        ):
             rx.recv()
+        rx.close()
+
+    # a half-close after the last frame: a read past it fails at once, naming both ends
+    def test_read_past_the_last_frame_fails_as_an_end_of_sends(self):
+        tx, rx = loopback_channels()
+        tx.send(tp.HELLO, tp.u64_payload(3))
+        tx.end_sends()
+        assert tp.u64_from_payload(rx.recv(tp.HELLO).payload) == 3
+        with pytest.raises(TransportError, match="^party 1 ended its sends to party 2$"):
+            rx.recv()
+        tx.close()
+        rx.close()
+
+    def test_timeout_names_the_waiting_party_and_its_peer(self):
+        tx, rx = loopback_channels()
+        rx.sock.settimeout(0.01)
+        with pytest.raises(TransportError, match="^party 2 timed out waiting for party 1$"):
+            rx.recv()
+        tx.close()
         rx.close()
 
     def test_unknown_tag(self):
