@@ -4,18 +4,19 @@ The parties form one complete graph over ids 0..m: party 0 is the function
 party, 1..m the input parties, and every party's ``Mesh`` holds one channel
 to each other id.  ``play_party`` is the one entry of every party, on either
 transport: a loopback thread passes it a connected mesh, a TCP worker a
-``connect`` that sets the mesh up.  It runs ``run_party`` (hello phase, then
-session) and hands back one ``PartyOutcome``: the party's id, the transcript
-entries of its own sends, the function party's result, and on failure
+``connect`` that sets the mesh up.  It runs ``run_party`` and hands back
+one ``PartyOutcome``: the party's id, the transcript entries of its own
+sends, the function party's result, and on failure
 ``(time.monotonic(), exception)``, recorded before any socket closes.
-Hello rule: an input party sends its sample count on every channel in id
-order (the function party first), then every party reads one hello from
-each input party; before it, an input party checks that its data cannot
-wrap around (``check_gram_range``).  Each party draws its randomness from
-its own key in ``SessionSpec.key`` and from no other.  Determinism
-contract: given (keys, config, data), every byte a party sends and the
-per-channel order of its frames are fixed, so transcripts from different
-transports are comparable frame for frame.
+Hello rule: an input party checks that its data cannot wrap around
+(``check_gram_range``), then sends its sample count on every channel in id
+order (the function party first).  A peer's hello is the first frame read
+from it, read when first needed (``Mesh.peer_size``); the function party
+reads every size before it builds its owed table.  Each party draws its
+randomness from its own key in ``SessionSpec.key`` and from no other.
+Determinism contract: given (keys, config, data), every byte a party sends
+and the per-channel order of its frames are fixed, so transcripts from
+different transports are comparable frame for frame.
 
 Each protocol is one class in ``PROTOCOLS``.  An instance plays an input
 party's pair roles (``act_alice``, ``act_bob``); the class gives the parts
@@ -39,11 +40,15 @@ This read order cannot deadlock on bounded socket buffers: a party's
 round-r sends to the function party depend only on its round-r peer, and
 the function party finishes round r before it reads round r+1.  (Reading
 all of party 1's parts first can leave party 1 waiting on party 2 while
-party 2 is blocked sending a part nobody reads yet.)  A party half-closes
-each channel right after its last frame there (``Channel.end_sends``, which
-never blocks, so it adds no wait): to a peer, its last frame of their pair;
-to the function party, its self gram.  So a frame that never comes fails
-its read at once, and no two parties wait on each other.
+party 2 is blocked sending a part nobody reads yet.)  A hello read waits
+only for its sender to start, as an input party sends its hellos before
+anything else.  A party half-closes each channel right after its last frame
+there (``Channel.end_sends``, which never blocks, so it adds no wait): to a
+peer, its last frame of their pair (RE Bob's is his hello); to the function
+party, its self gram.  The receiver reads that end right after the last
+frame it needs from the peer (``recv(kind, last=True)``), so that read
+never waits either.  So a frame that never comes fails its read at once, a
+frame past the last fails as one, and no two parties wait on each other.
 """
 
 from __future__ import annotations
@@ -158,18 +163,18 @@ def play_party(spec: SessionSpec, mesh, data: Matrix, record, connect=None) -> P
 
 
 def run_party(spec: SessionSpec, mesh, data: Matrix = None):
-    """Run party ``mesh.party_id`` on its connected ``mesh``: hello phase, then session.
+    """Run party ``mesh.party_id`` on its connected ``mesh``.
 
     Party 0 is the function party; it returns its ``FunctionPartyResult``.
     An input party first checks that no dot product of its data can wrap
-    around (``check_gram_range``), then announces the sample count of its
-    ``data``, and returns None.
+    around (``check_gram_range``), then sends the sample count of its
+    ``data`` on every channel in id order, and returns None.
     """
     if mesh.party_id == tp.FUNCTION_PARTY_ID:
-        hello_phase(mesh)
         return function_party_session(spec, mesh)
     data.domain.check_gram_range(data.data, mesh.party_id)
-    hello_phase(mesh, data.cols)
+    for j in sorted(mesh.channels):
+        mesh.channels[j].send(tp.HELLO, tp.u64_payload(data.cols))
     input_party_session(spec, data, mesh)
     return None
 
@@ -178,7 +183,7 @@ def run_party(spec: SessionSpec, mesh, data: Matrix = None):
 
 
 def input_party_session(spec: SessionSpec, data: Matrix, mesh) -> None:
-    """Run input party ``mesh.party_id`` to completion.  Hellos are already exchanged."""
+    """Run input party ``mesh.party_id`` to completion, its hellos sent."""
     party_id = mesh.party_id
     runner = protocol_record(spec.protocol)(spec, data, mesh)
     for rnd in pair_rounds(spec.m):
@@ -219,7 +224,8 @@ class _EscapedParty:
         ch.send(tp.MASKED_DATA, self.masked_payload)
         ch.send(tp.MASKED_MASK, self.scaled_mask_payload)
         ch.end_sends()
-        a1 = alice_compute(self.state, recv_matrix(self.mesh, bob_id, tp.MASKED_DATA, self.spec))
+        y_side = recv_matrix(self.mesh, bob_id, tp.MASKED_DATA, self.spec, last=True)
+        a1 = alice_compute(self.state, y_side)
         fp = self.mesh.channels[tp.FUNCTION_PARTY_ID]
         fp.send(tp.PAIR_RESULT, tp.pair_matrix_payload(self.state.party_id, bob_id, tp.PART_A1, a1))
         if not self.alpha_sent:
@@ -228,7 +234,7 @@ class _EscapedParty:
 
     def act_bob(self, alice_id: int):
         alice_masked = recv_matrix(self.mesh, alice_id, tp.MASKED_DATA, self.spec)
-        alice_scaled = recv_matrix(self.mesh, alice_id, tp.MASKED_MASK, self.spec)
+        alice_scaled = recv_matrix(self.mesh, alice_id, tp.MASKED_MASK, self.spec, last=True)
         self.mesh.channels[alice_id].send(tp.MASKED_DATA, self.masked_payload)
         self.mesh.channels[alice_id].end_sends()
         b1, b2 = bob_compute(self.state, alice_masked, alice_scaled)
@@ -291,6 +297,8 @@ class _ReParty:
     leakage_check = None
 
     def __init__(self, spec, data: Matrix, mesh):
+        for j in range(1, mesh.party_id):  # Bob to each lower id: his hello was his last frame
+            mesh.channels[j].end_sends()
         self.spec = spec
         self.party_id = mesh.party_id
         self.data = data
@@ -301,7 +309,7 @@ class _ReParty:
         spec, scheme = self.spec, self.scheme
         dom = spec.domain
         randoms = pair_randoms(
-            scheme, dom, spec.key, bob_id, self.data.cols, self.mesh.n_by_peer[bob_id]
+            scheme, dom, spec.key, bob_id, self.data.cols, self.mesh.peer_size(bob_id, last=True)
         )
         to_bob = y_random_triples(scheme, randoms)
         x_comps = encode_x_side(dom, self.data.data.T[:, None, :], scheme, randoms)
@@ -319,14 +327,13 @@ class _ReParty:
     def act_bob(self, alice_id: int):
         spec, scheme = self.spec, self.scheme
         dom = spec.domain
-        frame = self.mesh.channels[alice_id].recv(tp.RE_RANDOMS)
+        n_alice = self.mesh.peer_size(alice_id)
+        frame = self.mesh.channels[alice_id].recv(tp.RE_RANDOMS, last=True)
         a_id, b_id, _, flat = tp.pair_scalars_from_payload(frame.payload, dom)
         if (a_id, b_id) != (alice_id, self.party_id):
-            raise ProtocolError(
-                f"party {self.party_id} got randoms for pair ({a_id},{b_id})"
-            )
+            raise ProtocolError(f"party {self.party_id} got randoms for pair ({a_id},{b_id})")
         triples = wire_block(
-            flat, self.mesh.n_by_peer[alice_id], self.data.cols, scheme.d, WIRE_RANDOMS,
+            flat, n_alice, self.data.cols, scheme.d, WIRE_RANDOMS,
             f"randoms of pair ({alice_id},{self.party_id})",
         )
         to_fp = encode_y_side(dom, self.data.data.T, scheme, triples)
@@ -375,11 +382,11 @@ def protocol_record(name: str) -> type:
     return PROTOCOLS[name]
 
 
-def recv_matrix(mesh, peer: int, kind: int, spec: SessionSpec) -> Matrix:
-    """A matrix of kind ``kind`` from ``peer``, which must be f x (the peer's hello size)."""
-    frame = mesh.channels[peer].recv(kind)
-    m, _ = tp.matrix_from_payload(frame.payload, spec.domain)
-    want = (spec.features, mesh.n_by_peer[peer])
+def recv_matrix(mesh, peer: int, kind: int, spec: SessionSpec, last: bool = False) -> Matrix:
+    """A matrix of kind ``kind`` from ``peer``, which must be f x (the peer's hello size);
+    ``last`` if it is the peer's last frame on the channel."""
+    want = (spec.features, mesh.peer_size(peer))
+    m, _ = tp.matrix_from_payload(mesh.channels[peer].recv(kind, last).payload, spec.domain)
     if (m.rows, m.cols) != want:
         a, b = sorted((mesh.party_id, peer))
         raise ProtocolError(
@@ -393,10 +400,12 @@ def recv_matrix(mesh, peer: int, kind: int, spec: SessionSpec) -> Matrix:
 
 
 def function_party_session(spec: SessionSpec, mesh) -> FunctionPartyResult:
-    """Read every part the input parties owe, in ``_owed_parts`` order, then assemble the gram."""
-    dom, sizes, got = spec.domain, mesh.n_by_peer, {}
+    """Read every hello, then every part the input parties owe, in ``_owed_parts`` order,
+    each self gram as its sender's last frame; then assemble the gram."""
+    dom, got = spec.domain, {}
+    sizes = {i: mesh.peer_size(i) for i in sorted(mesh.channels)}
     for key, (i, want) in _owed_parts(spec, sizes).items():
-        sent, value, shape = _read_part(mesh.channels[i].recv(), dom)
+        sent, value, shape = _read_part(mesh.channels[i].recv(last=key[0] == SELF), dom)
         what = _part_name(key)
         if sent != key:
             raise ProtocolError(f"party {i} sent {_part_name(sent)}, expected {what}")
@@ -452,8 +461,8 @@ def _read_part(frame, dom) -> tuple:
 
 class Mesh:
     """One party's channels to every other party id (0 is the function party),
-    the transcript of its sends, the sample counts announced to it, and the
-    other sockets its setup opened, which ``close`` closes with the channels."""
+    the transcript of its sends, the sample counts read from its peers' hellos,
+    and the other sockets its setup opened, which ``close`` closes with the channels."""
 
     def __init__(self, party_id: int, channels: dict, transcript=None):
         self.party_id = party_id
@@ -462,35 +471,27 @@ class Mesh:
         self.n_by_peer = {}
         self.sockets = []
 
+    def peer_size(self, j: int, last: bool = False) -> int:
+        """Input party ``j``'s sample count, from its hello, the first frame read from it
+        and read on first need; ``last`` if it is ``j``'s last frame on the channel."""
+        if j not in self.n_by_peer:
+            n = tp.u64_from_payload(self.channels[j].recv(tp.HELLO, last).payload)
+            if n < 1:
+                raise ProtocolError(f"party {j} announced {n} samples; empty parties are rejected")
+            self.n_by_peer[j] = n
+        return self.n_by_peer[j]
+
     def close(self):
         for sock in [*self.channels.values(), *self.sockets]:
             sock.close()
-
-
-def check_hello_size(peer_id: int, n: int) -> int:
-    if n < 1:
-        raise ProtocolError(f"party {peer_id} announced {n} samples; empty parties are rejected")
-    return n
-
-
-def hello_phase(mesh: Mesh, n_samples: int = None):
-    """An input party sends ``n_samples`` on every channel in id order; then every
-    party reads one hello from each input party it is connected to."""
-    if n_samples is not None:
-        for j in sorted(mesh.channels):
-            mesh.channels[j].send(tp.HELLO, tp.u64_payload(n_samples))
-    for j in sorted(mesh.channels):
-        if j != tp.FUNCTION_PARTY_ID:
-            frame = mesh.channels[j].recv(tp.HELLO)
-            mesh.n_by_peer[j] = check_hello_size(j, tp.u64_from_payload(frame.payload))
 
 
 def build_loopback_meshes(m: int) -> dict:
     """One ``socket.socketpair()`` per pair of ids 0..m; returns {party_id: Mesh}.
 
     Sends block on a full socket buffer just as over TCP.  Each party records
-    its sends into a transcript of its own.  Hello phases are left to
-    ``run_party`` so frames are recorded in each sender's own order.
+    its sends into a transcript of its own.  Hellos are left to ``run_party``
+    so frames are recorded in each sender's own order.
     """
     meshes = {i: Mesh(i, {}, tp.Transcript()) for i in range(m + 1)}
     for i in range(m + 1):

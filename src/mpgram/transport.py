@@ -34,7 +34,10 @@ waiting out ``IO_TIMEOUT`` for a payload that may never come.  On a stream
 the header's length is the only frame boundary: a frame cut short fails as
 a connection closed mid-frame.  A party calls ``Channel.end_sends`` after
 its last frame on a channel, so a read past that frame fails at once, as
-the peer having ended its sends, instead of waiting out ``IO_TIMEOUT``.
+the peer having ended its sends, instead of waiting out ``IO_TIMEOUT``;
+and the receiver of that frame reads the end of sends after it
+(``recv(kind, last=True)``), which never waits, so any byte there fails
+at once as a frame after the sender's last.
 
 Transcripts record the sender side of every frame with a per-channel
 sequence number.  The canonical order (sender, receiver, seq) is
@@ -52,12 +55,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from .errors import (
-    FramingError,
-    ProtocolError,
-    ProtocolVersionError,
-    TransportError,
-)
+from .errors import FramingError, ProtocolError, ProtocolVersionError, TransportError
 from .matrix import Matrix
 
 HEADER_LEN = 13
@@ -223,27 +221,15 @@ class Transcript:
 
     def totals(self) -> dict:
         """Recomputable byte/element/frame totals per scope and message kind."""
-        out = {
-            scope: {"bytes": 0, "elements": 0, "frames": 0}
-            for scope in ("ip_ip", "ip_fp", "total")
-        }
-        per_kind = {}
+        zero = {"bytes": 0, "elements": 0, "frames": 0}
+        out, per_kind = {scope: dict(zero) for scope in ("ip_ip", "ip_fp", "total")}, {}
         for e in self.entries:
-            scope = (
-                "ip_fp"
-                if FUNCTION_PARTY_ID in (e.sender, e.receiver)
-                else "ip_ip"
-            )
-            for s in (scope, "total"):
-                out[s]["bytes"] += e.n_bytes
-                out[s]["elements"] += e.n_elements
-                out[s]["frames"] += 1
-            k = per_kind.setdefault(
-                KIND_NAMES[e.kind], {"bytes": 0, "elements": 0, "frames": 0}
-            )
-            k["bytes"] += e.n_bytes
-            k["elements"] += e.n_elements
-            k["frames"] += 1
+            scope = "ip_fp" if FUNCTION_PARTY_ID in (e.sender, e.receiver) else "ip_ip"
+            kind = per_kind.setdefault(KIND_NAMES[e.kind], dict(zero))
+            for tally in (out[scope], out["total"], kind):
+                tally["bytes"] += e.n_bytes
+                tally["elements"] += e.n_elements
+                tally["frames"] += 1
         out["per_kind"] = {k: per_kind[k] for k in sorted(per_kind)}
         return out
 
@@ -352,17 +338,10 @@ class Channel:
             sha = hashlib.sha256()
             for part in payload:
                 sha.update(part)
-            self.transcript.record(
-                TranscriptEntry(
-                    sender=self.local_id,
-                    receiver=self.peer_id,
-                    seq=self._seq,
-                    kind=kind,
-                    n_bytes=HEADER_LEN + n_bytes,
-                    n_elements=payload_elements(kind, n_bytes),
-                    payload_sha=sha.hexdigest()[:16],
-                )
-            )
+            self.transcript.record(TranscriptEntry(
+                sender=self.local_id, receiver=self.peer_id, seq=self._seq, kind=kind,
+                n_bytes=HEADER_LEN + n_bytes, n_elements=payload_elements(kind, n_bytes),
+                payload_sha=sha.hexdigest()[:16]))
         self._seq += 1
         parts = (frame_header(kind, self.local_id, self.peer_id, n_bytes), *payload)
         with self._send_lock:
@@ -385,8 +364,9 @@ class Channel:
         """Sender id in the header of the next frame, which is left unread."""
         return _HEADER.unpack_from(self._next_header())[1]
 
-    def recv(self, expect_kind: int = None) -> Frame:
-        """The next frame: its header is checked before the payload is read into its own buffer."""
+    def recv(self, expect_kind: int = None, last: bool = False) -> Frame:
+        """The next frame: its header is checked before the payload is read into its own
+        buffer.  If it is the peer's ``last`` frame here, the peer's end of sends must follow."""
         header, self._header = self._next_header(), None
         kind, sender, receiver, plen = _HEADER.unpack(header)
         if kind not in KIND_NAMES:
@@ -400,7 +380,11 @@ class Channel:
             raise ProtocolError(
                 f"party {me} expected {KIND_NAMES[expect_kind]} from {peer}, got {KIND_NAMES[kind]}"
             )
-        return Frame(kind, sender, receiver, memoryview(self._recv_into(bytearray(plen))))
+        frame = Frame(kind, sender, receiver, memoryview(self._recv_into(bytearray(plen))))
+        if last and self._read(bytearray(1)):
+            raise ProtocolError(f"party {peer} sent party {me} a frame after its last "
+                                f"{KIND_NAMES[kind]}")
+        return frame
 
     def _next_header(self) -> bytearray:
         if self._header is None:
@@ -408,20 +392,28 @@ class Channel:
         return self._header
 
     def _recv_into(self, buf: bytearray, frame_start: bool = False) -> bytearray:
-        """Fill ``buf`` from the socket, in place; returns it.  A close before the
-        first byte of a frame (``frame_start``) is the peer's end of sends."""
+        """Fill ``buf`` from the socket, in place; returns it.  A close before the first
+        byte of a frame (``frame_start``) is the peer's end of sends, or, on a connection
+        whose peer is not yet named, a close before its first frame."""
         me, peer, view = self.local_id, self.peer_id, memoryview(buf)
         while view:
-            try:
-                n = self.sock.recv_into(view)
-            except socket.timeout:
-                raise TransportError(f"party {me} timed out waiting for party {peer}") from None
+            n = self._read(view)
             if not n and frame_start and len(view) == len(buf):
-                raise TransportError(f"party {peer} ended its sends to party {me}")
+                raise TransportError(
+                    f"party {peer} ended its sends to party {me}" if peer is not None
+                    else f"a connection to party {me} closed before its first frame")
             if not n:
                 raise TransportError(f"connection from party {peer} to party {me} closed mid-frame")
             view = view[n:]
         return buf
+
+    def _read(self, view) -> int:
+        """One ``recv_into`` of ``view``: the bytes read, 0 at the peer's end of sends."""
+        try:
+            return self.sock.recv_into(view)
+        except socket.timeout:
+            peer = "a first frame" if self.peer_id is None else f"party {self.peer_id}"
+            raise TransportError(f"party {self.local_id} timed out waiting for {peer}") from None
 
     def end_sends(self):
         """Half-close after the last frame: ``shutdown(SHUT_WR)``, which does not block."""

@@ -54,13 +54,18 @@ lower id (0 included), and accepts the m - i higher ids.  An accepted
 connection is identified by the sender id in the header of its first
 frame, read with ``Channel.peek_sender`` and left unread; an id that is
 out of range or already connected is rejected.  The worker sends and reads
-no hello of its own: ``party.run_party`` runs the same hello phase (input
-parties send theirs on every channel in id order, every party reads one
-from each input party) and session as a loopback run, so the wire carries
-exactly the same frames.
+no hello of its own: ``party.run_party`` sends and reads the same hellos
+(an input party sends its own on every channel in id order, and a peer's
+is the first frame read from it) and runs the same session as a loopback
+run, so the wire carries exactly the same frames.
 
 Party m has nothing to accept, so its mesh completes first; each lower
 party's peek then completes once the next higher party's hello arrives.
+A connection closed before its first frame fails the peek at once, which
+is how an RE hello lost between input parties ends: RE Bob half-closes
+his channel to Alice right after his hello.  An escaped hello lost from a
+higher input party to a lower one still waits out ``IO_TIMEOUT`` in the
+peek, as the sender's next frame there, as Bob, waits for the receiver's.
 """
 
 from __future__ import annotations

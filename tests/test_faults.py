@@ -2,12 +2,11 @@
 or reordered frame ends the run at once, or shows in the report.
 
 ``inject`` wraps ``transport.Channel.send`` and applies one fault to the k-th
-frame of one kind that one input party sends.  A fault that leaves a
-well-formed frame of valid residues cannot be told from honest data under
-the honest-but-curious model; only verify catches it.  An extra frame that
-nobody reads is caught by the transcript audit.  So the property is: the run
-raises well within ``IO_TIMEOUT``, or its audit or verify fails, or its gram
-is the fault-free one.
+frame of one kind that one input party sends, its hellos included.  A fault
+that leaves a well-formed frame of valid residues cannot be told from honest
+data under the honest-but-curious model; only verify catches it.  So the
+property is: the run raises well within ``IO_TIMEOUT``, or its audit or
+verify fails, or its gram is the fault-free one.
 """
 
 import functools
@@ -26,10 +25,10 @@ from mpgram.field import M61
 from mpgram.runner import RunConfig, run
 
 FAULTS = ("drop", "duplicate", "truncate", "extend", "out-of-range", "swap")
-# the frames an input party sends after the hellos, per protocol
+# the frames an input party sends, per protocol
 KINDS = {
-    "escaped": (tp.MASKED_DATA, tp.MASKED_MASK, tp.PAIR_RESULT, tp.ALPHA, tp.SELF_GRAM),
-    "re": (tp.RE_RANDOMS, tp.RE_COMPONENTS, tp.SELF_GRAM),
+    "escaped": (tp.HELLO, tp.MASKED_DATA, tp.MASKED_MASK, tp.PAIR_RESULT, tp.ALPHA, tp.SELF_GRAM),
+    "re": (tp.HELLO, tp.RE_RANDOMS, tp.RE_COMPONENTS, tp.SELF_GRAM),
 }
 PROMPT_S = 2.0  # every injected run ends within this, far below the IO_TIMEOUT below
 EDITS = {  # what a fault does to a frame's bytes on the wire; the header keeps its length
@@ -121,29 +120,51 @@ def test_a_fault_in_flight_ends_the_run_at_once_or_shows_in_the_report(protocol,
         assert report["gram"]["sha256"] == clean
 
 
+PAST_THE_SELF_GRAM = "function party failed: party 2 sent party 0 a frame after its last self_gram"
+
+
 @pytest.mark.parametrize("protocol", sorted(KINDS))
 @pytest.mark.parametrize("fault", FAULTS)
 def test_every_fault_on_the_last_frame_to_the_function_party_ends_the_run_at_once(
     monkeypatch, protocol, fault
 ):
-    clean = clean_gram_sha(protocol, 3)
     inject(monkeypatch, fault, 2, tp.SELF_GRAM, 1)
-    report, error, seconds = run_timed(config(protocol, 3))
+    _, error, seconds = run_timed(config(protocol, 3))
     assert seconds < PROMPT_S, (seconds, error)
-    if fault == "extend":  # the 8 bytes after the last frame are never read
-        assert report["gram"]["sha256"] == clean
-    elif fault == "duplicate":  # the unread copy shows in the transcript audit, unless
-        # the function party has closed before it, and its send fails
-        assert error is not None or not report["audit"]["ok"]
-    else:
-        assert error is not None
+    assert error is not None
+    if fault in ("duplicate", "extend"):  # a byte where the end of sends is read
+        assert str(error) == PAST_THE_SELF_GRAM
 
 
-def test_a_dropped_self_gram_names_its_sender(monkeypatch):
-    inject(monkeypatch, "drop", 2, tp.SELF_GRAM, 1)
-    _, error, seconds = run_timed(config("escaped", 3))
-    assert seconds < PROMPT_S
-    assert str(error) == "function party failed: party 2 ended its sends to party 0"
+# M=3: party 3's hellos go to parties 0, 1, 2, and party 1 meets party 3 first
+RE_LOOPBACK = RunConfig(protocol="re", m=3, features=32, samples=(24,) * 3, seed=1)
+WIDE = RunConfig(protocol="escaped", m=3, features=2000, samples=(64,) * 3, seed=1)
+
+
+@pytest.mark.parametrize(
+    "fault, party, kind, k, cfg, message",
+    [
+        ("drop", 2, tp.SELF_GRAM, 1, config("escaped", 3),
+         "function party failed: party 2 ended its sends to party 0"),
+        ("drop", 3, tp.HELLO, 2, config("escaped", 3),
+         "party 1 failed: party 1 expected hello from 3, got masked_data"),
+        ("drop", 3, tp.HELLO, 2, config("re", 3),
+         "party 1 failed: party 3 ended its sends to party 1"),
+        # both frames below are larger than a socket buffer, so the copy blocks its sender
+        ("duplicate", 1, tp.RE_RANDOMS, 1, RE_LOOPBACK,
+         "party 3 failed: party 1 sent party 3 a frame after its last re_randoms"),
+        ("duplicate", 1, tp.MASKED_MASK, 1, WIDE,
+         "party 3 failed: party 1 sent party 3 a frame after its last masked_mask"),
+    ],
+    ids=["self-gram-dropped", "escaped-hello-dropped", "re-hello-dropped",
+         "re-randoms-repeated", "masked-mask-repeated"],
+)
+def test_a_lost_or_extra_frame_names_its_sender_at_once(monkeypatch, fault, party, kind, k, cfg,
+                                                        message):
+    inject(monkeypatch, fault, party, kind, k)
+    _, error, seconds = run_timed(cfg)
+    assert seconds < PROMPT_S, (seconds, error)
+    assert isinstance(error, ProtocolError) and str(error) == message
 
 
 # party 1 meets party 3 first; its alpha arrives where its A1 of that pair was owed
@@ -159,30 +180,44 @@ def test_a_dropped_first_pair_result_names_its_sender_and_both_parts(monkeypatch
     assert str(error) == DROPPED_FIRST_PAIR_RESULT
 
 
-# the same drop in every TCP party process
-SITE_DROP_FIRST_PAIR_RESULT = """
+# sends the first frame of kind {kind} that party {party} sends {copies} times, in every
+# TCP party process
+SITE_FAULT = """
 from mpgram import transport as tp
 
 _send = tp.Channel.send
-_dropped = []
+_seen = []
 
 
 def send(self, kind, payload):
-    if (self.local_id, kind) == (1, tp.PAIR_RESULT) and not _dropped:
-        _dropped.append(kind)
-        return
-    _send(self, kind, payload)
+    first = (self.local_id, kind) == ({party}, {kind}) and not _seen
+    _seen.extend([kind] * first)
+    for _ in range({copies} if first else 1):
+        _send(self, kind, payload)
 
 
 tp.Channel.send = send
 """
 
 
-def test_a_dropped_first_pair_result_ends_a_tcp_run_at_once(monkeypatch, tmp_path):
-    (tmp_path / "sitecustomize.py").write_text(SITE_DROP_FIRST_PAIR_RESULT)
+def run_tcp_with_fault(monkeypatch, tmp_path, **fault) -> tuple:
+    """``run_timed`` of an escaped M=3 TCP run whose parties load ``SITE_FAULT``."""
+    (tmp_path / "sitecustomize.py").write_text(SITE_FAULT.format(**fault))
     src = os.path.dirname(os.path.dirname(tp.__file__))
     paths = [str(tmp_path), src, *os.environ.get("PYTHONPATH", "").split(os.pathsep)]
     monkeypatch.setenv("PYTHONPATH", os.pathsep.join(p for p in paths if p))
-    _, error, seconds = run_timed(replace(config("escaped", 3), transport="tcp"))
+    return run_timed(replace(config("escaped", 3), transport="tcp"))
+
+
+def test_a_dropped_first_pair_result_ends_a_tcp_run_at_once(monkeypatch, tmp_path):
+    _, error, seconds = run_tcp_with_fault(monkeypatch, tmp_path, party=1, kind=tp.PAIR_RESULT,
+                                           copies=0)
     assert seconds < PROMPT_S
     assert isinstance(error, ProtocolError) and str(error) == DROPPED_FIRST_PAIR_RESULT
+
+
+def test_a_duplicated_self_gram_ends_a_tcp_run_at_once(monkeypatch, tmp_path):
+    _, error, seconds = run_tcp_with_fault(monkeypatch, tmp_path, party=2, kind=tp.SELF_GRAM,
+                                           copies=2)
+    assert seconds < PROMPT_S
+    assert isinstance(error, ProtocolError) and str(error) == PAST_THE_SELF_GRAM

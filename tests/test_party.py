@@ -29,7 +29,6 @@ from mpgram.party import (
     _read_part,
     build_loopback_meshes,
     function_party_session,
-    hello_phase,
     input_party_session,
     play_party,
     recv_matrix,
@@ -59,7 +58,7 @@ class ScriptedChannel:
     def __init__(self, frames):
         self.frames = list(frames)
 
-    def recv(self, expect_kind=None):
+    def recv(self, expect_kind=None, last=False):
         if not self.frames:
             raise TransportError("script exhausted")
         return self.frames.pop(0)
@@ -252,9 +251,14 @@ def test_loopback_meshes_form_one_complete_graph(m):
         assert all((ch.local_id, ch.peer_id) == (i, j) for j, ch in mesh.channels.items())
 
     sizes = {i: i + 1 for i in range(1, m + 1)}
-    threads = [
-        threading.Thread(target=hello_phase, args=(meshes[i], sizes.get(i))) for i in meshes
-    ]
+
+    def hellos(mesh):  # an input party's hellos, as ``run_party`` sends them; then every size
+        for j in sorted(mesh.channels) if mesh.party_id else ():
+            mesh.channels[j].send(tp.HELLO, tp.u64_payload(sizes[mesh.party_id]))
+        for j in sorted(set(mesh.channels) - {tp.FUNCTION_PARTY_ID}):
+            mesh.peer_size(j)
+
+    threads = [threading.Thread(target=hellos, args=(meshes[i],)) for i in meshes]
     for t in threads:
         t.start()
     for t in threads:

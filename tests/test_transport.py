@@ -229,6 +229,28 @@ class TestFraming:
         tx.close()
         rx.close()
 
+    # the receiver of a last frame reads the end of sends after it, which is already there
+    def test_a_last_frame_is_read_with_the_end_of_sends_after_it(self):
+        tx, rx = loopback_channels()
+        tx.send(tp.HELLO, tp.u64_payload(3))
+        tx.end_sends()
+        assert tp.u64_from_payload(rx.recv(tp.HELLO, last=True).payload) == 3
+        tx.close()
+        rx.close()
+
+    # any byte after a last frame fails at once, without waiting for the end of sends
+    @pytest.mark.parametrize("extra", [tp.frame_header(tp.HELLO, 1, 2, 0), b"\x00"],
+                             ids=["frame", "byte"])
+    def test_a_byte_after_a_last_frame_fails_at_once_naming_its_sender(self, extra):
+        tx, rx = loopback_channels()
+        tx.send(tp.HELLO, tp.u64_payload(3))
+        tx.sock.sendall(extra)
+        message = "^party 1 sent party 2 a frame after its last hello$"
+        with pytest.raises(ProtocolError, match=message):
+            rx.recv(tp.HELLO, last=True)
+        tx.close()
+        rx.close()
+
     def test_timeout_names_the_waiting_party_and_its_peer(self):
         tx, rx = loopback_channels()
         rx.sock.settimeout(0.01)
@@ -403,6 +425,25 @@ class TestChannels:
         a.close()
         b.close()
 
+    # an accepted connection's peer is named by its first frame; a close before one says so
+    def test_tcp_connection_closed_before_its_first_frame(self):
+        accepted, client = tcp_pair()
+        a = tp.Channel(accepted, 1, None, None)
+        client.close()
+        message = "^a connection to party 1 closed before its first frame$"
+        with pytest.raises(TransportError, match=message):
+            a.peek_sender()
+        a.close()
+
+    def test_tcp_connection_without_a_first_frame_times_out_as_such(self):
+        accepted, client = tcp_pair()
+        a = tp.Channel(accepted, 1, None, None)
+        a.sock.settimeout(0.01)
+        with pytest.raises(TransportError, match="^party 1 timed out waiting for a first frame$"):
+            a.peek_sender()
+        a.close()
+        client.close()
+
     def test_tcp_large_frame_arrives_intact_and_fast(self):
         # receive time must stay linear in the frame size
         accepted, client = tcp_pair()
@@ -521,11 +562,18 @@ class TestFailureModes:
             tp.tcp_connect("127.0.0.1", 1, retries=2, delay=0.01)
 
     def test_empty_party_rejected_at_hello(self):
-        from mpgram.party import check_hello_size
+        from mpgram.party import Mesh
 
-        with pytest.raises(ProtocolError, match="empty parties"):
-            check_hello_size(3, 0)
-        assert check_hello_size(3, 5) == 5
+        tx, rx = loopback_channels(3, 0)
+        mesh = Mesh(0, {3: rx})
+        tx.send(tp.HELLO, tp.u64_payload(0))
+        message = "^party 3 announced 0 samples; empty parties are rejected$"
+        with pytest.raises(ProtocolError, match=message):
+            mesh.peer_size(3)
+        tx.send(tp.HELLO, tp.u64_payload(5))
+        assert mesh.peer_size(3) == mesh.peer_size(3) == 5  # read once, then kept
+        tx.close()
+        mesh.close()
 
 
 class TestConnectBackoff:

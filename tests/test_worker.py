@@ -83,7 +83,7 @@ def test_input_party_accepts_only_higher_ids(claimed):
         srv.close()
 
 
-def test_first_frame_that_is_not_a_hello_fails_the_hello_phase():
+def test_first_frame_that_is_not_a_hello_fails_the_function_party():
     cfg = _cfg(0, 2)
     mesh = Mesh(0, {})
     try:
