@@ -17,7 +17,7 @@ Two interchangeable domains:
   does not grow with the limb counts: each operand's limbs in one stacked
   array, every limb product from one batched ``np.matmul`` call, one sum
   for the products that share a shift, one reduction per chunk and one
-  Shoup product that scales every shift.  The count matters because each
+  scaling of every shift.  The count matters because each
   pass over more than 500 elements releases the GIL, which the party
   threads of a loopback run then hand between cores.
 * ``FloatDomain`` -- IEEE double arithmetic, provided so the protocols
@@ -47,22 +47,35 @@ arithmetic on such arrays: ``array_add``, ``array_sub`` and ``array_mul``
 (elementwise, broadcasting, scalars allowed), ``array_sum`` (over the last
 axis), ``matmul_t`` (the product A^T B) and ``pack``/``unpack`` (the wire
 codec of a vector of elements).  The field's array arithmetic never leaves
-uint64, and p < 2^63 gives each operation one formula:
+uint64.  p < 2^63 gives each operation a generic formula, and ``__init__``
+picks a faster exact one for three of them where p allows it:
 
 * a sum of two residues fits a word, so add is min(a + b, a + b - p) and
   sub is min(a - b, a - b + p), one pass and one correction each (a wrapped
   difference is the larger of the two);
-* the product of two arrays is Montgomery's (Math. Comp. 1985) with
-  R = 2^64, the 128-bit product formed from 32-bit halves, which gives
-  a b R^-1 mod p; that, and any array times a scalar, is then multiplied by
-  a constant with Shoup's precomputed quotient (Harvey, J. Symb. Comp.
-  2014), whose remainder in [0, 2p) fits a word.  The reduction needs
-  p^-1 mod 2^64, which is why p must be odd;
+* the product of two arrays over M61 is Mersenne reduction (Crandall and
+  Pomerance, Prime Numbers, 9.2.3): the products of 32-bit halves are
+  folded by 2^61 = 1 and 2^64 = 8 mod p, in about 24 passes.  Over any
+  other prime it is Montgomery's (Math. Comp. 1985) with R = 2^64, the
+  128-bit product formed from 32-bit halves, which gives a b R^-1 mod p,
+  then multiplied by the constant R mod p with Shoup's precomputed
+  quotient (Harvey, J. Symb. Comp. 2014), whose remainder in [0, 2p) fits
+  a word; about 55 passes.  The reduction needs p^-1 mod 2^64, which is
+  why p must be odd.  Any array times a scalar is one Shoup product;
+* ``matmul_t`` multiplies the sum of each limb shift s by 2^s mod p: over
+  M61 a 61-bit rotation by s mod 61, in 4 passes; over any other prime a
+  Shoup product, in about 20;
 * the sum uses delayed reduction (Dumas, Giorgi and Pernet, ACM TOMS 2008):
   runs of floor((2^64 - 1) / (p - 1)) residues (8 for M61) are added in
   uint64 with one ``% p`` per run;
-* an int64 value, such as an encoded real or a chunk's BLAS sum, takes
-  its residue with ``np.mod``, since p is an int64 too.
+* an int64 value, such as an encoded real or a chunk's BLAS sum, is below
+  p in magnitude when p > 2^53, and then takes its residue as min(u, u + p)
+  on its uint64 view, with no division; over a smaller prime it takes
+  ``np.mod``, since p is an int64 too.
+
+The Mersenne forms hold for M61 alone, the production prime.  The generic
+forms stay as the path of every other prime: the exhaustive checks run over
+Z5 and Z251, and the widest sums and products over 2^63 - 25.
 
 Over floats every operation runs in the order of a scalar loop, sums
 included, in index order from zero, so results are bit-identical to it.
@@ -155,6 +168,14 @@ class FieldDomain:
         self._r = (1 << 64) % p  # R mod p, R = 2^64
         self._bits = p.bit_length()
         self._sum_run = ((1 << 64) - 1) // (p - 1)  # residues per uint64 partial sum
+        # The exact forms, picked once from p: shifts and masks for M61 and the
+        # generic forms, which any odd p < 2^63 allows, for every other prime;
+        # residues with no division where every value given is below p > 2^53.
+        if p == M61:
+            self._product, self._scale_pow2 = _m61_product, _m61_rotate
+        else:
+            self._product, self._scale_pow2 = self._montgomery, self._shoup_pow2
+        self._residues = self._residues_below_p if p > _EXACT_INT else self._residues_mod
         # |x| must stay clear of the wrap-around point; for M61 that is
         # 2^(60 - scale_bits) so that sums of products still fit.
         self.max_abs = 2.0 ** (self._bits - 1 - scale_bits)
@@ -356,15 +377,12 @@ class FieldDomain:
     def array_mul(self, a, b) -> np.ndarray:
         """(a b) mod p, elementwise, for entries in [0, p).
 
-        Two arrays take Montgomery's product (Math. Comp. 1985) with R = 2^64,
-        in uint64 throughout: ``_mul_hi`` and numpy's wrapping uint64 product
-        give the two words of the 128-bit product, and ``_redc`` takes it to
-        t = a b R^-1 mod p; then ``_times`` multiplies t by the constant R mod
-        p.  A scalar operand (a Python int, numpy scalar or 0-d array) is a
-        constant itself, so its product is one ``_times``.  Operands are
-        lifted to at least one dimension, since numpy hands back numpy scalars
-        for 0-d ones, whose arithmetic warns on wrap-around; the result has
-        the broadcast shape.
+        A product of two arrays is ``_m61_product`` over M61, and Montgomery's
+        (``_montgomery``) over any other prime.  A scalar operand (a Python
+        int, numpy scalar or 0-d array) is a constant, so its product is one
+        Shoup product (``_times``).  Operands are lifted to at least one
+        dimension, since numpy hands back numpy scalars for 0-d ones, whose
+        arithmetic warns on wrap-around; the result has the broadcast shape.
         """
         if np.ndim(a) == 0:
             a, b = b, a
@@ -372,9 +390,17 @@ class FieldDomain:
         x = np.atleast_1d(np.asarray(a, dtype=np.uint64))
         if np.ndim(b) == 0:
             return self._times(x, int(b) % self.p).reshape(shape)
-        y = np.atleast_1d(np.asarray(b, dtype=np.uint64))
+        return self._product(x, np.atleast_1d(np.asarray(b, dtype=np.uint64))).reshape(shape)
+
+    def _montgomery(self, x, y) -> np.ndarray:
+        """x y mod p for uint64 arrays of residues, by Montgomery's product (Math.
+        Comp. 1985) with R = 2^64, in uint64 throughout: ``_mul_hi`` and numpy's
+        wrapping uint64 product give the two words of the 128-bit product,
+        ``_redc`` takes it to t = x y R^-1 mod p, and ``_times`` multiplies t
+        by the constant R mod p.  About 55 numpy passes; it needs p odd.
+        """
         t = self._redc(_mul_hi(x, y), np.multiply(x, y))
-        return self._times(t, self._r).reshape(shape)
+        return self._times(t, self._r)
 
     def _times(self, t, w) -> np.ndarray:
         """t w mod p for a uint64 array t and constants w in [0, p): one Python
@@ -450,19 +476,22 @@ class FieldDomain:
         that BLAS would be given for it alone.  Where products share a
         shift, one sum over a skewed array adds them.  One ``_residues``
         reduces the chunk's shift sums, and the chunks are added mod p.
-        Then one Shoup product (``_times``) multiplies the sum of every
-        shift s by 2^s mod p, and one uint64 sum and ``% p`` add the shifts
-        (delayed reduction, as in ``array_sum``).  A product of one-limb
-        operands, such as a gram of encoded data, has the one shift 0: one
-        GEMM, one reduction and no scaling.  A self gram (``b is a``)
-        splits its array once.
+        Then one scaling multiplies the sum of every shift s by 2^s mod p,
+        a 61-bit rotation over M61 (``_m61_rotate``) and a Shoup product
+        over any other prime (``_shoup_pow2``), and one uint64 sum and
+        ``% p`` add the shifts (delayed reduction, as in ``array_sum``).
+        A product of one-limb operands, such as a gram of encoded data, has
+        the one shift 0: one GEMM, one reduction and no scaling.  A self
+        gram (``b is a``) splits its array once.
 
         The count of passes matters because each numpy pass over more than
         500 elements releases the GIL and takes it back.  When the parties of
         a loopback run call this from threads on several cores, each pass
         can hand the GIL to another core and wait for it.  A wide x wide
-        product of one chunk takes 43 such passes, where a GEMM per limb
-        product and a scaling per shift took 90.
+        product of one chunk takes 43 such passes with the generic forms,
+        where a GEMM per limb product and a scaling per shift took 90; over
+        M61 it takes 15 fewer, about 28: the rotation's 4 in place of the
+        Shoup product's 20, and one more for the residues.
         """
         same = b is a
         ca = self.centred(a)
@@ -502,16 +531,34 @@ class FieldDomain:
             res = self.array_add(res, chunk) if lo else chunk
         if len(shifts) == 1:  # shift 0 needs no scaling
             return res[0]
-        scaled = self._times(res, [pow(2, s, self.p) for s in shifts])
+        scaled = self._scale_pow2(res, shifts)
         if len(shifts) > self._sum_run:  # more shifts than residues that fit a word
             return self.array_sum(np.moveaxis(scaled, 0, -1))
         total = scaled.sum(axis=0)  # adds whole slices, unlike array_sum's reduceat
         total %= self._p
         return total
 
-    def _residues(self, acc) -> np.ndarray:
+    def _shoup_pow2(self, res, shifts: list) -> np.ndarray:
+        """res[i] 2^shifts[i] mod p for a uint64 array of residues: one Shoup
+        product (``_times``) with a constant per slice."""
+        return self._times(res, [pow(2, s, self.p) for s in shifts])
+
+    def _residues_mod(self, acc) -> np.ndarray:
         """uint64 array of v mod p, in [0, p), for an int64 array of values v."""
         return np.mod(acc, np.int64(self.p)).view(np.uint64)
+
+    def _residues_below_p(self, acc) -> np.ndarray:
+        """uint64 array of v mod p, in [0, p), for an int64 array of values v
+        with |v| < p, which every caller's values are when p > 2^53: a chunk's
+        BLAS sums are at most 2^53, and an encoded real is below 2^(bits - 1).
+
+        On the uint64 view u, a v >= 0 is u itself and u + p does not wrap; a
+        v < 0 is u = v + 2^64, and u + p wraps to v + p.  So min(u, u + p) is
+        the residue, with no division.
+        """
+        u = acc.view(np.uint64)
+        t = u + self._p
+        return np.minimum(u, t, out=t)
 
     def pack(self, values, prefix: bytes = b"") -> tuple:
         """The payload parts ``prefix`` and the 8-byte elements of ``values`` (``_wire_parts``)."""
@@ -541,6 +588,65 @@ class FieldDomain:
 
 _HALF = np.uint64(32)
 _LO32 = np.uint64((1 << 32) - 1)
+_P61 = np.uint64(M61)
+_BITS61 = np.uint64(61)
+_LO29 = np.uint64((1 << 29) - 1)
+
+
+def _m61_product(x, y) -> np.ndarray:
+    """x y mod M61, elementwise, for uint64 arrays of residues below M61 = 2^61 - 1.
+
+    Mersenne reduction (Crandall and Pomerance, Prime Numbers, 9.2.3): with
+    32-bit halves x = x1 2^32 + x0 and y likewise, x1 and y1 are below 2^29,
+    and x y = x1 y1 2^64 + m 2^32 + x0 y0 with m = x1 y0 + x0 y1 < 2^62.
+    Since 2^61 = 1 and 2^64 = 8 mod p, each term folds below 2^61: x1 y1 2^64
+    to 8 x1 y1; m 2^32, with m split at bit 29 into m1 2^29 + m0, to
+    m0 2^32 + m1 (m1 < 2^33); and x0 y0, split at bit 61 into h 2^61 + l, to
+    l + h (h < 8).  Their total s < 3 2^61 + 2^34 fits a word; one fold
+    (s & p) + (s >> 61) <= p + 3 and min(s, s - p) then give the residue.
+    About 24 numpy passes, on three arrays of the broadcast shape, each
+    updated in place.
+    """
+    x0, x1 = x & _LO32, x >> _HALF
+    y0, y1 = y & _LO32, y >> _HALF
+    s = x1 * y1
+    s <<= np.uint64(3)
+    mid = x1 * y0
+    t = x0 * y1
+    mid += t
+    np.bitwise_and(mid, _LO29, out=t)
+    t <<= _HALF
+    s += t
+    mid >>= np.uint64(29)
+    s += mid
+    np.multiply(x0, y0, out=t)
+    np.bitwise_and(t, _P61, out=mid)
+    s += mid
+    t >>= _BITS61
+    s += t
+    np.bitwise_and(s, _P61, out=t)
+    s >>= _BITS61
+    s += t
+    np.subtract(s, _P61, out=t)
+    return np.minimum(s, t, out=s)
+
+
+def _m61_rotate(res, shifts: list) -> np.ndarray:
+    """res[i] 2^shifts[i] mod M61 for an (S, n1, n2) uint64 array of residues below
+    M61; overwrites res.
+
+    2^61 = 1 mod p, so with k = shifts[i] mod 61 the product is r 2^k =
+    ((r << k) mod 2^61) + (r >> (61 - k)): the 61-bit rotation of r by k,
+    ((r << k) & p) | (r >> (61 - k)).  A rotation keeps the count of set
+    bits, so a residue below p, which has a clear bit, stays below p.  Four
+    numpy passes, with k broadcast over the first axis.
+    """
+    k = np.array([s % 61 for s in shifts], dtype=np.uint64).reshape(-1, 1, 1)
+    out = res << k
+    out &= _P61
+    res >>= _BITS61 - k
+    out |= res
+    return out
 
 
 def _mul_hi(a, b) -> np.ndarray:

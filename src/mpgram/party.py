@@ -473,11 +473,15 @@ class Mesh:
 
     def peer_size(self, j: int, last: bool = False) -> int:
         """Input party ``j``'s sample count, from its hello, the first frame read from it
-        and read on first need; ``last`` if it is ``j``'s last frame on the channel."""
+        and read on first need; ``last`` if it is ``j``'s last frame on the channel.
+        A count must be at least 1 and at most ``transport.MAX_DIM``."""
         if j not in self.n_by_peer:
             n = tp.u64_from_payload(self.channels[j].recv(tp.HELLO, last).payload)
             if n < 1:
                 raise ProtocolError(f"party {j} announced {n} samples; empty parties are rejected")
+            if n > tp.MAX_DIM:
+                raise ProtocolError(f"party {j} announced {n} samples, more than the "
+                                    f"{tp.MAX_DIM} columns a matrix frame can carry")
             self.n_by_peer[j] = n
         return self.n_by_peer[j]
 

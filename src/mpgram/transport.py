@@ -102,6 +102,8 @@ def frame_header(kind: int, sender: int, receiver: int, n_bytes: int) -> bytes:
 
 # -- payload codecs -------------------------------------------------------
 
+MAX_DIM = (1 << 32) - 1  # the largest dimension or count a payload's 4-byte field carries
+
 
 def matrix_payload(m: Matrix) -> tuple:
     return m.domain.pack(m.data, struct.pack("<II", m.rows, m.cols))
@@ -369,9 +371,11 @@ class Channel:
         buffer.  If it is the peer's ``last`` frame here, the peer's end of sends must follow."""
         header, self._header = self._next_header(), None
         kind, sender, receiver, plen = _HEADER.unpack(header)
-        if kind not in KIND_NAMES:
-            raise ProtocolVersionError(f"unknown message tag 0x{kind:02x}")
         me, peer = self.local_id, self.peer_id
+        if kind not in KIND_NAMES:
+            source = "a connection not yet named" if peer is None else f"party {peer}"
+            raise ProtocolVersionError(f"party {me} got unknown message tag 0x{kind:02x} "
+                                       f"from {source}")
         if sender != peer:
             raise ProtocolError(f"party {me} expected a frame from {peer}, got one from {sender}")
         if receiver != me:

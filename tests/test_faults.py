@@ -139,6 +139,8 @@ def test_every_fault_on_the_last_frame_to_the_function_party_ends_the_run_at_onc
 # M=3: party 3's hellos go to parties 0, 1, 2, and party 1 meets party 3 first
 RE_LOOPBACK = RunConfig(protocol="re", m=3, features=32, samples=(24,) * 3, seed=1)
 WIDE = RunConfig(protocol="escaped", m=3, features=2000, samples=(64,) * 3, seed=1)
+HELLO_OF_P = (f"party 3 announced {M61} samples, more than the 4294967295 columns a matrix "
+              "frame can carry")
 
 
 @pytest.mark.parametrize(
@@ -155,9 +157,14 @@ WIDE = RunConfig(protocol="escaped", m=3, features=2000, samples=(64,) * 3, seed
          "party 3 failed: party 1 sent party 3 a frame after its last re_randoms"),
         ("duplicate", 1, tp.MASKED_MASK, 1, WIDE,
          "party 3 failed: party 1 sent party 3 a frame after its last masked_mask"),
+        # hellos set to p: party 3's second goes to party 1, its first to the function party
+        ("out-of-range", 3, tp.HELLO, 2, config("re", 3), "party 1 failed: " + HELLO_OF_P),
+        ("out-of-range", 3, tp.HELLO, 1, config("escaped", 3),
+         "function party failed: " + HELLO_OF_P),
     ],
     ids=["self-gram-dropped", "escaped-hello-dropped", "re-hello-dropped",
-         "re-randoms-repeated", "masked-mask-repeated"],
+         "re-randoms-repeated", "masked-mask-repeated", "re-hello-of-p",
+         "hello-of-p-to-the-function-party"],
 )
 def test_a_lost_or_extra_frame_names_its_sender_at_once(monkeypatch, fault, party, kind, k, cfg,
                                                         message):

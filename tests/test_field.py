@@ -307,6 +307,72 @@ class TestMontgomeryProduct:
         assert dom.array_mul(y, r).tolist() == want
 
 
+class TestMersenneForms:
+    """Over M61 a product of two arrays folds its 32-bit half products by 2^61 = 1
+    and 2^64 = 8 mod p, and an int64 value below p in magnitude takes its
+    residue without a division; against Python ints."""
+
+    EDGES = [0, 1, 2**32 - 1, 2**32, 2**60, P - 1]
+
+    def test_every_pair_of_edges_and_products_near_p(self):
+        dom = FieldDomain(scale_bits=0)
+        rng = Random(61)
+        values = self.EDGES + [rng.randrange(P) for _ in range(40)]
+        # y = k x^-1 gives x y = k mod p: the sums that fold to just above p
+        pairs = [(x, y) for x in values for y in values]
+        pairs += [(x, k * pow(x, -1, P) % P) for x in values if x for k in (1, 2, 3, P - 1)]
+        a, b = zip(*pairs)
+        got = dom.array_mul(np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64))
+        assert got.dtype == np.uint64
+        assert got.tolist() == [x * y % P for x, y in pairs]
+
+    def test_re_broadcast_shape(self):
+        # the RE encoders multiply (n_a, 1, d) samples by (n_a, n_b, d) randoms
+        dom = FieldDomain(scale_bits=0)
+        rng = np.random.default_rng(61)
+        x = rng.integers(0, P, (3, 1, 6), dtype=np.uint64)
+        r = rng.integers(0, P, (3, 4, 6), dtype=np.uint64)
+        x[0, 0] = r[1, 2] = self.EDGES
+        r[0, 1] = self.EDGES[::-1]
+        got = dom.array_mul(x, r)
+        assert got.dtype == np.uint64 and got.shape == (3, 4, 6)
+        assert got.tolist() == [[[int(x[i, 0, k]) * int(r[i, j, k]) % P for k in range(6)]
+                                 for j in range(4)] for i in range(3)]
+
+    def test_no_fall_back_to_the_generic_forms(self, monkeypatch):
+        # the generic product and shift scaling both take _mul_hi; M61's take none
+        def no_mul_hi(a, b):
+            raise AssertionError("_mul_hi called")
+
+        monkeypatch.setattr(field, "_mul_hi", no_mul_hi)
+        dom = FieldDomain(scale_bits=0)
+        x = np.array(self.EDGES, dtype=np.uint64)
+        got = dom.array_mul(x, x[::-1])
+        assert got.dtype == np.uint64
+        assert got.tolist() == [u * v % P for u, v in zip(self.EDGES, self.EDGES[::-1])]
+        wide = np.array([[P - 1, 2**60], [3, P // 2]], dtype=np.uint64)  # 3 limbs each
+        c = dom.centred(wide).tolist()
+        assert dom.matmul_t(wide, wide).tolist() == [
+            [sum(r[i] * r[j] for r in c) % P for j in range(2)] for i in range(2)
+        ]
+        with pytest.raises(AssertionError, match="_mul_hi called"):
+            FieldDomain(scale_bits=0, p=LARGEST).array_mul(x, x)
+
+    @pytest.mark.parametrize("p", [M61, LARGEST])
+    def test_residues_of_values_below_p_in_magnitude(self, p):
+        # a chunk's BLAS sums reach +-2^53, an encoded real +-(2^(bits - 1) - 1)
+        v = [0, 1, -1, 2**53, -(2**53), 2**53 - 1, 1 - 2**53, 2**60, -(2**60), p - 1, 1 - p]
+        got = FieldDomain(scale_bits=0, p=p)._residues(np.array(v, dtype=np.int64))
+        assert got.dtype == np.uint64 and got.tolist() == [u % p for u in v]
+
+    @pytest.mark.parametrize("p", [5, 251])
+    def test_small_primes_reduce_any_int64(self, p):
+        # a chunk's sums over Z5 or Z251 are far above p, so these keep np.mod
+        v = [0, 1, -1, p, -p, 7 * p + 3, 2**53, -(2**53), 2**63 - 1, -(2**63)]
+        got = FieldDomain(scale_bits=0, p=p)._residues(np.array(v, dtype=np.int64))
+        assert got.dtype == np.uint64 and got.tolist() == [u % p for u in v]
+
+
 # the primes whose uint64 partial sums hold 8, 4, 3 and 2 residues of p - 1:
 # M61, the primes on each side of 2^62 and the largest prime below 2^63
 SUM_RUN_PRIMES = [M61, 2**62 - 57, 2**62 + 135, LARGEST]

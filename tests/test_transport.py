@@ -262,7 +262,8 @@ class TestFraming:
     def test_unknown_tag(self):
         tx, rx = loopback_channels()
         tx.sock.sendall(b"\x7f" + tp.frame_header(tp.HELLO, 1, 2, 0)[1:])
-        with pytest.raises(ProtocolVersionError, match="0x7f"):
+        with pytest.raises(ProtocolVersionError,
+                           match="^party 2 got unknown message tag 0x7f from party 1$"):
             rx.recv()
         tx.close()
         rx.close()
@@ -274,7 +275,8 @@ class TestHeaderChecks:
     @pytest.mark.parametrize(
         "header, expect_kind, error, match",
         [
-            ((0xEE, 1, 2), None, ProtocolVersionError, "^unknown message tag 0xee$"),
+            ((0xEE, 1, 2), None, ProtocolVersionError,
+             "^party 2 got unknown message tag 0xee from party 1$"),
             ((tp.HELLO, 3, 2), None, ProtocolError,
              "^party 2 expected a frame from 1, got one from 3$"),
             ((tp.HELLO, 1, 7), None, ProtocolError,
@@ -434,6 +436,16 @@ class TestChannels:
         with pytest.raises(TransportError, match=message):
             a.peek_sender()
         a.close()
+
+    def test_tcp_unknown_tag_before_the_peer_is_named(self):
+        accepted, client = tcp_pair()
+        a = tp.Channel(accepted, 1, None, None)
+        client.sendall(b"\x00" + tp.frame_header(tp.HELLO, 3, 1, 0)[1:])
+        message = "^party 1 got unknown message tag 0x00 from a connection not yet named$"
+        with pytest.raises(ProtocolVersionError, match=message):
+            a.recv()
+        a.close()
+        client.close()
 
     def test_tcp_connection_without_a_first_frame_times_out_as_such(self):
         accepted, client = tcp_pair()
