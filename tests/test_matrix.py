@@ -233,6 +233,9 @@ class TestGramKernelWidths:
             (P63, NARROW + 1, (11, 2)),
             (M61, NARROW, (21, 1)),
             (M61, NARROW + 1, (11, 2)),
+            # 3 limbs of 15 bits, whose product with a wide operand's 3 of 20
+            # has 9 shifts, more than the 8 residues one uint64 sums
+            (M61, 2**42, (15, 3)),
             (251, 125, (7, 1)),  # the widest centred values of the small fields
             (5, 2, (2, 1)),
         ],
@@ -315,34 +318,6 @@ class TestGramKernelWidths:
         a = np.full((f, 1), v, dtype=np.uint64)
         g = FieldDomain(scale_bits=0, p=p).matmul_t(a, a)
         assert g.tolist() == [[f * v * v % p]]
-
-
-class TestGramKernelM61:
-    """Over M61 each shift's sum of residues is multiplied by 2^s mod p as a
-    61-bit rotation by s mod 61, and each chunk's sums take their residues
-    without a division: every limb layout against Python ints."""
-
-    WIDE = M61 // 2  # 60 bits: 3 limbs of 20
-
-    @pytest.mark.parametrize(
-        "top, splits",
-        [
-            ((WIDE, WIDE), [(20, 3), (20, 3)]),  # 3 x 3 limbs of one width: 5 shared shifts
-            ((WIDE, NARROW), [(20, 3), (21, 1)]),  # 3 shifts
-            ((NARROW, WIDE), [(21, 1), (20, 3)]),
-            ((WIDE, 2**44), [(20, 3), (15, 3)]),  # 9 shifts, past 8 residues per word
-        ],
-        ids=["3x3-shared", "3x1", "1x3", "3x3-nine-shifts"],
-    )
-    # 2^12 + 1 rows are two chunks, except for the nine shifts' 2^53 / 2^35 rows
-    @pytest.mark.parametrize("f", [40, 2**12 + 1])
-    def test_limb_layouts_against_python_ints(self, top, splits, f):
-        dom = FieldDomain(scale_bits=0)
-        rng = np.random.default_rng(f)
-        a, b = (_centred(rng, f, n, -t, t) for n, t in zip((3, 4), top))
-        a[0][0], a[-1][-1], b[1][0], b[-1][-1] = top[0], -top[0], top[1], -top[1]
-        assert [_split_width(dom.centred(_residues(x, M61))) for x in (a, b)] == splits
-        _check_gram(M61, a, b)
 
 
 class TestGramKernelThreads:
