@@ -2,30 +2,29 @@
 
 Two interchangeable domains:
 
-* ``FieldDomain`` -- the prime field Z_p for an odd prime p < 2^63
-  (production prime: the Mersenne prime M61 = 2^61 - 1), which is also the
-  fixed-point codec that embeds reals by scaling and rounding.  All
-  arithmetic is exact, which is what the uniform-mask security checks rely
-  on.  Elements are uint64 residues in [0, p).  Matrix products run on
-  float64 BLAS: ``matmul_t`` splits each operand by the width of its own
-  centred values, into one limb (the values themselves) when they fit 21
-  bits, as encoded data does, and else into ceil(bits / 21) limbs of equal
-  width; it sums in chunks of feature rows short enough that every BLAS
-  sum is an exact integer of at most 2^53, reduces each chunk's sums to
-  residues in uint64 and adds the chunks mod p, with no Python ints.  A
-  product takes few numpy passes, and apart from the split their number
-  does not grow with the limb counts: each operand's limbs in one stacked
-  array, every limb product from one batched ``np.matmul`` call, one sum
-  for the products that share a shift, one reduction per chunk and one
-  scaling of every shift.  The count matters because each
-  pass over more than 500 elements releases the GIL, which the party
-  threads of a loopback run then hand between cores.
+* ``FieldDomain`` -- the prime field Z_p, which is also the fixed-point
+  codec that embeds reals by scaling and rounding.  Every run uses the
+  Mersenne prime M61 = 2^61 - 1; a modulus below 2^32 (Z5 and Z251 among
+  them) serves the exhaustive checks, which are only feasible over tiny
+  fields.  No other modulus is accepted.  All arithmetic is exact, which is
+  what the uniform-mask security checks rely on.  Elements are uint64
+  residues in [0, p).  Matrix products run on float64 BLAS: ``matmul_t``
+  splits each operand by the width of its own centred values, into one
+  limb (the values themselves) when they fit 21 bits, as encoded data
+  does, and else into ceil(bits / 21) limbs of equal width; it sums in
+  chunks of feature rows short enough that every BLAS sum is an exact
+  integer of at most 2^53, reduces each chunk's sums to residues in uint64
+  and adds the chunks mod p, with no Python ints.  A product takes few
+  numpy passes, and apart from the split their number does not grow with
+  the limb counts: each operand's limbs in one stacked array, every limb
+  product from one batched ``np.matmul`` call, one sum for the products
+  that share a shift, one reduction per chunk and one scaling of every
+  shift.  The count matters because each pass over more than 500 elements
+  releases the GIL, which the party threads of a loopback run then hand
+  between cores.
 * ``FloatDomain`` -- IEEE double arithmetic, provided so the protocols
   can also be run directly on real-valued data.  No security properties
   are claimed for it.
-
-Small test primes (Z_5, Z_251) are supported by passing ``p`` explicitly;
-exhaustive distribution checks are only feasible over tiny fields.
 
 Each domain has one bulk sampler, ``sample(key, label, n)``, which turns
 the words of the keyed stream ``seeds.stream_words(key, label, .)`` into n
@@ -47,35 +46,26 @@ arithmetic on such arrays: ``array_add``, ``array_sub`` and ``array_mul``
 (elementwise, broadcasting, scalars allowed), ``array_sum`` (over the last
 axis), ``matmul_t`` (the product A^T B) and ``pack``/``unpack`` (the wire
 codec of a vector of elements).  The field's array arithmetic never leaves
-uint64.  p < 2^63 gives each operation a generic formula, and ``__init__``
-picks a faster exact one for three of them where p allows it:
+uint64, and ``__init__`` picks one exact form per operation for each kind
+of prime:
 
 * a sum of two residues fits a word, so add is min(a + b, a + b - p) and
   sub is min(a - b, a - b + p), one pass and one correction each (a wrapped
   difference is the larger of the two);
-* the product of two arrays over M61 is Mersenne reduction (Crandall and
-  Pomerance, Prime Numbers, 9.2.3): the products of 32-bit halves are
-  folded by 2^61 = 1 and 2^64 = 8 mod p, in about 24 passes.  Over any
-  other prime it is Montgomery's (Math. Comp. 1985) with R = 2^64, the
-  128-bit product formed from 32-bit halves, which gives a b R^-1 mod p,
-  then multiplied by the constant R mod p with Shoup's precomputed
-  quotient (Harvey, J. Symb. Comp. 2014), whose remainder in [0, 2p) fits
-  a word; about 55 passes.  The reduction needs p^-1 mod 2^64, which is
-  why p must be odd.  Any array times a scalar is one Shoup product;
+* a product over M61 is Mersenne reduction (Crandall and Pomerance, Prime
+  Numbers, 9.2.3): the products of 32-bit halves are folded by 2^61 = 1 and
+  2^64 = 8 mod p, in about 24 passes.  Below 2^32 the product of two
+  residues fits a word, so it is x y % p.  A scalar operand is reduced mod
+  p and broadcast;
 * ``matmul_t`` multiplies the sum of each limb shift s by 2^s mod p: over
-  M61 a 61-bit rotation by s mod 61, in 4 passes; over any other prime a
-  Shoup product, in about 20;
+  M61 a 61-bit rotation by s mod 61, in 4 passes; below 2^32 the word
+  product with the constant 2^s mod p;
 * the sum uses delayed reduction (Dumas, Giorgi and Pernet, ACM TOMS 2008):
   runs of floor((2^64 - 1) / (p - 1)) residues (8 for M61) are added in
   uint64 with one ``% p`` per run;
 * an int64 value, such as an encoded real or a chunk's BLAS sum, is below
-  p in magnitude when p > 2^53, and then takes its residue as min(u, u + p)
-  on its uint64 view, with no division; over a smaller prime it takes
-  ``np.mod``, since p is an int64 too.
-
-The Mersenne forms hold for M61 alone, the production prime.  The generic
-forms stay as the path of every other prime: the exhaustive checks run over
-Z5 and Z251, and the widest sums and products over 2^63 - 25.
+  M61 in magnitude, and then takes its residue as min(u, u + p) on its
+  uint64 view, with no division; below 2^32 it takes ``np.mod``.
 
 Over floats every operation runs in the order of a scalar loop, sums
 included, in index order from zero, so results are bit-identical to it.
@@ -102,8 +92,8 @@ M61 = (1 << 61) - 1  # 2^61 - 1 = 2305843009213693951
 _EXACT_INT = 2.0**53
 # The field kernel's limbs are at most this many bits wide, so an operand
 # whose centred values fit it is one limb: the values themselves.  Three
-# limbs cover any centred value below 2^63, and a product of two limbs is at
-# most 2^42, which leaves at least 2^11 / 3 rows per exact chunk.
+# limbs cover any centred value of M61, below 2^60, and a product of two
+# limbs is at most 2^42, which leaves at least 2^10 rows per exact chunk.
 _LIMB_MAX_BITS = 21
 
 
@@ -137,7 +127,7 @@ def _sum_in_order(dom, a) -> np.ndarray:
 
 
 class FieldDomain:
-    """Prime field Z_p, for an odd prime p < 2^63, with a fixed-point codec for reals.
+    """Prime field Z_p, for p = M61 or a p below 2^32, with a fixed-point codec for reals.
 
     encode(x) = round(x * 2**scale_bits) mod p, with negative values mapped
     onto the upper half of the field (p - |.|).  A product of two encoded
@@ -149,14 +139,11 @@ class FieldDomain:
     dtype = np.dtype(np.uint64)
 
     def __init__(self, scale_bits: int = 16, p: int = M61):
-        if p < 2:
-            raise DomainError(f"modulus must be >= 2, got {p}")
-        if p >= 1 << 63:
+        if p != M61 and not 2 <= p < 1 << 32:
             raise DomainError(
-                f"modulus must be < 2^63 (a sum of two residues must fit a uint64), got {p}"
+                f"modulus must be M61 = 2^61 - 1 or at least 2 and below 2^32 (where a "
+                f"product of two residues fits a uint64), got {p}"
             )
-        if p % 2 == 0:
-            raise DomainError(f"modulus must be odd (Montgomery's product needs it), got {p}")
         if scale_bits < 0:
             raise DomainError(f"scale_bits must be non-negative, got {scale_bits}")
         self.p = p
@@ -164,18 +151,16 @@ class FieldDomain:
         self.scale = 1 << scale_bits
         self.zero = 0
         self._p = np.uint64(p)
-        self._p_inv = np.uint64(pow(p, -1, 1 << 64))  # p^-1 mod 2^64, for ``_redc``
-        self._r = (1 << 64) % p  # R mod p, R = 2^64
         self._bits = p.bit_length()
         self._sum_run = ((1 << 64) - 1) // (p - 1)  # residues per uint64 partial sum
-        # The exact forms, picked once from p: shifts and masks for M61 and the
-        # generic forms, which any odd p < 2^63 allows, for every other prime;
-        # residues with no division where every value given is below p > 2^53.
+        # The exact forms, picked once from p: shifts and masks over M61, and
+        # below 2^32 words that hold any product of two residues.
         if p == M61:
             self._product, self._scale_pow2 = _m61_product, _m61_rotate
+            self._residues = self._residues_below_p
         else:
-            self._product, self._scale_pow2 = self._montgomery, self._shoup_pow2
-        self._residues = self._residues_below_p if p > _EXACT_INT else self._residues_mod
+            self._product, self._scale_pow2 = self._word_product, self._word_pow2
+            self._residues = self._residues_mod
         # |x| must stay clear of the wrap-around point; for M61 that is
         # 2^(60 - scale_bits) so that sums of products still fit.
         self.max_abs = 2.0 ** (self._bits - 1 - scale_bits)
@@ -377,66 +362,30 @@ class FieldDomain:
     def array_mul(self, a, b) -> np.ndarray:
         """(a b) mod p, elementwise, for entries in [0, p).
 
-        A product of two arrays is ``_m61_product`` over M61, and Montgomery's
-        (``_montgomery``) over any other prime.  A scalar operand (a Python
-        int, numpy scalar or 0-d array) is a constant, so its product is one
-        Shoup product (``_times``).  Operands are lifted to at least one
-        dimension, since numpy hands back numpy scalars for 0-d ones, whose
-        arithmetic warns on wrap-around; the result has the broadcast shape.
+        The product is ``_m61_product`` over M61 and ``_word_product`` below
+        2^32.  A scalar operand (a Python int, numpy scalar or 0-d array) is
+        reduced mod p first, so it may be any integer, and broadcast.
+        Operands are lifted to at least one dimension, since numpy hands back
+        numpy scalars for 0-d ones, whose arithmetic warns on wrap-around; the
+        result has the broadcast shape.
         """
-        if np.ndim(a) == 0:
-            a, b = b, a
         shape = np.broadcast_shapes(np.shape(a), np.shape(b))
-        x = np.atleast_1d(np.asarray(a, dtype=np.uint64))
-        if np.ndim(b) == 0:
-            return self._times(x, int(b) % self.p).reshape(shape)
-        return self._product(x, np.atleast_1d(np.asarray(b, dtype=np.uint64))).reshape(shape)
+        x, y = (np.atleast_1d(np.asarray(int(v) % self.p if np.ndim(v) == 0 else v,
+                                         dtype=np.uint64)) for v in (a, b))
+        return self._product(x, y).reshape(shape)
 
-    def _montgomery(self, x, y) -> np.ndarray:
-        """x y mod p for uint64 arrays of residues, by Montgomery's product (Math.
-        Comp. 1985) with R = 2^64, in uint64 throughout: ``_mul_hi`` and numpy's
-        wrapping uint64 product give the two words of the 128-bit product,
-        ``_redc`` takes it to t = x y R^-1 mod p, and ``_times`` multiplies t
-        by the constant R mod p.  About 55 numpy passes; it needs p odd.
-        """
-        t = self._redc(_mul_hi(x, y), np.multiply(x, y))
-        return self._times(t, self._r)
+    def _word_product(self, x, y) -> np.ndarray:
+        """x y mod p, elementwise, for uint64 arrays of residues below p < 2^32, whose
+        product fits a word."""
+        r = np.multiply(x, y)
+        r %= self._p
+        return r
 
-    def _times(self, t, w) -> np.ndarray:
-        """t w mod p for a uint64 array t and constants w in [0, p): one Python
-        int for all of t, or a list of them, whose i-th multiplies t[i].
-
-        This is Shoup's product (Harvey, "Faster arithmetic for
-        number-theoretic transforms", J. Symb. Comp. 2014): with w' =
-        floor(w 2^64 / p), q = mulhi(t, w') and r = t w - q p, computed mod
-        2^64, lands in [0, 2p) for every t < 2^64, and min(r, r - p) is the
-        residue.  A list broadcasts over t's first axis, so scaling many
-        slices takes the passes of one; one constant stays a numpy scalar,
-        for which numpy's loops are faster than for a broadcast array.
-        """
-        if isinstance(w, list):
-            shape = (len(w),) + (1,) * (t.ndim - 1)
-            quot = np.array([(v << 64) // self.p for v in w], dtype=np.uint64).reshape(shape)
-            w = np.array(w, dtype=np.uint64).reshape(shape)
-        else:
-            quot, w = np.uint64((w << 64) // self.p), np.uint64(w)
-        q = _mul_hi(t, quot)
-        r = np.multiply(t, w)
-        q *= self._p
-        r -= q
-        return np.minimum(r, np.subtract(r, self._p))
-
-    def _redc(self, hi, lo) -> np.ndarray:
-        """(hi 2^64 + lo) 2^-64 mod p for uint64 arrays with hi < p; overwrites both.
-
-        m = lo p^-1 mod 2^64 (numpy's wrapping product) makes the low word of
-        m p equal lo, so (hi 2^64 + lo - m p) / 2^64 = hi - mulhi(m, p)
-        exactly.  Both terms are below p, so their difference mod p is
-        ``array_sub``'s min(d, d + p).
-        """
-        lo *= self._p_inv
-        hi -= _mul_hi(lo, self._p)
-        return np.minimum(hi, np.add(hi, self._p), out=hi)
+    def _word_pow2(self, res, shifts: list) -> np.ndarray:
+        """res[i] 2^shifts[i] mod p for an (S, n1, n2) uint64 array of residues below
+        p < 2^32: one ``_word_product`` with a constant per slice."""
+        w = np.array([pow(2, s, self.p) for s in shifts], dtype=np.uint64)
+        return self._word_product(res, w.reshape(-1, 1, 1))
 
     def array_sum(self, a) -> np.ndarray:
         """Sum mod p over the last axis of an entry array, with delayed reduction
@@ -466,7 +415,7 @@ class FieldDomain:
         sum_i c_i 2^(w i).  Every limb is at most 2^w in magnitude.  With t
         the most limb products that share a shift w_a i + w_b j, chunks of r
         feature rows with r t 2^(w_a + w_b) <= 2^53 keep every BLAS sum, and
-        every sum of one shift's products, an exact integer, and r >= 682
+        every sum of one shift's products, an exact integer, and r >= 1024
         rows share one reduction.
 
         A chunk takes few numpy passes, and apart from the split (two per
@@ -477,9 +426,9 @@ class FieldDomain:
         shift, one sum over a skewed array adds them.  One ``_residues``
         reduces the chunk's shift sums, and the chunks are added mod p.
         Then one scaling multiplies the sum of every shift s by 2^s mod p,
-        a 61-bit rotation over M61 (``_m61_rotate``) and a Shoup product
-        over any other prime (``_shoup_pow2``), and one uint64 sum and
-        ``% p`` add the shifts (delayed reduction, as in ``array_sum``).
+        a 61-bit rotation over M61 (``_m61_rotate``) and a word product
+        below 2^32 (``_word_pow2``), and one uint64 sum and ``% p`` add the
+        shifts (delayed reduction, as in ``array_sum``).
         A product of one-limb operands, such as a gram of encoded data, has
         the one shift 0: one GEMM, one reduction and no scaling.  A self
         gram (``b is a``) splits its array once.
@@ -488,10 +437,8 @@ class FieldDomain:
         500 elements releases the GIL and takes it back.  When the parties of
         a loopback run call this from threads on several cores, each pass
         can hand the GIL to another core and wait for it.  A wide x wide
-        product of one chunk takes 43 such passes with the generic forms,
-        where a GEMM per limb product and a scaling per shift took 90; over
-        M61 it takes 15 fewer, about 28: the rotation's 4 in place of the
-        Shoup product's 20, and one more for the residues.
+        product of one chunk over M61 takes about 28 such passes, where a
+        GEMM per limb product and a scaling per shift took 90.
         """
         same = b is a
         ca = self.centred(a)
@@ -538,19 +485,14 @@ class FieldDomain:
         total %= self._p
         return total
 
-    def _shoup_pow2(self, res, shifts: list) -> np.ndarray:
-        """res[i] 2^shifts[i] mod p for a uint64 array of residues: one Shoup
-        product (``_times``) with a constant per slice."""
-        return self._times(res, [pow(2, s, self.p) for s in shifts])
-
     def _residues_mod(self, acc) -> np.ndarray:
         """uint64 array of v mod p, in [0, p), for an int64 array of values v."""
         return np.mod(acc, np.int64(self.p)).view(np.uint64)
 
     def _residues_below_p(self, acc) -> np.ndarray:
         """uint64 array of v mod p, in [0, p), for an int64 array of values v
-        with |v| < p, which every caller's values are when p > 2^53: a chunk's
-        BLAS sums are at most 2^53, and an encoded real is below 2^(bits - 1).
+        with |v| < p, which every caller's values are over M61: a chunk's BLAS
+        sums are at most 2^53, and an encoded real is below 2^60.
 
         On the uint64 view u, a v >= 0 is u itself and u + p does not wrap; a
         v < 0 is u = v + 2^64, and u + p wraps to v + p.  So min(u, u + p) is
@@ -647,30 +589,6 @@ def _m61_rotate(res, shifts: list) -> np.ndarray:
     res >>= _BITS61 - k
     out |= res
     return out
-
-
-def _mul_hi(a, b) -> np.ndarray:
-    """floor(a b / 2^64), elementwise, for a uint64 array a and a uint64 array or scalar b.
-
-    From 32-bit halves, a = a1 2^32 + a0 and b likewise: floor(a b / 2^32) is
-    (a1 b1 + floor(a0 b1 / 2^32)) 2^32 + mid, with mid = floor(a0 b0 / 2^32)
-    + (a0 b1 mod 2^32) + a1 b0 < 2^32 + 2^32 + (2^32 - 1)^2 < 2^64, so mid
-    fits a word.  Each product of halves is a new array of the broadcast
-    shape, which the sums then update in place.
-    """
-    a0, a1 = a & _LO32, a >> _HALF
-    b0, b1 = b & _LO32, b >> _HALF
-    mid = a0 * b0
-    mid >>= _HALF
-    cross = a0 * b1
-    mid += cross & _LO32
-    cross >>= _HALF
-    mid += a1 * b0
-    mid >>= _HALF
-    hi = a1 * b1
-    hi += cross
-    hi += mid
-    return hi
 
 
 def _split_width(c) -> tuple:

@@ -35,6 +35,10 @@ frame from each entry's owner in that order; each must be that entry, of
 its shape, so a lost, repeated, reordered or unknown part fails on arrival
 and names its sender, the part sent and the part owed.  Input parties
 likewise check each matrix a peer sends against the f x n of its hello.
+Every party decodes what it receives through ``decoded``, so a payload that
+does not decode names its receiver, sender and kind.  RE Alice checks her
+peer's hello count before she draws the pair's randoms: a pair too large
+for a frame's 4-byte element count fails at once and names that peer.
 
 This read order cannot deadlock on bounded socket buffers: a party's
 round-r sends to the function party depend only on its round-r peer, and
@@ -61,7 +65,7 @@ from math import comb, inf
 import numpy as np
 
 from . import transport as tp
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError, DomainError, FramingError, ProtocolError
 from .masking import (
     PairResult,
     alice_compute,
@@ -308,9 +312,14 @@ class _ReParty:
     def act_alice(self, bob_id: int):
         spec, scheme = self.spec, self.scheme
         dom = spec.domain
-        randoms = pair_randoms(
-            scheme, dom, spec.key, bob_id, self.data.cols, self.mesh.peer_size(bob_id, last=True)
-        )
+        n_a, n_b = self.data.cols, self.mesh.peer_size(bob_id, last=True)
+        if 3 * n_a * n_b * spec.features > tp.MAX_DIM:  # the element count of each of her frames
+            raise ProtocolError(
+                f"party {bob_id} announced {n_b} samples, too many for a pair with party "
+                f"{self.party_id}'s {n_a}: 3 x {n_a} x {n_b} x {spec.features} elements exceed "
+                f"the {tp.MAX_DIM} a frame can count"
+            )
+        randoms = pair_randoms(scheme, dom, spec.key, bob_id, n_a, n_b)
         to_bob = y_random_triples(scheme, randoms)
         x_comps = encode_x_side(dom, self.data.data.T[:, None, :], scheme, randoms)
         to_fp = x_side_wire(x_comps, offline_components(dom, scheme, randoms))
@@ -329,7 +338,7 @@ class _ReParty:
         dom = spec.domain
         n_alice = self.mesh.peer_size(alice_id)
         frame = self.mesh.channels[alice_id].recv(tp.RE_RANDOMS, last=True)
-        a_id, b_id, _, flat = tp.pair_scalars_from_payload(frame.payload, dom)
+        a_id, b_id, _, flat = decoded(frame, tp.pair_scalars_from_payload, dom)
         if (a_id, b_id) != (alice_id, self.party_id):
             raise ProtocolError(f"party {self.party_id} got randoms for pair ({a_id},{b_id})")
         triples = wire_block(
@@ -386,7 +395,7 @@ def recv_matrix(mesh, peer: int, kind: int, spec: SessionSpec, last: bool = Fals
     """A matrix of kind ``kind`` from ``peer``, which must be f x (the peer's hello size);
     ``last`` if it is the peer's last frame on the channel."""
     want = (spec.features, mesh.peer_size(peer))
-    m, _ = tp.matrix_from_payload(mesh.channels[peer].recv(kind, last).payload, spec.domain)
+    m, _ = decoded(mesh.channels[peer].recv(kind, last), tp.matrix_from_payload, spec.domain)
     if (m.rows, m.cols) != want:
         a, b = sorted((mesh.party_id, peer))
         raise ProtocolError(
@@ -394,6 +403,18 @@ def recv_matrix(mesh, peer: int, kind: int, spec: SessionSpec, last: bool = Fals
             f"{(m.rows, m.cols)}, expected {want}"
         )
     return m
+
+
+def decoded(frame, decode, *args):
+    """``decode(frame.payload, *args)``; a payload that does not decode is a
+    ProtocolError that names its receiver, sender and kind."""
+    try:
+        return decode(frame.payload, *args)
+    except (FramingError, DomainError) as exc:
+        kind = tp.KIND_NAMES[frame.kind]
+        raise ProtocolError(
+            f"party {frame.receiver} cannot decode the {kind} from party {frame.sender}: {exc}"
+        ) from None
 
 
 # -- function party ----------------------------------------------------------
@@ -442,16 +463,16 @@ def _read_part(frame, dom) -> tuple:
     of no part a party owes, such as a part or side tag without a label, gets a key
     no owed part has."""
     if frame.kind == tp.PAIR_RESULT:
-        a, b, part, m = tp.pair_matrix_from_payload(frame.payload, dom)
+        a, b, part, m = decoded(frame, tp.pair_matrix_from_payload, dom)
         return (_PAIR_PARTS.get(part, f"pair-result part {part}"), a, b), m, (m.rows, m.cols)
     if frame.kind == tp.RE_COMPONENTS:
-        a, b, side, xs = tp.pair_scalars_from_payload(frame.payload, dom)
+        a, b, side, xs = decoded(frame, tp.pair_scalars_from_payload, dom)
         return (_RE_SIDES.get(side, f"RE component side {side}"), a, b), xs, xs.shape
     if frame.kind == tp.ALPHA:
-        xs, _ = tp.scalars_from_payload(frame.payload, dom)
+        xs, _ = decoded(frame, tp.scalars_from_payload, dom)
         return (ALPHA, frame.sender), xs, xs.shape
     if frame.kind == tp.SELF_GRAM:
-        m, _ = tp.matrix_from_payload(frame.payload, dom)
+        m, _ = decoded(frame, tp.matrix_from_payload, dom)
         return (SELF, frame.sender), m, (m.rows, m.cols)
     return (tp.KIND_NAMES[frame.kind], frame.sender), None, None
 
@@ -476,7 +497,7 @@ class Mesh:
         and read on first need; ``last`` if it is ``j``'s last frame on the channel.
         A count must be at least 1 and at most ``transport.MAX_DIM``."""
         if j not in self.n_by_peer:
-            n = tp.u64_from_payload(self.channels[j].recv(tp.HELLO, last).payload)
+            n = decoded(self.channels[j].recv(tp.HELLO, last), tp.u64_from_payload)
             if n < 1:
                 raise ProtocolError(f"party {j} announced {n} samples; empty parties are rejected")
             if n > tp.MAX_DIM:

@@ -11,6 +11,7 @@ verify fails, or its gram is the fault-free one.
 
 import functools
 import os
+import re
 import struct
 import time
 from dataclasses import replace
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpgram import party as pt
 from mpgram import transport as tp
 from mpgram.errors import MpgramError, ProtocolError
 from mpgram.field import M61
@@ -185,6 +187,63 @@ def test_a_dropped_first_pair_result_names_its_sender_and_both_parts(monkeypatch
     _, error, seconds = run_timed(config("escaped", 3))
     assert seconds < PROMPT_S
     assert str(error) == DROPPED_FIRST_PAIR_RESULT
+
+
+def rewrite_payload(monkeypatch, sender: int, receiver, kind: int, payload: tuple):
+    """Send ``payload`` in place of the first frame of ``kind`` from ``sender`` (to
+    ``receiver``, or to anyone if it is None), with a header of its own length."""
+    send = tp.Channel.send
+    done = []
+
+    def rewriting_send(self, frame_kind, sent):
+        ours = (self.local_id, frame_kind) == (sender, kind) and receiver in (None, self.peer_id)
+        if ours and not done:
+            done.append(frame_kind)
+            sent = payload
+        send(self, frame_kind, sent)
+
+    monkeypatch.setattr(tp.Channel, "send", rewriting_send)
+    monkeypatch.setattr(tp, "IO_TIMEOUT", 5.0)
+
+
+@pytest.mark.parametrize(
+    "protocol, kind",
+    [(protocol, kind) for protocol in sorted(KINDS) for kind in KINDS[protocol]],
+    ids=lambda v: tp.KIND_NAMES[v] if isinstance(v, int) else v,
+)
+def test_a_payload_that_does_not_decode_names_its_sender_and_kind(monkeypatch, protocol, kind):
+    # every element kind's last element is set to p; a hello, which carries a
+    # count and no element, is cut to 4 of its 8 bytes under a header of 4
+    if kind == tp.HELLO:
+        rewrite_payload(monkeypatch, 1, None, kind, (bytes(4),))
+    else:
+        inject(monkeypatch, "out-of-range", 1, kind, 1)
+    _, error, seconds = run_timed(config(protocol, 3))
+    assert seconds < PROMPT_S, (seconds, error)
+    name = tp.KIND_NAMES[kind]
+    assert isinstance(error, ProtocolError), error
+    assert re.match(rf"^(function party|party \d) failed: party \d cannot decode the {name} "
+                    rf"from party 1: ", str(error)), str(error)
+
+
+def test_an_re_hello_too_large_for_the_pair_frames_fails_before_the_draw(monkeypatch):
+    # party 3's second hello goes to party 1, whose first pair is (1, 3): as
+    # Alice she would draw 2 x 2^31 x (5 f - 1) randoms, about 480 GB; the other
+    # pairs draw as usual
+    draw = pt.pair_randoms
+
+    def no_large_draw(scheme, domain, key, bob_id, n_a, n_b):
+        assert n_b < 2**31, f"pair_randoms asked for {n_a} x {n_b} samples"
+        return draw(scheme, domain, key, bob_id, n_a, n_b)
+
+    monkeypatch.setattr(pt, "pair_randoms", no_large_draw)
+    rewrite_payload(monkeypatch, 3, 1, tp.HELLO, tp.u64_payload(2**31))
+    _, error, seconds = run_timed(config("re", 3))
+    assert seconds < PROMPT_S, (seconds, error)
+    assert isinstance(error, ProtocolError) and str(error) == (
+        "party 1 failed: party 3 announced 2147483648 samples, too many for a pair with party "
+        "1's 2: 3 x 2 x 2147483648 x 3 elements exceed the 4294967295 a frame can count"
+    )
 
 
 # sends the first frame of kind {kind} that party {party} sends {copies} times, in every

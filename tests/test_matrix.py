@@ -127,7 +127,7 @@ class TestGram:
         assert gram_t(mat_add(a1, a2), b) == mat_add(gram_t(a1, b), gram_t(a2, b))
 
 
-P63 = 2**63 - 25  # the largest prime below 2^63
+WORD = 2**32 - 5  # the largest prime below 2^32: 2 limbs of 16 bits at its widest
 
 
 def python_gram(a: list, b: list, p: int) -> list:
@@ -137,12 +137,12 @@ def python_gram(a: list, b: list, p: int) -> list:
 
 @st.composite
 def field_operands(draw):
-    """(p, a, b) over M61, the largest prime below 2^63, Z5 or Z251.
+    """(p, a, b) over M61, the largest prime below 2^32, Z5 or Z251.
 
     Entries are biased towards limb and sign edges: (p - 1) / 2 and
     (p + 1) / 2 are the widest centred values of each sign.
     """
-    p = draw(st.sampled_from([M61, P63, 5, 251]))
+    p = draw(st.sampled_from([M61, WORD, 5, 251]))
     edges = (0, 1, p - 1, 2**16 - 1, 2**16, 2**32 - 1, 2**48, 2**62, (p - 1) // 2, (p + 1) // 2)
     edges = [v for v in edges if v < p]
     entry = st.one_of(st.sampled_from(edges), st.integers(0, p - 1))
@@ -180,15 +180,15 @@ class TestGramKernel:
         assert gram_t(a, a).data.tolist() == [[f, f], [f, f]]
 
     def test_top_word_carries_across_chunks(self):
-        # over the largest prime below 2^63, (p - 1) / 2 and (p + 1) / 2 are the
-        # widest positive and negative centred values, +-(p - 1) / 2: 3 limbs
-        # of 21 bits whose top limb carries the sign, and 2 * 682 + 1 rows of
-        # them are three wide x wide chunks
-        p, f = P63, 2 * 682 + 1
+        # over M61, (p - 1) / 2 and (p + 1) / 2 are the widest positive and
+        # negative centred values, +-(p - 1) / 2: 3 limbs of 20 bits whose top
+        # limb carries the sign, and 2 * 2730 + 1 rows of them are three wide x
+        # wide chunks
+        p, f = M61, 2 * 2730 + 1
         dom = FieldDomain(scale_bits=0, p=p)
         c = [(p - 1) // 2, (p + 1) // 2]
         a = Matrix([c] * f, dom)
-        assert _split_width(dom.centred(a.data)) == (21, 3)
+        assert _split_width(dom.centred(a.data)) == (20, 3)
         g = gram_t(a, a)
         assert g.data.tolist() == [[f * ci * cj % p for cj in c] for ci in c]
         assert g.data.dtype == np.uint64
@@ -220,22 +220,23 @@ class TestGramKernelWidths:
     """The kernel at the edges of its operand widths, chunks and int64 sums.
 
     An operand whose centred values fit 21 bits is one limb; a wider one over
-    M61 is 3 limbs of 20 bits and over 2^63 - 25 3 limbs of 21 bits.  Each
-    chunk-boundary case fills every row with the largest limbs of its kind,
-    so a chunk one row longer than the kernel's would sum an odd integer
-    above 2^53, which float64 cannot hold.
+    M61 is 3 limbs of 20 bits and over 2^32 - 5 2 limbs of 16 bits.  Each
+    M61 chunk-boundary case fills every row with the largest limbs of its
+    kind, so a chunk one row longer than the kernel's would sum an odd
+    integer above 2^53, which float64 cannot hold; the 2^32 - 5 cases cross
+    the boundaries of that prime's chunks.
     """
 
     @pytest.mark.parametrize(
         "p, top, split",
         [
-            (P63, NARROW, (21, 1)),
-            (P63, NARROW + 1, (11, 2)),
             (M61, NARROW, (21, 1)),
             (M61, NARROW + 1, (11, 2)),
             # 3 limbs of 15 bits, whose product with a wide operand's 3 of 20
             # has 9 shifts, more than the 8 residues one uint64 sums
             (M61, 2**42, (15, 3)),
+            (WORD, NARROW, (21, 1)),
+            (WORD, NARROW + 1, (11, 2)),
             (251, 125, (7, 1)),  # the widest centred values of the small fields
             (5, 2, (2, 1)),
         ],
@@ -250,7 +251,7 @@ class TestGramKernelWidths:
         _check_gram(p, a, _centred(rng, 40, 2, -3, 3))
         _check_gram(p, a, _centred(rng, 40, 2, -(p // 2), p // 2))
 
-    @pytest.mark.parametrize("p", [P63, M61, 251, 5])
+    @pytest.mark.parametrize("p", [WORD, M61, 251, 5])
     def test_all_negative_operands(self, p):
         rng = np.random.default_rng(p % 1000)
         wide = _centred(rng, 30, 3, -(p // 2), -1)
@@ -263,7 +264,7 @@ class TestGramKernelWidths:
         _check_gram(p, wide, narrow)
         _check_gram(p, narrow, wide)
 
-    @pytest.mark.parametrize("p", [P63, M61, 251, 5])
+    @pytest.mark.parametrize("p", [WORD, M61, 251, 5])
     def test_one_wide_entry_widens_its_operand(self, p):
         # the last entry decides the width, so a width read from part of the
         # data, or from anywhere but the data, would be too narrow
@@ -274,7 +275,7 @@ class TestGramKernelWidths:
         _check_gram(p, a, _centred(rng, 50, 2, -2, 2))
         _check_gram(p, _centred(rng, 50, 2, -(p // 2), p // 2), a)
 
-    @pytest.mark.parametrize("p", [P63, M61])
+    @pytest.mark.parametrize("p", [WORD, M61])
     def test_operands_without_columns(self, p):
         rng = np.random.default_rng(p % 991)
         wide, narrow = _centred(rng, 30, 3, -(p // 2), p // 2), _centred(rng, 30, 2, -5, 5)
@@ -290,9 +291,8 @@ class TestGramKernelWidths:
             (M61, "narrow x narrow", 2**11),  # 2^53 / 2^(21 + 21)
             (M61, "wide x narrow", 2**12),  # 2^53 / 2^(20 + 21)
             (M61, "wide x wide", 2**13 // 3),  # 2^53 / (3 products 2^(20 + 20))
-            (P63, "narrow x narrow", 2**11),
-            (P63, "wide x narrow", 2**11),  # 2^53 / 2^(21 + 21)
-            (P63, "wide x wide", 2**11 // 3),  # 2^53 / (3 products 2^(21 + 21))
+            (WORD, "narrow x narrow", 2**11),
+            (WORD, "wide x narrow", 2**16),  # 2^53 / 2^(16 + 21)
         ],
     )
     def test_feature_axis_crosses_a_chunk_boundary(self, p, kind, rows):
@@ -305,16 +305,13 @@ class TestGramKernelWidths:
             if left == right:
                 _check_gram(p, a)
 
-    @pytest.mark.parametrize("p, rows", [(M61, 2**13 // 3), (P63, 2**11 // 3)])
-    def test_int64_sums_are_reduced_before_they_overflow(self, p, rows):
+    def test_int64_sums_are_reduced_before_they_overflow(self):
         # over M61 every limb of v = (p - 1) / 2 is 2^20 - 1, so each wide x wide
         # chunk adds nearly 2^53 to the int64 sum of its middle shift, and 1025
-        # chunks pass 2^63; over 2^63 - 25 the top limb is 2^20 - 1 and the
-        # others within 2^4 of 2^21, so a chunk adds about 2^53 2/3, and 1538
-        # chunks pass it; unless the sum is reduced on the way.  Every entry is
-        # v, so each dot product is f v^2
-        chunks = {M61: 1100, P63: 1600}[p]
-        f, v = chunks * rows + 1, p // 2
+        # chunks pass 2^63, unless the sum is reduced on the way.  Every entry
+        # is v, so each dot product is f v^2
+        p, rows = M61, 2**13 // 3
+        f, v = 1100 * rows + 1, p // 2
         a = np.full((f, 1), v, dtype=np.uint64)
         g = FieldDomain(scale_bits=0, p=p).matmul_t(a, a)
         assert g.tolist() == [[f * v * v % p]]
@@ -324,7 +321,7 @@ class TestGramKernelThreads:
     """The kernel called from several threads at once, as the parties of a
     loopback run call it: every call gives the result of a sequential one."""
 
-    @pytest.mark.parametrize("p", [M61, P63])
+    @pytest.mark.parametrize("p", [M61, WORD])
     def test_concurrent_callers_get_the_sequential_results(self, p):
         dom = FieldDomain(scale_bits=16, p=p)
         rng = np.random.default_rng(p % 1009)
@@ -372,10 +369,10 @@ def _tie(k: int, s: int) -> float:
 
 @st.composite
 def real_rows(draw):
-    """(domain, rows): a field (M61, 2^63 - 25 or Z251) or the float domain, and a
+    """(domain, rows): a field (M61 or Z251) or the float domain, and a
     2-D list of reals biased to rounding ties, signed zeros, the range edge,
     ints above 2^53, and non-finite or out-of-range values."""
-    kind = draw(st.sampled_from([M61, P63, 251, "float"]))
+    kind = draw(st.sampled_from([M61, 251, "float"]))
     if kind == "float":
         dom, s, limit = FloatDomain(), 0, 2.0**60
     else:
