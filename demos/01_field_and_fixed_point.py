@@ -1,15 +1,14 @@
-"""Tour of the arithmetic domains: exact prime field vs plain doubles.
+"""Tour of the arithmetic domain: the exact prime field and its fixed-point codec.
 
-All protocol math runs over a pluggable scalar domain.  The production
-domain is the prime field Z_p with p = 2^61 - 1 plus a fixed-point codec
-so real-valued data can ride on exact arithmetic.  Every random quantity
+All protocol math runs over the prime field Z_p with p = 2^61 - 1, plus a
+fixed-point codec so real-valued data can ride on exact arithmetic.  Every random quantity
 of the protocols is read from a SHAKE-256 stream of the drawing party's
 own key, one label per quantity.
 """
 
 from random import Random
 
-from mpgram import FieldDomain, FloatDomain, M61
+from mpgram import FieldDomain, M61
 from mpgram.seeds import party_key
 
 field = FieldDomain(scale_bits=16)
@@ -45,8 +44,3 @@ print(f"length-{d} dot: field {field.decode_dot(acc):.10f} vs real {true:.10f} "
 key = party_key(0, 1)  # party 1's key, derived from run seed 0
 print(f"party 1's first mask entries: {field.sample(key, 'mask', 3).tolist()}")
 print(f"party 1's scalar mask alpha : {field.sample_nonzero(key, 'alpha')}")
-
-# the float domain runs the same protocols on raw doubles, no exactness claims
-f64 = FloatDomain()
-print(f"float domain: inv(4.0) = {f64.inv(4.0)}, "
-      f"uniform mask sample = {f64.sample(key, 'mask', 1)[0]:.4f}")

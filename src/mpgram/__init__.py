@@ -3,8 +3,8 @@
 Two protocols compute the pairwise gram matrix of private per-party
 sample sets on an untrusted function party: a lightweight masking
 protocol (``escaped``) and a randomized-encoding baseline (``re``).
-Both run over exact prime-field arithmetic with a fixed-point codec or
-over plain doubles, across in-process loopback channels or TCP, with
+Both run over exact prime-field arithmetic with a fixed-point codec,
+across in-process loopback channels or TCP, with
 every transmitted byte accounted against closed-form predictions.
 
 The names below and the submodules in ``_SUBMODULES`` are resolved on
@@ -22,7 +22,7 @@ _EXPORTS = {
     "costs": "ESCAPED RE cost_model nominal_form nominal_ratio transcript_audit",
     "dare": "AddEncoding MulAddEncoding add_decode add_encode add_simulate "
             "muladd_decode muladd_encode muladd_simulate",
-    "field": "M61 FieldDomain FloatDomain make_domain",
+    "field": "M61 FieldDomain make_domain",
     "kernel": "KernelMatrix export_matrix import_matrix rbf_direct rbf_from_gram",
     "masking": "LeakageView PairResult PartyState alice_compute alice_round1 assemble_gram "
                "bob_compute bob_round1 fp_combine leakage_availability leakage_view "

@@ -36,7 +36,6 @@ def _add_run_flags(p: argparse.ArgumentParser, with_protocol: bool = True):
         default="4",
         help="per-party sample counts, e.g. 4 or 3,5,2 (single value applies to all)",
     )
-    p.add_argument("--domain", choices=["field", "float"], default="field")
     p.add_argument("--scale-bits", type=int, default=16)
     p.add_argument("--transport", choices=["loopback", "tcp"], default="loopback")
     p.add_argument("--base-port", type=int, default=0, help="0 picks free ports")
@@ -71,7 +70,6 @@ def _config_from_args(args, protocol=None) -> RunConfig:
         m=args.parties,
         features=args.features,
         samples=samples,
-        domain=args.domain,
         scale_bits=args.scale_bits,
         transport=args.transport,
         base_port=args.base_port,
@@ -129,11 +127,9 @@ def _cmd_run(args) -> int:
         f"gram {report['gram']['n']}x{report['gram']['n']} sha256={report['gram']['sha256'][:16]}... "
         f"bytes={tot['bytes']} elements={tot['elements']}"
     )
-    headroom = [m.domain.gram_headroom(m.data) for m in result.party_data.values()]
-    if None not in headroom:
-        largest, limit = max(headroom)
-        print(f"headroom: largest encoded column squared norm {largest} of (p - 1) / 2 = "
-              f"{limit} ({largest / limit:.3g} of the limit)")
+    largest, limit = max(m.domain.gram_headroom(m.data) for m in result.party_data.values())
+    print(f"headroom: largest encoded column squared norm {largest} of (p - 1) / 2 = "
+          f"{limit} ({largest / limit:.3g} of the limit)")
     print(f"verification: {report['verification']['status']}; audit: "
           f"{'ok' if report['audit']['ok'] else 'FAILED'}")
     for line in report["audit"]["mismatches"]:

@@ -1,53 +1,44 @@
-"""Arithmetic domains for the protocol math.
+"""The prime field Z_p for the protocol math.
 
-Two interchangeable domains:
+``FieldDomain`` is the prime field Z_p, which is also the fixed-point codec
+that embeds reals by scaling and rounding.  Every run uses the Mersenne
+prime M61 = 2^61 - 1; a modulus below 2^32 (Z5 and Z251 among them) serves
+the exhaustive checks, which are only feasible over tiny fields.  No other
+modulus is accepted.  All arithmetic is exact, which is what the
+uniform-mask security checks rely on.  Elements are uint64 residues in
+[0, p).  Matrix products run on float64 BLAS: ``matmul_t`` splits each
+operand by the width of its own centred values, into one limb (the values
+themselves) when they fit 21 bits, as encoded data does, and else into
+ceil(bits / 21) limbs of equal width; it sums in chunks of feature rows
+short enough that every BLAS sum is an exact integer of at most 2^53,
+reduces each chunk's sums to residues in uint64 and adds the chunks mod p,
+with no Python ints.  A product takes few numpy passes, and apart from the
+split their number does not grow with the limb counts: each operand's
+limbs in one stacked array, every limb product from one batched
+``np.matmul`` call, one sum for the products that share a shift, one
+reduction per chunk and one scaling of every shift.  The count matters
+because each pass over more than 500 elements releases the GIL, which the
+party threads of a loopback run then hand between cores.
 
-* ``FieldDomain`` -- the prime field Z_p, which is also the fixed-point
-  codec that embeds reals by scaling and rounding.  Every run uses the
-  Mersenne prime M61 = 2^61 - 1; a modulus below 2^32 (Z5 and Z251 among
-  them) serves the exhaustive checks, which are only feasible over tiny
-  fields.  No other modulus is accepted.  All arithmetic is exact, which is
-  what the uniform-mask security checks rely on.  Elements are uint64
-  residues in [0, p).  Matrix products run on float64 BLAS: ``matmul_t``
-  splits each operand by the width of its own centred values, into one
-  limb (the values themselves) when they fit 21 bits, as encoded data
-  does, and else into ceil(bits / 21) limbs of equal width; it sums in
-  chunks of feature rows short enough that every BLAS sum is an exact
-  integer of at most 2^53, reduces each chunk's sums to residues in uint64
-  and adds the chunks mod p, with no Python ints.  A product takes few
-  numpy passes, and apart from the split their number does not grow with
-  the limb counts: each operand's limbs in one stacked array, every limb
-  product from one batched ``np.matmul`` call, one sum for the products
-  that share a shift, one reduction per chunk and one scaling of every
-  shift.  The count matters because each pass over more than 500 elements
-  releases the GIL, which the party threads of a loopback run then hand
-  between cores.
-* ``FloatDomain`` -- IEEE double arithmetic, provided so the protocols
-  can also be run directly on real-valued data.  No security properties
-  are claimed for it.
-
-Each domain has one bulk sampler, ``sample(key, label, n)``, which turns
+The domain has one bulk sampler, ``sample(key, label, n)``, which turns
 the words of the keyed stream ``seeds.stream_words(key, label, .)`` into n
-uniform elements: over the field each word is cut to its top bits(p) bits
-and values at or above p are rejected, with a shortfall filled by reading
-further into the same stream; over floats a word w gives (w >> 11) 2^-53.
-So fewer draws of one (key, label) are a prefix of more.  A list of labels
-gives one row per label, each row exactly the draw of its label alone: a
-party draws a whole pair block of RE randoms in one call.
+uniform elements: each word is cut to its top bits(p) bits and values at
+or above p are rejected, with a shortfall filled by reading further into
+the same stream.  So fewer draws of one (key, label) are a prefix of more.
+A list of labels gives one row per label, each row exactly the draw of its
+label alone: a party draws a whole pair block of RE randoms in one call.
 ``sample_nonzero(key, label)`` draws a nonzero scalar from a label of its
-own.  Each domain also has ``check_gram_range``, which the field uses to
-reject, before anything is sent, encoded data whose dot products could
-wrap around.
+own.  ``check_gram_range`` rejects, before anything is sent, encoded data
+whose dot products could wrap around.
 
-Every entry array is held in the domain's fixed-width ``dtype``: uint64
-residues in [0, p) over the field, float64 over floats.  ``sample``,
-``encode_array`` and ``unpack`` return that dtype, and the domain owns all
-arithmetic on such arrays: ``array_add``, ``array_sub`` and ``array_mul``
-(elementwise, broadcasting, scalars allowed), ``array_sum`` (over the last
-axis), ``matmul_t`` (the product A^T B) and ``pack``/``unpack`` (the wire
-codec of a vector of elements).  The field's array arithmetic never leaves
-uint64, and ``__init__`` picks one exact form per operation for each kind
-of prime:
+Every entry array is held in the domain's fixed-width ``dtype``, uint64
+residues in [0, p).  ``sample``, ``encode_array`` and ``unpack`` return
+that dtype, and the domain owns all arithmetic on such arrays:
+``array_add``, ``array_sub`` and ``array_mul`` (elementwise, broadcasting,
+scalars allowed), ``array_sum`` (over the last axis), ``matmul_t`` (the
+product A^T B) and ``pack``/``unpack`` (the wire codec of a vector of
+elements).  The array arithmetic never leaves uint64, and ``__init__``
+picks one exact form per operation for each kind of prime:
 
 * a sum of two residues fits a word, so add is min(a + b, a + b - p) and
   sub is min(a - b, a - b + p), one pass and one correction each (a wrapped
@@ -67,8 +58,6 @@ of prime:
   M61 in magnitude, and then takes its residue as min(u, u + p) on its
   uint64 view, with no division; below 2^32 it takes ``np.mod``.
 
-Over floats every operation runs in the order of a scalar loop, sums
-included, in index order from zero, so results are bit-identical to it.
 The per-scalar operations (``add``, ``sub``, ``mul``, ``inv``) take single
 elements, which the field computes in Python ints; they are the reference
 the array operations are checked against.
@@ -109,23 +98,6 @@ def _count(n) -> int:
     return n
 
 
-def _wire_parts(prefix: bytes, values, dtype: str) -> tuple:
-    """(prefix, a byte view of ``values`` in ``dtype``): the view is of the array's
-    own buffer when it is C-contiguous in that dtype, and of one copy otherwise."""
-    return prefix, memoryview(np.ascontiguousarray(values, dtype=dtype)).cast("B")
-
-
-def _sum_in_order(dom, a) -> np.ndarray:
-    """Sum over the last axis of an entry array, added in index order from zero
-    with ``dom.array_add``; so a float sum is that of a scalar loop (numpy's
-    own float sums are pairwise)."""
-    a = np.asarray(a, dtype=dom.dtype)
-    total = np.zeros(a.shape[:-1], dtype=dom.dtype)
-    for k in range(a.shape[-1]):
-        total = dom.array_add(total, a[..., k])
-    return total
-
-
 class FieldDomain:
     """Prime field Z_p, for p = M61 or a p below 2^32, with a fixed-point codec for reals.
 
@@ -135,7 +107,6 @@ class FieldDomain:
     divides out again.
     """
 
-    kind = "field"
     dtype = np.dtype(np.uint64)
 
     def __init__(self, scale_bits: int = 16, p: int = M61):
@@ -503,8 +474,10 @@ class FieldDomain:
         return np.minimum(u, t, out=t)
 
     def pack(self, values, prefix: bytes = b"") -> tuple:
-        """The payload parts ``prefix`` and the 8-byte elements of ``values`` (``_wire_parts``)."""
-        return _wire_parts(prefix, values, "<u8")
+        """(prefix, a byte view of the 8-byte elements of ``values``): the view is of
+        the array's own buffer when it is C-contiguous in that dtype, and of one
+        copy otherwise."""
+        return prefix, memoryview(np.ascontiguousarray(values, dtype="<u8")).cast("B")
 
     def unpack(self, buf) -> np.ndarray:
         """Read-only flat uint64 array of the elements in ``buf``; each must be < p."""
@@ -628,124 +601,8 @@ def _split(c, w: int, k: int) -> np.ndarray:
     return limbs
 
 
-class FloatDomain:
-    """IEEE binary64 domain, for running the protocols on raw reals.
-
-    Masks are drawn uniformly from [0, 1) and nonzero scalar masks from
-    [0.5, 2.0); the latter keeps 1/alpha well conditioned.  Exactness and
-    mask-uniformity checks do not apply here.
-    """
-
-    kind = "float64"
-    dtype = np.dtype(np.float64)
-    zero = 0.0
-
-    def add(self, a: float, b: float) -> float:
-        return a + b
-
-    def sub(self, a: float, b: float) -> float:
-        return a - b
-
-    def mul(self, a: float, b: float) -> float:
-        return a * b
-
-    def inv(self, a: float) -> float:
-        if a == 0.0:
-            raise DomainError("no inverse of zero")
-        return 1.0 / a
-
-    def encode(self, x: float) -> float:
-        v = float(x)
-        if not math.isfinite(v):
-            raise EncodingOverflowError(f"{x} cannot be represented: reals must be finite")
-        return v
-
-    def encode_array(self, rows) -> np.ndarray:
-        """float64 array of ``encode`` of every entry of a 2-D sequence of reals;
-        the first entry that is not finite, in row-major order, raises as ``encode``."""
-        x = np.asarray(rows, dtype=np.float64)
-        bad = np.argwhere(~np.isfinite(x))
-        if bad.size:
-            i, j = bad[0]
-            self.encode(rows[i][j])
-        return x
-
-    def decode(self, v: float) -> float:
-        return v
-
-    def decode_dot(self, v: float) -> float:
-        return v
-
-    def sample(self, key: bytes, label, n: int) -> np.ndarray:
-        """(n,) float64 array in [0, 1): (w >> 11) 2^-53 of each stream word; a
-        list of labels gives one row per label, of shape (len(labels), n)."""
-        n = _count(n)
-        labels = label if isinstance(label, list) else [label]
-        block = np.empty((len(labels), n))
-        for row, one in zip(block, labels):
-            np.multiply(stream_words(key, one, n) >> np.uint64(11), 2.0**-53, out=row)
-        return block if isinstance(label, list) else block[0]
-
-    def sample_nonzero(self, key: bytes, label) -> float:
-        """0.5 + 1.5 u, u the first float of ``sample(key, label, .)``: in [0.5, 2.0)."""
-        return 0.5 + 1.5 * float(self.sample(key, label, 1)[0])
-
-    def check_gram_range(self, entries, party_id: int) -> None:
-        """Floats do not wrap around, so any finite data passes."""
-
-    def gram_headroom(self, entries) -> None:
-        """Floats do not wrap around, so there is no limit to come close to."""
-
-    # -- arrays: arithmetic and wire codec (IEEE binary64) ----------------
-
-    def array_add(self, a, b) -> np.ndarray:
-        return np.add(a, b, dtype=np.float64)
-
-    def array_sub(self, a, b) -> np.ndarray:
-        return np.subtract(a, b, dtype=np.float64)
-
-    def array_mul(self, a, b) -> np.ndarray:
-        return np.multiply(a, b, dtype=np.float64)
-
-    array_sum = _sum_in_order
-
-    def matmul_t(self, a, b):
-        """A^T B, each entry summed over the rows in order, as a scalar loop does.
-
-        BLAS may sum in another order, so the outer products of the rows are
-        accumulated one by one.  The sum starts at +0.0, so a sum whose
-        products are all -0.0 is +0.0.
-        """
-        a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-        total = np.zeros((a.shape[1], b.shape[1]))
-        for k in range(a.shape[0]):
-            total += np.multiply.outer(a[k], b[k])
-        return total
-
-    def pack(self, values, prefix: bytes = b"") -> tuple:
-        """The payload parts ``prefix`` and the 8-byte elements of ``values`` (``_wire_parts``)."""
-        return _wire_parts(prefix, values, "<f8")
-
-    def unpack(self, buf) -> np.ndarray:
-        """Read-only flat float64 array of the elements in ``buf``."""
-        values = np.frombuffer(buf, dtype="<f8")
-        values.flags.writeable = False  # frombuffer over a bytearray is writable
-        return values
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FloatDomain)
-
-    def __hash__(self):
-        return hash("float64")
-
-    def __repr__(self):
-        return "FloatDomain()"
-
-
-def make_domain(kind: str, scale_bits: int = 16):
-    """Build a domain from its config name ('field', over M61, or 'float')."""
-    if kind == "field":
-        return FieldDomain(scale_bits=scale_bits)
-    if kind == "float":
-        return FloatDomain()
-    raise DomainError(f"unknown domain kind {kind!r}")
+def make_domain(kind: str, scale_bits: int = 16) -> FieldDomain:
+    """The field over M61 for the config name 'field', the only domain."""
+    if kind != "field":
+        raise DomainError(f"unknown domain kind {kind!r}")
+    return FieldDomain(scale_bits=scale_bits)

@@ -249,25 +249,16 @@ def leakage_availability(m: int) -> list:
 
 
 def verify_leakage_view(view: LeakageView, states: dict) -> float:
-    """Max deviation between derived blocks and direct private-state grams.
-
-    Zero over the field; tiny over floats.  ``states`` maps party id to
-    PartyState.
+    """0.0 if every derived block equals the direct private-state gram it stands
+    for, else 1.0.  ``states`` maps party id to PartyState.
     """
-    worst = 0.0
     for (i, j), derived in view.mask_mask.items():
-        direct = gram_t(states[i].mask, states[j].mask)
-        worst = max(worst, _block_dev(derived, direct))
+        if derived != gram_t(states[i].mask, states[j].mask):
+            return 1.0
     for (i, j), derived in view.mask_data.items():
-        direct = gram_t(states[i].mask, states[j].data)
-        worst = max(worst, _block_dev(derived, direct))
-    return worst
-
-
-def _block_dev(a: Matrix, b: Matrix) -> float:
-    if a.domain.kind == "field":
-        return 0.0 if a == b else 1.0
-    return float(np.max(np.abs(a.domain.array_sub(a.data, b.data)), initial=0.0))
+        if derived != gram_t(states[i].mask, states[j].data):
+            return 1.0
+    return 0.0
 
 
 # -- gram non-invertibility demonstration ---------------------------------

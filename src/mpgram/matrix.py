@@ -3,17 +3,16 @@
 Every data matrix in the protocols is f x n with one column per sample,
 so the gram block of two parties is ``gram_t(A, B) = A^T B`` with shape
 (A.cols x B.cols).  A matrix is a read-only 2-D numpy array in its
-domain's fixed-width ``dtype`` (uint64 residues over the field, float64
-over floats) plus that domain.  The domain owns every operation on the
-entries: the elementwise ones are its ``array_add``, ``array_sub`` and
-``array_mul``, and ``gram_t`` is its ``matmul_t`` -- over the field an
-exact product on float64 BLAS whose limbs are sized by each operand's own
-width: one GEMM for narrow encoded data, and for wider operands every limb
-product from one batched ``np.matmul`` call, in few numpy passes, since
-the party threads of a loopback run hand the GIL over at each pass (see
-``mpgram.field``); over floats a sum in the order of a scalar loop.  ``encode_real_matrix`` encodes reals as one
-float64 array expression of the domain.  The domain also owns the wire
-codec of the entries.
+domain's fixed-width ``dtype`` (uint64 residues in [0, p)) plus that
+domain.  The domain owns every operation on the entries: the elementwise
+ones are its ``array_add``, ``array_sub`` and ``array_mul``, and
+``gram_t`` is its ``matmul_t`` -- an exact product on float64 BLAS whose
+limbs are sized by each operand's own width: one GEMM for narrow encoded
+data, and for wider operands every limb product from one batched
+``np.matmul`` call, in few numpy passes, since the party threads of a
+loopback run hand the GIL over at each pass (see ``mpgram.field``).
+``encode_real_matrix`` encodes reals as one float64 array expression of
+the domain.  The domain also owns the wire codec of the entries.
 """
 
 from __future__ import annotations
@@ -134,8 +133,8 @@ def random_matrix(shape: tuple, domain, key: bytes, label) -> Matrix:
 def encode_real_matrix(rows: Sequence[Sequence[float]], domain) -> Matrix:
     """Matrix of ``domain.encode`` of every entry of a 2-D sequence of reals.
 
-    The encode is one array expression, ``domain.encode_array``: over the
-    field a float64 fixed-point rounding with the scalar codec's ties, range
+    The encode is one array expression, ``domain.encode_array``: a float64
+    fixed-point rounding with the scalar codec's ties, range
     check and error text.
     """
     shape = _rows_shape(rows)  # first: numpy reports ragged rows as a ValueError

@@ -275,13 +275,12 @@ class _EscapedParty:
         return 3 * comb(m, 2) * f * n, 3 * comb(m, 2) * n * n
 
     @staticmethod
-    def leakage_check(domain, data: dict, keys: dict, fp_result: FunctionPartyResult) -> dict:
+    def leakage_check(data: dict, keys: dict, fp_result: FunctionPartyResult) -> dict:
         """The function party's derived blocks against every party's regenerated masks."""
         states = {i: make_party_state(i, data[i], keys[i]) for i in data}
         view = leakage_view(fp_result.self_blocks, fp_result.pair_results)
         dev = verify_leakage_view(view, states)
-        verified = dev == 0.0 if domain.kind == "field" else dev <= 1e-9
-        return {"verified": verified, "max_deviation": dev}
+        return {"verified": dev == 0.0, "max_deviation": dev}
 
 
 class _ReParty:

@@ -88,8 +88,8 @@ class RunConfig:
             raise ConfigError(f"features must be >= 1, got {self.features}")
         if self.scale_bits < 0:
             raise ConfigError(f"scale bits must be >= 0, got {self.scale_bits}")
-        if self.domain not in ("field", "float"):
-            raise ConfigError(f"domain must be field or float, got {self.domain!r}")
+        if self.domain != "field":
+            raise ConfigError(f"domain must be field, got {self.domain!r}")
         if self.transport not in ("loopback", "tcp"):
             raise ConfigError(f"transport must be loopback or tcp, got {self.transport!r}")
         if self.transport == "tcp" and not hasattr(os, "fork"):
@@ -185,7 +185,7 @@ def run(config: RunConfig) -> RunResult:
         verification = _verify_against_oracle(domain, data, gram, gram_real)
         check = protocol_record(config.protocol).leakage_check
         if check is not None:
-            leakage = check(domain, data, {i: party_key(config.seed, i) for i in data}, fp_result)
+            leakage = check(data, {i: party_key(config.seed, i) for i in data}, fp_result)
 
     prediction = cost_model(config.protocol, config.m, config.features, config.samples)
     audit = transcript_audit(transcript, prediction)
@@ -272,37 +272,28 @@ def plaintext_gram(domain, data: dict) -> Matrix:
 
 def _verify_against_oracle(domain, data: dict, gram: Matrix, gram_real: np.ndarray) -> dict:
     oracle = plaintext_gram(domain, data)
-    if domain.kind == "field":
-        verdict = {"enabled": True, "status": "pass", "max_abs_deviation": 0.0, "bound": 0.0}
-        if oracle != gram:
-            dev = np.abs(domain.decode_dot(gram.data) - domain.decode_dot(oracle.data))
-            verdict.update(
-                status="fail", max_abs_deviation=float(np.max(dev)),
-                reason="gram differs from the field oracle",
-            )
-            return verdict
-        # The oracle computes in the same field, so a dot product that wraps
-        # past p/2 fools it.  A float64 gram of the decoded inputs does not: it
-        # is off by float64 rounding only, within (f+2) 2^-52 |X|^T |X|
-        # entrywise, while a wrap moves an entry by a multiple of p / 2^(2s).
-        x = np.hstack([domain.decode(data[i].data) for i in sorted(data)]).astype(float)
-        dev = np.abs(gram_real - x.T @ x)
-        tol = (x.shape[0] + 2) * 2.0**-52 * (np.abs(x).T @ np.abs(x))
-        if (dev > tol).any():
-            worst = np.unravel_index(np.argmax(dev - tol), dev.shape)
-            verdict.update(
-                status="fail", max_abs_deviation=float(dev[worst]), bound=float(tol[worst]),
-                reason="decoded gram departs from float64 X^T X: fixed-point wrap-around",
-            )
+    verdict = {"enabled": True, "status": "pass", "max_abs_deviation": 0.0, "bound": 0.0}
+    if oracle != gram:
+        dev = np.abs(domain.decode_dot(gram.data) - domain.decode_dot(oracle.data))
+        verdict.update(
+            status="fail", max_abs_deviation=float(np.max(dev)),
+            reason="gram differs from the field oracle",
+        )
         return verdict
-    g, o = gram.data.astype(float), oracle.data.astype(float)
-    dev = float(np.max(np.abs(g - o) / np.maximum(1.0, np.abs(o)), initial=0.0))
-    return {
-        "enabled": True,
-        "status": "pass" if dev <= 1e-9 else "fail",
-        "max_abs_deviation": dev,
-        "bound": 1e-9,
-    }
+    # The oracle computes in the same field, so a dot product that wraps
+    # past p/2 fools it.  A float64 gram of the decoded inputs does not: it
+    # is off by float64 rounding only, within (f+2) 2^-52 |X|^T |X|
+    # entrywise, while a wrap moves an entry by a multiple of p / 2^(2s).
+    x = np.hstack([domain.decode(data[i].data) for i in sorted(data)]).astype(float)
+    dev = np.abs(gram_real - x.T @ x)
+    tol = (x.shape[0] + 2) * 2.0**-52 * (np.abs(x).T @ np.abs(x))
+    if (dev > tol).any():
+        worst = np.unravel_index(np.argmax(dev - tol), dev.shape)
+        verdict.update(
+            status="fail", max_abs_deviation=float(dev[worst]), bound=float(tol[worst]),
+            reason="decoded gram departs from float64 X^T X: fixed-point wrap-around",
+        )
+    return verdict
 
 
 # -- party outcomes -----------------------------------------------------------
@@ -492,7 +483,7 @@ def compare(configs) -> ComparisonResult:
     by_proto = {r.config.protocol: r for r in results}
     shas = {r.report["gram"]["sha256"] for r in results}
     grams_equal = len(shas) == 1
-    if base.domain == "field" and not grams_equal:
+    if not grams_equal:
         raise MpgramError("protocols disagree on the gram matrix over the field")
     byte_ratio = element_ratio = float("nan")
     if ESCAPED in by_proto and RE in by_proto:

@@ -37,10 +37,7 @@ block of sample pairs.  For randoms of shape (..., R), R = total_randoms:
 
 Each gathers the randoms through the scheme's leaf index arrays and does
 its arithmetic through the domain's array operations (``array_add``,
-``array_sub``, ``array_mul``, ``array_sum``).  Over floats these run in the
-order of a scalar loop -- ``x*r[b] - r[a]*r[b] + r[c]``,
-``c1*c3 + c2 + c4 + c5``, and sums over the leaves in leaf order starting
-from the domain's zero -- so float results are bit-identical to it.
+``array_sub``, ``array_mul``, ``array_sum``).
 
 The randoms of Alice's sample u against all of Bob's samples are read from
 Alice's own key under the label ``("re", bob, u)`` (see ``mpgram.seeds``),
@@ -211,10 +208,7 @@ def offline_components(dom, scheme: DotEncodingScheme, randoms) -> np.ndarray:
 
     Each leaf sums its list in order from ``dom.zero``; a term of sign -1 is
     negated first, as ``dom.zero - r``, and then added like the others, so
-    each column takes one ``array_add``.  Float sums are still those of a
-    scalar loop that subtracts those terms: x - r is x + (-r) in IEEE 754,
-    0 - r is -r for r != 0, and for r = 0 the +0.0 it gives leaves every x
-    but -0.0 unchanged, which a sum that starts at +0.0 never reaches.
+    each column takes one ``array_add``.
     """
     randoms = np.asarray(randoms)
     unorder, columns = scheme.offline_columns

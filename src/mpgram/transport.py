@@ -8,8 +8,8 @@ Frame layout (little-endian throughout):
     offset 5   payload_len   8 bytes unsigned
     offset 13  payload
 
-Field elements travel as 8-byte unsigned, floats as IEEE binary64: the
-bytes of the domain's fixed-width entry arrays.  Matrices are prefixed with
+Field elements travel as 8-byte unsigned: the bytes of the domain's
+fixed-width entry arrays.  Matrices are prefixed with
 two 4-byte dims (rows, cols) and sent row-major; flat scalar arrays with one
 4-byte count, and they decode to a read-only flat array.  A payload is a
 tuple of byte buffers, its parts, which the frame carries back to back: a

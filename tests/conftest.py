@@ -1,6 +1,6 @@
 import pytest
 
-from mpgram.field import FieldDomain, FloatDomain
+from mpgram.field import FieldDomain
 
 
 @pytest.fixture
@@ -17,7 +17,3 @@ def z5():
 def z251():
     return FieldDomain(scale_bits=0, p=251)
 
-
-@pytest.fixture
-def f64():
-    return FloatDomain()

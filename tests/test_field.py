@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from mpgram import field
 from mpgram.errors import DomainError, EncodingOverflowError
-from mpgram.field import M61, FieldDomain, FloatDomain, make_domain
+from mpgram.field import M61, FieldDomain, make_domain
 from mpgram.matrix import Matrix, gram_t, mat_scale
 from mpgram.seeds import party_key, stream_words
 from payloads import joined
@@ -71,12 +71,6 @@ class TestFixedPoint:
         # NaN fails every comparison, so a ">= bound" check alone lets it through
         with pytest.raises(EncodingOverflowError, match="cannot be represented"):
             m61.encode(x)
-
-    @pytest.mark.parametrize("x", [math.nan, -math.nan, math.inf, -math.inf])
-    def test_float_domain_rejects_non_finite_reals(self, f64, x):
-        with pytest.raises(EncodingOverflowError, match="reals must be finite"):
-            f64.encode(x)
-        assert f64.encode(-2.5e300) == -2.5e300
 
     def test_decode_dot_product(self, m61):
         v = m61.mul(m61.encode(2.0), m61.encode(3.0))
@@ -199,28 +193,6 @@ class TestArrayOps:
         # the product numpy would form silently wraps mod 2^64
         assert (np.uint64(s) * m.data).tolist() != got.data.tolist()
 
-    @given(
-        st.lists(
-            st.tuples(*[st.one_of(st.sampled_from([0.0, -0.0, 1e16, -1e16, 1.0]),
-                                  st.floats(-1e150, 1e150))] * 2),
-            min_size=1, max_size=40,
-        )
-    )
-    @settings(max_examples=200, deadline=None)
-    @example([(1e16, 1.0), (-1e16, 1.0), (1.0, 1e16), (1.0, -1e16)] * 3)
-    def test_float_ops_equal_scalar_loop_bit_for_bit(self, pairs):
-        dom = FloatDomain()
-        a, b = (np.array(v) for v in zip(*pairs))
-        for name in ("add", "sub", "mul"):
-            got = getattr(dom, f"array_{name}")(a, b)
-            want = [getattr(dom, name)(float(x), float(y)) for x, y in zip(a, b)]
-            assert got.dtype == np.float64 and joined(dom.pack(got)) == joined(dom.pack(want)), name
-        total = dom.zero
-        for x in a.tolist() + b.tolist():
-            total = dom.add(total, x)
-        assert joined(dom.pack(dom.array_sum(np.concatenate((a, b))[None, :]))) == joined(
-            dom.pack([total])
-        )
 
 
 class TestArrayProduct:
@@ -474,14 +446,12 @@ SAMPLER_DOMAINS = {
     "word": FieldDomain(scale_bits=0, p=WORD),
     "z5": FieldDomain(scale_bits=0, p=5),
     "z251": FieldDomain(scale_bits=0, p=251),
-    "float": FloatDomain(),
 }
-FIELDS = [SAMPLER_DOMAINS[name] for name in ("m61", "word", "z5", "z251")]
 
 
 class TestSampling:
     def test_uniform_in_range(self):
-        for dom in FIELDS:
+        for dom in SAMPLER_DOMAINS.values():
             v = dom.sample(KEY, "range", 10**4)
             assert v.shape == (10**4,) and v.dtype == np.uint64
             assert 0 <= min(v) and max(v) < dom.p
@@ -496,7 +466,7 @@ class TestSampling:
     def test_chi_square_uniformity(self):
         from scipy.stats import chisquare
 
-        for dom in FIELDS:
+        for dom in SAMPLER_DOMAINS.values():
             v = np.array(dom.sample(KEY, "chi", 10**6).tolist(), dtype=np.uint64)
             if dom.p > 256:  # 256 buckets of the top 8 bits
                 counts = np.bincount((v >> np.uint64(dom.p.bit_length() - 8)).astype(np.intp))
@@ -515,7 +485,7 @@ class TestStream:
         longer = dom.sample(KEY, "prefix", n + more)
         assert dom.sample(KEY, "prefix", n).tolist() == longer[:n].tolist()
 
-    @pytest.mark.parametrize("name", ["m61", "word", "z251", "z5", "float"])
+    @pytest.mark.parametrize("name", ["m61", "word", "z251", "z5"])
     @given(rows=st.integers(0, 6), n=st.integers(0, 120))
     @settings(max_examples=40, deadline=None)
     def test_many_labels_draw_each_row_as_its_label_alone(self, name, rows, n):
@@ -535,21 +505,16 @@ class TestStream:
         words = stream_words(KEY, "words", 4000) >> np.uint64(64 - bits)
         assert dom.sample(KEY, "words", 1000).tolist() == words[words < dom.p][:1000].tolist()
 
-    def test_float_draws_are_53_bit_fractions(self, f64):
-        words = stream_words(KEY, "words", 1000)
-        assert f64.sample(KEY, "words", 1000).tolist() == [(int(w) >> 11) / 2**53 for w in words]
-        assert f64.sample_nonzero(KEY, "alpha") == 0.5 + 1.5 * f64.sample(KEY, "alpha", 1)[0]
-
     def test_numpy_integer_count(self):
         # an int64 count once wrapped the shortfall arithmetic to 0 and spun
         # forever, so the draw runs in a child with a deadline
         code = (
             "import numpy as np\n"
-            "from mpgram.field import FieldDomain, FloatDomain\n"
+            "from mpgram.field import FieldDomain\n"
             "from mpgram.matrix import random_matrix\n"
             "from mpgram.seeds import party_key\n"
             "key = party_key(0, 1)\n"
-            "for dom in (FieldDomain(), FieldDomain(scale_bits=0, p=5), FloatDomain()):\n"
+            "for dom in (FieldDomain(), FieldDomain(scale_bits=0, p=5)):\n"
             "    n = np.prod((24, 24, 32))\n"
             "    assert isinstance(n, np.int64)\n"
             "    got, want = dom.sample(key, 'a', n), dom.sample(key, 'a', int(n))\n"
@@ -623,9 +588,6 @@ class TestGramRange:
         with pytest.raises(EncodingOverflowError, match=f"^sample {bad} of party 3 has"):
             dom.check_gram_range(np.array(cols, dtype=object).T % dom.p, 3)
 
-    def test_float_domain_is_not_checked(self, f64):
-        f64.check_gram_range(np.array([[1e300], [1e300]], dtype=object), 1)
-        assert f64.gram_headroom(np.array([[1e300], [1e300]])) is None
 
 
 class TestSerialization:
@@ -634,10 +596,13 @@ class TestSerialization:
         dom = FieldDomain()
         assert dom.unpack(joined(dom.pack([x]))).tolist() == [x]
 
-    @given(st.floats(allow_nan=False, allow_infinity=False))
-    def test_float_round_trip(self, x):
-        dom = FloatDomain()
-        assert dom.unpack(joined(dom.pack([x]))).tolist() == [x]
+    @pytest.mark.parametrize("name", list(SAMPLER_DOMAINS))
+    def test_edge_residues_round_trip_and_p_is_rejected(self, name):
+        dom = SAMPLER_DOMAINS[name]
+        xs = [0, 1, dom.p // 2, dom.p - 1]
+        assert dom.unpack(joined(dom.pack(xs))).tolist() == xs
+        with pytest.raises(DomainError):
+            dom.unpack(dom.p.to_bytes(8, "little"))
 
     def test_out_of_range_rejected(self, m61):
         with pytest.raises(DomainError):
@@ -646,15 +611,13 @@ class TestSerialization:
 
 class TestDomainConstruction:
     def test_make_domain(self):
-        assert make_domain("field").kind == "field"
-        assert make_domain("float").kind == "float64"
-        with pytest.raises(DomainError):
-            make_domain("decimal")
+        assert make_domain("field") == FieldDomain()
+        assert make_domain("field", scale_bits=3) == FieldDomain(scale_bits=3)
 
-    def test_float_inverse(self, f64):
-        assert f64.inv(4.0) == 0.25
-        with pytest.raises(DomainError):
-            f64.inv(0.0)
+    @pytest.mark.parametrize("kind", ["float", "decimal"])
+    def test_make_domain_builds_only_the_field(self, kind):
+        with pytest.raises(DomainError, match=f"unknown domain kind '{kind}'"):
+            make_domain(kind)
 
     def test_modulus_is_m61_or_below_2_32(self):
         # M61 has its Mersenne forms, and below 2^32 a product of two residues
@@ -670,4 +633,3 @@ class TestDomainConstruction:
     def test_domain_equality(self):
         assert FieldDomain() == FieldDomain()
         assert FieldDomain(p=5, scale_bits=0) != FieldDomain()
-        assert FloatDomain() == FloatDomain()

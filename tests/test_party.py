@@ -420,8 +420,7 @@ def test_data_that_could_wrap_fails_before_the_party_sends_anything():
 # -- RE frames: one block per pair equals the per-sample encoding ---------------
 
 
-@pytest.mark.parametrize("domain", ["field", "float"])
-def test_re_pair_blocks_equal_a_per_sample_reference(monkeypatch, domain):
+def test_re_pair_blocks_equal_a_per_sample_reference(monkeypatch):
     # unequal sample counts, so an n_a / n_b mix-up in the stacked blocks shows
     sent = {}  # (sender, receiver, pair header) -> RE payload
     send = tp.Channel.send
@@ -433,8 +432,8 @@ def test_re_pair_blocks_equal_a_per_sample_reference(monkeypatch, domain):
         send(self, kind, payload)
 
     monkeypatch.setattr(tp.Channel, "send", recording_send)
-    cfg = RunConfig(protocol="re", m=3, features=5, samples=(3, 2, 4), domain=domain,
-                    seed=11, verify=False)
+    cfg = RunConfig(protocol="re", m=3, features=5, samples=(3, 2, 4), seed=11,
+                    verify=False)
     res = run(cfg)
     dom, scheme = res.party_data[1].domain, generate_scheme(cfg.features)
     for a, b in [(1, 2), (1, 3), (2, 3)]:

@@ -66,30 +66,10 @@ class TestRun:
         with pytest.raises(ConfigError):
             run(cfg)
 
-    def test_float_domain_within_tolerance(self):
-        cfg = RunConfig(
-            protocol="escaped", m=3, features=6, samples=(2, 3, 2), domain="float", seed=3
-        )
-        res = run(cfg)
-        assert res.report["verification"]["status"] == "pass"
-        assert res.report["verification"]["max_abs_deviation"] <= 1e-9
-
-    def test_re_float_parity_mode(self):
-        cfg = RunConfig(protocol="re", m=2, features=6, samples=(3, 3), domain="float", seed=4)
-        res = run(cfg)
-        assert res.report["verification"]["status"] == "pass"
-        assert res.report["audit"]["ok"]
-
-    def test_float_domain_tcp_matches_loopback(self):
-        from dataclasses import replace
-
-        cfg = RunConfig(
-            protocol="escaped", m=2, features=4, samples=(2, 3), domain="float", seed=15
-        )
-        loop = run(cfg)
-        over_tcp = run(replace(cfg, transport="tcp"))
-        assert loop.transcript.canonical_json() == over_tcp.transcript.canonical_json()
-        assert loop.report["gram"]["sha256"] == over_tcp.report["gram"]["sha256"]
+    def test_float_domain_rejected(self):
+        cfg = RunConfig(protocol="escaped", m=2, features=2, samples=(2, 2), domain="float")
+        with pytest.raises(ConfigError, match="^domain must be field, got 'float'$"):
+            cfg.validate()
 
     def test_five_party_field_tcp_matches_loopback(self):
         # odd M leaves one party idle in each round; the four lower parties
@@ -100,6 +80,18 @@ class TestRun:
         loop = run(cfg)
         over_tcp = run(replace(cfg, transport="tcp"))
         assert over_tcp.report["verification"]["status"] == "pass"
+        assert loop.transcript.canonical_json() == over_tcp.transcript.canonical_json()
+        assert loop.report["gram"]["sha256"] == over_tcp.report["gram"]["sha256"]
+
+    def test_re_tcp_matches_loopback(self):
+        # RE's pair frames, their randoms and results, byte for byte over TCP
+        from dataclasses import replace
+
+        cfg = RunConfig(protocol="re", m=3, features=4, samples=(2, 3, 1), seed=15)
+        loop = run(cfg)
+        over_tcp = run(replace(cfg, transport="tcp"))
+        assert over_tcp.report["verification"]["status"] == "pass"
+        assert over_tcp.report["audit"]["ok"]
         assert loop.transcript.canonical_json() == over_tcp.transcript.canonical_json()
         assert loop.report["gram"]["sha256"] == over_tcp.report["gram"]["sha256"]
 
@@ -812,32 +804,21 @@ class TestDeterminism:
 
 # gram.sha256, transcript_sha256 and determinism_digest of one fixed config:
 # a refactor of the matrix, codec or assembly layers must reproduce every
-# byte.  The field gram digests were recorded before matrices moved onto
-# numpy arrays.  The other digests were re-pinned once, when the parties'
+# byte.  The gram digests were recorded before matrices moved onto numpy
+# arrays.  The other digests were re-pinned once, when the parties'
 # randomness moved from random.Random streams of the run seed to SHAKE-256
 # streams of per-party keys: every mask and RE random changed, so every
-# transcript changed, and so did the float grams, whose rounding depends on
-# the masks.
+# transcript changed.
 PINNED_DIGESTS = {
     ("escaped", "field"): (
         "ef18623e7fbc16c145acf9e935cc823a6e93be7e3c3811ea945052f631536df2",
         "b1ab693d897a9c42ba13fbfb578694e2fb5770cbc9781b088d9955b07408ee96",
         "b6ac0ea6389c03d0d77d1eabef0d6202cf6cfc76a7b6d421a7fea8d6504af72f",
     ),
-    ("escaped", "float"): (
-        "ca25ccbcd778a1f6bf7292cc81651d636e4a3b06b049bb9c96ee6cf9efab24af",
-        "35734b36be2163d03bd03f2a59c88892237b1ff1ed52bf4e0b103ff040ffa7f8",
-        "858d0458b6aa04eaff7aa40c6401a5e834d6cb5a9b3895ff5f4364b0d5401984",
-    ),
     ("re", "field"): (
         "ef18623e7fbc16c145acf9e935cc823a6e93be7e3c3811ea945052f631536df2",
         "365212772d8e1580945cfc64079302137bfdc70f12a2f1395981eac578de0d36",
         "8a413d872fa96cb5ce9db557b1116f83bfc33fec4036f3f1853f222eeeb04f06",
-    ),
-    ("re", "float"): (
-        "2ec05ed41ee030ed5e74a42df928e471b942f3b4c30343fb98491ba0e77d9e5e",
-        "739c9196d5da6f0e732cf38e13db8c535af17a8abaa4d09d103da3366492efae",
-        "ddb9e4e6ed41c968b325aa740dcffadbfc2336f620e590bc6f9e6b4c824947da",
     ),
 }
 
@@ -973,15 +954,13 @@ class TestCli:
         assert doc["schema_version"] == 1
         assert doc["verification"]["status"] == "pass"
 
-    @pytest.mark.parametrize("domain", ["field", "float"])
-    def test_run_prints_headroom_on_stdout_only(self, tmp_path, capsys, domain):
+    def test_run_prints_headroom_on_stdout_only(self, tmp_path, capsys):
         argv = ["run", "--protocol", "re", "--parties", "3", "--features", "5", "--samples",
-                "4,2,3", "--seed", "9", "--domain", domain, "--report", str(tmp_path / "r.json")]
+                "4,2,3", "--seed", "9", "--report", str(tmp_path / "r.json")]
         assert main(argv) == EXIT_OK
         out = capsys.readouterr().out
         text = (tmp_path / "r.json").read_text()
-        cfg = RunConfig(protocol="re", m=3, features=5, samples=(4, 2, 3), seed=9, domain=domain,
-                        verify=False)
+        cfg = RunConfig(protocol="re", m=3, features=5, samples=(4, 2, 3), seed=9, verify=False)
         res = run(cfg)
         # the report, its digests included, is that of a library run
         doc = json.loads(text)
@@ -989,9 +968,6 @@ class TestCli:
             assert doc[key] == res.report[key], key
         assert "headroom" not in text
         lines = [line for line in out.splitlines() if line.startswith("headroom: ")]
-        if domain == "float":
-            assert lines == []
-            return
         dom = res.party_data[1].domain
         largest = max(
             sum(v * v for v in dom.centred(m.data)[:, u].tolist())
@@ -1046,16 +1022,14 @@ class TestCli:
         assert err.startswith("error: nan cannot be represented")
         assert "Traceback" not in err
 
-    def test_float_domain_nan_input_exits_with_protocol_error(self, tmp_path, capsys):
-        paths = gen_data(2, 2, (2, 2), seed=7, out_dir=tmp_path)
-        with open(paths[0], "w") as fh:
-            fh.write("0.5,nan\n0.25,-0.5\n")
-        rc = main(["run", "--domain", "float", "--parties", "2", "--features", "2",
-                   "--samples", "2", "--data", ",".join(paths), "--sigma", "1"])
-        assert rc == EXIT_PROTOCOL
-        err = capsys.readouterr().err
-        assert err.startswith("error: nan cannot be represented: reals must be finite")
-        assert "Traceback" not in err
+    def test_domain_flag_is_unrecognized(self, tmp_path, capsys):
+        report = tmp_path / "f.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--domain", "float", "--parties", "2", "--features", "4",
+                  "--samples", "3", "--report", str(report)])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --domain float" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_data_that_could_wrap_exits_with_protocol_error(self, tmp_path, capsys):
         # reals up to 3e4: without the range check this run exits 0 with a wrong gram
@@ -1217,15 +1191,10 @@ class TestCli:
         assert (tmp_path / "party_1.csv").exists()
 
     def test_compare_cli(self, capsys):
-        # float grams differ by rounding between the protocols, and still pass
-        for extra in ([], ["--domain", "float"]):
-            rc = main(
-                ["compare", "--parties", "2", "--features", "4", "--samples", "2",
-                 "--seed", "3", "--verify", *extra]
-            )
-            assert rc == EXIT_OK, extra
-            out = capsys.readouterr().out
-            assert "byte ratio re/escaped" in out
+        rc = main(["compare", "--parties", "2", "--features", "4", "--samples", "2",
+                   "--seed", "3", "--verify"])
+        assert rc == EXIT_OK
+        assert "byte ratio re/escaped" in capsys.readouterr().out
 
     def test_kernel_export_cli(self, tmp_path):
         out_csv = tmp_path / "kernel.csv"

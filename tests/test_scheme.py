@@ -7,7 +7,7 @@ import pytest
 
 from mpgram.dare import muladd_encode
 from mpgram.errors import DimensionError, DomainError, ProtocolError
-from mpgram.field import FieldDomain, FloatDomain
+from mpgram.field import FieldDomain
 from mpgram.scheme import (
     WIRE_X_SIDE,
     decode_dot,
@@ -29,7 +29,7 @@ from reference_scheme import build_bijection, reference_components
 m61 = FieldDomain()
 z5 = FieldDomain(scale_bits=0, p=5)
 z251 = FieldDomain(scale_bits=0, p=251)
-f64 = FloatDomain()
+word = FieldDomain(scale_bits=0, p=2**32 - 5)  # the largest prime below 2^32
 KEY = party_key(0, 1)
 
 
@@ -288,7 +288,7 @@ class TestFreshRandoms:
                 seen.add(vec)
         assert len(seen) == 3 * 4 * 5
 
-    @pytest.mark.parametrize("dom", [m61, z5, z251, f64], ids=["m61", "z5", "z251", "float"])
+    @pytest.mark.parametrize("dom", [m61, z5, z251, word], ids=["m61", "z5", "z251", "word"])
     def test_each_row_is_the_draw_of_its_own_label(self, dom):
         # Z5 rejects 3 of every 8 words, so rows take the per-row shortfall path
         s = generate_scheme(5)
@@ -298,7 +298,7 @@ class TestFreshRandoms:
             alone = dom.sample(KEY, ("re", 3, u), 4 * s.total_randoms)
             assert block[u].tolist() == alone.reshape(4, s.total_randoms).tolist()
 
-    @pytest.mark.parametrize("dom", [m61, z5, f64], ids=["m61", "z5", "float"])
+    @pytest.mark.parametrize("dom", [m61, z5, z251, word], ids=["m61", "z5", "z251", "word"])
     def test_fewer_rows_are_a_prefix_of_more(self, dom):
         # so a block does not depend on how many samples either side has;
         # Z5 rejects 3 of every 8 words, so its shortfall path runs too
@@ -332,15 +332,13 @@ def scalar_reference(dom, scheme, x, y, randoms):
 
 class TestArrayPath:
     @pytest.mark.parametrize("d", [1, 2, 5, 16, 33])
-    @pytest.mark.parametrize("dom", [m61, z251, f64], ids=["m61", "z251", "float"])
+    @pytest.mark.parametrize("dom", [m61, z251, word], ids=["m61", "z251", "word"])
     def test_block_matches_scalar_loop_bit_for_bit(self, dom, d):
         # one Alice sample against a block of Bob samples, as a party computes it
         s = generate_scheme(d)
         n_b = 3
         randoms = pair_randoms(s, dom, KEY, 2, 1, n_b)[0]
         x = dom.sample(KEY, "x", d)
-        if dom is f64:
-            x = x - 0.5  # negative entries too, so products and sums carry both signs
         ys = dom.sample(KEY, "ys", n_b * d).reshape(n_b, d)
         xc = encode_x_side(dom, x, s, randoms)
         yc = encode_y_side(dom, ys, s, y_random_triples(s, randoms))
@@ -356,30 +354,31 @@ class TestArrayPath:
             assert joined(dom.pack([dots[v]])) == joined(dom.pack([ref_dot]))
 
     @pytest.mark.parametrize("d", [1, 2, 7, 33])
-    def test_float_offline_and_decode_with_zero_randoms_bit_for_bit(self, d):
+    def test_offline_and_decode_with_zero_randoms_match_the_scalar_loop(self, d):
         # offline_components negates a term of sign -1 as 0 - r and adds it;
-        # for r = 0 that is +0.0, where the scalar loop subtracts 0.0.  Rows of
-        # all-zero randoms, zero randoms mixed with others and signed data
+        # for r = 0 that must give the residue 0, not p.  Rows of all-zero
+        # randoms, zero randoms mixed with others, randoms negated mod p and
+        # an all-zero sample
         s = generate_scheme(d)
         n_b = 4
-        randoms = pair_randoms(s, f64, KEY, 2, 1, n_b)[0]
-        randoms[0] = 0.0
-        randoms[1, ::2] = 0.0
-        randoms[2, ::3] = -randoms[2, ::3]
-        x = f64.sample(KEY, "x", d) - 0.5
-        ys = f64.sample(KEY, "ys", n_b * d).reshape(n_b, d) - 0.5
-        ys[3] = 0.0
-        xc = encode_x_side(f64, x, s, randoms)
-        yc = encode_y_side(f64, ys, s, y_random_triples(s, randoms))
-        off = offline_components(f64, s, randoms)
-        dots = decode_dot(f64, xc, yc, off)
+        randoms = pair_randoms(s, m61, KEY, 2, 1, n_b)[0]
+        randoms[0] = 0
+        randoms[1, ::2] = 0
+        randoms[2, ::3] = m61.array_sub(m61.zero, randoms[2, ::3])
+        x = m61.sample(KEY, "x", d)
+        ys = m61.sample(KEY, "ys", n_b * d).reshape(n_b, d).copy()
+        ys[3] = 0
+        xc = encode_x_side(m61, x, s, randoms)
+        yc = encode_y_side(m61, ys, s, y_random_triples(s, randoms))
+        off = offline_components(m61, s, randoms)
+        dots = decode_dot(m61, xc, yc, off)
         for v in range(n_b):
-            _, _, ref_off, ref_dot = scalar_reference(f64, s, x, ys[v], randoms[v])
-            assert joined(f64.pack(off[v])) == joined(f64.pack(ref_off)), v
-            assert joined(f64.pack([dots[v]])) == joined(f64.pack([ref_dot])), v
-        assert joined(f64.pack(offline_components(f64, s, np.zeros(s.total_randoms)))) == joined(
-            f64.pack([0.0] * d)
-        )
+            _, _, ref_off, ref_dot = scalar_reference(m61, s, x, ys[v], randoms[v])
+            assert joined(m61.pack(off[v])) == joined(m61.pack(ref_off)), v
+            assert joined(m61.pack([dots[v]])) == joined(m61.pack([ref_dot])), v
+        assert dots[3] == 0
+        zeros = np.zeros(s.total_randoms, dtype=np.uint64)
+        assert offline_components(m61, s, zeros).tolist() == [0] * d
 
     def test_wire_layout_round_trip(self):
         s = generate_scheme(3)

@@ -20,13 +20,12 @@ from mpgram.errors import (
     ProtocolVersionError,
     TransportError,
 )
-from mpgram.field import FieldDomain, FloatDomain
+from mpgram.field import FieldDomain
 from mpgram.matrix import Matrix, random_matrix
 from mpgram.seeds import party_key
 from payloads import joined
 
 m61 = FieldDomain()
-f64 = FloatDomain()
 KEY = party_key(0, 0)  # draws test data
 
 
@@ -99,11 +98,11 @@ class TestFraming:
             (tp.DONE, ()),
             (tp.ALPHA, tp.scalars_payload([5], m61)),
             (tp.SELF_GRAM, tp.matrix_payload(random_matrix((3, 3), m61, KEY, 6))),
-            (tp.MASKED_DATA, tp.matrix_payload(Matrix(np.arange(6.0).reshape(2, 3).T, f64))),
+            (tp.MASKED_DATA, tp.matrix_payload(random_matrix((2, 3), m61, KEY, 8).transpose())),
             (tp.PAIR_RESULT, tp.pair_matrix_payload(1, 2, tp.PART_B1, Matrix.zeros(2, 4, m61))),
             (tp.RE_RANDOMS, tp.pair_scalars_payload(1, 2, 0, np.arange(12, dtype=np.uint64), m61)),
         ],
-        ids=["hello", "done", "alpha", "self_gram", "float-transposed", "pair_result", "re"],
+        ids=["hello", "done", "alpha", "self_gram", "m61-transposed", "pair_result", "re"],
     )
     def test_transcript_entry_equals_the_joined_bytes_form(self, kind, payload):
         body = joined(payload)
@@ -311,10 +310,14 @@ class TestPayloads:
         assert got == m
         assert consumed == 8 + 8 * 15
 
-    def test_matrix_round_trip_float(self):
-        m = Matrix.from_rows([[1.5, -2.25], [0.0, 3e-9]], f64)
-        got, _ = tp.matrix_from_payload(joined(tp.matrix_payload(m)), f64)
+    @pytest.mark.parametrize("p", [251, 2**32 - 5])
+    def test_matrix_round_trip_below_2_32(self, p):
+        # a transposed (non-contiguous) matrix, so pack takes its copying path
+        dom = FieldDomain(scale_bits=0, p=p)
+        m = random_matrix((3, 5), dom, KEY, 1).transpose()
+        got, consumed = tp.matrix_from_payload(joined(tp.matrix_payload(m)), dom)
         assert got == m
+        assert consumed == 8 + 8 * 15
 
     def test_scalars_round_trip(self):
         xs = tuple(Random(1).randrange(m61.p) for _ in range(9))

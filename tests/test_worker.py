@@ -229,11 +229,10 @@ print(json.dumps({"loaded": sorted(loaded), "added": sorted(set(sys.modules) - l
 """
 
 
-@pytest.mark.parametrize("domain", ["field", "float"])
-def test_a_party_process_imports_no_module_after_its_fork(tmp_path, domain):
+def test_a_party_process_imports_no_module_after_its_fork(tmp_path):
     # the launcher forks right after its imports; a module first imported by a
     # job's pickle would be imported again in every party process
-    cfg = RunConfig(protocol="escaped", m=2, features=2, samples=(1, 2), domain=domain, verify=False)
+    cfg = RunConfig(protocol="escaped", m=2, features=2, samples=(1, 2), verify=False)
     jobs = _write_jobs(tmp_path, cfg, run(cfg).party_data)
     src = os.path.dirname(os.path.dirname(party.__file__))
     paths = [src, *os.environ.get("PYTHONPATH", "").split(os.pathsep)]
