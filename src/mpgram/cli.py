@@ -38,7 +38,8 @@ def _add_run_flags(p: argparse.ArgumentParser, with_protocol: bool = True):
     )
     p.add_argument("--scale-bits", type=int, default=16)
     p.add_argument("--transport", choices=["loopback", "tcp"], default="loopback")
-    p.add_argument("--base-port", type=int, default=0, help="0 picks free ports")
+    p.add_argument("--base-port", type=int, default=0,
+                   help="first of the M(M+1)/2 ports, one per pair of parties; 0 picks free ports")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sigma", type=float, default=None, help="also derive the RBF kernel")
     p.add_argument("--data", default=None, help="comma-separated per-party CSV paths")

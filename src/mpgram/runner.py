@@ -22,6 +22,7 @@ that would defeat the point, so it is strictly a testing facility.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -98,11 +99,10 @@ class RunConfig:
         if not hasattr(socket.socket, "sendmsg"):
             raise ConfigError("every channel sends its frames with socket.sendmsg, "
                               "which this platform does not have")
-        if self.base_port and not 1 <= self.base_port <= 65535 - self.m:
-            raise ConfigError(
-                f"base port must be 0 or in 1..{65535 - self.m} (ports base..base+{self.m}), "
-                f"got {self.base_port}"
-            )
+        last = self.m * (self.m + 1) // 2 - 1  # one port per pair of ids 0..m
+        if self.base_port and not 1 <= self.base_port <= 65535 - last:
+            raise ConfigError(f"base port must be 0 or in 1..{65535 - last} "
+                              f"(ports base..base+{last}), got {self.base_port}")
         if self.data_csv is not None and len(self.data_csv) != self.m:
             raise ConfigError(f"{self.m} parties but {len(self.data_csv)} data files")
         if self.sigma is not None and not (math.isfinite(self.sigma) and self.sigma > 0):
@@ -359,6 +359,14 @@ def _free_ports(count: int) -> list:
     return ports
 
 
+def tcp_ports(config: RunConfig) -> dict:
+    """{(i, j): the port where party i listens for party j}, for each pair of ids
+    i < j in ``itertools.combinations`` order: from ``base_port`` on, or free ports."""
+    pairs = list(itertools.combinations(range(config.m + 1), 2))
+    ports = range(config.base_port, 65536) if config.base_port else _free_ports(len(pairs))
+    return dict(zip(pairs, ports))
+
+
 def _wait_launcher(proc) -> tuple:
     """The launcher's exit code and stderr; the code is None if it outlives ``PARTY_TIMEOUT_S``.
 
@@ -409,11 +417,7 @@ def _run_tcp(config: RunConfig, specs: dict, data: dict) -> list:
     """
     rundir = tempfile.mkdtemp(prefix="mpgram-run-")
     try:
-        if config.base_port:
-            ports = {i: config.base_port + i for i in range(config.m + 1)}
-        else:
-            ports = dict(enumerate(_free_ports(config.m + 1)))
-        jobs = _write_jobs(rundir, specs, data, ports)
+        jobs = _write_jobs(rundir, specs, data, tcp_ports(config))
         # a party's BLAS calls are small: OpenBLAS's thread pool would only add
         # start-up time and spinning helper threads to each party
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}

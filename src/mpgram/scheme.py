@@ -179,14 +179,17 @@ def y_random_triples(scheme: DotEncodingScheme, randoms) -> np.ndarray:
 
 
 def encode_x_side(dom, x, scheme: DotEncodingScheme, randoms) -> np.ndarray:
-    """(..., d, 2): (c1, c2) per leaf for the x-vector owner, who holds all randoms."""
+    """(..., d, 2): (c1, c2) per leaf for the x-vector owner, who holds all randoms.
+
+    c2 = x rb - ra rb + rc is formed as c1 rb + rc, with c1 = x - ra: the
+    same residue with one product fewer."""
     x = np.asarray(x)
     if x.shape[-1] != scheme.d:
         raise DimensionError(f"vector length {x.shape[-1]} != scheme length {scheme.d}")
     randoms = np.asarray(randoms)
     ra, rb, rc = (randoms[..., scheme.leaf_index[:, k]] for k in range(3))
-    c2 = dom.array_add(dom.array_sub(dom.array_mul(x, rb), dom.array_mul(ra, rb)), rc)
-    return np.stack((dom.array_sub(x, ra), c2), axis=-1)
+    c1 = dom.array_sub(x, ra)
+    return np.stack((c1, dom.array_add(dom.array_mul(c1, rb), rc)), axis=-1)
 
 
 def encode_y_side(dom, y, scheme: DotEncodingScheme, triples) -> np.ndarray:

@@ -25,19 +25,20 @@ byte is accounted for exactly.
 
 Each connection is one ``Channel``, which owns its stream socket, the two
 party ids and the transcript it records into: connected TCP sockets in a
-TCP run, ``socket.socketpair()`` inside one process in a loopback run.  So
-framing, buffering, bounded send buffers, timeouts and close semantics are
-the same on both.  ``Channel.recv`` checks each header when it arrives (a
-known tag, the peer as sender, this party as receiver, the expected kind)
-before it reads the payload, so a bad header fails at once instead of
-waiting out ``IO_TIMEOUT`` for a payload that may never come.  On a stream
-the header's length is the only frame boundary: a frame cut short fails as
-a connection closed mid-frame.  A party calls ``Channel.end_sends`` after
-its last frame on a channel, so a read past that frame fails at once, as
-the peer having ended its sends, instead of waiting out ``IO_TIMEOUT``;
-and the receiver of that frame reads the end of sends after it
-(``recv(kind, last=True)``), which never waits, so any byte there fails
-at once as a frame after the sender's last.
+TCP run, each pair's on a port of its own (``mpgram.worker``), and
+``socket.socketpair()`` inside one process in a loopback run.  So framing,
+buffering, bounded send buffers, timeouts and close semantics are the same
+on both.  ``Channel.recv`` checks each header when it arrives (a known tag,
+the peer as sender, this party as receiver, the expected kind) before it
+reads the payload, so a bad header fails at once instead of waiting out
+``IO_TIMEOUT`` for a payload that may never come.  On a stream the header's
+length is the only frame boundary: a frame cut short fails as a connection
+closed mid-frame.  A party calls ``Channel.end_sends`` after its last frame
+on a channel, so a read past that frame fails at once, as the peer having
+ended its sends, instead of waiting out ``IO_TIMEOUT``; and the receiver of
+that frame reads the end of sends after it (``recv(kind, last=True)``),
+which never waits, so any byte there fails at once as a frame after the
+sender's last.
 
 Transcripts record the sender side of every frame with a per-channel
 sequence number.  The canonical order (sender, receiver, seq) is
@@ -319,19 +320,17 @@ class Channel:
 
     Sends are recorded into the transcript with a per-channel sequence
     number; receives are not (the peer records them as its own sends).
-    ``peer_id`` may be None until ``peek_sender`` has named the peer.
+    Both ids are fixed when the channel is made: by the pair of a loopback
+    socket, or by the port a TCP connection was made to.
     """
 
-    def __init__(
-        self, sock: socket.socket, local_id: int, peer_id: int | None, transcript: Transcript
-    ):
+    def __init__(self, sock: socket.socket, local_id: int, peer_id: int, transcript: Transcript):
         self.sock = sock
         self.local_id = local_id
         self.peer_id = peer_id
         self.transcript = transcript
         self._seq = 0
         self._send_lock = threading.Lock()
-        self._header = None  # the next frame's header, once peeked
 
     def send(self, kind: int, payload: tuple):
         """Send one frame whose payload is the byte buffers ``payload``, back to back."""
@@ -362,20 +361,15 @@ class Channel:
                 skip = max(skip - len(part), 0)
             done += self.sock.sendmsg(rest)
 
-    def peek_sender(self) -> int:
-        """Sender id in the header of the next frame, which is left unread."""
-        return _HEADER.unpack_from(self._next_header())[1]
-
     def recv(self, expect_kind: int = None, last: bool = False) -> Frame:
         """The next frame: its header is checked before the payload is read into its own
         buffer.  If it is the peer's ``last`` frame here, the peer's end of sends must follow."""
-        header, self._header = self._next_header(), None
+        header = self._recv_into(bytearray(HEADER_LEN), frame_start=True)
         kind, sender, receiver, plen = _HEADER.unpack(header)
         me, peer = self.local_id, self.peer_id
         if kind not in KIND_NAMES:
-            source = "a connection not yet named" if peer is None else f"party {peer}"
             raise ProtocolVersionError(f"party {me} got unknown message tag 0x{kind:02x} "
-                                       f"from {source}")
+                                       f"from party {peer}")
         if sender != peer:
             raise ProtocolError(f"party {me} expected a frame from {peer}, got one from {sender}")
         if receiver != me:
@@ -390,22 +384,14 @@ class Channel:
                                 f"{KIND_NAMES[kind]}")
         return frame
 
-    def _next_header(self) -> bytearray:
-        if self._header is None:
-            self._header = self._recv_into(bytearray(HEADER_LEN), frame_start=True)
-        return self._header
-
     def _recv_into(self, buf: bytearray, frame_start: bool = False) -> bytearray:
         """Fill ``buf`` from the socket, in place; returns it.  A close before the first
-        byte of a frame (``frame_start``) is the peer's end of sends, or, on a connection
-        whose peer is not yet named, a close before its first frame."""
+        byte of a frame (``frame_start``) is the peer's end of sends."""
         me, peer, view = self.local_id, self.peer_id, memoryview(buf)
         while view:
             n = self._read(view)
             if not n and frame_start and len(view) == len(buf):
-                raise TransportError(
-                    f"party {peer} ended its sends to party {me}" if peer is not None
-                    else f"a connection to party {me} closed before its first frame")
+                raise TransportError(f"party {peer} ended its sends to party {me}")
             if not n:
                 raise TransportError(f"connection from party {peer} to party {me} closed mid-frame")
             view = view[n:]
@@ -416,8 +402,8 @@ class Channel:
         try:
             return self.sock.recv_into(view)
         except socket.timeout:
-            peer = "a first frame" if self.peer_id is None else f"party {self.peer_id}"
-            raise TransportError(f"party {self.local_id} timed out waiting for {peer}") from None
+            raise TransportError(f"party {self.local_id} timed out waiting for party "
+                                 f"{self.peer_id}") from None
 
     def end_sends(self):
         """Half-close after the last frame: ``shutdown(SHUT_WR)``, which does not block."""

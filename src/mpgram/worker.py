@@ -2,10 +2,11 @@
 
 Each job is a pickled dict: ``spec`` (the party's own ``SessionSpec``,
 which holds its own key and no other), ``party_id``, ``host``, ``ports``
-(one per id 0..m) and ``data`` (the party's own encoded ``Matrix``, None
-for the function party).  ``party.play_party`` pickles the
-``PartyOutcome`` to ``outcome.pickle`` beside the job before any socket
-of the mesh closes.  A failed party then re-raises, so its process exits 1.
+(``{(i, j): port}`` for each pair of ids i < j: where party i listens for
+party j) and ``data`` (the party's own encoded ``Matrix``, None for the
+function party).  ``party.play_party`` pickles the ``PartyOutcome`` to
+``outcome.pickle`` beside the job before any socket of the mesh closes.  A
+failed party then re-raises, so its process exits 1.
 
 Before it reads any job or starts any thread, the process forks one child
 per job after the first; each child sends its stderr to ``err.txt`` beside
@@ -49,23 +50,17 @@ so a caller of ``main`` in-process gets its return value or error back.
 
 Connection topology: one connection per pair of ids 0..m, the function
 party being id 0, so every party's mesh is its row of one complete graph.
-Party i listens on its own port if a higher id exists, connects to every
-lower id (0 included), and accepts the m - i higher ids.  An accepted
-connection is identified by the sender id in the header of its first
-frame, read with ``Channel.peek_sender`` and left unread; an id that is
-out of range or already connected is rejected.  The worker sends and reads
-no hello of its own: ``party.run_party`` sends and reads the same hellos
-(an input party sends its own on every channel in id order, and a peer's
-is the first frame read from it) and runs the same session as a loopback
-run, so the wire carries exactly the same frames.
-
-Party m has nothing to accept, so its mesh completes first; each lower
-party's peek then completes once the next higher party's hello arrives.
-A connection closed before its first frame fails the peek at once, which
-is how an RE hello lost between input parties ends: RE Bob half-closes
-his channel to Alice right after his hello.  An escaped hello lost from a
-higher input party to a lower one still waits out ``IO_TIMEOUT`` in the
-peek, as the sender's next frame there, as Bob, waits for the receiver's.
+Each pair has a port of its own, on which the lower id listens: party i
+listens on one port per higher id, connects to every lower id (0
+included), and then accepts each higher id on that id's port.  So an
+accepted connection is named by the port it arrived on, and nothing is
+read from it here; a stranger on a pair's port fails at its first frame,
+whose header names another sender.  The worker sends and reads no hello of
+its own: ``party.run_party`` sends and reads the same hellos (an input
+party sends its own on every channel in id order, and a peer's is the
+first frame read from it, when first needed) and runs the same session as
+a loopback run, so the wire carries exactly the same frames, and a lost
+hello fails as it does on loopback.
 """
 
 from __future__ import annotations
@@ -91,24 +86,18 @@ from .transport import Channel, Transcript, tcp_accept, tcp_connect, tcp_listen
 def setup_mesh(cfg: dict, mesh: Mesh) -> Mesh:
     """Connect party ``cfg["party_id"]`` to every other party (module docstring).
 
-    The channels go into ``mesh``, and the listening socket and a rejected
-    connection into ``mesh.sockets``.  Nothing is closed here, on a failure
-    either: the mesh's owner records the failure first, then closes the mesh.
+    The channels go into ``mesh``, and the listening sockets into
+    ``mesh.sockets``.  Nothing is closed here, on a failure either: the
+    mesh's owner records the failure first, then closes the mesh.
     """
     me, host, ports = cfg["party_id"], cfg["host"], cfg["ports"]
-    m = len(ports) - 1
-    if me < m:
-        mesh.sockets.append(tcp_listen(host, ports[me]))
+    higher = [j for i, j in ports if i == me]
+    for j in higher:
+        mesh.sockets.append(tcp_listen(host, ports[me, j]))
     for j in range(me):
-        mesh.channels[j] = Channel(tcp_connect(host, ports[j]), me, j, mesh.transcript)
-    for _ in range(m - me):
-        channel = Channel(tcp_accept(mesh.sockets[0]), me, None, mesh.transcript)
-        j = channel.peer_id = channel.peek_sender()
-        if not me < j <= m or j in mesh.channels:
-            mesh.sockets.append(channel)
-            why = "already connected" if j in mesh.channels else f"not in {me + 1}..{m}"
-            raise ProtocolError(f"party {me} got a connection claiming id {j}, {why}")
-        mesh.channels[j] = channel
+        mesh.channels[j] = Channel(tcp_connect(host, ports[j, me]), me, j, mesh.transcript)
+    for j, srv in zip(higher, mesh.sockets):
+        mesh.channels[j] = Channel(tcp_accept(srv), me, j, mesh.transcript)
     return mesh
 
 

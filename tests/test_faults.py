@@ -2,17 +2,17 @@
 reordered or readdressed frame ends the run at once, or shows in the report.
 
 ``inject`` wraps ``transport.Channel.send`` and applies one fault to the k-th
-frame of one kind that one input party sends, its hellos included.  A fault
-that leaves a well-formed frame of valid residues cannot be told from honest
-data under the honest-but-curious model; only verify catches it.  So the
-property is: the run raises well within ``IO_TIMEOUT``, or its audit or
-verify fails, or its gram is the fault-free one.
+frame of one kind that one input party sends, its hellos included; a TCP
+run's parties load the same fault from a ``sitecustomize`` (``SITE_FAULT``).
+A fault that leaves a well-formed frame of valid residues cannot be told
+from honest data under the honest-but-curious model; only verify catches
+it.  So the property is: the run raises well within ``IO_TIMEOUT``, or its
+audit or verify fails, or its gram is the fault-free one.
 """
 
 import functools
 import os
 import re
-import struct
 import time
 from dataclasses import replace
 
@@ -25,6 +25,7 @@ from mpgram import transport as tp
 from mpgram.errors import MpgramError, ProtocolError
 from mpgram.field import M61
 from mpgram.runner import RunConfig, run
+import wire_faults
 
 FAULTS = ("drop", "duplicate", "truncate", "extend", "out-of-range", "swap", "rewrite-kind",
           "rewrite-sender", "rewrite-receiver", "rewrite-length")
@@ -33,73 +34,12 @@ KINDS = {
     "escaped": (tp.HELLO, tp.MASKED_DATA, tp.MASKED_MASK, tp.PAIR_RESULT, tp.ALPHA, tp.SELF_GRAM),
     "re": (tp.HELLO, tp.RE_RANDOMS, tp.RE_COMPONENTS, tp.SELF_GRAM),
 }
-PROMPT_S = 2.0  # every injected run ends within this, far below the IO_TIMEOUT below
-HEADER = struct.Struct("<BHHQ")  # a frame's kind, sender, receiver and payload length
+PROMPT_S = 2.0  # every injected run ends within this, far below the IO_TIMEOUT that inject sets
 
 
-def header_edit(field: int, change):
-    """An edit that applies ``change`` to field ``field`` of a frame's ``HEADER``."""
-    def edit(b):
-        head = list(HEADER.unpack_from(b))
-        head[field] = change(head[field])
-        return HEADER.pack(*head) + b[HEADER.size:]
-    return edit
-
-
-EDITS = {  # what a fault does to a frame's bytes on the wire; the payload edits keep the
-    # header's length, and the header edits keep the payload
-    "truncate": lambda b: b[:-8],
-    "extend": lambda b: b + bytes(8),
-    "out-of-range": lambda b: b[:-8] + struct.pack("<Q", M61),
-    "rewrite-kind": header_edit(0, lambda kind: tp.MASKED_DATA if kind == tp.HELLO else tp.HELLO),
-    "rewrite-sender": header_edit(1, lambda sender: sender ^ 1),
-    "rewrite-receiver": header_edit(2, lambda receiver: receiver ^ 1),
-    "rewrite-length": header_edit(3, lambda n_bytes: n_bytes + 8),
-}
-
-
-def inject(monkeypatch, fault: str, party: int, kind: int, k: int):
-    """Apply ``fault`` to the ``k``-th frame of ``kind`` that ``party`` sends, and
-    lower ``IO_TIMEOUT`` to 5 s, so a run that waits for it still ends.
-
-    A dropped frame is neither sent nor recorded in the transcript, and a
-    duplicated one is sent and recorded twice.  ``EDITS`` change the bytes on the wire of a
-    frame recorded as sent unchanged: its ``_send_parts`` writes the edited
-    bytes for that one send.  A swapped frame is sent after the next frame on
-    its channel, and is lost if no frame follows it there.
-    """
-    send = tp.Channel.send
-    seen = 0
-    held = {}  # channel -> the (kind, payload) a swap holds back
-
-    def on_wire(channel, frame_kind, payload, edit):
-        channel._send_parts = lambda parts, _: channel.sock.sendall(edit(b"".join(parts)))
-        try:
-            send(channel, frame_kind, payload)
-        finally:
-            del channel._send_parts
-
-    def faulty_send(self, frame_kind, payload):
-        nonlocal seen
-        if self in held:
-            send(self, frame_kind, payload)
-            send(self, *held.pop(self))
-            return
-        if (self.local_id, frame_kind) == (party, kind):
-            seen += 1
-            if seen == k:
-                if fault == "duplicate":
-                    send(self, frame_kind, payload)
-                    send(self, frame_kind, payload)
-                elif fault == "swap":
-                    held[self] = frame_kind, payload
-                elif fault in EDITS:
-                    on_wire(self, frame_kind, payload, EDITS[fault])
-                return
-        send(self, frame_kind, payload)
-
-    monkeypatch.setattr(tp.Channel, "send", faulty_send)
-    monkeypatch.setattr(tp, "IO_TIMEOUT", 5.0)
+def inject(monkeypatch, fault: str, party: int, kind: int, k: int, to: int = None):
+    """``wire_faults.inject`` in this process, undone with ``monkeypatch``."""
+    wire_faults.inject(fault, party, kind, k, to, monkeypatch.setattr)
 
 
 def config(protocol: str, m: int) -> RunConfig:
@@ -272,44 +212,65 @@ def test_an_re_hello_too_large_for_the_pair_frames_fails_before_the_draw(monkeyp
     )
 
 
-# sends the first frame of kind {kind} that party {party} sends {copies} times, in every
-# TCP party process
+# applies ``wire_faults.inject(fault, party, kind, k, to)`` in every TCP party process
 SITE_FAULT = """
-from mpgram import transport as tp
+import wire_faults
 
-_send = tp.Channel.send
-_seen = []
-
-
-def send(self, kind, payload):
-    first = (self.local_id, kind) == ({party}, {kind}) and not _seen
-    _seen.extend([kind] * first)
-    for _ in range({copies} if first else 1):
-        _send(self, kind, payload)
-
-
-tp.Channel.send = send
+wire_faults.inject({fault!r}, {party}, {kind}, {k}, {to})
 """
 
 
-def run_tcp_with_fault(monkeypatch, tmp_path, **fault) -> tuple:
-    """``run_timed`` of an escaped M=3 TCP run whose parties load ``SITE_FAULT``."""
-    (tmp_path / "sitecustomize.py").write_text(SITE_FAULT.format(**fault))
+def run_tcp_with_fault(monkeypatch, tmp_path, protocol="escaped", to=None, **fault) -> tuple:
+    """``run_timed`` of an M=3 TCP run whose parties load ``SITE_FAULT``."""
+    (tmp_path / "sitecustomize.py").write_text(SITE_FAULT.format(to=to, **fault))
     src = os.path.dirname(os.path.dirname(tp.__file__))
-    paths = [str(tmp_path), src, *os.environ.get("PYTHONPATH", "").split(os.pathsep)]
+    paths = [str(tmp_path), os.path.dirname(__file__), src,
+             *os.environ.get("PYTHONPATH", "").split(os.pathsep)]
     monkeypatch.setenv("PYTHONPATH", os.pathsep.join(p for p in paths if p))
-    return run_timed(replace(config("escaped", 3), transport="tcp"))
+    return run_timed(replace(config(protocol, 3), transport="tcp"))
 
 
 def test_a_dropped_first_pair_result_ends_a_tcp_run_at_once(monkeypatch, tmp_path):
-    _, error, seconds = run_tcp_with_fault(monkeypatch, tmp_path, party=1, kind=tp.PAIR_RESULT,
-                                           copies=0)
+    _, error, seconds = run_tcp_with_fault(monkeypatch, tmp_path, fault="drop", party=1,
+                                           kind=tp.PAIR_RESULT, k=1)
     assert seconds < PROMPT_S
     assert isinstance(error, ProtocolError) and str(error) == DROPPED_FIRST_PAIR_RESULT
 
 
 def test_a_duplicated_self_gram_ends_a_tcp_run_at_once(monkeypatch, tmp_path):
-    _, error, seconds = run_tcp_with_fault(monkeypatch, tmp_path, party=2, kind=tp.SELF_GRAM,
-                                           copies=2)
+    _, error, seconds = run_tcp_with_fault(monkeypatch, tmp_path, fault="duplicate", party=2,
+                                           kind=tp.SELF_GRAM, k=1)
     assert seconds < PROMPT_S
     assert isinstance(error, ProtocolError) and str(error) == PAST_THE_SELF_GRAM
+
+
+def assert_tcp_fails_as_loopback(monkeypatch, tmp_path, protocol, **fault):
+    """The fault ends a TCP run within ``PROMPT_S``, with the error of a loopback run."""
+    with pytest.MonkeyPatch.context() as mp:
+        inject(mp, **fault)
+        _, on_loopback, _ = run_timed(config(protocol, 3))
+    _, error, seconds = run_tcp_with_fault(monkeypatch, tmp_path, protocol, **fault)
+    assert seconds < PROMPT_S, (seconds, error)
+    assert isinstance(on_loopback, ProtocolError), on_loopback
+    assert type(error) is type(on_loopback) and str(error) == str(on_loopback)
+    return str(error)
+
+
+# each as (sender, receiver): a hello from a higher id to a lower one
+@pytest.mark.parametrize("sender, to", [(3, 1), (3, 2), (2, 1), (1, 0)],
+                         ids=["3-to-1", "3-to-2", "2-to-1", "1-to-0"])
+@pytest.mark.parametrize("protocol", sorted(KINDS))
+def test_a_hello_lost_over_tcp_fails_at_once_as_on_loopback(monkeypatch, tmp_path, protocol,
+                                                            sender, to):
+    message = assert_tcp_fails_as_loopback(monkeypatch, tmp_path, protocol, fault="drop",
+                                           party=sender, kind=tp.HELLO, k=1, to=to)
+    assert re.search(rf"\bfrom {sender}\b|party {sender} ended its sends", message), message
+
+
+@pytest.mark.parametrize("fault", [f for f in FAULTS if f.startswith("rewrite-")])
+def test_a_header_rewritten_over_tcp_names_its_sender_as_on_loopback(monkeypatch, tmp_path,
+                                                                     fault):
+    # party 1's first masked data goes to party 3
+    message = assert_tcp_fails_as_loopback(monkeypatch, tmp_path, "escaped", fault=fault,
+                                           party=1, kind=tp.MASKED_DATA, k=1)
+    assert re.search(r"\bfrom (party )?1\b", message), message

@@ -38,6 +38,7 @@ from mpgram.runner import (
     plaintext_gram,
     run,
     synthesize_party_reals,
+    tcp_ports,
 )
 from mpgram.seeds import party_key
 
@@ -272,14 +273,13 @@ class TestRun:
         assert time.monotonic() - t0 < 20.0
 
     def test_failing_tcp_worker_ends_run_and_is_blamed(self):
-        # party 2 cannot listen on its port, so party 3, which connects there,
-        # would wait out its 120 s recv timeout if the runner waited on it
-        base = _free_port_block(4)
+        # party 2 cannot listen on its port for party 3, so party 3, which connects
+        # there, would wait out its 120 s recv timeout if the runner waited on it
+        cfg = RunConfig(protocol="escaped", m=3, features=2, samples=(1, 1, 1),
+                        transport="tcp", base_port=_free_port_block(6), verify=False)
         with socket.socket() as taken:
-            taken.bind(("127.0.0.1", base + 2))
+            taken.bind(("127.0.0.1", tcp_ports(cfg)[2, 3]))
             taken.listen()
-            cfg = RunConfig(protocol="escaped", m=3, features=2, samples=(1, 1, 1),
-                            transport="tcp", base_port=base, verify=False)
             t0 = time.monotonic()
             with pytest.raises(ProtocolError, match=r"^party 2 failed: .*cannot listen on"):
                 run(cfg)
@@ -420,8 +420,8 @@ class TestRun:
         with socket.socket() as taken:
             cfg = TCP_M4
             if case == "port-taken":  # as in test_failing_tcp_worker_ends_run_and_is_blamed
-                cfg = replace(TCP_M4, base_port=_free_port_block(5))
-                taken.bind(("127.0.0.1", cfg.base_port + 2))
+                cfg = replace(TCP_M4, base_port=_free_port_block(10))
+                taken.bind(("127.0.0.1", tcp_ports(cfg)[2, 3]))
                 taken.listen()
             if case == "ok":
                 assert run(cfg).report["audit"]["ok"]
@@ -1176,9 +1176,9 @@ class TestCli:
 
     def test_base_port_range(self):
         cfg = RunConfig(protocol="escaped", m=3, features=2, samples=(1, 1, 1))
-        for ok in (0, 1, 65532):
+        for ok in (0, 1, 65530):  # ports base..base+5, one per pair of ids 0..3
             replace(cfg, base_port=ok).validate()
-        for bad in (-5, 65533, 2**16):
+        for bad in (-5, 65531, 2**16):
             with pytest.raises(ConfigError, match="base port"):
                 replace(cfg, base_port=bad).validate()
 

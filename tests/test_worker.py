@@ -16,20 +16,21 @@ from mpgram import transport as tp
 from mpgram.errors import ProtocolError
 from mpgram.field import FieldDomain, make_domain
 from mpgram.party import Mesh, SessionSpec, run_party
-from mpgram.runner import RunConfig, _free_ports, collect_outcomes, party_specs, run
+from mpgram.runner import RunConfig, collect_outcomes, party_specs, run
 from mpgram.worker import setup_mesh
 
 HOST = "127.0.0.1"
 
 
 def _cfg(party_id: int, m: int) -> dict:
-    ports = _free_ports(m + 1)
-    return {"party_id": party_id, "m": m, "host": HOST, "ports": dict(enumerate(ports))}
+    cfg = RunConfig(protocol="escaped", m=m, features=1, samples=(1,) * m, transport="tcp")
+    return {"party_id": party_id, "host": HOST, "ports": runner.tcp_ports(cfg)}
 
 
-def _connect_as(cfg: dict, to: int, sender: int, kind: int = tp.HELLO) -> tp.Channel:
-    """Connect to party ``to`` and send one frame that claims to come from ``sender``."""
-    channel = tp.Channel(tp.tcp_connect(HOST, cfg["ports"][to]), sender, to, None)
+def _connect_as(cfg: dict, pair: tuple, sender: int, kind: int = tp.HELLO) -> tp.Channel:
+    """Connect to the port of ``pair``, where party ``pair[0]`` listens, and send one
+    frame to that party that claims to come from ``sender``."""
+    channel = tp.Channel(tp.tcp_connect(HOST, cfg["ports"][pair]), sender, pair[0], None)
     channel.send(kind, tp.u64_payload(2) if kind == tp.HELLO else b"")
     return channel
 
@@ -43,39 +44,44 @@ def _peer_sees_close(channel: tp.Channel) -> bool:
         return False
 
 
-def test_function_party_rejects_a_repeated_id():
+def test_function_party_names_each_connection_by_its_port():
+    # party 2 connects first; each channel still goes to the id of its port
     cfg = _cfg(0, 2)
     mesh = Mesh(0, {})
     try:
         with ThreadPoolExecutor(1) as pool:
             future = pool.submit(setup_mesh, cfg, mesh)
-            peers = [_connect_as(cfg, 0, 1), _connect_as(cfg, 0, 1)]
-            with pytest.raises(ProtocolError, match="claiming id 1, already connected"):
-                future.result(timeout=10)
-        # the listener and the rejected connection stay open until the mesh closes
-        socket.create_connection((HOST, cfg["ports"][0]), timeout=1).close()
-        assert not _peer_sees_close(peers[1])
+            peers = [_connect_as(cfg, (0, 2), 2), _connect_as(cfg, (0, 1), 1)]
+            future.result(timeout=10)
+        assert {j: c.peer_id for j, c in mesh.channels.items()} == {1: 1, 2: 2}
+        assert [mesh.peer_size(j) for j in (1, 2)] == [2, 2]
+        # the listeners stay open until the mesh closes
+        socket.create_connection((HOST, cfg["ports"][0, 1]), timeout=1).close()
     finally:
         mesh.close()
-    assert _peer_sees_close(peers[1])
-    with pytest.raises(ConnectionRefusedError):
-        socket.create_connection((HOST, cfg["ports"][0]), timeout=1)
+    assert all(_peer_sees_close(peer) for peer in peers)
+    for j in (1, 2):
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection((HOST, cfg["ports"][0, j]), timeout=1)
     for peer in peers:
         peer.close()
 
 
 @pytest.mark.parametrize("claimed", [2, 1, 0, 4], ids=["own", "lower", "function-party", "above-m"])
-def test_input_party_accepts_only_higher_ids(claimed):
-    # party 2 of 3 connects to parties 0 and 1, then accepts party 3 only
+def test_a_stranger_on_a_pairs_port_fails_at_its_first_frame(claimed):
+    # party 2 of 3 connects to parties 0 and 1, then accepts party 3 on its port
+    # for 3; a frame there from any other id names both
     cfg = _cfg(2, 3)
-    lower = [tp.tcp_listen(HOST, cfg["ports"][j]) for j in (0, 1)]
+    lower = [tp.tcp_listen(HOST, cfg["ports"][j, 2]) for j in (0, 1)]
     mesh = Mesh(2, {})
     try:
         with ThreadPoolExecutor(1) as pool:
             future = pool.submit(setup_mesh, cfg, mesh)
-            peer = _connect_as(cfg, 2, claimed)
-            with pytest.raises(ProtocolError, match=f"party 2 got a connection claiming id {claimed}"):
-                future.result(timeout=10)
+            peer = _connect_as(cfg, (2, 3), claimed)
+            future.result(timeout=10)
+        with pytest.raises(ProtocolError, match=f"^party 2 expected a frame from 3, got one "
+                                                f"from {claimed}$"):
+            mesh.peer_size(3)
     finally:
         mesh.close()
     peer.close()
@@ -89,7 +95,7 @@ def test_first_frame_that_is_not_a_hello_fails_the_function_party():
     try:
         with ThreadPoolExecutor(1) as pool:
             future = pool.submit(setup_mesh, cfg, mesh)
-            peers = [_connect_as(cfg, 0, 1), _connect_as(cfg, 0, 2, kind=tp.DONE)]
+            peers = [_connect_as(cfg, (0, 1), 1), _connect_as(cfg, (0, 2), 2, kind=tp.DONE)]
             future.result(timeout=10)
         assert sorted(mesh.channels) == [1, 2]
         spec = SessionSpec("escaped", 2, 1, FieldDomain(), None)
@@ -119,8 +125,7 @@ def _write_jobs(rundir, cfg: RunConfig, data: dict) -> dict:
     with free ports and each party's own spec and data."""
     rundir.mkdir(parents=True, exist_ok=True)
     specs = party_specs(cfg, make_domain(cfg.domain, cfg.scale_bits))
-    ports = dict(enumerate(_free_ports(cfg.m + 1)))
-    jobs = runner._write_jobs(str(rundir), specs, data, ports)
+    jobs = runner._write_jobs(str(rundir), specs, data, runner.tcp_ports(cfg))
     return {pid: Path(job) for pid, job in enumerate(jobs)}
 
 
