@@ -23,7 +23,7 @@ _EXPORTS = {
     "dare": "AddEncoding MulAddEncoding add_decode add_encode add_simulate "
             "muladd_decode muladd_encode muladd_simulate",
     "field": "M61 FieldDomain make_domain",
-    "kernel": "KernelMatrix export_matrix import_matrix rbf_direct rbf_from_gram",
+    "kernel": "KernelMatrix export_matrix rbf_direct rbf_from_gram",
     "masking": "LeakageView PairResult PartyState alice_compute alice_round1 assemble_gram "
                "bob_compute bob_round1 fp_combine leakage_availability leakage_view "
                "make_party_state pair_rounds pair_schedule rotation_nonuniqueness_check "

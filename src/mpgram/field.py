@@ -225,22 +225,16 @@ class FieldDomain:
 
     def check_gram_range(self, entries, party_id: int) -> None:
         """Raise ``EncodingOverflowError`` unless every column x of the f x n
-        entry array has ||signed(x)||^2 <= (p - 1) / 2.
+        entry array has ||signed(x)||^2 <= (p - 1) / 2; the lowest such column is named.
 
         (p - 1) / 2 is the largest magnitude that decodes, and by
         Cauchy-Schwarz |<x, y>| <= ||x|| ||y||, so when every party's columns
         pass, no entry of the pooled gram wraps around, and each party checks
-        its own data alone.  The squared norms are summed in float64, within
-        a relative (f + 3) 2^-53 of the exact sum; a column within twice that
-        margin of the limit is summed again in Python ints, so the verdict is
-        exact.
+        its own data alone.  The columns near the limit are summed exactly
+        (``_exact_norms``), so the verdict is exact.
         """
         limit = (self.p - 1) // 2
-        signed = self.centred(entries)
-        x = signed.astype(np.float64)
-        margin = (signed.shape[0] + 3) * 2.0**-52
-        for u in np.flatnonzero((x * x).sum(axis=0) > limit * (1.0 - margin)):
-            norm2 = sum(v * v for v in signed[:, u].tolist())
+        for u, norm2 in self._exact_norms(entries, limit).items():
             if norm2 > limit:
                 raise EncodingOverflowError(
                     f"sample {u} of party {party_id} has encoded squared norm {norm2} > "
@@ -250,20 +244,22 @@ class FieldDomain:
                 )
 
     def gram_headroom(self, entries) -> tuple:
-        """(largest ||signed(x)||^2 over the columns x of the f x n entry array,
-        (p - 1) / 2): how close the data comes to the limit of ``check_gram_range``.
+        """(largest ||signed(x)||^2 over the columns x of the f x n entry array, exact,
+        (p - 1) / 2): how close the data comes to the limit of ``check_gram_range``."""
+        return max(self._exact_norms(entries).values(), default=0), (self.p - 1) // 2
 
-        The norms are summed in float64, and every column within twice their
-        error of the largest is summed again in Python ints, so the value is
-        exact.
-        """
+    def _exact_norms(self, entries, threshold=None) -> dict:
+        """{u: ||signed(x_u)||^2}, in column order, for each column x_u of the f x n entry
+        array whose float64 squared norm, within a relative (f + 3) 2^-53 of the exact one,
+        comes within twice that of ``threshold`` (the largest if None) or above it."""
         signed = self.centred(entries)
         x = signed.astype(np.float64)
         norms = (x * x).sum(axis=0)
+        if threshold is None:
+            threshold = norms.max(initial=0.0)
         margin = (signed.shape[0] + 3) * 2.0**-52
-        near = np.flatnonzero(norms >= norms.max(initial=0.0) * (1.0 - margin))
-        largest = max((sum(v * v for v in signed[:, u].tolist()) for u in near), default=0)
-        return largest, (self.p - 1) // 2
+        near = np.flatnonzero(norms >= threshold * (1.0 - margin))
+        return {int(u): sum(v * v for v in signed[:, u].tolist()) for u in near}
 
     # -- sampling --------------------------------------------------------
 

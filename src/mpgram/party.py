@@ -99,6 +99,8 @@ from .scheme import (
 ESCAPED = "escaped"
 RE = "re"
 OUTCOME_FILE = "outcome.pickle"  # a TCP party process's outcome, beside its job
+# the TCP launcher's environment variable that names the read end of its lifeline
+LIFELINE = "MPGRAM_LIFELINE"
 
 # Part labels: the first element of an owed-part key.
 SELF, ALPHA, A1, B1, B2 = "self gram", "alpha", "A1", "B1", "B2"

@@ -46,8 +46,8 @@ from .errors import ConfigError, DataError, MpgramError, ProtocolError
 from .field import make_domain
 from .kernel import KernelMatrix, rbf_from_gram
 from .matrix import Matrix, encode_real_matrix, gram_t, load_real_csv, save_csv
-from .party import (OUTCOME_FILE, FunctionPartyResult, SessionSpec, build_loopback_meshes,
-                    exit_outcome, play_party)
+from .party import (LIFELINE, OUTCOME_FILE, FunctionPartyResult, SessionSpec,
+                    build_loopback_meshes, exit_outcome, play_party)
 from .seeds import derive_seed, party_key
 
 SCHEMA_VERSION = 1
@@ -414,15 +414,18 @@ def _run_tcp(config: RunConfig, specs: dict, data: dict) -> list:
     the launcher: if it exits nonzero with no function-party outcome, the
     function party is blamed by its exit code and last stderr line.  So the
     runner reads only the outcome files and the launcher's stderr.
+    The launcher's lifeline is a pipe whose write end only the runner holds:
+    if the runner dies first, the launcher removes ``rundir`` and kills its group.
     """
     rundir = tempfile.mkdtemp(prefix="mpgram-run-")
+    lifeline = os.pipe()
     try:
         jobs = _write_jobs(rundir, specs, data, tcp_ports(config))
         # a party's BLAS calls are small: OpenBLAS's thread pool would only add
         # start-up time and spinning helper threads to each party
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", LIFELINE: str(lifeline[0])}
         proc = subprocess.Popen(
-            [sys.executable, "-m", "mpgram.worker", *jobs],
+            [sys.executable, "-m", "mpgram.worker", *jobs], pass_fds=lifeline[:1],
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env, start_new_session=True,
         )
         code, err = _wait_launcher(proc)
@@ -438,6 +441,8 @@ def _run_tcp(config: RunConfig, specs: dict, data: dict) -> list:
             outcomes.append(exit_outcome(tp.FUNCTION_PARTY_ID, code, err))
         return outcomes
     finally:
+        for fd in lifeline:
+            os.close(fd)
         shutil.rmtree(rundir, ignore_errors=True)
 
 

@@ -11,9 +11,12 @@ failed party then re-raises, so its process exits 1.
 Before it reads any job or starts any thread, the process forks one child
 per job after the first; each child sends its stderr to ``err.txt`` beside
 its own job and loads only that job.  The parent plays job 0 while a
-reaper thread waits for the children.  So one job, the form for a party on
-its own host, forks nothing, and several start a whole localhost run from
+reaper thread waits for the children.  So one job forks nothing and plays
+one party of a localhost run, and several start a whole localhost run from
 one interpreter, whose job k is party k's: job 0 is the keyless function party.
+A job holds one ``host``, on which ``setup_mesh`` both listens and connects
+to every peer, and only ``runner._write_jobs`` writes jobs, all for
+127.0.0.1; a deployment across hosts waits for ROADMAP item 12.
 
 Before the fork the process has imported every module a party runs, and
 no other: the package's ``__init__`` resolves its names lazily, so
@@ -34,6 +37,10 @@ the other children are killed and reaped, and the process ends: job 0's
 as that party's own error, a child's with exit 1 once the rest are
 reaped and the function party has an outcome (``_Children.stop``).  So
 the launcher leaves a function-party outcome unless its process dies.
+The launcher in turn ends with the runner: it inherits the read end of a
+pipe whose write end only the runner holds and never writes, named by
+``LIFELINE`` in its environment, and at EOF, when the runner's process has
+ended, it removes the run directory and kills its group (``_lifeline``).
 
 Every party's process, in either form, ends as ``multiprocessing`` ends a
 forked child (``_exit``): the exit code is the one the interpreter would
@@ -70,6 +77,7 @@ import encodings.idna  # noqa: F401 - socket.getaddrinfo encodes a host name wit
 import functools
 import os
 import pickle
+import shutil
 import signal
 import sys
 import threading
@@ -79,7 +87,7 @@ from typing import NoReturn
 
 from . import field  # noqa: F401 - a job's pickle names its domain's class
 from .errors import ProtocolError
-from .party import OUTCOME_FILE, Mesh, PartyOutcome, exit_outcome, play_party
+from .party import LIFELINE, OUTCOME_FILE, Mesh, PartyOutcome, exit_outcome, play_party
 from .transport import Channel, Transcript, tcp_accept, tcp_connect, tcp_listen
 
 
@@ -200,6 +208,15 @@ class _Children:
             raise SystemExit(1)
 
 
+def _lifeline(fd: int, rundir: str) -> None:
+    """At EOF on ``fd``, which comes only when the runner's process has ended, however
+    it ended (module docstring), remove ``rundir`` and kill this process group."""
+    while os.read(fd, 1):
+        pass
+    shutil.rmtree(rundir, ignore_errors=True)
+    os.killpg(0, signal.SIGKILL)
+
+
 def _exit(body) -> NoReturn:
     """End this process with ``body()``'s exit status, without interpreter teardown.
 
@@ -229,7 +246,7 @@ def _exit(body) -> NoReturn:
     os._exit(status)
 
 
-def main(argv=None) -> int:
+def main(argv=None, lifeline=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if not argv:
         print("usage: python -m mpgram.worker <job.pickle> [<job.pickle> ...]", file=sys.stderr)
@@ -255,6 +272,9 @@ def main(argv=None) -> int:
     signal.signal(signal.SIGUSR1, children.stop)
     reaper = threading.Thread(target=children.reap, name="reaper")
     reaper.start()
+    if lifeline is not None:  # only in a launcher that the runner started
+        rundir = os.path.dirname(os.path.dirname(argv[0]))  # ``runner._write_jobs``
+        threading.Thread(target=_lifeline, args=(lifeline, rundir), daemon=True).start()
     code = 1
     try:
         code = play_job(argv[0], children.record)
@@ -265,4 +285,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    _exit(main)
+    fd = os.environ.get(LIFELINE)
+    _exit(functools.partial(main, lifeline=None if fd is None else int(fd)))

@@ -588,6 +588,48 @@ class TestGramRange:
         with pytest.raises(EncodingOverflowError, match=f"^sample {bad} of party 3 has"):
             dom.check_gram_range(np.array(cols, dtype=object).T % dom.p, 3)
 
+    @pytest.mark.parametrize("name", ["m61", "word", "z251"])
+    def test_lowest_column_over_the_limit_is_named(self, name):
+        # columns 1 and 3 are over, column 3 the further; the check names column 1
+        dom = SAMPLER_DOMAINS[name]
+        cols = [_column_near_limit(dom, [1, 2], 1, above=False) for _ in range(4)]
+        cols[1] = _column_near_limit(dom, [1, 2], 1, above=True)
+        cols[3] = _column_near_limit(dom, [1, 2], -1, above=True)
+        cols[3][0] += 1
+        entries = np.array(cols, dtype=object).T % dom.p
+        norm1 = sum(v * v for v in cols[1])
+        assert sum(v * v for v in cols[3]) > norm1 > (dom.p - 1) // 2
+        with pytest.raises(EncodingOverflowError, match=f"^sample 1 of party 2 has encoded "
+                                                        f"squared norm {norm1} > "):
+            dom.check_gram_range(entries, 2)
+
+    @pytest.mark.parametrize("name", ["m61", "word", "z251"])
+    def test_headroom_of_columns_that_tie_in_float64_is_exact(self, name):
+        # [a, 1] and [a, 0] differ by 1 in squared norm, which float64 loses above
+        # 2^53 (M61); the headroom is the larger in either column order
+        dom = SAMPLER_DOMAINS[name]
+        limit = (dom.p - 1) // 2
+        a = math.isqrt(limit - 1)
+        if name == "m61":
+            assert float(a * a) == float(a * a + 1)
+        for cols in ([[a, 0], [a, 1]], [[a, 1], [a, 0]]):
+            entries = np.array(cols, dtype=object).T % dom.p
+            assert dom.gram_headroom(entries) == (a * a + 1, limit)
+
+    @pytest.mark.parametrize("name", ["m61", "word", "z251"])
+    def test_check_resums_only_the_columns_near_the_limit(self, name):
+        # equal norms far below the limit all tie for the largest, so the headroom
+        # sums each again, but the check sums none; a column over the limit it does
+        dom = SAMPLER_DOMAINS[name]
+        limit = (dom.p - 1) // 2
+        cols = [[1, 2]] * 5
+        entries = np.array(cols, dtype=object).T % dom.p
+        assert dom._exact_norms(entries, limit) == {}
+        assert dom._exact_norms(entries) == {u: 5 for u in range(5)}
+        over = _column_near_limit(dom, [2], -1, above=True)
+        entries = np.array([*cols, over], dtype=object).T % dom.p
+        assert dom._exact_norms(entries, limit) == {5: sum(v * v for v in over)}
+
 
 
 class TestSerialization:

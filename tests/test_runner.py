@@ -5,8 +5,10 @@ import json
 import os
 import pickle
 import re
+import signal
 import socket
 import subprocess
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -27,7 +29,8 @@ from mpgram.cli import (
 )
 from mpgram.errors import ConfigError, ProtocolError
 from mpgram.field import FieldDomain
-from mpgram.party import PartyOutcome
+from mpgram.kernel import export_matrix
+from mpgram.party import LIFELINE, PartyOutcome
 from mpgram.matrix import encode_real_matrix
 from mpgram.runner import (
     RunConfig,
@@ -232,8 +235,11 @@ class TestRun:
         cfg = RunConfig(protocol="escaped", m=2, features=2, samples=(1, 2), transport="tcp",
                         seed=3, verify=False)
         assert run(cfg).report["audit"]["ok"]
-        # one launch; the function party's process forks the input parties
-        assert envs == [{**before, "OPENBLAS_NUM_THREADS": "1"}]
+        # one launch; the function party's process forks the input parties, and
+        # the launcher learns the file descriptor of its lifeline (``_run_tcp``)
+        [env] = envs
+        assert env.pop(LIFELINE).isdigit()
+        assert env == {**before, "OPENBLAS_NUM_THREADS": "1"}
         assert dict(os.environ) == before
 
     def test_failing_party_ends_loopback_run_and_is_blamed(self, monkeypatch):
@@ -433,6 +439,39 @@ class TestRun:
         for pid in pids:  # gone and reaped: a zombie still takes signal 0
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGKILL], ids=["term", "kill"])
+    def test_no_party_process_or_run_directory_outlives_a_killed_runner(self, tmp_path,
+                                                                           monkeypatch, signum):
+        # neither signal runs the runner's ``finally``: the launcher's lifeline alone
+        # ends the parties, each waiting in act_alice, and removes their jobs
+        up = tmp_path / "up"
+        _inject_site(tmp_path, monkeypatch, f"UP = {str(up)!r}\n" + SITE_DELAY_ACT_ALICE)
+        args = ["run", "--transport", "tcp", "--parties", "3", "--features", "4", "--samples", "3"]
+        proc = subprocess.Popen([sys.executable, "-m", "mpgram", *args],
+                                env={**os.environ, "TMPDIR": str(tmp_path)},
+                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 30.0
+            while not up.exists() and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert up.exists()
+            proc.send_signal(signum)
+            assert proc.wait() == -signum
+            deadline = time.monotonic() + 2.0
+            while time.monotonic() < deadline and (
+                    _processes_naming(str(tmp_path)) or list(tmp_path.glob("mpgram-run-*"))):
+                time.sleep(0.01)
+            assert _processes_naming(str(tmp_path)) == []
+            assert list(tmp_path.glob("mpgram-run-*")) == []
+        finally:
+            proc.kill()
+            proc.wait()
+            for pid in _processes_naming(str(tmp_path)):
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
     def test_tcp_transport_needs_fork(self, monkeypatch, capsys):
         monkeypatch.delattr(os, "fork")
@@ -663,6 +702,26 @@ party.play_party = play_party
 """
 
 
+# every party notes in UP that it is up, at its first act as Alice, and then waits 30 s
+SITE_DELAY_ACT_ALICE = """
+import time
+
+from mpgram import party
+
+_act_alice = party._EscapedParty.act_alice
+
+
+def act_alice(self, bob_id):
+    with open(UP, "a") as fh:
+        fh.write(f"{self.state.party_id}\\n")
+    time.sleep(30)
+    _act_alice(self, bob_id)
+
+
+party._EscapedParty.act_alice = act_alice
+"""
+
+
 def _outcome(pid, failed_at=None):
     failure = None if failed_at is None else (failed_at, RuntimeError(f"boom {pid}"))
     return PartyOutcome(pid, [], failure=failure)
@@ -690,6 +749,19 @@ def _running(pid: int) -> bool:
             return not re.search(r"^State:\s+Z", fh.read(), re.M)
     except FileNotFoundError:
         return False
+
+
+def _processes_naming(text: str) -> list:
+    """The pids of the running processes whose command line holds ``text``."""
+    pids = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/cmdline", "rb") as fh:
+                if text.encode() in fh.read():
+                    pids.append(int(entry))
+        except OSError:  # a process that has just ended
+            pass
+    return pids
 
 
 def _free_port_block(count: int) -> int:
@@ -1204,6 +1276,16 @@ class TestCli:
         )
         assert rc == EXIT_OK
         assert len(out_csv.read_text().strip().splitlines()) == 4
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_kernel_out_writes_the_runs_kernel_as_export_matrix_does(self, tmp_path, fmt):
+        out = tmp_path / f"kernel.{fmt}"
+        rc = main(["run", "--parties", "2", "--features", "3", "--samples", "2", "--seed", "4",
+                   "--sigma", "1.5", "--kernel-out", str(out), "--kernel-format", fmt])
+        assert rc == EXIT_OK
+        cfg = RunConfig(protocol="escaped", m=2, features=3, samples=(2, 2), seed=4, sigma=1.5)
+        export_matrix(run(cfg).kernel, tmp_path / f"want.{fmt}", fmt=fmt)
+        assert out.read_bytes() == (tmp_path / f"want.{fmt}").read_bytes()
 
     def test_csv_ingestion_with_transpose(self, tmp_path):
         gen_data(2, 3, (2, 2), seed=6, out_dir=tmp_path)

@@ -3,15 +3,18 @@
 import json
 import os
 import pickle
+import signal
 import socket
 import subprocess
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from mpgram import party, runner
+from mpgram import party, runner, worker
 from mpgram import transport as tp
 from mpgram.errors import ProtocolError
 from mpgram.field import FieldDomain, make_domain
@@ -248,3 +251,95 @@ def test_a_party_process_imports_no_module_after_its_fork(tmp_path):
     assert "mpgram.field" in modules["loaded"]
     assert [name for name in PARTY_FREE if name in modules["loaded"]] == []
     assert modules["added"] == []
+
+
+# a launcher stand-in: a sleeping child in its process group, then the lifeline
+LIFELINE_ONLY = """
+import subprocess, sys
+from mpgram import worker
+child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+print(child.pid, flush=True)
+worker._lifeline(int(sys.argv[1]), sys.argv[2])
+"""
+
+
+def _alive(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/status") as fh:
+            return "\nState:\tZ" not in fh.read()
+    except FileNotFoundError:
+        return False
+
+
+def test_a_lifeline_at_eof_removes_the_run_directory_and_kills_the_group(tmp_path):
+    rundir = tmp_path / "run"
+    (rundir / "party_0").mkdir(parents=True)
+    src = os.path.dirname(os.path.dirname(party.__file__))
+    paths = [src, *os.environ.get("PYTHONPATH", "").split(os.pathsep)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    read, write = os.pipe()
+    proc = subprocess.Popen([sys.executable, "-c", LIFELINE_ONLY, str(read), str(rundir)],
+                            pass_fds=(read,), env=env, stdout=subprocess.PIPE,
+                            start_new_session=True)
+    os.close(read)
+    child = None
+    try:
+        child = int(proc.stdout.readline())
+        # while the write end is open, the lifeline holds
+        with pytest.raises(subprocess.TimeoutExpired):
+            proc.wait(timeout=0.3)
+        assert rundir.exists() and _alive(child)
+        os.close(write)
+        write = None
+        assert proc.wait(timeout=10) == -signal.SIGKILL
+        assert not rundir.exists()
+        deadline = time.monotonic() + 2.0
+        while _alive(child) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not _alive(child)
+    finally:
+        if write is not None:
+            os.close(write)
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        if child is not None and _alive(child):
+            os.kill(child, signal.SIGKILL)
+
+
+def _main_without_a_party(monkeypatch, job: Path, **kwargs) -> list:
+    """Run ``worker.main([job], **kwargs)`` in-process with a party that plays
+    nothing; the (fd, run directory) of each lifeline it arms."""
+    armed = []
+    called = threading.Event()
+
+    def lifeline(fd, rundir):
+        armed.append((fd, rundir))
+        called.set()
+
+    monkeypatch.setattr(worker, "play_job", lambda path, record: 0)
+    monkeypatch.setattr(worker, "_lifeline", lifeline)
+    handler = signal.getsignal(signal.SIGUSR1)
+    try:
+        assert worker.main([str(job)], **kwargs) == 0
+    finally:
+        signal.signal(signal.SIGUSR1, handler)
+    called.wait(timeout=5 if kwargs else 0.5)  # a thread it started has run by then
+    return armed
+
+
+def test_main_called_in_process_arms_no_lifeline(tmp_path, monkeypatch):
+    # a lifeline named in the environment is the launched launcher's alone
+    cfg = RunConfig(protocol="escaped", m=2, features=2, samples=(1, 2), verify=False)
+    jobs = _write_jobs(tmp_path / "run", cfg, run(cfg).party_data)
+    monkeypatch.setenv(party.LIFELINE, "0")
+    assert _main_without_a_party(monkeypatch, jobs[0]) == []
+
+
+def test_a_launchers_lifeline_guards_the_directory_its_jobs_were_written_to(tmp_path,
+                                                                              monkeypatch):
+    cfg = RunConfig(protocol="escaped", m=2, features=2, samples=(1, 2), verify=False)
+    jobs = _write_jobs(tmp_path / "run", cfg, run(cfg).party_data)
+    assert _main_without_a_party(monkeypatch, jobs[0], lifeline=7) == [
+        (7, str(tmp_path / "run"))]
