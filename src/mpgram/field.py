@@ -8,15 +8,18 @@ modulus is accepted.  All arithmetic is exact, which is what the
 uniform-mask security checks rely on.  Elements are uint64 residues in
 [0, p).  Matrix products run on float64 BLAS: ``matmul_t`` splits each
 operand by the width of its own centred values, into one limb (the values
-themselves) when they fit 21 bits, as encoded data does, and else into
-ceil(bits / 21) limbs of equal width; it sums in chunks of feature rows
-short enough that every BLAS sum is an exact integer of at most 2^53,
-reduces each chunk's sums to residues in uint64 and adds the chunks mod p,
-with no Python ints.  A product takes few numpy passes, and apart from the
-split their number does not grow with the limb counts: each operand's
-limbs in one stacked array, every limb product from one batched
-``np.matmul`` call, one sum for the products that share a shift, one
-reduction per chunk and one scaling of every shift.  The count matters
+themselves) when they fit 21 bits, as encoded data does, into 2 limbs when
+they fit 42, and, over M61, a wider operand, such as a uniform mask, into
+unsigned limbs of 20, 20 and 21 bits taken straight from its residues; it
+sums in chunks of feature rows short enough, for the limbs' largest
+values, that every BLAS sum is an exact integer of at most 2^53, reduces
+each chunk's sums to residues in uint64 (the sums of two operands of
+residues, which are not negative, are residues already) and adds the
+chunks mod p, with no Python ints.  A product takes few numpy passes,
+and apart from the split their number does not grow with the limb counts:
+each operand's limbs in one stacked array, every limb product from one
+batched ``np.matmul`` call, one sum for the products that share a shift,
+one reduction per chunk and one scaling of every shift.  The count matters
 because each pass over more than 500 elements releases the GIL, which the
 party threads of a loopback run then hand between cores.
 
@@ -54,7 +57,7 @@ picks one exact form per operation for each kind of prime:
 * the sum uses delayed reduction (Dumas, Giorgi and Pernet, ACM TOMS 2008):
   runs of floor((2^64 - 1) / (p - 1)) residues (8 for M61) are added in
   uint64 with one ``% p`` per run;
-* an int64 value, such as an encoded real or a chunk's BLAS sum, is below
+* an int64 value, such as an encoded real or a chunk's signed BLAS sum, is below
   M61 in magnitude, and then takes its residue as min(u, u + p) on its
   uint64 view, with no division; below 2^32 it takes ``np.mod``.
 
@@ -80,10 +83,13 @@ M61 = (1 << 61) - 1  # 2^61 - 1 = 2305843009213693951
 # Below this magnitude a float64 copy of an int is exact.
 _EXACT_INT = 2.0**53
 # The field kernel's limbs are at most this many bits wide, so an operand
-# whose centred values fit it is one limb: the values themselves.  Three
-# limbs cover any centred value of M61, below 2^60, and a product of two
-# limbs is at most 2^42, which leaves at least 2^10 rows per exact chunk.
+# whose centred values fit it is one limb: the values themselves, and one
+# that fits twice as many bits is two.  A wider one, which only M61 has, is
+# cut from its residues, which are below 2^61, into unsigned limbs of 20, 20
+# and 21 bits, at shifts 0, 20 and 40: (spacing, largest value of each limb).
 _LIMB_MAX_BITS = 21
+_TWO_LIMBS = 2 * _LIMB_MAX_BITS
+_M61_LIMBS = (20, ((1 << 20) - 1, (1 << 20) - 1, (M61 - 1) >> 40))
 
 
 def _count(n) -> int:
@@ -376,60 +382,52 @@ class FieldDomain:
 
         Error-free splitting (Ozaki, Ogita, Oishi and Rump, 2012) on float64
         BLAS, with delayed reduction (Dumas, Giorgi and Pernet, 2008).  Each
-        operand is split by the width of its own centred values c
-        (``_split_width``): one limb, c itself, when max |c| fits 21 bits,
-        else k = ceil(bits / 21) limbs of w = ceil(bits / k) bits, c =
-        sum_i c_i 2^(w i).  Every limb is at most 2^w in magnitude.  With t
-        the most limb products that share a shift w_a i + w_b j, chunks of r
-        feature rows with r t 2^(w_a + w_b) <= 2^53 keep every BLAS sum, and
-        every sum of one shift's products, an exact integer, and r >= 1024
-        rows share one reduction.
+        operand is cut into limbs, v = sum_i v_i 2^(w i), by the width of its
+        centred values c (``_operand``): one limb, c itself, when max |c|
+        fits 21 bits, as encoded data does; 2 limbs of c when it fits 42;
+        and a wider, full-width one, which only M61 has (a uniform mask),
+        into unsigned limbs of its residues at bits 20 and 40, with no
+        centred copy.  Chunks of feature rows short enough that every BLAS
+        sum, and every sum of the products that share a shift, is an exact
+        integer of at most 2^53 follow from the limbs' largest magnitudes
+        (``_product_plan``): 1638 rows for two full-width operands, 2048 for
+        two of 21 bits.
 
-        A chunk takes few numpy passes, and apart from the split (two per
-        limb after the first), their number does not grow with the limb
-        counts.  Each operand's limbs are one stacked array (``_split``).
-        One ``np.matmul`` call forms every product A_i^T B_j, each the GEMM
-        that BLAS would be given for it alone.  Where products share a
-        shift, one sum over a skewed array adds them.  One ``_residues``
-        reduces the chunk's shift sums, and the chunks are added mod p.
-        Then one scaling multiplies the sum of every shift s by 2^s mod p,
-        a 61-bit rotation over M61 (``_m61_rotate``) and a word product
-        below 2^32 (``_word_pow2``), and one uint64 sum and ``% p`` add the
-        shifts (delayed reduction, as in ``array_sum``).
-        A product of one-limb operands, such as a gram of encoded data, has
-        the one shift 0: one GEMM, one reduction and no scaling.  A self
-        gram (``b is a``) splits its array once.
+        A chunk takes few numpy passes, and apart from the split their
+        number does not grow with the limb counts.  Each operand's limbs
+        are one stacked array (``_split``).  One ``np.matmul`` call forms
+        every product A_i^T B_j, each the GEMM that BLAS would be given for
+        it alone.  Where products share a shift, one sum over a skewed array
+        adds them.  The chunk's shift sums then become residues: those of
+        two full-width operands are not negative and are below p already,
+        so they are only cast to uint64; others take ``_residues``.  The
+        chunks are added mod p.  Then one scaling multiplies the sum of
+        every shift s by 2^s mod p, a 61-bit rotation over M61
+        (``_m61_rotate``) and a word product below 2^32 (``_word_pow2``),
+        and one uint64 sum and ``% p`` add the shifts (at most 6, where 8
+        residues fit a word).  A product of one-limb operands, such as a
+        gram of encoded data, has the one shift 0: one GEMM, one reduction
+        and no scaling.  A self gram (``b is a``) splits its array once.
 
         The count of passes matters because each numpy pass over more than
         500 elements releases the GIL and takes it back.  When the parties of
         a loopback run call this from threads on several cores, each pass
         can hand the GIL to another core and wait for it.  A wide x wide
-        product of one chunk over M61 takes about 28 such passes, where a
-        GEMM per limb product and a scaling per shift took 90.
+        product of one chunk over M61 takes about 17 such passes.
         """
         same = b is a
-        ca = self.centred(a)
-        cb = ca if same else self.centred(b)
-        wa, ka = _split_width(ca)
-        wb, kb = (wa, ka) if same else _split_width(cb)
-        n1, n2 = ca.shape[1], cb.shape[1]
-        # With w_a = w_b = w, the products (i, j) with one i + j share the
-        # shift w (i + j), at most min(ka, kb) of them.  Otherwise no two
-        # share one: a limb count above 1 has a width of 11 to 21 bits, and
-        # i, j < 3, so w_a i + w_b j = w_a i' + w_b j' would need one width
-        # twice the other.
-        share = wa == wb and min(ka, kb) > 1
+        va, wa, ba = self._operand(a)
+        vb, wb, bb = (va, wa, ba) if same else self._operand(b)
+        ka, kb = len(ba), len(bb)
+        n1, n2 = va.shape[1], vb.shape[1]
+        shifts, share, rows = _product_plan(wa, ba, wb, bb)
         if share:
-            shifts = [wa * s for s in range(ka + kb - 1)]
             slots = np.zeros((ka, ka + kb, n1, n2))  # see the loop
-        else:
-            shifts = [wa * i + wb * j for i in range(ka) for j in range(kb)]
-        # r rows of t products of at most 2^(w_a + w_b) sum to at most 2^53
-        rows = (1 << 53) // ((min(ka, kb) if share else 1) << (wa + wb))
+        unsigned = va.dtype == vb.dtype == np.uint64  # both are residues
         res = np.zeros((len(shifts), n1, n2), dtype=np.uint64)  # the gram of no feature rows
-        for lo in range(0, ca.shape[0], rows):
-            la = _split(ca[lo : lo + rows], wa, ka)
-            lb = la if same else _split(cb[lo : lo + rows], wb, kb)
+        for lo in range(0, va.shape[0], rows):
+            la = _split(va[lo : lo + rows], wa, ka)
+            lb = la if same else _split(vb[lo : lo + rows], wb, kb)
             lat = la.swapaxes(1, 2)[:, None]
             if share:
                 # product (i, j) goes to slot j of row i of ``slots``, whose
@@ -441,16 +439,42 @@ class FieldDomain:
                 sums = flat.reshape(ka, len(shifts), n1, n2).sum(axis=0)
             else:
                 sums = np.matmul(lat, lb[None]).reshape(len(shifts), n1, n2)
-            chunk = self._residues(sums.astype(np.int64))
+            if unsigned:  # in [0, 2^53], below p: only full-width operands are residues
+                chunk = sums.astype(np.uint64)
+            else:
+                chunk = self._residues(sums.astype(np.int64))
             res = self.array_add(res, chunk) if lo else chunk
         if len(shifts) == 1:  # shift 0 needs no scaling
             return res[0]
-        scaled = self._scale_pow2(res, shifts)
-        if len(shifts) > self._sum_run:  # more shifts than residues that fit a word
-            return self.array_sum(np.moveaxis(scaled, 0, -1))
-        total = scaled.sum(axis=0)  # adds whole slices, unlike array_sum's reduceat
+        total = self._scale_pow2(res, shifts).sum(axis=0)  # adds whole slices
         total %= self._p
         return total
+
+    def _operand(self, x) -> tuple:
+        """(v, w, bounds) for an entry array x: the array whose limbs ``_split`` cuts,
+        their spacing w, and the largest magnitude of each limb, lowest first.
+
+        With bits the width of the largest centred value, an operand of at
+        most 21 bits is one limb, its centred values c; one of at most 42 bits
+        is 2 limbs of c, the lower one of w = ceil(bits / 2) bits and the top
+        one at most 2^(bits - w) in magnitude.  A wider one, which only M61
+        has, is full-width: v is x itself, cut into the unsigned limbs of
+        ``_M61_LIMBS``, with no centred copy.  A uniform mask shows its width
+        in its first row, which is read first, so only operands that do not
+        are centred.
+        """
+        x = np.asarray(x, dtype=np.uint64)
+        first = np.minimum(x[0], self._p - x[0]) if x.shape[0] else x  # centred magnitudes
+        if int(first.max(initial=0)).bit_length() > _TWO_LIMBS:
+            return (x, *_M61_LIMBS)
+        c = self.centred(x)
+        bits = max(int(c.max(initial=0)), -int(c.min(initial=0))).bit_length()
+        if bits <= _LIMB_MAX_BITS:
+            return c, bits, ((1 << bits) - 1,)
+        if bits <= _TWO_LIMBS:
+            w = -(-bits // 2)
+            return c, w, ((1 << w) - 1, 1 << (bits - w))
+        return (x, *_M61_LIMBS)
 
     def _residues_mod(self, acc) -> np.ndarray:
         """uint64 array of v mod p, in [0, p), for an int64 array of values v."""
@@ -560,40 +584,50 @@ def _m61_rotate(res, shifts: list) -> np.ndarray:
     return out
 
 
-def _split_width(c) -> tuple:
-    """(w, k) for an int64 array c of centred values: k limbs of w bits each.
+def _product_plan(wa: int, bounds_a: tuple, wb: int, bounds_b: tuple) -> tuple:
+    """(shifts, share, rows) for the product of operands whose limbs are spaced wa
+    and wb bits apart and are at most ``bounds_a`` and ``bounds_b`` in magnitude.
 
-    With bits the width of max |c|, an operand of at most ``_LIMB_MAX_BITS``
-    bits is one limb of w = bits; a wider one is k = ceil(bits / 21) limbs of
-    w = ceil(bits / k) <= 21 bits.  Either way every limb of ``_split`` is at
-    most 2^w in magnitude.
+    Limb i sits at shift w i.  With wa = wb = w, the products (i, j) with one
+    i + j share the shift w (i + j), and ``share`` is true: one sum adds them.
+    Otherwise no two share one, and ``shifts`` lists one per product, i
+    major: a limb count above 1 has a spacing of 11 to 21 bits, and i, j < 3,
+    so wa i + wb j = wa i' + wb j' would need one spacing twice the other.
+    ``rows`` is the most feature rows of a chunk whose every BLAS sum, and
+    every sum of one shift's products, is an exact float64 integer: rows
+    times the largest sum of one shift's limb bounds is at most 2^53.
     """
-    bits = max(int(c.max(initial=0)), -int(c.min(initial=0))).bit_length()
-    if bits <= _LIMB_MAX_BITS:
-        return bits, 1
-    k = -(-bits // _LIMB_MAX_BITS)
-    return -(-bits // k), k
+    ka, kb = len(bounds_a), len(bounds_b)
+    share = wa == wb and min(ka, kb) > 1
+    if share:
+        shifts = [wa * s for s in range(ka + kb - 1)]
+        per_row = np.convolve(bounds_a, bounds_b)
+    else:
+        shifts = [wa * i + wb * j for i in range(ka) for j in range(kb)]
+        per_row = np.outer(bounds_a, bounds_b)
+    return shifts, share, (1 << 53) // max(int(per_row.max()), 1)
 
 
-def _split(c, w: int, k: int) -> np.ndarray:
-    """The k limbs of w bits of an int64 array c, lowest first, stacked in one
-    float64 array of shape (k,) + c.shape.
+def _split(v, w: int, k: int) -> np.ndarray:
+    """The k limbs of w bits of an int64 or uint64 array v, lowest first, stacked in
+    one float64 array of shape (k,) + v.shape.
 
-    c = sum_i c_i 2^(w i): the lower limbs are the unsigned bits
-    [w i, w (i + 1)) of c's two's complement, in [0, 2^w), and the top limb
-    is c shifted arithmetically, signed, with |c_(k-1)| <= 2^(bits - w (k - 1))
-    <= 2^w.  One limb is c itself.  Each limb's last integer step casts its
-    result straight into the stack: a stacked int64 array of every limb, in
-    three passes, made the split of a 10000 x 200 operand 1.6 times slower.
+    v = sum_i v_i 2^(w i): the lower limbs are the bits [w i, w (i + 1)) of v
+    (of its two's complement, if it is signed), in [0, 2^w), and the top limb
+    is v shifted right, arithmetically if it is signed.  One limb is v itself.
+    Each limb's last integer step casts its result straight into the stack: a
+    stacked integer array of every limb, in three passes, made the split of a
+    10000 x 200 operand 1.6 times slower.
     """
     if k == 1:
-        return c.astype(np.float64)[None]
-    limbs = np.empty((k,) + c.shape)
-    mask = np.int64((1 << w) - 1)
-    np.bitwise_and(c, mask, out=limbs[0], casting="unsafe")
+        return v.astype(np.float64)[None]
+    word = v.dtype.type
+    limbs = np.empty((k,) + v.shape)
+    mask = word((1 << w) - 1)
+    np.bitwise_and(v, mask, out=limbs[0], casting="unsafe")
     for i in range(1, k - 1):
-        np.bitwise_and(c >> np.int64(w * i), mask, out=limbs[i], casting="unsafe")
-    np.right_shift(c, np.int64(w * (k - 1)), out=limbs[-1], casting="unsafe")
+        np.bitwise_and(v >> word(w * i), mask, out=limbs[i], casting="unsafe")
+    np.right_shift(v, word(w * (k - 1)), out=limbs[-1], casting="unsafe")
     return limbs
 
 

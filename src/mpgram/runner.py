@@ -29,6 +29,7 @@ import os
 import pickle
 import shutil
 import signal
+import site
 import socket
 import struct
 import subprocess
@@ -404,6 +405,24 @@ def _write_jobs(rundir: str, specs: dict, data: dict, ports: dict) -> list:
     return jobs
 
 
+def _launcher_env(lifeline: int) -> dict:
+    """The runner's environment for the launcher, with one BLAS thread, the lifeline's
+    descriptor, and the directory this package was imported from at the head of
+    ``PYTHONPATH``: a caller that found ``mpgram`` on ``sys.path`` alone leaves the
+    launcher no other way to it.  A directory already on ``PYTHONPATH`` is left where
+    it is, and a ``site`` directory is not added, so none goes ahead of the standard
+    library."""
+    # a party's BLAS calls are small: OpenBLAS's thread pool would only add
+    # start-up time and spinning helper threads to each party
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", LIFELINE: str(lifeline)}
+    home = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = env.get("PYTHONPATH")
+    known = [*(path or "").split(os.pathsep), *site.getsitepackages(), site.getusersitepackages()]
+    if os.path.realpath(home) not in {os.path.realpath(d) for d in known if d}:
+        env["PYTHONPATH"] = home + os.pathsep + path if path else home
+    return env
+
+
 def _run_tcp(config: RunConfig, specs: dict, data: dict) -> list:
     """Every party as a process of one ``python -m mpgram.worker job_0 .. job_m``
     launch; returns their outcomes.
@@ -421,9 +440,7 @@ def _run_tcp(config: RunConfig, specs: dict, data: dict) -> list:
     lifeline = os.pipe()
     try:
         jobs = _write_jobs(rundir, specs, data, tcp_ports(config))
-        # a party's BLAS calls are small: OpenBLAS's thread pool would only add
-        # start-up time and spinning helper threads to each party
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", LIFELINE: str(lifeline[0])}
+        env = _launcher_env(lifeline[0])
         proc = subprocess.Popen(
             [sys.executable, "-m", "mpgram.worker", *jobs], pass_fds=lifeline[:1],
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env, start_new_session=True,

@@ -28,12 +28,16 @@ party ids and the transcript it records into: connected TCP sockets in a
 TCP run, each pair's on a port of its own (``mpgram.worker``), and
 ``socket.socketpair()`` inside one process in a loopback run.  So framing,
 buffering, bounded send buffers, timeouts and close semantics are the same
-on both.  ``Channel.recv`` checks each header when it arrives (a known tag,
-the peer as sender, this party as receiver, the expected kind) before it
-reads the payload, so a bad header fails at once instead of waiting out
-``IO_TIMEOUT`` for a payload that may never come.  On a stream the header's
-length is the only frame boundary: a frame cut short fails as a connection
-closed mid-frame.  A party calls ``Channel.end_sends`` after its last frame
+on both.  Every channel socket is blocking, and the kernel enforces
+``IO_TIMEOUT`` on each receive and send (``SO_RCVTIMEO``, ``SO_SNDTIMEO``),
+so each ``recv_into`` or ``sendmsg`` is one syscall, which releases the
+GIL once; a Python timeout would poll first, and release it twice.  A
+timeout names both parties.  ``Channel.recv`` checks each header when it
+arrives (a known tag, the peer as sender, this party as receiver, the
+expected kind) before it reads the payload, so a bad header fails at once
+instead of waiting out ``IO_TIMEOUT`` for a payload that may never come.
+On a stream the header's length is the only frame boundary: a frame cut
+short fails as a connection closed mid-frame.  A party calls ``Channel.end_sends`` after its last frame
 on a channel, so a read past that frame fails at once, as the peer having
 ended its sends, instead of waiting out ``IO_TIMEOUT``; and the receiver of
 that frame reads the end of sends after it (``recv(kind, last=True)``),
@@ -262,12 +266,21 @@ class Transcript:
 IO_TIMEOUT = 120.0  # per socket operation; guards against a dead peer wedging the run
 
 
+def _kernel_timeouts(sock: socket.socket) -> socket.socket:
+    """``sock``, made blocking, with ``IO_TIMEOUT`` on each receive and send enforced by
+    the kernel (``SO_RCVTIMEO``, ``SO_SNDTIMEO``): an operation that times out
+    raises ``BlockingIOError`` (EAGAIN), which a ``Channel`` reports as a timeout."""
+    sock.settimeout(None)
+    seconds, micros = divmod(round(IO_TIMEOUT * 1e6), 10**6)
+    timeval = struct.pack("ll", seconds, micros)
+    for option in (socket.SO_RCVTIMEO, socket.SO_SNDTIMEO):
+        sock.setsockopt(socket.SOL_SOCKET, option, timeval)
+    return sock
+
+
 def loopback_pair() -> tuple:
     """Two connected stream sockets from ``socket.socketpair()``, in this process."""
-    a, b = socket.socketpair()
-    for sock in (a, b):
-        sock.settimeout(IO_TIMEOUT)
-    return a, b
+    return tuple(_kernel_timeouts(sock) for sock in socket.socketpair())
 
 
 def tcp_listen(host: str, port: int) -> socket.socket:
@@ -287,9 +300,8 @@ def tcp_accept(srv: socket.socket) -> socket.socket:
         sock, _ = srv.accept()
     except socket.timeout:
         raise TransportError(f"accept timed out on {srv.getsockname()}") from None
-    sock.settimeout(IO_TIMEOUT)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    return sock
+    return _kernel_timeouts(sock)
 
 
 def tcp_connect(host: str, port: int, retries: int = 205, delay: float = 0.025) -> socket.socket:
@@ -307,9 +319,8 @@ def tcp_connect(host: str, port: int, retries: int = 205, delay: float = 0.025) 
             wait = min(2 * wait, delay)
         try:
             sock = socket.create_connection((host, port), timeout=10.0)
-            sock.settimeout(IO_TIMEOUT)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            return sock
+            return _kernel_timeouts(sock)
         except OSError as exc:
             last = exc
     raise TransportError(f"cannot connect to {host}:{port}: {last}")
@@ -352,14 +363,18 @@ class Channel:
         """Write the ``n_bytes`` of ``parts`` back to back with ``socket.sendmsg``: a
         call takes what the socket buffer has room for, and the next one sends the
         rest, from views of the parts."""
-        done = self.sock.sendmsg(parts)
-        while done < n_bytes:
-            rest, skip = [], done
-            for part in parts:
-                if skip < len(part):
-                    rest.append(memoryview(part)[skip:])
-                skip = max(skip - len(part), 0)
-            done += self.sock.sendmsg(rest)
+        try:
+            done = self.sock.sendmsg(parts)
+            while done < n_bytes:
+                rest, skip = [], done
+                for part in parts:
+                    if skip < len(part):
+                        rest.append(memoryview(part)[skip:])
+                    skip = max(skip - len(part), 0)
+                done += self.sock.sendmsg(rest)
+        except (TimeoutError, BlockingIOError):  # a Python timeout, or the kernel's
+            raise TransportError(f"party {self.local_id} timed out sending to party "
+                                 f"{self.peer_id}") from None
 
     def recv(self, expect_kind: int = None, last: bool = False) -> Frame:
         """The next frame: its header is checked before the payload is read into its own
@@ -401,7 +416,7 @@ class Channel:
         """One ``recv_into`` of ``view``: the bytes read, 0 at the peer's end of sends."""
         try:
             return self.sock.recv_into(view)
-        except socket.timeout:
+        except (TimeoutError, BlockingIOError):  # a Python timeout, or the kernel's
             raise TransportError(f"party {self.local_id} timed out waiting for party "
                                  f"{self.peer_id}") from None
 

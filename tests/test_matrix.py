@@ -1,5 +1,6 @@
 """Matrix operations against brute-force oracles, plus CSV interchange."""
 
+import itertools
 import math
 import pickle
 import re
@@ -12,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 from hypothesis import strategies as st
 
 from mpgram.errors import DimensionError, DomainMismatchError
-from mpgram.field import M61, FieldDomain, _split_width
+from mpgram.field import _M61_LIMBS, M61, FieldDomain, _product_plan, _split
 from mpgram.matrix import (
     Matrix,
     encode_real_matrix,
@@ -175,14 +176,16 @@ class TestGramKernel:
 
     def test_top_word_carries_across_chunks(self):
         # over M61, (p - 1) / 2 and (p + 1) / 2 are the widest positive and
-        # negative centred values, +-(p - 1) / 2: 3 limbs of 20 bits whose top
-        # limb carries the sign, and 2 * 2730 + 1 rows of them are three wide x
-        # wide chunks
-        p, f = M61, 2 * 2730 + 1
+        # negative centred values, +-(p - 1) / 2: a full-width operand, cut
+        # from its residues into unsigned limbs of 20, 20 and 21 bits, and
+        # 2 rows + 1 of them are three wide x wide chunks
+        p = M61
         dom = FieldDomain(scale_bits=0, p=p)
         c = [(p - 1) // 2, (p + 1) // 2]
+        _, w, bounds = dom._operand(np.array([c], dtype=np.uint64))
+        assert (w, bounds) == _M61_LIMBS == (20, (2**20 - 1, 2**20 - 1, 2**21 - 1))
+        f = 2 * _product_plan(w, bounds, w, bounds)[2] + 1
         a = Matrix([c] * f, dom)
-        assert _split_width(dom.centred(a.data)) == (20, 3)
         g = gram_t(a, a)
         assert g.data.tolist() == [[f * ci * cj % p for cj in c] for ci in c]
         assert g.data.dtype == np.uint64
@@ -210,15 +213,42 @@ def _centred(rng, f: int, n: int, lo: int, hi: int) -> list:
     return rng.integers(lo, hi, (f, n), endpoint=True).tolist()
 
 
+# the widest centred values of each kind of operand, of both signs, whose limbs
+# reach their largest: narrow ones are one limb, two-limb ones over M61 limbs of
+# 21 bits, and over 2^32 - 5 the lower limb 2^16 - 1 and the top limb -2^15; over
+# M61 -1 is the residue p - 1, whose top unsigned limb is 2^21 - 1, and
+# (p - 1) / 2 has every limb 2^20 - 1
+NARROW_COLS = [NARROW, -NARROW]
+M61_TWO = [2**42 - 1, -(2**42 - 1)]
+WORD_TWO = [2**31 - 2**16 - 1, -(WORD // 2)]
+M61_WIDE = [-1, M61 // 2, -(M61 // 2)]
+
+
+def _largest_shift_sum(dom, a, b) -> int:
+    """The largest sum of |limb products| that share a shift, over the columns of
+    one-row entry arrays a and b, from the kernel's own limbs, in Python ints."""
+    (va, wa, ba), (vb, wb, bb) = dom._operand(a), dom._operand(b)
+    la = [[int(v) for v in limb[0]] for limb in _split(va, wa, len(ba))]
+    lb = [[int(v) for v in limb[0]] for limb in _split(vb, wb, len(bb))]
+    top = 0
+    for x, y in itertools.product(range(a.shape[1]), range(b.shape[1])):
+        sums = {}
+        for i, j in itertools.product(range(len(la)), range(len(lb))):
+            sums[wa * i + wb * j] = sums.get(wa * i + wb * j, 0) + abs(la[i][x] * lb[j][y])
+        top = max(top, *sums.values())
+    return top
+
+
 class TestGramKernelWidths:
     """The kernel at the edges of its operand widths, chunks and int64 sums.
 
-    An operand whose centred values fit 21 bits is one limb; a wider one over
-    M61 is 3 limbs of 20 bits and over 2^32 - 5 2 limbs of 16 bits.  Each
-    M61 chunk-boundary case fills every row with the largest limbs of its
-    kind, so a chunk one row longer than the kernel's would sum an odd
-    integer above 2^53, which float64 cannot hold; the 2^32 - 5 cases cross
-    the boundaries of that prime's chunks.
+    An operand whose centred values fit 21 bits is one limb, and one that fits
+    42 bits is 2 limbs: at its widest, 2 limbs of 16 bits over 2^32 - 5.  A
+    wider one, which only M61 has, is cut from its residues into unsigned
+    limbs of 20, 20 and 21 bits.  Each chunk-boundary case takes its rows
+    from the kernel's own plan and fills every row with the largest limbs of
+    its kind, so a chunk one row longer than the kernel's would sum past
+    2^53, where float64 holds no odd integer.
     """
 
     @pytest.mark.parametrize(
@@ -226,9 +256,8 @@ class TestGramKernelWidths:
         [
             (M61, NARROW, (21, 1)),
             (M61, NARROW + 1, (11, 2)),
-            # 3 limbs of 15 bits, whose product with a wide operand's 3 of 20
-            # has 9 shifts, more than the 8 residues one uint64 sums
-            (M61, 2**42, (15, 3)),
+            # 43 bits need 3 limbs, so the residues are cut, at 20 and 40 bits
+            (M61, 2**42, (20, 3)),
             (WORD, NARROW, (21, 1)),
             (WORD, NARROW + 1, (11, 2)),
             (251, 125, (7, 1)),  # the widest centred values of the small fields
@@ -239,7 +268,8 @@ class TestGramKernelWidths:
         rng = np.random.default_rng(top)
         a = _centred(rng, 40, 3, -top, top)
         a[7][1], a[31][2] = top, -top
-        assert _split_width(FieldDomain(scale_bits=0, p=p).centred(_residues(a, p))) == split
+        _, w, bounds = FieldDomain(scale_bits=0, p=p)._operand(_residues(a, p))
+        assert (w, len(bounds)) == split
         _check_gram(p, a)
         _check_gram(p, a, _centred(rng, 40, 4, -top, top))
         _check_gram(p, a, _centred(rng, 40, 2, -3, 3))
@@ -280,35 +310,46 @@ class TestGramKernelWidths:
         _check_gram(p, empty)
 
     @pytest.mark.parametrize(
-        "p, kind, rows",
+        "p, left, right",
         [
-            (M61, "narrow x narrow", 2**11),  # 2^53 / 2^(21 + 21)
-            (M61, "wide x narrow", 2**12),  # 2^53 / 2^(20 + 21)
-            (M61, "wide x wide", 2**13 // 3),  # 2^53 / (3 products 2^(20 + 20))
-            (WORD, "narrow x narrow", 2**11),
-            (WORD, "wide x narrow", 2**16),  # 2^53 / 2^(16 + 21)
+            (M61, NARROW_COLS, NARROW_COLS),
+            (M61, M61_TWO, NARROW_COLS),
+            (M61, M61_TWO, M61_TWO),  # 2 products share the middle shift
+            (M61, M61_WIDE, NARROW_COLS),  # residues x centred values
+            (M61, M61_WIDE, M61_TWO),
+            (M61, M61_WIDE, M61_WIDE),  # 3 products of unsigned limbs share the middle shift
+            (WORD, NARROW_COLS, NARROW_COLS),
+            (WORD, WORD_TWO, NARROW_COLS),
         ],
+        ids=["narrow-narrow", "two-narrow", "two-two", "wide-narrow", "wide-two", "wide-wide",
+             "word-narrow-narrow", "word-two-narrow"],
     )
-    def test_feature_axis_crosses_a_chunk_boundary(self, p, kind, rows):
-        width = {"narrow": NARROW, "wide": p // 2}
-        left, right = (width[w] for w in kind.split(" x "))
+    def test_feature_axis_crosses_a_chunk_boundary(self, p, left, right):
+        # the kernel's rows per chunk keep every sum of one shift, on these
+        # values, within 2^53, and one row more would pass it
+        dom = FieldDomain(scale_bits=0, p=p)
+        rows = _product_plan(*dom._operand(_residues([left], p))[1:],
+                             *dom._operand(_residues([right], p))[1:])[2]
+        top = _largest_shift_sum(dom, _residues([left], p), _residues([right], p))
+        assert rows * top <= 2**53 < (rows + 1) * top
         for f in (rows, rows + 1, 2 * rows + 1):
-            a = [[left, -left]] * f
-            b = [[right, -right, right]] * f
-            _check_gram(p, a, b)
+            _check_gram(p, [left] * f, [right[::-1]] * f)
             if left == right:
-                _check_gram(p, a)
+                _check_gram(p, [left] * f)
 
-    def test_int64_sums_are_reduced_before_they_overflow(self):
-        # over M61 every limb of v = (p - 1) / 2 is 2^20 - 1, so each wide x wide
-        # chunk adds nearly 2^53 to the int64 sum of its middle shift, and 1025
-        # chunks pass 2^63, unless the sum is reduced on the way.  Every entry
-        # is v, so each dot product is f v^2
-        p, rows = M61, 2**13 // 3
-        f, v = 1100 * rows + 1, p // 2
-        a = np.full((f, 1), v, dtype=np.uint64)
-        g = FieldDomain(scale_bits=0, p=p).matmul_t(a, a)
-        assert g.tolist() == [[f * v * v % p]]
+    def test_chunk_sums_are_reduced_before_they_overflow(self):
+        # over M61 the residue p - 1 has limbs of 2^20 - 2, 2^20 - 1 and
+        # 2^21 - 1, so in an operand made full-width by one entry (p - 1) / 2,
+        # each wide x wide chunk of p - 1 adds nearly 2^53 to the sum of its
+        # middle shift, and 2049 chunks pass 2^64, unless the sum is reduced
+        # on the way.  (p - 1)^2 = 1 mod p
+        p, v = M61, M61 // 2
+        dom = FieldDomain(scale_bits=0, p=p)
+        _, w, bounds = dom._operand(np.array([[v]], dtype=np.uint64))
+        f = 2100 * _product_plan(w, bounds, w, bounds)[2] + 1
+        a = np.full((f, 1), p - 1, dtype=np.uint64)
+        a[0, 0] = v
+        assert dom.matmul_t(a, a).tolist() == [[(f - 1 + v * v) % p]]
 
 
 class TestGramKernelThreads:

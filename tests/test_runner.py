@@ -45,6 +45,8 @@ from mpgram.runner import (
 )
 from mpgram.seeds import party_key
 
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(runner.__file__)))  # where mpgram is
+
 
 class TestRun:
     def test_escaped_field_exact(self):
@@ -231,16 +233,56 @@ class TestRun:
             return real_popen(*args, **kwargs)
 
         monkeypatch.setattr(subprocess, "Popen", popen)
+        monkeypatch.delenv("PYTHONPATH", raising=False)
         before = dict(os.environ)
         cfg = RunConfig(protocol="escaped", m=2, features=2, samples=(1, 2), transport="tcp",
                         seed=3, verify=False)
         assert run(cfg).report["audit"]["ok"]
-        # one launch; the function party's process forks the input parties, and
-        # the launcher learns the file descriptor of its lifeline (``_run_tcp``)
+        # one launch; the function party's process forks the input parties, the
+        # launcher learns the file descriptor of its lifeline (``_run_tcp``), and
+        # it finds mpgram where this process did (``_launcher_env``)
         [env] = envs
         assert env.pop(LIFELINE).isdigit()
-        assert env == {**before, "OPENBLAS_NUM_THREADS": "1"}
+        assert env == {**before, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": SRC}
         assert dict(os.environ) == before
+
+    @pytest.mark.parametrize(
+        "path, expected",
+        [
+            (None, SRC),
+            ("", SRC),
+            ("/elsewhere", SRC + os.pathsep + "/elsewhere"),
+            ("/elsewhere" + os.pathsep + SRC, "/elsewhere" + os.pathsep + SRC),
+            (os.path.join(SRC, "mpgram", ".."), os.path.join(SRC, "mpgram", "..")),
+        ],
+        ids=["unset", "empty", "other", "there", "spelt-otherwise"],
+    )
+    def test_launcher_finds_mpgram_where_the_runner_did(self, monkeypatch, path, expected):
+        if path is None:
+            monkeypatch.delenv("PYTHONPATH", raising=False)
+        else:
+            monkeypatch.setenv("PYTHONPATH", path)
+        assert runner._launcher_env(7)["PYTHONPATH"] == expected
+
+    def test_a_site_directory_is_not_put_ahead_of_the_standard_library(self, monkeypatch):
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+        monkeypatch.setattr(runner.site, "getsitepackages", lambda: ["/elsewhere", SRC])
+        assert "PYTHONPATH" not in runner._launcher_env(7)
+
+    def test_tcp_run_from_a_caller_that_found_mpgram_on_sys_path_alone(self, tmp_path):
+        script = tmp_path / "caller.py"
+        script.write_text(
+            "import sys\n"
+            f"sys.path.insert(0, {SRC!r})\n"
+            "from mpgram.runner import RunConfig, run\n"
+            "cfg = RunConfig(protocol='escaped', m=2, features=3, samples=(2, 2),\n"
+            "                transport='tcp', seed=1, verify=False)\n"
+            "print(run(cfg).report['audit']['ok'])\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        out = subprocess.run([sys.executable, str(script)], env=env, cwd=tmp_path,
+                             capture_output=True, text=True, timeout=60)
+        assert (out.returncode, out.stdout) == (0, "True\n"), out.stderr
 
     def test_failing_party_ends_loopback_run_and_is_blamed(self, monkeypatch):
         original = party._ReParty.act_alice

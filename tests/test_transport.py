@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import socket
 import struct
 import threading
 import time
@@ -452,6 +453,55 @@ class TestChannels:
         assert got_a == list(range(1, 21))
         assert got_b == list(range(1, 21))
         a.close(), b.close()
+
+
+class TestKernelTimeouts:
+    """Channel sockets are blocking, and the kernel enforces ``IO_TIMEOUT`` on each
+    receive and send; a timeout names both parties, on loopback and over TCP."""
+
+    TIMEOUT = 0.2  # a whole number of clock ticks at any tick rate, so it reads back exactly
+
+    @pytest.fixture(params=["loopback", "tcp"])
+    def sockets(self, request, monkeypatch):
+        """(receiver's, sender's) sockets, made after ``IO_TIMEOUT`` is lowered."""
+        monkeypatch.setattr(tp, "IO_TIMEOUT", self.TIMEOUT)
+        pair = tp.loopback_pair() if request.param == "loopback" else tcp_pair()
+        yield pair
+        for sock in pair:
+            sock.close()
+
+    def test_sockets_are_blocking_with_the_kernel_timeouts(self, sockets):
+        timeval = struct.pack("ll", 0, round(self.TIMEOUT * 1e6))
+        for sock in sockets:
+            assert sock.gettimeout() is None
+            for option in (socket.SO_RCVTIMEO, socket.SO_SNDTIMEO):
+                assert sock.getsockopt(socket.SOL_SOCKET, option, len(timeval)) == timeval
+
+    def test_a_recv_with_nothing_to_read_names_both_parties(self, sockets):
+        rx = tp.Channel(sockets[0], 2, 1, None)
+        start = time.perf_counter()
+        with pytest.raises(TransportError, match="^party 2 timed out waiting for party 1$"):
+            rx.recv()
+        elapsed = time.perf_counter() - start
+        assert self.TIMEOUT * 0.9 <= elapsed < 2 * self.TIMEOUT, f"timed out after {elapsed:.2f} s"
+
+    def test_a_send_to_a_peer_that_never_reads_names_both_parties(self, sockets):
+        # 8 MB outgrows both socket buffers: one sendmsg takes what fits and
+        # waits out the timeout, the next finds no room and fails
+        tx = tp.Channel(sockets[1], 1, 2, None)
+        start = time.perf_counter()
+        with pytest.raises(TransportError, match="^party 1 timed out sending to party 2$"):
+            tx.send(tp.SELF_GRAM, (bytes(8 << 20),))
+        elapsed = time.perf_counter() - start
+        assert elapsed < 4 * self.TIMEOUT, f"timed out after {elapsed:.2f} s"
+
+    def test_a_python_timeout_on_a_send_names_both_parties(self):
+        tx, rx = loopback_channels()
+        tx.sock.settimeout(0.01)
+        with pytest.raises(TransportError, match="^party 1 timed out sending to party 2$"):
+            tx.send(tp.SELF_GRAM, (bytes(8 << 20),))
+        tx.close()
+        rx.close()
 
 
 class TestTranscript:
